@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench soak overlay-soak soak-long verify report perf perfcheck determinism pardet clean
+.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench bench-smoke soak overlay-soak soak-long verify report perf perfcheck determinism pardet clean
 
 all: build
 
@@ -69,6 +69,13 @@ fuzz-schedule:
 bench:
 	$(GO) test -bench=E -benchtime=1x .
 
+# bench-smoke builds and tests the repository benchmark (bench/, its
+# own module, which `go build ./...` and `go test ./...` do not reach)
+# against this tree: every workload at 1% scale, ~3 s. It is what
+# catches an internal API change that would break `bash bench/run.sh`.
+bench-smoke:
+	$(GO) test -C bench ./...
+
 # soak is the E15 backend soak: the 10/100-flow workload matrix on
 # both TCP stacks over the real-time backends (in-process channels and
 # loopback UDP). Wall-clock, so it never touches BENCH_metrics.json;
@@ -94,9 +101,10 @@ soak-long:
 # verify is the PR gate: static checks, the full suite under the race
 # detector, short fuzz passes over the bit-stuffing spec, the pooled
 # parity target and the fault-schedule differential oracle, one pass
-# of the experiment benchmarks, the parallel-determinism matrix and
-# the perf gate against the checked-in baseline.
-verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench pardet perfcheck
+# of the experiment benchmarks, the benchmark module's smoke test, the
+# parallel-determinism matrix and the perf gate against the checked-in
+# baseline.
+verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench bench-smoke pardet perfcheck
 
 # report regenerates BENCH_metrics.json, the machine-readable run
 # report over E1-E14 (deterministic: same seed, same bytes).

@@ -16,8 +16,10 @@ import (
 
 	"repro/internal/datalink"
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/stuffing"
+	"repro/internal/transport"
 	"repro/internal/transport/harness"
 	"repro/internal/transport/sublayered"
 	"repro/internal/workload"
@@ -100,6 +102,51 @@ func BenchmarkE7PerformanceSublayered(b *testing.B) {
 func BenchmarkE7PerformanceShim(b *testing.B) {
 	benchTransfer(b, harness.KindSublayeredShim, harness.KindMonolithic)
 }
+
+// benchConnSetup measures what one connection costs end to end with a
+// metrics registry attached: dial, accept, establish, close both ways.
+// No payload moves, and every connection's instruments stay in the
+// registry, so the b.N-th connection is set up at load b.N.
+func benchConnSetup(b *testing.B, kind harness.Kind) {
+	b.Helper()
+	w := harness.BuildWorld(harness.WorldConfig{
+		Seed: 1, Hops: 2, Link: netsim.LinkConfig{Delay: time.Millisecond},
+		Client: kind, Server: kind, Metrics: metrics.New(),
+	})
+	defer w.Close()
+	closed := 0
+	onClosed := func(error) { closed++ }
+	if err := w.Server.Listen(80, func(c transport.Conn) {
+		c.Callbacks(nil, func() { c.ReadAll(); c.Close() }, nil, onClosed)
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := w.Client.Dial(w.ServerAddr(), 80)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Callbacks(c.Close, func() { c.ReadAll() }, nil, onClosed)
+		// Handshake and both FINs are a handful of 1 ms hops; TIME_WAIT
+		// outlives the slice and expires during later iterations.
+		w.Sim.RunFor(20 * time.Millisecond)
+	}
+	b.StopTimer()
+	w.Sim.RunFor(time.Minute)
+	if closed != 2*b.N {
+		b.Fatalf("%d of %d connection ends closed", closed, 2*b.N)
+	}
+}
+
+// BenchmarkConnSetupSub: per-connection cost of the sublayered stack
+// (four sublayers, ~30 instruments adopted as one group).
+func BenchmarkConnSetupSub(b *testing.B) { benchConnSetup(b, harness.KindSublayeredNative) }
+
+// BenchmarkConnSetupMono: the monolithic baseline, which has no
+// per-connection instruments.
+func BenchmarkConnSetupMono(b *testing.B) { benchConnSetup(b, harness.KindMonolithic) }
 
 // BenchmarkE8Replace regenerates the CC × CM swap matrix.
 func BenchmarkE8Replace(b *testing.B) { benchExperiment(b, "e8") }

@@ -11,9 +11,11 @@
 //     is.
 //   - Registration is adoption, not creation. A component keeps its
 //     counters as ordinary fields (the single source of truth) and a
-//     Scope adopts pointers to them under hierarchical names. The old
-//     per-package Stats() snapshot structs are replaced by View maps
-//     built from the same fields.
+//     Scope adopts pointers to them under hierarchical names — one
+//     name at a time (Register), or a whole component as one group
+//     (Adopt) whose names are built only when a snapshot asks. The
+//     old per-package Stats() snapshot structs are replaced by View
+//     maps built from the same fields.
 //   - Snapshots are deterministic. Samples are sorted by name and hold
 //     only plain integers, so two runs of the same seeded simulation
 //     marshal to byte-identical JSON.

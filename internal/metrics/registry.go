@@ -2,21 +2,43 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
 
 // Registry holds instruments under unique hierarchical names. The
 // name table is mutex-guarded because registration can happen from
-// concurrent shard workers (a transport connection registers its
-// scope when the SYN arrives, and two shards may accept connections
-// inside the same lookahead window). The instruments themselves stay
+// concurrent shard workers (a transport connection adopts its group
+// when the SYN arrives, and two shards may accept connections inside
+// the same lookahead window). The instruments themselves stay
 // lock-free: each has a single writer (its owning node's shard), and
 // snapshots are only taken while the workers are quiescent.
+//
+// Instruments arrive one name at a time (Register) or as a group
+// (Adopt: one prefix, a shared leaf-name table, the instruments). A
+// group costs one table entry however many instruments it carries;
+// its full names exist only in Snapshot.
 type Registry struct {
 	mu     sync.Mutex
 	byName map[string]Instrument
+	// paths indexes the name tree once the first group arrives: every
+	// proper ancestor path of a registered name is a key, and a
+	// non-nil value is the chain of groups adopted at exactly that
+	// path. An absent key therefore proves nothing is registered
+	// beneath it, which is what lets Adopt skip the per-leaf duplicate
+	// check. Nil while no group exists, so group-free registries pay
+	// nothing for it.
+	paths   map[string]*group
+	grouped int // instruments held by groups
+}
+
+// group is one Adopt call: ins[i] is named prefix + "/" + leaves.names[i].
+type group struct {
+	prefix string
+	leaves *Leaves
+	ins    []Instrument
+	next   *group // another group adopted at the same prefix
 }
 
 // New returns an empty registry.
@@ -40,10 +62,99 @@ func (r *Registry) register(name string, in Instrument) {
 	if in == nil {
 		panic(fmt.Sprintf("metrics: nil instrument for %q", name))
 	}
-	if _, dup := r.byName[name]; dup {
+	if _, dup := r.lookup(name); dup {
 		panic(fmt.Sprintf("metrics: duplicate metric name %q", name))
 	}
 	r.byName[name] = in
+	if r.paths != nil {
+		r.markAncestors(name)
+	}
+}
+
+// Adopt registers a component's instruments as one group: ins[i]
+// takes the name prefix + "/" + leaves.Names()[i]. The registry keeps
+// ins (the caller must not modify it afterwards) and builds the full
+// names only in Snapshot, so adoption costs the same few map
+// operations whatever len(ins) and the registry's size. Names collide
+// exactly as if each had been passed to Register, and a collision
+// panics here, at adoption.
+func (r *Registry) Adopt(prefix string, leaves *Leaves, ins []Instrument) {
+	if prefix == "" {
+		panic("metrics: empty group prefix")
+	}
+	if len(ins) != len(leaves.names) {
+		panic(fmt.Sprintf("metrics: group %q has %d instruments for %d leaf names", prefix, len(ins), len(leaves.names)))
+	}
+	for i, in := range ins {
+		if in == nil {
+			panic(fmt.Sprintf("metrics: nil instrument for %q", prefix+"/"+leaves.names[i]))
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.paths == nil {
+		r.paths = make(map[string]*group)
+		for name := range r.byName {
+			r.markAncestors(name)
+		}
+	}
+	if r.mayHoldNamesUnder(prefix) {
+		for _, leaf := range leaves.names {
+			if _, dup := r.lookup(prefix + "/" + leaf); dup {
+				panic(fmt.Sprintf("metrics: duplicate metric name %q", prefix+"/"+leaf))
+			}
+		}
+	}
+	r.paths[prefix] = &group{prefix: prefix, leaves: leaves, ins: ins, next: r.paths[prefix]}
+	r.markAncestors(prefix)
+	r.grouped += len(ins)
+}
+
+// markAncestors records every proper ancestor path of name in paths.
+// It stops at the first one already present: whoever added that one
+// added its ancestors too.
+func (r *Registry) markAncestors(name string) {
+	for i := strings.LastIndexByte(name, '/'); i >= 0; i = strings.LastIndexByte(name[:i], '/') {
+		if _, ok := r.paths[name[:i]]; ok {
+			return
+		}
+		r.paths[name[:i]] = nil
+	}
+}
+
+// mayHoldNamesUnder reports whether some registered name could start
+// with prefix + "/": prefix is an ancestor of a registered name (or
+// holds a group already), or a group sits at an ancestor of prefix
+// and may have leaves reaching below it.
+func (r *Registry) mayHoldNamesUnder(prefix string) bool {
+	if _, ok := r.paths[prefix]; ok {
+		return true
+	}
+	for i := strings.LastIndexByte(prefix, '/'); i >= 0; i = strings.LastIndexByte(prefix[:i], '/') {
+		if r.paths[prefix[:i]] != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// lookup resolves a full name to its instrument, whether registered
+// singly or inside a group.
+func (r *Registry) lookup(name string) (Instrument, bool) {
+	if in, ok := r.byName[name]; ok {
+		return in, true
+	}
+	if r.paths == nil {
+		return nil, false
+	}
+	for i := strings.LastIndexByte(name, '/'); i >= 0; i = strings.LastIndexByte(name[:i], '/') {
+		for g := r.paths[name[:i]]; g != nil; g = g.next {
+			if j, ok := g.leaves.index[name[i+1:]]; ok {
+				return g.ins[j], true
+			}
+		}
+	}
+	return nil, false
 }
 
 // Counter returns the counter registered under name, creating one if
@@ -51,7 +162,7 @@ func (r *Registry) register(name string, in Instrument) {
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if in, ok := r.byName[name]; ok {
+	if in, ok := r.lookup(name); ok {
 		c, isC := in.(*Counter)
 		if !isC {
 			panic(fmt.Sprintf("metrics: %q is not a counter", name))
@@ -68,7 +179,7 @@ func (r *Registry) Counter(name string) *Counter {
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if in, ok := r.byName[name]; ok {
+	if in, ok := r.lookup(name); ok {
 		g, isG := in.(*Gauge)
 		if !isG {
 			panic(fmt.Sprintf("metrics: %q is not a gauge", name))
@@ -85,7 +196,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if in, ok := r.byName[name]; ok {
+	if in, ok := r.lookup(name); ok {
 		h, isH := in.(*Histogram)
 		if !isH {
 			panic(fmt.Sprintf("metrics: %q is not a histogram", name))
@@ -101,7 +212,7 @@ func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.byName)
+	return len(r.byName) + r.grouped
 }
 
 // Scope returns a scope that prefixes names with prefix + "/".
@@ -113,14 +224,25 @@ func (r *Registry) Scope(prefix string) *Scope {
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		names = append(names, n)
+	type named struct {
+		name string
+		in   Instrument
 	}
-	sort.Strings(names)
-	s := Snapshot{Samples: make([]Sample, 0, len(names))}
-	for _, n := range names {
-		s.Samples = append(s.Samples, r.byName[n].sample(n))
+	all := make([]named, 0, len(r.byName)+r.grouped)
+	for n, in := range r.byName {
+		all = append(all, named{n, in})
+	}
+	for _, g := range r.paths {
+		for ; g != nil; g = g.next {
+			for i, leaf := range g.leaves.names {
+				all = append(all, named{g.prefix + "/" + leaf, g.ins[i]})
+			}
+		}
+	}
+	slices.SortFunc(all, func(a, b named) int { return strings.Compare(a.name, b.name) })
+	s := Snapshot{Samples: make([]Sample, 0, len(all))}
+	for _, e := range all {
+		s.Samples = append(s.Samples, e.in.sample(e.name))
 	}
 	return s
 }
@@ -145,6 +267,9 @@ type Scope struct {
 
 // Join concatenates name parts with "/", skipping empty parts.
 func Join(parts ...string) string {
+	if !slices.Contains(parts, "") {
+		return strings.Join(parts, "/")
+	}
 	kept := parts[:0:0]
 	for _, p := range parts {
 		if p != "" {
@@ -168,6 +293,15 @@ func (s *Scope) Register(name string, in Instrument) {
 		return
 	}
 	s.reg.Register(Join(s.prefix, name), in)
+}
+
+// Adopt adopts ins as one group named name under the scope's prefix
+// (see Registry.Adopt). No-op on a nil scope.
+func (s *Scope) Adopt(name string, leaves *Leaves, ins []Instrument) {
+	if s == nil {
+		return
+	}
+	s.reg.Adopt(Join(s.prefix, name), leaves, ins)
 }
 
 // Counter returns (creating if needed) a counter in this scope, or a

@@ -31,7 +31,7 @@ func (s *Stack) tcpInput(dg *network.Datagram) {
 	if h.Flags&tcpwire.FlagSYN != 0 && h.Flags&tcpwire.FlagACK == 0 {
 		if l, ok := s.listeners[h.DstPort]; ok {
 			p := s.newPCB(id)
-			s.pcbs[id] = p
+			s.insert(p)
 			p.state = stSynRcvd
 			p.irs = seg.Seq(h.Seq)
 			p.rcvNxt = p.irs.Add(1)
@@ -40,7 +40,6 @@ func (s *Stack) tcpInput(dg *network.Datagram) {
 			p.sndNxt = p.iss.Add(1)
 			p.sndWnd = int(h.Window)
 			s.tw("pcb.state", "pcb.irs", "pcb.rcv_nxt", "pcb.iss", "pcb.snd_una", "pcb.snd_nxt", "pcb.snd_wnd")
-			l.accepted = append(l.accepted, p)
 			if l.OnAccept != nil {
 				l.OnAccept(p)
 			}

@@ -329,6 +329,7 @@ func (p *PCB) kill(err error) {
 	}
 	p.stopRexmit()
 	delete(p.stack.pcbs, p.id)
+	p.stack.ports.Unbind(p.id.localPort)
 	if p.OnClosed != nil {
 		p.OnClosed(err)
 	}

@@ -162,7 +162,7 @@ type Stack struct {
 	cfg       Config
 	pcbs      map[connID]*PCB
 	listeners map[uint16]*Listener
-	nextPort  uint16
+	ports     transport.Ports
 	m         tcpMetrics
 	// traceName labels this stack's causal-trace events ("n1/mono").
 	traceName string
@@ -180,11 +180,7 @@ type Stack struct {
 type Listener struct {
 	port     uint16
 	OnAccept func(*PCB)
-	accepted []*PCB
 }
-
-// Accepted returns connections created so far.
-func (l *Listener) Accepted() []*PCB { return l.accepted }
 
 // NewStack attaches a monolithic TCP to a router (claims ProtoTCP).
 // Trailing transport.Options (WithCC, WithMetrics, WithTracer) override
@@ -207,7 +203,6 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...tr
 		cfg:       cfg.withDefaults(),
 		pcbs:      make(map[connID]*PCB),
 		listeners: make(map[uint16]*Listener),
-		nextPort:  49152,
 		traceName: router.Addr().String() + "/mono",
 	}
 	s.m.rttMs = metrics.NewHistogram(rttBoundsMs...)
@@ -236,6 +231,9 @@ func (s *Stack) Close() error {
 	}
 	for _, p := range pcbs {
 		p.Abort()
+	}
+	for port := range s.listeners {
+		s.ports.Unbind(port)
 	}
 	s.listeners = make(map[uint16]*Listener)
 	return nil
@@ -289,9 +287,9 @@ type PCB struct {
 	rexmitFn  func() // cached callbacks; re-arming allocates nothing
 	persistFn func()
 	nrexmit   int
-	timing   bool
-	timedEnd seg.Seq
-	timedAt  netsim.Time
+	timing    bool
+	timedEnd  seg.Seq
+	timedAt   netsim.Time
 
 	// Teardown.
 	closed    bool // application closed the write side
@@ -380,17 +378,18 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 	}
 	l := &Listener{port: port}
 	s.listeners[port] = l
+	s.ports.Bind(port)
 	return l, nil
 }
 
 // Dial opens a connection.
 func (s *Stack) Dial(dst network.Addr, dstPort uint16) (*PCB, error) {
-	local := s.allocPort()
+	local := s.ports.Ephemeral()
 	if local == 0 {
 		return nil, fmt.Errorf("monolithic: no free ports")
 	}
 	p := s.newPCB(connID{remoteAddr: dst, remotePort: dstPort, localPort: local})
-	s.pcbs[p.id] = p
+	s.insert(p)
 	p.state = stSynSent
 	p.iss = seg.Seq(uint32(int64(s.sim.Now())/4000) ^ uint32(local)<<16)
 	p.sndUna = p.iss
@@ -400,37 +399,22 @@ func (s *Stack) Dial(dst network.Addr, dstPort uint16) (*PCB, error) {
 	return p, nil
 }
 
-func (s *Stack) allocPort() uint16 {
-	for i := 0; i < 1<<14; i++ {
-		port := s.nextPort
-		s.nextPort++
-		if s.nextPort == 0 {
-			s.nextPort = 49152
-		}
-		busy := false
-		for id := range s.pcbs {
-			if id.localPort == port {
-				busy = true
-				break
-			}
-		}
-		if _, lb := s.listeners[port]; !busy && !lb {
-			return port
-		}
-	}
-	return 0
+// insert enters a PCB into the demux table.
+func (s *Stack) insert(p *PCB) {
+	s.pcbs[p.id] = p
+	s.ports.Bind(p.id.localPort)
 }
 
 func (s *Stack) newPCB(id connID) *PCB {
 	p := &PCB{
-		stack:    s,
-		id:       id,
-		state:    stClosed,
-		cc:       ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: s.cfg.MSS}),
-		sndWnd:   s.cfg.MSS,
-		sndBuf:   seg.NewSendBuffer(s.cfg.SendBuf),
-		reasm:    seg.NewReassembly(s.cfg.RecvBuf),
-		rtt:      seg.NewRTTEstimator(time.Second, 200*time.Millisecond, 60*time.Second),
+		stack:  s,
+		id:     id,
+		state:  stClosed,
+		cc:     ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: s.cfg.MSS}),
+		sndWnd: s.cfg.MSS,
+		sndBuf: seg.NewSendBuffer(s.cfg.SendBuf),
+		reasm:  seg.NewReassembly(s.cfg.RecvBuf),
+		rtt:    seg.NewRTTEstimator(time.Second, 200*time.Millisecond, 60*time.Second),
 	}
 	p.rexmitFn = p.onRexmitTimer
 	p.persistFn = p.onPersistTimer

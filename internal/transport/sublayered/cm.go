@@ -147,23 +147,17 @@ type cmMetrics struct {
 	resets                  metrics.Counter
 }
 
-func (m *cmMetrics) bind(sc *metrics.Scope) {
-	sc.Register("syn_sent", &m.synSent)
-	sc.Register("syn_retransmits", &m.synRetransmits)
-	sc.Register("fin_sent", &m.finSent)
-	sc.Register("fin_retransmits", &m.finRetransmits)
-	sc.Register("resets", &m.resets)
+func (m *cmMetrics) each(f func(string, metrics.Instrument)) {
+	f("syn_sent", &m.synSent)
+	f("syn_retransmits", &m.synRetransmits)
+	f("fin_sent", &m.finSent)
+	f("fin_retransmits", &m.finRetransmits)
+	f("resets", &m.resets)
 }
 
-func (m *cmMetrics) view() metrics.View {
-	return metrics.View{
-		"syn_sent":        m.synSent.Value(),
-		"syn_retransmits": m.synRetransmits.Value(),
-		"fin_sent":        m.finSent.Value(),
-		"fin_retransmits": m.finRetransmits.Value(),
-		"resets":          m.resets.Value(),
-	}
-}
+// handshakeLeaves is the leaf table of a connection run by a
+// HandshakeCM.
+var handshakeLeaves = metrics.ConcatLeaves(connLeaves, metrics.LeavesOf("cm", new(cmMetrics).each))
 
 func (c CMConfig) withDefaults() CMConfig {
 	if c.RexmitInterval <= 0 {
@@ -188,10 +182,11 @@ func NewHandshakeCM(gen ISNGenerator, cfg CMConfig) *HandshakeCM {
 func (m *HandshakeCM) Name() string { return "handshake(" + m.gen.Name() + ")" }
 
 // Stats returns a snapshot of the CM counters.
-func (m *HandshakeCM) Stats() metrics.View { return m.m.view() }
+func (m *HandshakeCM) Stats() metrics.View { return metrics.ViewOf(m.m.each) }
 
-// BindMetrics adopts the CM counters into sc (metrics.Instrumented).
-func (m *HandshakeCM) BindMetrics(sc *metrics.Scope) { m.m.bind(sc) }
+// leaves and each implement instrumentedCM.
+func (m *HandshakeCM) leaves() *metrics.Leaves                 { return handshakeLeaves }
+func (m *HandshakeCM) each(f func(string, metrics.Instrument)) { m.m.each(f) }
 
 func (m *HandshakeCM) attach(c *Conn) { m.conn = c }
 

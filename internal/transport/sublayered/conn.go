@@ -88,19 +88,19 @@ type Crossings struct {
 	FromDM     metrics.Counter // segments demultiplexed up
 }
 
-// bind adopts the boundary counters into sc, named after the Fig. 5
-// edges they sit on.
-func (x *Crossings) bind(sc *metrics.Scope) {
-	sc.Register("app_to_osr", &x.AppToOSR)
-	sc.Register("app_bytes", &x.AppBytes)
-	sc.Register("osr_to_rd", &x.OSRToRD)
-	sc.Register("osr_bytes", &x.OSRBytes)
-	sc.Register("rd_to_osr_ack", &x.RDToOSRAck)
-	sc.Register("rd_to_osr_dat", &x.RDToOSRDat)
-	sc.Register("rd_to_osr_los", &x.RDToOSRLos)
-	sc.Register("cm_to_rd", &x.CMToRD)
-	sc.Register("to_dm", &x.ToDM)
-	sc.Register("from_dm", &x.FromDM)
+// each lists the boundary counters, named after the Fig. 5 edges they
+// sit on.
+func (x *Crossings) each(f func(string, metrics.Instrument)) {
+	f("app_to_osr", &x.AppToOSR)
+	f("app_bytes", &x.AppBytes)
+	f("osr_to_rd", &x.OSRToRD)
+	f("osr_bytes", &x.OSRBytes)
+	f("rd_to_osr_ack", &x.RDToOSRAck)
+	f("rd_to_osr_dat", &x.RDToOSRDat)
+	f("rd_to_osr_los", &x.RDToOSRLos)
+	f("cm_to_rd", &x.CMToRD)
+	f("to_dm", &x.ToDM)
+	f("from_dm", &x.FromDM)
 }
 
 // CrossingStats returns a snapshot of the boundary counters.

@@ -2,6 +2,7 @@ package sublayered
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/bufpool"
 	"repro/internal/ccontrol"
@@ -61,8 +62,11 @@ type Config struct {
 	CMConfig CMConfig
 	// Metrics, when non-nil, adopts the stack's instruments under this
 	// scope: "dm/..." for the demultiplexer and "conn<n>/<sublayer>/..."
-	// per connection, numbered in creation order. A nil scope costs
-	// nothing (instruments stay detached).
+	// per connection, numbered in creation order. Each connection is
+	// adopted as one group (metrics.Registry.Adopt), so attaching a
+	// registry costs a connection the same few allocations however many
+	// instruments it has and however many connections came before. A
+	// nil scope costs nothing (instruments stay detached).
 	Metrics *metrics.Scope
 }
 
@@ -108,22 +112,12 @@ type dmMetrics struct {
 	rstsSent   metrics.Counter
 }
 
-func (m *dmMetrics) bind(sc *metrics.Scope) {
-	sc.Register("delivered", &m.delivered)
-	sc.Register("new_passive", &m.newPassive)
-	sc.Register("no_listener", &m.noListener)
-	sc.Register("malformed", &m.malformed)
-	sc.Register("rsts_sent", &m.rstsSent)
-}
-
-func (m *dmMetrics) view() metrics.View {
-	return metrics.View{
-		"delivered":   m.delivered.Value(),
-		"new_passive": m.newPassive.Value(),
-		"no_listener": m.noListener.Value(),
-		"malformed":   m.malformed.Value(),
-		"rsts_sent":   m.rstsSent.Value(),
-	}
+func (m *dmMetrics) each(f func(string, metrics.Instrument)) {
+	f("delivered", &m.delivered)
+	f("new_passive", &m.newPassive)
+	f("no_listener", &m.noListener)
+	f("malformed", &m.malformed)
+	f("rsts_sent", &m.rstsSent)
 }
 
 // DM is the demultiplexing sublayer — "essentially UDP; it allows
@@ -135,7 +129,7 @@ type DM struct {
 	stack     *Stack
 	listeners map[uint16]*Listener
 	conns     map[connID]*Conn
-	nextPort  uint16
+	ports     transport.Ports
 	// rxHdr is the scratch header every native-mode segment is parsed
 	// into: the receive path is single-threaded (one event at a time)
 	// and nothing below retains the header across events, so one
@@ -151,11 +145,7 @@ type Listener struct {
 	// OnAccept is invoked with each newly created (still handshaking)
 	// connection; set callbacks on it there.
 	OnAccept func(*Conn)
-	accepted []*Conn
 }
-
-// Accepted returns connections created so far.
-func (l *Listener) Accepted() []*Conn { return l.accepted }
 
 // Port returns the listening port.
 func (l *Listener) Port() uint16 { return l.port }
@@ -196,7 +186,6 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...tr
 		stack:     s,
 		listeners: make(map[uint16]*Listener),
 		conns:     make(map[connID]*Conn),
-		nextPort:  49152,
 	}
 	if s.cfg.UseShim {
 		s.shim = tcpwire.NewShim(uint16(s.cfg.MSS))
@@ -217,7 +206,7 @@ func (s *Stack) BindMetrics(sc *metrics.Scope) {
 		return
 	}
 	s.cfg.Metrics = sc
-	s.dm.m.bind(sc.Sub("dm"))
+	s.dm.m.each(sc.Sub("dm").Register)
 	if s.shim != nil {
 		s.shim.BindMetrics(sc.Sub("shim"))
 	}
@@ -235,6 +224,9 @@ func (s *Stack) Close() error {
 	for _, c := range conns {
 		c.Abort()
 	}
+	for port := range s.dm.listeners {
+		s.dm.ports.Unbind(port)
+	}
 	s.dm.listeners = make(map[uint16]*Listener)
 	return nil
 }
@@ -243,7 +235,7 @@ func (s *Stack) Close() error {
 func (s *Stack) Addr() network.Addr { return s.router.Addr() }
 
 // DMStats returns a snapshot of the demultiplexer's counters.
-func (s *Stack) DMStats() metrics.View { return s.dm.m.view() }
+func (s *Stack) DMStats() metrics.View { return metrics.ViewOf(s.dm.m.each) }
 
 // Config returns the stack's (defaulted) configuration.
 func (s *Stack) Config() Config { return s.cfg }
@@ -255,13 +247,14 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 	}
 	l := &Listener{stack: s, port: port}
 	s.dm.listeners[port] = l
+	s.dm.ports.Bind(port)
 	return l, nil
 }
 
 // Dial opens a connection to dstAddr:dstPort, returning immediately;
 // use Conn.OnConnected for establishment.
 func (s *Stack) Dial(dstAddr network.Addr, dstPort uint16) (*Conn, error) {
-	local := s.dm.allocPort()
+	local := s.dm.ports.Ephemeral()
 	if local == 0 {
 		return nil, fmt.Errorf("sublayered: no free ephemeral ports")
 	}
@@ -269,9 +262,27 @@ func (s *Stack) Dial(dstAddr network.Addr, dstPort uint16) (*Conn, error) {
 		SrcAddr: uint16(s.router.Addr()), DstAddr: uint16(dstAddr),
 		SrcPort: local, DstPort: dstPort,
 	})
-	s.dm.conns[c.id] = c
+	s.dm.insert(c)
 	c.cm.open(true, nil)
 	return c, nil
+}
+
+// connLeaves names the instruments every connection has, sublayer by
+// sublayer; a connection manager that exports its own (instrumentedCM)
+// extends it.
+var connLeaves = metrics.ConcatLeaves(
+	metrics.LeavesOf("crossings", new(Crossings).each),
+	metrics.LeavesOf("rd", new(rdMetrics).each),
+	metrics.LeavesOf("osr", new(osrMetrics).each))
+
+// instrumentedCM is implemented by connection managers that export
+// instruments as part of their connection's group.
+type instrumentedCM interface {
+	// leaves is connLeaves followed by the manager's own "cm/..."
+	// names — a static table, one per manager type.
+	leaves() *metrics.Leaves
+	// each lists the manager's instruments in that table's order.
+	each(f func(string, metrics.Instrument))
 }
 
 // newConn builds the four-sublayer composition.
@@ -289,17 +300,34 @@ func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 	c.cm.attach(c)
 	c.rd = newRD(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
 	c.osr = newOSR(c, s.cfg.NewCC(s.cfg.MSS), s.cfg.MSS, s.cfg.SendBuf, s.cfg.RecvBuf)
+	s.adoptMetrics(c)
+	return c
+}
+
+// adoptMetrics hands the connection's instruments to the registry as
+// one group, named "conn<seq>/<sublayer>/<leaf>" when a snapshot asks.
+func (s *Stack) adoptMetrics(c *Conn) {
 	// The sequence number advances whether or not a registry is
 	// attached, so metric names are stable across configurations.
-	sc := s.cfg.Metrics.Sub(fmt.Sprintf("conn%d", s.connSeq))
+	seq := s.connSeq
 	s.connSeq++
-	c.crossings.bind(sc.Sub("crossings"))
-	c.rd.bindMetrics(sc.Sub("rd"))
-	c.osr.bindMetrics(sc.Sub("osr"))
-	if in, ok := c.cm.(metrics.Instrumented); ok {
-		in.BindMetrics(sc.Sub("cm"))
+	if s.cfg.Metrics == nil {
+		return
 	}
-	return c
+	leaves := connLeaves
+	cm, hasCM := c.cm.(instrumentedCM)
+	if hasCM {
+		leaves = cm.leaves()
+	}
+	ins := make([]metrics.Instrument, 0, len(leaves.Names()))
+	add := func(_ string, in metrics.Instrument) { ins = append(ins, in) }
+	c.crossings.each(add)
+	c.rd.m.each(add)
+	c.osr.m.each(add)
+	if hasCM {
+		cm.each(add)
+	}
+	s.cfg.Metrics.Adopt(string(strconv.AppendInt([]byte("conn"), int64(seq), 10)), leaves, ins)
 }
 
 // track/trackWrite feed the optional E6 instrumentation.
@@ -323,28 +351,6 @@ func (s *Stack) trackRead(vars ...string) {
 			s.cfg.Tracker.Read(v)
 		}
 	}
-}
-
-// allocPort hands out an unused ephemeral port.
-func (d *DM) allocPort() uint16 {
-	for i := 0; i < 1<<14; i++ {
-		p := d.nextPort
-		d.nextPort++
-		if d.nextPort == 0 {
-			d.nextPort = 49152
-		}
-		busy := false
-		for id := range d.conns {
-			if id.localPort == p {
-				busy = true
-				break
-			}
-		}
-		if _, lb := d.listeners[p]; !busy && !lb {
-			return p
-		}
-	}
-	return 0
 }
 
 // receive is the bottom of the stack: decode the wire format (native
@@ -396,8 +402,7 @@ func (d *DM) receive(dg *network.Datagram) {
 				return
 			}
 			d.m.newPassive.Inc()
-			d.conns[id] = c
-			l.accepted = append(l.accepted, c)
+			d.insert(c)
 			if l.OnAccept != nil {
 				l.OnAccept(c)
 			}
@@ -479,9 +484,19 @@ func packFlow(key tcpwire.FlowKey) uint64 {
 	return netsim.PackFlow(key.SrcAddr, key.DstAddr, key.SrcPort, key.DstPort)
 }
 
-// remove deletes a dead connection from the demux table.
+// insert enters a connection into the demux table.
+func (d *DM) insert(c *Conn) {
+	d.conns[c.id] = c
+	d.ports.Bind(c.id.localPort)
+}
+
+// remove deletes a dead connection from the demux table. A passive
+// open its manager rejected dies before it was ever inserted.
 func (d *DM) remove(id connID) {
-	delete(d.conns, id)
+	if _, ok := d.conns[id]; ok {
+		delete(d.conns, id)
+		d.ports.Unbind(id.localPort)
+	}
 }
 
 // Conns returns the live connection count (tests).

@@ -65,24 +65,13 @@ type osrMetrics struct {
 	ecnReactions     metrics.Counter
 }
 
-func (m *osrMetrics) bind(sc *metrics.Scope) {
-	sc.Register("segments_ready", &m.segmentsReady)
-	sc.Register("bytes_segmented", &m.bytesSegmented)
-	sc.Register("bytes_reassembled", &m.bytesReassembled)
-	sc.Register("window_stalls", &m.windowStalls)
-	sc.Register("zero_window_probes", &m.zeroWindowProbes)
-	sc.Register("ecn_reactions", &m.ecnReactions)
-}
-
-func (m *osrMetrics) view() metrics.View {
-	return metrics.View{
-		"segments_ready":     m.segmentsReady.Value(),
-		"bytes_segmented":    m.bytesSegmented.Value(),
-		"bytes_reassembled":  m.bytesReassembled.Value(),
-		"window_stalls":      m.windowStalls.Value(),
-		"zero_window_probes": m.zeroWindowProbes.Value(),
-		"ecn_reactions":      m.ecnReactions.Value(),
-	}
+func (m *osrMetrics) each(f func(string, metrics.Instrument)) {
+	f("segments_ready", &m.segmentsReady)
+	f("bytes_segmented", &m.bytesSegmented)
+	f("bytes_reassembled", &m.bytesReassembled)
+	f("window_stalls", &m.windowStalls)
+	f("zero_window_probes", &m.zeroWindowProbes)
+	f("ecn_reactions", &m.ecnReactions)
 }
 
 func newOSR(c *Conn, cc CongestionControl, mss, sendBuf, recvBuf int) *OSR {
@@ -122,10 +111,7 @@ func newOSR(c *Conn, cc CongestionControl, mss, sendBuf, recvBuf int) *OSR {
 }
 
 // Stats returns a snapshot of the OSR counters.
-func (o *OSR) Stats() metrics.View { return o.m.view() }
-
-// bindMetrics adopts OSR's instruments into sc.
-func (o *OSR) bindMetrics(sc *metrics.Scope) { o.m.bind(sc) }
+func (o *OSR) Stats() metrics.View { return metrics.ViewOf(o.m.each) }
 
 // CC exposes the congestion controller (read-only use: stats, E8).
 func (o *OSR) CC() CongestionControl { return o.cc }

@@ -103,30 +103,18 @@ type rdMetrics struct {
 // rttBoundsMs buckets RTT samples from LAN-ish to badly congested.
 var rttBoundsMs = []int64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 
-func (m *rdMetrics) bind(sc *metrics.Scope) {
-	sc.Register("segments_sent", &m.segmentsSent)
-	sc.Register("retransmits", &m.retransmits)
-	sc.Register("fast_retransmits", &m.fastRetransmits)
-	sc.Register("timeouts", &m.timeouts)
-	sc.Register("acks_sent", &m.acksSent)
-	sc.Register("dup_segments", &m.dupSegments)
-	sc.Register("delivered_bytes", &m.deliveredBytes)
-	sc.Register("aborts", &m.aborts)
-	sc.Register("rtt_ms", m.rttMs)
-}
-
-func (m *rdMetrics) view() metrics.View {
-	return metrics.View{
-		"segments_sent":    m.segmentsSent.Value(),
-		"retransmits":      m.retransmits.Value(),
-		"fast_retransmits": m.fastRetransmits.Value(),
-		"timeouts":         m.timeouts.Value(),
-		"acks_sent":        m.acksSent.Value(),
-		"dup_segments":     m.dupSegments.Value(),
-		"delivered_bytes":  m.deliveredBytes.Value(),
-		"aborts":           m.aborts.Value(),
-		"rtt_samples":      m.rttMs.Count(),
-	}
+// each lists RD's instruments under their leaf names — the one place
+// they are named.
+func (m *rdMetrics) each(f func(string, metrics.Instrument)) {
+	f("segments_sent", &m.segmentsSent)
+	f("retransmits", &m.retransmits)
+	f("fast_retransmits", &m.fastRetransmits)
+	f("timeouts", &m.timeouts)
+	f("acks_sent", &m.acksSent)
+	f("dup_segments", &m.dupSegments)
+	f("delivered_bytes", &m.deliveredBytes)
+	f("aborts", &m.aborts)
+	f("rtt_ms", m.rttMs)
 }
 
 type outSeg struct {
@@ -163,14 +151,12 @@ func newRD(c *Conn, sackEnabled, delayedAcks bool) *RD {
 	return r
 }
 
-// Stats returns a snapshot of the RD counters.
-func (r *RD) Stats() metrics.View { return r.m.view() }
+// Stats returns a snapshot of the RD counters ("rtt_ms" is the number
+// of RTT samples taken).
+func (r *RD) Stats() metrics.View { return metrics.ViewOf(r.m.each) }
 
 // RTTHistogram exposes the Karn-valid RTT sample distribution.
 func (r *RD) RTTHistogram() *metrics.Histogram { return r.m.rttMs }
-
-// bindMetrics adopts RD's instruments into sc.
-func (r *RD) bindMetrics(sc *metrics.Scope) { r.m.bind(sc) }
 
 // Established is CM's service delivered: a pair of ISNs "not present in
 // the network so that segments and acks can be trusted as not being

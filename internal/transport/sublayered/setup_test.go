@@ -1,0 +1,130 @@
+package sublayered
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/netsim"
+	"repro/internal/network"
+	"repro/internal/tcpwire"
+)
+
+// bareStack is a stack on an unconnected router: enough to build
+// connections, not to carry them.
+func bareStack(cfg Config) *Stack {
+	sim := netsim.NewSimulator(1)
+	r := network.NewRouter(sim, 1, network.NewDistanceVector(network.DVConfig{}), network.NeighborConfig{})
+	return NewStack(sim, r, cfg)
+}
+
+// TestConnGroupNames: one connection exports crossings, RD and OSR
+// (plus CM when the manager has instruments) under
+// "conn<n>/<sublayer>/<leaf>", and its counters are the live ones.
+func TestConnGroupNames(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		newCM func() ConnManager
+		want  int
+	}{
+		{"handshake", nil, 30},
+		{"timer", func() ConnManager { return NewTimerCM(NewIncarnationRegistry(), CMConfig{}) }, 25},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.New()
+			s := bareStack(Config{NewCM: tc.newCM, Metrics: reg.Scope("n1")})
+			before := reg.Len()
+			s.newConn(tcpwire.FlowKey{SrcAddr: 1, DstAddr: 2, SrcPort: 50000, DstPort: 80})
+			c := s.newConn(tcpwire.FlowKey{SrcAddr: 1, DstAddr: 2, SrcPort: 50001, DstPort: 80})
+			if got := reg.Len() - before; got != 2*tc.want {
+				t.Fatalf("two connections added %d instruments, want %d", got, 2*tc.want)
+			}
+			c.crossings.ToDM.Add(3)
+			c.rd.m.rttMs.Observe(7)
+			c.osr.m.windowStalls.Inc()
+			snap := reg.Snapshot()
+			for name, want := range map[string]int64{
+				"n1/conn1/crossings/to_dm":   3,
+				"n1/conn1/rd/rtt_ms":         1,
+				"n1/conn1/osr/window_stalls": 1,
+				"n1/conn0/crossings/to_dm":   0,
+			} {
+				sm, ok := snap.Get(name)
+				if !ok || sm.Value != want {
+					t.Errorf("%s = %d (present %v), want %d", name, sm.Value, ok, want)
+				}
+			}
+			_, hasCM := snap.Get("n1/conn1/cm/syn_sent")
+			if hasCM != (tc.want == 30) {
+				t.Errorf("conn1/cm/syn_sent present = %v", hasCM)
+			}
+		})
+	}
+}
+
+// TestNewConnAllocsFlat is the guard on per-connection metric cost:
+// with a registry attached, building a connection allocates a bounded
+// number of objects, and the same number whether it is the first
+// connection or the 100 001st.
+func TestNewConnAllocsFlat(t *testing.T) {
+	measure := func(prior int) float64 {
+		s := bareStack(Config{Metrics: metrics.New().Scope("n1").Sub("transport")})
+		// Earlier connections matter only through what they left in the
+		// registry: one group each.
+		ins := make([]metrics.Instrument, len(handshakeLeaves.Names()))
+		for i := range ins {
+			ins[i] = &metrics.Counter{}
+		}
+		for ; s.connSeq < prior; s.connSeq++ {
+			s.cfg.Metrics.Adopt(fmt.Sprintf("conn%d", s.connSeq), handshakeLeaves, ins)
+		}
+		key := tcpwire.FlowKey{SrcAddr: 1, DstAddr: 2, SrcPort: 50000, DstPort: 80}
+		return testing.AllocsPerRun(1000, func() { s.newConn(key) })
+	}
+	empty, loaded := measure(0), measure(100_000)
+	if empty != loaded {
+		t.Errorf("newConn allocates %v objects on an empty registry, %v after 100k connections", empty, loaded)
+	}
+	if empty > 40 {
+		t.Errorf("newConn allocates %v objects with a registry attached, want <= 40", empty)
+	}
+}
+
+// TestDialPortsFollowTheTable: ephemeral ports count up from 49152,
+// skip a listener and live connections, and come back into use once
+// the connection that held them is gone.
+func TestDialPortsFollowTheTable(t *testing.T) {
+	w := newWorld(t, 1, cleanLink(), Config{}, Config{})
+	if _, err := w.client.Listen(49153); err != nil {
+		t.Fatal(err)
+	}
+	dial := func() *Conn {
+		t.Helper()
+		c, err := w.client.Dial(4, 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b := dial(), dial()
+	if a.LocalPort() != 49152 || b.LocalPort() != 49154 {
+		t.Fatalf("dialled from %d and %d, want 49152 and 49154 (49153 is listening)", a.LocalPort(), b.LocalPort())
+	}
+	a.Abort()
+	// Walk the allocator once round the range: 49152 is free again, the
+	// listener's and b's ports are not.
+	for port := 49155; port <= 65535; port++ {
+		c := dial()
+		if int(c.LocalPort()) != port {
+			t.Fatalf("dialled from %d, want %d", c.LocalPort(), port)
+		}
+		c.Abort()
+	}
+	c, d := dial(), dial()
+	if c.LocalPort() != 49152 || d.LocalPort() != 49155 {
+		t.Fatalf("after wrap dialled from %d and %d, want 49152 and 49155", c.LocalPort(), d.LocalPort())
+	}
+	if got := w.client.dm.Conns(); got != 3 {
+		t.Fatalf("client has %d live connections, want 3", got)
+	}
+}
