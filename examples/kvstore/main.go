@@ -67,12 +67,12 @@ func main() {
 
 	// Every member stores one key; the ring successor reads it back.
 	type op struct {
-		key           string
-		value         []byte
-		reader        network.Addr
-		rounds        int
-		found, done   bool
-		valueOK       bool
+		key         string
+		value       []byte
+		reader      network.Addr
+		rounds      int
+		found, done bool
+		valueOK     bool
 	}
 	ops := make([]*op, *nodes)
 	cl.Exec(func() {

@@ -10,9 +10,9 @@ import (
 // only in order and acknowledges cumulatively (ack = next expected
 // sequence). On timeout the sender resends the whole window.
 type GoBackN struct {
-	cfg   ARQConfig
-	rt    sublayer.Runtime
-	m arqMetrics
+	cfg ARQConfig
+	rt  sublayer.Runtime
+	m   arqMetrics
 
 	// Sender half.
 	queue   [][]byte          // not yet assigned a sequence number

@@ -11,9 +11,9 @@ import (
 // sender retransmits only what timed out. The window must be at most
 // half the sequence space.
 type SelectiveRepeat struct {
-	cfg   ARQConfig
-	rt    sublayer.Runtime
-	m arqMetrics
+	cfg ARQConfig
+	rt  sublayer.Runtime
+	m   arqMetrics
 
 	// Sender half.
 	queue [][]byte

@@ -9,9 +9,9 @@ import (
 // StopAndWait is the simplest ARQ: one outstanding frame, alternating
 // sequence bit, retransmit on timeout.
 type StopAndWait struct {
-	cfg   ARQConfig
-	rt    sublayer.Runtime
-	m arqMetrics
+	cfg ARQConfig
+	rt  sublayer.Runtime
+	m   arqMetrics
 
 	// Sender half.
 	queue    [][]byte // payloads waiting their turn

@@ -130,7 +130,7 @@ type linkEnv interface {
 	postQueueFree(l *Link, at Time)
 }
 
-func (s *Simulator) envNow() Time     { return s.now }
+func (s *Simulator) envNow() Time      { return s.now }
 func (s *Simulator) envTracer() Tracer { return s.tracer }
 
 func (s *Simulator) postDeliver(l *Link, at Time, data []byte, ecn bool) {

@@ -145,7 +145,7 @@ func TestDHTJoinLeaveMidLookup(t *testing.T) {
 
 	const keys = 6
 	dhts := make(map[network.Addr]*DHT)
-	gets := make(map[string]int)   // key -> callback count
+	gets := make(map[string]int) // key -> callback count
 	founds := make(map[string]bool)
 	var lateFound bool
 	var lateCalls int

@@ -87,8 +87,8 @@ type RunConfig struct {
 	Backend string
 	Kind    harness.Kind
 	// Nodes is the cluster size (default 8).
-	Nodes int
-	Tier  Tier
+	Nodes    int
+	Tier     Tier
 	Scenario Scenario
 	// Ops is the per-member operation count (echo calls, keys
 	// stored+fetched, rumors published); zero picks a tier default.
@@ -115,8 +115,8 @@ type RunResult struct {
 	// (gossip tier only): publish to last member's arrival.
 	ConvergeP50, ConvergeMax time.Duration
 	// MsgsPerOp is total overlay frames sent divided by Issued.
-	MsgsPerOp float64
-	Retries   uint64
+	MsgsPerOp  float64
+	Retries    uint64
 	DupReplies uint64
 	// Violations folds watchdog, contract and tier-invariant failures.
 	Violations []string
@@ -322,7 +322,7 @@ func startDHT(nr *nodeRun, nodes, ops int) {
 	})
 }
 
-func dhtKey(owner network.Addr, i int) string  { return fmt.Sprintf("n%d/k%d", owner, i) }
+func dhtKey(owner network.Addr, i int) string { return fmt.Sprintf("n%d/k%d", owner, i) }
 func dhtValue(key string) []byte              { return []byte("v:" + key) }
 
 func (nr *nodeRun) dhtNext(nodes, ops int) {

@@ -44,10 +44,10 @@ const (
 // first-transmission order (deterministic under a deterministic
 // simulator).
 type Writer struct {
-	w      io.Writer
-	ifaces map[string]uint32
-	order  []string
-	err    error
+	w       io.Writer
+	ifaces  map[string]uint32
+	order   []string
+	err     error
 	scratch []byte
 }
 

@@ -135,9 +135,9 @@ type Collector struct {
 func NewCollector(opts Options) *Collector {
 	opts.defaults()
 	return &Collector{
-		opts:   opts,
-		ids:    make(map[*byte]uint64),
-		ptrOf:  make(map[uint64]*byte),
+		opts:       opts,
+		ids:        make(map[*byte]uint64),
+		ptrOf:      make(map[uint64]*byte),
 		ring:       make([]netsim.TraceEvent, 0, opts.RingCap),
 		chains:     make(map[uint64]*Chain),
 		lastByFlow: make(map[uint64]Chain),

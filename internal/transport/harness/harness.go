@@ -259,9 +259,9 @@ type WorldConfig struct {
 	// one world (default 1) — the E16 many-flow scaling shape, where a
 	// sharded backend spreads the pairs across shards. Simulator
 	// backends only.
-	Pairs  int
-	Client Kind
-	Server Kind
+	Pairs   int
+	Client  Kind
+	Server  Kind
 	Tracker *verify.Tracker // attached to both transports (E6)
 	SubCfg  sublayered.Config
 	MonoCfg monolithic.Config
