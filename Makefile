@@ -28,12 +28,17 @@ race-shard:
 vet:
 	$(GO) vet ./...
 
-# lint runs staticcheck when it is on PATH (CI installs the pinned
-# $(STATICCHECK_VERSION)); locally it degrades to a notice instead of
-# failing, so offline checkouts still build. staticcheck.conf layers
-# the documentation rules (ST1000 package comments, ST1020 exported
-# doc style) on top of the default checks.
+# lint first fails on any file `gofmt -l .` lists (the formatting gate
+# needs nothing but the toolchain), then runs staticcheck when it is on
+# PATH (CI installs the pinned $(STATICCHECK_VERSION)); locally that
+# half degrades to a notice instead of failing, so offline checkouts
+# still build. staticcheck.conf layers the documentation rules (ST1000
+# package comments, ST1020 exported doc style) on top of the default
+# checks.
 lint:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "lint: gofmt -l . lists unformatted files:"; echo "$$out"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -21,6 +21,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/trace"
 	"repro/internal/transport/harness"
+	"repro/internal/transport/sublayered"
 )
 
 func main() {
@@ -93,11 +94,11 @@ func main() {
 	fmt.Printf("\ntransfer: %d bytes end to end, intact=%v, %v of virtual time\n",
 		len(res.ServerGot), ok, res.Elapsed.Truncate(time.Millisecond))
 
-	if sc, isSub := res.ClientConn.(harness.SubConnAccess); isSub {
-		st := sc.Conn().RD().Stats()
+	if sc, isSub := res.ClientConn.(*sublayered.Conn); isSub {
+		st := sc.RD().Stats()
 		fmt.Printf("reliable delivery: %d segments, %d retransmits (%d fast, %d timeouts), %d acks\n",
 			st["segments_sent"], st["retransmits"], st["fast_retransmits"], st["timeouts"], st["acks_sent"])
-		cr := sc.Conn().CrossingStats()
+		cr := sc.CrossingStats()
 		fmt.Printf("sublayer crossings: app→OSR %d, OSR→RD %d, RD→OSR %d, DM up/down %d/%d\n",
 			cr.AppToOSR.Value(), cr.OSRToRD.Value(),
 			cr.RDToOSRAck.Value()+cr.RDToOSRDat.Value()+cr.RDToOSRLos.Value(),

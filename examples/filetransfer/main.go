@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/transport/harness"
+	"repro/internal/transport/sublayered"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 		len(res.ServerGot), bytes.Equal(res.ServerGot, file),
 		res.Elapsed.Truncate(time.Millisecond))
 
-	conn := res.ClientConn.(harness.SubConnAccess).Conn()
+	conn := res.ClientConn.(*sublayered.Conn)
 	rd := conn.RD().Stats()
 	osr := conn.OSR().Stats()
 	fmt.Printf("\nper-sublayer accounting at the sender:\n")

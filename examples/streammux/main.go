@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/transport/harness"
 	"repro/internal/transport/streams"
 )
@@ -31,7 +32,7 @@ func main() {
 	got := map[uint32][]byte{}
 	eofs := 0
 
-	if err := w.Server.Listen(80, func(e harness.Endpoint) {
+	if err := w.Server.Listen(80, func(e transport.Conn) {
 		mux := streams.NewMux(e, false)
 		mux.OnStream = func(s *streams.Stream) {
 			s.OnReadable = func() {

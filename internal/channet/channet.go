@@ -41,11 +41,11 @@ func (n *Network) NewLink(cfg netsim.LinkConfig, dst netsim.Handler) netsim.Port
 		panic("channet: NewLink with nil destination")
 	}
 	l := &link{
-		core: netsim.NewRTLinkCore(n.RTClock, cfg),
-		clk:  n.RTClock,
-		dst:  dst,
-		ch:   make(chan entry, 1024),
-		done: make(chan struct{}),
+		RTLinkCore: netsim.NewRTLinkCore(n.RTClock, cfg),
+		clk:        n.RTClock,
+		dst:        dst,
+		ch:         make(chan entry, 1024),
+		done:       make(chan struct{}),
 	}
 	n.links = append(n.links, l)
 	go l.run()
@@ -53,12 +53,13 @@ func (n *Network) NewLink(cfg netsim.LinkConfig, dst netsim.Handler) netsim.Port
 }
 
 // Close suppresses all pending timers and stops every link's delivery
-// goroutine.
+// goroutine. Safe to call more than once.
 func (n *Network) Close() error {
 	err := n.RTClock.Close()
 	for _, l := range n.links {
 		close(l.done)
 	}
+	n.links = nil
 	return err
 }
 
@@ -69,21 +70,19 @@ type entry struct {
 	due  time.Time
 }
 
-// link is one unidirectional channel-network link: the shared
-// real-time impairment core plus a FIFO channel and its drainer.
+// link is one unidirectional channel-network link: the shared link
+// core (which also supplies the Port accessors) plus a FIFO channel and
+// its drainer.
 type link struct {
-	core *netsim.RTLinkCore
+	*netsim.RTLinkCore
 	clk  *netsim.RTClock
 	dst  netsim.Handler
 	ch   chan entry
 	done chan struct{}
 }
 
-// Name returns the link's creation-order identity.
-func (l *link) Name() string { return l.core.Name() }
-
 // Send copies data into a pooled buffer and transmits it.
-func (l *link) Send(data []byte) { l.SendOwned(l.core.Ingest(data), false) }
+func (l *link) Send(data []byte) { l.SendOwned(l.Ingest(data), false) }
 
 // SendPacket is SendOwned for a packet that may carry an ECN mark.
 func (l *link) SendPacket(pkt *netsim.Packet) { l.SendOwned(pkt.Data, pkt.ECN) }
@@ -91,19 +90,16 @@ func (l *link) SendPacket(pkt *netsim.Packet) { l.SendOwned(pkt.Data, pkt.ECN) }
 // SendOwned transmits data, taking ownership of the buffer. Callers
 // hold the backend lock (protocol code always does).
 func (l *link) SendOwned(data []byte, ecn bool) {
-	plan, ok := l.core.PlanSend(data)
+	plan, ok := l.PlanSend(data, ecn)
 	if !ok {
 		return
 	}
-	if plan.ECN {
-		ecn = true
-	}
 	due := time.Now().Add(plan.Delay)
-	l.enqueue(data, ecn, due, plan.Late)
-	if plan.Dup != nil {
+	l.enqueue(data, plan.ECN, due, plan.Late)
+	if plan.Dup {
 		// The duplicate trails by 1µs and goes out-of-band: its copy
 		// already exists, so FIFO order is not owed to it.
-		l.enqueue(plan.Dup, ecn, due.Add(time.Microsecond), true)
+		l.enqueue(plan.DupData, plan.ECN, due.Add(time.Microsecond), true)
 	}
 }
 
@@ -140,28 +136,7 @@ func (l *link) run() {
 
 // deliver runs the arrival half under the backend lock.
 func (l *link) deliver(data []byte, ecn bool) {
-	if l.core.Delivered(data) {
+	if l.Delivered(data) {
 		l.dst(&netsim.Packet{Data: data, ECN: ecn})
 	}
 }
-
-// SetUp raises or cuts the link.
-func (l *link) SetUp(up bool) { l.core.SetUp(up) }
-
-// Up reports whether the link is passing traffic.
-func (l *link) Up() bool { return l.core.Up() }
-
-// SetLossProb replaces the random-loss probability at runtime.
-func (l *link) SetLossProb(p float64) { l.core.SetLossProb(p) }
-
-// SetReorderProb replaces the reordering probability at runtime.
-func (l *link) SetReorderProb(p float64) { l.core.SetReorderProb(p) }
-
-// SetDupProb replaces the duplication probability at runtime.
-func (l *link) SetDupProb(p float64) { l.core.SetDupProb(p) }
-
-// Stats returns a view of the link counters.
-func (l *link) Stats() metrics.View { return l.core.Stats() }
-
-// Config returns the link's configuration.
-func (l *link) Config() netsim.LinkConfig { return l.core.Config() }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/tcpwire"
 	"repro/internal/transport/harness"
+	"repro/internal/transport/sublayered"
 )
 
 func randPayload(n int, seed int64) []byte {
@@ -51,8 +52,8 @@ func E3SublayeredTCPCfg(cfg Config) *Result {
 		}, data, nil, 20*time.Minute, nil)
 		intact := out.Err == nil && bytes.Equal(out.R.ServerGot, data)
 		var rex, fast uint64
-		if sc, ok := out.R.ClientConn.(harness.SubConnAccess); ok {
-			st := sc.Conn().RD().Stats()
+		if sc, ok := out.R.ClientConn.(*sublayered.Conn); ok {
+			st := sc.RD().Stats()
 			rex, fast = st.Get("retransmits"), st.Get("fast_retransmits")
 		}
 		res.Rows = append(res.Rows, []string{

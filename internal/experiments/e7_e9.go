@@ -45,8 +45,8 @@ func E7PerformanceCfg(cfg Config) *Result {
 			}, data, nil, 30*time.Minute, nil)
 			intact := out.Err == nil && bytes.Equal(out.R.ServerGot, data)
 			var segs, rex uint64
-			if s, ok := out.R.ClientConn.(harness.SubConnAccess); ok {
-				st := s.Conn().RD().Stats()
+			if s, ok := out.R.ClientConn.(*sublayered.Conn); ok {
+				st := s.RD().Stats()
 				segs, rex = st.Get("segments_sent"), st.Get("retransmits")
 			}
 			if kind == harness.KindMonolithic {
@@ -160,7 +160,7 @@ func E9OffloadCfg(cfg Config) *Result {
 	if out.Err != nil || !bytes.Equal(out.R.ServerGot, data) {
 		panic("E9 workload failed")
 	}
-	cr := out.R.ClientConn.(harness.SubConnAccess).Conn().CrossingStats()
+	cr := out.R.ClientConn.(*sublayered.Conn).CrossingStats()
 	wirePkts := cr.ToDM.Value() + cr.FromDM.Value()
 	wireBytes := cr.OSRBytes.Value() + 24*wirePkts // payload + headers
 	for _, row := range offload.Analyze(cr, wirePkts, wireBytes) {

@@ -13,15 +13,22 @@ import (
 // timers, impaired point-to-point links with per-link metrics and trace
 // identity, and a serialization point for external drivers.
 //
-// Three implementations exist:
+// There is one virtual-time engine and one wall-clock core, each with
+// two faces:
 //
-//   - *Simulator (this package): virtual clock, deterministic event
-//     heap. Exec is an inline call and Close a no-op; everything runs
-//     single-threaded inside the event loop.
-//   - channet.Network: goroutines plus real time.Timers, no virtual
-//     clock; an in-process channel network.
-//   - udpnet.Network: the same wire bytes framed over real UDP sockets
-//     on loopback, impairments applied in userspace.
+//   - *Sharded (this package): virtual clock, one deterministic event
+//     heap per shard run in parallel under lookahead windows. Nodes
+//     hold per-node views of it; Exec is an inline call between runs.
+//   - *Simulator (this package): the same engine with one shard and
+//     one view, plus Step/Run/RunUntil for driving it event by event.
+//     Everything runs single-threaded inside the event loop.
+//   - channet.Network: RTClock (goroutines plus real time.Timers, no
+//     virtual clock) carrying packets over in-process channels.
+//   - udpnet.Network: RTClock with the same wire bytes framed over
+//     real UDP sockets on loopback.
+//
+// Links on all four decide each packet's fate in the one impairment
+// pipeline (linkCore.plan); only the carriage differs.
 //
 // The concurrency contract is the simulator's, generalized: protocol
 // code always runs with the backend's internal lock held (trivially
@@ -33,7 +40,8 @@ import (
 // side; RunFor must only be called by the driver, never from a
 // callback.
 type Backend interface {
-	// Name identifies the backend kind: "sim", "chan" or "udp".
+	// Name identifies the backend kind: "sim", "sharded", "chan" or
+	// "udp".
 	Name() string
 	// Now returns the backend's time: virtual on the simulator,
 	// wall-clock nanoseconds since construction on real-time backends.
@@ -69,7 +77,8 @@ type Backend interface {
 	// Tracer returns the attached tracer, or nil when tracing is off.
 	Tracer() Tracer
 	// Close releases backend resources (goroutines, sockets) and
-	// suppresses any still-pending timers. A no-op on the simulator.
+	// suppresses any still-pending timers. Safe to call more than
+	// once on every backend; a no-op on the simulator.
 	Close() error
 }
 
@@ -118,7 +127,7 @@ func CloneBuf(data []byte) []byte {
 
 // NewDuplexOn builds a symmetric bidirectional link on any backend,
 // with the same config in each direction, delivering to the two
-// handlers. It is the backend-agnostic form of Simulator.NewDuplex.
+// handlers.
 func NewDuplexOn(b Backend, cfg LinkConfig, toA, toB Handler) *Duplex {
 	return &Duplex{AB: b.NewLink(cfg, toB), BA: b.NewLink(cfg, toA)}
 }
@@ -131,14 +140,3 @@ func NewDuplexOn(b Backend, cfg LinkConfig, toA, toB Handler) *Duplex {
 func NewDuplexBetween(ba, bb Backend, cfg LinkConfig, toA, toB Handler) *Duplex {
 	return &Duplex{AB: LinkOn(ba, cfg, toB, bb), BA: LinkOn(bb, cfg, toA, ba)}
 }
-
-// Name identifies the simulator backend.
-func (s *Simulator) Name() string { return "sim" }
-
-// Exec runs fn inline: the simulator is single-threaded, so the
-// driver already has exclusive access between Run* calls.
-func (s *Simulator) Exec(fn func()) { fn() }
-
-// Close is a no-op on the simulator; it exists to satisfy Backend so
-// drivers can unconditionally defer w.Close().
-func (s *Simulator) Close() error { return nil }

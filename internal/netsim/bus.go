@@ -67,8 +67,8 @@ func (s *Simulator) NewBus(rateBps int64, prop time.Duration) *Bus {
 		panic("netsim: bus rate must be positive")
 	}
 	b := &Bus{sim: s, rate: rateBps, prop: prop}
-	if s.msc != nil {
-		b.m.bind(s.msc.Sub(fmt.Sprintf("bus%d", s.busSeq)))
+	if s.eng.msc != nil {
+		b.m.bind(s.eng.msc.Sub(fmt.Sprintf("bus%d", s.busSeq)))
 	}
 	s.busSeq++
 	return b

@@ -117,43 +117,23 @@ func (m *LinkMetrics) View() metrics.View {
 // shares: "link0", "link1", ...
 func linkName(n int) string { return fmt.Sprintf("link%d", n) }
 
-// linkEnv is what a Link needs from its substrate: the send-side
-// clock, the tracer, and the two event sinks. On the sequential
-// Simulator all of it is the one event heap; on the sharded engine the
-// env is the sending node's view, and postDeliver may cross into
-// another shard's mailbox while postQueueFree always stays local (the
-// serializer is send-side state).
-type linkEnv interface {
-	envNow() Time
-	envTracer() Tracer
-	postDeliver(l *Link, at Time, data []byte, ecn bool)
-	postQueueFree(l *Link, at Time)
+// linkSeed derives the impairment stream of link index idx from the
+// world seed. Links draw loss/jitter/reorder/corrupt/dup from their own
+// stream — a pure function of (seed, index, send count) — so the draws
+// are identical whether the links execute sequentially or sharded.
+func linkSeed(seed int64, idx int) int64 {
+	return seed ^ (int64(idx)+1)*0x1E3779B97F4A7C15
 }
 
-func (s *Simulator) envNow() Time      { return s.now }
-func (s *Simulator) envTracer() Tracer { return s.tracer }
-
-func (s *Simulator) postDeliver(l *Link, at Time, data []byte, ecn bool) {
-	e := s.post(at)
-	e.kind = evDeliver
-	e.lnk = l
-	e.pkt = Packet{Data: data, ECN: ecn}
-}
-
-func (s *Simulator) postQueueFree(l *Link, at Time) {
-	e := s.post(at)
-	e.kind = evQueueFree
-	e.lnk = l
-}
-
-// Link is a unidirectional impaired channel on the simulator. Create
-// with Simulator.NewLink; send with Send. Delivery invokes the
-// destination handler inside the event loop. Link is the simulator's
-// Port implementation.
-type Link struct {
-	env  linkEnv
+// linkCore is the one link model every carriage shares: configuration,
+// creation-order identity, counters, the link's own impairment stream
+// and the serializer state, with the whole send-side pipeline in plan
+// and the arrival half in arrived. Link embeds it and turns a plan into
+// engine events; RTLinkCore embeds it and hands the plan to a channel
+// or socket. On the wall-clock backends every method needs the clock
+// lock, like all protocol state.
+type linkCore struct {
 	cfg  LinkConfig
-	dst  Handler
 	name string // "link<n>" in creation order; trace/metrics identity
 	m    LinkMetrics
 	// rng is the link's own impairment stream, seeded from the world
@@ -165,80 +145,243 @@ type Link struct {
 	// serializer state: the time at which the transmitter frees up.
 	txFree Time
 	queued int
-	// Up gates delivery: a downed link drops traffic, counting it as
+	// up gates delivery: a downed link drops traffic, counting it as
 	// down_drop (used by routing failure experiments and fault
 	// injection).
 	up bool
 }
 
-// NewLink creates a unidirectional link delivering to dst. When the
-// simulator carries a registry, the link's counters register under
-// "netsim/link<n>/..." in creation order.
-func (s *Simulator) NewLink(cfg LinkConfig, dst Handler) Port {
-	if dst == nil {
-		panic("netsim: NewLink with nil destination")
+// init configures the core in place as the backend's idx-th link. It
+// must run on the core's final address: Bind hands out pointers to the
+// counters.
+func (l *linkCore) init(cfg LinkConfig, seed int64, idx int, msc *metrics.Scope) {
+	l.cfg, l.up, l.name = cfg, true, linkName(idx)
+	l.rng = rand.New(rand.NewSource(linkSeed(seed, idx)))
+	if msc != nil {
+		l.m.Bind(msc.Sub(l.name))
 	}
-	l := &Link{env: s, cfg: cfg, dst: dst, up: true,
-		name: linkName(s.linkSeq),
-		rng:  rand.New(rand.NewSource(linkSeed(s.seed, s.linkSeq)))}
-	if s.msc != nil {
-		l.m.Bind(s.msc.Sub(l.name))
-	}
-	s.linkSeq++
-	return l
 }
 
 // Name returns the link's creation-order identity ("link0", "link1",
 // ...), matching its metrics scope and its trace/pcap interface name.
-func (l *Link) Name() string { return l.name }
+func (l *linkCore) Name() string { return l.name }
 
-// trace emits one link-layer span event when tracing is on. frame
-// carries the wire bytes for packet capture (transmit events only).
-func (l *Link) trace(t Tracer, at Time, kind, verdict string, data []byte, end bool, frame []byte) {
+// SetUp raises or cuts the link. Packets sent (or already in flight)
+// while down are counted as down_drop, distinct from random loss.
+func (l *linkCore) SetUp(up bool) { l.up = up }
+
+// Up reports whether the link is passing traffic.
+func (l *linkCore) Up() bool { return l.up }
+
+// SetLossProb replaces the link's random-loss probability at runtime.
+// Fault injectors use this to overlay time-varying loss models (e.g.
+// Gilbert–Elliott bursty loss) on top of a static configuration.
+func (l *linkCore) SetLossProb(p float64) { l.cfg.LossProb = p }
+
+// SetReorderProb replaces the link's reordering probability at
+// runtime. Fault injectors use this to open bounded reordering windows
+// (faults.Reorder) and restore the configured value afterwards.
+func (l *linkCore) SetReorderProb(p float64) { l.cfg.ReorderProb = p }
+
+// SetDupProb replaces the link's duplication probability at runtime.
+func (l *linkCore) SetDupProb(p float64) { l.cfg.DupProb = p }
+
+// Stats returns a view of the link counters (keys: sent, delivered,
+// delivered_bytes, lost, duplicate, reordered, corrupted, queue_drop,
+// down_drop, ecn_marked).
+func (l *linkCore) Stats() metrics.View { return l.m.View() }
+
+// Config returns the link's configuration.
+func (l *linkCore) Config() LinkConfig { return l.cfg }
+
+// trace emits one link-layer span event. frame carries the wire bytes
+// for packet capture (transmit events only).
+func (l *linkCore) trace(t Tracer, at Time, kind, verdict string, data []byte, end bool, frame []byte) {
 	t.Emit(TraceEvent{
 		At: at, ID: t.ID(data), Len: len(data),
 		Node: l.name, Layer: LayerLink, Kind: kind, Verdict: verdict, End: end,
 	}, frame)
 }
 
-// SetUp raises or cuts the link. Packets sent (or already in flight)
-// while down are counted as down_drop, distinct from random loss.
-func (l *Link) SetUp(up bool) { l.up = up }
+// ingest copies data into a pooled buffer the link owns — the Port.Send
+// front half.
+func (l *linkCore) ingest(tr Tracer, data []byte) []byte {
+	buf := bufpool.Get(len(data))
+	copy(buf, data)
+	if tr != nil {
+		tr.Stamp(buf) // fresh incarnation: the copy starts its own chain
+	}
+	return buf
+}
 
-// Up reports whether the link is passing traffic.
-func (l *Link) Up() bool { return l.up }
+// drop ends a packet's life: one counter, one terminal trace event, and
+// the buffer goes back to the pool.
+func (l *linkCore) drop(c *metrics.Counter, verdict string, at Time, tr Tracer, data []byte) {
+	c.Inc()
+	if tr != nil {
+		l.trace(tr, at, "drop", verdict, data, true, nil)
+	}
+	bufpool.Put(data)
+}
 
-// SetLossProb replaces the link's random-loss probability at runtime.
-// Fault injectors use this to overlay time-varying loss models (e.g.
-// Gilbert–Elliott bursty loss) on top of a static configuration.
-func (l *Link) SetLossProb(p float64) { l.cfg.LossProb = p }
+// TxPlan is one packet's fate as decided by the impairment pipeline,
+// in offsets from the send instant; the carriage only has to act on it.
+type TxPlan struct {
+	// ECN carries the (possibly just-set) congestion mark.
+	ECN bool
+	// Queued reports the packet took a serializer queue slot, to be
+	// released Wait (queueing plus transmission time) after the send.
+	Queued bool
+	Wait   time.Duration
+	// Delay is the full send-to-arrival latency: serializer wait plus
+	// propagation, jitter and any reordering extra.
+	Delay time.Duration
+	// Late marks a reorder-delayed packet: a FIFO carriage must deliver
+	// it out-of-band so later packets can overtake it.
+	Late bool
+	// Dup reports a duplicate, DupData its CloneBuf'd bytes, to deliver
+	// one microsecond behind the original.
+	Dup     bool
+	DupData []byte
+}
 
-// SetReorderProb replaces the link's reordering probability at
-// runtime. Fault injectors use this to open bounded reordering windows
-// (faults.Reorder) and restore the configured value afterwards.
-func (l *Link) SetReorderProb(p float64) { l.cfg.ReorderProb = p }
+// plan runs the impairment pipeline for one owned buffer sent at now:
+// up check, random loss, serialization/queueing/ECN, jitter,
+// reordering, in-place corruption, duplication — every draw, counter
+// and trace event, in that order, on every backend. On ok the (possibly
+// corrupted) buffer remains the caller's to carry; on !ok the packet
+// was dropped, the counters and trace already say why, and the buffer
+// went back to the pool.
+func (l *linkCore) plan(now Time, tr Tracer, data []byte, ecn bool) (p TxPlan, ok bool) {
+	l.m.Sent.Inc()
+	if !l.up {
+		l.drop(&l.m.DownDrop, VerdictDownDrop, now, tr, data)
+		return p, false
+	}
+	rng := l.rng
+	if chance(rng, l.cfg.LossProb) {
+		l.drop(&l.m.Lost, VerdictLost, now, tr, data)
+		return p, false
+	}
 
-// SetDupProb replaces the link's duplication probability at runtime.
-func (l *Link) SetDupProb(p float64) { l.cfg.DupProb = p }
+	// Serialization and queueing.
+	depart := now
+	if l.cfg.RateBps > 0 {
+		if l.cfg.QueueLimit > 0 && l.queued >= l.cfg.QueueLimit {
+			l.drop(&l.m.QueueDrop, VerdictQueueDrop, now, tr, data)
+			return p, false
+		}
+		if l.cfg.ECNThreshold > 0 && l.queued >= l.cfg.ECNThreshold {
+			ecn = true
+			l.m.ECNMarked.Inc()
+		}
+		txTime := Time(int64(len(data)) * 8 * int64(time.Second) / l.cfg.RateBps)
+		start := l.txFree
+		if start < now {
+			start = now
+		}
+		l.txFree = start + txTime
+		depart = l.txFree
+		l.setQueued(l.queued + 1)
+		p.Queued, p.Wait = true, time.Duration(depart-now)
+	}
 
-// Stats returns a view of the link counters (keys: sent, delivered,
-// delivered_bytes, lost, duplicate, reordered, corrupted, queue_drop,
-// down_drop, ecn_marked).
-func (l *Link) Stats() metrics.View { return l.m.View() }
+	extra := Time(0)
+	if l.cfg.Jitter > 0 {
+		extra += Time(rng.Int63n(l.cfg.Jitter.Nanoseconds()))
+	}
+	if chance(rng, l.cfg.ReorderProb) {
+		l.m.Reordered.Inc()
+		span := 4 * l.cfg.Delay.Nanoseconds()
+		if span <= 0 {
+			span = int64(400 * time.Microsecond)
+		}
+		extra += Time(1 + rng.Int63n(span))
+		p.Late = true
+	}
+	if chance(rng, l.cfg.CorruptProb) && len(data) > 0 {
+		l.m.Corrupted.Inc()
+		bit := rng.Intn(len(data) * 8)
+		data[bit/8] ^= 1 << uint(7-bit%8)
+		if tr != nil {
+			l.trace(tr, now, "corrupt", "", data, false, nil)
+		}
+	}
 
-// Config returns the link's configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
+	p.ECN = ecn
+	p.Delay = time.Duration(depart-now+extra) + l.cfg.Delay
+	if tr != nil {
+		// The capture point: these exact bytes (after any in-place
+		// corruption) are what travels the wire.
+		l.trace(tr, now, "transmit", "", data, false, data)
+	}
+	if chance(rng, l.cfg.DupProb) {
+		l.m.Duplicate.Inc()
+		p.Dup, p.DupData = true, CloneBuf(data)
+		if tr != nil {
+			tr.Stamp(p.DupData)
+			l.trace(tr, now, "dup", "", p.DupData, false, p.DupData)
+		}
+	}
+	return p, true
+}
+
+func (l *linkCore) setQueued(n int) {
+	l.queued = n
+	l.m.QueueDepth.Set(int64(n))
+}
+
+// arrived runs the delivery half at arrival time: the down check, the
+// delivered counters and the deliver trace event. It reports whether
+// the buffer should reach the destination handler; on false the packet
+// was dropped and the buffer returned to the pool. Only receive-side
+// state is touched here — never the serializer or the impairment
+// stream, which belong to the sender (on the sharded engine the two
+// ends can execute on different shards).
+func (l *linkCore) arrived(at Time, tr Tracer, data []byte) bool {
+	if !l.up {
+		l.drop(&l.m.DownDropRecv, VerdictDownDrop, at, tr, data)
+		return false
+	}
+	l.m.Delivered.Inc()
+	l.m.DeliveredBytes.Add(uint64(len(data)))
+	if tr != nil {
+		l.trace(tr, at, "deliver", "", data, false, nil)
+	}
+	return true
+}
+
+func chance(rng *rand.Rand, p float64) bool {
+	return p > 0 && rng.Float64() < p
+}
+
+// linkEnv is what a Link needs from the engine: the send-side clock,
+// the tracer, and the two event sinks. It is the sending node's view,
+// or an xshardEnv when postDeliver must cross into another shard's
+// mailbox; postQueueFree always stays local (the serializer is
+// send-side state).
+type linkEnv interface {
+	envNow() Time
+	envTracer() Tracer
+	postDeliver(l *Link, at Time, data []byte, ecn bool)
+	postQueueFree(l *Link, at Time)
+}
+
+// Link is the virtual-time carriage: the shared link core plus the
+// engine events that carry its plans out. Create with NewLink (or
+// LinkOn); delivery invokes the destination handler inside the event
+// loop. Link is the engine's Port implementation.
+type Link struct {
+	linkCore
+	env linkEnv
+	dst Handler
+}
 
 // Send transmits data over the link, applying serialization, queueing,
 // ECN marking and the configured impairments. The data is copied (into
 // a pooled buffer that the receiving end owns).
 func (l *Link) Send(data []byte) {
-	buf := bufpool.Get(len(data))
-	copy(buf, data)
-	if t := l.env.envTracer(); t != nil {
-		t.Stamp(buf) // fresh incarnation: the copy starts its own chain
-	}
-	l.SendOwned(buf, false)
+	l.SendOwned(l.ingest(l.env.envTracer(), data), false)
 }
 
 // SendPacket is Send for a packet that may already carry an ECN mark.
@@ -257,123 +400,30 @@ func (l *Link) SendPacket(pkt *Packet) {
 // window mailbox; the receiving shard is the next owner and the sender
 // never touches it again.
 func (l *Link) SendOwned(data []byte, ecn bool) {
-	tr := l.env.envTracer()
 	now := l.env.envNow()
-	l.m.Sent.Inc()
-	if !l.up {
-		l.m.DownDrop.Inc()
-		if tr != nil {
-			l.trace(tr, now, "drop", VerdictDownDrop, data, true, nil)
-		}
-		bufpool.Put(data)
+	p, ok := l.plan(now, l.env.envTracer(), data, ecn)
+	if !ok {
 		return
 	}
-	rng := l.rng
-	if chance(rng, l.cfg.LossProb) {
-		l.m.Lost.Inc()
-		if tr != nil {
-			l.trace(tr, now, "drop", VerdictLost, data, true, nil)
-		}
-		bufpool.Put(data)
-		return
+	// Post order is part of the event key: queue-free, deliver, dup.
+	if p.Queued {
+		l.env.postQueueFree(l, now+durTicks(p.Wait))
 	}
-
-	// Serialization and queueing.
-	depart := now
-	if l.cfg.RateBps > 0 {
-		if l.cfg.QueueLimit > 0 && l.queued >= l.cfg.QueueLimit {
-			l.m.QueueDrop.Inc()
-			if tr != nil {
-				l.trace(tr, now, "drop", VerdictQueueDrop, data, true, nil)
-			}
-			bufpool.Put(data)
-			return
-		}
-		if l.cfg.ECNThreshold > 0 && l.queued >= l.cfg.ECNThreshold {
-			ecn = true
-			l.m.ECNMarked.Inc()
-		}
-		txTime := Time(int64(len(data)) * 8 * int64(time.Second) / l.cfg.RateBps)
-		start := l.txFree
-		if start < now {
-			start = now
-		}
-		l.txFree = start + txTime
-		depart = l.txFree
-		l.setQueued(l.queued + 1)
-		l.env.postQueueFree(l, depart)
+	arrive := now + durTicks(p.Delay)
+	l.env.postDeliver(l, arrive, data, p.ECN)
+	if p.Dup {
+		l.env.postDeliver(l, arrive+durTicks(time.Microsecond), p.DupData, p.ECN)
 	}
-
-	extra := Time(0)
-	if l.cfg.Jitter > 0 {
-		extra += Time(rng.Int63n(l.cfg.Jitter.Nanoseconds()))
-	}
-	if chance(rng, l.cfg.ReorderProb) {
-		l.m.Reordered.Inc()
-		span := 4 * l.cfg.Delay.Nanoseconds()
-		if span <= 0 {
-			span = int64(400 * time.Microsecond)
-		}
-		extra += Time(1 + rng.Int63n(span))
-	}
-	if chance(rng, l.cfg.CorruptProb) && len(data) > 0 {
-		l.m.Corrupted.Inc()
-		bit := rng.Intn(len(data) * 8)
-		data[bit/8] ^= 1 << uint(7-bit%8)
-		if tr != nil {
-			l.trace(tr, now, "corrupt", "", data, false, nil)
-		}
-	}
-
-	arrive := depart + durTicks(l.cfg.Delay) + extra
-	if tr != nil {
-		// The capture point: these exact bytes (after any in-place
-		// corruption) are what travels the wire.
-		l.trace(tr, now, "transmit", "", data, false, data)
-	}
-	l.env.postDeliver(l, arrive, data, ecn)
-	if chance(rng, l.cfg.DupProb) {
-		l.m.Duplicate.Inc()
-		dup := CloneBuf(data)
-		if tr != nil {
-			t := tr
-			t.Stamp(dup)
-			l.trace(t, now, "dup", "", dup, false, dup)
-		}
-		l.env.postDeliver(l, arrive+durTicks(time.Microsecond), dup, ecn)
-	}
-}
-
-func (l *Link) setQueued(n int) {
-	l.queued = n
-	l.m.QueueDepth.Set(int64(n))
 }
 
 // deliver runs at arrival time on the destination's shard. The *Packet
 // points into the event and is only valid for the duration of the
 // handler call; the Data buffer, however, is the handler's to keep (or
-// Put back to the bufpool). Only receive-side state (Delivered,
-// DownDropRecv, the destination handler) is touched here — never the
-// serializer or the impairment stream, which belong to the sender.
+// Put back to the bufpool).
 func (l *Link) deliver(p *Packet, at Time, tr Tracer) {
-	if !l.up {
-		l.m.DownDropRecv.Inc()
-		if tr != nil {
-			l.trace(tr, at, "drop", VerdictDownDrop, p.Data, true, nil)
-		}
-		bufpool.Put(p.Data)
-		return
+	if l.arrived(at, tr, p.Data) {
+		l.dst(p)
 	}
-	l.m.Delivered.Inc()
-	l.m.DeliveredBytes.Add(uint64(len(p.Data)))
-	if tr != nil {
-		l.trace(tr, at, "deliver", "", p.Data, false, nil)
-	}
-	l.dst(p)
-}
-
-func chance(rng *rand.Rand, p float64) bool {
-	return p > 0 && rng.Float64() < p
 }
 
 // Duplex bundles the two directions of a point-to-point link on any
@@ -381,15 +431,6 @@ func chance(rng *rand.Rand, p float64) bool {
 type Duplex struct {
 	AB Port // a → b
 	BA Port // b → a
-}
-
-// NewDuplex builds a symmetric bidirectional link with the same config
-// in each direction, delivering to the two handlers.
-//
-// Prefer the backend-agnostic NewDuplexOn, which works on every
-// Backend; this method remains for direct simulator wiring.
-func (s *Simulator) NewDuplex(cfg LinkConfig, toA, toB Handler) *Duplex {
-	return NewDuplexOn(s, cfg, toA, toB)
 }
 
 // SetUp raises or cuts both directions.

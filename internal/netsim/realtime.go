@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/metrics"
 )
 
@@ -22,6 +21,7 @@ import (
 // it and adds NewLink plus resource cleanup on Close.
 type RTClock struct {
 	name  string
+	seed  int64 // links derive their impairment streams from it
 	start time.Time
 
 	mu     sync.Mutex
@@ -47,7 +47,7 @@ type RTClock struct {
 // instrument shape the simulator exports, so dashboards and snapshots
 // read identically across backends.
 func NewRTClock(name string, seed int64, reg *metrics.Registry) *RTClock {
-	c := &RTClock{name: name, start: time.Now(), rng: rand.New(rand.NewSource(seed))}
+	c := &RTClock{name: name, seed: seed, start: time.Now(), rng: rand.New(rand.NewSource(seed))}
 	if reg != nil {
 		c.msc = reg.Scope("netsim")
 		sc := c.msc.Sub("events")
@@ -171,200 +171,50 @@ func (c *RTClock) Close() error {
 // Closed reports whether Close has run. Callers must hold the lock.
 func (c *RTClock) Closed() bool { return c.closed }
 
-// TxPlan is one packet's fate as decided by RTLinkCore.PlanSend: when
-// it should arrive, whether it carries an ECN mark, whether a
-// duplicate trails it, and whether it was reorder-delayed (in which
-// case delivery must go out-of-band so later packets can overtake it).
-type TxPlan struct {
-	// ECN carries the (possibly just-set) congestion mark.
-	ECN bool
-	// Delay is the full send-to-arrival latency: serializer wait plus
-	// propagation, jitter and any reordering extra.
-	Delay time.Duration
-	// Late marks a reorder-delayed packet: deliver out-of-band.
-	Late bool
-	// Dup, when non-nil, is a CloneBuf'd duplicate to deliver one
-	// microsecond behind the original.
-	Dup []byte
-}
-
-// RTLinkCore is the backend-independent half of a real-time link: the
-// impairment model, serializer state, per-link metrics and trace
-// identity, all in wall-clock time. It applies the exact impairment
-// pipeline the simulator's Link does — same order, same counters, same
-// trace events — leaving only the actual carriage (channel, socket) to
-// the owning backend. All methods require the clock lock.
+// RTLinkCore is the wall-clock half of a link: the shared link core —
+// the same impairment pipeline, per-link stream, metrics and trace
+// identity the engine's Link has — driven by RTClock time, leaving only
+// the actual carriage (channel, socket) to the owning backend, which
+// embeds it. All methods require the clock lock.
 type RTLinkCore struct {
-	clk  *RTClock
-	cfg  LinkConfig
-	name string
-	m    LinkMetrics
-
-	// Serializer state, in wall time.
-	txFree time.Time
-	queued int
-	up     bool
+	linkCore
+	clk *RTClock
 }
 
 // NewRTLinkCore names, registers and returns the core for the
 // backend's next link.
 func NewRTLinkCore(clk *RTClock, cfg LinkConfig) *RTLinkCore {
-	l := &RTLinkCore{clk: clk, cfg: cfg, up: true, name: linkName(clk.linkSeq)}
-	if clk.msc != nil {
-		l.m.Bind(clk.msc.Sub(l.name))
-	}
+	l := &RTLinkCore{clk: clk}
+	l.init(cfg, clk.seed, clk.linkSeq, clk.msc)
 	clk.linkSeq++
 	return l
 }
 
-// Name returns the link's creation-order identity.
-func (l *RTLinkCore) Name() string { return l.name }
-
-// SetUp raises or cuts the link.
-func (l *RTLinkCore) SetUp(up bool) { l.up = up }
-
-// Up reports whether the link is passing traffic.
-func (l *RTLinkCore) Up() bool { return l.up }
-
-// SetLossProb replaces the random-loss probability at runtime.
-func (l *RTLinkCore) SetLossProb(p float64) { l.cfg.LossProb = p }
-
-// SetReorderProb replaces the reordering probability at runtime.
-func (l *RTLinkCore) SetReorderProb(p float64) { l.cfg.ReorderProb = p }
-
-// SetDupProb replaces the duplication probability at runtime.
-func (l *RTLinkCore) SetDupProb(p float64) { l.cfg.DupProb = p }
-
-// Stats returns a view of the link counters.
-func (l *RTLinkCore) Stats() metrics.View { return l.m.View() }
-
-// Config returns the link's configuration.
-func (l *RTLinkCore) Config() LinkConfig { return l.cfg }
-
-// Trace emits one link-layer span event when tracing is on.
-func (l *RTLinkCore) Trace(kind, verdict string, data []byte, end bool, frame []byte) {
-	t := l.clk.tracer
-	if t == nil {
-		return
-	}
-	t.Emit(TraceEvent{
-		At: l.clk.Now(), ID: t.ID(data), Len: len(data),
-		Node: l.name, Layer: LayerLink, Kind: kind, Verdict: verdict, End: end,
-	}, frame)
+// SendFailed accounts for a packet the plan let through but the
+// carriage could not put on the wire: a send-side down_drop, traced as
+// one, so the link's books still balance. The buffer is pooled.
+func (l *RTLinkCore) SendFailed(data []byte) {
+	l.drop(&l.m.DownDrop, VerdictDownDrop, l.clk.Now(), l.clk.tracer, data)
 }
 
 // Ingest copies data into a pooled buffer and stamps it as a fresh
 // trace incarnation — the Port.Send front half, shared by backends.
-func (l *RTLinkCore) Ingest(data []byte) []byte {
-	buf := bufpool.Get(len(data))
-	copy(buf, data)
-	if t := l.clk.tracer; t != nil {
-		t.Stamp(buf)
+func (l *RTLinkCore) Ingest(data []byte) []byte { return l.ingest(l.clk.tracer, data) }
+
+// PlanSend runs the impairment pipeline for one owned buffer at the
+// current wall-clock instant and arms the serializer slot's release.
+// On ok the (possibly corrupted) buffer remains the caller's to carry
+// as the plan says; on !ok the packet was dropped and accounted for.
+func (l *RTLinkCore) PlanSend(data []byte, ecn bool) (TxPlan, bool) {
+	p, ok := l.plan(l.clk.Now(), l.clk.tracer, data, ecn)
+	if p.Queued {
+		l.clk.After(p.Wait, func() { l.setQueued(l.queued - 1) })
 	}
-	return buf
+	return p, ok
 }
 
-// PlanSend runs the impairment pipeline for one owned buffer: up
-// check, random loss, serialization/queueing/ECN, jitter, reordering,
-// in-place corruption, duplication, and the transmit trace event. On
-// ok it returns the delivery plan and the (possibly corrupted) buffer
-// remains the caller's to carry; on !ok the packet was dropped, the
-// counters and trace already say why, and the buffer went back to the
-// pool.
-func (l *RTLinkCore) PlanSend(data []byte) (plan TxPlan, ok bool) {
-	l.m.Sent.Inc()
-	if !l.up {
-		l.m.DownDrop.Inc()
-		l.Trace("drop", VerdictDownDrop, data, true, nil)
-		bufpool.Put(data)
-		return plan, false
-	}
-	rng := l.clk.rng
-	if chance(rng, l.cfg.LossProb) {
-		l.m.Lost.Inc()
-		l.Trace("drop", VerdictLost, data, true, nil)
-		bufpool.Put(data)
-		return plan, false
-	}
-
-	// Serialization and queueing, in wall time.
-	now := time.Now()
-	depart := now
-	if l.cfg.RateBps > 0 {
-		if l.cfg.QueueLimit > 0 && l.queued >= l.cfg.QueueLimit {
-			l.m.QueueDrop.Inc()
-			l.Trace("drop", VerdictQueueDrop, data, true, nil)
-			bufpool.Put(data)
-			return plan, false
-		}
-		if l.cfg.ECNThreshold > 0 && l.queued >= l.cfg.ECNThreshold {
-			plan.ECN = true
-			l.m.ECNMarked.Inc()
-		}
-		txTime := time.Duration(int64(len(data)) * 8 * int64(time.Second) / l.cfg.RateBps)
-		start := l.txFree
-		if start.Before(now) {
-			start = now
-		}
-		l.txFree = start.Add(txTime)
-		depart = l.txFree
-		l.setQueued(l.queued + 1)
-		l.clk.After(depart.Sub(now), func() { l.setQueued(l.queued - 1) })
-	}
-
-	extra := time.Duration(0)
-	if l.cfg.Jitter > 0 {
-		extra += time.Duration(rng.Int63n(l.cfg.Jitter.Nanoseconds()))
-	}
-	if chance(rng, l.cfg.ReorderProb) {
-		l.m.Reordered.Inc()
-		span := 4 * l.cfg.Delay.Nanoseconds()
-		if span <= 0 {
-			span = int64(400 * time.Microsecond)
-		}
-		extra += time.Duration(1 + rng.Int63n(span))
-		plan.Late = true
-	}
-	if chance(rng, l.cfg.CorruptProb) && len(data) > 0 {
-		l.m.Corrupted.Inc()
-		bit := rng.Intn(len(data) * 8)
-		data[bit/8] ^= 1 << uint(7-bit%8)
-		l.Trace("corrupt", "", data, false, nil)
-	}
-
-	plan.Delay = depart.Sub(now) + l.cfg.Delay + extra
-	// The capture point: these exact bytes (after any in-place
-	// corruption) are what travels the wire.
-	l.Trace("transmit", "", data, false, data)
-	if chance(rng, l.cfg.DupProb) {
-		l.m.Duplicate.Inc()
-		plan.Dup = CloneBuf(data)
-		if t := l.clk.tracer; t != nil {
-			t.Stamp(plan.Dup)
-			l.Trace("dup", "", plan.Dup, false, plan.Dup)
-		}
-	}
-	return plan, true
-}
-
-func (l *RTLinkCore) setQueued(n int) {
-	l.queued = n
-	l.m.QueueDepth.Set(int64(n))
-}
-
-// Delivered runs the arrival half: the down check, the delivered
-// counters and the deliver trace event. It reports whether the buffer
-// should reach the destination handler; on false the packet was
-// dropped and the buffer returned to the pool.
+// Delivered runs the arrival half. It reports whether the buffer
+// should reach the destination handler.
 func (l *RTLinkCore) Delivered(data []byte) bool {
-	if !l.up {
-		l.m.DownDrop.Inc()
-		l.Trace("drop", VerdictDownDrop, data, true, nil)
-		bufpool.Put(data)
-		return false
-	}
-	l.m.Delivered.Inc()
-	l.m.DeliveredBytes.Add(uint64(len(data)))
-	l.Trace("deliver", "", data, false, nil)
-	return true
+	return l.arrived(l.clk.Now(), l.clk.tracer, data)
 }

@@ -1,10 +1,11 @@
 package netsim
 
-// Sharded is the parallel discrete-event engine: the topology is
+// Sharded is the discrete-event engine, the only one: the topology is
 // partitioned into per-shard event heaps (evCore), synchronized by
 // conservative lookahead windows, with cross-shard packet delivery
 // through batched, sequence-numbered mailboxes — the classic
-// null-message/time-bucket design.
+// null-message/time-bucket design. A Simulator (sim.go) is this engine
+// with one shard and one view.
 //
 // # Determinism
 //
@@ -14,9 +15,9 @@ package netsim
 // the full key, so the order in which mailbox entries are ingested —
 // or shards interleave — is irrelevant: the key alone decides. Ranks
 // are assigned per node view in creation order, independent of the
-// shard count, so shards=1, shards=4 and the sequential simulator all
-// execute the same schedule and produce byte-identical metrics at any
-// GOMAXPROCS.
+// shard count, so shards=1, shards=4 and a Simulator (whose one view
+// has rank 0, below every other) all execute the same schedule and
+// produce byte-identical metrics at any GOMAXPROCS.
 //
 // # Lookahead
 //
@@ -130,7 +131,7 @@ type Sharded struct {
 	linkSeq int
 	tracer  Tracer
 	rng     *rand.Rand
-	root    *view // lazy view backing engine-level NewLink
+	root    *view // a Simulator's one view; else lazy, for engine-level NewLink
 
 	started bool
 	work    []chan windowBound
@@ -138,13 +139,8 @@ type Sharded struct {
 	running bool
 }
 
-// NewSharded builds a sharded engine with the given shard count
-// (clamped to ≥ 1). When reg is non-nil the per-shard event counters
-// register under the sequential names ("netsim/events/...") as sums.
-func NewSharded(seed int64, shards int, reg *metrics.Registry) *Sharded {
-	if shards < 1 {
-		shards = 1
-	}
+// newSharded builds an engine with no metrics scope attached.
+func newSharded(seed int64, shards int) *Sharded {
 	e := &Sharded{seed: seed, rng: rand.New(rand.NewSource(seed))}
 	e.cores = make([]*evCore, shards)
 	for i := range e.cores {
@@ -154,6 +150,17 @@ func NewSharded(seed int64, shards int, reg *metrics.Registry) *Sharded {
 	for i := range e.mbox {
 		e.mbox[i] = make([][]mail, shards)
 	}
+	return e
+}
+
+// NewSharded builds a sharded engine with the given shard count
+// (clamped to ≥ 1). When reg is non-nil the per-shard event counters
+// register under the sequential names ("netsim/events/...") as sums.
+func NewSharded(seed int64, shards int, reg *metrics.Registry) *Sharded {
+	if shards < 1 {
+		shards = 1
+	}
+	e := newSharded(seed, shards)
 	if reg != nil {
 		e.msc = reg.Scope("netsim")
 		sc := e.msc.Sub("events")
@@ -278,7 +285,7 @@ func (e *Sharded) Pending() int {
 
 // Exec runs fn in driver context. All shards are parked between Run*
 // calls and the barrier's synchronization makes their writes visible,
-// so an inline call is safe, exactly like the sequential simulator.
+// so an inline call is safe.
 func (e *Sharded) Exec(fn func()) { fn() }
 
 // SetTracer attaches the causal tracer. With more than one shard the
@@ -433,10 +440,11 @@ func (e *Sharded) RunUntil(t Time) {
 
 // --- node views ---
 
-// view is one node's Backend handle on the sharded engine: it pins the
+// view is one node's Backend handle on the engine, and the only
+// implementation of the scheduling and link-event surface: it pins the
 // node's events to a shard core and stamps them with the node's stable
 // rank and local sequence — the identity half of the deterministic
-// merge rule.
+// merge rule. A Simulator is one view that owns its whole engine.
 type view struct {
 	eng   *Sharded
 	core  *evCore
@@ -503,13 +511,16 @@ func (v *view) NewLink(cfg LinkConfig, dst Handler) Port {
 }
 
 // NewLinkTo creates a link delivering into dstB's shard; dstB must be
-// a view of the same engine. Same-shard destinations use the direct
-// heap path; cross-shard destinations go through the mailbox and
-// contribute their delay to the lookahead bound.
+// a view (or the Simulator) of the same engine. Same-shard destinations
+// use the direct heap path; cross-shard destinations go through the
+// mailbox and contribute their delay to the lookahead bound.
 func (v *view) NewLinkTo(cfg LinkConfig, dst Handler, dstB Backend) Port {
-	dv, ok := dstB.(*view)
-	if !ok || dv.eng != v.eng {
-		panic("netsim: NewLinkTo destination must be a view of the same sharded engine")
+	dv, _ := dstB.(*view)
+	if s, ok := dstB.(*Simulator); ok {
+		dv = s.view
+	}
+	if dv == nil || dv.eng != v.eng {
+		panic("netsim: NewLinkTo destination must be a view of the same engine")
 	}
 	var env linkEnv = v
 	if dv.core != v.core {
@@ -529,12 +540,8 @@ func (v *view) newLink(cfg LinkConfig, dst Handler, env linkEnv) Port {
 		panic("netsim: NewLink with nil destination")
 	}
 	e := v.eng
-	l := &Link{env: env, cfg: cfg, dst: dst, up: true,
-		name: linkName(e.linkSeq),
-		rng:  rand.New(rand.NewSource(linkSeed(e.seed, e.linkSeq)))}
-	if e.msc != nil {
-		l.m.Bind(e.msc.Sub(l.name))
-	}
+	l := &Link{env: env, dst: dst}
+	l.init(cfg, e.seed, e.linkSeq, e.msc)
 	e.linkSeq++
 	return l
 }

@@ -6,20 +6,20 @@
 // EXPERIMENTS.md is an exact function of its seed: loss patterns,
 // reordering, corruption and timer interleavings replay identically.
 //
-// The model is intentionally small: a Simulator owns a virtual clock
-// and an event heap; a Link is a unidirectional channel with
-// configurable propagation delay, jitter, serialization rate, queue
-// limit, loss, duplication, reordering, bit corruption and ECN marking;
-// a Bus is a shared broadcast medium with collisions for the MAC
-// sublayer experiments. The Sharded engine (sharded.go) runs several
-// event heaps in parallel under conservative lookahead windows while
-// producing byte-identical results.
+// The model is intentionally small: one engine (Sharded, sharded.go)
+// owns a virtual clock and one event heap per shard, run in parallel
+// under conservative lookahead windows while producing byte-identical
+// results at any shard count; a Simulator is the one-shard, one-view
+// case of it with a step-by-step driver surface; a Link is a
+// unidirectional channel with configurable propagation delay, jitter,
+// serialization rate, queue limit, loss, duplication, reordering, bit
+// corruption and ECN marking; a Bus is a shared broadcast medium with
+// collisions for the MAC sublayer experiments.
 package netsim
 
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/metrics"
@@ -46,18 +46,18 @@ const (
 
 // event carries the canonical ordering key (at, schedAt, rank, seq):
 // execution time, then scheduling time, then the scheduler's identity
-// rank, then the scheduler's local sequence number. On the sequential
-// simulator every event has rank 0 and a global seq, which makes the
-// key order-equivalent to the historical (at, seq) FIFO tiebreak —
-// schedAt is nondecreasing in seq because schedules happen in
-// time-ordered execution. The sharded engine assigns each node view a
-// stable rank, so the same key decides the same order regardless of
-// how shards interleave; this is the deterministic merge rule.
+// rank, then the scheduler's local sequence number. A Simulator
+// schedules everything through its one rank-0 view, which makes the
+// key order-equivalent to a plain (at, seq) FIFO tiebreak — schedAt is
+// nondecreasing in seq because schedules happen in time-ordered
+// execution. A sharded world gives each node view a stable rank, so
+// the same key decides the same order regardless of how shards
+// interleave; this is the deterministic merge rule.
 type event struct {
 	at      Time
 	schedAt Time   // virtual time the schedule call was made
 	seq     uint64 // scheduler-local FIFO tiebreak for simultaneous events
-	rank    int32  // scheduler identity (0 sequential, node rank sharded)
+	rank    int32  // scheduler identity: the posting view's rank
 	gen     uint32 // bumped on recycle; detached Timers compare it
 	kind    uint8
 	fn      func()
@@ -108,10 +108,9 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// evCore is one event heap plus its clock, freelist and counters: the
-// whole engine of the sequential Simulator, and one shard of the
-// Sharded engine. Every instrument has a single writer (the goroutine
-// running the core), which is the discipline that lets the sharded
+// evCore is one event heap plus its clock, freelist and counters: one
+// shard of the engine. Every instrument has a single writer (the
+// goroutine running the core), which is the discipline that lets the
 // engine avoid atomics: cross-core reads only happen at barriers.
 type evCore struct {
 	now    Time
@@ -277,23 +276,17 @@ func dispatch(e *event, tr Tracer) {
 	}
 }
 
-// Simulator owns the virtual clock, the event queue and the random
-// source. It is not safe for concurrent use; all protocol code runs
-// single-threaded inside event callbacks, which is what makes runs
-// reproducible.
+// Simulator is the sequential simulator: a driver handle on a one-shard
+// engine and its single rank-0 root view. Everything a Backend does
+// (Now, Rand, Schedule, ScheduleTimer, Every, NewLink, RunFor, Steps,
+// Exec, SetTracer, Tracer, Close) is the embedded view's; the methods
+// defined here are the step-by-step driver surface only the one-shard
+// case can offer. It is not safe for concurrent use; all protocol code
+// runs single-threaded inside event callbacks, which is what makes
+// runs reproducible.
 type Simulator struct {
-	evCore
-	seed int64
-	rng  *rand.Rand
-
-	// msc is the simulator's metrics scope ("netsim/..."); nil when no
-	// registry is attached (all instruments then run detached).
-	msc     *metrics.Scope
-	linkSeq int
-	busSeq  int
-	// tracer, when non-nil, receives causal trace events (see trace.go).
-	// Nil by default; every emission site is a single nil check.
-	tracer Tracer
+	*view
+	busSeq int
 }
 
 // Option configures a Simulator at construction.
@@ -308,38 +301,33 @@ type Option func(*Simulator)
 // backend is selected. This option remains for code driving a bare
 // Simulator.
 func WithMetrics(reg *metrics.Registry) Option {
-	return func(s *Simulator) { s.msc = reg.Scope("netsim") }
+	return func(s *Simulator) { s.eng.msc = reg.Scope("netsim") }
 }
 
 // NewSimulator returns a simulator whose randomness derives from seed.
+// Its view draws from the seed-only stream (the engine's), not a
+// rank-derived one, and is where every schedule lands: nothing on a
+// Simulator ever goes to the engine's control core.
 func NewSimulator(seed int64, opts ...Option) *Simulator {
-	s := &Simulator{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	e := newSharded(seed, 1)
+	e.root = &view{eng: e, core: e.cores[0], rng: e.rng}
+	e.views = append(e.views, e.root)
+	s := &Simulator{view: e.root}
 	for _, o := range opts {
 		o(s)
 	}
-	if s.msc != nil {
-		sc := s.msc.Sub("events")
-		sc.Register("scheduled", &s.scheduled)
-		sc.Register("executed", &s.executed)
-		sc.Register("cancelled", &s.cancelled)
+	if e.msc != nil {
+		// Plain counters, not sums: one core writes them all.
+		sc := e.msc.Sub("events")
+		sc.Register("scheduled", &s.core.scheduled)
+		sc.Register("executed", &s.core.executed)
+		sc.Register("cancelled", &s.core.cancelled)
 	}
 	return s
 }
 
-// Now returns the current virtual time.
-func (s *Simulator) Now() Time { return s.now }
-
-// Rand returns the simulation-owned random source. Protocol code must
-// use this (never the global source) to stay deterministic.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// linkSeed derives the impairment stream of link index idx from the
-// world seed. Links draw loss/jitter/reorder/corrupt/dup from their own
-// stream — a pure function of (seed, index, send count) — so the draws
-// are identical whether the links execute sequentially or sharded.
-func linkSeed(seed int64, idx int) int64 {
-	return seed ^ (int64(idx)+1)*0x1E3779B97F4A7C15
-}
+// Name identifies the simulator backend.
+func (s *Simulator) Name() string { return "sim" }
 
 // Timer is a handle to a scheduled callback, on any backend. On the
 // simulator it remembers the event's generation at scheduling time:
@@ -399,15 +387,6 @@ func (t *Timer) Active() bool {
 	return t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
 }
 
-// Schedule runs fn after virtual delay d (clamped to ≥ 0).
-func (s *Simulator) Schedule(d time.Duration, fn func()) *Timer {
-	t := s.now + durTicks(d)
-	if t < s.now {
-		t = s.now
-	}
-	return s.ScheduleAt(t, fn)
-}
-
 // ScheduleAt runs fn at absolute virtual time at (clamped to ≥ now).
 func (s *Simulator) ScheduleAt(at Time, fn func()) *Timer {
 	e := s.post(at)
@@ -415,42 +394,24 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) *Timer {
 	return &Timer{ev: e, gen: e.gen}
 }
 
-// ScheduleTimer is Schedule returning the Timer by value, for callers
-// that hold the handle in a long-lived struct (Repeater, the
-// transports' retransmission state) and should not allocate one per
-// re-arm. A zero Timer is inert: Stop and Active are safe on it.
-func (s *Simulator) ScheduleTimer(d time.Duration, fn func()) Timer {
-	t := s.now + durTicks(d)
-	if t < s.now {
-		t = s.now
-	}
-	e := s.post(t)
-	e.fn = fn
-	return Timer{ev: e, gen: e.gen}
-}
-
-// post pushes an event at time at (clamped to ≥ now) with the
-// sequential key: rank 0, global sequence, schedAt = now.
-func (s *Simulator) post(at Time) *event {
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	return s.evCore.post(at, s.now, 0, s.seq)
-}
-
 // Pending returns the number of events in the heap, tombstones
 // included (tests and capacity planning).
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return s.eng.Pending() }
 
 // Step executes the next pending event. It reports false when the queue
 // is empty.
-func (s *Simulator) Step() bool { return s.step(s.tracer) }
+func (s *Simulator) Step() bool {
+	if !s.core.step(s.eng.tracer) {
+		return false
+	}
+	s.eng.now = s.core.now // one shard: its clock is the barrier clock
+	return true
+}
 
 // Run executes events until the queue drains or the step limit is hit;
 // it returns the number of events executed. A zero limit means no
 // limit. Protocols with periodic timers never drain the queue, so most
-// callers use RunFor or RunUntilIdle instead.
+// callers use RunFor instead.
 func (s *Simulator) Run(limit int) int {
 	n := 0
 	for (limit == 0 || n < limit) && s.Step() {
@@ -459,40 +420,12 @@ func (s *Simulator) Run(limit int) int {
 	return n
 }
 
-// RunFor executes events for a span of virtual time, then stops with
-// the clock advanced to exactly start+d.
-func (s *Simulator) RunFor(d time.Duration) {
-	s.RunUntil(s.now + durTicks(d))
-}
-
-// RunUntil executes all events scheduled strictly up to and including
-// time t, then sets the clock to t.
-func (s *Simulator) RunUntil(t Time) {
-	for {
-		at, ok := s.nextAt()
-		if !ok || at > t {
-			break
-		}
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
-// Steps returns the total number of events executed, a cheap progress
-// metric for benchmarks. It reads the same counter the metrics
-// registry exports as "netsim/events/executed".
-func (s *Simulator) Steps() uint64 { return s.executed.Value() }
-
-// Every schedules fn to run every interval until the returned Repeater
-// is stopped. The first firing is after one interval.
-func (s *Simulator) Every(interval time.Duration, fn func()) *Repeater {
-	return newRepeater(s, interval, fn)
-}
+// RunUntil executes all events scheduled up to and including time t,
+// then sets the clock to t.
+func (s *Simulator) RunUntil(t Time) { s.eng.RunUntil(t) }
 
 // timerScheduler is the sliver of Backend a Repeater needs to re-arm;
-// the Simulator, the RTClock and the sharded engine's views satisfy it.
+// the engine, its views and the RTClock satisfy it.
 type timerScheduler interface {
 	ScheduleTimer(d time.Duration, fn func()) Timer
 }
@@ -533,5 +466,5 @@ func (r *Repeater) Stop() {
 }
 
 func (s *Simulator) String() string {
-	return fmt.Sprintf("sim(t=%v, pending=%d, steps=%d)", s.now, len(s.events), s.executed.Value())
+	return fmt.Sprintf("sim(t=%v, pending=%d, steps=%d)", s.Now(), s.Pending(), s.Steps())
 }

@@ -333,7 +333,7 @@ func TestLinkDataCopied(t *testing.T) {
 func TestDuplexBothDirections(t *testing.T) {
 	s := NewSimulator(1)
 	var atA, atB []byte
-	d := s.NewDuplex(LinkConfig{Delay: time.Millisecond},
+	d := NewDuplexOn(s, LinkConfig{Delay: time.Millisecond},
 		func(p *Packet) { atA = p.Data },
 		func(p *Packet) { atB = p.Data })
 	d.AB.Send([]byte("to-b"))
@@ -345,6 +345,28 @@ func TestDuplexBothDirections(t *testing.T) {
 	d.SetUp(false)
 	if d.AB.Up() || d.BA.Up() {
 		t.Error("SetUp(false) did not cut both directions")
+	}
+}
+
+// TestSimulatorAsLinkDestination pins that the sender-to-receiver link
+// constructors take a *Simulator on the receiving side: a Simulator is
+// the one view of its engine, so world builders that wire every link
+// through NewDuplexBetween/LinkOn work on it unchanged.
+func TestSimulatorAsLinkDestination(t *testing.T) {
+	s := NewSimulator(1)
+	var atA, atB []byte
+	d := NewDuplexBetween(s, s, LinkConfig{Delay: time.Millisecond},
+		func(p *Packet) { atA = p.Data },
+		func(p *Packet) { atB = p.Data })
+	d.AB.Send([]byte("to-b"))
+	d.BA.Send([]byte("to-a"))
+	LinkOn(s, LinkConfig{}, func(*Packet) {}, nil).Send([]byte("x")) // nil destination backend: plain NewLink
+	s.Run(0)
+	if string(atB) != "to-b" || string(atA) != "to-a" {
+		t.Errorf("atA=%q atB=%q", atA, atB)
+	}
+	if names := d.AB.Name() + " " + d.BA.Name(); names != "link0 link1" {
+		t.Errorf("links named %q, want creation order", names)
 	}
 }
 

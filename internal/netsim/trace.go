@@ -110,14 +110,3 @@ func PackFlow(srcAddr, dstAddr, srcPort, dstPort uint16) uint64 {
 func UnpackFlow(f uint64) (srcAddr, dstAddr, srcPort, dstPort uint16) {
 	return uint16(f >> 48), uint16(f >> 32), uint16(f >> 16), uint16(f)
 }
-
-// SetTracer attaches (or with nil detaches) the simulator's tracer.
-// Attach before traffic flows; the tracer only sees events emitted
-// while attached.
-func (s *Simulator) SetTracer(t Tracer) { s.tracer = t }
-
-// Tracer returns the attached tracer, or nil when tracing is off.
-// Emission sites hold the result once per event batch:
-//
-//	if t := sim.Tracer(); t != nil { t.Emit(...) }
-func (s *Simulator) Tracer() Tracer { return s.tracer }

@@ -393,7 +393,7 @@ func TestNetworkOverDatalinkStackPort(t *testing.T) {
 	sim := netsim.NewSimulator(2)
 	lpA := NewLinkPort(nil)
 	lpB := NewLinkPort(nil)
-	d := sim.NewDuplex(quickLink(),
+	d := netsim.NewDuplexOn(sim, quickLink(),
 		func(p *netsim.Packet) { lpA.Deliver(p) },
 		func(p *netsim.Packet) { lpB.Deliver(p) })
 	lpA.out, lpB.out = d.AB, d.BA

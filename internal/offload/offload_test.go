@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/transport/harness"
 	"repro/internal/transport/sublayered"
 )
@@ -30,14 +31,13 @@ func runWorkload(t *testing.T, bytes int) (sublayered.Crossings, uint64, uint64)
 	return crossingsOf(t, res.ClientConn), 0, 0
 }
 
-func crossingsOf(t *testing.T, e harness.Endpoint) sublayered.Crossings {
+func crossingsOf(t *testing.T, e transport.Conn) sublayered.Crossings {
 	t.Helper()
-	type has interface{ CrossingStats() sublayered.Crossings }
-	if h, ok := e.(has); ok {
-		return h.CrossingStats()
+	c, ok := e.(*sublayered.Conn)
+	if !ok {
+		t.Fatalf("%T is not a sublayered connection", e)
 	}
-	t.Fatal("endpoint has no crossing stats")
-	return sublayered.Crossings{}
+	return c.CrossingStats()
 }
 
 func TestAnalyzeShape(t *testing.T) {

@@ -95,10 +95,8 @@ func WithTransport(opts ...transport.Option) Option {
 }
 
 // New is the single construction path for a two-host world: pick a
-// backend kind ("sim", "chan", "udp"), apply options, get a converged
-// World. It replaces the per-stack construction sprawl — everything
-// NewSublayered/NewMonolithic plus hand-rolled topologies used to do —
-// with one call:
+// backend kind ("sim", "sharded:N", "chan", "udp"), apply options, get
+// a converged World in one call:
 //
 //	w := harness.New(harness.BackendUDP,
 //	        harness.WithSeed(7),

@@ -52,7 +52,7 @@ type ClusterConfig struct {
 // engine, the cluster backend otherwise).
 type ClusterHost struct {
 	Addr  network.Addr
-	Stack Transport
+	Stack transport.Stack
 	B     netsim.Backend
 }
 

@@ -1,10 +1,13 @@
-// Package harness adapts the two TCP implementations — sublayered
-// (internal/transport/sublayered, optionally behind the §3.1 shim) and
-// monolithic (internal/transport/monolithic) — behind the uniform
-// transport.Stack / transport.Conn interfaces, so the interop matrix
-// (E4), the performance comparison (E7), the chaos soak (E10), the
-// many-flow workload engine (E11) and the examples can drive either
-// implementation with the same code.
+// Package harness builds worlds: a backend, a topology and a transport
+// stack per end host, in one call, on any substrate. Both TCP
+// implementations — sublayered (internal/transport/sublayered,
+// optionally behind the §3.1 shim) and monolithic
+// (internal/transport/monolithic) — satisfy transport.Conn themselves;
+// the two Stack wrappers here add only the transport.Stack signatures
+// Go's invariant func types force. So the interop matrix (E4), the
+// performance comparison (E7), the chaos soak (E10), the many-flow
+// workload engine (E11) and the examples drive either implementation
+// with the same code.
 package harness
 
 import (
@@ -20,158 +23,62 @@ import (
 	"repro/internal/verify"
 )
 
-// Endpoint is the byte-stream surface both TCPs expose — the
-// transport.Conn interface under its historical harness name.
-type Endpoint = transport.Conn
+// Sublayered is a sublayered stack as a transport.Stack: Addr, Close
+// and BindMetrics are the embedded stack's; Listen and Dial only widen
+// *sublayered.Conn to transport.Conn.
+type Sublayered struct{ *sublayered.Stack }
 
-// Transport creates endpoints on one host — the transport.Stack
-// interface under its historical harness name.
-type Transport = transport.Stack
-
-// --- sublayered adapter ---
-
-type subEndpoint struct{ c *sublayered.Conn }
-
-func (e subEndpoint) Write(p []byte) int { return e.c.Write(p) }
-func (e subEndpoint) ReadAll() []byte    { return e.c.ReadAll() }
-func (e subEndpoint) EOF() bool          { return e.c.EOF() }
-func (e subEndpoint) Close()             { e.c.Close() }
-func (e subEndpoint) State() string      { return e.c.State() }
-func (e subEndpoint) Err() error         { return e.c.Err() }
-func (e subEndpoint) LocalPort() uint16  { return e.c.LocalPort() }
-func (e subEndpoint) RemotePort() uint16 { return e.c.RemotePort() }
-func (e subEndpoint) Callbacks(onC, onR, onW func(), onX func(error)) {
-	e.c.OnConnected, e.c.OnReadable, e.c.OnWritable, e.c.OnClosed = onC, onR, onW, onX
-}
-
-// CrossingStats exposes the sublayer boundary counters (E9).
-func (e subEndpoint) CrossingStats() sublayered.Crossings { return e.c.CrossingStats() }
-
-// Conn unwraps the concrete sublayered connection.
-func (e subEndpoint) Conn() *sublayered.Conn { return e.c }
-
-// SubConnAccess is implemented by sublayered endpoints; callers that
-// need sublayer-level stats type-assert to it.
-type SubConnAccess interface{ Conn() *sublayered.Conn }
-
-// MonoConnAccess is implemented by monolithic endpoints.
-type MonoConnAccess interface{ PCB() *monolithic.PCB }
-
-// Sublayered wraps a sublayered stack as a transport.Stack.
-type Sublayered struct {
-	Stack *sublayered.Stack
-	label string
-}
-
-// NewSublayered attaches a sublayered transport to a router. Trailing
-// transport.Options pass through to the stack constructor.
-//
-// Deprecation note: prefer the single construction path harness.New
-// (or BuildWorld), which wires backend, topology and both end hosts in
-// one call; this constructor remains for tests that hand-build
-// topologies.
-func NewSublayered(sim netsim.Backend, r *network.Router, cfg sublayered.Config, opts ...transport.Option) *Sublayered {
-	label := "sublayered"
-	if cfg.UseShim {
-		label = "sublayered+shim"
+// Name implements transport.Stack.
+func (t *Sublayered) Name() string {
+	if t.Config().UseShim {
+		return KindSublayeredShim.String()
 	}
-	return &Sublayered{Stack: sublayered.NewStack(sim, r, cfg, opts...), label: label}
+	return KindSublayeredNative.String()
 }
 
-// Name implements Transport.
-func (t *Sublayered) Name() string { return t.label }
-
-// Listen implements Transport.
-func (t *Sublayered) Listen(port uint16, onAccept func(Endpoint)) error {
+// Listen implements transport.Stack.
+func (t *Sublayered) Listen(port uint16, onAccept func(transport.Conn)) error {
 	l, err := t.Stack.Listen(port)
 	if err != nil {
 		return err
 	}
-	l.OnAccept = func(c *sublayered.Conn) { onAccept(subEndpoint{c}) }
+	l.OnAccept = func(c *sublayered.Conn) { onAccept(c) }
 	return nil
 }
 
-// Dial implements Transport.
-func (t *Sublayered) Dial(dst network.Addr, port uint16) (Endpoint, error) {
+// Dial implements transport.Stack.
+func (t *Sublayered) Dial(dst network.Addr, port uint16) (transport.Conn, error) {
 	c, err := t.Stack.Dial(dst, port)
 	if err != nil {
 		return nil, err
 	}
-	return subEndpoint{c}, nil
+	return c, nil
 }
 
-// Addr implements Transport.
-func (t *Sublayered) Addr() network.Addr { return t.Stack.Addr() }
+// Monolithic is a monolithic stack as a transport.Stack, the same way.
+type Monolithic struct{ *monolithic.Stack }
 
-// Close implements Transport.
-func (t *Sublayered) Close() error { return t.Stack.Close() }
+// Name implements transport.Stack.
+func (t *Monolithic) Name() string { return KindMonolithic.String() }
 
-// BindMetrics implements Transport.
-func (t *Sublayered) BindMetrics(sc *metrics.Scope) { t.Stack.BindMetrics(sc) }
-
-// --- monolithic adapter ---
-
-type monoEndpoint struct{ p *monolithic.PCB }
-
-func (e monoEndpoint) Write(p []byte) int { return e.p.Write(p) }
-func (e monoEndpoint) ReadAll() []byte    { return e.p.ReadAll() }
-func (e monoEndpoint) EOF() bool          { return e.p.EOF() }
-func (e monoEndpoint) Close()             { e.p.Close() }
-func (e monoEndpoint) State() string      { return e.p.State() }
-func (e monoEndpoint) Err() error         { return e.p.Err() }
-func (e monoEndpoint) LocalPort() uint16  { return e.p.LocalPort() }
-func (e monoEndpoint) RemotePort() uint16 { return e.p.RemotePort() }
-func (e monoEndpoint) Callbacks(onC, onR, onW func(), onX func(error)) {
-	e.p.OnConnected, e.p.OnReadable, e.p.OnWritable, e.p.OnClosed = onC, onR, onW, onX
-}
-
-// PCB unwraps the concrete monolithic connection.
-func (e monoEndpoint) PCB() *monolithic.PCB { return e.p }
-
-// Monolithic wraps a monolithic stack as a Transport.
-type Monolithic struct {
-	Stack *monolithic.Stack
-}
-
-// NewMonolithic attaches a monolithic transport to a router. Trailing
-// transport.Options pass through to the stack constructor.
-//
-// Deprecation note: prefer harness.New (or BuildWorld), as with
-// NewSublayered.
-func NewMonolithic(sim netsim.Backend, r *network.Router, cfg monolithic.Config, opts ...transport.Option) *Monolithic {
-	return &Monolithic{Stack: monolithic.NewStack(sim, r, cfg, opts...)}
-}
-
-// Name implements Transport.
-func (t *Monolithic) Name() string { return "monolithic" }
-
-// Listen implements Transport.
-func (t *Monolithic) Listen(port uint16, onAccept func(Endpoint)) error {
+// Listen implements transport.Stack.
+func (t *Monolithic) Listen(port uint16, onAccept func(transport.Conn)) error {
 	l, err := t.Stack.Listen(port)
 	if err != nil {
 		return err
 	}
-	l.OnAccept = func(p *monolithic.PCB) { onAccept(monoEndpoint{p}) }
+	l.OnAccept = func(p *monolithic.PCB) { onAccept(p) }
 	return nil
 }
 
-// Dial implements Transport.
-func (t *Monolithic) Dial(dst network.Addr, port uint16) (Endpoint, error) {
+// Dial implements transport.Stack.
+func (t *Monolithic) Dial(dst network.Addr, port uint16) (transport.Conn, error) {
 	p, err := t.Stack.Dial(dst, port)
 	if err != nil {
 		return nil, err
 	}
-	return monoEndpoint{p}, nil
+	return p, nil
 }
-
-// Addr implements Transport.
-func (t *Monolithic) Addr() network.Addr { return t.Stack.Addr() }
-
-// Close implements Transport.
-func (t *Monolithic) Close() error { return t.Stack.Close() }
-
-// BindMetrics implements Transport.
-func (t *Monolithic) BindMetrics(sc *metrics.Scope) { t.Stack.BindMetrics(sc) }
 
 // --- world construction ---
 
@@ -202,14 +109,12 @@ func (k Kind) String() string {
 // World is a network — simulated or real-time — with one transport per
 // end host.
 type World struct {
-	// Sim is the substrate backend. The historical field name survives
-	// from when it could only be a *netsim.Simulator; every driver-side
-	// use (RunFor, Schedule, Now, SetTracer, Steps) is in the Backend
-	// interface.
+	// Sim is the substrate backend, of any kind: drivers use it for
+	// RunFor, Schedule, Now, SetTracer and Steps.
 	Sim    netsim.Backend
 	Topo   *network.Topology
-	Client Transport
-	Server Transport
+	Client transport.Stack
+	Server transport.Stack
 	// ClientB and ServerB are the end hosts' node backends: on a
 	// sharded engine the per-node shard views, otherwise Sim. Driver
 	// code reading a host's clock (flow completion stamps) must use the
@@ -228,7 +133,7 @@ type World struct {
 // End is one client/server pair: transports, their node backends and
 // addresses.
 type End struct {
-	Client, Server         Transport
+	Client, Server         transport.Stack
 	ClientB, ServerB       netsim.Backend
 	ClientAddr, ServerAddr network.Addr
 }
@@ -394,25 +299,20 @@ func hostScope(reg *metrics.Registry, addr int) *metrics.Scope {
 	return reg.Scope(fmt.Sprintf("n%d", addr)).Sub("transport")
 }
 
-func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConfig, msc *metrics.Scope, tracker *verify.Tracker) Transport {
-	switch k {
-	case KindMonolithic:
+func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConfig, msc *metrics.Scope, tracker *verify.Tracker) transport.Stack {
+	if k == KindMonolithic {
 		mc := cfg.MonoCfg
 		mc.Tracker = tracker
 		mc.Metrics = msc
-		return NewMonolithic(sim, r, mc, cfg.Opts...)
-	case KindSublayeredShim:
-		sc := cfg.SubCfg
-		sc.UseShim = true
-		sc.Tracker = tracker
-		sc.Metrics = msc
-		return NewSublayered(sim, r, sc, cfg.Opts...)
-	default:
-		sc := cfg.SubCfg
-		sc.Tracker = tracker
-		sc.Metrics = msc
-		return NewSublayered(sim, r, sc, cfg.Opts...)
+		return &Monolithic{monolithic.NewStack(sim, r, mc, cfg.Opts...)}
 	}
+	sc := cfg.SubCfg
+	if k == KindSublayeredShim {
+		sc.UseShim = true
+	}
+	sc.Tracker = tracker
+	sc.Metrics = msc
+	return &Sublayered{sublayered.NewStack(sim, r, sc, cfg.Opts...)}
 }
 
 // ServerAddr returns the primary pair's server address (the far end
@@ -435,8 +335,8 @@ type TransferResult struct {
 	ServerGot, ClientGot []byte
 	ServerEOF, ClientEOF bool
 	ClientErr, ServerErr error
-	ClientConn           Endpoint
-	ServerConn           Endpoint
+	ClientConn           transport.Conn
+	ServerConn           transport.Conn
 	Elapsed              time.Duration // virtual time from dial to both EOFs
 }
 
@@ -471,7 +371,7 @@ func RunTransfer(w *World, c2s, s2c []byte, budget time.Duration) (*TransferResu
 				finish[i] = b.Now()
 			}
 		}
-		if err := w.Server.Listen(80, func(sc Endpoint) {
+		if err := w.Server.Listen(80, func(sc transport.Conn) {
 			res.ServerConn = sc
 			toSend := s2c
 			push := func() {

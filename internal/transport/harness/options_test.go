@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/transport/monolithic"
+	"repro/internal/transport/sublayered"
 )
 
 // TestSharedOptionsSelectController proves the functional-options
@@ -57,15 +59,15 @@ func TestSharedOptionsSelectController(t *testing.T) {
 }
 
 // connCCName extracts the controller name from either endpoint flavor.
-func connCCName(t *testing.T, e Endpoint) string {
+func connCCName(t *testing.T, e transport.Conn) string {
 	t.Helper()
 	switch c := e.(type) {
-	case SubConnAccess:
-		return c.Conn().OSR().CC().Name()
-	case MonoConnAccess:
-		return c.PCB().CC().Name()
+	case *sublayered.Conn:
+		return c.OSR().CC().Name()
+	case *monolithic.PCB:
+		return c.CC().Name()
 	default:
-		t.Fatalf("endpoint %T exposes no connection access", e)
+		t.Fatalf("unknown connection type %T", e)
 		return ""
 	}
 }

@@ -130,7 +130,7 @@ func TestShardedMultiPairWorld(t *testing.T) {
 		w.Exec(func() {
 			for p, end := range w.Ends {
 				p := p
-				if err := end.Server.Listen(80, func(sc Endpoint) {
+				if err := end.Server.Listen(80, func(sc transport.Conn) {
 					sc.Callbacks(nil, func() {
 						got[p] = append(got[p], sc.ReadAll()...)
 					}, nil, nil)

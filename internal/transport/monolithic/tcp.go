@@ -314,6 +314,12 @@ type PCB struct {
 	OnClosed    func(error)
 }
 
+// Callbacks sets all four application callbacks at once; with it PCB
+// satisfies transport.Conn.
+func (p *PCB) Callbacks(onConnected, onReadable, onWritable func(), onClosed func(error)) {
+	p.OnConnected, p.OnReadable, p.OnWritable, p.OnClosed = onConnected, onReadable, onWritable, onClosed
+}
+
 // State reports the FSM state name.
 func (p *PCB) State() string { return p.state.String() }
 

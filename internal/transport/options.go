@@ -17,8 +17,7 @@ import (
 //	datalink.NewStack(sim, "alice", cfg, transport.WithRegistry(reg))
 //
 // Prefer WithMetrics over the per-stack BindMetrics methods (those
-// remain only because the Stack interface needs a post-construction
-// hook for adapters).
+// remain as the Stack interface's post-construction hook).
 type Options struct {
 	// CC selects a congestion controller by ccontrol registry name.
 	// Empty keeps the stack config's choice (or the registry default).

@@ -3,11 +3,13 @@
 // Close, metrics-scope attachment) and Conn (one connection's byte
 // stream). The sublayered stack (internal/transport/sublayered, native
 // Fig. 6 wire format or behind the §3.1 shim) and the monolithic
-// baseline (internal/transport/monolithic) both implement it through
-// the thin adapters in internal/transport/harness, so the experiments,
-// the interop matrix and the many-flow workload engine
-// (internal/workload) drive either implementation — or both at once —
-// with the same code instead of duplicating per-stack construction.
+// baseline (internal/transport/monolithic) implement Conn directly
+// (*sublayered.Conn, *monolithic.PCB); internal/transport/harness wraps
+// each concrete Stack only to give Listen and Dial the interface
+// signatures. So the experiments, the interop matrix and the many-flow
+// workload engine (internal/workload) drive either implementation — or
+// both at once — with the same code, and a caller that needs
+// sublayer-level state type-asserts the Conn to its concrete type.
 package transport
 
 import (

@@ -50,6 +50,12 @@ type Conn struct {
 	OnClosed    func(err error)
 }
 
+// Callbacks sets all four application callbacks at once; with it Conn
+// satisfies transport.Conn.
+func (c *Conn) Callbacks(onConnected, onReadable, onWritable func(), onClosed func(error)) {
+	c.OnConnected, c.OnReadable, c.OnWritable, c.OnClosed = onConnected, onReadable, onWritable, onClosed
+}
+
 // LocalPort returns the connection's local port.
 func (c *Conn) LocalPort() uint16 { return c.key.SrcPort }
 

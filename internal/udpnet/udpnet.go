@@ -79,11 +79,11 @@ func (n *Network) NewLink(cfg netsim.LinkConfig, dst netsim.Handler) netsim.Port
 		panic(fmt.Sprintf("udpnet: dial: %v", err))
 	}
 	l := &link{
-		core: netsim.NewRTLinkCore(n.RTClock, cfg),
-		clk:  n.RTClock,
-		dst:  dst,
-		recv: recv,
-		send: send,
+		RTLinkCore: netsim.NewRTLinkCore(n.RTClock, cfg),
+		clk:        n.RTClock,
+		dst:        dst,
+		recv:       recv,
+		send:       send,
 	}
 	n.links = append(n.links, l)
 	go l.read()
@@ -101,21 +101,18 @@ func (n *Network) Close() error {
 	return err
 }
 
-// link is one unidirectional UDP link: the shared real-time impairment
-// core plus a loopback socket pair.
+// link is one unidirectional UDP link: the shared link core (which
+// also supplies the Port accessors) plus a loopback socket pair.
 type link struct {
-	core *netsim.RTLinkCore
+	*netsim.RTLinkCore
 	clk  *netsim.RTClock
 	dst  netsim.Handler
 	recv *net.UDPConn
 	send *net.UDPConn
 }
 
-// Name returns the link's creation-order identity.
-func (l *link) Name() string { return l.core.Name() }
-
 // Send copies data into a pooled buffer and transmits it.
-func (l *link) Send(data []byte) { l.SendOwned(l.core.Ingest(data), false) }
+func (l *link) Send(data []byte) { l.SendOwned(l.Ingest(data), false) }
 
 // SendPacket is SendOwned for a packet that may carry an ECN mark.
 func (l *link) SendPacket(pkt *netsim.Packet) { l.SendOwned(pkt.Data, pkt.ECN) }
@@ -124,17 +121,13 @@ func (l *link) SendPacket(pkt *netsim.Packet) { l.SendOwned(pkt.Data, pkt.ECN) }
 // impairment pipeline decides the packet's fate; survivors are framed
 // and written to the socket once their planned latency elapses.
 func (l *link) SendOwned(data []byte, ecn bool) {
-	plan, ok := l.core.PlanSend(data)
+	plan, ok := l.PlanSend(data, ecn)
 	if !ok {
 		return
 	}
-	if plan.ECN {
-		ecn = true
-	}
-	l.clk.After(plan.Delay, func() { l.write(data, ecn) })
-	if plan.Dup != nil {
-		dup := plan.Dup
-		l.clk.After(plan.Delay+time.Microsecond, func() { l.write(dup, ecn) })
+	l.clk.After(plan.Delay, func() { l.write(data, plan.ECN) })
+	if plan.Dup {
+		l.clk.After(plan.Delay+time.Microsecond, func() { l.write(plan.DupData, plan.ECN) })
 	}
 }
 
@@ -149,10 +142,12 @@ func (l *link) write(data []byte, ecn bool) {
 		frame[1] |= flagECN
 	}
 	copy(frame[headerLen:], data)
-	if _, err := l.send.Write(frame); err != nil {
-		l.core.Trace("drop", netsim.VerdictDownDrop, data, true, nil)
-	}
+	_, err := l.send.Write(frame)
 	bufpool.Put(frame)
+	if err != nil {
+		l.SendFailed(data)
+		return
+	}
 	if t := l.clk.Tracer(); t != nil {
 		t.Retire(data)
 	}
@@ -177,30 +172,9 @@ func (l *link) read() {
 		data := bufpool.Get(nr - headerLen)
 		copy(data, buf[headerLen:nr])
 		l.clk.ExecStep(func() {
-			if l.core.Delivered(data) {
+			if l.Delivered(data) {
 				l.dst(&netsim.Packet{Data: data, ECN: ecn})
 			}
 		})
 	}
 }
-
-// SetUp raises or cuts the link.
-func (l *link) SetUp(up bool) { l.core.SetUp(up) }
-
-// Up reports whether the link is passing traffic.
-func (l *link) Up() bool { return l.core.Up() }
-
-// SetLossProb replaces the random-loss probability at runtime.
-func (l *link) SetLossProb(p float64) { l.core.SetLossProb(p) }
-
-// SetReorderProb replaces the reordering probability at runtime.
-func (l *link) SetReorderProb(p float64) { l.core.SetReorderProb(p) }
-
-// SetDupProb replaces the duplication probability at runtime.
-func (l *link) SetDupProb(p float64) { l.core.SetDupProb(p) }
-
-// Stats returns a view of the link counters.
-func (l *link) Stats() metrics.View { return l.core.Stats() }
-
-// Config returns the link's configuration.
-func (l *link) Config() netsim.LinkConfig { return l.core.Config() }
