@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench bench-smoke soak overlay-soak soak-long verify report perf perfcheck determinism pardet clean
+.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench bench-smoke soak soak-long verify report perf perfcheck determinism clean
 
 all: build
 
@@ -81,19 +81,15 @@ bench:
 bench-smoke:
 	$(GO) test -C bench ./...
 
-# soak is the E15 backend soak: the 10/100-flow workload matrix on
-# both TCP stacks over the real-time backends (in-process channels and
-# loopback UDP). Wall-clock, so it never touches BENCH_metrics.json;
-# where loopback sockets are forbidden the udp cells skip gracefully.
+# soak runs the two wall-clock soaks on the real-time backends
+# (in-process channels and loopback UDP): E15, the 10/100-flow workload
+# matrix on both TCP stacks, and E13's companion, the overlay churn
+# matrix (all three tiers, clean + churn scenarios) with invariants
+# unchanged from the simulated E13 cells. Wall-clock, so neither
+# touches BENCH_metrics.json; where loopback sockets are forbidden the
+# udp cells skip gracefully.
 soak:
-	$(GO) run ./cmd/benchreport -e e15
-
-# overlay-soak is the E13 wall-clock companion: the overlay churn
-# matrix (all three tiers, clean + churn scenarios) on the real-time
-# backends, invariants unchanged from the simulated E13 cells. Like
-# soak it degrades gracefully where loopback sockets are forbidden.
-overlay-soak:
-	$(GO) run ./cmd/benchreport -e e13soak
+	$(GO) run ./cmd/benchreport -e e15,e13soak
 
 # soak-long is the scheduled E16 long soak: the 100k-flow scaling
 # matrix on every backend (weekly / workflow_dispatch territory —
@@ -107,12 +103,14 @@ soak-long:
 # detector, short fuzz passes over the bit-stuffing spec, the pooled
 # parity target and the fault-schedule differential oracle, one pass
 # of the experiment benchmarks, the benchmark module's smoke test, the
-# parallel-determinism matrix and the perf gate against the checked-in
-# baseline.
-verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench bench-smoke pardet perfcheck
+# determinism gate and the perf gate against the checked-in baseline.
+verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench bench-smoke determinism perfcheck
 
-# report regenerates BENCH_metrics.json, the machine-readable run
-# report over E1-E14 (deterministic: same seed, same bytes).
+# report re-records BENCH_metrics.json, the run-report manifest over
+# E1-E14: every table plus one sample count and SHA-256 per scenario
+# (deterministic: same seed, same bytes). It is the only target that
+# writes the file; `go run ./cmd/runreport -format text -o -` prints
+# the samples behind the digests.
 report:
 	$(GO) run ./cmd/runreport
 
@@ -126,34 +124,41 @@ perf:
 
 # perfcheck is the perf-regression gate: rerun the E11 matrix, the E12
 # bake-off and the E16 scaling matrix, failing if the deterministic
-# rows drift from BENCH_baseline.json, if allocs/event regresses
-# beyond the tolerance, or if the E16 shards=4 events/sec ratio
-# collapses relative to the baseline (capped at NumCPU, so single-core
+# rows drift from the committed BENCH_perf.json, if allocs/event
+# regresses beyond the tolerance, or if the E16 shards=4 events/sec
+# ratio collapses relative to it (capped at NumCPU, so single-core
 # runners are only held to the sharding-overhead floor).
 perfcheck:
-	$(GO) run ./cmd/benchreport -check BENCH_baseline.json
+	$(GO) run ./cmd/benchreport -check BENCH_perf.json
 
-# pardet is the parallel-determinism matrix, the same gate the CI job
-# runs: regenerate the run report on the sharded backend at every
-# GOMAXPROCS × shard-count combination and byte-compare each output
-# against the committed sequential BENCH_metrics.json.
-pardet:
-	@set -e; for p in 1 2 8; do for s in 1 4; do \
-		echo "pardet: GOMAXPROCS=$$p sharded:$$s"; \
-		GOMAXPROCS=$$p $(GO) run ./cmd/runreport -backend sharded:$$s -o BENCH_parallel.json; \
-		cmp BENCH_metrics.json BENCH_parallel.json; \
-	done; done; rm -f BENCH_parallel.json
-
-# determinism regenerates the run report twice and fails on any byte
-# drift from the committed BENCH_metrics.json — the same gate CI runs.
-# Explicitly pinned to the sim backend: runreport only executes the
-# deterministic registry (wall-clock experiments like E15 are
-# registered via RegisterWall and excluded).
+# determinism is the byte-determinism gate, the same one CI runs:
+# regenerate the manifest into a temp file on the sequential simulator
+# (twice) and on the sharded backend at every GOMAXPROCS × shard-count
+# combination, and diff each against the committed BENCH_metrics.json.
+# The sharded cells make it the parallel-correctness oracle as well.
+# It never writes a tracked file, so it cannot pass by re-recording
+# what it checks. runreport only executes the deterministic registry
+# (wall-clock experiments like E15 are registered via RegisterWall and
+# excluded). A diverging cell is named before its diff, each drifted
+# digest line carries its experiment and scenario, and that cell's
+# per-sample dump is left in determinism-divergent.txt to diff against
+# the same dump from a good tree.
 determinism:
-	$(GO) run ./cmd/runreport
-	git diff --exit-code BENCH_metrics.json
-	$(GO) run ./cmd/runreport
-	git diff --exit-code BENCH_metrics.json
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/runreport" ./cmd/runreport; \
+	cell() { \
+		echo "cell: GOMAXPROCS=$${1:-default} $$2"; \
+		GOMAXPROCS=$$1 "$$tmp/runreport" -backend $$2 -o "$$tmp/manifest.json" >/dev/null; \
+		if ! diff BENCH_metrics.json "$$tmp/manifest.json"; then \
+			GOMAXPROCS=$$1 "$$tmp/runreport" -backend $$2 -format text -o determinism-divergent.txt; \
+			exit 1; \
+		fi; \
+	}; \
+	cell "" sim; cell "" sim; \
+	for procs in 1 2 8; do for shards in 1 4; do cell $$procs sharded:$$shards; done; done
 
+# clean removes what building, testing and the gates leave behind —
+# never the committed goldens the gates compare against.
 clean:
-	rm -f BENCH_metrics.json BENCH_perf.json BENCH_parallel.json
+	rm -rf .bench_build determinism-divergent.txt
+	find . \( -name '*.test' -o -name '*.prof' \) -type f -delete

@@ -1,6 +1,6 @@
 package repro
 
-// One benchmark per experiment in DESIGN.md's index (E1–E11). Each
+// One benchmark per experiment in DESIGN.md's index (E1–E14). Each
 // regenerates its table through internal/experiments — the same code
 // path as cmd/benchreport — so `go test -bench=. -benchtime=1x` is a
 // full reproduction run, and the b.N loop measures the end-to-end cost
@@ -28,7 +28,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		r := experiments.ByID(id, 1)
+		r := experiments.Run(id, experiments.Config{Seed: 1})
 		if r == nil || len(r.Rows) == 0 {
 			b.Fatalf("experiment %s produced no rows", id)
 		}

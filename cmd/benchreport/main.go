@@ -1,5 +1,7 @@
 // Command benchreport regenerates the experiment tables of
-// EXPERIMENTS.md (E1–E12 from DESIGN.md) in one run.
+// EXPERIMENTS.md in one run: the fourteen deterministic experiments
+// (E1–E14 from DESIGN.md) by default, the three wall-clock ones
+// (e13soak, e15, e16) when named.
 //
 //	benchreport                            # run every deterministic experiment
 //	benchreport -e e5                      # one experiment
@@ -8,7 +10,7 @@
 //	benchreport -e e10 -trace tracedir     # chaos soak + flight dumps
 //	benchreport -perf BENCH_perf.json      # E11+E12+E15+E16 perf report instead of tables
 //	benchreport -perf BENCH_perf.json -long # ... with E16's 100k-flow matrix
-//	benchreport -check BENCH_baseline.json # perf-regression gate
+//	benchreport -check BENCH_perf.json     # perf-regression gate
 //
 // Experiments come from the experiments.Registry, so the tool needs no
 // per-experiment wiring. All table numbers are deterministic functions

@@ -1,11 +1,15 @@
-// Command runreport runs every experiment (E1–E12) and writes one
-// machine-readable run report: per-experiment tables plus the merged
-// metrics snapshot of every simulated world — simulator and link
-// counters, datalink ARQ/MAC, routing and forwarding, and both
-// transport stacks down to per-connection sublayer scopes.
+// Command runreport runs every deterministic experiment (E1–E14) and
+// writes one machine-readable run report, the manifest the
+// determinism gate compares: per-experiment tables plus, for every
+// scenario, the count and SHA-256 of its metric samples — simulator
+// and link counters, datalink ARQ/MAC, routing and forwarding, and
+// both transport stacks down to per-connection sublayer scopes.
+// -format text prints the samples themselves, one per line: the dump
+// to diff when a digest moves.
 //
 //	go run ./cmd/runreport                 # writes BENCH_metrics.json
 //	go run ./cmd/runreport -o - -format text
+//	go run ./cmd/runreport -e e3 -o - -format text  # one experiment's samples
 //	go run ./cmd/runreport -seed 7
 //	go run ./cmd/runreport -trace tracedir # also dump causal traces
 //
@@ -38,8 +42,8 @@ import (
 // declared order and every metrics snapshot is name-sorted, so the
 // output is a deterministic function of the seed.
 type runReport struct {
-	Seed        int64                 `json:"seed"`
-	Experiments []*experiments.Result `json:"experiments"`
+	Seed        int64                  `json:"seed"`
+	Experiments []experiments.Manifest `json:"experiments"`
 }
 
 func main() {
@@ -59,11 +63,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "runreport: %v\n", err)
 		os.Exit(cli.ExitUsage)
 	}
-	rep := runReport{Seed: common.Seed, Experiments: results}
 
 	var buf bytes.Buffer
 	switch *format {
 	case "json":
+		rep := runReport{Seed: common.Seed}
+		for _, r := range results {
+			rep.Experiments = append(rep.Experiments, r.Manifest())
+		}
 		enc := json.NewEncoder(&buf)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -71,8 +78,8 @@ func main() {
 			os.Exit(cli.ExitFail)
 		}
 	case "text":
-		fmt.Fprintf(&buf, "run report (seed %d)\n\n", rep.Seed)
-		for _, r := range rep.Experiments {
+		fmt.Fprintf(&buf, "run report (seed %d)\n\n", common.Seed)
+		for _, r := range results {
 			buf.WriteString(r.Text())
 			if len(r.Metrics.Samples) > 0 {
 				fmt.Fprintf(&buf, "-- metrics (%d samples) --\n%s", len(r.Metrics.Samples), r.Metrics.Text())
@@ -86,7 +93,7 @@ func main() {
 		os.Exit(cli.ExitFail)
 	}
 	if *out != "-" {
-		fmt.Printf("wrote %s (%d experiments, %d bytes)\n", *out, len(rep.Experiments), buf.Len())
+		fmt.Printf("wrote %s (%d experiments, %d bytes)\n", *out, len(results), buf.Len())
 	}
 	if failed := cli.Failed(results); len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "runreport: experiments with failed scenarios: %s\n", strings.Join(failed, ","))

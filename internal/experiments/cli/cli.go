@@ -46,7 +46,7 @@ func AddCommon(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.TraceDir, "trace", "",
 		"directory for causal-trace artifacts (flight-recorder dumps, pcapng captures); empty disables tracing")
 	fs.StringVar(&c.Backend, "backend", "",
-		`world backend override for the experiments that accept one ("sim", "sharded[:N]"); empty keeps the default sim — the parallel-determinism CI job runs the full set with -backend sharded:N and diffs against the sequential BENCH_metrics.json`)
+		`world backend override for the experiments that accept one ("sim", "sharded[:N]"); empty keeps the default sim — make determinism runs the full set with -backend sharded:N and diffs against the committed BENCH_metrics.json`)
 	fs.BoolVar(&c.Long, "long", false,
 		"widen the wall-clock experiments (E16 adds its 100k-flow matrix); scheduled-soak territory, not per-PR")
 	return c

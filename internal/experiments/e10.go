@@ -98,17 +98,16 @@ func sumSuffix(snap metrics.Snapshot, leaf string) uint64 {
 // user timeout. An invariant watchdog asserts the delivered stream is
 // an exact prefix of the sent stream in every scenario and re-checks
 // the per-sublayer contracts under chaos.
-func E10ChaosSoak(seed int64) *Result { return E10ChaosSoakCfg(Config{Seed: seed}) }
-
-// E10ChaosSoakCfg is E10ChaosSoak plus the optional trace mode: with
-// cfg.TraceDir set, every cell of the matrix runs with a causal-trace
-// collector attached, watchdog violations trigger flight-recorder
-// snapshots, and each cell's dump lands in the directory as
-// deterministic JSON ("e10-<scenario>-<stack>.trace.json"). The
-// aborting hard-partition cells additionally export their link frames
-// as pcapng. The returned Result is byte-identical with tracing on or
-// off — collectors are observational and never touch the registry.
-func E10ChaosSoakCfg(cfg Config) *Result {
+//
+// With cfg.TraceDir set, every cell of the matrix runs with a
+// causal-trace collector attached, watchdog violations trigger
+// flight-recorder snapshots, and each cell's dump lands in the
+// directory as deterministic JSON
+// ("e10-<scenario>-<stack>.trace.json"). The aborting hard-partition
+// cells additionally export their link frames as pcapng. The returned
+// Result is byte-identical with tracing on or off — collectors are
+// observational and never touch the registry.
+func E10ChaosSoak(cfg Config) *Result {
 	seed := cfg.Seed
 	res := &Result{
 		ID:    "E10",

@@ -11,7 +11,7 @@ import (
 // E11 self-registers: with the registry in place, a new experiment is
 // this one call — no switch in either cmd tool to extend.
 func init() {
-	Register("e11", E11FlowScalingCfg)
+	Register("e11", E11FlowScaling)
 }
 
 // E11FlowScaling is the many-flow scaling sweep: 10, 100 and 1,000
@@ -21,15 +21,13 @@ func init() {
 // the identical arrival schedule, transfer sizes and invariant checks;
 // the table compares aggregate goodput, the completion-time tail and
 // Jain fairness as the flow count scales 100×.
-func E11FlowScaling(seed int64) *Result { return E11FlowScalingCfg(Config{Seed: seed}) }
-
-// E11FlowScalingCfg is E11FlowScaling plus the optional trace mode:
-// with cfg.TraceDir set, one extra small traced cell (10 flows) runs
+//
+// With cfg.TraceDir set, one extra small traced cell (10 flows) runs
 // per stack after the matrix and its flight-recorder dump lands in the
 // directory ("e11-flows10-<stack>.trace.json") — a worked example of
 // many concurrent causal chains interleaving through one bottleneck.
 // The returned Result never changes with tracing.
-func E11FlowScalingCfg(cfg Config) *Result {
+func E11FlowScaling(cfg Config) *Result {
 	seed := cfg.Seed
 	res := &Result{
 		ID:    "E11",

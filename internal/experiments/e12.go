@@ -10,7 +10,7 @@ import (
 // E12 self-registers like E11: one Register call and every tool
 // (runreport, benchreport, the benchmarks, the tests) picks it up.
 func init() {
-	Register("e12", E12CCBakeoffCfg)
+	Register("e12", E12CCBakeoff)
 }
 
 // e12Flows is the per-cell flow count: enough concurrent flows that
@@ -26,10 +26,7 @@ const e12Flows = 24
 // are fungible (all 18 cells complete with zero watchdog violations)
 // yet not interchangeable in performance: the goodput and fairness
 // columns visibly move with the controller inside a fixed regime.
-func E12CCBakeoff(seed int64) *Result { return E12CCBakeoffCfg(Config{Seed: seed}) }
-
-// E12CCBakeoffCfg runs the bake-off for the experiment registry.
-func E12CCBakeoffCfg(cfg Config) *Result {
+func E12CCBakeoff(cfg Config) *Result {
 	seed := cfg.Seed
 	res := &Result{
 		ID:    "E12",

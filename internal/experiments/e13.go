@@ -10,8 +10,8 @@ import (
 )
 
 func init() {
-	Register("e13", E13OverlayCfg)
-	RegisterWall("e13soak", E13OverlaySoakCfg)
+	Register("e13", E13Overlay)
+	RegisterWall("e13soak", E13OverlaySoak)
 }
 
 // e13Stacks is the E13 stack axis: the overlay tiers run unchanged on
@@ -63,14 +63,12 @@ func e13Header() []string {
 // stack. The tabulated payload is what §4's overlay story needs:
 // lookup hop counts, call latency, gossip convergence time and
 // messages per operation, per stack.
-func E13Overlay(seed int64) *Result { return E13OverlayCfg(Config{Seed: seed}) }
-
-// E13OverlayCfg runs the overlay matrix for the experiment registry.
+//
 // It honors cfg.Backend: run on "sharded[:N]" the Result must be
 // byte-identical to the sequential run, which makes E13 — timer-heavy,
 // all-pairs traffic on a ring — the sharpest experiment-level leg of
-// the parallel-determinism gate.
-func E13OverlayCfg(cfg Config) *Result {
+// the determinism gate's sharded cells.
+func E13Overlay(cfg Config) *Result {
 	res := &Result{
 		ID:     "E13",
 		Title:  "overlay workloads: DHT, gossip, RPC over both stacks under faults",
@@ -103,12 +101,9 @@ func E13OverlayCfg(cfg Config) *Result {
 // RunAll or BENCH_metrics.json): the churn and clean scenarios across
 // all three tiers on the real-time backends — in-process channels
 // always, loopback UDP where sockets exist — with the watchdog and
-// invariants unchanged from the simulated runs. `make overlay-soak`
-// and the CI backend-soak job run exactly this.
-func E13OverlaySoak(seed int64) *Result { return E13OverlaySoakCfg(Config{Seed: seed}) }
-
-// E13OverlaySoakCfg runs the overlay backend soak for the registry.
-func E13OverlaySoakCfg(cfg Config) *Result {
+// invariants unchanged from the simulated runs. `make soak` and the CI
+// backend-soak job run exactly this.
+func E13OverlaySoak(cfg Config) *Result {
 	res := &Result{
 		ID:     "E13SOAK",
 		Title:  "overlay backend soak: churn matrix on real-time backends (chan, loopback udp)",

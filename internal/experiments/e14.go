@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	Register("e14", E14CorpusReplayCfg)
+	Register("e14", E14CorpusReplay)
 }
 
 // e14FreshCases is how many freshly generated schedules ride along
@@ -25,14 +25,11 @@ const e14FreshCases = 2
 // inside the byte-determinism gate (runreport → BENCH_metrics.json),
 // every corpus case is re-litigated on every CI run, and any schedule
 // the fuzzer ever found interesting stays a permanent regression test.
-func E14CorpusReplay(seed int64) *Result { return E14CorpusReplayCfg(Config{Seed: seed}) }
-
-// E14CorpusReplayCfg runs the corpus replay for the experiment
-// registry. With cfg.TraceDir set, every case runs with the flight
-// recorder attached and leaves causal-chain dumps (plus pcapng
-// captures) under the directory; the Result is byte-identical either
-// way.
-func E14CorpusReplayCfg(cfg Config) *Result {
+//
+// With cfg.TraceDir set, every case runs with the flight recorder
+// attached and leaves causal-chain dumps (plus pcapng captures) under
+// the directory; the Result is byte-identical either way.
+func E14CorpusReplay(cfg Config) *Result {
 	res := &Result{
 		ID:    "E14",
 		Title: "fault-schedule fuzz corpus replay: differential oracle over both stacks",

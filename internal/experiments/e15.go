@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	RegisterWall("e15", E15BackendSoakCfg)
+	RegisterWall("e15", E15BackendSoak)
 }
 
 // E15BackendSoak runs the backend soak: the E11 10/100-flow workload
@@ -24,10 +24,7 @@ func init() {
 // RunAll, so BENCH_metrics.json — the byte-determinism gate — stays a
 // pure function of the seed on the sim backend. Its numbers land in
 // BENCH_perf.json's soak section instead.
-func E15BackendSoak(seed int64) *Result { return E15BackendSoakCfg(Config{Seed: seed}) }
-
-// E15BackendSoakCfg runs the backend soak for the experiment registry.
-func E15BackendSoakCfg(cfg Config) *Result {
+func E15BackendSoak(cfg Config) *Result {
 	res := &Result{
 		ID:    "E15",
 		Title: "backend soak: the E11 flow matrix on real-time backends (chan, loopback udp)",

@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	RegisterWall("e16", E16ShardScalingCfg)
+	RegisterWall("e16", E16ShardScaling)
 }
 
 // E16ShardScaling is the shard-scaling experiment: the many-pair flow
@@ -27,11 +27,8 @@ func init() {
 // sections, where benchreport -check gates the shards=4 ratio against
 // the committed baseline (scaled by NumCPU, so single-core runners
 // are not asked for parallelism the hardware cannot provide).
-func E16ShardScaling(seed int64) *Result { return E16ShardScalingCfg(Config{Seed: seed}) }
-
-// E16ShardScalingCfg runs the scaling matrix for the experiment
-// registry; cfg.Long widens the flow axis to the 100k point.
-func E16ShardScalingCfg(cfg Config) *Result {
+// cfg.Long widens the flow axis to the 100k point.
+func E16ShardScaling(cfg Config) *Result {
 	res := &Result{
 		ID:    "E16",
 		Title: "shard scaling: events/sec and speedup vs shard count, byte-identical reports",

@@ -17,7 +17,8 @@ import (
 // a corrupting, lossy link, with each sublayer independently swapped.
 // Columns report delivery (must always be 100%), recovery work, and
 // the per-variant wire expansion.
-func E1DataLink(seed int64) *Result {
+func E1DataLink(cfg Config) *Result {
+	seed := cfg.Seed
 	res := &Result{
 		ID:     "E1",
 		Title:  "Fig. 2 data-link sublayering: swap any sublayer, same service",
@@ -110,7 +111,8 @@ func E1DataLink(seed int64) *Result {
 // E2Routing reproduces Figs. 3–4: distance vector and link state reach
 // the same shortest paths on random graphs, reconverge after failures,
 // and swap live under an untouched forwarding plane.
-func E2Routing(seed int64) *Result {
+func E2Routing(cfg Config) *Result {
+	seed := cfg.Seed
 	res := &Result{
 		ID:     "E2",
 		Title:  "Figs. 3–4 network sublayering: route computation is fungible",

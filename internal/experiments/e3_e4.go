@@ -32,12 +32,7 @@ func lossyLink(loss float64) netsim.LinkConfig {
 // E3SublayeredTCP reproduces Figs. 5–6: the sublayered TCP preserves
 // the byte stream across increasingly hostile paths, and the Fig. 6
 // header round-trips through the RFC 793 isomorphism.
-func E3SublayeredTCP(seed int64) *Result {
-	return E3SublayeredTCPCfg(Config{Seed: seed})
-}
-
-// E3SublayeredTCPCfg is E3 with the full Config (backend override).
-func E3SublayeredTCPCfg(cfg Config) *Result {
+func E3SublayeredTCP(cfg Config) *Result {
 	seed := cfg.Seed
 	res := &Result{
 		ID:     "E3",
@@ -81,12 +76,7 @@ func E3SublayeredTCPCfg(cfg Config) *Result {
 
 // E4Interop reproduces §3.1's interoperability claim (challenge 2):
 // the 2×2 matrix of sublayered-behind-shim and monolithic endpoints.
-func E4Interop(seed int64) *Result {
-	return E4InteropCfg(Config{Seed: seed})
-}
-
-// E4InteropCfg is E4 with the full Config (backend override).
-func E4InteropCfg(cfg Config) *Result {
+func E4Interop(cfg Config) *Result {
 	seed := cfg.Seed
 	res := &Result{
 		ID:     "E4",

@@ -16,7 +16,7 @@ import (
 // the verified bit-stuffing rule library and the overhead comparison
 // (HDLC 1 in 32 vs the alternate rule's 1 in 128 under the paper's
 // random model).
-func E5Stuffing() *Result {
+func E5Stuffing(Config) *Result {
 	res := &Result{
 		ID:     "E5",
 		Title:  "§4.1 verified bit stuffing: rule library and overhead",
@@ -85,12 +85,7 @@ func E5Stuffing() *Result {
 // identical workload through the monolithic and sublayered TCPs with
 // state-access instrumentation, and compare the entanglement the
 // paper blames for verification difficulty.
-func E6Entanglement(seed int64) *Result {
-	return E6EntanglementCfg(Config{Seed: seed})
-}
-
-// E6EntanglementCfg is E6 with the full Config (backend override).
-func E6EntanglementCfg(cfg Config) *Result {
+func E6Entanglement(cfg Config) *Result {
 	seed := cfg.Seed
 	res := &Result{
 		ID:     "E6",

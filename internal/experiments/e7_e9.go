@@ -15,12 +15,7 @@ import (
 // the monolithic baseline and the sublayered stack (native and shim)
 // on identical paths, compared on completion time in deterministic
 // virtual time and on protocol work.
-func E7Performance(seed int64) *Result {
-	return E7PerformanceCfg(Config{Seed: seed})
-}
-
-// E7PerformanceCfg is E7 with the full Config (backend override).
-func E7PerformanceCfg(cfg Config) *Result {
+func E7Performance(cfg Config) *Result {
 	seed := cfg.Seed
 	res := &Result{
 		ID:     "E7",
@@ -74,12 +69,7 @@ func E7PerformanceCfg(cfg Config) *Result {
 // management implementations pairwise and show the same workload
 // passes, with the behavioural differences visible (setup RTT saved by
 // timer-based CM, throughput shaped by the controller).
-func E8Replace(seed int64) *Result {
-	return E8ReplaceCfg(Config{Seed: seed})
-}
-
-// E8ReplaceCfg is E8 with the full Config (backend override).
-func E8ReplaceCfg(cfg Config) *Result {
+func E8Replace(cfg Config) *Result {
 	seed := cfg.Seed
 	res := &Result{
 		ID:     "E8",
@@ -140,12 +130,7 @@ func E8ReplaceCfg(cfg Config) *Result {
 
 // E9Offload is challenge 6: the hardware-partition table computed from
 // measured sublayer-boundary crossings.
-func E9Offload(seed int64) *Result {
-	return E9OffloadCfg(Config{Seed: seed})
-}
-
-// E9OffloadCfg is E9 with the full Config (backend override).
-func E9OffloadCfg(cfg Config) *Result {
+func E9Offload(cfg Config) *Result {
 	seed := cfg.Seed
 	res := &Result{
 		ID:     "E9",

@@ -1,11 +1,16 @@
 // Package experiments regenerates every table of EXPERIMENTS.md — one
-// function per experiment E1–E10 from DESIGN.md. Each function builds
-// its own simulated world from a seed, runs the workload, and returns
-// a formatted table plus structured rows, so cmd/benchreport, the
-// root-level benchmarks and the tests all share one implementation.
+// function per experiment from DESIGN.md: the fourteen deterministic
+// ones (E1–E14) and the three wall-clock ones (E13SOAK, E15, E16).
+// Each function builds its own simulated world from a seed, runs the
+// workload, and returns a formatted table plus structured rows, so
+// cmd/benchreport, the root-level benchmarks and the tests all share
+// one implementation.
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -26,6 +31,63 @@ type Result struct {
 	// simulated worlds, one name prefix per scenario (e.g.
 	// "loss05/n1/transport/conn0/rd/retransmits").
 	Metrics metrics.Snapshot `json:"metrics"`
+}
+
+// Manifest is the committed form of a Result — what runreport writes
+// to BENCH_metrics.json. The table fields marshal exactly as Result's
+// do; Metrics shadows Result.Metrics in the encoding, replacing the
+// sample dump by one digest per scenario, so the golden stays small
+// and a drifted run differs in the one line naming what drifted.
+type Manifest struct {
+	*Result
+	Metrics []ScenarioDigest `json:"metrics"`
+}
+
+// ScenarioDigest stands in for one scenario's samples: those whose
+// names share a first path component, the prefix they were folded
+// under.
+type ScenarioDigest struct {
+	Scenario string // "<experiment id>/<first name component>", e.g. "E11/flows0100"
+	Samples  int
+	SHA256   string // over each sample's compact JSON encoding plus "\n", in snapshot order
+}
+
+// MarshalText renders the digest as a single string, so that in the
+// indented manifest a bare diff line carries the experiment and
+// scenario it belongs to.
+func (d ScenarioDigest) MarshalText() ([]byte, error) {
+	return fmt.Appendf(nil, "%s samples=%d sha256=%s", d.Scenario, d.Samples, d.SHA256), nil
+}
+
+// Manifest projects the result into its committed form. Every field
+// of every sample (name, kind, value, sum, each bucket) feeds its
+// scenario's digest, so one flipped counter changes the manifest. A
+// scenario's samples are adjacent because snapshots are name-sorted.
+func (r *Result) Manifest() Manifest {
+	m := Manifest{Result: r}
+	samples := r.Metrics.Samples
+	for i := 0; i < len(samples); {
+		scenario, start := scenarioOf(samples[i].Name), i
+		h := sha256.New()
+		enc := json.NewEncoder(h)
+		for ; i < len(samples) && scenarioOf(samples[i].Name) == scenario; i++ {
+			if err := enc.Encode(samples[i]); err != nil {
+				panic(err) // plain integers and strings into a hash: cannot fail
+			}
+		}
+		m.Metrics = append(m.Metrics, ScenarioDigest{
+			Scenario: r.ID + "/" + scenario,
+			Samples:  i - start,
+			SHA256:   hex.EncodeToString(h.Sum(nil)),
+		})
+	}
+	return m
+}
+
+// scenarioOf is the first path component of a sample name.
+func scenarioOf(name string) string {
+	scenario, _, _ := strings.Cut(name, "/")
+	return scenario
 }
 
 // Text renders the result as an aligned table.
@@ -63,25 +125,19 @@ func (r *Result) Text() string {
 	return b.String()
 }
 
-// init registers E1–E10; E11 registers from e11.go. Everything else
-// (All, ByID, both cmd tools, the benchmarks) resolves experiments
-// through the registry, so a new experiment is exactly one Register
-// call.
+// init registers E1–E10; E11 onwards register from their own files.
+// Everything else (both cmd tools, the benchmarks) resolves
+// experiments through the registry, so a new experiment is exactly
+// one Register call.
 func init() {
-	Register("e1", func(c Config) *Result { return E1DataLink(c.Seed) })
-	Register("e2", func(c Config) *Result { return E2Routing(c.Seed) })
-	Register("e3", E3SublayeredTCPCfg)
-	Register("e4", E4InteropCfg)
-	Register("e5", func(c Config) *Result { return E5Stuffing() })
-	Register("e6", E6EntanglementCfg)
-	Register("e7", E7PerformanceCfg)
-	Register("e8", E8ReplaceCfg)
-	Register("e9", E9OffloadCfg)
-	Register("e10", E10ChaosSoakCfg)
+	Register("e1", E1DataLink)
+	Register("e2", E2Routing)
+	Register("e3", E3SublayeredTCP)
+	Register("e4", E4Interop)
+	Register("e5", E5Stuffing)
+	Register("e6", E6Entanglement)
+	Register("e7", E7Performance)
+	Register("e8", E8Replace)
+	Register("e9", E9Offload)
+	Register("e10", E10ChaosSoak)
 }
-
-// All runs every registered experiment with the given seed.
-func All(seed int64) []*Result { return RunAll(Config{Seed: seed}) }
-
-// ByID runs the named experiment (case-insensitive), or returns nil.
-func ByID(id string, seed int64) *Result { return Run(id, Config{Seed: seed}) }

@@ -2,16 +2,20 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // Each experiment generator must run, produce rows, and satisfy its
 // headline claim. These are the executable versions of EXPERIMENTS.md.
 
 func TestE1AllVariantsDeliver(t *testing.T) {
-	r := E1DataLink(1)
+	r := E1DataLink(Config{Seed: 1})
 	if len(r.Rows) < 8 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -23,7 +27,7 @@ func TestE1AllVariantsDeliver(t *testing.T) {
 }
 
 func TestE2BothComputersAgree(t *testing.T) {
-	r := E2Routing(2)
+	r := E2Routing(Config{Seed: 2})
 	for _, row := range r.Rows[:3] {
 		if row[2] != "true" || row[3] != "true" {
 			t.Errorf("scenario %q: dv=%s ls=%s", row[0], row[2], row[3])
@@ -55,7 +59,7 @@ func TestE3StreamsIntact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long transfer sweep")
 	}
-	r := E3SublayeredTCP(3)
+	r := E3SublayeredTCP(Config{Seed: 3})
 	for _, row := range r.Rows {
 		if row[2] != "true" {
 			t.Errorf("loss %s: stream corrupted", row[0])
@@ -67,7 +71,7 @@ func TestE4MatrixInterops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long transfer matrix")
 	}
-	r := E4Interop(4)
+	r := E4Interop(Config{Seed: 4})
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -79,7 +83,7 @@ func TestE4MatrixInterops(t *testing.T) {
 }
 
 func TestE5PaperNumbers(t *testing.T) {
-	r := E5Stuffing()
+	r := E5Stuffing(Config{})
 	if r.Rows[0][1] != "1/32" {
 		t.Errorf("HDLC naive overhead = %s, want 1/32", r.Rows[0][1])
 	}
@@ -97,7 +101,7 @@ func TestE6SublayeredLessEntangled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("instrumented transfers")
 	}
-	r := E6Entanglement(6)
+	r := E6Entanglement(Config{Seed: 6})
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -131,7 +135,7 @@ func TestE9SimpleCutWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("offload workload")
 	}
-	r := E9Offload(9)
+	r := E9Offload(Config{Seed: 9})
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -145,7 +149,7 @@ func TestE10ChaosInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix")
 	}
-	r := E10ChaosSoak(10)
+	r := E10ChaosSoak(Config{Seed: 10})
 	if len(r.Rows) != 12 {
 		t.Fatalf("rows = %d, want 12 (6 scenarios × 2 stacks)", len(r.Rows))
 	}
@@ -177,7 +181,7 @@ func TestE11FlowScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-flow matrix")
 	}
-	r := E11FlowScaling(11)
+	r := E11FlowScaling(Config{Seed: 11})
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6 (3 flow counts × 2 stacks)", len(r.Rows))
 	}
@@ -200,7 +204,7 @@ func TestE12ControllersFungibleButDistinct(t *testing.T) {
 	if testing.Short() {
 		t.Skip("18-cell matrix")
 	}
-	r := E12CCBakeoff(12)
+	r := E12CCBakeoff(Config{Seed: 12})
 	if len(r.Rows) != 18 {
 		t.Fatalf("rows = %d, want 18 (2 stacks × 3 CCs × 3 regimes)", len(r.Rows))
 	}
@@ -232,7 +236,7 @@ func TestE12ControllersFungibleButDistinct(t *testing.T) {
 }
 
 func TestResultTextRenders(t *testing.T) {
-	r := E5Stuffing()
+	r := E5Stuffing(Config{})
 	txt := r.Text()
 	for _, want := range []string{"E5", "HDLC", "note:"} {
 		if !strings.Contains(txt, want) {
@@ -241,29 +245,109 @@ func TestResultTextRenders(t *testing.T) {
 	}
 }
 
-func TestByID(t *testing.T) {
-	if ByID("e5", 1) == nil || ByID("E5", 1) == nil {
-		t.Error("ByID e5 nil")
-	}
-	if ByID("nope", 1) != nil {
-		t.Error("unknown id not nil")
-	}
-}
-
 // TestMetricsDeterministic pins the run-report contract: the same
 // experiment at the same seed snapshots byte-identical metrics, and a
 // different seed produces a visibly different world.
 func TestMetricsDeterministic(t *testing.T) {
-	a, b := E1DataLink(7), E1DataLink(7)
+	a, b := E1DataLink(Config{Seed: 7}), E1DataLink(Config{Seed: 7})
 	if len(a.Metrics.Samples) == 0 {
 		t.Fatal("E1 attached no metrics")
 	}
 	if !bytes.Equal(a.Metrics.JSON(), b.Metrics.JSON()) {
 		t.Error("same seed, different snapshots")
 	}
-	c := E1DataLink(8)
+	c := E1DataLink(Config{Seed: 8})
 	if bytes.Equal(a.Metrics.JSON(), c.Metrics.JSON()) {
 		t.Error("different seeds produced identical snapshots")
+	}
+	// The committed form of the same contract: manifests marshal
+	// byte-identically, and a different world moves a digest.
+	if !bytes.Equal(manifestJSON(t, a), manifestJSON(t, b)) {
+		t.Error("same seed, different manifests")
+	}
+	if bytes.Equal(manifestJSON(t, a), manifestJSON(t, c)) {
+		t.Error("different seeds produced identical manifests")
+	}
+}
+
+func manifestJSON(t *testing.T, r *Result) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(r.Manifest(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestManifest pins what the golden BENCH_metrics.json relies on: the
+// manifest carries the table verbatim, accounts for every sample, does
+// not depend on the backend, and any single-field change to any sample
+// moves exactly the digest of the scenario that sample belongs to.
+func TestManifest(t *testing.T) {
+	res := E3SublayeredTCP(Config{Seed: 1})
+	m := res.Manifest()
+	total := 0
+	for _, d := range m.Metrics {
+		total += d.Samples
+	}
+	if total != len(res.Metrics.Samples) || total == 0 {
+		t.Errorf("digests cover %d samples, result has %d", total, len(res.Metrics.Samples))
+	}
+	// What is written: the table as Result has it, and one
+	// self-describing string per scenario in place of the samples.
+	var written struct {
+		Rows    [][]string
+		Metrics []string
+	}
+	if err := json.Unmarshal(manifestJSON(t, res), &written); err != nil {
+		t.Fatalf("manifest JSON: %v", err)
+	}
+	if !reflect.DeepEqual(written.Rows, res.Rows) || len(res.Rows) == 0 {
+		t.Errorf("manifest rows = %v, result rows = %v", written.Rows, res.Rows)
+	}
+	if len(written.Metrics) != len(m.Metrics) || !strings.HasPrefix(written.Metrics[2], "E3/loss05 samples=") {
+		t.Errorf("manifest metrics = %q, want one line per scenario", written.Metrics)
+	}
+
+	sharded := E3SublayeredTCP(Config{Seed: 1, Backend: "sharded:2"})
+	if !bytes.Equal(manifestJSON(t, res), manifestJSON(t, sharded)) {
+		t.Error("manifest on sharded:2 differs from sim")
+	}
+
+	// Each mutation edits one sample of a deep copy; only the digest
+	// of that sample's scenario may move.
+	const victim = "loss05"
+	find := func(s []metrics.Sample, kind string) *metrics.Sample {
+		for i := range s {
+			if s[i].Kind == kind && scenarioOf(s[i].Name) == victim && s[i].Value > 0 {
+				return &s[i]
+			}
+		}
+		t.Fatalf("no non-zero %s under %s/", kind, victim)
+		return nil
+	}
+	mutations := map[string]func(s []metrics.Sample){
+		"counter value": func(s []metrics.Sample) { find(s, metrics.KindCounter).Value++ },
+		"bucket count":  func(s []metrics.Sample) { find(s, metrics.KindHistogram).Buckets[0].N++ },
+		"sample name":   func(s []metrics.Sample) { find(s, metrics.KindCounter).Name += "x" },
+	}
+	for what, mutate := range mutations {
+		cp := *res
+		cp.Metrics.Samples = make([]metrics.Sample, len(res.Metrics.Samples))
+		for i, s := range res.Metrics.Samples {
+			s.Buckets = append([]metrics.Bucket(nil), s.Buckets...)
+			cp.Metrics.Samples[i] = s
+		}
+		mutate(cp.Metrics.Samples)
+		got := cp.Manifest().Metrics
+		if len(got) != len(m.Metrics) {
+			t.Fatalf("%s: %d digests became %d", what, len(m.Metrics), len(got))
+		}
+		for i, d := range got {
+			if moved := d != m.Metrics[i]; moved != (d.Scenario == "E3/"+victim) {
+				t.Errorf("%s under %s: digest of %s moved = %v", what, victim, d.Scenario, moved)
+			}
+		}
 	}
 }
 
@@ -274,7 +358,7 @@ func TestMetricsDeterministicTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("offload workload")
 	}
-	a, b := E9Offload(11), E9Offload(11)
+	a, b := E9Offload(Config{Seed: 11}), E9Offload(Config{Seed: 11})
 	if len(a.Metrics.Samples) == 0 {
 		t.Fatal("E9 attached no metrics")
 	}
@@ -294,7 +378,7 @@ func TestMetricsDeterministicChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix")
 	}
-	a, b := E10ChaosSoak(13), E10ChaosSoak(13)
+	a, b := E10ChaosSoak(Config{Seed: 13}), E10ChaosSoak(Config{Seed: 13})
 	if len(a.Metrics.Samples) == 0 {
 		t.Fatal("E10 attached no metrics")
 	}
@@ -304,7 +388,7 @@ func TestMetricsDeterministicChaos(t *testing.T) {
 	if !bytes.Equal(a.Metrics.JSON(), b.Metrics.JSON()) {
 		t.Error("same seed, different snapshots")
 	}
-	c := E10ChaosSoak(14)
+	c := E10ChaosSoak(Config{Seed: 14})
 	if bytes.Equal(a.Metrics.JSON(), c.Metrics.JSON()) {
 		t.Error("different seeds produced identical snapshots")
 	}
@@ -317,7 +401,7 @@ func TestAllExperimentsCarryMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	for _, r := range All(1) {
+	for _, r := range RunAll(Config{Seed: 1}) {
 		if len(r.Metrics.Samples) == 0 {
 			t.Errorf("%s: no metrics in run report", r.ID)
 		}

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/metrics"
 )
 
 // Config parameterizes one experiment run.
@@ -13,11 +11,6 @@ type Config struct {
 	// Seed drives every simulated world the experiment builds; the
 	// same seed yields a byte-identical Result.
 	Seed int64
-	// Scope, when non-nil, receives the experiment's end-of-run
-	// samples as gauges under Sub(<id>) — the same values that land in
-	// Result.Metrics — so a caller can aggregate several experiments
-	// into one live registry. Nil skips publication.
-	Scope *metrics.Scope
 	// TraceDir, when non-empty, turns on causal tracing for the
 	// experiments that support it (E10, E11): each traced world gets a
 	// flight-recorder dump written as deterministic JSON under this
@@ -138,9 +131,7 @@ func Run(id string, cfg Config) *Result {
 	if fn == nil {
 		return nil
 	}
-	res := fn(cfg)
-	publish(cfg, res)
-	return res
+	return fn(cfg)
 }
 
 // RunAll executes every deterministic experiment in numeric order.
@@ -149,20 +140,7 @@ func Run(id string, cfg Config) *Result {
 func RunAll(cfg Config) []*Result {
 	out := make([]*Result, 0, len(registry))
 	for _, id := range IDs() {
-		res := registry[id](cfg)
-		publish(cfg, res)
-		out = append(out, res)
+		out = append(out, registry[id](cfg))
 	}
 	return out
-}
-
-// publish mirrors the result's samples into cfg.Scope as gauges.
-func publish(cfg Config, res *Result) {
-	if cfg.Scope == nil || res == nil {
-		return
-	}
-	sc := cfg.Scope.Sub(strings.ToLower(res.ID))
-	for _, s := range res.Metrics.Samples {
-		sc.Gauge(s.Name).Set(s.Value)
-	}
 }

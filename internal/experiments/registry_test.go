@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 // TestRegistryIDsNumericOrder pins the registry against Go's
@@ -51,27 +49,4 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 		}
 	}()
 	Register("e1", func(Config) *Result { return nil })
-}
-
-// TestRegistryPublishesToScope: a caller-supplied scope receives the
-// experiment's samples as gauges under <id>/..., letting several
-// experiments aggregate into one live registry.
-func TestRegistryPublishesToScope(t *testing.T) {
-	reg := metrics.New()
-	res := Run("e5", Config{Seed: 1, Scope: reg.Scope("experiments")})
-	if res == nil {
-		t.Fatal("e5 nil")
-	}
-	snap := reg.Snapshot()
-	if len(snap.Samples) != len(res.Metrics.Samples) {
-		t.Fatalf("published %d samples, result carries %d", len(snap.Samples), len(res.Metrics.Samples))
-	}
-	for _, s := range snap.Samples {
-		if !strings.HasPrefix(s.Name, "experiments/e5/") {
-			t.Errorf("published sample %q outside experiments/e5/", s.Name)
-		}
-	}
-	if got := snap.Value("experiments/e5/stuffing/lemma_failures"); got != 0 {
-		t.Errorf("lemma_failures = %d", got)
-	}
 }

@@ -38,7 +38,7 @@ func Matrix(seed int64, flowCounts []int, kinds []harness.Kind) []Cell {
 // MatrixOn is Matrix on an explicit backend ("" = default sim). The
 // byte-determinism contract makes every Cell.Report identical across
 // "sim" and "sharded[:N]" — E11 run through a sharded world is the
-// experiment-level leg of the parallel-determinism gate.
+// experiment-level leg of the determinism gate's sharded cells.
 func MatrixOn(backend string, seed int64, flowCounts []int, kinds []harness.Kind) []Cell {
 	var cells []Cell
 	for _, flows := range flowCounts {

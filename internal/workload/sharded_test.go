@@ -21,7 +21,7 @@ func reportJSON(t *testing.T, r *Report) []byte {
 }
 
 // TestShardedWorkloadReportIdentity is the workload-level determinism
-// oracle behind the parallel-determinism CI job: the same Config run
+// oracle behind the determinism gate's sharded cells: the same Config run
 // on the sequential simulator and on the sharded engine (1 and 4
 // shards) must serialize to byte-identical reports — flows, FCT
 // percentiles, fairness, event counts, the full metrics snapshot.
