@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench bench-smoke soak soak-long verify report perf perfcheck determinism clean
+.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench bench-smoke soak soak-long verify report determinism clean
 
 all: build
 
@@ -9,8 +9,8 @@ build:
 	$(GO) build ./...
 
 # test/race run -short: the per-PR pipeline skips the scheduled long
-# soaks (the 100k-flow E16 matrix), which only the weekly workflow
-# runs (see soak-long).
+# soak (the 100k-flow E16 identity sweep), which only the weekly
+# workflow runs (see soak-long).
 test:
 	$(GO) test -short ./...
 
@@ -45,10 +45,11 @@ lint:
 		echo "lint: staticcheck not installed; skipping (CI pins $(STATICCHECK_VERSION))"; \
 	fi
 
-# docs is the documentation gate: an offline markdown link check
-# (cmd/docscheck, no network). Walk mode covers every root *.md,
-# everything under docs/, and each example's README.md — new docs are
-# checked without touching this target.
+# docs is the documentation gate: an offline check (cmd/docscheck, no
+# network) of every markdown link and of every `make <target>` the
+# docs tell a reader to run, against .PHONY above. Walk mode covers
+# every root *.md, everything under docs/, and each example's
+# README.md — new docs are checked without touching this target.
 docs:
 	$(GO) run ./cmd/docscheck
 
@@ -69,8 +70,8 @@ fuzz-pool:
 fuzz-schedule:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 5s ./internal/fuzzer
 
-# bench runs every experiment benchmark exactly once — a full E1-E14
-# reproduction sweep through the same code path as cmd/benchreport.
+# bench runs every experiment regenerator benchmark exactly once,
+# through the same code path as cmd/benchreport.
 bench:
 	$(GO) test -bench=E -benchtime=1x .
 
@@ -91,45 +92,29 @@ bench-smoke:
 soak:
 	$(GO) run ./cmd/benchreport -e e15,e13soak
 
-# soak-long is the scheduled E16 long soak: the 100k-flow scaling
-# matrix on every backend (weekly / workflow_dispatch territory —
-# minutes of wall clock per backend; the per-PR pipeline skips it via
-# -short).
+# soak-long is the scheduled E16 long soak: the 1k/10k/100k-flow
+# reports byte-identical on sim and sharded:{1,2,4} (weekly /
+# workflow_dispatch territory — minutes of wall clock per backend; the
+# per-PR pipeline skips it via -short).
 soak-long:
 	E16_LONG=1 $(GO) test -run TestScalingLongSoak -timeout 90m ./internal/workload
-	$(GO) run ./cmd/benchreport -e e16 -long
 
 # verify is the PR gate: static checks, the full suite under the race
 # detector, short fuzz passes over the bit-stuffing spec, the pooled
 # parity target and the fault-schedule differential oracle, one pass
-# of the experiment benchmarks, the benchmark module's smoke test, the
-# determinism gate and the perf gate against the checked-in baseline.
-verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench bench-smoke determinism perfcheck
+# of the experiment benchmarks, the benchmark module's smoke test and
+# the determinism gate. Performance is not gated here: it is measured
+# by `bash bench/run.sh` (BENCHMARK.json), paired against the parent
+# commit.
+verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench bench-smoke determinism
 
 # report re-records BENCH_metrics.json, the run-report manifest over
-# E1-E14: every table plus one sample count and SHA-256 per scenario
+# the deterministic experiments (E1-E14, E16): every table plus one sample count and SHA-256 per scenario
 # (deterministic: same seed, same bytes). It is the only target that
 # writes the file; `go run ./cmd/runreport -format text -o -` prints
 # the samples behind the digests.
 report:
 	$(GO) run ./cmd/runreport
-
-# perf regenerates BENCH_perf.json: the E11 flow-scaling matrix, the
-# E12 controller bake-off, the E16 shard-scaling matrix and the E15
-# backend soak plus wall-clock throughput (the timing, scaling_timing
-# and soak sections are the parts of the repo's reports that
-# legitimately vary between machines).
-perf:
-	$(GO) run ./cmd/benchreport -perf BENCH_perf.json
-
-# perfcheck is the perf-regression gate: rerun the E11 matrix, the E12
-# bake-off and the E16 scaling matrix, failing if the deterministic
-# rows drift from the committed BENCH_perf.json, if allocs/event
-# regresses beyond the tolerance, or if the E16 shards=4 events/sec
-# ratio collapses relative to it (capped at NumCPU, so single-core
-# runners are only held to the sharding-overhead floor).
-perfcheck:
-	$(GO) run ./cmd/benchreport -check BENCH_perf.json
 
 # determinism is the byte-determinism gate, the same one CI runs:
 # regenerate the manifest into a temp file on the sequential simulator
@@ -138,8 +123,8 @@ perfcheck:
 # The sharded cells make it the parallel-correctness oracle as well.
 # It never writes a tracked file, so it cannot pass by re-recording
 # what it checks. runreport only executes the deterministic registry
-# (wall-clock experiments like E15 are registered via RegisterWall and
-# excluded). A diverging cell is named before its diff, each drifted
+# (the wall-clock soaks, e13soak and E15, are registered via
+# RegisterWall and excluded). A diverging cell is named before its diff, each drifted
 # digest line carries its experiment and scenario, and that cell's
 # per-sample dump is left in determinism-divergent.txt to diff against
 # the same dump from a good tree.

@@ -1,6 +1,7 @@
-// Command docscheck is the repository's offline markdown link checker:
-// it validates every link in the given markdown files without touching
-// the network, so CI's docs job stays deterministic.
+// Command docscheck is the repository's offline markdown checker: it
+// validates every link and every `make <target>` mention in the given
+// markdown files without touching the network, so CI's docs job stays
+// deterministic.
 //
 //	go run ./cmd/docscheck                 # walk mode: every tracked doc
 //	go run ./cmd/docscheck README.md docs/OVERLAYS.md
@@ -22,7 +23,14 @@
 //     the "-1", "-2" suffixes GitHub appends to repeated headings;
 //   - absolute URLs (http/https/mailto) are counted but not fetched.
 //
-// Exit status 1 lists every broken link; 0 means all links resolve.
+// And per file, fenced blocks included: a `make <target> ...` inside a
+// code span, or starting a fenced line, must name targets the
+// Makefile's .PHONY line declares — so a deleted target cannot survive
+// in prose. The history files (CHANGES.md, ROADMAP.md) record targets
+// that no longer exist on purpose and are exempt from this one check.
+//
+// Exit status 1 lists every broken link and stale target; 0 means all
+// resolve.
 package main
 
 import (
@@ -42,38 +50,119 @@ var (
 	// anchorDropRe removes everything GitHub drops when slugging a
 	// heading: anything that is not a letter, digit, space, or hyphen.
 	anchorDropRe = regexp.MustCompile(`[^\p{L}\p{N} \-]`)
+	// A make invocation in a code span, and one starting a line of a
+	// fenced block; the capture is its argument list.
+	makeSpanRe = regexp.MustCompile("`make\\s+([^`]+)`")
+	makeLineRe = regexp.MustCompile(`^\s*make\s+(.+)$`)
 )
 
+// historyFiles keep `make` targets that were since deleted: that is
+// what a history is for.
+var historyFiles = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true}
+
 func main() {
-	files := os.Args[1:]
+	problems, checked, err := check(".", os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(2)
+	}
+	for _, p := range problems {
+		fmt.Fprintln(os.Stderr, p)
+	}
+	if len(problems) > 0 {
+		fmt.Fprintf(os.Stderr, "docscheck: %d problems in %s\n", len(problems), checked)
+		os.Exit(1)
+	}
+	fmt.Printf("docscheck: %s ok\n", checked)
+}
+
+// check validates files (or, when empty, the default doc set under
+// root) against the tree and the Makefile at root. It returns one
+// line per problem and a summary of what was looked at.
+func check(root string, files []string) (problems []string, checked string, err error) {
 	if len(files) == 0 {
-		var err error
-		if files, err = walkDocs("."); err != nil {
-			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-			os.Exit(2)
+		if files, err = walkDocs(root); err != nil {
+			return nil, "", err
 		}
 	}
-	broken, checked := 0, 0
+	targets, err := phonyTargets(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return nil, "", err
+	}
+	links, mentions := 0, 0
 	for _, path := range files {
 		raw, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-			broken++
+			problems = append(problems, err.Error())
 			continue
 		}
 		for _, l := range linksOf(string(raw)) {
-			checked++
+			links++
 			if err := checkLink(path, l.target); err != nil {
-				fmt.Fprintf(os.Stderr, "%s:%d: broken link %q: %v\n", path, l.line, l.target, err)
-				broken++
+				problems = append(problems, fmt.Sprintf("%s:%d: broken link %q: %v", path, l.line, l.target, err))
+			}
+		}
+		if historyFiles[filepath.Base(path)] {
+			continue
+		}
+		for _, m := range makeTargetsOf(string(raw)) {
+			mentions++
+			if !targets[m.target] {
+				problems = append(problems, fmt.Sprintf("%s:%d: `make %s`: the Makefile's .PHONY declares no such target", path, m.line, m.target))
 			}
 		}
 	}
-	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d broken of %d links\n", broken, checked)
-		os.Exit(1)
+	return problems, fmt.Sprintf("%d links and %d make targets across %d files", links, mentions, len(files)), nil
+}
+
+// phonyTargets reads the target names the Makefile declares .PHONY.
+func phonyTargets(makefile string) (map[string]bool, error) {
+	raw, err := os.ReadFile(makefile)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Printf("docscheck: %d links ok across %d files\n", checked, len(files))
+	targets := map[string]bool{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, ".PHONY:"); ok {
+			for _, t := range strings.Fields(rest) {
+				targets[t] = true
+			}
+		}
+	}
+	return targets, nil
+}
+
+// makeTargetsOf extracts every target of every `make ...` invocation
+// written as a command: in a code span anywhere, or at the start of a
+// line inside a fenced block. Flags and VAR=value arguments are not
+// targets, and a trailing shell comment ends the command.
+func makeTargetsOf(doc string) []link {
+	var out []link
+	inFence := false
+	for i, line := range strings.Split(doc, "\n") {
+		if fenceRe.MatchString(strings.TrimSpace(line)) {
+			inFence = !inFence
+			continue
+		}
+		var cmds []string
+		for _, m := range makeSpanRe.FindAllStringSubmatch(line, -1) {
+			cmds = append(cmds, m[1])
+		}
+		if m := makeLineRe.FindStringSubmatch(line); inFence && m != nil {
+			cmds = append(cmds, m[1])
+		}
+		for _, args := range cmds {
+			for _, arg := range strings.Fields(args) {
+				if strings.HasPrefix(arg, "#") {
+					break
+				}
+				if !strings.HasPrefix(arg, "-") && !strings.Contains(arg, "=") {
+					out = append(out, link{line: i + 1, target: arg})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // walkDocs collects the default doc set under root: root-level *.md

@@ -1,5 +1,5 @@
-// Command runreport runs every deterministic experiment (E1–E14) and
-// writes one machine-readable run report, the manifest the
+// Command runreport runs every deterministic experiment (E1–E14 and
+// E16) and writes one machine-readable run report, the manifest the
 // determinism gate compares: per-experiment tables plus, for every
 // scenario, the count and SHA-256 of its metric samples — simulator
 // and link counters, datalink ARQ/MAC, routing and forwarding, and
@@ -16,11 +16,10 @@
 // The report carries virtual time only — no wall clock, no hostnames —
 // so the same seed produces a byte-identical file on every run, with
 // or without -trace (trace artifacts are separate files and never
-// alter the report). The run-everything default is explicitly pinned
-// to the sim backend: it iterates only the deterministic experiment
-// registry, so wall-clock experiments (E15 backend soak, registered
-// via RegisterWall) can never leak real-time numbers into the gated
-// file.
+// alter the report). The run-everything default iterates only the
+// deterministic experiment registry, so the wall-clock soaks (e13soak
+// and e15, registered via RegisterWall) can never leak real-time
+// numbers into the gated file.
 //
 // Exit codes follow the shared policy in internal/experiments/cli:
 // 0 success, 1 failed experiment or write error, 2 usage error.

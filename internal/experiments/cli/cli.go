@@ -34,7 +34,6 @@ type Common struct {
 	Exp      string
 	TraceDir string
 	Backend  string
-	Long     bool
 }
 
 // AddCommon registers the shared flags on fs and returns the struct
@@ -47,22 +46,20 @@ func AddCommon(fs *flag.FlagSet) *Common {
 		"directory for causal-trace artifacts (flight-recorder dumps, pcapng captures); empty disables tracing")
 	fs.StringVar(&c.Backend, "backend", "",
 		`world backend override for the experiments that accept one ("sim", "sharded[:N]"); empty keeps the default sim — make determinism runs the full set with -backend sharded:N and diffs against the committed BENCH_metrics.json`)
-	fs.BoolVar(&c.Long, "long", false,
-		"widen the wall-clock experiments (E16 adds its 100k-flow matrix); scheduled-soak territory, not per-PR")
 	return c
 }
 
 // Config projects the flags into an experiments.Config.
 func (c *Common) Config() experiments.Config {
-	return experiments.Config{Seed: c.Seed, TraceDir: c.TraceDir, Backend: c.Backend, Long: c.Long}
+	return experiments.Config{Seed: c.Seed, TraceDir: c.TraceDir, Backend: c.Backend}
 }
 
 // Run resolves -e against the registry and executes the selection (or
 // every deterministic experiment when empty), in registry order.
-// Wall-clock experiments (e15) only run when named explicitly — the
-// run-everything default feeds the determinism gate, which is pinned
-// to the sim backend. An unknown id is a usage error: the caller
-// should exit ExitUsage.
+// Wall-clock experiments (e13soak, e15) only run when named
+// explicitly — the run-everything default feeds the determinism gate,
+// whose manifest must be a pure function of the seed. An unknown id is
+// a usage error: the caller should exit ExitUsage.
 func (c *Common) Run() ([]*experiments.Result, error) {
 	cfg := c.Config()
 	if strings.TrimSpace(c.Exp) == "" {

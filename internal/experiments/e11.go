@@ -64,6 +64,6 @@ func E11FlowScaling(cfg Config) *Result {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("invariant watchdog: %d violations across the matrix — every delivered stream equals the sent stream at every scale on both stacks", totalViolations),
 		"the engine drives both implementations through the transport.Stack interface only: one code path, six cells",
-		"wall-clock throughput (events/sec, ns/event, RunSeeds speedup) for this matrix lands in BENCH_perf.json via `benchreport -perf`")
+		"what the matrix costs in wall-clock terms (events/sec, allocs/event, sublayered vs monolithic) is measured by the repository benchmark, `bash bench/run.sh`")
 	return res
 }

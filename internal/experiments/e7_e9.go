@@ -61,7 +61,7 @@ func E7Performance(cfg Config) *Result {
 	}
 	res.Notes = append(res.Notes,
 		"completion times are within a small constant across stacks on the same path — sublayer crossings are function calls here, and the paper argues real crossings can be finessed the same way layer crossings were",
-		"CPU-side costs are compared by the root-level Go benchmarks (BenchmarkE7*)")
+		"CPU-side costs are compared by the repository benchmark: `bash bench/run.sh -workload bulk` reports goodput_MBps, mono_goodput_MBps and sub_mono_cost_ratio with a completion-stopped clock")
 	return res
 }
 

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table of EXPERIMENTS.md — one
-// function per experiment from DESIGN.md: the fourteen deterministic
-// ones (E1–E14) and the three wall-clock ones (E13SOAK, E15, E16).
+// function per experiment from DESIGN.md: the fifteen deterministic
+// ones (E1–E14, E16) and the two wall-clock soaks (E13SOAK, E15).
 // Each function builds its own simulated world from a seed, runs the
 // workload, and returns a formatted table plus structured rows, so
 // cmd/benchreport, the root-level benchmarks and the tests all share

@@ -195,6 +195,32 @@ func TestE11FlowScaling(t *testing.T) {
 	}
 }
 
+// TestE16ShardScaling is the shard-scaling acceptance check: both
+// flow counts complete every flow with zero violations on sim, and the
+// manifest on sharded:2 — the one backend the determinism gate does
+// not run the 10k-flow cell on — equals the one on sim.
+func TestE16ShardScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k-flow cells")
+	}
+	sim := E16ShardScaling(Config{Seed: 16})
+	if len(sim.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2 (1k and 10k flows)", len(sim.Rows))
+	}
+	for _, row := range sim.Rows {
+		if row[2] != row[0]+"/"+row[0] {
+			t.Errorf("%s flows: completed %s", row[0], row[2])
+		}
+		if row[7] != "0" {
+			t.Errorf("%s flows: %s watchdog violations", row[0], row[7])
+		}
+	}
+	sharded := E16ShardScaling(Config{Seed: 16, Backend: "sharded:2"})
+	if !bytes.Equal(manifestJSON(t, sim), manifestJSON(t, sharded)) {
+		t.Error("E16 manifest differs between sim and sharded:2")
+	}
+}
+
 // TestE12ControllersFungibleButDistinct is the bake-off acceptance
 // check: all 18 cells of the {stack × controller × regime} matrix
 // complete every flow with zero violations (fungibility), yet within

@@ -25,28 +25,23 @@ type Config struct {
 	// serial oracle (E14's codec tracer) or bare simulators (E1, E2)
 	// pin their backend and ignore the override.
 	Backend string
-	// Long widens the wall-clock experiments: E16 adds its 100k-flow
-	// matrix (minutes of wall clock per backend — the weekly soak's
-	// territory, not the per-PR pipeline's). Deterministic experiments
-	// ignore it.
-	Long bool
 }
 
 // Runner generates one experiment's Result from a Config.
 type Runner func(Config) *Result
 
-// registry maps canonical lower-case IDs ("e1".."e14") to runners
+// registry maps canonical lower-case IDs ("e1".."e14", "e16") to runners
 // whose Results are pure functions of the seed. Experiments
 // self-register from init, so adding an experiment is one Register
 // call — cmd/benchreport, cmd/runreport, the benchmarks and the tests
 // all pick it up through Run/RunAll/IDs with no switch to extend.
 var registry = map[string]Runner{}
 
-// wallRegistry holds the wall-clock experiments (E15 backend soak):
+// wallRegistry holds the wall-clock experiments (e13soak, e15):
 // runnable by id, but never part of RunAll — the determinism gate
-// (runreport → BENCH_metrics.json) is explicitly pinned to the sim
-// backend's deterministic set, and a wall-paced result in that file
-// would break its byte identity.
+// (runreport → BENCH_metrics.json) is explicitly pinned to the
+// deterministic set, and a wall-paced result in that file would break
+// its byte identity.
 var wallRegistry = map[string]Runner{}
 
 // Register adds a deterministic experiment runner under id. It panics

@@ -11,8 +11,8 @@ package netsim
 //
 // Tracing is off by default: the simulator holds a nil Tracer and every
 // emission site guards with a single nil check, so the disabled cost is
-// one predictable branch per event and zero allocations (the perf gate
-// in `make perfcheck` runs with tracing disabled and must stay green).
+// one predictable branch per event and zero allocations (bench/ prices
+// the enabled case as trace.overhead_ratio).
 
 // Trace layers. Constants rather than free-form strings so events
 // compare and marshal identically across runs.

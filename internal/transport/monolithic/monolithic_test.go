@@ -307,17 +307,6 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-func BenchmarkMonolithicTransfer1MBClean(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w := newWorld(b, 100, cleanLink(), Config{}, Config{})
-		data := randBytes(1_000_000, 6)
-		res := runTransfer(b, w, data, nil, 10*time.Minute)
-		if len(res.serverGot) != len(data) {
-			b.Fatalf("incomplete: %d", len(res.serverGot))
-		}
-	}
-}
-
 // TestGarbageSegmentsDoNotPanic: random and truncated bytes into
 // tcpInput never panic, never break a live connection, and bad
 // checksums are counted.

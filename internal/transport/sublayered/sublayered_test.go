@@ -575,17 +575,6 @@ func TestRegistrySwapCompletesTransfer(t *testing.T) {
 	}
 }
 
-func BenchmarkSublayeredTransfer1MBClean(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w := newWorld(b, 100, cleanLink(), Config{}, Config{})
-		data := randBytes(1_000_000, 6)
-		res := runTransfer(b, w, data, nil, 10*time.Minute)
-		if len(res.serverGot) != len(data) {
-			b.Fatalf("incomplete: %d", len(res.serverGot))
-		}
-	}
-}
-
 // TestE8TimerCM: Watson-style timer-based connection management swaps
 // in for the three-way handshake with no change to RD, OSR or DM —
 // and saves the handshake round trip.

@@ -50,40 +50,31 @@ func BakeoffRegimes() []Regime {
 }
 
 // BakeoffCell is one (stack × controller × regime) entry of the E12
-// matrix plus its wall-clock cost (the only nondeterministic field).
+// matrix.
 type BakeoffCell struct {
 	Kind   harness.Kind
 	CC     string
 	Regime string
 	Report *Report
-	WallNs int64
 }
 
-// Bakeoff runs the full E12 matrix: both stacks × BakeoffCCs ×
-// BakeoffRegimes, every cell at the SAME seed so the flow plan (sizes,
-// arrival schedule, payloads) is identical across cells and the only
-// thing that varies is the stack, the controller and the loss regime.
-func Bakeoff(seed int64, flows int) []BakeoffCell {
-	return BakeoffOn("", seed, flows)
-}
-
-// BakeoffOn is Bakeoff on an explicit backend ("" = default sim); the
-// cells are byte-identical across sim and sharded backends.
+// BakeoffOn runs the full E12 matrix on an explicit backend ("" =
+// default sim): both stacks × BakeoffCCs × BakeoffRegimes, every cell
+// at the SAME seed so the flow plan (sizes, arrival schedule,
+// payloads) is identical across cells and the only thing that varies
+// is the stack, the controller and the loss regime. The cells are
+// byte-identical across sim and sharded backends.
 func BakeoffOn(backend string, seed int64, flows int) []BakeoffCell {
 	var cells []BakeoffCell
 	for _, kind := range MatrixKinds {
 		for _, cc := range BakeoffCCs {
 			for _, rg := range BakeoffRegimes() {
-				t0 := time.Now()
 				rep := Run(Config{
 					Seed: seed, Backend: backend, Flows: flows,
 					Client: kind, Server: kind,
 					CC: cc, Link: rg.Link, Script: rg.Script,
 				})
-				cells = append(cells, BakeoffCell{
-					Kind: kind, CC: cc, Regime: rg.Name,
-					Report: rep, WallNs: time.Since(t0).Nanoseconds(),
-				})
+				cells = append(cells, BakeoffCell{Kind: kind, CC: cc, Regime: rg.Name, Report: rep})
 			}
 		}
 	}

@@ -9,9 +9,10 @@
 // stacks run the identical workload code path.
 //
 // Everything runs inside one deterministic simulator: the same Config
-// (seed included) produces a byte-identical Report. RunSeeds fans
-// independent simulations across goroutines — simulators share no
-// state, so parallel and serial execution return identical reports.
+// (seed included) produces a byte-identical Report. Simulators share
+// no state, so independent simulations may run on concurrent
+// goroutines and still return what a serial run returns
+// (TestRunSeedsParallelMatchesSerial).
 package workload
 
 import (

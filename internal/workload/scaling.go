@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"repro/internal/transport/harness"
@@ -15,22 +12,14 @@ import (
 // links appear only where a shard boundary falls inside a pair).
 const ScalingPairs = 8
 
-// ScalingFlows is the default E16 flow axis — the 1k and 10k matrices.
-// The 100k point (ScalingFlowsLong) only runs in the scheduled long
-// soak: on one CPU it is minutes of wall clock per backend.
+// ScalingFlows is the E16 flow axis — the 1k and 10k points. The 100k
+// point only runs in the scheduled long soak (TestScalingLongSoak): on
+// one CPU it is minutes of wall clock per backend.
 var ScalingFlows = []int{1_000, 10_000}
-
-// ScalingFlowsLong is the full 1k/10k/100k axis for the weekly soak
-// and workflow_dispatch runs.
-var ScalingFlowsLong = []int{1_000, 10_000, 100_000}
-
-// ScalingShards is the shard-count axis: the sequential simulator runs
-// first as the oracle, then sharded engines at these counts.
-var ScalingShards = []int{1, 2, 4}
 
 // ScalingConfig is the workload for one E16 cell. Transfers are kept
 // small (1–4 KiB) so the event count, not the byte count, dominates —
-// E16 measures the event loop, not the congestion controllers.
+// E16 exercises the event loop, not the congestion controllers.
 func ScalingConfig(seed int64, backend string, flows int) Config {
 	return Config{
 		Seed: seed, Backend: backend, Flows: flows,
@@ -39,122 +28,4 @@ func ScalingConfig(seed int64, backend string, flows int) Config {
 		MinSize: 1 * 1024, MaxSize: 4 * 1024,
 		Budget: time.Hour,
 	}
-}
-
-// ScalingRow is the deterministic slice of one E16 flow count. There
-// is one row per flow count, not per backend: the parallel-determinism
-// contract makes every backend produce the same Report, and Identical
-// records that the contract actually held when the row was generated —
-// a divergence flips it to false and the determinism gate catches the
-// drift.
-type ScalingRow struct {
-	Flows          int    `json:"flows"`
-	Pairs          int    `json:"pairs"`
-	Stack          string `json:"stack"`
-	Completed      int    `json:"completed"`
-	Failed         int    `json:"failed"`
-	BytesDelivered uint64 `json:"bytes_delivered"`
-	FCTp50Ms       int64  `json:"fct_p50_ms"`
-	FCTp99Ms       int64  `json:"fct_p99_ms"`
-	Fairness       string `json:"fairness"`
-	Violations     int    `json:"violations"`
-	Events         uint64 `json:"events"`
-	VirtualMs      int64  `json:"virtual_ms"`
-	Identical      bool   `json:"identical_across_backends"`
-}
-
-// ScalingTiming is the wall-clock side of one E16 (flows × backend)
-// cell. Shards 0 is the sequential simulator; Speedup is this cell's
-// events/sec over the sharded:1 cell at the same flow count, so the
-// shards=1 row is 1.0 by construction and the shards=4 row is the
-// ratio the benchreport -check gate watches.
-type ScalingTiming struct {
-	Flows        int     `json:"flows"`
-	Shards       int     `json:"shards"`
-	Backend      string  `json:"backend"`
-	WallNs       int64   `json:"wall_ns"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup_vs_one_shard"`
-}
-
-// Scaling runs the E16 matrix: each flow count through the sequential
-// simulator and through the sharded engine at every shard count,
-// asserting report byte-identity along the way. It returns one
-// deterministic row per flow count and one timing row per cell.
-func Scaling(seed int64, flowCounts, shardCounts []int) ([]ScalingRow, []ScalingTiming) {
-	var rows []ScalingRow
-	var timings []ScalingTiming
-	for _, flows := range flowCounts {
-		rep, wall := scalingCell(seed, "", flows)
-		oracle, _ := json.Marshal(rep)
-		identical := true
-		cells := []ScalingTiming{timingOf(flows, 0, harness.BackendSim, rep, wall)}
-		for _, shards := range shardCounts {
-			backend := fmt.Sprintf("%s:%d", harness.BackendSharded, shards)
-			srep, swall := scalingCell(seed, backend, flows)
-			if got, _ := json.Marshal(srep); !bytes.Equal(got, oracle) {
-				identical = false
-			}
-			cells = append(cells, timingOf(flows, shards, backend, srep, swall))
-		}
-		var base float64
-		for _, c := range cells {
-			if c.Shards == 1 {
-				base = c.EventsPerSec
-			}
-		}
-		for i := range cells {
-			if base > 0 {
-				cells[i].Speedup = cells[i].EventsPerSec / base
-			}
-		}
-		timings = append(timings, cells...)
-		rows = append(rows, ScalingRow{
-			Flows: flows, Pairs: ScalingPairs, Stack: rep.Stack,
-			Completed: rep.Completed, Failed: rep.Failed,
-			BytesDelivered: rep.BytesDelivered,
-			FCTp50Ms:       rep.FCTp50.Milliseconds(),
-			FCTp99Ms:       rep.FCTp99.Milliseconds(),
-			Fairness:       fmtFairness(rep.Fairness),
-			Violations:     len(rep.Violations),
-			Events:         rep.Events,
-			VirtualMs:      rep.Makespan.Milliseconds(),
-			Identical:      identical,
-		})
-	}
-	return rows, timings
-}
-
-// scalingCell runs one (flows × backend) cell and times it.
-func scalingCell(seed int64, backend string, flows int) (*Report, time.Duration) {
-	t0 := time.Now()
-	rep := Run(ScalingConfig(seed, backend, flows))
-	return rep, time.Since(t0)
-}
-
-// timingOf folds a cell into its wall-clock row (Speedup filled later,
-// once the shards=1 cell at the same flow count is known).
-func timingOf(flows, shards int, backend string, rep *Report, wall time.Duration) ScalingTiming {
-	t := ScalingTiming{
-		Flows: flows, Shards: shards, Backend: backend,
-		WallNs: wall.Nanoseconds(),
-	}
-	if s := wall.Seconds(); s > 0 {
-		t.EventsPerSec = float64(rep.Events) / s
-	}
-	return t
-}
-
-// ShardSpeedup extracts the shards=n speedup for a flow count out of a
-// timing section, or 0 if absent — the ratio benchreport's perf gate
-// compares against the committed baseline, scaled by min(baseline,
-// NumCPU) so a single-core runner is not asked for parallelism the
-// machine cannot provide.
-func ShardSpeedup(timings []ScalingTiming, flows, shards int) float64 {
-	for _, t := range timings {
-		if t.Flows == flows && t.Shards == shards {
-			return t.Speedup
-		}
-	}
-	return 0
 }

@@ -18,20 +18,20 @@ var SoakFlows = []int{10, 100}
 var SoakBackends = []string{harness.BackendChan, harness.BackendUDP}
 
 // SoakRow is one E15 cell: a workload run on a real-time backend with
-// its wall-clock cost. Unlike PerfRow, nothing here is deterministic —
-// goodput and events/sec are real wall-clock measurements — so the
-// whole section stays out of DeterministicJSON.
+// its wall-clock cost. Nothing here is deterministic — goodput and
+// events/sec are real wall-clock measurements — so no committed file
+// carries it.
 type SoakRow struct {
-	Backend        string  `json:"backend"`
-	Stack          string  `json:"stack"`
-	Flows          int     `json:"flows"`
-	Completed      int     `json:"completed"`
-	Failed         int     `json:"failed"`
-	BytesDelivered uint64  `json:"bytes_delivered"`
-	WallMs         int64   `json:"wall_ms"`
-	GoodputBps     uint64  `json:"goodput_bps"` // delivered bits over wall time
-	EventsPerSec   float64 `json:"events_per_sec"`
-	Violations     int     `json:"violations"`
+	Backend        string
+	Stack          string
+	Flows          int
+	Completed      int
+	Failed         int
+	BytesDelivered uint64
+	WallMs         int64
+	GoodputBps     uint64 // delivered bits over wall time
+	EventsPerSec   float64
+	Violations     int
 }
 
 // SoakConfig is the compressed-schedule workload for one E15 cell: the

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/transport/harness"
 )
@@ -94,17 +94,40 @@ func TestReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunSeedsParallelMatchesSerial: simulators share no state, so a
-// 4-worker pool returns byte-identical reports in the same order as
-// serial execution.
+// runSeeds runs one full simulation per seed on a pool of workers
+// goroutines and returns the reports index-aligned with seeds.
+func runSeeds(cfg Config, seeds []int64, workers int) []*Report {
+	out := make([]*Report, len(seeds))
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				c := cfg
+				c.Seed = seeds[i]
+				out[i] = Run(c)
+			}
+		}()
+	}
+	for i := range seeds {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	return out
+}
+
+// TestRunSeedsParallelMatchesSerial is the check that there is no
+// hidden global: each simulation owns its simulator, registry and
+// RNGs, so four concurrent simulators return byte-identical reports,
+// in the same order, as one worker running them back to back.
 func TestRunSeedsParallelMatchesSerial(t *testing.T) {
 	cfg := Config{Seed: 0, Flows: 20}
 	seeds := []int64{11, 12, 13, 14, 15, 16}
-	serial := RunSeeds(cfg, seeds, 1)
-	parallel := RunSeeds(cfg, seeds, 4)
-	if len(serial) != len(seeds) || len(parallel) != len(seeds) {
-		t.Fatalf("lengths %d/%d", len(serial), len(parallel))
-	}
+	serial := runSeeds(cfg, seeds, 1)
+	parallel := runSeeds(cfg, seeds, 4)
 	for i := range seeds {
 		if serial[i].Seed != seeds[i] {
 			t.Errorf("serial[%d].Seed = %d, want %d", i, serial[i].Seed, seeds[i])
@@ -117,52 +140,40 @@ func TestRunSeedsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// allocsPerEventCeiling bounds heap allocations per simulator event
+// for one 1,000-flow run, per stack. The measured values are 1.556
+// (sublayered) and 0.754 (monolithic), repeating to the third digit at
+// any GOMAXPROCS; the ceilings leave ~10 % so the race detector's
+// sync.Pool drops (1.62 / 0.80) and a Go release fit, and a per-event
+// allocation added to either data path does not. Raise a ceiling only
+// with the reason for the new allocations written here.
+var allocsPerEventCeiling = map[harness.Kind]float64{
+	harness.KindSublayeredNative: 1.71,
+	harness.KindMonolithic:       0.83,
+}
+
 // TestThousandFlows is the E11 acceptance floor: a 1,000-flow run
-// completes on both stacks with zero invariant violations.
+// completes on both stacks with zero invariant violations, and costs
+// no more allocations per event than allocsPerEventCeiling — mallocs
+// and events counted over the same run. Both cells take well under a
+// second, so -short runs them too: the ceiling is checked wherever the
+// suite is.
 func TestThousandFlows(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1000-flow matrix")
-	}
 	for _, k := range MatrixKinds {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		r := Run(Config{Seed: 1, Flows: 1000, Client: k, Server: k})
+		runtime.ReadMemStats(&after)
 		if r.Completed != 1000 {
 			t.Errorf("%s: completed %d of 1000 (failed %d)", k, r.Completed, r.Failed)
 		}
 		if len(r.Violations) != 0 {
 			t.Errorf("%s: %d watchdog violations, first: %s", k, len(r.Violations), r.Violations[0])
 		}
-	}
-}
-
-// TestPerfReportDeterministic: the identity CI checks — Rows and Seed
-// byte-identical across runs, wall-clock Timing excluded.
-func TestPerfReportDeterministic(t *testing.T) {
-	a := perfReport(2, []int{5, 20}, 10, 6)
-	b := perfReport(2, []int{5, 20}, 10, 6)
-	if !bytes.Equal(a.DeterministicJSON(), b.DeterministicJSON()) {
-		t.Error("deterministic JSON differs between runs")
-	}
-	if a.Timing == nil || a.Timing.WallNs <= 0 || a.Timing.EventsPerSec <= 0 {
-		t.Errorf("timing not populated: %+v", a.Timing)
-	}
-	if bytes.Contains(a.DeterministicJSON(), []byte("timing")) {
-		t.Error("wall-clock timing leaked into the deterministic identity")
-	}
-	if len(a.Rows) != 4 {
-		t.Fatalf("rows = %d", len(a.Rows))
-	}
-	for _, row := range a.Rows {
-		if row.Completed != row.Flows || row.Violations != 0 {
-			t.Errorf("%s/%d: completed=%d violations=%d", row.Stack, row.Flows, row.Completed, row.Violations)
-		}
-	}
-	if len(a.Bakeoff) != 18 {
-		t.Fatalf("bakeoff rows = %d, want 18 (2 stacks × 3 CCs × 3 regimes)", len(a.Bakeoff))
-	}
-	for _, row := range a.Bakeoff {
-		if row.Completed != 6 || row.Violations != 0 {
-			t.Errorf("%s/%s/%s: completed=%d violations=%d",
-				row.Stack, row.CC, row.Regime, row.Completed, row.Violations)
+		perEvent := float64(after.Mallocs-before.Mallocs) / float64(r.Events)
+		t.Logf("%s: %.3f allocs/event over %d events", k, perEvent, r.Events)
+		if limit := allocsPerEventCeiling[k]; perEvent > limit {
+			t.Errorf("%s: %.3f allocs/event > ceiling %.2f", k, perEvent, limit)
 		}
 	}
 }
@@ -175,7 +186,7 @@ func TestBakeoffSwapsControllers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("18-cell matrix")
 	}
-	cells := Bakeoff(21, 8)
+	cells := BakeoffOn("", 21, 8)
 	if len(cells) != 18 {
 		t.Fatalf("cells = %d, want 18", len(cells))
 	}
@@ -191,23 +202,5 @@ func TestBakeoffSwapsControllers(t *testing.T) {
 		if _, ok := r.Metrics.Get("faults/ge_transitions"); c.Regime == "bursty" && !ok {
 			t.Errorf("%s/%s/bursty: snapshot missing fault-injector counters", c.Kind, c.CC)
 		}
-	}
-}
-
-// TestRunSeedsSpeedup is the >1.5× acceptance check. It needs real
-// cores; on a 1-CPU host the pool degenerates to serial and the test
-// skips.
-func TestRunSeedsSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("need >=4 CPUs for a speedup measurement, have %d", runtime.NumCPU())
-	}
-	_, serial, parallel, speedup := measureSpeedup(Config{Seed: 42, Flows: 400,
-		Client: harness.KindSublayeredNative, Server: harness.KindSublayeredNative})
-	t.Logf("serial=%v parallel=%v speedup=%.2fx", time.Duration(serial), time.Duration(parallel), speedup)
-	if speedup < 1.5 {
-		t.Errorf("RunSeeds speedup %.2fx < 1.5x at 4 workers", speedup)
 	}
 }
