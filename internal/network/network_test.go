@@ -3,9 +3,11 @@ package network
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/netsim"
 )
 
@@ -498,5 +500,78 @@ func TestRouterSwapBeforeStart(t *testing.T) {
 	sim.RunFor(time.Second)
 	if r.Computer().Name() != "link-state" {
 		t.Error("swap before start lost")
+	}
+}
+
+// sinkPort is a Port that counts what it is asked to send; recv is the
+// router's upcall, which tests call to inject a wire packet.
+type sinkPort struct {
+	recv func(data []byte, ecn bool)
+	sent int
+}
+
+func (p *sinkPort) Send([]byte, bool)                          { p.sent++ }
+func (p *sinkPort) SetReceiver(fn func(data []byte, ecn bool)) { p.recv = fn }
+
+// TestForwardHopDoesNotAllocate pins DESIGN's "zero per-hop
+// allocation": receive → FIB lookup → TTL decrement → next-hop port
+// creates no heap object, the parsed Datagram included.
+func TestForwardHopDoesNotAllocate(t *testing.T) {
+	r := NewRouter(netsim.NewSimulator(1), 2, NewDistanceVector(DVConfig{}), NeighborConfig{})
+	in, out := &sinkPort{}, &sinkPort{}
+	r.AddPort(in, 1)
+	outIf := r.AddPort(out, 1)
+	r.Forwarder().Install(map[Addr]Route{3: {Dst: 3, NextHop: 3, If: outIf, Metric: 1}})
+	r.SetDropFilter(func(dg *Datagram) bool { return dg.Proto == ProtoUDP })
+	wire := (&Datagram{Src: 1, Dst: 3, TTL: 64, Proto: ProtoSubTCP, Payload: make([]byte, 1400)}).Marshal()
+	allocs := testing.AllocsPerRun(1000, func() {
+		wire[ttlOffset] = 64
+		in.recv(wire, false)
+	})
+	if allocs != 0 {
+		t.Errorf("one forwarded hop: %v allocs, want 0", allocs)
+	}
+	if out.sent != 1001 || wire[ttlOffset] != 63 {
+		t.Errorf("forwarded %d datagrams with TTL %d on the wire, want 1001 with 63", out.sent, wire[ttlOffset])
+	}
+}
+
+// TestHandlerSendsToSelfWhileHandling nests deliveries on one router:
+// the handler of a datagram received on a port sends to the router's
+// own address, and the handler of that loopback datagram does so
+// again. Each handler must find the datagram it was lent unchanged
+// when the deliveries it caused have returned.
+func TestHandlerSendsToSelfWhileHandling(t *testing.T) {
+	r := NewRouter(netsim.NewSimulator(1), 2, NewDistanceVector(DVConfig{}), NeighborConfig{})
+	in := &sinkPort{}
+	r.AddPort(in, 1)
+	var order []string
+	r.Handle(ProtoUDP, func(dg *Datagram) {
+		before, payload := *dg, string(dg.Payload)
+		order = append(order, payload)
+		switch payload {
+		case "from-port":
+			if err := r.Send(2, ProtoUDP, []byte("loop-1")); err != nil {
+				t.Error(err)
+			}
+		case "loop-1":
+			if err := r.SendECN(2, ProtoUDP, []byte("loop-2"), true); err != nil {
+				t.Error(err)
+			}
+		}
+		if dg.Src != before.Src || dg.Dst != before.Dst || dg.TTL != before.TTL || dg.Proto != before.Proto ||
+			dg.ECN != before.ECN || string(dg.Payload) != payload {
+			t.Errorf("handler of %q: datagram is %+v after the nested delivery, was %+v", payload, *dg, before)
+		}
+	})
+	wire := (&Datagram{Src: 1, Dst: 2, TTL: 9, Proto: ProtoUDP, Payload: []byte("from-port")}).Marshal()
+	buf := bufpool.Get(len(wire))
+	copy(buf, wire)
+	in.recv(buf, false)
+	if got := strings.Join(order, " "); got != "from-port loop-1 loop-2" {
+		t.Errorf("deliveries = %q, want from-port loop-1 loop-2", got)
+	}
+	if got := r.Forwarder().Stats()["local_delivered"]; got != 3 {
+		t.Errorf("local_delivered = %d, want 3", got)
 	}
 }

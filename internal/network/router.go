@@ -24,6 +24,15 @@ type Router struct {
 	started  bool
 	tap      func(ifi int, data []byte)
 	drop     func(*Datagram) bool
+	// rx and loop hold the parsed datagram lent to the drop filter and
+	// the protocol handlers, so it costs no heap object per hop (a
+	// local would escape through those func values). rx is for packets
+	// arriving on a port: ports deliver from scheduler events or under
+	// Backend.Exec, never from inside a handler, so one is in use at a
+	// time. loop is for datagrams the router sends to itself, which a
+	// handler may do while the datagram it was lent is still in use
+	// (see SendOwned).
+	rx, loop Datagram
 	// msc is the router's metrics scope; kept so SwapComputer can bind
 	// the replacement route computer under a fresh name. swaps counts
 	// binds so repeated same-algorithm computers get distinct names.
@@ -160,7 +169,12 @@ func (r *Router) SendOwned(dst Addr, proto Proto, buf []byte, ecn bool) error {
 			if tr != nil {
 				r.trace(tr, "recv", netsim.VerdictDelivered, buf, dg.TTL, true)
 			}
-			r.deliverLocal(&dg)
+			// The handler may itself be running inside a loopback
+			// delivery: it gets its datagram back when this one is over.
+			outer := r.loop
+			r.loop = dg
+			r.deliverLocal(&r.loop)
+			r.loop = outer
 		} else if tr != nil {
 			tr.Retire(buf)
 		}
@@ -230,23 +244,24 @@ func (r *Router) receive(ifi int, data []byte, ecn bool) {
 			t.Retire(data)
 		}
 	case classData:
-		dg, err := parseDatagram(data)
-		if err != nil {
+		var err error
+		if r.rx, err = parseDatagram(data); err != nil {
 			r.fwd.m.malformed.Inc()
 			if t := r.sim.Tracer(); t != nil {
 				r.trace(t, "drop", netsim.VerdictMalformed, data, 0, true)
 			}
 			break
 		}
+		dg := &r.rx
 		dg.ECN = dg.ECN || ecn
-		if r.drop != nil && r.drop(&dg) {
+		if r.drop != nil && r.drop(dg) {
 			r.fwd.m.blackholed.Inc()
 			if t := r.sim.Tracer(); t != nil {
 				r.trace(t, "drop", netsim.VerdictBlackholed, data, dg.TTL, true)
 			}
 			break
 		}
-		r.forward(&dg, data)
+		r.forward(dg, data)
 		return // forward settles ownership itself
 	default:
 		if t := r.sim.Tracer(); t != nil {
@@ -297,9 +312,10 @@ func (r *Router) forward(dg *Datagram, wire []byte) {
 }
 
 // deliverLocal hands a datagram to the bound protocol handler. The
-// datagram (and its payload, which may alias a pooled wire buffer) is
-// only valid for the duration of the call; handlers that keep payload
-// bytes must copy them.
+// datagram is the router's own (rx or loop) and its payload may alias
+// a pooled wire buffer: both are only valid for the duration of the
+// call. Handlers that keep header fields or payload bytes must copy
+// them.
 func (r *Router) deliverLocal(dg *Datagram) {
 	r.fwd.m.localDelivered.Inc()
 	if h, ok := r.handlers[dg.Proto]; ok {

@@ -40,6 +40,7 @@ type Event struct {
 type Recorder struct {
 	sim    netsim.Backend
 	events []Event
+	oldest int // index in events of the oldest one, once limit are held
 	limit  int
 	total  uint64
 }
@@ -70,8 +71,8 @@ func (r *Recorder) Attach(rt *network.Router) {
 func (r *Recorder) add(e Event) {
 	r.total++
 	if len(r.events) == r.limit {
-		copy(r.events, r.events[1:])
-		r.events[len(r.events)-1] = e
+		r.events[r.oldest] = e
+		r.oldest = (r.oldest + 1) % r.limit
 		return
 	}
 	r.events = append(r.events, e)
@@ -79,9 +80,9 @@ func (r *Recorder) add(e Event) {
 
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []Event {
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
+	out := make([]Event, 0, len(r.events))
+	out = append(out, r.events[r.oldest:]...)
+	return append(out, r.events[:r.oldest]...)
 }
 
 // Total returns how many events were observed (including dropped).
@@ -114,7 +115,7 @@ func (r *Recorder) ReportText() string {
 // Dump renders the retained events, one line each.
 func (r *Recorder) Dump() string {
 	var b strings.Builder
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		fmt.Fprintf(&b, "%12v %-4s if%d %4dB  %s\n", e.At, e.Node, e.If, e.Len, e.Summary)
 	}
 	return b.String()

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -116,8 +117,14 @@ func TestTotalOutlivesRing(t *testing.T) {
 	}
 	// The retained window is the newest events, in order.
 	ev := rec.Events()
-	if ev[0].Len != n-8 || ev[7].Len != n-1 {
-		t.Errorf("window = [%d..%d], want [%d..%d]", ev[0].Len, ev[7].Len, n-8, n-1)
+	for i, e := range ev {
+		if e.Len != n-8+i {
+			t.Errorf("window[%d] = event %d, want %d (oldest first)", i, e.Len, n-8+i)
+		}
+	}
+	if lines := strings.Split(strings.TrimSpace(rec.Dump()), "\n"); len(lines) != 8 ||
+		!strings.Contains(lines[0], fmt.Sprintf("%dB", n-8)) || !strings.Contains(lines[7], fmt.Sprintf("%dB", n-1)) {
+		t.Errorf("Dump is not the window oldest first:\n%s", rec.Dump())
 	}
 	rep := rec.ReportJSON().(traceReport)
 	if rep.Total != n || rep.Dropped != n-8 || len(rep.Events) != 8 {

@@ -8,9 +8,15 @@ import (
 // and the transport. Bytes are addressed by absolute stream offset
 // (byte 0 is the first byte ever written); acknowledged bytes are
 // released from the front.
+//
+// The unreleased bytes are data[head:], always contiguous. Nothing is
+// allocated up front: the backing array grows on demand to at most
+// 2 × limit, which is the memory bound of a long-lived connection that
+// keeps its buffer full.
 type SendBuffer struct {
 	data  []byte
-	base  uint64 // stream offset of data[0]
+	head  int    // index in data of the first unreleased byte
+	base  uint64 // stream offset of data[head]
 	limit int    // capacity in bytes
 }
 
@@ -25,22 +31,53 @@ func NewSendBuffer(limit int) *SendBuffer {
 
 // Write appends as much of p as fits and returns the count accepted.
 func (b *SendBuffer) Write(p []byte) int {
-	room := b.limit - len(b.data)
+	room := b.Free()
 	if room <= 0 {
 		return 0
 	}
 	if room > len(p) {
 		room = len(p)
 	}
+	if len(b.data)+room > cap(b.data) {
+		b.makeRoom(room)
+	}
 	b.data = append(b.data, p[:room]...)
 	return room
 }
 
+// makeRoom moves the unreleased bytes to the front of a backing array
+// with space for n more behind them. It runs only when the tail has
+// reached the end of the array. When the result fills at most half the
+// array it is made in place: the tail must then advance by at least as
+// many bytes as were just moved before the next call, which keeps the
+// cost at or below one byte moved per byte streamed. That is always
+// the case at 2 × limit (the unreleased bytes never exceed limit);
+// below it a fuller array doubles instead.
+func (b *SendBuffer) makeRoom(n int) {
+	live := b.data[b.head:]
+	need := len(live) + n
+	to := b.data[:0]
+	if c := cap(b.data); need > c/2 && c < 2*b.limit {
+		// The first Write gets exactly what it asks for; after that
+		// the array doubles.
+		grown := 2 * c
+		if grown < need {
+			grown = need
+		}
+		if grown > 2*b.limit {
+			grown = 2 * b.limit
+		}
+		to = make([]byte, 0, grown)
+	}
+	b.data = append(to, live...)
+	b.head = 0
+}
+
 // Len returns the bytes currently buffered (unreleased).
-func (b *SendBuffer) Len() int { return len(b.data) }
+func (b *SendBuffer) Len() int { return len(b.data) - b.head }
 
 // End returns the stream offset one past the last buffered byte.
-func (b *SendBuffer) End() uint64 { return b.base + uint64(len(b.data)) }
+func (b *SendBuffer) End() uint64 { return b.base + uint64(b.Len()) }
 
 // Base returns the stream offset of the first unreleased byte.
 func (b *SendBuffer) Base() uint64 { return b.base }
@@ -61,10 +98,10 @@ func (b *SendBuffer) View(off uint64, n int) []byte {
 	if off < b.base {
 		panic("seg: SendBuffer.View before base (already released)")
 	}
-	start := int(off - b.base)
-	if start >= len(b.data) {
+	if off-b.base >= uint64(b.Len()) {
 		return nil
 	}
+	start := b.head + int(off-b.base)
 	end := start + n
 	if end > len(b.data) {
 		end = len(b.data)
@@ -73,24 +110,27 @@ func (b *SendBuffer) View(off uint64, n int) []byte {
 }
 
 // Release discards bytes below stream offset upTo (they are
-// acknowledged end to end). The survivors shift down in place, so the
-// buffer's backing array is allocated once and reused for the whole
-// stream. Views handed out earlier go stale here.
+// acknowledged end to end). It only advances the head: the survivors
+// stay where they are until a later Write needs the space (makeRoom),
+// so an ack costs the same whatever the window holds. Views handed out
+// earlier go stale here.
 func (b *SendBuffer) Release(upTo uint64) {
 	if upTo <= b.base {
 		return
 	}
 	n := upTo - b.base
-	if n > uint64(len(b.data)) {
-		n = uint64(len(b.data))
+	if n > uint64(b.Len()) {
+		n = uint64(b.Len())
 	}
-	m := copy(b.data, b.data[n:])
-	b.data = b.data[:m]
+	b.head += int(n)
 	b.base += n
+	if b.head == len(b.data) {
+		b.head, b.data = 0, b.data[:0] // empty: start over at the front
+	}
 }
 
 // Free returns how many more bytes Write would accept.
-func (b *SendBuffer) Free() int { return b.limit - len(b.data) }
+func (b *SendBuffer) Free() int { return b.limit - b.Len() }
 
 // Reassembly buffers out-of-order stream bytes on the receive side and
 // yields the contiguous prefix. Segments are addressed by absolute

@@ -1,7 +1,5 @@
 package seg
 
-import "sort"
-
 // RangeSet tracks which absolute stream offsets have been received —
 // the receiver-side RD state used for duplicate suppression, the
 // cumulative acknowledgement point, and SACK block generation. Ranges
@@ -11,76 +9,42 @@ type RangeSet struct {
 }
 
 // Add marks [from, to) received. It reports whether any byte in the
-// range was new.
+// range was new. The set is updated in place: the ranges [from, to)
+// touches merge into one (in-order arrival extends the last range), or
+// a slot opens for a new one.
 func (s *RangeSet) Add(from, to uint64) bool {
 	if from >= to {
 		return false
 	}
-	newBytes := false
-	out := s.ranges[:0:0]
-	inserted := false
-	cur := [2]uint64{from, to}
-	for _, r := range s.ranges {
-		switch {
-		case r[1] < cur[0]:
-			out = append(out, r)
-		case cur[1] < r[0]:
-			if !inserted {
-				out = append(out, cur)
-				inserted = true
-			}
-			out = append(out, r)
-		default:
-			// Overlap or adjacency: merge into cur.
-			if cur[0] < r[0] || cur[1] > r[1] {
-				newBytes = true
-			}
-			if r[0] < cur[0] {
-				cur[0] = r[0]
-			}
-			if r[1] > cur[1] {
-				cur[1] = r[1]
-			}
-		}
+	rs := s.ranges
+	// rs[i:j] are the ranges [from, to) overlaps or touches.
+	i := 0
+	for i < len(rs) && rs[i][1] < from {
+		i++
 	}
-	if !inserted {
-		out = append(out, cur)
+	j := i
+	for j < len(rs) && rs[j][0] <= to {
+		j++
 	}
-	// Detect whether cur introduced anything when no ranges overlapped.
-	if len(s.ranges) == 0 {
-		newBytes = true
-	} else if !newBytes {
-		// cur may be entirely fresh (fit between ranges).
-		covered := false
-		for _, r := range s.ranges {
-			if r[0] <= from && to <= r[1] {
-				covered = true
-				break
-			}
-		}
-		newBytes = !covered
+	if i == j {
+		rs = append(rs, [2]uint64{})
+		copy(rs[i+1:], rs[i:])
+		rs[i] = [2]uint64{from, to}
+		s.ranges = rs
+		return true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	s.ranges = coalesce(out)
-	return newBytes
-}
-
-func coalesce(rs [][2]uint64) [][2]uint64 {
-	if len(rs) == 0 {
-		return rs
+	if rs[i][0] <= from && to <= rs[i][1] {
+		return false // one range already covers it
 	}
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		last := &out[len(out)-1]
-		if r[0] <= last[1] {
-			if r[1] > last[1] {
-				last[1] = r[1]
-			}
-		} else {
-			out = append(out, r)
-		}
+	if rs[i][0] < from {
+		from = rs[i][0]
 	}
-	return out
+	if rs[j-1][1] > to {
+		to = rs[j-1][1]
+	}
+	rs[i] = [2]uint64{from, to}
+	s.ranges = append(rs[:i+1], rs[j:]...)
+	return true
 }
 
 // Contains reports whether every byte of [from, to) is present.

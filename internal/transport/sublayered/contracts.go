@@ -36,7 +36,7 @@ func (r *RD) contract(ck *verify.Checker) {
 	ck.Check(r.sndUna.Leq(r.sndNxt), "rd/window-ordered",
 		"sndUna %d beyond sndNxt %d", r.sndUna, r.sndNxt)
 	// Outstanding segments lie within [sndUna, sndNxt).
-	for _, o := range r.outstanding {
+	for _, o := range r.outstanding() {
 		ck.Check(!o.seq.Add(len(o.payload)).Leq(r.sndUna), "rd/outstanding-live",
 			"outstanding segment %d..%d already acknowledged at %d",
 			o.seq, o.seq.Add(len(o.payload)), r.sndUna)

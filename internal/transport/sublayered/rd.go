@@ -36,16 +36,21 @@ type RD struct {
 	conn *Conn
 
 	// Sender half.
-	isn         seg.Seq
-	sndUna      seg.Seq
-	sndNxt      seg.Seq
-	outstanding []*outSeg
-	dupAcks     int
-	inRecovery  bool
-	recover     seg.Seq
-	rtt         *seg.RTTEstimator
-	rtoTimer    netsim.Timer
-	rtoFn       func() // cached callback; re-arming allocates nothing
+	isn    seg.Seq
+	sndUna seg.Seq
+	sndNxt seg.Seq
+	// out[head:] is the window of unacknowledged segments in sequence
+	// order (see outstanding). Acks retire records by advancing head,
+	// and Send reuses them: the survivors move only when the tail meets
+	// the end of the backing array with at least half of it retired.
+	out        []outSeg
+	head       int
+	dupAcks    int
+	inRecovery bool
+	recover    seg.Seq
+	rtt        *seg.RTTEstimator
+	rtoTimer   netsim.Timer
+	rtoFn      func() // cached callback; re-arming allocates nothing
 	// BSD-style single-segment RTT timing: one fresh segment is timed
 	// at a time; the sample is discarded if anything is retransmitted
 	// meanwhile (Karn's rule). Sampling arbitrary segments would poison
@@ -211,19 +216,23 @@ func (r *RD) Send(off uint64, data []byte) {
 	// connection dies (stop).
 	buf := bufpool.Get(len(data))
 	copy(buf, data)
-	o := &outSeg{seq: s, payload: buf, sentAt: r.conn.now()}
-	r.outstanding = append(r.outstanding, o)
+	now := r.conn.now()
+	if len(r.out) == cap(r.out) && 2*r.head >= len(r.out) {
+		r.out = r.out[:copy(r.out, r.out[r.head:])]
+		r.head = 0
+	}
+	r.out = append(r.out, outSeg{seq: s, payload: buf, sentAt: now})
 	if !r.timing {
 		r.timing = true
 		r.timedEnd = s.Add(len(data))
-		r.timedAt = o.sentAt
+		r.timedAt = now
 	}
 	if r.sndNxt.Less(s.Add(len(data))) {
 		r.sndNxt = s.Add(len(data))
 	}
 	r.m.segmentsSent.Inc()
 	r.conn.trace("send", "", 0, uint32(s), len(data))
-	r.conn.xmitData(s, o.payload)
+	r.conn.xmitData(s, buf)
 	r.armRTO()
 	r.trackW("rd.outstanding", "rd.sndNxt")
 }
@@ -302,8 +311,9 @@ func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
 	// Mark SACKed segments.
 	for _, b := range sack {
 		from, to := seg.Seq(b[0]), seg.Seq(b[1])
-		for _, o := range r.outstanding {
-			if from.Leq(o.seq) && o.seq.Add(len(o.payload)).Leq(to) {
+		out := r.outstanding()
+		for i := range out {
+			if o := &out[i]; from.Leq(o.seq) && o.seq.Add(len(o.payload)).Leq(to) {
 				o.sacked = true
 			}
 		}
@@ -313,21 +323,21 @@ func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
 		// New data acknowledged.
 		newly := 0
 		var rttSample time.Duration
-		keep := r.outstanding[:0]
-		for _, o := range r.outstanding {
-			end := o.seq.Add(len(o.payload))
-			if end.Leq(ack) {
-				newly += len(o.payload)
-				bufpool.Put(o.payload) // segment retired: recycle its buffer
-				o.payload = nil
-			} else {
-				keep = append(keep, o)
+		// Segments are sent in stream order and never overlap, so the
+		// acknowledged ones are a prefix of the window.
+		for r.head < len(r.out) {
+			o := &r.out[r.head]
+			if !o.seq.Add(len(o.payload)).Leq(ack) {
+				break
 			}
+			newly += len(o.payload)
+			bufpool.Put(o.payload) // segment retired: recycle its buffer
+			o.payload = nil
+			r.head++
 		}
-		for i := len(keep); i < len(r.outstanding); i++ {
-			r.outstanding[i] = nil
+		if r.head == len(r.out) {
+			r.out, r.head = r.out[:0], 0
 		}
-		r.outstanding = keep
 		if r.timing && r.timedEnd.Leq(ack) {
 			rttSample = time.Duration(r.conn.now() - r.timedAt)
 			r.timing = false
@@ -352,7 +362,7 @@ func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
 			// Post-timeout chaining: if the advance exposes a segment
 			// marked lost, retransmit it immediately rather than
 			// waiting out another (backed-off) RTO.
-			for _, o := range r.outstanding {
+			for _, o := range r.outstanding() {
 				if o.sacked {
 					continue
 				}
@@ -377,7 +387,7 @@ func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
 		r.conn.trace("cumack", "", 0, uint32(ack), newly)
 		r.conn.crossings.RDToOSRAck.Inc()
 		r.conn.osr.onAcked(cum, newly, rttSample)
-	case ack == r.sndUna && len(r.outstanding) > 0 && !hadPayload:
+	case ack == r.sndUna && !r.AllAcked() && !hadPayload:
 		r.dupAcks++
 		r.trackW("rd.dupAcks")
 		if r.dupAcks == 3 && !r.inRecovery {
@@ -393,7 +403,9 @@ func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
 
 // retransmitFirst resends the oldest unacknowledged, un-SACKed segment.
 func (r *RD) retransmitFirst() {
-	for _, o := range r.outstanding {
+	out := r.outstanding()
+	for i := range out {
+		o := &out[i]
 		if o.sacked {
 			continue
 		}
@@ -412,7 +424,7 @@ func (r *RD) retransmitFirst() {
 
 func (r *RD) armRTO() {
 	r.rtoTimer.Stop()
-	if len(r.outstanding) == 0 {
+	if r.AllAcked() {
 		return
 	}
 	r.rtoTimer = r.conn.stack.sim.ScheduleTimer(r.rtt.RTO(), r.rtoFn)
@@ -420,7 +432,7 @@ func (r *RD) armRTO() {
 
 func (r *RD) onRTO() {
 	r.track("rd.onRTO")
-	if len(r.outstanding) == 0 {
+	if r.AllAcked() {
 		return
 	}
 	r.m.timeouts.Inc()
@@ -440,8 +452,9 @@ func (r *RD) onRTO() {
 	r.inRecovery = false
 	// Everything outstanding is presumed lost; retransmit the first
 	// now and chain the rest as acknowledgements return.
-	for _, o := range r.outstanding {
-		o.pending = true
+	out := r.outstanding()
+	for i := range out {
+		out[i].pending = true
 	}
 	r.retransmitFirst()
 	r.armRTO()
@@ -494,13 +507,17 @@ func (r *RD) currentAck() seg.Seq {
 
 // AllAcked reports whether every data byte handed to RD is
 // acknowledged.
-func (r *RD) AllAcked() bool { return len(r.outstanding) == 0 }
+func (r *RD) AllAcked() bool { return r.head == len(r.out) }
+
+// outstanding is the window of unacknowledged segments, oldest first.
+// It aliases RD's records and is valid until the next Send or ack.
+func (r *RD) outstanding() []outSeg { return r.out[r.head:] }
 
 // InFlight returns unacknowledged bytes (the RD window of §3.1: "for
 // RD a window is the range of outstanding segments").
 func (r *RD) InFlight() int {
 	n := 0
-	for _, o := range r.outstanding {
+	for _, o := range r.outstanding() {
 		n += len(o.payload)
 	}
 	return n
@@ -533,12 +550,10 @@ func (r *RD) rcvOffsetChecked(s seg.Seq) (uint64, bool) {
 func (r *RD) stop() {
 	r.rtoTimer.Stop()
 	r.ackTimer.Stop()
-	for i, o := range r.outstanding {
+	for _, o := range r.outstanding() {
 		bufpool.Put(o.payload)
-		o.payload = nil
-		r.outstanding[i] = nil
 	}
-	r.outstanding = nil
+	r.out, r.head = nil, 0
 }
 
 func (r *RD) track(h string) { r.conn.stack.track(h) }
