@@ -8,15 +8,18 @@ import (
 )
 
 // part is a stand-in component: two counters, a gauge and a histogram,
-// listed once.
+// all held by value and listed once.
 type part struct {
 	sent, lost Counter
 	depth      Gauge
-	rtt        *Histogram
+	rtt        Histogram
 }
 
+var partRTTBounds = []int64{1, 10, 100}
+
 func newPart(seed int) *part {
-	p := &part{rtt: NewHistogram(1, 10, 100)}
+	p := new(part)
+	p.rtt.Init(partRTTBounds)
 	p.sent.Add(uint64(seed))
 	p.lost.Add(uint64(seed * 3))
 	p.depth.Set(int64(-seed))
@@ -30,15 +33,18 @@ func (p *part) each(f func(string, Instrument)) {
 	f("rd/sent", &p.sent)
 	f("rd/lost", &p.lost)
 	f("osr/depth", &p.depth)
-	f("rd/rtt_ms", p.rtt)
+	f("rd/rtt_ms", &p.rtt)
 }
 
 var partLeaves = LeavesOf("", new(part).each)
 
-func (p *part) instruments() []Instrument {
-	var ins []Instrument
-	p.each(func(_ string, in Instrument) { ins = append(ins, in) })
-	return ins
+// listOf is the lister of a group given as a plain slice.
+func listOf(ins ...Instrument) Each {
+	return func(f func(string, Instrument)) {
+		for _, in := range ins {
+			f("", in)
+		}
+	}
 }
 
 // TestGroupSnapshotMatchesPerLeaf: the same instruments adopted one
@@ -54,7 +60,7 @@ func TestGroupSnapshotMatchesPerLeaf(t *testing.T) {
 	for i, prefix := range prefixes {
 		p := newPart(i + 1)
 		p.each(perLeaf.Scope(prefix).Register)
-		grouped.Adopt(prefix, partLeaves, p.instruments())
+		grouped.Adopt(prefix, partLeaves, p.each)
 	}
 	for i, name := range singles {
 		c := &Counter{}
@@ -75,12 +81,12 @@ func TestGroupSnapshotMatchesPerLeaf(t *testing.T) {
 func TestScopeAdopt(t *testing.T) {
 	reg := New()
 	p := newPart(2)
-	reg.Scope("n3").Sub("transport").Adopt("conn0", partLeaves, p.instruments())
+	reg.Scope("n3").Sub("transport").Adopt("conn0", partLeaves, p.each)
 	if got := reg.Snapshot().Value("n3/transport/conn0/rd/lost"); got != 6 {
 		t.Fatalf("n3/transport/conn0/rd/lost = %d, want 6", got)
 	}
 	var sc *Scope
-	sc.Adopt("conn0", partLeaves, p.instruments()) // nil scope: must not panic
+	sc.Adopt("conn0", partLeaves, p.each) // nil scope: must not panic
 }
 
 // TestGroupCollisions: a name is taken whether it was registered
@@ -97,7 +103,7 @@ func TestGroupCollisions(t *testing.T) {
 			for i := range ins {
 				ins[i] = &Counter{}
 			}
-			r.Adopt(prefix, NewLeaves(leaves...), ins)
+			r.Adopt(prefix, NewLeaves(leaves...), listOf(ins...))
 		}
 	}
 	cases := []struct {
@@ -151,9 +157,18 @@ func TestAdoptRejectsMalformedGroups(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("empty prefix", func() { New().Adopt("", NewLeaves("a"), []Instrument{&Counter{}}) })
-	mustPanic("length mismatch", func() { New().Adopt("p", NewLeaves("a", "b"), []Instrument{&Counter{}}) })
-	mustPanic("nil instrument", func() { New().Adopt("p", NewLeaves("a"), []Instrument{nil}) })
+	mustPanic("empty prefix", func() { New().Adopt("", NewLeaves("a"), listOf(&Counter{})) })
+	// A lister that disagrees with its leaf table is caught the first
+	// time it is walked: by a snapshot or a by-name getter.
+	walked := func(leaves *Leaves, each Each) *Registry {
+		r := New()
+		r.Adopt("p", leaves, each)
+		return r
+	}
+	mustPanic("too few instruments", func() { walked(NewLeaves("a", "b"), listOf(&Counter{})).Snapshot() })
+	mustPanic("too many instruments", func() { walked(NewLeaves("a"), listOf(&Counter{}, &Counter{})).Snapshot() })
+	mustPanic("too few, getter", func() { walked(NewLeaves("a", "b"), listOf(&Counter{})).Counter("p/a") })
+	mustPanic("nil instrument", func() { walked(NewLeaves("a"), listOf(nil)).Snapshot() })
 	mustPanic("duplicate leaf", func() { NewLeaves("a", "a") })
 	mustPanic("empty leaf", func() { NewLeaves("") })
 }
@@ -164,14 +179,14 @@ func TestAdoptRejectsMalformedGroups(t *testing.T) {
 func TestGettersSeeGroupedInstruments(t *testing.T) {
 	reg := New()
 	p := newPart(1)
-	reg.Adopt("n1/conn0", partLeaves, p.instruments())
+	reg.Adopt("n1/conn0", partLeaves, p.each)
 	if got := reg.Counter("n1/conn0/rd/sent"); got != &p.sent {
 		t.Fatal("Counter(name) did not return the adopted counter")
 	}
 	if got := reg.Gauge("n1/conn0/osr/depth"); got != &p.depth {
 		t.Fatal("Gauge(name) did not return the adopted gauge")
 	}
-	if got := reg.Histogram("n1/conn0/rd/rtt_ms", 1); got != p.rtt {
+	if got := reg.Histogram("n1/conn0/rd/rtt_ms", 1); got != &p.rtt {
 		t.Fatal("Histogram(name) did not return the adopted histogram")
 	}
 	if reg.Len() != 4 {
@@ -204,7 +219,7 @@ func TestConcurrentAdoption(t *testing.T) {
 			sc := reg.Scope(fmt.Sprintf("n%d", w)).Sub("transport")
 			for i := 0; i < perWorker; i++ {
 				p := newPart(i % 5)
-				sc.Adopt(fmt.Sprintf("conn%d", i), partLeaves, p.instruments())
+				sc.Adopt(fmt.Sprintf("conn%d", i), partLeaves, p.each)
 				if i%50 == 0 {
 					sc.Counter(fmt.Sprintf("dm/c%d", i)).Inc()
 					_ = reg.Len()
@@ -232,16 +247,16 @@ func TestConcurrentAdoption(t *testing.T) {
 // whether it carries 4 instruments or 64, into an empty registry or
 // one already holding 100 000 groups.
 func TestAdoptCostIndependentOfSize(t *testing.T) {
-	mk := func(n int) (*Leaves, []Instrument) {
+	mk := func(n int) (*Leaves, Each) {
 		names := make([]string, n)
 		ins := make([]Instrument, n)
 		for i := range names {
 			names[i] = fmt.Sprintf("leaf%d", i)
 			ins[i] = &Counter{}
 		}
-		return NewLeaves(names...), ins
+		return NewLeaves(names...), listOf(ins...)
 	}
-	measure := func(reg *Registry, leaves *Leaves, ins []Instrument) float64 {
+	measure := func(reg *Registry, leaves *Leaves, ins Each) float64 {
 		prefixes := make([]string, 2001)
 		for i := range prefixes {
 			prefixes[i] = fmt.Sprintf("n1/transport/fresh%d", i)

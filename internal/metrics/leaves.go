@@ -4,7 +4,8 @@ import "fmt"
 
 // Leaves is the static leaf-name table of one component type: built
 // once, shared by every instance, and handed to Registry.Adopt with
-// each instance's instruments in the same order.
+// each instance's lister, which names its instruments in the same
+// order.
 type Leaves struct {
 	names []string
 	index map[string]int
@@ -42,7 +43,8 @@ func ConcatLeaves(tables ...*Leaves) *Leaves {
 // Each is how a component lists its instruments: it calls f once per
 // instrument with its leaf name, always in the same order. Writing the
 // list once as an Each gives the component its leaf table (LeavesOf),
-// its View (ViewOf) and, with Scope.Register as f, per-name adoption.
+// its View (ViewOf), per-name adoption (Scope.Register as f) and group
+// adoption (Adopt keeps the Each itself).
 type Each func(f func(leaf string, in Instrument))
 
 // LeavesOf builds the leaf table of the component type whose

@@ -21,6 +21,8 @@
 //     marshal to byte-identical JSON.
 package metrics
 
+import "fmt"
+
 // Instrument is the closed set of metric kinds a Registry can hold:
 // *Counter, *Gauge, *Histogram and CounterSum.
 type Instrument interface {
@@ -82,28 +84,45 @@ func (g *Gauge) sample(name string) Sample {
 	return Sample{Name: name, Kind: KindGauge, Value: g.v}
 }
 
+// MaxBounds is the most bucket bounds a Histogram takes. The counts
+// live in a fixed array of MaxBounds+1 buckets, so a component holds
+// its histogram by value, like a Counter: no object of its own.
+const MaxBounds = 15
+
 // Histogram counts int64 observations into fixed buckets. Bounds are
 // inclusive upper edges in ascending order; observations above the
-// last bound land in an implicit overflow bucket.
+// last bound land in an implicit overflow bucket. Histograms of one
+// kind share their bounds slice; only the counts are per instance.
 type Histogram struct {
 	bounds []int64
-	counts []uint64
+	counts [MaxBounds + 1]uint64
 	sum    int64
 	n      uint64
 }
 
 // NewHistogram builds a histogram with the given ascending inclusive
-// upper bounds. At least one bound is required.
+// upper bounds: at least one, at most MaxBounds.
 func NewHistogram(bounds ...int64) *Histogram {
+	h := new(Histogram)
+	h.Init(bounds)
+	return h
+}
+
+// Init readies a histogram held by value. It keeps bounds, which the
+// caller must not modify afterwards.
+func (h *Histogram) Init(bounds []int64) {
 	if len(bounds) == 0 {
 		panic("metrics: histogram needs at least one bucket bound")
+	}
+	if len(bounds) > MaxBounds {
+		panic(fmt.Sprintf("metrics: histogram has %d bucket bounds, at most %d fit", len(bounds), MaxBounds))
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("metrics: histogram bounds must be strictly ascending")
 		}
 	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	*h = Histogram{bounds: bounds}
 }
 
 // Observe records one value.

@@ -16,9 +16,10 @@ import (
 // snapshots are only taken while the workers are quiescent.
 //
 // Instruments arrive one name at a time (Register) or as a group
-// (Adopt: one prefix, a shared leaf-name table, the instruments). A
-// group costs one table entry however many instruments it carries;
-// its full names exist only in Snapshot.
+// (Adopt: one prefix, a shared leaf-name table, the component's own
+// lister). A group costs one table entry however many instruments it
+// carries; its full names, and the instruments themselves, are asked
+// for only in Snapshot.
 type Registry struct {
 	mu     sync.Mutex
 	byName map[string]Instrument
@@ -33,12 +34,34 @@ type Registry struct {
 	grouped int // instruments held by groups
 }
 
-// group is one Adopt call: ins[i] is named prefix + "/" + leaves.names[i].
+// group is one Adopt call: the i-th instrument each lists is named
+// prefix + "/" + leaves.names[i].
 type group struct {
 	prefix string
 	leaves *Leaves
-	ins    []Instrument
+	each   Each
 	next   *group // another group adopted at the same prefix
+}
+
+// list calls f with every instrument of the group and its index in
+// the leaf table. A lister that disagrees with the table it was
+// adopted under is a wiring bug, caught here, the first time the list
+// is walked.
+func (g *group) list(f func(i int, in Instrument)) {
+	names := g.leaves.names
+	n := 0
+	g.each(func(_ string, in Instrument) {
+		if n < len(names) {
+			if in == nil {
+				panic(fmt.Sprintf("metrics: nil instrument for %q", g.prefix+"/"+names[n]))
+			}
+			f(n, in)
+		}
+		n++
+	})
+	if n != len(names) {
+		panic(fmt.Sprintf("metrics: group %q lists %d instruments for %d leaf names", g.prefix, n, len(names)))
+	}
 }
 
 // New returns an empty registry.
@@ -71,24 +94,19 @@ func (r *Registry) register(name string, in Instrument) {
 	}
 }
 
-// Adopt registers a component's instruments as one group: ins[i]
-// takes the name prefix + "/" + leaves.Names()[i]. The registry keeps
-// ins (the caller must not modify it afterwards) and builds the full
-// names only in Snapshot, so adoption costs the same few map
-// operations whatever len(ins) and the registry's size. Names collide
-// exactly as if each had been passed to Register, and a collision
-// panics here, at adoption.
-func (r *Registry) Adopt(prefix string, leaves *Leaves, ins []Instrument) {
+// Adopt registers a component's instruments as one group: the i-th
+// instrument each lists takes the name prefix + "/" +
+// leaves.Names()[i]. The registry keeps each — the component's own
+// lister, so the component holds its instruments as plain fields and
+// nothing per instrument is retained here — and calls it, and builds
+// the full names, only in Snapshot and the by-name getters; adoption
+// costs the same few map operations whatever the group's size and the
+// registry's. Names collide exactly as if each had been passed to
+// Register, and a collision panics here, at adoption; a lister that
+// does not match leaves panics when first walked.
+func (r *Registry) Adopt(prefix string, leaves *Leaves, each Each) {
 	if prefix == "" {
 		panic("metrics: empty group prefix")
-	}
-	if len(ins) != len(leaves.names) {
-		panic(fmt.Sprintf("metrics: group %q has %d instruments for %d leaf names", prefix, len(ins), len(leaves.names)))
-	}
-	for i, in := range ins {
-		if in == nil {
-			panic(fmt.Sprintf("metrics: nil instrument for %q", prefix+"/"+leaves.names[i]))
-		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -105,9 +123,9 @@ func (r *Registry) Adopt(prefix string, leaves *Leaves, ins []Instrument) {
 			}
 		}
 	}
-	r.paths[prefix] = &group{prefix: prefix, leaves: leaves, ins: ins, next: r.paths[prefix]}
+	r.paths[prefix] = &group{prefix: prefix, leaves: leaves, each: each, next: r.paths[prefix]}
 	r.markAncestors(prefix)
-	r.grouped += len(ins)
+	r.grouped += len(leaves.names)
 }
 
 // markAncestors records every proper ancestor path of name in paths.
@@ -150,7 +168,13 @@ func (r *Registry) lookup(name string) (Instrument, bool) {
 	for i := strings.LastIndexByte(name, '/'); i >= 0; i = strings.LastIndexByte(name[:i], '/') {
 		for g := r.paths[name[:i]]; g != nil; g = g.next {
 			if j, ok := g.leaves.index[name[i+1:]]; ok {
-				return g.ins[j], true
+				var found Instrument
+				g.list(func(k int, in Instrument) {
+					if k == j {
+						found = in
+					}
+				})
+				return found, true
 			}
 		}
 	}
@@ -234,9 +258,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for _, g := range r.paths {
 		for ; g != nil; g = g.next {
-			for i, leaf := range g.leaves.names {
-				all = append(all, named{g.prefix + "/" + leaf, g.ins[i]})
-			}
+			g.list(func(i int, in Instrument) {
+				all = append(all, named{g.prefix + "/" + g.leaves.names[i], in})
+			})
 		}
 	}
 	slices.SortFunc(all, func(a, b named) int { return strings.Compare(a.name, b.name) })
@@ -295,13 +319,13 @@ func (s *Scope) Register(name string, in Instrument) {
 	s.reg.Register(Join(s.prefix, name), in)
 }
 
-// Adopt adopts ins as one group named name under the scope's prefix
-// (see Registry.Adopt). No-op on a nil scope.
-func (s *Scope) Adopt(name string, leaves *Leaves, ins []Instrument) {
+// Adopt adopts the instruments each lists as one group named name
+// under the scope's prefix (see Registry.Adopt). No-op on a nil scope.
+func (s *Scope) Adopt(name string, leaves *Leaves, each Each) {
 	if s == nil {
 		return
 	}
-	s.reg.Adopt(Join(s.prefix, name), leaves, ins)
+	s.reg.Adopt(Join(s.prefix, name), leaves, each)
 }
 
 // Counter returns (creating if needed) a counter in this scope, or a

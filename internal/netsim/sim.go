@@ -7,10 +7,12 @@
 // reordering, corruption and timer interleavings replay identically.
 //
 // The model is intentionally small: one engine (Sharded, sharded.go)
-// owns a virtual clock and one event heap per shard, run in parallel
-// under conservative lookahead windows while producing byte-identical
-// results at any shard count; a Simulator is the one-shard, one-view
-// case of it with a step-by-step driver surface; a Link is a
+// owns a virtual clock and one event store per shard (evCore, below: a
+// 4-ary heap of value slots ordered by one total key, with lazy
+// cancellation and a freelist), run in parallel under conservative
+// lookahead windows while producing byte-identical results at any
+// shard count; a Simulator is the one-shard, one-view case of it with
+// a step-by-step driver surface; a Link is a
 // unidirectional channel with configurable propagation delay, jitter,
 // serialization rate, queue limit, loss, duplication, reordering, bit
 // corruption and ECN marking; a Bus is a shared broadcast medium with
@@ -18,7 +20,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -44,77 +45,76 @@ const (
 	evQueueFree              // release one serializer queue slot on lnk
 )
 
-// event carries the canonical ordering key (at, schedAt, rank, seq):
-// execution time, then scheduling time, then the scheduler's identity
-// rank, then the scheduler's local sequence number. A Simulator
-// schedules everything through its one rank-0 view, which makes the
-// key order-equivalent to a plain (at, seq) FIFO tiebreak — schedAt is
+// slot is one heap entry: the canonical ordering key (at, schedAt,
+// rank, seq) — execution time, then scheduling time, then the
+// scheduler's identity rank, then the scheduler's local sequence number
+// — held by value next to the event it orders. A Simulator schedules
+// everything through its one rank-0 view, which makes the key
+// order-equivalent to a plain (at, seq) FIFO tiebreak — schedAt is
 // nondecreasing in seq because schedules happen in time-ordered
 // execution. A sharded world gives each node view a stable rank, so
 // the same key decides the same order regardless of how shards
-// interleave; this is the deterministic merge rule.
-type event struct {
+// interleave; this is the deterministic merge rule. Keys are unique
+// ((rank, seq) names one schedule call), so the order is total and the
+// pop sequence is the sorted sequence whatever shape the heap has.
+type slot struct {
 	at      Time
 	schedAt Time   // virtual time the schedule call was made
 	seq     uint64 // scheduler-local FIFO tiebreak for simultaneous events
 	rank    int32  // scheduler identity: the posting view's rank
-	gen     uint32 // bumped on recycle; detached Timers compare it
-	kind    uint8
-	fn      func()
-	lnk     *Link
-	pkt     Packet
-	dead    bool
-	idx     int
-	core    *evCore // owner, so Timer.Stop can account the cancellation
+	ev      *event
 }
 
-// before reports whether e orders before the (at, schedAt, rank, seq)
+// before reports whether s orders before the (at, schedAt, rank, seq)
 // key — the single comparison the heap and the sharded window bounds
 // share.
-func (e *event) before(at, schedAt Time, rank int32, seq uint64) bool {
-	if e.at != at {
-		return e.at < at
+func (s *slot) before(at, schedAt Time, rank int32, seq uint64) bool {
+	if s.at != at {
+		return s.at < at
 	}
-	if e.schedAt != schedAt {
-		return e.schedAt < schedAt
+	if s.schedAt != schedAt {
+		return s.schedAt < schedAt
 	}
-	if e.rank != rank {
-		return e.rank < rank
+	if s.rank != rank {
+		return s.rank < rank
 	}
-	return e.seq < seq
+	return s.seq < seq
 }
 
-type eventHeap []*event
+func (s *slot) less(o *slot) bool { return s.before(o.at, o.schedAt, o.rank, o.seq) }
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	return h[i].before(h[j].at, h[j].schedAt, h[j].rank, h[j].seq)
+// event is what a slot orders: the callback or tagged link operation,
+// and the cancellation state a Timer reaches through its pointer. It
+// carries no key and no heap position: sifting compares and moves
+// slots only, and cancellation never needs to find the slot (see
+// Timer.Stop).
+type event struct {
+	gen  uint32 // bumped on recycle; detached Timers compare it
+	kind uint8
+	dead bool
+	fn   func()
+	lnk  *Link
+	pkt  Packet
+	core *evCore // owner, so Timer.Stop can account the cancellation
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
+
+// arity is the heap's branching factor. Four children per node halve
+// the depth a sift walks; each level's extra comparisons read slots
+// that sit side by side in one or two cache lines. Measured by
+// netsim.sched_run_ns at churn's depth (10 k pending) and bulk's
+// (155) against the binary layout; see DESIGN §4.
+const arity = 4
 
 // evCore is one event heap plus its clock, freelist and counters: one
-// shard of the engine. Every instrument has a single writer (the
-// goroutine running the core), which is the discipline that lets the
-// engine avoid atomics: cross-core reads only happen at barriers.
+// shard of the engine. The heap is a d-ary min-heap of value slots,
+// written out rather than driven through container/heap so a sift is a
+// loop over one slice with no interface call per comparison. Every
+// instrument has a single writer (the goroutine running the core),
+// which is the discipline that lets the engine avoid atomics:
+// cross-core reads only happen at barriers.
 type evCore struct {
 	now    Time
-	events eventHeap
+	events []slot
 	seq    uint64
 
 	// free recycles executed and compacted-away events. An event is
@@ -135,43 +135,85 @@ type evCore struct {
 	deadPending int
 }
 
-// post pushes a recycled (or fresh) event carrying the full ordering
-// key. The caller has already clamped at and computed schedAt/rank/seq;
+// post pushes a recycled (or fresh) event under the full ordering key.
+// The caller has already clamped at and computed schedAt/rank/seq;
 // kind-specific fields are filled in afterwards.
 func (c *evCore) post(at, schedAt Time, rank int32, seq uint64) *event {
 	c.scheduled.Inc()
-	var e *event
-	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		e.at, e.schedAt, e.rank, e.seq = at, schedAt, rank, seq
-		e.dead = false
-	} else {
-		e = &event{at: at, schedAt: schedAt, rank: rank, seq: seq, core: c}
-	}
-	heap.Push(&c.events, e)
-	return e
+	return c.push(at, schedAt, rank, seq)
 }
 
 // postForeign ingests a cross-shard mailbox delivery: the event keeps
 // the sender's key (already counted as scheduled on the sender's core)
 // so the comparator alone decides its order among local events.
 func (c *evCore) postForeign(at, schedAt Time, rank int32, seq uint64, lnk *Link, pkt Packet) {
+	e := c.push(at, schedAt, rank, seq)
+	e.kind = evDeliver
+	e.lnk = lnk
+	e.pkt = pkt
+}
+
+// push takes an event off the freelist (or makes one) and sifts its
+// slot up from the end of the heap.
+func (c *evCore) push(at, schedAt Time, rank int32, seq uint64) *event {
 	var e *event
 	if n := len(c.free); n > 0 {
 		e = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		e.at, e.schedAt, e.rank, e.seq = at, schedAt, rank, seq
 		e.dead = false
 	} else {
-		e = &event{at: at, schedAt: schedAt, rank: rank, seq: seq, core: c}
+		e = &event{core: c}
 	}
-	e.kind = evDeliver
-	e.lnk = lnk
-	e.pkt = pkt
-	heap.Push(&c.events, e)
+	s := slot{at: at, schedAt: schedAt, seq: seq, rank: rank, ev: e}
+	h := append(c.events, s)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / arity
+		if !s.less(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = s
+	c.events = h
+	return e
+}
+
+// pop removes the least slot and returns its time and event.
+func (c *evCore) pop() (Time, *event) {
+	h := c.events
+	at, e := h[0].at, h[0].ev
+	n := len(h) - 1
+	if n > 0 {
+		siftDown(h[:n], 0, h[n])
+	}
+	h[n].ev = nil // the vacated tail must not pin its event
+	c.events = h[:n]
+	return at, e
+}
+
+// siftDown places s in the subtree rooted at the hole i.
+func siftDown(h []slot, i int, s slot) {
+	for {
+		first := arity*i + 1
+		if first >= len(h) {
+			break
+		}
+		least := first
+		for j := first + 1; j < first+arity && j < len(h); j++ {
+			if h[j].less(&h[least]) {
+				least = j
+			}
+		}
+		if !h[least].less(&s) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = s
 }
 
 // recycle returns an event that left the heap to the core's freelist.
@@ -187,40 +229,52 @@ func (c *evCore) recycle(e *event) {
 // maybeCompact rebuilds the heap without tombstones once cancelled
 // events outnumber live ones. Rebuilding is O(n), amortized O(1) per
 // cancellation since at least half the heap is discarded each time.
+// The live slots are filtered to the front of the same array: the
+// pushes that follow a compaction refill capacity the heap already
+// owns instead of regrowing an exact-size copy.
 func (c *evCore) maybeCompact() {
 	if c.deadPending*2 <= len(c.events) {
 		return
 	}
-	live := make(eventHeap, 0, len(c.events)-c.deadPending)
-	for _, e := range c.events {
-		if !e.dead {
-			live = append(live, e)
+	h := c.events
+	live := h[:0]
+	for _, s := range h {
+		if s.ev.dead {
+			c.recycle(s.ev)
 		} else {
-			c.recycle(e)
+			live = append(live, s)
 		}
 	}
-	for i, e := range live {
-		e.idx = i
+	clear(h[len(live):])
+	if len(live) > 1 {
+		for i := (len(live) - 2) / arity; i >= 0; i-- {
+			siftDown(live, i, live[i])
+		}
 	}
 	c.events = live
-	heap.Init(&c.events)
 	c.deadPending = 0
+}
+
+// dropDead pops the tombstone at the top of the heap.
+func (c *evCore) dropDead() {
+	_, e := c.pop()
+	c.recycle(e)
+	c.deadPending--
 }
 
 // step executes the next pending event, reporting false on an empty
 // heap.
 func (c *evCore) step(tr Tracer) bool {
 	for len(c.events) > 0 {
-		e := heap.Pop(&c.events).(*event)
-		if e.dead {
-			c.deadPending--
-			c.recycle(e)
+		if c.events[0].ev.dead {
+			c.dropDead()
 			continue
 		}
+		at, e := c.pop()
 		e.dead = true // a fired timer is no longer Active
-		c.now = e.at
+		c.now = at
 		c.executed.Inc()
-		dispatch(e, tr)
+		dispatch(e, at, tr)
 		c.recycle(e)
 		return true
 	}
@@ -232,14 +286,12 @@ func (c *evCore) step(tr Tracer) bool {
 // callback schedules inside the bound run in the same pass.
 func (c *evCore) runBefore(at, schedAt Time, rank int32, seq uint64, tr Tracer) {
 	for len(c.events) > 0 {
-		e := c.events[0]
-		if e.dead {
-			heap.Pop(&c.events)
-			c.deadPending--
-			c.recycle(e)
+		top := &c.events[0]
+		if top.ev.dead {
+			c.dropDead()
 			continue
 		}
-		if !e.before(at, schedAt, rank, seq) {
+		if !top.before(at, schedAt, rank, seq) {
 			return
 		}
 		c.step(tr)
@@ -251,24 +303,21 @@ func (c *evCore) runBefore(at, schedAt Time, rank int32, seq uint64, tr Tracer) 
 // call when the core is not running (at a barrier).
 func (c *evCore) nextAt() (Time, bool) {
 	for len(c.events) > 0 {
-		e := c.events[0]
-		if e.dead {
-			heap.Pop(&c.events)
-			c.deadPending--
-			c.recycle(e)
+		if c.events[0].ev.dead {
+			c.dropDead()
 			continue
 		}
-		return e.at, true
+		return c.events[0].at, true
 	}
 	return 0, false
 }
 
 // dispatch runs one live event. Tagged kinds keep the per-packet link
 // events closure-free; everything else goes through fn.
-func dispatch(e *event, tr Tracer) {
+func dispatch(e *event, at Time, tr Tracer) {
 	switch e.kind {
 	case evDeliver:
-		e.lnk.deliver(&e.pkt, e.at, tr)
+		e.lnk.deliver(&e.pkt, at, tr)
 	case evQueueFree:
 		e.lnk.setQueued(e.lnk.queued - 1)
 	default:
@@ -343,11 +392,14 @@ type Timer struct {
 }
 
 // Stop cancels the timer if it has not fired. It reports whether the
-// cancellation prevented a pending firing. On the simulator the event
-// stays in the heap as a tombstone; once tombstones exceed half the
-// heap the owning core compacts it, so cancelled timers cannot leak —
-// the bookkeeping (cancelled counter, deadPending) lives on the shard
-// that owns the event, never globally. On real-time backends the
+// cancellation prevented a pending firing. On the simulator
+// cancellation is lazy: the event is marked dead and its slot stays
+// where it is, a tombstone that is dropped when it reaches the top, so
+// Stop never has to find the slot and slots need not record where they
+// are. Once tombstones exceed half the heap the owning core compacts
+// it, so cancelled timers cannot leak — the bookkeeping (cancelled
+// counter, deadPending) lives on the shard that owns the event, never
+// globally. On real-time backends the
 // caller must hold the backend lock (be inside a callback or Exec),
 // which is already true of all protocol code.
 func (t *Timer) Stop() bool {

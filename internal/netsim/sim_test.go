@@ -451,18 +451,6 @@ func TestBusSequentialNoCollision(t *testing.T) {
 	}
 }
 
-func BenchmarkSimulatorScheduleRun(b *testing.B) {
-	s := NewSimulator(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Duration(i%1000)*time.Microsecond, func() {})
-		if i%1024 == 1023 {
-			s.Run(0)
-		}
-	}
-	s.Run(0)
-}
-
 func BenchmarkLinkSend(b *testing.B) {
 	s := NewSimulator(1)
 	l := s.NewLink(LinkConfig{Delay: time.Millisecond, LossProb: 0.01}, func(p *Packet) {})

@@ -247,7 +247,7 @@ func (p *PCB) onPersistTimer() {
 // enterTimeWait starts the 2MSL timer.
 func (p *PCB) enterTimeWait() {
 	p.state = stTimeWait
-	p.stack.sim.Schedule(p.stack.cfg.TimeWait, func() {
+	p.stack.sim.ScheduleTimer(p.stack.cfg.TimeWait, func() {
 		if p.state == stTimeWait {
 			p.state = stClosed
 			p.kill(nil)

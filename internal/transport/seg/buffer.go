@@ -23,10 +23,18 @@ type SendBuffer struct {
 // NewSendBuffer returns a buffer holding at most limit unacknowledged
 // bytes.
 func NewSendBuffer(limit int) *SendBuffer {
+	b := new(SendBuffer)
+	b.Init(limit)
+	return b
+}
+
+// Init readies a buffer held by value inside its owner, empty and with
+// room for limit unacknowledged bytes.
+func (b *SendBuffer) Init(limit int) {
 	if limit <= 0 {
 		limit = 64 * 1024
 	}
-	return &SendBuffer{limit: limit}
+	*b = SendBuffer{limit: limit}
 }
 
 // Write appends as much of p as fits and returns the count accepted.
@@ -136,7 +144,10 @@ func (b *SendBuffer) Free() int { return b.limit - b.Len() }
 // yields the contiguous prefix. Segments are addressed by absolute
 // stream offset.
 type Reassembly struct {
-	next     uint64 // next offset the application expects
+	next uint64 // next offset the application expects
+	// segments holds what arrived ahead of next. It is nil until the
+	// first out-of-order store: a stream that arrives in order never
+	// reads it, and most connections are such streams.
 	segments map[uint64][]byte
 	buffered int
 	limit    int
@@ -145,10 +156,17 @@ type Reassembly struct {
 // NewReassembly returns a reassembly buffer with the given capacity in
 // buffered out-of-order bytes.
 func NewReassembly(limit int) *Reassembly {
+	r := new(Reassembly)
+	r.Init(limit)
+	return r
+}
+
+// Init readies a reassembly buffer held by value inside its owner.
+func (r *Reassembly) Init(limit int) {
 	if limit <= 0 {
 		limit = 64 * 1024
 	}
-	return &Reassembly{segments: make(map[uint64][]byte), limit: limit}
+	*r = Reassembly{limit: limit}
 }
 
 // Next returns the next in-order stream offset expected.
@@ -201,6 +219,9 @@ func (r *Reassembly) Insert(off uint64, data []byte) []byte {
 		}
 		cp := make([]byte, len(data))
 		copy(cp, data)
+		if r.segments == nil {
+			r.segments = make(map[uint64][]byte)
+		}
 		r.segments[off] = cp
 		r.buffered += len(cp)
 	}

@@ -18,6 +18,14 @@ type RTTEstimator struct {
 // NewRTTEstimator returns an estimator with the given initial RTO and
 // clamping bounds.
 func NewRTTEstimator(initial, min, max time.Duration) *RTTEstimator {
+	e := new(RTTEstimator)
+	e.Init(initial, min, max)
+	return e
+}
+
+// Init readies an estimator held by value inside its owner: no samples
+// yet, the given initial RTO and clamping bounds.
+func (e *RTTEstimator) Init(initial, min, max time.Duration) {
 	if initial <= 0 {
 		initial = time.Second
 	}
@@ -27,7 +35,7 @@ func NewRTTEstimator(initial, min, max time.Duration) *RTTEstimator {
 	if max <= 0 {
 		max = 60 * time.Second
 	}
-	return &RTTEstimator{rto: initial, min: min, max: max}
+	*e = RTTEstimator{rto: initial, min: min, max: max}
 }
 
 // Sample feeds one round-trip measurement (RFC 6298 constants).

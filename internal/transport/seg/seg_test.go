@@ -180,6 +180,12 @@ func TestReassemblyRandomizedAgainstOracle(t *testing.T) {
 		}
 		rng.Shuffle(len(pieces), func(i, j int) { pieces[i], pieces[j] = pieces[j], pieces[i] })
 		r := NewReassembly(1 << 20)
+		// Nothing has arrived out of order yet, so the segment map does
+		// not exist: Holes, and the pop behind an empty Insert, must read
+		// that as an empty one.
+		if h, popped := r.Holes(), r.Insert(0, nil); len(h) != 0 || popped != nil || r.Buffered() != 0 || r.Next() != 0 {
+			t.Fatalf("trial %d: fresh buffer: holes %v, popped %q, buffered %d, next %d", trial, h, popped, r.Buffered(), r.Next())
+		}
 		var out []byte
 		for _, p := range pieces {
 			out = append(out, r.Insert(p.off, p.data)...)

@@ -113,8 +113,11 @@ type HandshakeCM struct {
 	peerISN  seg.Seq
 	havePeer bool
 
-	// Bootstrap reliability for SYN / SYN-ACK / FIN.
-	rexmit   *netsim.Timer
+	// Bootstrap reliability for SYN / SYN-ACK / FIN. timerFn is onTimer
+	// as a func value, built once per connection: every arm of either CM
+	// timer passes it, and the state says what a firing means.
+	rexmit   netsim.Timer
+	timerFn  func()
 	attempts int
 
 	finSeq    seg.Seq
@@ -188,7 +191,10 @@ func (m *HandshakeCM) Stats() metrics.View { return metrics.ViewOf(m.m.each) }
 func (m *HandshakeCM) leaves() *metrics.Leaves                 { return handshakeLeaves }
 func (m *HandshakeCM) each(f func(string, metrics.Instrument)) { m.m.each(f) }
 
-func (m *HandshakeCM) attach(c *Conn) { m.conn = c }
+func (m *HandshakeCM) attach(c *Conn) {
+	m.conn = c
+	m.timerFn = m.onTimer
+}
 
 func (m *HandshakeCM) state() CMState { return m.st }
 
@@ -234,52 +240,61 @@ func (m *HandshakeCM) sendSYN() {
 	m.m.synSent.Inc()
 	m.conn.xmitCM(tcpwire.CMSection{SYN: true, ISN: uint32(m.isn)},
 		m.isn, 0, false)
-	m.armRexmit(func() {
-		m.m.synRetransmits.Inc()
-		m.sendSYN()
-	})
+	m.armRexmit()
 }
 
 func (m *HandshakeCM) sendSYNACK() {
 	m.m.synSent.Inc()
 	m.conn.xmitCM(tcpwire.CMSection{SYN: true, ISN: uint32(m.isn)},
 		m.isn, m.peerISN.Add(1), true)
-	m.armRexmit(func() {
-		m.m.synRetransmits.Inc()
-		m.sendSYNACK()
-	})
+	m.armRexmit()
 }
 
 func (m *HandshakeCM) sendFIN() {
 	m.m.finSent.Inc()
 	m.conn.xmitCM(tcpwire.CMSection{FIN: true, ISN: uint32(m.isn)},
 		m.finSeq, 0, false) // ack fields filled by RD via xmitCM
-	m.armRexmit(func() {
+	m.armRexmit()
+}
+
+// onTimer is the callback of both CM timers. The state names what was
+// armed: the retransmission timer is cancelled on every transition out
+// of the state that armed it, and nothing leaves TIME_WAIT but this.
+func (m *HandshakeCM) onTimer() {
+	if m.conn.dead {
+		return
+	}
+	switch m.st {
+	case StateSynSent:
+		m.m.synRetransmits.Inc()
+		m.sendSYN()
+	case StateSynRcvd:
+		m.m.synRetransmits.Inc()
+		m.sendSYNACK()
+	case StateFinWait1, StateClosing, StateLastAck:
 		m.m.finRetransmits.Inc()
 		m.sendFIN()
-	})
+	case StateTimeWait:
+		m.setState(StateClosed)
+		m.conn.destroy(nil)
+	}
 }
 
 // armRexmit (re)arms the bootstrap retransmission timer with
 // exponential backoff; exceeding MaxAttempts kills the connection.
-func (m *HandshakeCM) armRexmit(resend func()) {
-	if m.rexmit != nil {
-		m.rexmit.Stop()
-	}
+func (m *HandshakeCM) armRexmit() {
+	m.rexmit.Stop()
 	m.attempts++
 	if m.attempts > m.cfg.MaxAttempts {
 		m.fail(ErrTimeout)
 		return
 	}
 	backoff := m.cfg.RexmitInterval * time.Duration(1<<uint(minInt(m.attempts-1, 6)))
-	m.rexmit = m.conn.schedule(backoff, resend)
+	m.rexmit = m.conn.stack.sim.ScheduleTimer(backoff, m.timerFn)
 }
 
 func (m *HandshakeCM) cancelRexmit() {
-	if m.rexmit != nil {
-		m.rexmit.Stop()
-		m.rexmit = nil
-	}
+	m.rexmit.Stop()
 	m.attempts = 0
 }
 
@@ -410,14 +425,12 @@ func (m *HandshakeCM) streamFinished(end uint64) {
 	m.sendFIN()
 }
 
+// enterTimeWait starts the 2MSL timer. Nothing ever stops it, so the
+// handle is not kept: a connection reset meanwhile is dead when it
+// fires.
 func (m *HandshakeCM) enterTimeWait() {
 	m.setState(StateTimeWait)
-	m.conn.schedule(m.cfg.TimeWait, func() {
-		if m.st == StateTimeWait {
-			m.setState(StateClosed)
-			m.conn.destroy(nil)
-		}
-	})
+	m.conn.stack.sim.ScheduleTimer(m.cfg.TimeWait, m.timerFn)
 }
 
 // section implements ConnManager: CM's bits on ordinary segments are
@@ -432,11 +445,7 @@ func (m *HandshakeCM) fail(err error) {
 	m.conn.destroy(err)
 }
 
-func (m *HandshakeCM) stop() {
-	if m.rexmit != nil {
-		m.rexmit.Stop()
-	}
-}
+func (m *HandshakeCM) stop() { m.rexmit.Stop() }
 
 func minInt(a, b int) int {
 	if a < b {

@@ -1,8 +1,6 @@
 package sublayered
 
 import (
-	"time"
-
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/tcpwire"
@@ -14,14 +12,25 @@ import (
 // the narrow interfaces the paper draws in Fig. 5. Conn itself holds
 // no protocol state — it is the wiring harness plus the application
 // byte-stream API.
+//
+// RD and OSR are values inside the Conn, and what they are built from
+// (RTT estimator and histogram, send buffer, reassembly) values inside
+// them: a sublayer's state has one fixed type, so it needs no object
+// of its own, and a connection costs one allocation where it used to
+// cost a dozen. Where the bytes live does not change who may touch
+// them — each sublayer still reads and writes only its own fields and
+// reaches its neighbours through their methods, which is what the E6
+// tracker and the contracts check. The two parts that are replaceable
+// by design stay behind interfaces: the connection manager here, the
+// congestion controller inside OSR.
 type Conn struct {
 	stack *Stack
 	key   tcpwire.FlowKey
 	id    connID
 
 	cm  ConnManager
-	rd  *RD
-	osr *OSR
+	rd  RD
+	osr OSR
 
 	readBuf []byte
 	eof     bool
@@ -69,11 +78,11 @@ func (c *Conn) State() string { return c.cm.state().String() }
 func (c *Conn) Err() error { return c.err }
 
 // RD exposes the reliable-delivery sublayer for stats and tests.
-func (c *Conn) RD() *RD { return c.rd }
+func (c *Conn) RD() *RD { return &c.rd }
 
 // OSR exposes the ordering/segmenting/rate sublayer for stats and
 // tests.
-func (c *Conn) OSR() *OSR { return c.osr }
+func (c *Conn) OSR() *OSR { return &c.osr }
 
 // CM exposes the connection-management sublayer for stats and tests.
 func (c *Conn) CM() ConnManager { return c.cm }
@@ -107,6 +116,18 @@ func (x *Crossings) each(f func(string, metrics.Instrument)) {
 	f("cm_to_rd", &x.CMToRD)
 	f("to_dm", &x.ToDM)
 	f("from_dm", &x.FromDM)
+}
+
+// each lists every instrument of the connection in connLeaves order,
+// followed by the manager's own when it exports any: the lister the
+// registry keeps for the connection's group.
+func (c *Conn) each(f func(string, metrics.Instrument)) {
+	c.crossings.each(f)
+	c.rd.m.each(f)
+	c.osr.m.each(f)
+	if cm, ok := c.cm.(instrumentedCM); ok {
+		cm.each(f)
+	}
 }
 
 // CrossingStats returns a snapshot of the boundary counters.
@@ -173,14 +194,6 @@ func (c *Conn) Abort() {
 // --- wiring used by the sublayers ---
 
 func (c *Conn) now() netsim.Time { return c.stack.sim.Now() }
-
-func (c *Conn) schedule(d time.Duration, fn func()) *netsim.Timer {
-	return c.stack.sim.Schedule(d, func() {
-		if !c.dead {
-			fn()
-		}
-	})
-}
 
 // onEstablished fires the application callback.
 func (c *Conn) onEstablished() {

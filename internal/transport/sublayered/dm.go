@@ -90,8 +90,10 @@ func (c Config) withDefaults() Config {
 		c.MaxDataRexmit = 12
 	}
 	if c.NewCM == nil {
-		cmCfg := c.CMConfig
-		c.NewCM = func() ConnManager { return NewHandshakeCM(&CryptoISN{}, cmCfg) }
+		// One generator serves every connection of the stack: it holds
+		// nothing but the host's secret.
+		gen, cmCfg := &CryptoISN{}, c.CMConfig
+		c.NewCM = func() ConnManager { return NewHandshakeCM(gen, cmCfg) }
 	}
 	return c
 }
@@ -285,7 +287,8 @@ type instrumentedCM interface {
 	each(f func(string, metrics.Instrument))
 }
 
-// newConn builds the four-sublayer composition.
+// newConn builds the four-sublayer composition: the Conn with RD and
+// OSR inside it, and behind it the two replaceable parts.
 func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 	c := &Conn{
 		stack: s,
@@ -298,14 +301,15 @@ func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 	}
 	c.cm = s.cfg.NewCM()
 	c.cm.attach(c)
-	c.rd = newRD(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
-	c.osr = newOSR(c, s.cfg.NewCC(s.cfg.MSS), s.cfg.MSS, s.cfg.SendBuf, s.cfg.RecvBuf)
+	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
+	c.osr.init(c, s.cfg.NewCC(s.cfg.MSS), s.cfg.MSS, s.cfg.SendBuf, s.cfg.RecvBuf)
 	s.adoptMetrics(c)
 	return c
 }
 
-// adoptMetrics hands the connection's instruments to the registry as
-// one group, named "conn<seq>/<sublayer>/<leaf>" when a snapshot asks.
+// adoptMetrics hands the connection to the registry as one group,
+// named "conn<seq>/<sublayer>/<leaf>" when a snapshot asks: the
+// registry keeps the connection's lister, not its instruments.
 func (s *Stack) adoptMetrics(c *Conn) {
 	// The sequence number advances whether or not a registry is
 	// attached, so metric names are stable across configurations.
@@ -315,19 +319,12 @@ func (s *Stack) adoptMetrics(c *Conn) {
 		return
 	}
 	leaves := connLeaves
-	cm, hasCM := c.cm.(instrumentedCM)
-	if hasCM {
+	if cm, ok := c.cm.(instrumentedCM); ok {
 		leaves = cm.leaves()
 	}
-	ins := make([]metrics.Instrument, 0, len(leaves.Names()))
-	add := func(_ string, in metrics.Instrument) { ins = append(ins, in) }
-	c.crossings.each(add)
-	c.rd.m.each(add)
-	c.osr.m.each(add)
-	if hasCM {
-		cm.each(add)
-	}
-	s.cfg.Metrics.Adopt(string(strconv.AppendInt([]byte("conn"), int64(seq), 10)), leaves, ins)
+	var buf [24]byte // "conn" + any int64, so the name is built on the stack
+	name := strconv.AppendInt(append(buf[:0], "conn"...), int64(seq), 10)
+	s.cfg.Metrics.Adopt(string(name), leaves, c.each)
 }
 
 // track/trackWrite feed the optional E6 instrumentation.

@@ -27,7 +27,7 @@ type OSR struct {
 	mss  int
 
 	// Send half.
-	sb         *seg.SendBuffer
+	sb         seg.SendBuffer
 	nextSeg    uint64 // next stream offset to hand to RD
 	cumAcked   uint64
 	peerWnd    int
@@ -35,7 +35,7 @@ type OSR struct {
 	closeAt    uint64
 	finAsked   bool
 	probe      netsim.Timer
-	probeFn    func() // cached callback; re-arming allocates nothing
+	probeFn    func() // built at the first arm; re-arming allocates nothing
 	cwrPending bool
 
 	// Pacing: when the controller publishes a rate, pump spaces segment
@@ -46,7 +46,7 @@ type OSR struct {
 	nextRelease netsim.Time
 
 	// Receive half.
-	ra           *seg.Reassembly
+	ra           seg.Reassembly
 	endAt        uint64
 	endValid     bool
 	eofDelivered bool
@@ -74,40 +74,44 @@ func (m *osrMetrics) each(f func(string, metrics.Instrument)) {
 	f("ecn_reactions", &m.ecnReactions)
 }
 
-func newOSR(c *Conn, cc CongestionControl, mss, sendBuf, recvBuf int) *OSR {
-	o := &OSR{
-		conn:    c,
-		cc:      cc,
-		mss:     mss,
-		sb:      seg.NewSendBuffer(sendBuf),
-		ra:      seg.NewReassembly(recvBuf),
-		peerWnd: 65535,
+// init readies the OSR half of c in place: like RD, OSR's state — send
+// buffer and reassembly included — is a value inside the Conn. The
+// congestion controller stays behind its interface: it is the part of
+// OSR that is replaceable by design (E8, E12).
+func (o *OSR) init(c *Conn, cc CongestionControl, mss, sendBuf, recvBuf int) {
+	o.conn = c
+	o.cc = cc
+	o.mss = mss
+	o.sb.Init(sendBuf)
+	o.ra.Init(recvBuf)
+	o.peerWnd = 65535
+}
+
+// onProbeTimer and onPaceTimer are the timer callbacks, made func
+// values the first time their timers are armed (see RD.onRTOTimer).
+func (o *OSR) onProbeTimer() {
+	if o.conn.dead {
+		return
 	}
-	o.probeFn = func() {
-		if c.dead {
-			return
-		}
-		if o.peerWnd > 0 || o.sb.End() == o.nextSeg {
-			o.pump()
-			return
-		}
-		// Send one byte beyond the window as a probe.
-		if o.sb.End() > o.nextSeg {
-			o.m.zeroWindowProbes.Inc()
-			data := o.sb.View(o.nextSeg, 1)
-			off := o.nextSeg
-			o.nextSeg++
-			o.conn.rd.Send(off, data)
-		}
-		o.armProbe(0)
+	if o.peerWnd > 0 || o.sb.End() == o.nextSeg {
+		o.pump()
+		return
 	}
-	o.paceFn = func() {
-		if c.dead {
-			return
-		}
+	// Send one byte beyond the window as a probe.
+	if o.sb.End() > o.nextSeg {
+		o.m.zeroWindowProbes.Inc()
+		data := o.sb.View(o.nextSeg, 1)
+		off := o.nextSeg
+		o.nextSeg++
+		o.conn.rd.Send(off, data)
+	}
+	o.armProbe(0)
+}
+
+func (o *OSR) onPaceTimer() {
+	if !o.conn.dead {
 		o.pump()
 	}
-	return o
 }
 
 // Stats returns a snapshot of the OSR counters.
@@ -213,6 +217,9 @@ func (o *OSR) armPace(d netsim.Time) {
 	if o.pace.Active() {
 		return
 	}
+	if o.paceFn == nil {
+		o.paceFn = o.onPaceTimer
+	}
 	o.pace = o.conn.stack.sim.ScheduleTimer(time.Duration(d), o.paceFn)
 }
 
@@ -225,6 +232,9 @@ func (o *OSR) armProbe(inflight int) {
 	}
 	if o.peerWnd > 0 {
 		return // stalled on cwnd; acks will reopen it
+	}
+	if o.probeFn == nil {
+		o.probeFn = o.onProbeTimer
 	}
 	o.probe = o.conn.stack.sim.ScheduleTimer(500*time.Millisecond, o.probeFn)
 }

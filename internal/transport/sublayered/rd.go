@@ -48,9 +48,9 @@ type RD struct {
 	dupAcks    int
 	inRecovery bool
 	recover    seg.Seq
-	rtt        *seg.RTTEstimator
+	rtt        seg.RTTEstimator
 	rtoTimer   netsim.Timer
-	rtoFn      func() // cached callback; re-arming allocates nothing
+	rtoFn      func() // built at the first arm; re-arming allocates nothing
 	// BSD-style single-segment RTT timing: one fresh segment is timed
 	// at a time; the sample is discarded if anything is retransmitted
 	// meanwhile (Karn's rule). Sampling arbitrary segments would poison
@@ -76,7 +76,7 @@ type RD struct {
 	delayedAcks bool
 	ackPending  int
 	ackTimer    netsim.Timer
-	ackFn       func() // cached callback; re-arming allocates nothing
+	ackFn       func() // built at the first arm; re-arming allocates nothing
 	established bool
 	// ackable gates the Ack fields: timer-based CM establishes the
 	// send direction before the peer's ISN is known, during which acks
@@ -102,7 +102,7 @@ type rdMetrics struct {
 	dupSegments     metrics.Counter
 	deliveredBytes  metrics.Counter
 	aborts          metrics.Counter
-	rttMs           *metrics.Histogram
+	rttMs           metrics.Histogram
 }
 
 // rttBoundsMs buckets RTT samples from LAN-ish to badly congested.
@@ -119,7 +119,7 @@ func (m *rdMetrics) each(f func(string, metrics.Instrument)) {
 	f("dup_segments", &m.dupSegments)
 	f("delivered_bytes", &m.deliveredBytes)
 	f("aborts", &m.aborts)
-	f("rtt_ms", m.rttMs)
+	f("rtt_ms", &m.rttMs)
 }
 
 type outSeg struct {
@@ -134,26 +134,32 @@ type outSeg struct {
 	pending bool
 }
 
-func newRD(c *Conn, sackEnabled, delayedAcks bool) *RD {
-	r := &RD{
-		conn:        c,
-		sackEnabled: sackEnabled,
-		delayedAcks: delayedAcks,
-		maxRexmit:   c.stack.cfg.MaxDataRexmit,
-		rtt:         seg.NewRTTEstimator(time.Second, 200*time.Millisecond, 60*time.Second),
+// init readies the RD half of c in place. RD's state — the estimator
+// and the RTT histogram included — is a value inside the Conn: one
+// object holds the connection, and only RD's methods touch this part of
+// it.
+func (r *RD) init(c *Conn, sackEnabled, delayedAcks bool) {
+	r.conn = c
+	r.sackEnabled = sackEnabled
+	r.delayedAcks = delayedAcks
+	r.maxRexmit = c.stack.cfg.MaxDataRexmit
+	r.rtt.Init(time.Second, 200*time.Millisecond, 60*time.Second)
+	r.m.rttMs.Init(rttBoundsMs)
+}
+
+// onRTOTimer and onAckTimer are the timer callbacks. Each becomes a
+// func value the first time its timer is armed — a connection that
+// never sends data, or never delays an ack, never pays for it.
+func (r *RD) onRTOTimer() {
+	if !r.conn.dead {
+		r.onRTO()
 	}
-	r.m.rttMs = metrics.NewHistogram(rttBoundsMs...)
-	r.rtoFn = func() {
-		if !c.dead {
-			r.onRTO()
-		}
+}
+
+func (r *RD) onAckTimer() {
+	if !r.conn.dead && r.ackPending > 0 {
+		r.AckNow()
 	}
-	r.ackFn = func() {
-		if !c.dead && r.ackPending > 0 {
-			r.AckNow()
-		}
-	}
-	return r
 }
 
 // Stats returns a snapshot of the RD counters ("rtt_ms" is the number
@@ -161,7 +167,7 @@ func newRD(c *Conn, sackEnabled, delayedAcks bool) *RD {
 func (r *RD) Stats() metrics.View { return metrics.ViewOf(r.m.each) }
 
 // RTTHistogram exposes the Karn-valid RTT sample distribution.
-func (r *RD) RTTHistogram() *metrics.Histogram { return r.m.rttMs }
+func (r *RD) RTTHistogram() *metrics.Histogram { return &r.m.rttMs }
 
 // Established is CM's service delivered: a pair of ISNs "not present in
 // the network so that segments and acks can be trusted as not being
@@ -292,6 +298,9 @@ func (r *RD) onData(s seg.Seq, payload []byte) {
 		return
 	}
 	if !r.ackTimer.Active() {
+		if r.ackFn == nil {
+			r.ackFn = r.onAckTimer
+		}
 		r.ackTimer = r.conn.stack.sim.ScheduleTimer(50*time.Millisecond, r.ackFn)
 	}
 }
@@ -426,6 +435,9 @@ func (r *RD) armRTO() {
 	r.rtoTimer.Stop()
 	if r.AllAcked() {
 		return
+	}
+	if r.rtoFn == nil {
+		r.rtoFn = r.onRTOTimer
 	}
 	r.rtoTimer = r.conn.stack.sim.ScheduleTimer(r.rtt.RTO(), r.rtoFn)
 }

@@ -62,31 +62,40 @@ func TestConnGroupNames(t *testing.T) {
 	}
 }
 
-// TestNewConnAllocsFlat is the guard on per-connection metric cost:
-// with a registry attached, building a connection allocates a bounded
-// number of objects, and the same number whether it is the first
-// connection or the 100 001st.
+// TestNewConnAllocsFlat is the guard on per-connection cost: with a
+// registry attached, building a connection allocates a bounded number
+// of objects, and the same number whether it is the first connection
+// or the 100 001st.
 func TestNewConnAllocsFlat(t *testing.T) {
 	measure := func(prior int) float64 {
 		s := bareStack(Config{Metrics: metrics.New().Scope("n1").Sub("transport")})
 		// Earlier connections matter only through what they left in the
 		// registry: one group each.
-		ins := make([]metrics.Instrument, len(handshakeLeaves.Names()))
-		for i := range ins {
-			ins[i] = &metrics.Counter{}
+		earlier := func(f func(string, metrics.Instrument)) {
+			for range handshakeLeaves.Names() {
+				f("", &metrics.Counter{})
+			}
 		}
 		for ; s.connSeq < prior; s.connSeq++ {
-			s.cfg.Metrics.Adopt(fmt.Sprintf("conn%d", s.connSeq), handshakeLeaves, ins)
+			s.cfg.Metrics.Adopt(fmt.Sprintf("conn%d", s.connSeq), handshakeLeaves, earlier)
 		}
 		key := tcpwire.FlowKey{SrcAddr: 1, DstAddr: 2, SrcPort: 50000, DstPort: 80}
 		return testing.AllocsPerRun(1000, func() { s.newConn(key) })
 	}
 	empty, loaded := measure(0), measure(100_000)
+	t.Logf("newConn: %v objects", empty)
 	if empty != loaded {
 		t.Errorf("newConn allocates %v objects on an empty registry, %v after 100k connections", empty, loaded)
 	}
-	if empty > 40 {
-		t.Errorf("newConn allocates %v objects with a registry attached, want <= 40", empty)
+	// Measured 8: the Conn (RD, OSR and their parts are values inside
+	// it), the two replaceable parts behind interfaces (connection
+	// manager, congestion controller), the manager's timer callback, and
+	// four for adoption (the registry's group entry, the connection's
+	// lister as a func value, the "conn<n>" name and its scoped join).
+	// One spare for the registry's amortised map growth landing inside
+	// the measured runs; anything per sublayer or per instrument is over.
+	if empty > 9 {
+		t.Errorf("newConn allocates %v objects with a registry attached, want <= 9", empty)
 	}
 }
 

@@ -37,8 +37,13 @@ type TimerCM struct {
 	peerISN  seg.Seq
 	havePeer bool
 
-	rexmit   *netsim.Timer
-	attempts int
+	// timerFn is onTimer as a func value, built once per connection and
+	// passed to every arm; announced and the state say what a firing
+	// means.
+	rexmit    netsim.Timer
+	timerFn   func()
+	announced bool
+	attempts  int
 
 	finSeq    seg.Seq
 	finQueued bool
@@ -80,7 +85,31 @@ func NewTimerCM(reg *IncarnationRegistry, cfg CMConfig) *TimerCM {
 // Name implements ConnManager.
 func (m *TimerCM) Name() string { return "timer-based(watson)" }
 
-func (m *TimerCM) attach(c *Conn) { m.conn = c }
+func (m *TimerCM) attach(c *Conn) {
+	m.conn = c
+	m.timerFn = m.onTimer
+}
+
+// onTimer is the callback of all three CM timers. The zero-delay
+// announcement is armed in open, before anything else on the connection
+// and earlier than any retransmission or quiet period can expire, so
+// the first firing is always that one; after it the state names what
+// was armed, as in HandshakeCM.onTimer.
+func (m *TimerCM) onTimer() {
+	if m.conn.dead {
+		return
+	}
+	switch {
+	case !m.announced:
+		m.announced = true
+		m.conn.onEstablished()
+	case m.st == StateTimeWait:
+		m.st = StateClosed
+		m.conn.destroy(nil)
+	case m.st == StateFinWait1 || m.st == StateClosing || m.st == StateLastAck:
+		m.sendFIN()
+	}
+}
 
 func (m *TimerCM) state() CMState { return m.st }
 
@@ -106,7 +135,7 @@ func (m *TimerCM) open(active bool, first *cmView) {
 		m.conn.rd.SuppressAcksUntilPeerISN()
 		// Deferred one tick so Dial's caller can register callbacks
 		// before OnConnected fires (there is no handshake to wait for).
-		m.conn.schedule(0, m.conn.onEstablished)
+		m.conn.stack.sim.ScheduleTimer(0, m.timerFn)
 		return
 	}
 	if first == nil || first.syn {
@@ -123,7 +152,7 @@ func (m *TimerCM) open(active bool, first *cmView) {
 	m.st = StateEstablished
 	m.conn.rd.Established(m.isn, m.peerISN)
 	// Deferred so the listener's OnAccept can register callbacks first.
-	m.conn.schedule(0, m.conn.onEstablished)
+	m.conn.stack.sim.ScheduleTimer(0, m.timerFn)
 }
 
 // onSegment implements ConnManager.
@@ -207,38 +236,28 @@ func (m *TimerCM) streamFinished(end uint64) {
 
 func (m *TimerCM) sendFIN() {
 	m.conn.xmitCM(tcpwire.CMSection{FIN: true, ISN: uint32(m.isn)}, m.finSeq, 0, false)
-	m.armRexmit(m.sendFIN)
+	m.armRexmit()
 }
 
-func (m *TimerCM) armRexmit(resend func()) {
-	if m.rexmit != nil {
-		m.rexmit.Stop()
-	}
+func (m *TimerCM) armRexmit() {
+	m.rexmit.Stop()
 	m.attempts++
 	if m.attempts > m.cfg.MaxAttempts {
 		m.conn.destroy(ErrTimeout)
 		return
 	}
 	backoff := m.cfg.RexmitInterval * time.Duration(1<<uint(minInt(m.attempts-1, 6)))
-	m.rexmit = m.conn.schedule(backoff, resend)
+	m.rexmit = m.conn.stack.sim.ScheduleTimer(backoff, m.timerFn)
 }
 
 func (m *TimerCM) cancelRexmit() {
-	if m.rexmit != nil {
-		m.rexmit.Stop()
-		m.rexmit = nil
-	}
+	m.rexmit.Stop()
 	m.attempts = 0
 }
 
 func (m *TimerCM) enterTimeWait() {
 	m.st = StateTimeWait
-	m.conn.schedule(m.cfg.TimeWait, func() {
-		if m.st == StateTimeWait {
-			m.st = StateClosed
-			m.conn.destroy(nil)
-		}
-	})
+	m.conn.stack.sim.ScheduleTimer(m.cfg.TimeWait, m.timerFn)
 }
 
 // section implements ConnManager: the ISN rides on every segment — for
@@ -247,8 +266,4 @@ func (m *TimerCM) section() tcpwire.CMSection {
 	return tcpwire.CMSection{ISN: uint32(m.isn)}
 }
 
-func (m *TimerCM) stop() {
-	if m.rexmit != nil {
-		m.rexmit.Stop()
-	}
-}
+func (m *TimerCM) stop() { m.rexmit.Stop() }

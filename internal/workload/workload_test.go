@@ -141,16 +141,16 @@ func TestRunSeedsParallelMatchesSerial(t *testing.T) {
 }
 
 // allocsPerEventCeiling bounds heap allocations per simulator event
-// for one 1,000-flow run, per stack. The measured values are 0.871
-// (sublayered) and 0.263 (monolithic), repeating to the third digit at
-// any GOMAXPROCS, and 0.933 / 0.308 under the race detector, whose
+// for one 1,000-flow run, per stack. The measured values are 0.699
+// (sublayered) and 0.250 (monolithic), repeating to the third digit at
+// any GOMAXPROCS, and 0.761 / 0.295 under the race detector, whose
 // sync.Pool drops a share of what is put back. The ceilings are the
-// race readings plus ~10 %, so a Go release fits and a per-event or
+// race readings plus 10 %, so a Go release fits and a per-event or
 // per-segment allocation added to either data path does not. Raise a
 // ceiling only with the reason for the new allocations written here.
 var allocsPerEventCeiling = map[harness.Kind]float64{
-	harness.KindSublayeredNative: 1.03,
-	harness.KindMonolithic:       0.34,
+	harness.KindSublayeredNative: 0.84,
+	harness.KindMonolithic:       0.33,
 }
 
 // TestThousandFlows is the E11 acceptance floor: a 1,000-flow run
