@@ -1,7 +1,7 @@
 // Command docscheck is the repository's offline markdown checker: it
-// validates every link and every `make <target>` mention in the given
-// markdown files without touching the network, so CI's docs job stays
-// deterministic.
+// validates every link, every `make <target>` mention and every
+// repository path in a code span in the given markdown files without
+// touching the network, so CI's docs job stays deterministic.
 //
 //	go run ./cmd/docscheck                 # walk mode: every tracked doc
 //	go run ./cmd/docscheck README.md docs/OVERLAYS.md
@@ -26,11 +26,16 @@
 // And per file, fenced blocks included: a `make <target> ...` inside a
 // code span, or starting a fenced line, must name targets the
 // Makefile's .PHONY line declares — so a deleted target cannot survive
-// in prose. The history files (CHANGES.md, ROADMAP.md) record targets
-// that no longer exist on purpose and are exempt from this one check.
+// in prose. Likewise a code span that begins internal/, cmd/,
+// examples/, bench/ or docs/ must name something in the tree: its
+// first word, less a trailing "/" or ".Symbol", is a path from the
+// repository root — so a deleted package cannot survive in prose
+// either. The history files (CHANGES.md, ROADMAP.md) record targets
+// and paths that no longer exist on purpose and are exempt from these
+// two checks.
 //
-// Exit status 1 lists every broken link and stale target; 0 means all
-// resolve.
+// Exit status 1 lists every broken link, stale target and stale path;
+// 0 means all resolve.
 package main
 
 import (
@@ -54,10 +59,13 @@ var (
 	// fenced block; the capture is its argument list.
 	makeSpanRe = regexp.MustCompile("`make\\s+([^`]+)`")
 	makeLineRe = regexp.MustCompile(`^\s*make\s+(.+)$`)
+	// A code span that begins with one of the tree's top-level source
+	// directories; the capture is the whole span.
+	pathSpanRe = regexp.MustCompile("`((?:internal|cmd|examples|bench|docs)/[^`]*)`")
 )
 
-// historyFiles keep `make` targets that were since deleted: that is
-// what a history is for.
+// historyFiles keep `make` targets and paths that were since deleted:
+// that is what a history is for.
 var historyFiles = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true}
 
 func main() {
@@ -89,7 +97,7 @@ func check(root string, files []string) (problems []string, checked string, err 
 	if err != nil {
 		return nil, "", err
 	}
-	links, mentions := 0, 0
+	links, mentions, paths := 0, 0, 0
 	for _, path := range files {
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -111,8 +119,44 @@ func check(root string, files []string) (problems []string, checked string, err 
 				problems = append(problems, fmt.Sprintf("%s:%d: `make %s`: the Makefile's .PHONY declares no such target", path, m.line, m.target))
 			}
 		}
+		for _, p := range pathSpansOf(string(raw)) {
+			paths++
+			if !inTree(root, p.target) {
+				problems = append(problems, fmt.Sprintf("%s:%d: `%s`: no such path in the tree", path, p.line, p.target))
+			}
+		}
 	}
-	return problems, fmt.Sprintf("%d links and %d make targets across %d files", links, mentions, len(files)), nil
+	return problems, fmt.Sprintf("%d links, %d make targets and %d paths across %d files", links, mentions, paths, len(files)), nil
+}
+
+// pathSpansOf extracts the repository path each code span names: the
+// span's first word, for spans that begin with a top-level source
+// directory.
+func pathSpansOf(doc string) []link {
+	var out []link
+	for i, line := range strings.Split(doc, "\n") {
+		for _, m := range pathSpanRe.FindAllStringSubmatch(line, -1) {
+			out = append(out, link{line: i + 1, target: strings.Fields(m[1])[0]})
+		}
+	}
+	return out
+}
+
+// inTree reports whether p names a file or directory under root, as
+// written or once a trailing "/" or a ".Symbol" after the last path
+// element (`internal/sublayer.Stack`) is dropped.
+func inTree(root, p string) bool {
+	p = strings.TrimSuffix(p, "/")
+	if _, err := os.Stat(filepath.Join(root, p)); err == nil {
+		return true
+	}
+	dir, last := filepath.Split(p)
+	pkg, _, isSymbol := strings.Cut(last, ".")
+	if !isSymbol {
+		return false
+	}
+	_, err := os.Stat(filepath.Join(root, dir, pkg))
+	return err == nil
 }
 
 // phonyTargets reads the target names the Makefile declares .PHONY.

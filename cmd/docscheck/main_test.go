@@ -47,3 +47,53 @@ func TestStaleMakeTarget(t *testing.T) {
 		}
 	}
 }
+
+// TestStalePath: a code span naming a package, file or directory that
+// is not in the tree is reported, with its line; paths that exist —
+// bare, with a trailing slash, a .Symbol or arguments — spans that do
+// not begin with a source directory, and the history files are not.
+func TestStalePath(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("Makefile", ".PHONY: build\n")
+	write("internal/sublayer/sublayer.go", "package sublayer\n")
+	write("bench/run.sh", "#!/bin/sh\n")
+	write("README.md", strings.Join([]string{
+		"The framework is `internal/sublayer`, facade in `internal/core`.",       // line 1: core is stale
+		"See `internal/sublayer/`, `internal/sublayer.Stack.BindMetrics` and",    // all present
+		"`internal/sublayer/sublayer.go`; run `bench/run.sh -workload churn`.",   // all present
+		"`internal/sublayer/gone.go` and `cmd/nosuch -flag` are not there.",      // line 4: two stale
+		"A `repro/internal/core` import path or a bare `core.Stack` is not ours", // no leading source dir
+		"to check, but `internal/core.Stack` is.",                                // line 6: stale
+	}, "\n"))
+	write("CHANGES.md", "PR 19 deleted `internal/core`.\n")
+
+	problems, _, err := check(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := filepath.Join(root, "README.md")
+	want := []string{
+		readme + ":1: `internal/core`",
+		readme + ":4: `internal/sublayer/gone.go`",
+		readme + ":4: `cmd/nosuch`",
+		readme + ":6: `internal/core.Stack`",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("problems = %q, want %d", problems, len(want))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(problems[i], w) {
+			t.Errorf("problems[%d] = %q, want prefix %q", i, problems[i], w)
+		}
+	}
+}

@@ -3,9 +3,9 @@
 // with two ISN generators ⇄ Watson's timer-based scheme) without
 // touching DM, RD or each other. The congestion-control axis comes
 // straight from the ccontrol registry: every registered controller is
-// a candidate by name, selected through the shared transport.WithCC
-// option rather than a hand-rolled constructor table, so a controller
-// added anywhere in the tree shows up here with zero changes.
+// a candidate by name, selected through sublayered.Config.CC rather
+// than a hand-rolled constructor table, so a controller added anywhere
+// in the tree shows up here with zero changes.
 //
 //	go run ./examples/ccswap            # every controller × every CM
 //	go run ./examples/ccswap -cc cubic  # one controller × every CM
@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/ccontrol"
 	"repro/internal/netsim"
-	"repro/internal/transport"
 	"repro/internal/transport/harness"
 	"repro/internal/transport/sublayered"
 )
@@ -68,13 +67,13 @@ func main() {
 	fmt.Printf("%-12s %-19s %-8s %s\n", "congestion", "connection-mgmt", "intact", "virtual-time")
 	for _, cc := range ccs {
 		for _, cm := range cms {
-			w := harness.New(harness.BackendSim,
-				harness.WithSeed(11),
-				harness.WithLink(netsim.LinkConfig{Delay: 2 * time.Millisecond, LossProb: 0.04, ReorderProb: 0.04}),
-				harness.WithStacks(harness.KindSublayeredNative, harness.KindSublayeredNative),
-				harness.WithSubConfig(sublayered.Config{NewCM: cm.mk()}),
-				harness.WithTransport(transport.WithCC(cc)),
-			)
+			w := harness.BuildWorld(harness.WorldConfig{
+				Seed:   11,
+				Link:   netsim.LinkConfig{Delay: 2 * time.Millisecond, LossProb: 0.04, ReorderProb: 0.04},
+				Client: harness.KindSublayeredNative,
+				Server: harness.KindSublayeredNative,
+				SubCfg: sublayered.Config{CC: cc, NewCM: cm.mk()},
+			})
 			res, err := harness.RunTransfer(w, data, nil, time.Hour)
 			if err != nil {
 				panic(err)

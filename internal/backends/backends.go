@@ -31,15 +31,6 @@ const (
 // suffix picks one.
 const DefaultShards = 4
 
-// ShardedKind renders the backend kind string selecting the sharded
-// simulator with n shards ("sharded:N").
-func ShardedKind(n int) string {
-	if n < 1 {
-		n = 1
-	}
-	return fmt.Sprintf("%s:%d", Sharded, n)
-}
-
 // Names lists every backend kind, sim first.
 func Names() []string { return []string{Sim, Sharded, Chan, UDP} }
 

@@ -23,7 +23,7 @@ type carriage struct {
 	src, dst netsim.Backend
 }
 
-var carriageKinds = []string{Sim, ShardedKind(2), Chan, UDP}
+var carriageKinds = []string{Sim, Sharded + ":2", Chan, UDP}
 
 func openCarriage(t *testing.T, kind string) *carriage {
 	t.Helper()

@@ -52,8 +52,9 @@ func arqDecap(data []byte) (kind arqKind, seq, ack uint16, payload []byte, ok bo
 func seq16Less(a, b uint16) bool { return int16(a-b) < 0 }
 
 // arqMetrics is the recovery-event instrument set shared by the three
-// ARQ schemes. Each scheme embeds it; Stats() projects it as a View
-// and BindMetrics adopts it into the registry.
+// ARQ schemes. Each scheme embeds it; each lists the instruments under
+// their leaf names, for Stats() to project as a View and BindMetrics
+// to adopt into the registry.
 type arqMetrics struct {
 	sent        metrics.Counter // data frames first transmitted
 	retransmits metrics.Counter
@@ -64,26 +65,14 @@ type arqMetrics struct {
 	gaveUp      metrics.Counter
 }
 
-func (m *arqMetrics) bind(sc *metrics.Scope) {
-	sc.Register("sent", &m.sent)
-	sc.Register("retransmits", &m.retransmits)
-	sc.Register("delivered", &m.delivered)
-	sc.Register("dup_dropped", &m.dupDropped)
-	sc.Register("err_dropped", &m.errDropped)
-	sc.Register("acks_sent", &m.acksSent)
-	sc.Register("gave_up", &m.gaveUp)
-}
-
-func (m *arqMetrics) view() metrics.View {
-	return metrics.View{
-		"sent":        m.sent.Value(),
-		"retransmits": m.retransmits.Value(),
-		"delivered":   m.delivered.Value(),
-		"dup_dropped": m.dupDropped.Value(),
-		"err_dropped": m.errDropped.Value(),
-		"acks_sent":   m.acksSent.Value(),
-		"gave_up":     m.gaveUp.Value(),
-	}
+func (m *arqMetrics) each(f func(string, metrics.Instrument)) {
+	f("sent", &m.sent)
+	f("retransmits", &m.retransmits)
+	f("delivered", &m.delivered)
+	f("dup_dropped", &m.dupDropped)
+	f("err_dropped", &m.errDropped)
+	f("acks_sent", &m.acksSent)
+	f("gave_up", &m.gaveUp)
 }
 
 // ARQConfig tunes an ARQ sublayer.

@@ -32,6 +32,13 @@ type bridgeMetrics struct {
 	filtered  metrics.Counter // destination on the arrival segment: no forward
 }
 
+func (m *bridgeMetrics) each(f func(string, metrics.Instrument)) {
+	f("learned", &m.learned)
+	f("forwarded", &m.forwarded)
+	f("flooded", &m.flooded)
+	f("filtered", &m.filtered)
+}
+
 // NewBridge creates a bridge across the given buses. The bridge's
 // stations use the reserved address 0xFE and a promiscuous receive
 // path (bridges see all frames on a shared medium).
@@ -55,22 +62,10 @@ func bridgePortName(i int) string {
 
 // Stats returns a view of the bridge counters (keys: learned,
 // forwarded, flooded, filtered).
-func (b *Bridge) Stats() metrics.View {
-	return metrics.View{
-		"learned":   b.m.learned.Value(),
-		"forwarded": b.m.forwarded.Value(),
-		"flooded":   b.m.flooded.Value(),
-		"filtered":  b.m.filtered.Value(),
-	}
-}
+func (b *Bridge) Stats() metrics.View { return metrics.ViewOf(b.m.each) }
 
 // BindMetrics implements metrics.Instrumented.
-func (b *Bridge) BindMetrics(sc *metrics.Scope) {
-	sc.Register("learned", &b.m.learned)
-	sc.Register("forwarded", &b.m.forwarded)
-	sc.Register("flooded", &b.m.flooded)
-	sc.Register("filtered", &b.m.filtered)
-}
+func (b *Bridge) BindMetrics(sc *metrics.Scope) { b.m.each(sc.Register) }
 
 // Table returns a copy of the learned address table.
 func (b *Bridge) Table() map[byte]int {

@@ -206,12 +206,12 @@ func (e *ErrDetect) HandleUp(p *sublayer.PDU) {
 
 // Stats returns a view of the verification counters (keys: passed,
 // failed).
-func (e *ErrDetect) Stats() metrics.View {
-	return metrics.View{"passed": e.passed.Value(), "failed": e.failed.Value()}
-}
+func (e *ErrDetect) Stats() metrics.View { return metrics.ViewOf(e.each) }
 
 // BindMetrics implements metrics.Instrumented.
-func (e *ErrDetect) BindMetrics(sc *metrics.Scope) {
-	sc.Register("passed", &e.passed)
-	sc.Register("failed", &e.failed)
+func (e *ErrDetect) BindMetrics(sc *metrics.Scope) { e.each(sc.Register) }
+
+func (e *ErrDetect) each(f func(string, metrics.Instrument)) {
+	f("passed", &e.passed)
+	f("failed", &e.failed)
 }

@@ -50,10 +50,10 @@ func (g *GoBackN) Service() string {
 func (g *GoBackN) Attach(rt sublayer.Runtime) { g.rt = rt }
 
 // Stats returns a view of the recovery counters.
-func (g *GoBackN) Stats() metrics.View { return g.m.view() }
+func (g *GoBackN) Stats() metrics.View { return metrics.ViewOf(g.m.each) }
 
 // BindMetrics implements metrics.Instrumented.
-func (g *GoBackN) BindMetrics(sc *metrics.Scope) { g.m.bind(sc) }
+func (g *GoBackN) BindMetrics(sc *metrics.Scope) { g.m.each(sc.Register) }
 
 // HandleDown queues a packet and fills the window.
 func (g *GoBackN) HandleDown(p *sublayer.PDU) {

@@ -43,12 +43,12 @@ type macMetrics struct {
 	filtered   metrics.Counter // frames addressed elsewhere
 }
 
-func (m *macMetrics) bind(sc *metrics.Scope) {
-	sc.Register("sent", &m.sent)
-	sc.Register("collisions", &m.collisions)
-	sc.Register("backoffs", &m.backoffs)
-	sc.Register("received", &m.received)
-	sc.Register("filtered", &m.filtered)
+func (m *macMetrics) each(f func(string, metrics.Instrument)) {
+	f("sent", &m.sent)
+	f("collisions", &m.collisions)
+	f("backoffs", &m.backoffs)
+	f("received", &m.received)
+	f("filtered", &m.filtered)
 }
 
 // Broadcast is the all-stations MAC address.
@@ -101,18 +101,10 @@ func (m *MAC) Attach(rt sublayer.Runtime) { m.rt = rt }
 
 // Stats returns a view of the MAC counters (keys: sent, collisions,
 // backoffs, received, filtered).
-func (m *MAC) Stats() metrics.View {
-	return metrics.View{
-		"sent":       m.m.sent.Value(),
-		"collisions": m.m.collisions.Value(),
-		"backoffs":   m.m.backoffs.Value(),
-		"received":   m.m.received.Value(),
-		"filtered":   m.m.filtered.Value(),
-	}
-}
+func (m *MAC) Stats() metrics.View { return metrics.ViewOf(m.m.each) }
 
 // BindMetrics implements metrics.Instrumented.
-func (m *MAC) BindMetrics(sc *metrics.Scope) { m.m.bind(sc) }
+func (m *MAC) BindMetrics(sc *metrics.Scope) { m.m.each(sc.Register) }
 
 // SendTo queues a payload for a specific station. The generic
 // HandleDown path broadcasts.

@@ -61,10 +61,10 @@ func (s *SelectiveRepeat) Service() string {
 func (s *SelectiveRepeat) Attach(rt sublayer.Runtime) { s.rt = rt }
 
 // Stats returns a view of the recovery counters.
-func (s *SelectiveRepeat) Stats() metrics.View { return s.m.view() }
+func (s *SelectiveRepeat) Stats() metrics.View { return metrics.ViewOf(s.m.each) }
 
 // BindMetrics implements metrics.Instrumented.
-func (s *SelectiveRepeat) BindMetrics(sc *metrics.Scope) { s.m.bind(sc) }
+func (s *SelectiveRepeat) BindMetrics(sc *metrics.Scope) { s.m.each(sc.Register) }
 
 // HandleDown queues a packet and fills the window.
 func (s *SelectiveRepeat) HandleDown(p *sublayer.PDU) {

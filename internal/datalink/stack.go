@@ -1,11 +1,9 @@
 package datalink
 
 import (
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/stuffing"
 	"repro/internal/sublayer"
-	"repro/internal/transport"
 )
 
 // StackConfig selects an implementation for each Fig. 2 sublayer.
@@ -41,47 +39,21 @@ func (c StackConfig) withDefaults() StackConfig {
 	return c
 }
 
-// Option configures NewStack beyond the sublayer selection. It is the
-// shared transport option set — datalink no longer grows its own.
-type Option = transport.Option
-
-// WithMetrics registers the stack's boundary counters and every
-// instrumented sublayer into reg under "<name>/datalink/...".
-//
-// Deprecation note: this is now an alias for transport.WithRegistry,
-// the shared option set; prefer that spelling in new code.
-func WithMetrics(reg *metrics.Registry) Option { return transport.WithRegistry(reg) }
-
 // NewStack composes a data-link endpoint per Fig. 2, top to bottom:
-// error recovery, error detection, framing, encoding. It accepts the
-// shared transport option set: WithRegistry adopts the stack's
-// instruments under "<name>/datalink", WithMetrics (scope form) adopts
-// them directly, WithTracer attaches a tracer to the backend.
-func NewStack(sim netsim.Backend, name string, cfg StackConfig, opts ...Option) (*sublayer.Stack, error) {
-	o := transport.Collect(opts)
+// error recovery, error detection, framing, encoding. The returned
+// sublayer.Stack's BindMetrics adopts the boundary counters and every
+// instrumented sublayer (conventionally under "<name>/datalink").
+func NewStack(sim netsim.Backend, name string, cfg StackConfig) (*sublayer.Stack, error) {
 	cfg = cfg.withDefaults()
 	layers := []sublayer.Sublayer{}
 	if !cfg.NoARQ {
 		layers = append(layers, cfg.ARQ)
 	}
-	st, err := sublayer.New(sim, name, append(layers,
+	return sublayer.New(sim, name, append(layers,
 		NewErrDetect(cfg.Checksum),
 		NewFraming(cfg.Framer),
 		NewEncoding(cfg.Code),
 	)...)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case o.Metrics != nil:
-		st.BindMetrics(o.Metrics)
-	case o.Registry != nil:
-		st.BindMetrics(o.Registry.Scope(name).Sub("datalink"))
-	}
-	if o.Tracer != nil {
-		sim.SetTracer(o.Tracer)
-	}
-	return st, nil
 }
 
 // Connect wires two data-link stacks over a duplex impaired link: each

@@ -46,10 +46,10 @@ func (s *StopAndWait) Service() string {
 func (s *StopAndWait) Attach(rt sublayer.Runtime) { s.rt = rt }
 
 // Stats returns a view of the recovery counters.
-func (s *StopAndWait) Stats() metrics.View { return s.m.view() }
+func (s *StopAndWait) Stats() metrics.View { return metrics.ViewOf(s.m.each) }
 
 // BindMetrics implements metrics.Instrumented.
-func (s *StopAndWait) BindMetrics(sc *metrics.Scope) { s.m.bind(sc) }
+func (s *StopAndWait) BindMetrics(sc *metrics.Scope) { s.m.each(sc.Register) }
 
 // HandleDown queues a packet and transmits if the channel is idle.
 func (s *StopAndWait) HandleDown(p *sublayer.PDU) {

@@ -54,8 +54,10 @@ func E1DataLink(cfg Config) *Result {
 	for vi, v := range variants {
 		reg := metrics.New()
 		sim := netsim.NewSimulator(seed, netsim.WithMetrics(reg))
-		a, _ := datalink.NewStack(sim, "A", v.cfg(), datalink.WithMetrics(reg))
-		b, _ := datalink.NewStack(sim, "B", v.cfg(), datalink.WithMetrics(reg))
+		a, _ := datalink.NewStack(sim, "A", v.cfg())
+		b, _ := datalink.NewStack(sim, "B", v.cfg())
+		a.BindMetrics(reg.Scope("A").Sub("datalink"))
+		b.BindMetrics(reg.Scope("B").Sub("datalink"))
 		delivered := 0
 		var wireBytes, wirePkts uint64
 		b.SetApp(func(p *sublayer.PDU) { delivered++ })

@@ -55,30 +55,16 @@ type injMetrics struct {
 	reorderWins   metrics.Counter
 }
 
-func (m *injMetrics) bind(sc *metrics.Scope) {
-	sc.Register("link_cuts", &m.linkCuts)
-	sc.Register("link_restores", &m.linkRestores)
-	sc.Register("partitions", &m.partitions)
-	sc.Register("heals", &m.heals)
-	sc.Register("crashes", &m.crashes)
-	sc.Register("restarts", &m.restarts)
-	sc.Register("ge_transitions", &m.geTransitions)
-	sc.Register("blackholes", &m.blackholes)
-	sc.Register("reorder_windows", &m.reorderWins)
-}
-
-func (m *injMetrics) view() metrics.View {
-	return metrics.View{
-		"link_cuts":       m.linkCuts.Value(),
-		"link_restores":   m.linkRestores.Value(),
-		"partitions":      m.partitions.Value(),
-		"heals":           m.heals.Value(),
-		"crashes":         m.crashes.Value(),
-		"restarts":        m.restarts.Value(),
-		"ge_transitions":  m.geTransitions.Value(),
-		"blackholes":      m.blackholes.Value(),
-		"reorder_windows": m.reorderWins.Value(),
-	}
+func (m *injMetrics) each(f func(string, metrics.Instrument)) {
+	f("link_cuts", &m.linkCuts)
+	f("link_restores", &m.linkRestores)
+	f("partitions", &m.partitions)
+	f("heals", &m.heals)
+	f("crashes", &m.crashes)
+	f("restarts", &m.restarts)
+	f("ge_transitions", &m.geTransitions)
+	f("blackholes", &m.blackholes)
+	f("reorder_windows", &m.reorderWins)
 }
 
 // New builds an injector over topo with its own RNG seeded by seed.
@@ -99,12 +85,12 @@ func (inj *Injector) uniform(span time.Duration) time.Duration {
 
 // BindMetrics adopts the injector's counters into sc (conventionally
 // a "faults" scope). Nil is a no-op.
-func (inj *Injector) BindMetrics(sc *metrics.Scope) { inj.m.bind(sc) }
+func (inj *Injector) BindMetrics(sc *metrics.Scope) { inj.m.each(sc.Register) }
 
 // Stats returns a view of the injector counters (keys: link_cuts,
 // link_restores, partitions, heals, crashes, restarts, ge_transitions,
 // blackholes).
-func (inj *Injector) Stats() metrics.View { return inj.m.view() }
+func (inj *Injector) Stats() metrics.View { return metrics.ViewOf(inj.m.each) }
 
 // sortedLinkKeys returns the topology's link keys in deterministic
 // order. Map iteration order must never reach the event queue.

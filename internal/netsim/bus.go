@@ -44,10 +44,10 @@ type busMetrics struct {
 	delivered     metrics.Counter
 }
 
-func (m *busMetrics) bind(sc *metrics.Scope) {
-	sc.Register("transmissions", &m.transmissions)
-	sc.Register("collisions", &m.collisions)
-	sc.Register("delivered", &m.delivered)
+func (m *busMetrics) each(f func(string, metrics.Instrument)) {
+	f("transmissions", &m.transmissions)
+	f("collisions", &m.collisions)
+	f("delivered", &m.delivered)
 }
 
 // Station is one attachment point on the bus.
@@ -68,7 +68,7 @@ func (s *Simulator) NewBus(rateBps int64, prop time.Duration) *Bus {
 	}
 	b := &Bus{sim: s, rate: rateBps, prop: prop}
 	if s.eng.msc != nil {
-		b.m.bind(s.eng.msc.Sub(fmt.Sprintf("bus%d", s.busSeq)))
+		b.m.each(s.eng.msc.Sub(fmt.Sprintf("bus%d", s.busSeq)).Register)
 	}
 	s.busSeq++
 	return b
@@ -83,13 +83,7 @@ func (b *Bus) Attach(recv Handler) *Station {
 
 // Stats returns a view of the bus counters (keys: transmissions,
 // collisions, delivered).
-func (b *Bus) Stats() metrics.View {
-	return metrics.View{
-		"transmissions": b.m.transmissions.Value(),
-		"collisions":    b.m.collisions.Value(),
-		"delivered":     b.m.delivered.Value(),
-	}
-}
+func (b *Bus) Stats() metrics.View { return metrics.ViewOf(b.m.each) }
 
 // Busy reports whether this station can hear a transmission on the
 // medium. Carrier from a transmission that started less than one

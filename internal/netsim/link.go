@@ -82,35 +82,20 @@ type LinkMetrics struct {
 	QueueDepth     metrics.Gauge
 }
 
-// Bind registers every counter into sc (typically "netsim/link<n>").
-func (m *LinkMetrics) Bind(sc *metrics.Scope) {
-	sc.Register("sent", &m.Sent)
-	sc.Register("delivered", &m.Delivered)
-	sc.Register("delivered_bytes", &m.DeliveredBytes)
-	sc.Register("lost", &m.Lost)
-	sc.Register("duplicate", &m.Duplicate)
-	sc.Register("reordered", &m.Reordered)
-	sc.Register("corrupted", &m.Corrupted)
-	sc.Register("queue_drop", &m.QueueDrop)
-	sc.Register("down_drop", metrics.CounterSum{&m.DownDrop, &m.DownDropRecv})
-	sc.Register("ecn_marked", &m.ECNMarked)
-	sc.Register("queue_depth", &m.QueueDepth)
-}
-
-// View snapshots the counters under their registry names.
-func (m *LinkMetrics) View() metrics.View {
-	return metrics.View{
-		"sent":            m.Sent.Value(),
-		"delivered":       m.Delivered.Value(),
-		"delivered_bytes": m.DeliveredBytes.Value(),
-		"lost":            m.Lost.Value(),
-		"duplicate":       m.Duplicate.Value(),
-		"reordered":       m.Reordered.Value(),
-		"corrupted":       m.Corrupted.Value(),
-		"queue_drop":      m.QueueDrop.Value(),
-		"down_drop":       m.DownDrop.Value() + m.DownDropRecv.Value(),
-		"ecn_marked":      m.ECNMarked.Value(),
-	}
+// each lists the link's instruments under their leaf names — the one
+// place they are named.
+func (m *LinkMetrics) each(f func(string, metrics.Instrument)) {
+	f("sent", &m.Sent)
+	f("delivered", &m.Delivered)
+	f("delivered_bytes", &m.DeliveredBytes)
+	f("lost", &m.Lost)
+	f("duplicate", &m.Duplicate)
+	f("reordered", &m.Reordered)
+	f("corrupted", &m.Corrupted)
+	f("queue_drop", &m.QueueDrop)
+	f("down_drop", metrics.CounterSum{&m.DownDrop, &m.DownDropRecv})
+	f("ecn_marked", &m.ECNMarked)
+	f("queue_depth", &m.QueueDepth)
 }
 
 // linkName renders the creation-order link identity every backend
@@ -152,13 +137,13 @@ type linkCore struct {
 }
 
 // init configures the core in place as the backend's idx-th link. It
-// must run on the core's final address: Bind hands out pointers to the
-// counters.
+// must run on the core's final address: registration hands out
+// pointers to the counters.
 func (l *linkCore) init(cfg LinkConfig, seed int64, idx int, msc *metrics.Scope) {
 	l.cfg, l.up, l.name = cfg, true, linkName(idx)
 	l.rng = rand.New(rand.NewSource(linkSeed(seed, idx)))
 	if msc != nil {
-		l.m.Bind(msc.Sub(l.name))
+		l.m.each(msc.Sub(l.name).Register)
 	}
 }
 
@@ -188,8 +173,8 @@ func (l *linkCore) SetDupProb(p float64) { l.cfg.DupProb = p }
 
 // Stats returns a view of the link counters (keys: sent, delivered,
 // delivered_bytes, lost, duplicate, reordered, corrupted, queue_drop,
-// down_drop, ecn_marked).
-func (l *linkCore) Stats() metrics.View { return l.m.View() }
+// down_drop, ecn_marked, queue_depth).
+func (l *linkCore) Stats() metrics.View { return metrics.ViewOf(l.m.each) }
 
 // Config returns the link's configuration.
 func (l *linkCore) Config() LinkConfig { return l.cfg }

@@ -343,12 +343,6 @@ type Option func(*Simulator)
 
 // WithMetrics registers the simulator's event counters and every
 // subsequently created Link and Bus into reg under "netsim/...".
-//
-// Deprecation note: world-building callers should not use this
-// directly anymore — construct through harness.New with
-// transport.WithRegistry, which plumbs the registry to whichever
-// backend is selected. This option remains for code driving a bare
-// Simulator.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(s *Simulator) { s.eng.msc = reg.Scope("netsim") }
 }

@@ -47,6 +47,13 @@ type dvMetrics struct {
 	routeChanges    metrics.Counter
 }
 
+func (m *dvMetrics) each(f func(string, metrics.Instrument)) {
+	f("adverts_sent", &m.advertsSent)
+	f("adverts_received", &m.advertsReceived)
+	f("triggered_sent", &m.triggeredSent)
+	f("route_changes", &m.routeChanges)
+}
+
 func (c DVConfig) withDefaults() DVConfig {
 	if c.AdvertiseInterval <= 0 {
 		c.AdvertiseInterval = 2 * time.Second
@@ -97,22 +104,10 @@ func (d *DistanceVector) Stop() {
 
 // Stats returns a view of the protocol counters (keys: adverts_sent,
 // adverts_received, triggered_sent, route_changes).
-func (d *DistanceVector) Stats() metrics.View {
-	return metrics.View{
-		"adverts_sent":     d.m.advertsSent.Value(),
-		"adverts_received": d.m.advertsReceived.Value(),
-		"triggered_sent":   d.m.triggeredSent.Value(),
-		"route_changes":    d.m.routeChanges.Value(),
-	}
-}
+func (d *DistanceVector) Stats() metrics.View { return metrics.ViewOf(d.m.each) }
 
 // BindMetrics implements metrics.Instrumented.
-func (d *DistanceVector) BindMetrics(sc *metrics.Scope) {
-	sc.Register("adverts_sent", &d.m.advertsSent)
-	sc.Register("adverts_received", &d.m.advertsReceived)
-	sc.Register("triggered_sent", &d.m.triggeredSent)
-	sc.Register("route_changes", &d.m.routeChanges)
-}
+func (d *DistanceVector) BindMetrics(sc *metrics.Scope) { d.m.each(sc.Register) }
 
 // OnNeighborChange implements RouteComputer: adopt direct routes to new
 // neighbors, poison routes through vanished ones.

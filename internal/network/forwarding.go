@@ -24,14 +24,14 @@ type forwardMetrics struct {
 	blackholed     metrics.Counter
 }
 
-func (m *forwardMetrics) bind(sc *metrics.Scope) {
-	sc.Register("originated", &m.originated)
-	sc.Register("forwarded", &m.forwarded)
-	sc.Register("local_delivered", &m.localDelivered)
-	sc.Register("no_route", &m.noRoute)
-	sc.Register("ttl_expired", &m.ttlExpired)
-	sc.Register("malformed", &m.malformed)
-	sc.Register("blackholed", &m.blackholed)
+func (m *forwardMetrics) each(f func(string, metrics.Instrument)) {
+	f("originated", &m.originated)
+	f("forwarded", &m.forwarded)
+	f("local_delivered", &m.localDelivered)
+	f("no_route", &m.noRoute)
+	f("ttl_expired", &m.ttlExpired)
+	f("malformed", &m.malformed)
+	f("blackholed", &m.blackholed)
 }
 
 // newForwarder is created by the Router.
@@ -67,14 +67,4 @@ func (f *Forwarder) FIB() map[Addr]Route {
 // Stats returns a view of the data-plane counters (keys: originated,
 // forwarded, local_delivered, no_route, ttl_expired, malformed,
 // blackholed).
-func (f *Forwarder) Stats() metrics.View {
-	return metrics.View{
-		"originated":      f.m.originated.Value(),
-		"forwarded":       f.m.forwarded.Value(),
-		"local_delivered": f.m.localDelivered.Value(),
-		"no_route":        f.m.noRoute.Value(),
-		"ttl_expired":     f.m.ttlExpired.Value(),
-		"malformed":       f.m.malformed.Value(),
-		"blackholed":      f.m.blackholed.Value(),
-	}
-}
+func (f *Forwarder) Stats() metrics.View { return metrics.ViewOf(f.m.each) }

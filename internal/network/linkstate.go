@@ -52,6 +52,13 @@ type lsMetrics struct {
 	spfRuns        metrics.Counter
 }
 
+func (m *lsMetrics) each(f func(string, metrics.Instrument)) {
+	f("lsps_originated", &m.lspsOriginated)
+	f("lsps_flooded", &m.lspsFlooded)
+	f("lsps_received", &m.lspsReceived)
+	f("spf_runs", &m.spfRuns)
+}
+
 func (c LSConfig) withDefaults() LSConfig {
 	if c.RefreshInterval <= 0 {
 		c.RefreshInterval = 10 * time.Second
@@ -93,22 +100,10 @@ func (l *LinkState) Stop() {
 
 // Stats returns a view of the protocol counters (keys:
 // lsps_originated, lsps_flooded, lsps_received, spf_runs).
-func (l *LinkState) Stats() metrics.View {
-	return metrics.View{
-		"lsps_originated": l.m.lspsOriginated.Value(),
-		"lsps_flooded":    l.m.lspsFlooded.Value(),
-		"lsps_received":   l.m.lspsReceived.Value(),
-		"spf_runs":        l.m.spfRuns.Value(),
-	}
-}
+func (l *LinkState) Stats() metrics.View { return metrics.ViewOf(l.m.each) }
 
 // BindMetrics implements metrics.Instrumented.
-func (l *LinkState) BindMetrics(sc *metrics.Scope) {
-	sc.Register("lsps_originated", &l.m.lspsOriginated)
-	sc.Register("lsps_flooded", &l.m.lspsFlooded)
-	sc.Register("lsps_received", &l.m.lspsReceived)
-	sc.Register("spf_runs", &l.m.spfRuns)
-}
+func (l *LinkState) BindMetrics(sc *metrics.Scope) { l.m.each(sc.Register) }
 
 // OnNeighborChange implements RouteComputer: re-originate and recompute.
 func (l *LinkState) OnNeighborChange() {

@@ -51,11 +51,11 @@ type neighborMetrics struct {
 	downs          metrics.Counter
 }
 
-func (m *neighborMetrics) bind(sc *metrics.Scope) {
-	sc.Register("hellos_sent", &m.hellosSent)
-	sc.Register("hellos_received", &m.hellosReceived)
-	sc.Register("ups", &m.ups)
-	sc.Register("downs", &m.downs)
+func (m *neighborMetrics) each(f func(string, metrics.Instrument)) {
+	f("hellos_sent", &m.hellosSent)
+	f("hellos_received", &m.hellosReceived)
+	f("ups", &m.ups)
+	f("downs", &m.downs)
 }
 
 func (c NeighborConfig) withDefaults() NeighborConfig {
@@ -164,11 +164,4 @@ func (n *NeighborTable) notify() {
 
 // Stats returns a view of the hello-protocol counters (keys:
 // hellos_sent, hellos_received, ups, downs).
-func (n *NeighborTable) Stats() metrics.View {
-	return metrics.View{
-		"hellos_sent":     n.m.hellosSent.Value(),
-		"hellos_received": n.m.hellosReceived.Value(),
-		"ups":             n.m.ups.Value(),
-		"downs":           n.m.downs.Value(),
-	}
-}
+func (n *NeighborTable) Stats() metrics.View { return metrics.ViewOf(n.m.each) }

@@ -113,8 +113,8 @@ func (r *Router) BindMetrics(sc *metrics.Scope) {
 		return
 	}
 	r.msc = sc
-	r.nt.m.bind(sc.Sub("neighbor"))
-	r.fwd.m.bind(sc.Sub("forwarding"))
+	r.nt.m.each(sc.Sub("neighbor").Register)
+	r.fwd.m.each(sc.Sub("forwarding").Register)
 	r.bindComputer()
 }
 

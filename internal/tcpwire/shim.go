@@ -50,30 +50,24 @@ type shimMetrics struct {
 	checksumRejected  metrics.Counter
 }
 
+func (m *shimMetrics) each(f func(string, metrics.Instrument)) {
+	f("outbound", &m.outbound)
+	f("inbound", &m.inbound)
+	f("unknown_isn", &m.unknownISN)
+	f("sack_stripped", &m.sackStripped)
+	f("checksum_rejected", &m.checksumRejected)
+}
+
 // NewShim returns a shim advertising the given MSS.
 func NewShim(mss uint16) *Shim {
 	return &Shim{MSS: mss, isns: make(map[FlowKey]uint32), peerSACK: make(map[FlowKey]bool)}
 }
 
 // Stats returns a snapshot of the shim counters.
-func (s *Shim) Stats() metrics.View {
-	return metrics.View{
-		"outbound":          s.m.outbound.Value(),
-		"inbound":           s.m.inbound.Value(),
-		"unknown_isn":       s.m.unknownISN.Value(),
-		"sack_stripped":     s.m.sackStripped.Value(),
-		"checksum_rejected": s.m.checksumRejected.Value(),
-	}
-}
+func (s *Shim) Stats() metrics.View { return metrics.ViewOf(s.m.each) }
 
 // BindMetrics adopts the shim counters into sc (metrics.Instrumented).
-func (s *Shim) BindMetrics(sc *metrics.Scope) {
-	sc.Register("outbound", &s.m.outbound)
-	sc.Register("inbound", &s.m.inbound)
-	sc.Register("unknown_isn", &s.m.unknownISN)
-	sc.Register("sack_stripped", &s.m.sackStripped)
-	sc.Register("checksum_rejected", &s.m.checksumRejected)
-}
+func (s *Shim) BindMetrics(sc *metrics.Scope) { s.m.each(sc.Register) }
 
 // ToTCP maps a sublayered header to a standard one (stateless except
 // for SACK-permission stripping).

@@ -21,11 +21,7 @@ var lossyLink = netsim.LinkConfig{Delay: time.Millisecond, LossProb: 0.02, Reord
 // given backend and returns the transfer result.
 func runBidirectional(t *testing.T, backend string, kind Kind, c2s, s2c []byte) *TransferResult {
 	t.Helper()
-	w := New(backend,
-		WithSeed(5),
-		WithLink(lossyLink),
-		WithStacks(kind, kind),
-	)
+	w := BuildWorld(WorldConfig{Backend: backend, Seed: 5, Link: lossyLink, Client: kind, Server: kind})
 	defer w.Close()
 	budget := time.Hour // virtual
 	if w.Realtime() {
@@ -95,7 +91,7 @@ func TestTransferOverUDPBackend(t *testing.T) {
 // the Backend contract: the causal-trace collector and the pcapng
 // capture path work unchanged on a real-time backend.
 func TestTracingOnChanBackend(t *testing.T) {
-	w := New(BackendChan, WithSeed(7), WithLink(netsim.LinkConfig{Delay: time.Millisecond}))
+	w := BuildWorld(WorldConfig{Backend: BackendChan, Seed: 7, Link: netsim.LinkConfig{Delay: time.Millisecond}})
 	defer w.Close()
 	col := trace.NewCollector(trace.Options{RingCap: 2048, DoneCap: 256})
 	var capture bytes.Buffer
@@ -122,13 +118,13 @@ func TestTracingOnChanBackend(t *testing.T) {
 	}
 }
 
-// TestNewBuilderDefaults pins the single construction path: New with
-// no options builds a working sim world with the documented defaults.
+// TestNewBuilderDefaults pins the single construction path: a zero
+// WorldConfig builds a working sim world with the documented defaults.
 func TestNewBuilderDefaults(t *testing.T) {
-	w := New(BackendSim)
+	w := BuildWorld(WorldConfig{})
 	defer w.Close()
-	if w.Backend != BackendSim || w.Realtime() {
-		t.Fatalf("default world misbuilt: backend=%q realtime=%v", w.Backend, w.Realtime())
+	if w.Sim.Name() != BackendSim || w.Realtime() {
+		t.Fatalf("default world misbuilt: backend=%q realtime=%v", w.Sim.Name(), w.Realtime())
 	}
 	if len(w.Topo.Routers) != 4 {
 		t.Fatalf("default hops = %d, want 4", len(w.Topo.Routers))

@@ -34,8 +34,6 @@ type ClusterConfig struct {
 	Link netsim.LinkConfig
 	// Kind selects the transport implementation every member runs.
 	Kind Kind
-	// Opts apply to every member's stack (transport.WithCC and friends).
-	Opts []transport.Option
 	// Contracts, when non-nil, is called once per sublayered member and
 	// the returned checker is wired into that member's stack — one
 	// checker per host, so on a sharded engine no checker is ever
@@ -97,20 +95,11 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Link == (netsim.LinkConfig{}) {
 		cfg.Link = netsim.LinkConfig{Delay: 2 * time.Millisecond, RateBps: 4_000_000, QueueLimit: 64}
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = transport.Collect(cfg.Opts).Registry
-	}
 	b, err := NewBackend(cfg.Backend, cfg.Seed, cfg.Metrics)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
 	rt := Realtime(cfg.Backend)
-	ncfg := network.NeighborConfig{HelloInterval: 200 * time.Millisecond}
-	dvInterval := 500 * time.Millisecond
-	if rt {
-		ncfg.HelloInterval = 50 * time.Millisecond
-		dvInterval = 100 * time.Millisecond
-	}
 	// Per-edge delays are staggered by a small deterministic skew, and
 	// the ring-closing edge costs 2 so the cycle's total cost is odd.
 	// Both choices serve cross-engine determinism on a topology with
@@ -135,17 +124,11 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 	}
 	cl := &Cluster{Sim: b, Backend: cfg.Backend, Checkers: make(map[network.Addr]*verify.Checker)}
 	b.Exec(func() {
-		cl.Topo = network.BuildTopology(b, edges, cfg.Link, ncfg,
-			func() network.RouteComputer {
-				return network.NewDistanceVector(network.DVConfig{AdvertiseInterval: dvInterval})
-			})
-		if cfg.Metrics != nil {
-			cl.Topo.BindMetrics(cfg.Metrics)
-		}
+		cl.Topo = buildTopology(b, rt, edges, cfg.Link, cfg.Metrics)
 		for i := 1; i <= cfg.Nodes; i++ {
 			addr := network.Addr(i)
 			hb := cl.Topo.Backend(addr)
-			wcfg := WorldConfig{Opts: cfg.Opts}
+			var wcfg WorldConfig
 			if cfg.Kind != KindMonolithic && cfg.Contracts != nil {
 				ck := cfg.Contracts(addr)
 				cl.Checkers[addr] = ck
@@ -156,37 +139,13 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 		}
 	})
 	if rt {
-		waitClusterConverged(cl, 10*time.Second)
+		members := make([]network.Addr, len(cl.Hosts))
+		for i, h := range cl.Hosts {
+			members[i] = h.Addr
+		}
+		waitConverged(b, cl.Topo, members, 10*time.Second)
 	} else {
 		b.RunFor(5 * time.Second)
 	}
 	return cl
-}
-
-// waitClusterConverged polls until every router has a route to every
-// member (or the wall budget runs out — traffic then surfaces the gap
-// as no_route drops, which is more debuggable than hanging).
-func waitClusterConverged(cl *Cluster, budget time.Duration) {
-	deadline := time.Now().Add(budget)
-	for {
-		ok := true
-		cl.Exec(func() {
-			for _, h := range cl.Hosts {
-				r := cl.Topo.Routers[h.Addr]
-				for _, other := range cl.Hosts {
-					if other.Addr == h.Addr {
-						continue
-					}
-					if _, found := r.Forwarder().Lookup(other.Addr); !found {
-						ok = false
-						return
-					}
-				}
-			}
-		})
-		if ok || time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

@@ -1,13 +1,19 @@
 // Package harness builds worlds: a backend, a topology and a transport
-// stack per end host, in one call, on any substrate. Both TCP
-// implementations — sublayered (internal/transport/sublayered,
-// optionally behind the §3.1 shim) and monolithic
-// (internal/transport/monolithic) — satisfy transport.Conn themselves;
-// the two Stack wrappers here add only the transport.Stack signatures
-// Go's invariant func types force. So the interop matrix (E4), the
-// performance comparison (E7), the chaos soak (E10), the many-flow
-// workload engine (E11) and the examples drive either implementation
-// with the same code.
+// stack per end host, in one call, on any substrate. A world is
+// described by one struct literal — WorldConfig for BuildWorld's
+// two-ended lines, ClusterConfig for BuildCluster's N-host ring — and
+// that literal is the whole construction surface: substrate, topology,
+// stack kind, each stack's own Config (SubCfg, MonoCfg) and the metrics
+// registry are fields of it.
+//
+// Both TCP implementations — sublayered
+// (internal/transport/sublayered, optionally behind the §3.1 shim) and
+// monolithic (internal/transport/monolithic) — satisfy transport.Conn
+// themselves; the two Stack wrappers here add only the transport.Stack
+// signatures Go's invariant func types force. So the interop matrix
+// (E4), the performance comparison (E7), the chaos soak (E10), the
+// many-flow workload engine (E11) and the examples drive either
+// implementation with the same code.
 package harness
 
 import (
@@ -23,8 +29,8 @@ import (
 	"repro/internal/verify"
 )
 
-// Sublayered is a sublayered stack as a transport.Stack: Addr, Close
-// and BindMetrics are the embedded stack's; Listen and Dial only widen
+// Sublayered is a sublayered stack as a transport.Stack: Addr and
+// Close are the embedded stack's; Listen and Dial only widen
 // *sublayered.Conn to transport.Conn.
 type Sublayered struct{ *sublayered.Stack }
 
@@ -170,10 +176,6 @@ type WorldConfig struct {
 	Tracker *verify.Tracker // attached to both transports (E6)
 	SubCfg  sublayered.Config
 	MonoCfg monolithic.Config
-	// Opts apply to both end hosts' stacks regardless of Kind — the
-	// shared construction surface (transport.WithCC and friends).
-	// transport.WithRegistry here is equivalent to setting Metrics.
-	Opts []transport.Option
 	// Metrics, when non-nil, adopts every instrument in the world: the
 	// backend and links under "netsim/...", each router under
 	// "n<addr>/network/..." and each end host's transport under
@@ -190,24 +192,11 @@ func BuildWorld(cfg WorldConfig) *World {
 	if cfg.Hops < 2 {
 		cfg.Hops = 4
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = transport.Collect(cfg.Opts).Registry
-	}
 	b, err := NewBackend(cfg.Backend, cfg.Seed, cfg.Metrics)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
 	rt := Realtime(cfg.Backend)
-	// The simulator keeps its historical control-plane cadence (the
-	// determinism gate depends on it); the real-time backends use a
-	// faster one so convergence costs tens of wall milliseconds, not
-	// seconds.
-	ncfg := network.NeighborConfig{HelloInterval: 200 * time.Millisecond}
-	dvInterval := 500 * time.Millisecond
-	if rt {
-		ncfg.HelloInterval = 50 * time.Millisecond
-		dvInterval = 100 * time.Millisecond
-	}
 	pairs := cfg.Pairs
 	if pairs < 1 {
 		pairs = 1
@@ -230,13 +219,7 @@ func BuildWorld(cfg WorldConfig) *World {
 	// race the remaining wiring, so the whole build runs under the
 	// backend lock.
 	b.Exec(func() {
-		w.Topo = network.BuildTopology(b, edges, cfg.Link, ncfg,
-			func() network.RouteComputer {
-				return network.NewDistanceVector(network.DVConfig{AdvertiseInterval: dvInterval})
-			})
-		if cfg.Metrics != nil {
-			w.Topo.BindMetrics(cfg.Metrics)
-		}
+		w.Topo = buildTopology(b, rt, edges, cfg.Link, cfg.Metrics)
 		for p := 0; p < pairs; p++ {
 			ca := network.Addr(p*cfg.Hops + 1)
 			sa := network.Addr((p + 1) * cfg.Hops)
@@ -252,31 +235,49 @@ func BuildWorld(cfg WorldConfig) *World {
 		w.ClientB, w.ServerB = w.Ends[0].ClientB, w.Ends[0].ServerB
 	})
 	if rt {
-		waitConverged(w, 10*time.Second)
+		waitConverged(b, w.Topo, []network.Addr{1, w.ServerAddr()}, 10*time.Second)
 	} else {
 		b.RunFor(5 * time.Second)
 	}
 	return w
 }
 
-// waitConverged polls until every router has a route to both end
-// hosts (or the wall budget runs out — data traffic then surfaces the
-// failure as no_route drops, which is more debuggable than hanging).
-func waitConverged(w *World, budget time.Duration) {
-	client, server := network.Addr(1), w.ServerAddr()
+// buildTopology wires edges on b with distance-vector routing at the
+// backend's control-plane cadence and adopts the routers' instruments
+// into reg. The simulator keeps its historical cadence (the
+// determinism gate depends on it); the real-time backends use a faster
+// one so convergence costs tens of wall milliseconds, not seconds.
+func buildTopology(b netsim.Backend, rt bool, edges []network.Edge, link netsim.LinkConfig, reg *metrics.Registry) *network.Topology {
+	ncfg := network.NeighborConfig{HelloInterval: 200 * time.Millisecond}
+	dvInterval := 500 * time.Millisecond
+	if rt {
+		ncfg.HelloInterval = 50 * time.Millisecond
+		dvInterval = 100 * time.Millisecond
+	}
+	topo := network.BuildTopology(b, edges, link, ncfg,
+		func() network.RouteComputer {
+			return network.NewDistanceVector(network.DVConfig{AdvertiseInterval: dvInterval})
+		})
+	if reg != nil {
+		topo.BindMetrics(reg)
+	}
+	return topo
+}
+
+// waitConverged polls until every router has a route to every host in
+// hosts (or the wall budget runs out — traffic then surfaces the gap
+// as no_route drops, which is more debuggable than hanging).
+func waitConverged(b netsim.Backend, topo *network.Topology, hosts []network.Addr, budget time.Duration) {
 	deadline := time.Now().Add(budget)
 	for {
 		ok := true
-		w.Exec(func() {
-			for addr, r := range w.Topo.Routers {
-				if addr != client {
-					if _, found := r.Forwarder().Lookup(client); !found {
-						ok = false
-						return
+		b.Exec(func() {
+			for addr, r := range topo.Routers {
+				for _, h := range hosts {
+					if addr == h {
+						continue
 					}
-				}
-				if addr != server {
-					if _, found := r.Forwarder().Lookup(server); !found {
+					if _, found := r.Forwarder().Lookup(h); !found {
 						ok = false
 						return
 					}
@@ -304,7 +305,7 @@ func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConf
 		mc := cfg.MonoCfg
 		mc.Tracker = tracker
 		mc.Metrics = msc
-		return &Monolithic{monolithic.NewStack(sim, r, mc, cfg.Opts...)}
+		return &Monolithic{monolithic.NewStack(sim, r, mc)}
 	}
 	sc := cfg.SubCfg
 	if k == KindSublayeredShim {
@@ -312,23 +313,12 @@ func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConf
 	}
 	sc.Tracker = tracker
 	sc.Metrics = msc
-	return &Sublayered{sublayered.NewStack(sim, r, sc, cfg.Opts...)}
+	return &Sublayered{sublayered.NewStack(sim, r, sc)}
 }
 
 // ServerAddr returns the primary pair's server address (the far end
 // host of a single-pair world).
-func (w *World) ServerAddr() network.Addr {
-	if len(w.Ends) > 0 {
-		return w.Ends[0].ServerAddr
-	}
-	var maxAddr network.Addr
-	for a := range w.Topo.Routers {
-		if a > maxAddr {
-			maxAddr = a
-		}
-	}
-	return maxAddr
-}
+func (w *World) ServerAddr() network.Addr { return w.Ends[0].ServerAddr }
 
 // TransferResult is what RunTransfer observed.
 type TransferResult struct {
@@ -357,12 +347,6 @@ func RunTransfer(w *World, c2s, s2c []byte, budget time.Duration) (*TransferResu
 	// coherent. Index 0 is only ever written on the server's shard and
 	// index 1 on the client's (single-writer rule).
 	clientB, serverB := w.ClientB, w.ServerB
-	if clientB == nil {
-		clientB = w.Sim
-	}
-	if serverB == nil {
-		serverB = w.Sim
-	}
 	w.Exec(func() {
 		start = w.Sim.Now()
 		markDone := func(i int, b netsim.Backend) {

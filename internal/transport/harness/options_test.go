@@ -10,11 +10,11 @@ import (
 	"repro/internal/transport/sublayered"
 )
 
-// TestSharedOptionsSelectController proves the functional-options
-// surface is truly stack-agnostic: the same WorldConfig.Opts literal
-// selects the congestion controller on the sublayered native stack, the
-// shim, and the monolithic baseline — and across an interop pair where
-// the two ends run different implementations of the same controller.
+// TestSharedOptionsSelectController proves controller selection is
+// stack-agnostic: the same name in SubCfg.CC and MonoCfg.CC selects
+// the congestion controller on the sublayered native stack, the shim,
+// and the monolithic baseline — and across an interop pair where the
+// two ends run different implementations of the same controller.
 func TestSharedOptionsSelectController(t *testing.T) {
 	kinds := []Kind{KindSublayeredNative, KindSublayeredShim, KindMonolithic}
 	seed := int64(70)
@@ -25,7 +25,8 @@ func TestSharedOptionsSelectController(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			w := BuildWorld(WorldConfig{
 				Seed: s, Link: nastyLink(), Client: k, Server: k,
-				Opts: []transport.Option{transport.WithCC("cubic")},
+				SubCfg:  sublayered.Config{CC: "cubic"},
+				MonoCfg: monolithic.Config{CC: "cubic"},
 			})
 			data := randBytes(60_000, s)
 			res, err := RunTransfer(w, data, nil, 5*time.Minute)
@@ -40,10 +41,11 @@ func TestSharedOptionsSelectController(t *testing.T) {
 			}
 		})
 	}
-	// Cross-implementation: shim client, monolithic server, one option.
+	// Cross-implementation: shim client, monolithic server, one name.
 	w := BuildWorld(WorldConfig{
 		Seed: 99, Link: nastyLink(), Client: KindSublayeredShim, Server: KindMonolithic,
-		Opts: []transport.Option{transport.WithCC("bbrlite")},
+		SubCfg:  sublayered.Config{CC: "bbrlite"},
+		MonoCfg: monolithic.Config{CC: "bbrlite"},
 	})
 	data := randBytes(60_000, 99)
 	res, err := RunTransfer(w, data, nil, 5*time.Minute)

@@ -35,12 +35,8 @@ func TestCrossShardDifferential(t *testing.T) {
 		snaps := map[string][]byte{}
 		for _, backend := range shardedBackends {
 			reg := metrics.New()
-			w := New(backend,
-				WithSeed(5),
-				WithLink(lossyLink),
-				WithStacks(kind, kind),
-				WithTransport(transport.WithRegistry(reg)),
-			)
+			w := BuildWorld(WorldConfig{Backend: backend, Seed: 5, Link: lossyLink,
+				Client: kind, Server: kind, Metrics: reg})
 			res, err := RunTransfer(w, c2s, s2c, time.Hour)
 			w.Close()
 			if err != nil {
@@ -117,12 +113,8 @@ func TestShardedMultiPairWorld(t *testing.T) {
 	const pairs = 4
 	payload := []byte("multi-pair payload")
 	for _, backend := range []string{BackendSim, "sharded:4"} {
-		w := New(backend,
-			WithSeed(11),
-			WithLink(netsim.LinkConfig{Delay: time.Millisecond}),
-			WithHops(2),
-			WithPairs(pairs),
-		)
+		w := BuildWorld(WorldConfig{Backend: backend, Seed: 11,
+			Link: netsim.LinkConfig{Delay: time.Millisecond}, Hops: 2, Pairs: pairs})
 		if len(w.Ends) != pairs {
 			t.Fatalf("%s: %d ends, want %d", backend, len(w.Ends), pairs)
 		}

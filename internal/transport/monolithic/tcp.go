@@ -129,30 +129,16 @@ type tcpMetrics struct {
 	rttMs           *metrics.Histogram
 }
 
-func (m *tcpMetrics) bind(sc *metrics.Scope) {
-	sc.Register("segments_in", &m.segmentsIn)
-	sc.Register("segments_out", &m.segmentsOut)
-	sc.Register("checksum_errors", &m.checksumErrors)
-	sc.Register("retransmits", &m.retransmits)
-	sc.Register("fast_retransmits", &m.fastRetransmits)
-	sc.Register("timeouts", &m.timeouts)
-	sc.Register("rsts_sent", &m.rstsSent)
-	sc.Register("aborts", &m.aborts)
-	sc.Register("rtt_ms", m.rttMs)
-}
-
-func (m *tcpMetrics) view() metrics.View {
-	return metrics.View{
-		"segments_in":      m.segmentsIn.Value(),
-		"segments_out":     m.segmentsOut.Value(),
-		"checksum_errors":  m.checksumErrors.Value(),
-		"retransmits":      m.retransmits.Value(),
-		"fast_retransmits": m.fastRetransmits.Value(),
-		"timeouts":         m.timeouts.Value(),
-		"rsts_sent":        m.rstsSent.Value(),
-		"aborts":           m.aborts.Value(),
-		"rtt_samples":      m.rttMs.Count(),
-	}
+func (m *tcpMetrics) each(f func(string, metrics.Instrument)) {
+	f("segments_in", &m.segmentsIn)
+	f("segments_out", &m.segmentsOut)
+	f("checksum_errors", &m.checksumErrors)
+	f("retransmits", &m.retransmits)
+	f("fast_retransmits", &m.fastRetransmits)
+	f("timeouts", &m.timeouts)
+	f("rsts_sent", &m.rstsSent)
+	f("aborts", &m.aborts)
+	f("rtt_ms", m.rttMs)
 }
 
 // Stack is one host's monolithic TCP.
@@ -182,21 +168,9 @@ type Listener struct {
 	OnAccept func(*PCB)
 }
 
-// NewStack attaches a monolithic TCP to a router (claims ProtoTCP).
-// Trailing transport.Options (WithCC, WithMetrics, WithTracer) override
-// the corresponding Config fields — the construction surface shared
-// with the sublayered stack.
-func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...transport.Option) *Stack {
-	o := transport.Collect(opts)
-	if o.CC != "" {
-		cfg.CC = o.CC
-	}
-	if o.Metrics != nil {
-		cfg.Metrics = o.Metrics
-	}
-	if o.Tracer != nil {
-		sim.SetTracer(o.Tracer)
-	}
+// NewStack attaches a monolithic TCP to a router (claims ProtoTCP) and
+// adopts its instruments under cfg.Metrics as "tcp/...".
+func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 	s := &Stack{
 		sim:       sim,
 		router:    router,
@@ -207,19 +181,8 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...tr
 	}
 	s.m.rttMs = metrics.NewHistogram(rttBoundsMs...)
 	router.Handle(network.ProtoTCP, s.tcpInput)
-	s.BindMetrics(cfg.Metrics)
+	s.m.each(cfg.Metrics.Sub("tcp").Register)
 	return s
-}
-
-// BindMetrics adopts the stack's instruments under sc as "tcp/...".
-// Equivalent to constructing with Config.Metrics; call at most once
-// with a non-nil scope. A nil scope is a no-op.
-func (s *Stack) BindMetrics(sc *metrics.Scope) {
-	if sc == nil {
-		return
-	}
-	s.cfg.Metrics = sc
-	s.m.bind(sc.Sub("tcp"))
 }
 
 // Close aborts every open PCB (RST to the peer, ErrReset locally) and
@@ -240,7 +203,7 @@ func (s *Stack) Close() error {
 }
 
 // Stats returns a snapshot of stack counters.
-func (s *Stack) Stats() metrics.View { return s.m.view() }
+func (s *Stack) Stats() metrics.View { return metrics.ViewOf(s.m.each) }
 
 // RTTHistogram exposes the RTT sample distribution (milliseconds).
 func (s *Stack) RTTHistogram() *metrics.Histogram { return s.m.rttMs }

@@ -1,21 +1,23 @@
 // Package transport defines the uniform surface both TCP
 // implementations expose: Stack (one host's transport: Listen, Dial,
-// Close, metrics-scope attachment) and Conn (one connection's byte
-// stream). The sublayered stack (internal/transport/sublayered, native
-// Fig. 6 wire format or behind the §3.1 shim) and the monolithic
-// baseline (internal/transport/monolithic) implement Conn directly
+// Close) and Conn (one connection's byte stream). The sublayered stack
+// (internal/transport/sublayered, native Fig. 6 wire format or behind
+// the §3.1 shim) and the monolithic baseline
+// (internal/transport/monolithic) implement Conn directly
 // (*sublayered.Conn, *monolithic.PCB); internal/transport/harness wraps
 // each concrete Stack only to give Listen and Dial the interface
 // signatures. So the experiments, the interop matrix and the many-flow
 // workload engine (internal/workload) drive either implementation — or
 // both at once — with the same code, and a caller that needs
 // sublayer-level state type-asserts the Conn to its concrete type.
+//
+// A stack is built from its package's Config struct and nothing else:
+// sublayered.Config and monolithic.Config each carry CC (the congestion
+// controller, by ccontrol registry name) and Metrics (the registry
+// scope NewStack adopts the stack's instruments under).
 package transport
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/network"
-)
+import "repro/internal/network"
 
 // Conn is the byte-stream surface of one connection, implemented by
 // both TCPs. All methods run inside simulator events.
@@ -55,9 +57,4 @@ type Stack interface {
 	Dial(dst network.Addr, port uint16) (Conn, error)
 	// Close aborts every open connection and releases every listener.
 	Close() error
-	// BindMetrics adopts the stack's instruments under sc. Call it at
-	// most once with a non-nil scope, before any connection exists
-	// (later connections register under the same scope). A nil scope
-	// is a no-op.
-	BindMetrics(sc *metrics.Scope)
 }

@@ -119,14 +119,12 @@ type muxMetrics struct {
 	malformed      metrics.Counter
 }
 
-func (m *muxMetrics) view() metrics.View {
-	return metrics.View{
-		"frames_sent":     m.framesSent.Value(),
-		"frames_received": m.framesReceived.Value(),
-		"bytes_sent":      m.bytesSent.Value(),
-		"bytes_received":  m.bytesReceived.Value(),
-		"malformed":       m.malformed.Value(),
-	}
+func (m *muxMetrics) each(f func(string, metrics.Instrument)) {
+	f("frames_sent", &m.framesSent)
+	f("frames_received", &m.framesReceived)
+	f("bytes_sent", &m.bytesSent)
+	f("bytes_received", &m.bytesReceived)
+	f("malformed", &m.malformed)
 }
 
 // NewMux wraps a transport endpoint. Odd/even id spaces avoid
@@ -150,16 +148,10 @@ func (m *Mux) Open() *Stream {
 }
 
 // Stats returns a snapshot of the mux counters.
-func (m *Mux) Stats() metrics.View { return m.m.view() }
+func (m *Mux) Stats() metrics.View { return metrics.ViewOf(m.m.each) }
 
 // BindMetrics adopts the mux counters into sc (metrics.Instrumented).
-func (m *Mux) BindMetrics(sc *metrics.Scope) {
-	sc.Register("frames_sent", &m.m.framesSent)
-	sc.Register("frames_received", &m.m.framesReceived)
-	sc.Register("bytes_sent", &m.m.bytesSent)
-	sc.Register("bytes_received", &m.m.bytesReceived)
-	sc.Register("malformed", &m.m.malformed)
-}
+func (m *Mux) BindMetrics(sc *metrics.Scope) { m.m.each(sc.Register) }
 
 // Streams returns the number of streams known.
 func (m *Mux) Streams() int { return len(m.streams) }

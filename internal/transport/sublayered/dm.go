@@ -167,21 +167,9 @@ type Stack struct {
 
 // NewStack attaches a sublayered transport to a router. In shim mode
 // it claims the router's ProtoTCP handler; in native mode ProtoSubTCP.
-// Trailing transport.Options (WithCC, WithMetrics, WithTracer) override
-// the corresponding Config fields — the construction surface shared
-// with the monolithic stack.
-func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...transport.Option) *Stack {
-	o := transport.Collect(opts)
-	if o.CC != "" {
-		cfg.CC = o.CC
-		cfg.NewCC = nil
-	}
-	if o.Metrics != nil {
-		cfg.Metrics = o.Metrics
-	}
-	if o.Tracer != nil {
-		sim.SetTracer(o.Tracer)
-	}
+// The stack's instruments are adopted under cfg.Metrics: "dm/...",
+// "shim/..." and "conn<n>/..." for each connection as it is created.
+func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 	s := &Stack{sim: sim, router: router, cfg: cfg.withDefaults(),
 		traceName: router.Addr().String() + "/sub"}
 	s.dm = &DM{
@@ -195,23 +183,11 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...tr
 	} else {
 		router.Handle(network.ProtoSubTCP, s.dm.receive)
 	}
-	s.BindMetrics(s.cfg.Metrics)
-	return s
-}
-
-// BindMetrics adopts the stack's instruments under sc ("dm/...",
-// "shim/..." and "conn<n>/..." for subsequently created connections).
-// Equivalent to constructing with Config.Metrics; call at most once
-// with a non-nil scope, before any connection exists.
-func (s *Stack) BindMetrics(sc *metrics.Scope) {
-	if sc == nil {
-		return
-	}
-	s.cfg.Metrics = sc
-	s.dm.m.each(sc.Sub("dm").Register)
+	s.dm.m.each(s.cfg.Metrics.Sub("dm").Register)
 	if s.shim != nil {
-		s.shim.BindMetrics(sc.Sub("shim"))
+		s.shim.BindMetrics(s.cfg.Metrics.Sub("shim"))
 	}
+	return s
 }
 
 // Close aborts every open connection (RST to the peer, ErrReset

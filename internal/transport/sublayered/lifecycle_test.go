@@ -19,10 +19,7 @@ import (
 // window is measured first and taken out.
 func flowAllocs(t *testing.T, kind harness.Kind) float64 {
 	t.Helper()
-	w := harness.New(harness.BackendSim,
-		harness.WithHops(2),
-		harness.WithStacks(kind, kind),
-		harness.WithTransport(transport.WithRegistry(metrics.New())))
+	w := harness.BuildWorld(harness.WorldConfig{Hops: 2, Client: kind, Server: kind, Metrics: metrics.New()})
 	defer w.Close()
 	payload := make([]byte, 2048)
 	got := 0

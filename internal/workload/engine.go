@@ -73,7 +73,7 @@ type Config struct {
 	Tracer netsim.Tracer
 	// CC selects the congestion controller by ccontrol registry name on
 	// both end hosts ("" keeps each stack's default, newreno). The engine
-	// threads it through transport.WithCC, so the swap is invisible to
+	// sets it as SubCfg.CC and MonoCfg.CC, so the swap is invisible to
 	// everything below this Config — the E12 bake-off axis.
 	CC string
 	// Script, when it has steps, is a fault schedule applied to the
@@ -195,9 +195,7 @@ func Run(cfg Config) *Report {
 		Pairs: cfg.Pairs, Client: cfg.Client, Server: cfg.Server,
 		Metrics: reg,
 	}
-	if cfg.CC != "" {
-		wcfg.Opts = []transport.Option{transport.WithCC(cfg.CC)}
-	}
+	wcfg.SubCfg.CC, wcfg.MonoCfg.CC = cfg.CC, cfg.CC
 	w := harness.BuildWorld(wcfg)
 	defer w.Close()
 	w.Exec(func() {
