@@ -216,11 +216,15 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 	// --- data processing ---
 	if len(payload) > 0 {
 		off, ok := p.rcvOffset(seg.Seq(h.Seq))
-		if ok {
+		// Acceptability, upper edge: a segment ending beyond what the
+		// receive buffer could ever have advertised is dropped and
+		// re-acknowledged, or a peer that ignores the window could park
+		// unbounded bytes here.
+		if ok && off+uint64(len(payload)) <= p.reasm.Next()+uint64(s.cfg.RecvBuf) {
 			out := p.reasm.Insert(off, payload)
 			s.tw("pcb.reasm", "pcb.rcv_nxt")
 			if len(out) > 0 {
-				p.readBuf = append(p.readBuf, out...)
+				p.read.Append(out)
 				if p.OnReadable != nil {
 					p.OnReadable()
 				}
@@ -276,6 +280,9 @@ func (p *PCB) syncRcvNxt() {
 func (p *PCB) checkEOF() {
 	if p.rcvdFin && !p.eof && p.reasm.Next() >= p.finOffset {
 		p.eof = true
+		// The stream is whole: nothing is left to paste or to push.
+		p.reasm.Release()
+		p.read.Finish()
 		switch p.state {
 		case stEstablished:
 			p.state = stCloseWait

@@ -440,3 +440,110 @@ func TestCCSwapCompletesTransfer(t *testing.T) {
 		})
 	}
 }
+
+// TestSegmentAboveWindowIsNotHeld: a peer that ignores the advertised
+// window cannot make the receiver hold its bytes. A hand-built data
+// segment ending one byte beyond rcv_nxt + RecvBuf is dropped and
+// re-acknowledged; one ending exactly there is still accepted; and the
+// connection carries a transfer afterwards.
+func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
+	const recvBuf = 8000
+	w := newWorld(t, 14, cleanLink(), Config{}, Config{RecvBuf: recvBuf})
+	lis, _ := w.server.Listen(80)
+	var sp *PCB
+	var got []byte
+	lis.OnAccept = func(p *PCB) {
+		sp = p
+		p.OnReadable = func() { got = append(got, p.ReadAll()...) }
+	}
+	cc, _ := w.client.Dial(4, 80)
+	w.sim.RunFor(time.Second)
+	if sp == nil || sp.State() != "ESTABLISHED" {
+		t.Fatal("not established")
+	}
+	inject := func(endsAt int) {
+		payload := make([]byte, 500)
+		h := &tcpwire.TCPHeader{
+			SrcPort: cc.LocalPort(), DstPort: 80,
+			Seq: uint32(sp.rcvNxt.Add(endsAt - len(payload))), Ack: uint32(sp.sndNxt),
+			Flags: tcpwire.FlagACK, WScale: -1,
+		}
+		_ = w.topo.Routers[1].Send(4, network.ProtoTCP, h.Marshal(payload, 1, 4))
+		w.sim.RunFor(time.Second)
+	}
+	inject(recvBuf + 1)
+	inject(1 << 20)
+	if n := sp.reasm.Buffered(); n != 0 {
+		t.Errorf("segments above the window: %d bytes held in reassembly", n)
+	}
+	inject(recvBuf)
+	if n := sp.reasm.Buffered(); n != 500 {
+		t.Errorf("segment ending at the edge of the buffer: %d bytes held, want 500", n)
+	}
+
+	// The forged bytes at the edge are zeros; send zeros, so the stream
+	// reads the same whichever copy of them is delivered.
+	msg := make([]byte, 20_000)
+	if n := cc.Write(msg); n != len(msg) {
+		t.Fatalf("send buffer took %d of %d bytes", n, len(msg))
+	}
+	cc.Close()
+	w.sim.RunFor(time.Minute)
+	if !bytes.Equal(got, msg) || !sp.EOF() {
+		t.Fatalf("transfer after the injections: %d of %d bytes, EOF %v", len(got), len(msg), sp.EOF())
+	}
+}
+
+// TestFinishedPCBRetainsNoReceiveStorage: the read buffers and the
+// reassembly storage live as long as bytes can still arrive and no
+// longer, whether the stream ends or the PCB is aborted with a hole
+// open.
+func TestFinishedPCBRetainsNoReceiveStorage(t *testing.T) {
+	start := func(seed int64) (*world, *PCB, *int) {
+		w := newWorld(t, seed, nastyLink(), Config{}, Config{})
+		lis, _ := w.server.Listen(80)
+		var sp *PCB
+		got := new(int)
+		lis.OnAccept = func(p *PCB) {
+			sp = p
+			p.OnReadable = func() { *got += len(p.ReadAll()) }
+		}
+		cc, _ := w.client.Dial(4, 80)
+		toSend := randBytes(200_000, seed)
+		push := func() {
+			for len(toSend) > 0 {
+				n := cc.Write(toSend)
+				if n == 0 {
+					return
+				}
+				toSend = toSend[n:]
+			}
+			cc.Close()
+		}
+		cc.OnConnected, cc.OnWritable = push, push
+		// Run until bytes have been read and a hole is open: read
+		// buffers and reassembly storage both exist.
+		for step := 0; sp == nil || sp.read.Retained() == 0 || sp.reasm.Buffered() == 0; step++ {
+			if step == 10_000 {
+				t.Fatal("never saw read buffers and a segment held out of order at once")
+			}
+			w.sim.RunFor(time.Millisecond)
+		}
+		return w, sp, got
+	}
+
+	w, sp, got := start(15)
+	w.sim.RunFor(5 * time.Minute)
+	if *got != 200_000 || !sp.EOF() {
+		t.Fatalf("transfer: %d of 200000 bytes, EOF %v", *got, sp.EOF())
+	}
+	if r, ra := sp.read.Retained(), sp.reasm.Retained(); r != 0 || ra != 0 {
+		t.Errorf("after EOF was read: read buffers retain %d bytes, reassembly %d", r, ra)
+	}
+
+	_, sp, _ = start(16)
+	sp.Abort()
+	if r, ra := sp.read.Retained(), sp.reasm.Retained(); r != 0 || ra != 0 {
+		t.Errorf("after Abort: read buffers retain %d bytes, reassembly %d", r, ra)
+	}
+}

@@ -24,26 +24,22 @@ func (p *PCB) Write(b []byte) int {
 	return n
 }
 
-// Read drains up to len(b) in-order bytes; open=false once the peer's
-// stream has ended and everything was read.
+// Read copies up to len(b) in-order bytes into b; open=false once the
+// peer's stream has ended and everything was read. It ends the loan of
+// the slice an earlier ReadAll returned.
 func (p *PCB) Read(b []byte) (n int, open bool) {
-	n = copy(b, p.readBuf)
-	p.readBuf = p.readBuf[n:]
-	if len(p.readBuf) == 0 && p.eof {
-		return n, false
-	}
-	return n, true
+	n = p.read.Read(b)
+	return n, !p.EOF()
 }
 
-// ReadAll drains everything pending.
-func (p *PCB) ReadAll() []byte {
-	out := p.readBuf
-	p.readBuf = nil
-	return out
-}
+// ReadAll drains everything pending without copying it. The slice is
+// borrowed: it is valid until the next Read or ReadAll on this PCB,
+// after which its storage is filled again, so a caller that keeps the
+// bytes copies them first (seg.ReadBuffer).
+func (p *PCB) ReadAll() []byte { return p.read.ReadAll() }
 
 // EOF reports end of the peer's stream, fully drained.
-func (p *PCB) EOF() bool { return p.eof && len(p.readBuf) == 0 }
+func (p *PCB) EOF() bool { return p.eof && p.read.Len() == 0 }
 
 // Close ends the outgoing stream; the FIN goes out after queued data.
 func (p *PCB) Close() {
@@ -301,7 +297,7 @@ func (p *PCB) sendSegment(flags uint8, sq, ack seg.Seq, payload []byte) {
 
 // advertisedWindow is free receive buffer minus unread bytes.
 func (p *PCB) advertisedWindow() uint16 {
-	free := p.reasm.Free() - len(p.readBuf)
+	free := p.reasm.Free() - p.read.Len()
 	if free < 0 {
 		free = 0
 	}
@@ -328,6 +324,8 @@ func (p *PCB) kill(err error) {
 		p.trace("abort", verdict, p.lastXmitID, uint32(p.sndUna), 0)
 	}
 	p.stopRexmit()
+	p.reasm.Release()
+	p.read.Finish()
 	delete(p.stack.pcbs, p.id)
 	p.stack.ports.Unbind(p.id.localPort)
 	if p.OnClosed != nil {

@@ -242,7 +242,7 @@ type PCB struct {
 	sndBuf   *seg.SendBuffer
 	nextSend uint64 // stream offset of the next byte to (re)transmit
 	reasm    *seg.Reassembly
-	readBuf  []byte
+	read     seg.ReadBuffer
 
 	// Retransmission.
 	rtt       *seg.RTTEstimator
@@ -257,9 +257,9 @@ type PCB struct {
 	// Teardown.
 	closed    bool // application closed the write side
 	finSent   bool
-	finSeq    seg.Seq
 	finAcked  bool
 	rcvdFin   bool
+	finSeq    seg.Seq
 	finOffset uint64 // peer FIN's position as a stream offset
 	eof       bool
 	dead      bool

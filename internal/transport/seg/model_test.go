@@ -189,6 +189,241 @@ func TestSendBufferAllocatesWhatItHolds(t *testing.T) {
 	}
 }
 
+// refReassembly is the Reassembly this package had before the held
+// segments became an ordered slice with recycled storage: a map from
+// offset to a private copy, scanned once per pop for the segment
+// covering next and once more for stale ones. Which of two segments
+// covering next it pops first depends on map order, so it is a model
+// only for streams whose bytes are a function of their offset — then
+// every order pastes the same prefix.
+type refReassembly struct {
+	next     uint64
+	segments map[uint64][]byte
+	buffered int
+	limit    int
+}
+
+func (r *refReassembly) Free() int {
+	f := r.limit - r.buffered
+	if f < 0 {
+		return 0
+	}
+	return f
+}
+
+func (r *refReassembly) Insert(off uint64, data []byte) []byte {
+	if off == r.next && len(r.segments) == 0 && len(data) > 0 {
+		r.next += uint64(len(data))
+		return data
+	}
+	if off < r.next {
+		skip := r.next - off
+		if skip >= uint64(len(data)) {
+			return r.pop()
+		}
+		data = data[skip:]
+		off = r.next
+	}
+	if len(data) == 0 {
+		return r.pop()
+	}
+	if old, ok := r.segments[off]; !ok || len(old) < len(data) {
+		if ok {
+			r.buffered -= len(old)
+		}
+		cp := make([]byte, len(data))
+		copy(cp, data)
+		if r.segments == nil {
+			r.segments = make(map[uint64][]byte)
+		}
+		r.segments[off] = cp
+		r.buffered += len(cp)
+	}
+	return r.pop()
+}
+
+func (r *refReassembly) pop() []byte {
+	var out []byte
+	for {
+		var bestOff uint64
+		found := false
+		for off := range r.segments {
+			if off <= r.next && r.next < off+uint64(len(r.segments[off])) {
+				bestOff = off
+				found = true
+				break
+			}
+		}
+		if !found {
+			break
+		}
+		seg := r.segments[bestOff]
+		delete(r.segments, bestOff)
+		r.buffered -= len(seg)
+		skip := r.next - bestOff
+		out = append(out, seg[skip:]...)
+		r.next += uint64(len(seg)) - skip
+	}
+	for off, seg := range r.segments {
+		if off+uint64(len(seg)) <= r.next {
+			delete(r.segments, off)
+			r.buffered -= len(seg)
+		}
+	}
+	return out
+}
+
+func (r *refReassembly) Holes() []uint64 {
+	var out []uint64
+	for off := range r.segments {
+		out = append(out, off)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// streamByte is the stream the reassembly model tests carry: every
+// byte a function of its offset.
+func streamByte(off uint64) byte { return byte(off*167 + off>>8) }
+
+// checkReassemblyOps interprets ops as a stream of Insert calls — three
+// bytes each: where the segment starts, how long it is, and a detail —
+// applied to a Reassembly and to the reference model, and fails on the
+// first difference in what Insert returns or in Next, Buffered, Free
+// and Holes afterwards. The shapes are the ones a lossy, reordering,
+// duplicating path produces: in order, ahead of a hole, exactly where a
+// held segment starts (shorter, equal, longer), staggered across held
+// segments, wholly or partly below next, empty, and the arrival that
+// fills the hole with segments waiting behind it. ops[0] picks the
+// limit.
+func checkReassemblyOps(t *testing.T, ops []byte) {
+	t.Helper()
+	if len(ops) == 0 {
+		return
+	}
+	limit := []int{64, 1000, 64 << 10}[int(ops[0])%3]
+	r := NewReassembly(limit)
+	ref := &refReassembly{limit: limit}
+	var payload []byte
+	for i := 1; i+2 < len(ops); i += 3 {
+		n, detail := int(ops[i+1])%48, uint64(ops[i+2])
+		var off uint64
+		switch holes := ref.Holes(); ops[i] % 8 {
+		case 0, 1: // in order, or filling the front of the hole
+			off = ref.next
+		case 2: // ahead: opens a hole or lands behind one
+			off = ref.next + 1 + detail%96
+		case 3: // below next, wholly or partly, or an empty segment
+			off = ref.next - min(ref.next, detail%64)
+			if detail%5 == 0 {
+				n = 0
+			}
+		case 4: // at a held segment's offset: shorter, equal or longer
+			if len(holes) > 0 {
+				off = holes[int(detail)%len(holes)]
+			}
+		case 5: // staggered: starts inside a held segment
+			if len(holes) > 0 {
+				off = holes[int(detail)%len(holes)] + 1 + detail%7
+			}
+		case 6: // just below a held segment, reaching into or over it
+			if len(holes) > 0 {
+				h := holes[int(detail)%len(holes)]
+				off = h - min(h-ref.next, 1+detail%5)
+			}
+		case 7: // exactly the first hole
+			off = ref.next
+			if len(holes) > 0 {
+				n = int(holes[0] - ref.next)
+			}
+		}
+		payload = payload[:0]
+		for j := 0; j < n; j++ {
+			payload = append(payload, streamByte(off+uint64(j)))
+		}
+		from := ref.next
+		got, want := r.Insert(off, payload), ref.Insert(off, payload)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("op %d: Insert(%d, %d bytes) = %x, model %x", i, off, n, got, want)
+		}
+		for j, b := range got {
+			if b != streamByte(from+uint64(j)) {
+				t.Fatalf("op %d: Insert(%d, %d bytes): byte %d of the prefix from %d is not the stream's", i, off, n, j, from)
+			}
+		}
+		if r.Next() != ref.next || r.Buffered() != ref.buffered || r.Free() != ref.Free() || !reflect.DeepEqual(r.Holes(), ref.Holes()) {
+			t.Fatalf("op %d: after Insert(%d, %d bytes) next/buffered/free/holes = %d/%d/%d/%v, model %d/%d/%d/%v", i, off, n,
+				r.Next(), r.Buffered(), r.Free(), r.Holes(), ref.next, ref.buffered, ref.Free(), ref.Holes())
+		}
+	}
+}
+
+// TestReassemblyMatchesModel drives seeded operation streams through
+// checkReassemblyOps, after two written-out ones that between them hold
+// every case the store, trim and replace rules distinguish.
+func TestReassemblyMatchesModel(t *testing.T) {
+	for _, ops := range [][]byte{
+		// Two segments ahead; at the first one's offset an exact
+		// duplicate, a shorter and a longer one; one staggered inside it;
+		// the hole filled (the staggered one goes stale); an in-order
+		// segment that runs over the second.
+		{0, 2, 10, 4, 2, 10, 30, 4, 10, 0, 4, 5, 0, 4, 20, 0, 5, 10, 0, 7, 0, 0, 0, 40, 0},
+		// Two holes; a segment from next that swallows the first held
+		// one; an in-order one that swallows the second; partly below
+		// next; empty; wholly below next.
+		{1, 2, 8, 0, 2, 8, 40, 6, 30, 0, 0, 47, 0, 3, 20, 9, 3, 20, 5, 3, 4, 9},
+	} {
+		checkReassemblyOps(t, ops)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 600; trial++ {
+		ops := make([]byte, 1+3*(50+rng.Intn(400)))
+		rng.Read(ops)
+		ops[0] = byte(trial)
+		checkReassemblyOps(t, ops)
+	}
+}
+
+// FuzzReassembly is the same comparison with the operation stream
+// chosen by the fuzzer (`make fuzz` gives it five seconds).
+func FuzzReassembly(f *testing.F) {
+	f.Add([]byte{0, 2, 10, 4, 2, 10, 30, 4, 10, 0, 5, 10, 0, 7, 0, 0}) // two holes, a duplicate, a staggered overlap, the fill
+	f.Add([]byte{1, 0, 5, 0, 3, 5, 3, 3, 0, 5})                        // in order, partly below next, empty
+	f.Fuzz(checkReassemblyOps)
+}
+
+// TestReassemblyLossCycleDoesNotAllocate pins the cost of a loss: a
+// hole opens, a window's worth of segments parks behind it, the
+// retransmission fills it and everything is delivered. After the first
+// cycle has sized the storage, the cycles allocate nothing.
+func TestReassemblyLossCycleDoesNotAllocate(t *testing.T) {
+	const mss, parked = 1400, 44
+	r := NewReassembly(64 << 10)
+	p := make([]byte, mss)
+	cycle := func() {
+		hole := r.Next()
+		for i := uint64(1); i <= parked; i++ {
+			if out := r.Insert(hole+i*mss, p); out != nil {
+				t.Fatalf("segment %d behind the hole delivered %d bytes", i, len(out))
+			}
+		}
+		if out := r.Insert(hole, p); len(out) != (parked+1)*mss {
+			t.Fatalf("filling the hole delivered %d bytes, want %d", len(out), (parked+1)*mss)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("open a hole, park %d segments, fill it: %v allocs per cycle, want 0", parked, allocs)
+	}
+	if r.Buffered() != 0 || len(r.Holes()) != 0 {
+		t.Errorf("after the cycles: %d bytes buffered, holes %v", r.Buffered(), r.Holes())
+	}
+	r.Release()
+	if got := r.Retained(); got != 0 {
+		t.Errorf("Retained after Release = %d", got)
+	}
+}
+
 // refRangeSet is RangeSet with the Add this package had before it
 // worked in place: rebuild the slice, sort it, coalesce it. Every
 // query method is the real one, reading the ranges the old Add left.

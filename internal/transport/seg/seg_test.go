@@ -204,6 +204,118 @@ func TestReassemblyFreeWindow(t *testing.T) {
 	}
 }
 
+// TestReadBufferLendsAndReuses walks the borrow rule: the slice ReadAll
+// returns survives appends, an empty ReadAll lends and swaps nothing,
+// and the array comes back into use two swaps later, so a reader that
+// drains per arrival allocates nothing once both arrays exist.
+func TestReadBufferLendsAndReuses(t *testing.T) {
+	var b ReadBuffer
+	if got := b.ReadAll(); got != nil || b.Retained() != 0 {
+		t.Fatalf("zero buffer: ReadAll = %q, retained %d", got, b.Retained())
+	}
+	b.Append([]byte("first"))
+	first := b.ReadAll()
+	if got := b.ReadAll(); got != nil {
+		t.Fatalf("second ReadAll with nothing between = %q, want nil", got)
+	}
+	b.Append([]byte("second, longer"))
+	if string(first) != "first" || b.Len() != 14 {
+		t.Fatalf("after an append the lent slice reads %q, %d unread", first, b.Len())
+	}
+	second := b.ReadAll()
+	b.Append([]byte("3rd"))
+	if string(second) != "second, longer" {
+		t.Fatalf("after the next append the lent slice reads %q", second)
+	}
+	if third := b.ReadAll(); string(third) != "3rd" || &third[0] != &first[0] {
+		t.Errorf("third ReadAll = %q, in the first array: %v", third, &third[0] == &first[0])
+	}
+	p := make([]byte, 1400)
+	cycle := func() {
+		b.Append(p)
+		if got := b.ReadAll(); len(got) != len(p) {
+			t.Fatalf("ReadAll returned %d bytes", len(got))
+		}
+	}
+	cycle()
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("Append+ReadAll: %v allocs per cycle, want 0", allocs)
+	}
+}
+
+// TestReadBufferShortReads mixes Read with a small p and ReadAll over
+// appends of every phase: the stream comes out in order, a drained
+// buffer starts over at its front, and a reader that never quite
+// catches up does not grow the array past what it leaves unread.
+func TestReadBufferShortReads(t *testing.T) {
+	var b ReadBuffer
+	stream := make([]byte, 0, 300_000)
+	for i := 0; i < cap(stream); i++ {
+		stream = append(stream, streamByte(uint64(i)))
+	}
+	var got []byte
+	p := make([]byte, 700)
+	for at, step := 0, 0; at < len(stream); step++ {
+		n := min(1+step*37%1400, len(stream)-at)
+		b.Append(stream[at : at+n])
+		at += n
+		if step%50 == 49 {
+			got = append(got, b.ReadAll()...)
+		}
+		for b.Len() > 1000 { // leave a residue behind: off is rarely 0 at an append
+			got = append(got, p[:b.Read(p)]...)
+		}
+		// At most 2,400 bytes are ever unread; the array stops doubling
+		// once it is twice that.
+		if c := cap(b.buf); c > 16<<10 {
+			t.Fatalf("step %d: %d unread bytes in an array of %d", step, b.Len(), c)
+		}
+	}
+	for b.Len() > 0 {
+		got = append(got, p[:b.Read(p)]...)
+	}
+	if !bytes.Equal(got, stream) {
+		t.Fatalf("stream read back differs (%d of %d bytes)", len(got), len(stream))
+	}
+	if b.off != 0 || len(b.buf) != 0 {
+		t.Errorf("drained buffer: off %d, len %d, want the front", b.off, len(b.buf))
+	}
+}
+
+// TestReadBufferFinishRetainsNothing: once nothing more is expected the
+// buffer keeps only what is unread, and nothing after that is read —
+// by Read or by ReadAll, which gives the last array away.
+func TestReadBufferFinishRetainsNothing(t *testing.T) {
+	for _, drain := range []string{"none", "Read", "ReadAll"} {
+		var b ReadBuffer
+		b.Append([]byte("lent"))
+		lent := b.ReadAll()
+		b.Append([]byte("unread"))
+		if drain == "none" {
+			b.ReadAll()
+		}
+		b.Finish()
+		if b.spare != nil || string(lent) != "lent" {
+			t.Errorf("%s: after Finish spare = %v, lent slice reads %q", drain, b.spare != nil, lent)
+		}
+		switch drain {
+		case "Read":
+			p := make([]byte, 16)
+			if n := b.Read(p); string(p[:n]) != "unread" {
+				t.Errorf("Read after Finish = %q", p[:n])
+			}
+		case "ReadAll":
+			if got := b.ReadAll(); string(got) != "unread" {
+				t.Errorf("ReadAll after Finish = %q", got)
+			}
+		}
+		if b.Retained() != 0 || b.Len() != 0 {
+			t.Errorf("%s: finished and drained buffer retains %d bytes, %d unread", drain, b.Retained(), b.Len())
+		}
+	}
+}
+
 func TestRTTEstimator(t *testing.T) {
 	e := NewRTTEstimator(time.Second, 100*time.Millisecond, 60*time.Second)
 	if e.RTO() != time.Second {

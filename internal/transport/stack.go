@@ -25,7 +25,11 @@ type Conn interface {
 	// Write queues bytes, returning how many were accepted (the rest
 	// did not fit the send buffer; retry on the writable callback).
 	Write(p []byte) int
-	// ReadAll drains everything received in order.
+	// ReadAll drains everything received in order, without copying.
+	// The slice is borrowed from the connection: it is valid until the
+	// next ReadAll (or the concrete types' Read) on the same connection,
+	// which reuses its storage. Consume or copy it before returning
+	// from the callback that read it.
 	ReadAll() []byte
 	// EOF reports the peer finished and everything was read.
 	EOF() bool

@@ -32,10 +32,10 @@ type Conn struct {
 	rd  RD
 	osr OSR
 
-	readBuf []byte
-	eof     bool
-	dead    bool
-	err     error
+	read seg.ReadBuffer
+	eof  bool
+	dead bool
+	err  error
 
 	// lastXmitID is the trace ID of the newest wire buffer this
 	// connection transmitted — the "offending packet" a flight-recorder
@@ -146,28 +146,24 @@ func (c *Conn) Write(p []byte) int {
 	return n
 }
 
-// Read drains up to len(p) in-order received bytes. It returns 0 when
-// nothing is pending; use OnReadable to learn when to retry. After the
-// peer's stream ends, Read reports ok=false once drained.
+// Read copies up to len(p) in-order received bytes into p. It returns
+// 0 when nothing is pending; use OnReadable to learn when to retry.
+// After the peer's stream ends, Read reports open=false once drained.
+// It ends the loan of the slice an earlier ReadAll returned.
 func (c *Conn) Read(p []byte) (n int, open bool) {
-	n = copy(p, c.readBuf)
-	c.readBuf = c.readBuf[n:]
-	if len(c.readBuf) == 0 && c.eof {
-		return n, false
-	}
-	return n, true
+	n = c.read.Read(p)
+	return n, !c.EOF()
 }
 
-// ReadAll drains everything pending.
-func (c *Conn) ReadAll() []byte {
-	out := c.readBuf
-	c.readBuf = nil
-	return out
-}
+// ReadAll drains everything pending without copying it. The slice is
+// borrowed: it is valid until the next Read or ReadAll on this
+// connection, after which its storage is filled again, so a caller that
+// keeps the bytes copies them first (seg.ReadBuffer).
+func (c *Conn) ReadAll() []byte { return c.read.ReadAll() }
 
 // EOF reports whether the peer finished its stream and all bytes were
 // read.
-func (c *Conn) EOF() bool { return c.eof && len(c.readBuf) == 0 }
+func (c *Conn) EOF() bool { return c.eof && c.read.Len() == 0 }
 
 // Close ends the outgoing stream (sends FIN after queued data). The
 // connection fully closes once both directions finish.
@@ -204,23 +200,27 @@ func (c *Conn) onEstablished() {
 	c.osr.pump()
 }
 
-// pushRead appends in-order bytes for the application.
+// pushRead appends in-order bytes for the application — for a segment
+// that arrived in order, the only copy between the wire buffer and the
+// reader.
 func (c *Conn) pushRead(p []byte) {
-	c.readBuf = append(c.readBuf, p...)
+	c.read.Append(p)
 	if c.OnReadable != nil {
 		c.OnReadable()
 	}
 }
 
-// pushEOF marks the peer's stream complete.
+// pushEOF marks the peer's stream complete. Nothing more will be
+// pushed, so the read buffer keeps only what is still unread.
 func (c *Conn) pushEOF() {
 	c.eof = true
+	c.read.Finish()
 	if c.OnReadable != nil {
 		c.OnReadable()
 	}
 }
 
-func (c *Conn) unreadLen() int { return len(c.readBuf) }
+func (c *Conn) unreadLen() int { return c.read.Len() }
 
 // notifyWritable tells the application the send buffer drained.
 func (c *Conn) notifyWritable() {
@@ -334,6 +334,7 @@ func (c *Conn) destroy(err error) {
 	c.cm.stop()
 	c.rd.stop()
 	c.osr.stop()
+	c.read.Finish()
 	c.stack.dm.remove(c.id)
 	if c.OnClosed != nil {
 		c.OnClosed(err)

@@ -277,7 +277,7 @@ func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 	}
 	c.cm = s.cfg.NewCM()
 	c.cm.attach(c)
-	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
+	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks, s.cfg.RecvBuf)
 	c.osr.init(c, s.cfg.NewCC(s.cfg.MSS), s.cfg.MSS, s.cfg.SendBuf, s.cfg.RecvBuf)
 	s.adoptMetrics(c)
 	return c

@@ -67,18 +67,19 @@ func TestFlowLifecycleAllocs(t *testing.T) {
 	sub := flowAllocs(t, harness.KindSublayeredNative)
 	mono := flowAllocs(t, harness.KindMonolithic)
 	t.Logf("allocations per flow: sublayered %v, monolithic %v", sub, mono)
-	// Measured: 28 sublayered and 22 monolithic; 30-34 and 22-27 under
+	// Measured: 27 sublayered and 21 monolithic; 29-34 and 21-28 under
 	// the race detector, whose sync.Pool drops a share of the segment
 	// buffers put back. (75 and 28 when each sublayer, and each of its
 	// parts, was an object of its own and every CM timer arm allocated
-	// a closure, a wrapper and a Timer.) The 28 are, over both hosts: 16
-	// for two connections (TestNewConnAllocsFlat), 3 for the read buffer
-	// ReadAll hands away per segment, 6 for the first data (send buffer
-	// array, RD's window records twice as they grow, its RTO callback,
-	// the receiver's range set, the first-segment view DM hands the
-	// manager) and this driver's 3 closures. The ceiling is the
-	// highest race reading plus 10 %: an allocation per timer arm (five
-	// arms a flow) does not fit, at either reading.
+	// a closure, a wrapper and a Timer.) The 27 are, over both hosts: 16
+	// for two connections (TestNewConnAllocsFlat), 2 for the receiver's
+	// two read buffers (one per segment read, when ReadAll gave its
+	// buffer away), 6 for the first data (send buffer array, RD's window
+	// records twice as they grow, its RTO callback, the receiver's range
+	// set, the first-segment view DM hands the manager) and this
+	// driver's 3 closures. The ceiling is the highest race reading plus
+	// 10 %: an allocation per timer arm (five arms a flow) does not fit,
+	// at either reading.
 	const ceiling = 37
 	if sub > ceiling {
 		t.Errorf("a sublayered flow allocates %v objects, want <= %v", sub, ceiling)

@@ -27,16 +27,13 @@ type OSR struct {
 	mss  int
 
 	// Send half.
-	sb         seg.SendBuffer
-	nextSeg    uint64 // next stream offset to hand to RD
-	cumAcked   uint64
-	peerWnd    int
-	closed     bool
-	closeAt    uint64
-	finAsked   bool
-	probe      netsim.Timer
-	probeFn    func() // built at the first arm; re-arming allocates nothing
-	cwrPending bool
+	sb       seg.SendBuffer
+	nextSeg  uint64 // next stream offset to hand to RD
+	cumAcked uint64
+	peerWnd  int
+	closeAt  uint64
+	probe    netsim.Timer
+	probeFn  func() // built at the first arm; re-arming allocates nothing
 
 	// Pacing: when the controller publishes a rate, pump spaces segment
 	// releases instead of bursting the whole window. nextRelease is the
@@ -46,11 +43,13 @@ type OSR struct {
 	nextRelease netsim.Time
 
 	// Receive half.
-	ra           seg.Reassembly
-	endAt        uint64
-	endValid     bool
-	eofDelivered bool
-	eceEcho      bool
+	ra    seg.Reassembly
+	endAt uint64
+
+	// The one-bit state of both halves, side by side so that it shares
+	// a word (TestConnSizeClass).
+	closed, finAsked, cwrPending    bool // send
+	endValid, eofDelivered, eceEcho bool // receive
 
 	m osrMetrics
 }
@@ -313,6 +312,7 @@ func (o *OSR) setStreamEnd(off uint64) {
 func (o *OSR) checkEOF() {
 	if o.endValid && !o.eofDelivered && o.ra.Next() >= o.endAt {
 		o.eofDelivered = true
+		o.ra.Release() // the stream is whole: nothing is left to paste
 		o.conn.cm.peerStreamComplete()
 		o.conn.pushEOF()
 	}
@@ -366,8 +366,9 @@ func (o *OSR) window() uint16 {
 	return uint16(free)
 }
 
-// stop cancels timers.
+// stop cancels timers and drops the reassembly storage.
 func (o *OSR) stop() {
 	o.probe.Stop()
 	o.pace.Stop()
+	o.ra.Release()
 }

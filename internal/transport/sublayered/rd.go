@@ -68,6 +68,7 @@ type RD struct {
 	// Receiver half.
 	peerISN      seg.Seq
 	ranges       seg.RangeSet
+	rcvBound     uint64 // a segment may end this far above the cumulative point: the receive buffer's size
 	remoteFinOff uint64
 	remoteFin    bool
 	// Delayed-ack state: one ack per two in-order segments, or after
@@ -138,8 +139,9 @@ type outSeg struct {
 // and the RTT histogram included — is a value inside the Conn: one
 // object holds the connection, and only RD's methods touch this part of
 // it.
-func (r *RD) init(c *Conn, sackEnabled, delayedAcks bool) {
+func (r *RD) init(c *Conn, sackEnabled, delayedAcks bool, recvBuf int) {
 	r.conn = c
+	r.rcvBound = uint64(recvBuf)
 	r.sackEnabled = sackEnabled
 	r.delayedAcks = delayedAcks
 	r.maxRexmit = c.stack.cfg.MaxDataRexmit
@@ -276,6 +278,14 @@ func (r *RD) onData(s seg.Seq, payload []byte) {
 		return
 	}
 	wasContig := r.ranges.ContiguousFrom(0)
+	if off+uint64(len(payload)) > wasContig+r.rcvBound {
+		// Sequence above anything the receive buffer could have
+		// advertised: a peer that ignores the window. Accepting it
+		// would let that peer park unbounded bytes in OSR.
+		r.m.dupSegments.Inc()
+		r.AckNow()
+		return
+	}
 	inOrder := off == wasContig
 	if r.ranges.Add(off, off+uint64(len(payload))) {
 		r.m.deliveredBytes.Add(uint64(len(payload)))

@@ -307,3 +307,114 @@ func TestHalfCloseServesData(t *testing.T) {
 		t.Error("no EOF after server close")
 	}
 }
+
+// TestSegmentAboveWindowIsNotHeld: a peer that ignores the advertised
+// window cannot make the receiver hold its bytes. A hand-built data
+// segment ending one byte beyond rcv.nxt + RecvBuf — the furthest right
+// edge any window could have named — is dropped by RD, counted as a
+// duplicate and re-acknowledged; one ending exactly there is still
+// accepted; and the connection carries a transfer afterwards.
+func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
+	const recvBuf = 8000
+	w := newWorld(t, 33, cleanLink(), Config{}, Config{RecvBuf: recvBuf})
+	lis, _ := w.server.Listen(80)
+	var sc *Conn
+	var got []byte
+	lis.OnAccept = func(c *Conn) {
+		sc = c
+		c.OnReadable = func() { got = append(got, c.ReadAll()...) }
+	}
+	cc, _ := w.client.Dial(4, 80)
+	w.sim.RunFor(time.Second)
+	if sc == nil || sc.State() != "ESTABLISHED" {
+		t.Fatal("not established")
+	}
+	inject := func(endsAt int) {
+		payload := make([]byte, 500)
+		h := &tcpwire.SubHeader{
+			DM: tcpwire.DMSection{SrcPort: cc.LocalPort(), DstPort: 80},
+			RD: tcpwire.RDSection{Seq: uint32(sc.rd.peerISN.Add(1 + endsAt - len(payload)))},
+		}
+		_ = w.topo.Routers[1].Send(4, network.ProtoSubTCP, h.Marshal(payload))
+		w.sim.RunFor(time.Second)
+	}
+	dups := sc.RD().Stats().Get("dup_segments")
+	inject(recvBuf + 1)
+	inject(1 << 20)
+	if n := sc.osr.ra.Buffered(); n != 0 {
+		t.Errorf("segments above the window: %d bytes held in reassembly", n)
+	}
+	if d := sc.RD().Stats().Get("dup_segments") - dups; d != 2 {
+		t.Errorf("dup_segments rose by %d, want 2", d)
+	}
+	inject(recvBuf)
+	if n := sc.osr.ra.Buffered(); n != 500 {
+		t.Errorf("segment ending at the edge of the buffer: %d bytes held, want 500", n)
+	}
+
+	// The forged bytes at the edge are zeros; send zeros, so the stream
+	// reads the same whichever copy of them is delivered.
+	msg := make([]byte, 20_000)
+	if n := cc.Write(msg); n != len(msg) {
+		t.Fatalf("send buffer took %d of %d bytes", n, len(msg))
+	}
+	cc.Close()
+	w.sim.RunFor(time.Minute)
+	if !bytes.Equal(got, msg) || !sc.EOF() {
+		t.Fatalf("transfer after the injections: %d of %d bytes, EOF %v", len(got), len(msg), sc.EOF())
+	}
+}
+
+// TestFinishedConnectionRetainsNoReceiveStorage: the read buffers and
+// the reassembly storage live as long as bytes can still arrive and no
+// longer — the registry keeps every Conn reachable to the end of a run,
+// so what a closed connection retains, ten thousand of them retain.
+func TestFinishedConnectionRetainsNoReceiveStorage(t *testing.T) {
+	start := func(seed int64) (*world, *Conn, *int) {
+		w := newWorld(t, seed, nastyLink(), Config{}, Config{})
+		lis, _ := w.server.Listen(80)
+		var sc *Conn
+		got := new(int)
+		lis.OnAccept = func(c *Conn) {
+			sc = c
+			c.OnReadable = func() { *got += len(c.ReadAll()) }
+		}
+		cc, _ := w.client.Dial(4, 80)
+		toSend := randBytes(200_000, seed)
+		push := func() {
+			for len(toSend) > 0 {
+				n := cc.Write(toSend)
+				if n == 0 {
+					return
+				}
+				toSend = toSend[n:]
+			}
+			cc.Close()
+		}
+		cc.OnConnected, cc.OnWritable = push, push
+		// Run until bytes have been read and a hole is open: read
+		// buffers and reassembly storage both exist.
+		for step := 0; sc == nil || sc.read.Retained() == 0 || sc.osr.ra.Buffered() == 0; step++ {
+			if step == 10_000 {
+				t.Fatal("never saw read buffers and a segment held out of order at once")
+			}
+			w.sim.RunFor(time.Millisecond)
+		}
+		return w, sc, got
+	}
+
+	w, sc, got := start(34)
+	w.sim.RunFor(5 * time.Minute)
+	if *got != 200_000 || !sc.EOF() {
+		t.Fatalf("transfer: %d of 200000 bytes, EOF %v", *got, sc.EOF())
+	}
+	if r, ra := sc.read.Retained(), sc.osr.ra.Retained(); r != 0 || ra != 0 {
+		t.Errorf("after EOF was read: read buffers retain %d bytes, reassembly %d", r, ra)
+	}
+
+	_, sc, _ = start(35)
+	sc.Abort()
+	if r, ra := sc.read.Retained(), sc.osr.ra.Retained(); r != 0 || ra != 0 {
+		t.Errorf("after Abort: read buffers retain %d bytes, reassembly %d", r, ra)
+	}
+}
