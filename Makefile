@@ -78,7 +78,7 @@ fuzz-schedule:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 5s ./internal/fuzzer
 
 # bench runs every experiment regenerator benchmark exactly once,
-# through the same code path as cmd/benchreport.
+# through the same code path as cmd/runreport.
 bench:
 	$(GO) test -bench=E -benchtime=1x .
 
@@ -97,7 +97,7 @@ bench-smoke:
 # touches BENCH_metrics.json; where loopback sockets are forbidden the
 # udp cells skip gracefully.
 soak:
-	$(GO) run ./cmd/benchreport -e e15,e13soak
+	$(GO) run ./cmd/runreport -o - -format text -e e15,e13soak
 
 # soak-long is the scheduled E16 long soak: the 1k/10k/100k-flow
 # reports byte-identical on sim and sharded:{1,2,4} (weekly /

@@ -2,7 +2,7 @@ package repro
 
 // Regenerator benchmarks for E1–E6 and E8–E14 of DESIGN.md's index.
 // Each rebuilds its experiment's table through internal/experiments —
-// the same code path as cmd/benchreport — so the b.N loop measures the
+// the same code path as cmd/runreport — so the b.N loop measures the
 // end-to-end cost of the experiment itself. E7 has none: its table is
 // virtual time, and its real question — what a transferred megabyte or
 // a connection costs each TCP implementation, the quantitative answer

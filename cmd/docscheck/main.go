@@ -30,9 +30,11 @@
 // examples/, bench/ or docs/ must name something in the tree: its
 // first word, less a trailing "/" or ".Symbol", is a path from the
 // repository root — so a deleted package cannot survive in prose
-// either. The history files (CHANGES.md, ROADMAP.md) record targets
-// and paths that no longer exist on purpose and are exempt from these
-// two checks.
+// either. And a command named anywhere else — `go run ./cmd/x` in a
+// span or a fenced line, cmd/x in prose or a layout listing — must be
+// a directory under cmd/, so a deleted command cannot either. The
+// history files (CHANGES.md, ROADMAP.md) record targets and paths that
+// no longer exist on purpose and are exempt from these three checks.
 //
 // Exit status 1 lists every broken link, stale target and stale path;
 // 0 means all resolve.
@@ -62,6 +64,10 @@ var (
 	// A code span that begins with one of the tree's top-level source
 	// directories; the capture is the whole span.
 	pathSpanRe = regexp.MustCompile("`((?:internal|cmd|examples|bench|docs)/[^`]*)`")
+	// A command path that is not the start of a code span (pathSpanRe
+	// has those): cmd/x or ./cmd/x at a line start or after a space or
+	// parenthesis. The capture is cmd/x.
+	cmdRe = regexp.MustCompile(`(?:^|[\s(])(?:\./)?(cmd/[\w-]+)`)
 )
 
 // historyFiles keep `make` targets and paths that were since deleted:
@@ -125,6 +131,12 @@ func check(root string, files []string) (problems []string, checked string, err 
 				problems = append(problems, fmt.Sprintf("%s:%d: `%s`: no such path in the tree", path, p.line, p.target))
 			}
 		}
+		for _, c := range commandsOf(string(raw)) {
+			paths++
+			if !inTree(root, c.target) {
+				problems = append(problems, fmt.Sprintf("%s:%d: %s: no such command in the tree", path, c.line, c.target))
+			}
+		}
 	}
 	return problems, fmt.Sprintf("%d links, %d make targets and %d paths across %d files", links, mentions, paths, len(files)), nil
 }
@@ -137,6 +149,18 @@ func pathSpansOf(doc string) []link {
 	for i, line := range strings.Split(doc, "\n") {
 		for _, m := range pathSpanRe.FindAllStringSubmatch(line, -1) {
 			out = append(out, link{line: i + 1, target: strings.Fields(m[1])[0]})
+		}
+	}
+	return out
+}
+
+// commandsOf extracts every cmd/<x> a doc names outside the start of
+// a code span, fenced blocks included.
+func commandsOf(doc string) []link {
+	var out []link
+	for i, line := range strings.Split(doc, "\n") {
+		for _, m := range cmdRe.FindAllStringSubmatch(line, -1) {
+			out = append(out, link{line: i + 1, target: m[1]})
 		}
 	}
 	return out

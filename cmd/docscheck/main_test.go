@@ -97,3 +97,53 @@ func TestStalePath(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleCommand: a command the tree no longer has is reported
+// wherever a doc names it — `go run ./cmd/x` in a span, a fenced
+// command line, a layout listing, prose — while existing commands,
+// paths that merely end in cmd/x and the history files are not.
+func TestStaleCommand(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("Makefile", ".PHONY: build\n")
+	write("cmd/runreport/main.go", "package main\n")
+	write("README.md", strings.Join([]string{
+		"Run `go run ./cmd/runreport -o -` or `go run ./cmd/oldreport -e e9`.", // line 1: oldreport
+		"```",
+		"go run ./cmd/oldreport           # the old tables", // line 3
+		"cmd/oldreport     regenerate tables",               // line 4: a layout listing
+		"cmd/runreport     run report",
+		"```",
+		"The (cmd/oldreport) tool and repro/cmd/oldreport and bench/cmd/x.", // line 7: only the first
+	}, "\n"))
+	write("CHANGES.md", "Deleted `go run ./cmd/oldreport`.\n")
+
+	problems, _, err := check(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := filepath.Join(root, "README.md")
+	want := []string{
+		readme + ":1: cmd/oldreport",
+		readme + ":3: cmd/oldreport",
+		readme + ":4: cmd/oldreport",
+		readme + ":7: cmd/oldreport",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("problems = %q, want %d", problems, len(want))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(problems[i], w) {
+			t.Errorf("problems[%d] = %q, want prefix %q", i, problems[i], w)
+		}
+	}
+}

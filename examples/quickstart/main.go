@@ -23,6 +23,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/stuffing"
 	"repro/internal/sublayer"
+	"repro/internal/transport/harness"
 )
 
 func main() {
@@ -82,16 +83,8 @@ func main() {
 	fmt.Print(alice.Describe())
 
 	if backends.Realtime(*backend) {
-		// Real time: poll for completion, bounded by a wall deadline.
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			n := 0
-			b.Exec(func() { n = len(received) })
-			if n == len(messages) || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		// Real time: run until bob has every message, bounded by 10 s.
+		harness.RunUntil(b, 10*time.Second, func() bool { return len(received) == len(messages) })
 	} else {
 		b.RunFor(30 * time.Second) // virtual time; finishes in microseconds
 	}

@@ -1,10 +1,5 @@
-// Package cli is the scaffolding cmd/runreport and cmd/benchreport
-// share: experiment selection flags, registry resolution, output
-// writing, and one consistent exit-code policy. Both tools used to
-// duplicate this boilerplate and disagreed about failure exits —
-// benchreport exited 2 on an unknown id but 0 when an experiment
-// actually errored mid-run; runreport exited 1 on a write failure but
-// also 0 on error rows. The policy now, for both tools:
+// Package cli is cmd/runreport's experiment scaffolding: selection
+// flags, registry resolution, output writing, and one exit-code policy:
 //
 //	0 — success, every requested experiment ran cleanly
 //	1 — operational failure: an experiment reported error rows, or

@@ -23,7 +23,7 @@ func init() {
 	})
 }
 
-// TestCommon pins the surface cmd/runreport and cmd/benchreport share:
+// TestCommon pins the surface cmd/runreport is built on:
 // the flag set, how -e resolves against the two registries, which
 // results count as failed, and where output goes.
 func TestCommon(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 )
 
 // E12 self-registers like E11: one Register call and every tool
-// (runreport, benchreport, the benchmarks, the tests) picks it up.
+// (runreport, the benchmarks, the tests) picks it up.
 func init() {
 	Register("e12", E12CCBakeoff)
 }

@@ -3,7 +3,7 @@
 // ones (E1–E14, E16) and the two wall-clock soaks (E13SOAK, E15).
 // Each function builds its own simulated world from a seed, runs the
 // workload, and returns a formatted table plus structured rows, so
-// cmd/benchreport, the root-level benchmarks and the tests all share
+// cmd/runreport, the root-level benchmarks and the tests all share
 // one implementation.
 package experiments
 

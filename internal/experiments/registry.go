@@ -33,7 +33,7 @@ type Runner func(Config) *Result
 // registry maps canonical lower-case IDs ("e1".."e14", "e16") to runners
 // whose Results are pure functions of the seed. Experiments
 // self-register from init, so adding an experiment is one Register
-// call — cmd/benchreport, cmd/runreport, the benchmarks and the tests
+// call — cmd/runreport, the benchmarks and the tests
 // all pick it up through Run/RunAll/IDs with no switch to extend.
 var registry = map[string]Runner{}
 
@@ -52,7 +52,7 @@ func Register(id string, fn Runner) {
 }
 
 // RegisterWall adds a wall-clock experiment runner under id. Wall
-// experiments run via Run (benchreport -e <id>) but are excluded from
+// experiments run via Run (runreport -e <id>) but are excluded from
 // RunAll and IDs, keeping them out of the determinism gate.
 func RegisterWall(id string, fn Runner) {
 	registerInto(wallRegistry, id, fn)

@@ -32,13 +32,15 @@ package netsim
 //
 // # Control events
 //
-// Driver-context schedules (Schedule/ScheduleTimer/Every on the
-// engine: workload dials, fault injections, watchdog arms) go to a
-// dedicated control core with rank ctlRank, above every node rank —
-// matching the sequential rule that a driver's schedule call always
-// has a later global sequence number than protocol events scheduled
-// at the same instant. Control events execute serially at barriers
-// with every shard parked and run up to the control event's full key.
+// The engine's own Backend surface is its control view: a view like
+// any node's, but on a dedicated control core with rank ctlRank, above
+// every node rank. Driver-context schedules (workload dials, fault
+// injections, watchdog arms) and links created on the engine itself
+// land there — matching the sequential rule that a driver's schedule
+// call always has a later global sequence number than protocol events
+// scheduled at the same instant. Control events execute serially at
+// barriers with every shard parked and run up to the control event's
+// full key.
 //
 // # Single-writer metrics
 //
@@ -112,13 +114,18 @@ type windowBound struct {
 	seq     uint64
 }
 
-// Sharded implements Backend (driver surface) and Sharder.
+// Sharded implements Backend (driver surface) and Sharder. Everything
+// a driver schedules or wires on the engine (Now, Rand, Schedule,
+// ScheduleTimer, Every, NewLink) is the embedded control view's, the
+// way a Simulator's is its root view's; the methods defined here are
+// the engine-wide ones every view delegates to.
 type Sharded struct {
+	*view // control view: core ctl, rank ctlRank, rng the seed stream
 	seed  int64
 	now   Time // barrier clock: all shards have completed up to here
 	cores []*evCore
-	ctl   evCore // driver/control events, rank ctlRank
-	views []*view
+	ctl   evCore  // driver/control events, rank ctlRank
+	views []*view // node views in rank order; the control view is not one
 	// look is the conservative lookahead: the minimum delay over
 	// cross-shard links. Zero means no cut links yet (infinite
 	// lookahead).
@@ -131,7 +138,6 @@ type Sharded struct {
 	linkSeq int
 	tracer  Tracer
 	rng     *rand.Rand
-	root    *view // a Simulator's one view; else lazy, for engine-level NewLink
 
 	started bool
 	work    []chan windowBound
@@ -142,6 +148,7 @@ type Sharded struct {
 // newSharded builds an engine with no metrics scope attached.
 func newSharded(seed int64, shards int) *Sharded {
 	e := &Sharded{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	e.view = &view{eng: e, core: &e.ctl, rank: ctlRank, rng: e.rng}
 	e.cores = make([]*evCore, shards)
 	for i := range e.cores {
 		e.cores[i] = &evCore{}
@@ -203,57 +210,6 @@ func (e *Sharded) NodeView(shard int) Backend {
 	return v
 }
 
-// Name identifies the sharded engine.
-func (e *Sharded) Name() string { return "sharded" }
-
-// Now returns the barrier clock — the time up to which every shard has
-// completed. Protocol code reads time through its node view, never
-// through the engine.
-func (e *Sharded) Now() Time { return e.now }
-
-// Rand is the engine-level random source (driver use only; node views
-// carry their own rank-derived streams).
-func (e *Sharded) Rand() *rand.Rand { return e.rng }
-
-// postCtl pushes a control event (driver context, rank ctlRank).
-func (e *Sharded) postCtl(at Time) *event {
-	if at < e.now {
-		at = e.now
-	}
-	e.ctl.seq++
-	return e.ctl.post(at, e.now, ctlRank, e.ctl.seq)
-}
-
-// Schedule runs fn once after delay d in driver (control) context: the
-// event executes serially at a barrier with every shard parked.
-func (e *Sharded) Schedule(d time.Duration, fn func()) *Timer {
-	ev := e.postCtl(e.now + durTicks(d))
-	ev.fn = fn
-	return &Timer{ev: ev, gen: ev.gen}
-}
-
-// ScheduleTimer is Schedule returning the Timer by value.
-func (e *Sharded) ScheduleTimer(d time.Duration, fn func()) Timer {
-	ev := e.postCtl(e.now + durTicks(d))
-	ev.fn = fn
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// Every runs fn periodically in driver context.
-func (e *Sharded) Every(interval time.Duration, fn func()) *Repeater {
-	return newRepeater(e, interval, fn)
-}
-
-// NewLink creates a link on a lazily created default view (shard 0).
-// World builders should create links between node views via LinkOn;
-// this path serves ad-hoc wiring directly on the backend.
-func (e *Sharded) NewLink(cfg LinkConfig, dst Handler) Port {
-	if e.root == nil {
-		e.root = e.NodeView(0).(*view)
-	}
-	return e.root.NewLink(cfg, dst)
-}
-
 // RunFor advances the engine by d of virtual time.
 func (e *Sharded) RunFor(d time.Duration) { e.RunUntil(e.now + durTicks(d)) }
 
@@ -299,10 +255,6 @@ func (e *Sharded) SetTracer(t Tracer) {
 	}
 	e.tracer = t
 }
-
-// Tracer returns the attached tracer (possibly the serializing
-// wrapper), or nil.
-func (e *Sharded) Tracer() Tracer { return e.tracer }
 
 // Close stops the shard workers.
 func (e *Sharded) Close() error {
@@ -444,7 +396,8 @@ func (e *Sharded) RunUntil(t Time) {
 // implementation of the scheduling and link-event surface: it pins the
 // node's events to a shard core and stamps them with the node's stable
 // rank and local sequence — the identity half of the deterministic
-// merge rule. A Simulator is one view that owns its whole engine.
+// merge rule. A Simulator is one view that owns its whole engine; the
+// engine's control view is one on the control core.
 type view struct {
 	eng   *Sharded
 	core  *evCore
@@ -511,19 +464,29 @@ func (v *view) NewLink(cfg LinkConfig, dst Handler) Port {
 }
 
 // NewLinkTo creates a link delivering into dstB's shard; dstB must be
-// a view (or the Simulator) of the same engine. Same-shard destinations
-// use the direct heap path; cross-shard destinations go through the
-// mailbox and contribute their delay to the lookahead bound.
+// a view (or the Simulator, or the engine's control view) of the same
+// engine. Same-shard destinations use the direct heap path;
+// cross-shard destinations go through the mailbox and contribute their
+// delay to the lookahead bound. The control core joins no such pair:
+// its links are created and driven from driver context only.
 func (v *view) NewLinkTo(cfg LinkConfig, dst Handler, dstB Backend) Port {
-	dv, _ := dstB.(*view)
-	if s, ok := dstB.(*Simulator); ok {
-		dv = s.view
+	var dv *view
+	switch d := dstB.(type) {
+	case *view:
+		dv = d
+	case *Simulator:
+		dv = d.view
+	case *Sharded:
+		dv = d.view
 	}
 	if dv == nil || dv.eng != v.eng {
 		panic("netsim: NewLinkTo destination must be a view of the same engine")
 	}
 	var env linkEnv = v
 	if dv.core != v.core {
+		if v.rank == ctlRank || dv.rank == ctlRank {
+			panic("netsim: a link cannot join the control view to a node view")
+		}
 		if cfg.Delay <= 0 {
 			panic("netsim: cross-shard link needs a positive delay (the conservative lookahead)")
 		}

@@ -10,21 +10,57 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestShardedScheduleOrdering mirrors TestScheduleOrdering on the
-// sharded engine: driver-context schedules execute in time order.
+// TestShardedScheduleOrdering holds the engine's driver surface — its
+// control view — to the sequential simulator's: the same script of
+// driver-context Schedule, Every, nested schedules and cancellations
+// fires at the same virtual times, in the same order, with the same
+// netsim/events/* counters, on NewSharded(seed, 4) as on NewSimulator.
 func TestShardedScheduleOrdering(t *testing.T) {
-	e := NewSharded(1, 2, nil)
-	defer e.Close()
-	var got []int
-	e.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
-	e.Schedule(1*time.Millisecond, func() { got = append(got, 1) })
-	e.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
-	e.RunFor(10 * time.Millisecond)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("order = %v", got)
+	script := func(b Backend) []string {
+		var got []string
+		rec := func(s string) { got = append(got, fmt.Sprintf("%s@%v", s, b.Now())) }
+		b.Schedule(3*time.Millisecond, func() { rec("3") })
+		b.Schedule(1*time.Millisecond, func() {
+			rec("1")
+			b.Schedule(0, func() { rec("1+0") })
+		})
+		b.Schedule(2*time.Millisecond, func() { rec("2") })
+		b.Schedule(2*time.Millisecond, func() { rec("2b") })
+		b.Schedule(5*time.Millisecond, func() { rec("cancelled") }).Stop()
+		n := 0
+		var r *Repeater
+		r = b.Every(2*time.Millisecond, func() {
+			n++
+			rec(fmt.Sprintf("every%d", n))
+			if n == 3 {
+				r.Stop()
+			}
+		})
+		b.RunFor(10 * time.Millisecond)
+		rec("end")
+		return got
 	}
-	if e.Now() != Time(10*time.Millisecond) {
-		t.Errorf("Now = %v", e.Now())
+	counters := func(reg *metrics.Registry) []uint64 {
+		var out []uint64
+		for _, n := range []string{"scheduled", "executed", "cancelled"} {
+			out = append(out, counterValue(t, reg, "netsim/events/"+n))
+		}
+		return out
+	}
+
+	simReg, shReg := metrics.New(), metrics.New()
+	want := script(NewSimulator(1, WithMetrics(simReg)))
+	e := NewSharded(1, 4, shReg)
+	defer e.Close()
+	got := script(e)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("sharded driver schedule:\n got  %v\n want %v", got, want)
+	}
+	if want[0] != "1@1ms" || want[len(want)-1] != "end@10ms" {
+		t.Errorf("sequential schedule = %v", want)
+	}
+	if g, w := counters(shReg), counters(simReg); fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Errorf("sharded events scheduled/executed/cancelled = %v, sequential = %v", g, w)
 	}
 }
 

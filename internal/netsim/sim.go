@@ -115,7 +115,6 @@ const arity = 4
 type evCore struct {
 	now    Time
 	events []slot
-	seq    uint64
 
 	// free recycles executed and compacted-away events. An event is
 	// only recycled once it is out of the heap, and its gen counter is
@@ -353,9 +352,9 @@ func WithMetrics(reg *metrics.Registry) Option {
 // Simulator ever goes to the engine's control core.
 func NewSimulator(seed int64, opts ...Option) *Simulator {
 	e := newSharded(seed, 1)
-	e.root = &view{eng: e, core: e.cores[0], rng: e.rng}
-	e.views = append(e.views, e.root)
-	s := &Simulator{view: e.root}
+	root := &view{eng: e, core: e.cores[0], rng: e.rng}
+	e.views = append(e.views, root)
+	s := &Simulator{view: root}
 	for _, o := range opts {
 		o(s)
 	}

@@ -349,24 +349,27 @@ func TestDuplexBothDirections(t *testing.T) {
 }
 
 // TestSimulatorAsLinkDestination pins that the sender-to-receiver link
-// constructors take a *Simulator on the receiving side: a Simulator is
-// the one view of its engine, so world builders that wire every link
-// through NewDuplexBetween/LinkOn work on it unchanged.
+// constructors take a driver handle on either side: a Simulator is the
+// one view of its engine and a Sharded engine is its control view, so
+// world builders that wire every link through NewDuplexBetween/LinkOn
+// work on either unchanged.
 func TestSimulatorAsLinkDestination(t *testing.T) {
-	s := NewSimulator(1)
-	var atA, atB []byte
-	d := NewDuplexBetween(s, s, LinkConfig{Delay: time.Millisecond},
-		func(p *Packet) { atA = p.Data },
-		func(p *Packet) { atB = p.Data })
-	d.AB.Send([]byte("to-b"))
-	d.BA.Send([]byte("to-a"))
-	LinkOn(s, LinkConfig{}, func(*Packet) {}, nil).Send([]byte("x")) // nil destination backend: plain NewLink
-	s.Run(0)
-	if string(atB) != "to-b" || string(atA) != "to-a" {
-		t.Errorf("atA=%q atB=%q", atA, atB)
-	}
-	if names := d.AB.Name() + " " + d.BA.Name(); names != "link0 link1" {
-		t.Errorf("links named %q, want creation order", names)
+	for _, b := range []Backend{NewSimulator(1), NewSharded(1, 2, nil)} {
+		var atA, atB []byte
+		d := NewDuplexBetween(b, b, LinkConfig{Delay: time.Millisecond},
+			func(p *Packet) { atA = p.Data },
+			func(p *Packet) { atB = p.Data })
+		d.AB.Send([]byte("to-b"))
+		d.BA.Send([]byte("to-a"))
+		LinkOn(b, LinkConfig{}, func(*Packet) {}, nil).Send([]byte("x")) // nil destination backend: plain NewLink
+		b.RunFor(time.Second)
+		b.Close()
+		if string(atB) != "to-b" || string(atA) != "to-a" {
+			t.Errorf("%s: atA=%q atB=%q", b.Name(), atA, atB)
+		}
+		if names := d.AB.Name() + " " + d.BA.Name(); names != "link0 link1" {
+			t.Errorf("%s: links named %q, want creation order", b.Name(), names)
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func Analyze(cr sublayered.Crossings, wirePackets, wireBytes uint64) []Report {
 	return out
 }
 
-// FormatTable renders the reports for the benchreport tool.
+// FormatTable renders the reports as E9's table.
 func FormatTable(rows []Report) string {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Partition < rows[j].Partition })
 	var b strings.Builder

@@ -177,10 +177,9 @@ func Run(cfg RunConfig) *RunResult {
 	if cfg.Ops <= 0 {
 		cfg.Ops = defaultOps(cfg.Tier)
 	}
-	rt := harness.Realtime(cfg.Backend)
 	if cfg.Budget <= 0 {
 		cfg.Budget = 60 * time.Second
-		if rt {
+		if harness.Realtime(cfg.Backend) {
 			cfg.Budget = 20 * time.Second
 		}
 	}
@@ -242,19 +241,7 @@ func Run(cfg RunConfig) *RunResult {
 	})
 
 	base := cl.Sim.Now()
-	deadline := base + netsim.Time(cfg.Budget)
-	slice := 500 * time.Millisecond
-	if rt {
-		slice = 10 * time.Millisecond
-	}
-	for cl.Sim.Now() < deadline {
-		done := false
-		cl.Exec(func() { done = allDone(cfg.Tier, runs, cfg.Nodes*cfg.Ops) })
-		if done {
-			break
-		}
-		cl.Sim.RunFor(slice)
-	}
+	harness.RunUntil(cl.Sim, cfg.Budget, func() bool { return allDone(cfg.Tier, runs, cfg.Nodes*cfg.Ops) })
 
 	var res *RunResult
 	cl.Exec(func() { res = summarize(cfg, cl, runs, wd, reg, base) })

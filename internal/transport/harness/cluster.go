@@ -138,14 +138,10 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 			cl.Hosts = append(cl.Hosts, ClusterHost{Addr: addr, Stack: st, B: hb})
 		}
 	})
-	if rt {
-		members := make([]network.Addr, len(cl.Hosts))
-		for i, h := range cl.Hosts {
-			members[i] = h.Addr
-		}
-		waitConverged(b, cl.Topo, members, 10*time.Second)
-	} else {
-		b.RunFor(5 * time.Second)
+	members := make([]network.Addr, len(cl.Hosts))
+	for i, h := range cl.Hosts {
+		members[i] = h.Addr
 	}
+	converge(b, cl.Topo, members)
 	return cl
 }

@@ -14,6 +14,12 @@
 // (E4), the performance comparison (E7), the chaos soak (E10), the
 // many-flow workload engine (E11) and the examples drive either
 // implementation with the same code.
+//
+// RunUntil is the one run-to-completion loop: every driver that waits
+// for an outcome (a transfer's EOFs, a workload's flows, an overlay's
+// operations, routing convergence) advances its backend through it, in
+// fixed virtual slices on the simulators and short wall-clock slices on
+// the real-time backends.
 package harness
 
 import (
@@ -234,11 +240,7 @@ func BuildWorld(cfg WorldConfig) *World {
 		w.Client, w.Server = w.Ends[0].Client, w.Ends[0].Server
 		w.ClientB, w.ServerB = w.Ends[0].ClientB, w.Ends[0].ServerB
 	})
-	if rt {
-		waitConverged(b, w.Topo, []network.Addr{1, w.ServerAddr()}, 10*time.Second)
-	} else {
-		b.RunFor(5 * time.Second)
-	}
+	converge(b, w.Topo, []network.Addr{1, w.ServerAddr()})
 	return w
 }
 
@@ -264,30 +266,60 @@ func buildTopology(b netsim.Backend, rt bool, edges []network.Edge, link netsim.
 	return topo
 }
 
-// waitConverged polls until every router has a route to every host in
-// hosts (or the wall budget runs out — traffic then surfaces the gap
-// as no_route drops, which is more debuggable than hanging).
-func waitConverged(b netsim.Backend, topo *network.Topology, hosts []network.Addr, budget time.Duration) {
-	deadline := time.Now().Add(budget)
-	for {
-		ok := true
-		b.Exec(func() {
-			for addr, r := range topo.Routers {
-				for _, h := range hosts {
-					if addr == h {
-						continue
-					}
-					if _, found := r.Forwarder().Lookup(h); !found {
-						ok = false
-						return
-					}
+// converge runs the control plane until routing has settled. The
+// simulators run a fixed 5 s of virtual time, which every digest and
+// bench's harness.converge_events pin; the real-time backends run until
+// every router has a route to every host in hosts, or 10 s pass —
+// traffic then surfaces the gap as no_route drops, which is more
+// debuggable than hanging.
+func converge(b netsim.Backend, topo *network.Topology, hosts []network.Addr) {
+	if !Realtime(b.Name()) {
+		b.RunFor(5 * time.Second)
+		return
+	}
+	RunUntil(b, 10*time.Second, func() bool {
+		for addr, r := range topo.Routers {
+			for _, h := range hosts {
+				if addr == h {
+					continue
+				}
+				if _, found := r.Forwarder().Lookup(h); !found {
+					return false
 				}
 			}
-		})
-		if ok || time.Now().After(deadline) {
-			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		return true
+	})
+}
+
+// Run slices: RunUntil checks its predicate between them. The virtual
+// slice fixes where workload.Run and overlay.Run stop, and with that
+// their digests; the wall-clock one bounds how long a real-time caller
+// waits past its outcome.
+const (
+	simSlice = 500 * time.Millisecond
+	rtSlice  = 2 * time.Millisecond
+)
+
+// RunUntil advances b until done holds or budget has passed since the
+// call, and reports whether done held. done is evaluated under b.Exec
+// before each slice, so it may read protocol state; when it already
+// holds, RunUntil returns without advancing the clock. Otherwise it
+// returns false once b.Now() reaches the entry time plus budget. A
+// slice is simSlice of virtual time on the simulators and rtSlice of
+// wall time on the real-time backends.
+func RunUntil(b netsim.Backend, budget time.Duration, done func() bool) (settled bool) {
+	slice := simSlice
+	if Realtime(b.Name()) {
+		slice = rtSlice
+	}
+	deadline := b.Now() + netsim.Time(budget)
+	for {
+		b.Exec(func() { settled = done() })
+		if settled || b.Now() >= deadline {
+			return settled
+		}
+		b.RunFor(slice)
 	}
 }
 
@@ -331,52 +363,20 @@ type TransferResult struct {
 }
 
 // RunTransfer sends c2s from client to server and s2c back, closing
-// each direction after its data, and runs the network for at most
-// budget: virtual time on the simulator (one uninterrupted RunFor, so
-// the executed-event count — and with it the determinism gate — is
-// unchanged), wall-clock time on the real-time backends (polling the
-// EOF flags under the backend lock).
+// each direction after its data; both ends are wired by the same pump.
+// On the simulators it runs the network for exactly budget of virtual
+// time, one uninterrupted RunFor; on the real-time backends it calls
+// RunUntil, which stops once both ends have seen EOF or budget of wall
+// time has passed.
 func RunTransfer(w *World, c2s, s2c []byte, budget time.Duration) (*TransferResult, error) {
 	res := &TransferResult{}
 	var setupErr error
-	var start netsim.Time
-	var done [2]bool
-	var finish [2]netsim.Time
-	// Completion stamps read the finishing host's clock: the callbacks
-	// run in protocol context, where only that node's shard clock is
-	// coherent. Index 0 is only ever written on the server's shard and
-	// index 1 on the client's (single-writer rule).
-	clientB, serverB := w.ClientB, w.ServerB
+	var start, serverFin, clientFin netsim.Time
 	w.Exec(func() {
 		start = w.Sim.Now()
-		markDone := func(i int, b netsim.Backend) {
-			if !done[i] {
-				done[i] = true
-				finish[i] = b.Now()
-			}
-		}
 		if err := w.Server.Listen(80, func(sc transport.Conn) {
 			res.ServerConn = sc
-			toSend := s2c
-			push := func() {
-				for len(toSend) > 0 {
-					n := sc.Write(toSend)
-					if n == 0 {
-						break
-					}
-					toSend = toSend[n:]
-				}
-				if len(toSend) == 0 {
-					sc.Close()
-				}
-			}
-			sc.Callbacks(push, func() {
-				res.ServerGot = append(res.ServerGot, sc.ReadAll()...)
-				if sc.EOF() {
-					res.ServerEOF = true
-					markDone(0, serverB)
-				}
-			}, push, func(err error) { res.ServerErr = err })
+			pump(sc, w.ServerB, s2c, &res.ServerGot, &res.ServerEOF, &serverFin, &res.ServerErr)
 		}); err != nil {
 			setupErr = err
 			return
@@ -387,56 +387,56 @@ func RunTransfer(w *World, c2s, s2c []byte, budget time.Duration) (*TransferResu
 			return
 		}
 		res.ClientConn = cc
-		toSend := c2s
-		push := func() {
-			for len(toSend) > 0 {
-				n := cc.Write(toSend)
-				if n == 0 {
-					break
-				}
-				toSend = toSend[n:]
-			}
-			if len(toSend) == 0 {
-				cc.Close()
-			}
-		}
-		cc.Callbacks(push, func() {
-			res.ClientGot = append(res.ClientGot, cc.ReadAll()...)
-			if cc.EOF() {
-				res.ClientEOF = true
-				markDone(1, clientB)
-			}
-		}, push, func(err error) { res.ClientErr = err })
+		pump(cc, w.ClientB, c2s, &res.ClientGot, &res.ClientEOF, &clientFin, &res.ClientErr)
 	})
 	if setupErr != nil {
 		return nil, setupErr
 	}
 
 	if w.Realtime() {
-		deadline := time.Now().Add(budget)
-		for {
-			settled := false
-			w.Exec(func() { settled = done[0] && done[1] })
-			if settled || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		RunUntil(w.Sim, budget, func() bool { return res.ServerEOF && res.ClientEOF })
 	} else {
+		// A fixed budget, not RunUntil: the executed-event count, and
+		// with it every digest, depends on it. ROADMAP item 1(b) moves
+		// this branch onto RunUntil together with its one re-record.
 		w.Sim.RunFor(budget)
 	}
 	w.Exec(func() {
-		end := finish[0]
-		if finish[1] > end {
-			end = finish[1]
+		end := max(serverFin, clientFin)
+		if end <= start {
+			end = w.Sim.Now()
 		}
-		if end > start {
-			res.Elapsed = time.Duration(end - start)
-		} else {
-			res.Elapsed = time.Duration(w.Sim.Now() - start)
-		}
+		res.Elapsed = time.Duration(end - start)
 	})
 	return res, nil
+}
+
+// pump wires one end of a transfer onto c: it writes out as the send
+// window allows and closes its direction once all of out is accepted,
+// appends what it reads to *got, and on the first EOF sets *eof and
+// stamps *fin from b. b is the end's own host backend: the callbacks
+// run in protocol context, where only that node's shard clock is
+// coherent, and each end's fields are written only on its own shard.
+func pump(c transport.Conn, b netsim.Backend, out []byte, got *[]byte, eof *bool, fin *netsim.Time, errp *error) {
+	push := func() {
+		for len(out) > 0 {
+			n := c.Write(out)
+			if n == 0 {
+				break
+			}
+			out = out[n:]
+		}
+		if len(out) == 0 {
+			c.Close()
+		}
+	}
+	c.Callbacks(push, func() {
+		*got = append(*got, c.ReadAll()...)
+		if c.EOF() && !*eof {
+			*eof = true
+			*fin = b.Now()
+		}
+	}, push, func(err error) { *errp = err })
 }
 
 // Describe renders a world for reports.

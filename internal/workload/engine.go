@@ -249,29 +249,15 @@ func Run(cfg Config) *Report {
 		panic(fmt.Sprintf("workload: listen: %v", listenErr))
 	}
 
-	// Drive the simulation in slices until every flow resolved or the
-	// budget ran out: virtual slices on the simulator, wall-clock waits
-	// on the real-time backends.
-	slice := 500 * time.Millisecond
-	if harness.Realtime(cfg.Backend) {
-		slice = 10 * time.Millisecond
-	}
-	deadline := base + netsim.Time(cfg.Budget)
-	for w.Sim.Now() < deadline {
-		settled := true
-		w.Exec(func() {
-			for _, f := range flows {
-				if !f.done && f.err() == nil {
-					settled = false
-					break
-				}
+	// Drive the world until every flow resolved or the budget ran out.
+	harness.RunUntil(w.Sim, cfg.Budget, func() bool {
+		for _, f := range flows {
+			if !f.done && f.err() == nil {
+				return false
 			}
-		})
-		if settled {
-			break
 		}
-		w.Sim.RunFor(slice)
-	}
+		return true
+	})
 
 	var rep *Report
 	w.Exec(func() { rep = summarize(cfg, w, flows, wd, reg, completedC, failedC, fctMs) })
