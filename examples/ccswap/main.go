@@ -45,17 +45,17 @@ func main() {
 	}{
 		{"handshake/rfc1948", func() func() sublayered.ConnManager {
 			return func() sublayered.ConnManager {
-				return sublayered.NewHandshakeCM(&sublayered.CryptoISN{}, sublayered.CMConfig{})
+				return sublayered.NewHandshakeCM(&sublayered.CryptoISN{})
 			}
 		}},
 		{"handshake/rfc793 ", func() func() sublayered.ConnManager {
 			return func() sublayered.ConnManager {
-				return sublayered.NewHandshakeCM(sublayered.ClockISN{}, sublayered.CMConfig{})
+				return sublayered.NewHandshakeCM(sublayered.ClockISN{})
 			}
 		}},
 		{"timer/watson     ", func() func() sublayered.ConnManager {
 			reg := sublayered.NewIncarnationRegistry()
-			return func() sublayered.ConnManager { return sublayered.NewTimerCM(reg, sublayered.CMConfig{}) }
+			return func() sublayered.ConnManager { return sublayered.NewTimerCM(reg) }
 		}},
 	}
 

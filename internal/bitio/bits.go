@@ -340,6 +340,3 @@ func (r *Reader) ReadByte() (byte, error) {
 
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.s.Len() - r.pos }
-
-// Pos returns the current read offset in bits.
-func (r *Reader) Pos() int { return r.pos }

@@ -36,9 +36,6 @@ func NewMatcher(p Bits) *Matcher {
 	return m
 }
 
-// Pattern returns the compiled pattern.
-func (m *Matcher) Pattern() Bits { return m.pattern }
-
 // State returns the current automaton state: the length of the longest
 // suffix of the fed stream that is a prefix of the pattern.
 func (m *Matcher) State() int { return m.state }
@@ -78,9 +75,6 @@ func (m *Matcher) Next(s int, b Bit) int {
 
 // Reset returns the automaton to its initial state.
 func (m *Matcher) Reset() { m.state = 0 }
-
-// NumStates returns the number of automaton states, len(pattern)+1.
-func (m *Matcher) NumStates() int { return m.pattern.Len() + 1 }
 
 // FeedAll feeds every bit of s and returns the positions (bit index of
 // the last bit of each occurrence) at which the pattern matched.

@@ -88,7 +88,7 @@ func (c *BBRLite) Window() int {
 	if bdp <= 0 {
 		return 10 * c.mss
 	}
-	return maxInt(int(bbrCwndGain*bdp), 4*c.mss)
+	return max(int(bbrCwndGain*bdp), 4*c.mss)
 }
 
 // PacingRate implements Controller: the gain-cycled bandwidth

@@ -106,10 +106,3 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

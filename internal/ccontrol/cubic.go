@@ -108,11 +108,11 @@ func (c *Cubic) OnLoss(e LossEvent) {
 			return
 		}
 		c.wMax = float64(c.cwnd)
-		c.cwnd = maxInt(int(float64(c.cwnd)*cubicBeta), 2*c.mss)
+		c.cwnd = max(int(float64(c.cwnd)*cubicBeta), 2*c.mss)
 		c.ssthresh = c.cwnd
 	case LossTimeout:
 		c.wMax = float64(c.cwnd)
-		c.ssthresh = maxInt(int(float64(c.cwnd)*cubicBeta), 2*c.mss)
+		c.ssthresh = max(int(float64(c.cwnd)*cubicBeta), 2*c.mss)
 		c.cwnd = c.mss
 	}
 	c.epoch = -1

@@ -67,13 +67,13 @@ func (c *NewReno) OnLoss(e LossEvent) {
 		if !c.cutAllowed() {
 			return
 		}
-		c.ssthresh = maxInt(c.cwnd/2, 2*c.mss)
+		c.ssthresh = max(c.cwnd/2, 2*c.mss)
 		c.cwnd = c.ssthresh
 		c.noteCut()
 	case LossTimeout:
 		// Timeouts always react: the pipe has drained, the guard's
 		// window accounting restarts from the collapsed window.
-		c.ssthresh = maxInt(c.cwnd/2, 2*c.mss)
+		c.ssthresh = max(c.cwnd/2, 2*c.mss)
 		c.cwnd = c.mss
 		c.noteCut()
 	}

@@ -2,13 +2,14 @@ package ccontrol
 
 import "time"
 
-// The two degenerate controllers migrated from the sublayered stack's
-// original cc.go: a constant window (honest-interface baseline for the
-// E8 swap experiment) and the rate-AIMD scheme the paper suggests
-// could seamlessly replace window-based congestion control.
+// The two degenerate controllers: a constant window (honest-interface
+// baseline for the E8 swap experiment) and the rate-AIMD scheme the
+// paper suggests could seamlessly replace window-based congestion
+// control.
 
 func init() {
-	Register("fixed", func(cfg Config) Controller { return NewFixedWindow(16 * cfg.MSS) })
+	// "fixed" is E8's baseline: a 16 KiB window whatever the MSS.
+	Register("fixed", func(Config) Controller { return NewFixedWindow(16 << 10) })
 	Register("rate-based", func(cfg Config) Controller { return NewRateBased(cfg.MSS) })
 }
 
@@ -87,7 +88,7 @@ func (c *RateBased) OnAck(s AckSample) {
 		}
 	}
 	if s.Acked > 0 {
-		c.rate += c.additive * float64(s.Acked) / float64(maxInt(c.Window(), c.mss))
+		c.rate += c.additive * float64(s.Acked) / float64(max(c.Window(), c.mss))
 	}
 }
 

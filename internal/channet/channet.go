@@ -84,9 +84,6 @@ type link struct {
 // Send copies data into a pooled buffer and transmits it.
 func (l *link) Send(data []byte) { l.SendOwned(l.Ingest(data), false) }
 
-// SendPacket is SendOwned for a packet that may carry an ECN mark.
-func (l *link) SendPacket(pkt *netsim.Packet) { l.SendOwned(pkt.Data, pkt.ECN) }
-
 // SendOwned transmits data, taking ownership of the buffer. Callers
 // hold the backend lock (protocol code always does).
 func (l *link) SendOwned(data []byte, ecn bool) {

@@ -76,13 +76,12 @@ func E8Replace(cfg Config) *Result {
 		Title:  "challenge 5 (Replace): CC × CM swap matrix on one lossy path",
 		Header: []string{"congestion-control", "connection-mgmt", "intact", "virtual-time"},
 	}
-	ccs := []struct {
-		name string
-		mk   func(mss int) sublayered.CongestionControl
-	}{
-		{"newreno", func(mss int) sublayered.CongestionControl { return sublayered.NewNewReno(mss) }},
-		{"rate-based", func(mss int) sublayered.CongestionControl { return sublayered.NewRateBased(mss) }},
-		{"fixed-16k", func(mss int) sublayered.CongestionControl { return sublayered.NewFixedWindow(16 * 1024) }},
+	// Controllers by ccontrol registry name; "fixed" is the 16 KiB
+	// window the table labels fixed-16k.
+	ccs := []struct{ name, reg string }{
+		{"newreno", "newreno"},
+		{"rate-based", "rate-based"},
+		{"fixed-16k", "fixed"},
 	}
 	cms := []struct {
 		name string
@@ -90,18 +89,18 @@ func E8Replace(cfg Config) *Result {
 	}{
 		{"handshake+crypto-isn", func() func() sublayered.ConnManager {
 			return func() sublayered.ConnManager {
-				return sublayered.NewHandshakeCM(&sublayered.CryptoISN{}, sublayered.CMConfig{})
+				return sublayered.NewHandshakeCM(&sublayered.CryptoISN{})
 			}
 		}},
 		{"handshake+clock-isn", func() func() sublayered.ConnManager {
 			return func() sublayered.ConnManager {
-				return sublayered.NewHandshakeCM(sublayered.ClockISN{}, sublayered.CMConfig{})
+				return sublayered.NewHandshakeCM(sublayered.ClockISN{})
 			}
 		}},
 		{"timer-based(watson)", func() func() sublayered.ConnManager {
 			reg := sublayered.NewIncarnationRegistry()
 			return func() sublayered.ConnManager {
-				return sublayered.NewTimerCM(reg, sublayered.CMConfig{})
+				return sublayered.NewTimerCM(reg)
 			}
 		}},
 	}
@@ -111,7 +110,7 @@ func E8Replace(cfg Config) *Result {
 			out := runWorld(harness.WorldConfig{
 				Seed: seed, Backend: cfg.Backend, Link: lossyLink(0.04),
 				Client: harness.KindSublayeredNative, Server: harness.KindSublayeredNative,
-				SubCfg: sublayered.Config{NewCC: cc.mk, NewCM: cm.mk()},
+				SubCfg: sublayered.Config{CC: cc.reg, NewCM: cm.mk()},
 			}, data, nil, 15*time.Minute, nil)
 			intact := out.Err == nil && bytes.Equal(out.R.ServerGot, data)
 			tm := out.R.Elapsed.Truncate(time.Millisecond).String()

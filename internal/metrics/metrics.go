@@ -142,14 +142,6 @@ func (h *Histogram) Count() uint64 { return h.n }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Mean returns the average observed value, or 0 with no observations.
-func (h *Histogram) Mean() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / int64(h.n)
-}
-
 func (h *Histogram) sample(name string) Sample {
 	s := Sample{Name: name, Kind: KindHistogram, Value: int64(h.n), Sum: h.sum}
 	for i, b := range h.bounds {

@@ -3,7 +3,6 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -138,28 +137,5 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	var decoded Snapshot
 	if err := json.Unmarshal(build().JSON(), &decoded); err != nil {
 		t.Fatalf("round-trip: %v", err)
-	}
-}
-
-func TestWriteReport(t *testing.T) {
-	reg := New()
-	reg.Counter("a").Add(1)
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, "json", reg); err != nil {
-		t.Fatal(err)
-	}
-	var obj map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if _, ok := obj["metrics"]; !ok {
-		t.Fatalf("report missing metrics section: %s", buf.String())
-	}
-	buf.Reset()
-	if err := WriteReport(&buf, "text", reg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "== metrics ==") {
-		t.Fatalf("text report missing section header: %q", buf.String())
 	}
 }

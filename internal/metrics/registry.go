@@ -271,15 +271,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// SourceName implements Source.
-func (r *Registry) SourceName() string { return "metrics" }
-
-// ReportJSON implements Source.
-func (r *Registry) ReportJSON() any { return r.Snapshot() }
-
-// ReportText implements Source.
-func (r *Registry) ReportText() string { return r.Snapshot().Text() }
-
 // Scope is a named subtree of a registry. A nil *Scope is valid and
 // inert: Register is a no-op and the getters hand back detached
 // instruments, so components instrument themselves unconditionally and

@@ -85,7 +85,7 @@ type Backend interface {
 // Port is one direction of an impaired point-to-point channel — the
 // send side of what *Link implements on the simulator. Buffer
 // ownership follows the simulator contract on every backend: SendOwned
-// and SendPacket take ownership of the buffer; the destination handler
+// takes ownership of the buffer; the destination handler
 // owns what it is given; drops return buffers to the bufpool.
 // Impairments never alias caller memory — any duplicate is deep-copied
 // through CloneBuf, the Backend contract's single copy path.
@@ -96,8 +96,6 @@ type Port interface {
 	Send(data []byte)
 	// SendOwned transmits data, taking ownership of the buffer.
 	SendOwned(data []byte, ecn bool)
-	// SendPacket is SendOwned for a packet that may carry an ECN mark.
-	SendPacket(pkt *Packet)
 	// SetUp raises or cuts the link; down links count down_drop.
 	SetUp(up bool)
 	// Up reports whether the link is passing traffic.

@@ -369,13 +369,6 @@ func (l *Link) Send(data []byte) {
 	l.SendOwned(l.ingest(l.env.envTracer(), data), false)
 }
 
-// SendPacket is Send for a packet that may already carry an ECN mark.
-// It takes ownership of pkt.Data (see SendOwned); the Packet struct
-// itself is not retained.
-func (l *Link) SendPacket(pkt *Packet) {
-	l.SendOwned(pkt.Data, pkt.ECN)
-}
-
 // SendOwned transmits data, transferring ownership of the buffer to
 // the link: the caller must not touch data afterwards. The link either
 // carries the buffer through to the destination handler (which then

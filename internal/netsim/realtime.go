@@ -168,9 +168,6 @@ func (c *RTClock) Close() error {
 	return nil
 }
 
-// Closed reports whether Close has run. Callers must hold the lock.
-func (c *RTClock) Closed() bool { return c.closed }
-
 // RTLinkCore is the wall-clock half of a link: the shared link core —
 // the same impairment pipeline, per-link stream, metrics and trace
 // identity the engine's Link has — driven by RTClock time, leaving only

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -221,12 +220,4 @@ func RandomConnectedGraph(rng *rand.Rand, n, extraEdges int, maxCost int) []Edge
 		add(Addr(1+rng.Intn(n)), Addr(1+rng.Intn(n)))
 	}
 	return edges
-}
-
-// ConvergenceBudget estimates how long to run the simulation for the
-// control plane to converge on a graph of the given diameter: hello
-// discovery plus per-hop propagation with slack.
-func ConvergenceBudget(ncfg NeighborConfig, diameterHint int) time.Duration {
-	c := ncfg.withDefaults()
-	return c.HelloInterval*3 + time.Duration(diameterHint+2)*2*time.Second
 }

@@ -9,47 +9,31 @@ import (
 
 // DHTConfig tunes one DHT member.
 type DHTConfig struct {
-	// K is the bucket width and result-set size (default 4 — sized for
-	// 8-member experiment clusters, not planet-scale tables).
-	K int
-	// Alpha is the lookup parallelism: queries in flight per round
-	// (default 2).
-	Alpha int
-	// MaxRounds bounds an iterative lookup so it terminates under
-	// partitions (default 16).
-	MaxRounds int
-	// CallDeadline is the overall RPC deadline per query (default 1s).
-	CallDeadline time.Duration
 	// Metrics, when non-nil, adopts the DHT's instruments.
 	Metrics *metrics.Scope
 }
 
-func (c DHTConfig) withDefaults() DHTConfig {
-	if c.K <= 0 {
-		c.K = 4
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 2
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 16
-	}
-	if c.CallDeadline <= 0 {
-		c.CallDeadline = time.Second
-	}
-	return c
-}
+// Lookup parameters, sized for 8-member experiment clusters rather than
+// planet-scale tables: bucketWidth is Kademlia's k (the bucket width
+// and result-set size), alpha the queries in flight per round,
+// maxRounds the bound that makes an iterative lookup terminate under
+// partitions, and dhtCallDeadline the overall RPC deadline per query.
+const (
+	bucketWidth     = 4
+	alpha           = 2
+	maxRounds       = 16
+	dhtCallDeadline = time.Second
+)
 
 // DHT is a Kademlia-style distributed hash table member: a routing
 // table of k-buckets over the XOR metric (id.go), a local key/value
 // store, and iterative FIND_NODE/STORE/GET lookups built on the node's
-// Call primitive. Lookups proceed in rounds — up to Alpha queries in
+// Call primitive. Lookups proceed in rounds — up to alpha queries in
 // flight, a barrier per round — so the per-lookup hop count is simply
 // the number of rounds, comparable across stacks and scenarios.
 type DHT struct {
-	n   *Node
-	id  ID
-	cfg DHTConfig
+	n  *Node
+	id ID
 
 	buckets [160][]network.Addr
 	store   map[string][]byte
@@ -63,7 +47,7 @@ type DHT struct {
 // NewDHT attaches a DHT member to a node runtime and registers its
 // message handlers. Call under the backend lock.
 func NewDHT(n *Node, cfg DHTConfig) *DHT {
-	d := &DHT{n: n, id: NodeID(n.Addr()), cfg: cfg.withDefaults(), store: make(map[string][]byte)}
+	d := &DHT{n: n, id: NodeID(n.Addr()), store: make(map[string][]byte)}
 	sc := cfg.Metrics
 	sc.Register("lookups", &d.lookups)
 	sc.Register("lookup_rounds", &d.lookupRounds)
@@ -99,7 +83,7 @@ func (d *DHT) Observe(addr network.Addr) {
 			return
 		}
 	}
-	if len(b) < d.cfg.K {
+	if len(b) < bucketWidth {
 		d.buckets[i] = append(b, addr)
 		d.tableSize.Add(1)
 	}
@@ -120,15 +104,6 @@ func (d *DHT) closest(target ID, max int) []network.Addr {
 	return addrs
 }
 
-// TableSize reports how many members the routing table holds.
-func (d *DHT) TableSize() int {
-	total := 0
-	for i := range d.buckets {
-		total += len(d.buckets[i])
-	}
-	return total
-}
-
 // --- server side ---
 
 func (d *DHT) serveFindNode(from network.Addr, payload []byte) []byte {
@@ -139,7 +114,7 @@ func (d *DHT) serveFindNode(from network.Addr, payload []byte) []byte {
 	}
 	var target ID
 	copy(target[:], payload)
-	return appendAddrs(nil, d.closest(target, d.cfg.K))
+	return appendAddrs(nil, d.closest(target, bucketWidth))
 }
 
 func (d *DHT) serveStore(from network.Addr, payload []byte) []byte {
@@ -167,13 +142,7 @@ func (d *DHT) serveGet(from network.Addr, payload []byte) []byte {
 	if v, found := d.store[string(key)]; found {
 		return appendBytes([]byte{1}, v)
 	}
-	return appendAddrs([]byte{0}, d.closest(KeyID(string(key)), d.cfg.K))
-}
-
-// Stored reports whether key is held locally (tests, demos).
-func (d *DHT) Stored(key string) ([]byte, bool) {
-	v, ok := d.store[key]
-	return v, ok
+	return appendAddrs([]byte{0}, d.closest(KeyID(string(key)), bucketWidth))
 }
 
 // --- iterative lookups ---
@@ -210,12 +179,12 @@ func (d *DHT) Join(seeds []network.Addr, done func()) {
 
 // Lookup runs an iterative FIND_NODE toward target and reports the k
 // closest members found and the hop (round) count. ok is false when
-// the lookup hit MaxRounds without converging.
+// the lookup hit maxRounds without converging.
 func (d *DHT) Lookup(target ID, done func(closest []network.Addr, rounds int, ok bool)) {
 	d.start(&lookup{
 		target: target,
 		done: func(closest []network.Addr, rounds int, _ []byte, _ bool) {
-			done(closest, rounds, rounds < d.cfg.MaxRounds)
+			done(closest, rounds, rounds < maxRounds)
 		},
 	})
 }
@@ -247,8 +216,8 @@ func (d *DHT) Store(key string, value []byte, done func(stored int, rounds int))
 	payload := appendBytes(appendBytes(nil, []byte(key)), value)
 	d.Lookup(KeyID(key), func(closest []network.Addr, rounds int, _ bool) {
 		targets := closest
-		if len(targets) > d.cfg.K {
-			targets = targets[:d.cfg.K]
+		if len(targets) > bucketWidth {
+			targets = targets[:bucketWidth]
 		}
 		stored, pending := 0, 0
 		finish := func() {
@@ -263,7 +232,7 @@ func (d *DHT) Store(key string, value []byte, done func(stored int, rounds int))
 				continue
 			}
 			pending++
-			d.n.Call(t, KindStore, payload, d.cfg.CallDeadline, func(resp []byte, err error) {
+			d.n.Call(t, KindStore, payload, dhtCallDeadline, func(resp []byte, err error) {
 				pending--
 				if err == nil && len(resp) == 1 && resp[0] == 1 {
 					stored++
@@ -278,7 +247,7 @@ func (d *DHT) Store(key string, value []byte, done func(stored int, rounds int))
 func (d *DHT) start(lk *lookup) {
 	d.lookups.Inc()
 	lk.queried = map[network.Addr]bool{d.n.Addr(): true}
-	lk.short = d.closest(lk.target, 3*d.cfg.K)
+	lk.short = d.closest(lk.target, 3*bucketWidth)
 	d.step(lk)
 }
 
@@ -289,14 +258,14 @@ func (d *DHT) step(lk *lookup) {
 	var batch []network.Addr
 	topQueried := true
 	for i, a := range lk.short {
-		if i < d.cfg.K && !lk.queried[a] {
+		if i < bucketWidth && !lk.queried[a] {
 			topQueried = false
 		}
-		if len(batch) < d.cfg.Alpha && !lk.queried[a] {
+		if len(batch) < alpha && !lk.queried[a] {
 			batch = append(batch, a)
 		}
 	}
-	if len(batch) == 0 || topQueried || lk.rounds >= d.cfg.MaxRounds {
+	if len(batch) == 0 || topQueried || lk.rounds >= maxRounds {
 		d.finish(lk)
 		return
 	}
@@ -307,10 +276,10 @@ func (d *DHT) step(lk *lookup) {
 		lk.queried[a] = true
 		lk.inflight++
 		if lk.key != "" {
-			d.n.Call(a, KindGet, appendBytes(nil, []byte(lk.key)), d.cfg.CallDeadline,
+			d.n.Call(a, KindGet, appendBytes(nil, []byte(lk.key)), dhtCallDeadline,
 				func(resp []byte, err error) { d.onGetReply(lk, a, resp, err) })
 		} else {
-			d.n.Call(a, KindFindNode, lk.target[:], d.cfg.CallDeadline,
+			d.n.Call(a, KindFindNode, lk.target[:], dhtCallDeadline,
 				func(resp []byte, err error) { d.onFindReply(lk, a, resp, err) })
 		}
 	}
@@ -364,8 +333,8 @@ func (d *DHT) merge(lk *lookup, addrs []network.Addr) {
 		}
 	}
 	sortByDistance(lk.short, lk.target)
-	if len(lk.short) > 3*d.cfg.K {
-		lk.short = lk.short[:3*d.cfg.K]
+	if len(lk.short) > 3*bucketWidth {
+		lk.short = lk.short[:3*bucketWidth]
 	}
 }
 
@@ -375,8 +344,8 @@ func (d *DHT) finish(lk *lookup) {
 	}
 	lk.finished = true
 	closest := lk.short
-	if len(closest) > d.cfg.K {
-		closest = closest[:d.cfg.K]
+	if len(closest) > bucketWidth {
+		closest = closest[:bucketWidth]
 	}
 	lk.done(closest, lk.rounds, lk.value, lk.found)
 }

@@ -12,41 +12,23 @@ import (
 
 // GossipConfig tunes one gossip member.
 type GossipConfig struct {
-	// Fanout is how many random peers each push round targets
-	// (default 3).
-	Fanout int
-	// TTL is a rumor's rounds-to-live: how many push rounds it stays
-	// hot after arriving (default 3). Anti-entropy repairs whatever
-	// push misses, so TTL trades duplicate traffic for latency.
-	TTL int
-	// PushInterval is the hot-rumor push cadence (default 100ms).
-	PushInterval time.Duration
-	// AntiEntropyInterval is the digest-exchange cadence (default 500ms).
-	AntiEntropyInterval time.Duration
-	// CallDeadline bounds one digest exchange (default 1s).
-	CallDeadline time.Duration
 	// Metrics, when non-nil, adopts the gossip instruments.
 	Metrics *metrics.Scope
 }
 
-func (c GossipConfig) withDefaults() GossipConfig {
-	if c.Fanout <= 0 {
-		c.Fanout = 3
-	}
-	if c.TTL <= 0 {
-		c.TTL = 3
-	}
-	if c.PushInterval <= 0 {
-		c.PushInterval = 100 * time.Millisecond
-	}
-	if c.AntiEntropyInterval <= 0 {
-		c.AntiEntropyInterval = 500 * time.Millisecond
-	}
-	if c.CallDeadline <= 0 {
-		c.CallDeadline = time.Second
-	}
-	return c
-}
+// Dissemination parameters: each push round targets fanout random
+// peers; a rumor stays hot for rumorTTL push rounds after it arrives
+// (anti-entropy repairs whatever push misses, so the TTL trades
+// duplicate traffic for latency); hot rumors are pushed every
+// pushInterval, digests exchanged every antiEntropyInterval, and one
+// digest exchange is bounded by gossipCallDeadline.
+const (
+	fanout              = 3
+	rumorTTL            = 3
+	pushInterval        = 100 * time.Millisecond
+	antiEntropyInterval = 500 * time.Millisecond
+	gossipCallDeadline  = time.Second
+)
 
 // rumorKey packs (origin, seq) into the map key; rumors are totally
 // ordered by it, which keeps every iteration deterministic.
@@ -65,14 +47,13 @@ type Rumor struct {
 }
 
 // Gossip is an epidemic pub-sub member: new rumors are pushed to
-// Fanout random peers for TTL rounds (fast, redundant, lossy), and a
+// fanout random peers for rumorTTL rounds (fast, redundant, lossy), and a
 // periodic anti-entropy exchange — send a per-origin version digest,
 // receive the rumors the digest proves missing — repairs whatever push
 // lost, so dissemination converges even across healed partitions.
 // Peer choice draws from the node-local RNG only.
 type Gossip struct {
 	n       *Node
-	cfg     GossipConfig
 	members []network.Addr // static membership minus self, sorted
 	rumors  map[uint64]*Rumor
 	keys    []uint64 // sorted; deterministic digest/delta iteration
@@ -90,7 +71,7 @@ type Gossip struct {
 // full static membership (self included is fine); push and
 // anti-entropy timers start immediately. Call under the backend lock.
 func NewGossip(n *Node, members []network.Addr, cfg GossipConfig) *Gossip {
-	g := &Gossip{n: n, cfg: cfg.withDefaults(), rumors: make(map[uint64]*Rumor)}
+	g := &Gossip{n: n, rumors: make(map[uint64]*Rumor)}
 	for _, m := range members {
 		if m != n.Addr() {
 			g.members = append(g.members, m)
@@ -106,8 +87,8 @@ func NewGossip(n *Node, members []network.Addr, cfg GossipConfig) *Gossip {
 	sc.Register("repaired", &g.repaired)
 	n.Handle(KindRumor, g.serveRumor)
 	n.Handle(KindDigest, g.serveDigest)
-	g.pushR = n.B.Every(g.cfg.PushInterval, g.pushRound)
-	g.aeR = n.B.Every(g.cfg.AntiEntropyInterval, g.antiEntropyRound)
+	g.pushR = n.B.Every(pushInterval, g.pushRound)
+	g.aeR = n.B.Every(antiEntropyInterval, g.antiEntropyRound)
 	return g
 }
 
@@ -123,7 +104,7 @@ func (g *Gossip) Publish(body []byte) (seq uint32) {
 	g.mySeq++
 	g.published.Inc()
 	g.insert(&Rumor{Origin: g.n.Addr(), Seq: g.mySeq, Body: body,
-		Arrived: g.n.B.Now(), ttl: g.cfg.TTL})
+		Arrived: g.n.B.Now(), ttl: rumorTTL})
 	g.pushRound()
 	return g.mySeq
 }
@@ -165,7 +146,7 @@ func (g *Gossip) accept(origin network.Addr, seq uint32, ttl int, body []byte) b
 
 // --- push path ---
 
-// pushRound forwards every hot rumor to Fanout random peers and ages
+// pushRound forwards every hot rumor to fanout random peers and ages
 // it; rumors fall cold at ttl 0 and anti-entropy takes over.
 func (g *Gossip) pushRound() {
 	if len(g.hot) == 0 || len(g.members) == 0 {
@@ -180,7 +161,7 @@ func (g *Gossip) pushRound() {
 		}
 		r.ttl--
 		payload := encodeRumor(nil, r)
-		for _, i := range g.n.Rand().Perm(len(g.members))[:min(g.cfg.Fanout, len(g.members))] {
+		for _, i := range g.n.Rand().Perm(len(g.members))[:min(fanout, len(g.members))] {
 			g.pushes.Inc()
 			g.n.Cast(g.members[i], KindRumor, payload)
 		}
@@ -305,7 +286,7 @@ func (g *Gossip) antiEntropyRound() {
 		return
 	}
 	peer := g.members[g.n.Rand().Intn(len(g.members))]
-	g.n.Call(peer, KindDigest, g.digest(), g.cfg.CallDeadline, func(resp []byte, err error) {
+	g.n.Call(peer, KindDigest, g.digest(), gossipCallDeadline, func(resp []byte, err error) {
 		if err != nil {
 			return
 		}

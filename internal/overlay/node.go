@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/metrics"
@@ -33,36 +32,21 @@ type NodeConfig struct {
 	// shard placement cannot perturb a decision; the cluster passes its
 	// seed and each node mixes in its own address.
 	Seed int64
-	// Port is the overlay listen port (default DefaultPort).
-	Port uint16
-	// AttemptTimeout is the per-attempt response timeout (default 250ms).
-	AttemptTimeout time.Duration
-	// MaxAttempts bounds send attempts per call, first try included
-	// (default 3).
-	MaxAttempts int
-	// RetryBackoff is the base retry delay (default 50ms), doubled per
-	// attempt with jitter in [0, backoff/2] drawn from the node RNG.
-	RetryBackoff time.Duration
 	// Metrics, when non-nil, adopts the node's instruments (a nil
 	// scope costs nothing).
 	Metrics *metrics.Scope
 }
 
-func (c NodeConfig) withDefaults() NodeConfig {
-	if c.Port == 0 {
-		c.Port = DefaultPort
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 250 * time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
-	return c
-}
+// The request/response core's retry policy: a call is sent up to
+// maxAttempts times, first try included. Each attempt waits
+// attemptTimeout for a reply; the next is sent after retryBackoff,
+// doubled per attempt, plus jitter in [0, backoff/2] drawn from the
+// node RNG.
+const (
+	attemptTimeout = 250 * time.Millisecond
+	maxAttempts    = 3
+	retryBackoff   = 50 * time.Millisecond
+)
 
 // Node is the shared runtime of every overlay tier: message framing
 // over transport.Conn, dial-on-demand connection management, and the
@@ -75,7 +59,6 @@ type Node struct {
 	B     netsim.Backend
 	addr  network.Addr
 	stack transport.Stack
-	cfg   NodeConfig
 	rng   *rand.Rand
 
 	handlers map[MsgKind]Handler
@@ -100,16 +83,15 @@ type Node struct {
 // backend b must be the node's own (its shard view on a sharded
 // engine). Call under the backend lock.
 func NewNode(b netsim.Backend, addr network.Addr, stack transport.Stack, cfg NodeConfig) (*Node, error) {
-	cfg = cfg.withDefaults()
 	n := &Node{
-		B: b, addr: addr, stack: stack, cfg: cfg,
+		B: b, addr: addr, stack: stack,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ (int64(addr)+1)*0x7F4A7C159E3779B9)),
 		handlers: make(map[MsgKind]Handler),
 		peers:    make(map[network.Addr]*peer),
 		calls:    make(map[uint64]*call),
 	}
 	n.bindMetrics(cfg.Metrics)
-	if err := stack.Listen(cfg.Port, n.accept); err != nil {
+	if err := stack.Listen(DefaultPort, n.accept); err != nil {
 		return nil, fmt.Errorf("overlay: node %d listen: %w", addr, err)
 	}
 	return n, nil
@@ -190,7 +172,7 @@ func (n *Node) outPeer(addr network.Addr) *peer {
 		return p
 	}
 	n.dials.Inc()
-	c, err := n.stack.Dial(addr, n.cfg.Port)
+	c, err := n.stack.Dial(addr, DefaultPort)
 	if err != nil {
 		n.dialErrs.Inc()
 		return nil
@@ -344,7 +326,7 @@ func (n *Node) Cast(to network.Addr, kind MsgKind, payload []byte) {
 // once: with the response payload, or with ErrDeadline once the
 // overall deadline elapses. Attempts are re-sent on a per-attempt
 // timeout with exponentially backed-off, jittered delays (bounded by
-// MaxAttempts); a response to ANY attempt completes the call, and
+// maxAttempts); a response to ANY attempt completes the call, and
 // later replies are suppressed and counted. Call must run inside a
 // backend event or under the backend lock.
 func (n *Node) Call(to network.Addr, kind MsgKind, payload []byte, deadline time.Duration, cb func([]byte, error)) {
@@ -362,12 +344,12 @@ func (n *Node) attempt(c *call) {
 	}
 	c.attempts++
 	n.send(c.to, classRequest, c.kind, c.id, c.payload)
-	if c.attempts >= n.cfg.MaxAttempts {
+	if c.attempts >= maxAttempts {
 		// Out of retries: the call now rides on the deadline timer
 		// alone — a straggling reply can still complete it.
 		return
 	}
-	c.attemptT = n.B.ScheduleTimer(n.cfg.AttemptTimeout, func() { n.attemptTimeout(c) })
+	c.attemptT = n.B.ScheduleTimer(attemptTimeout, func() { n.attemptTimeout(c) })
 }
 
 func (n *Node) attemptTimeout(c *call) {
@@ -375,7 +357,7 @@ func (n *Node) attemptTimeout(c *call) {
 		return
 	}
 	n.retries.Inc()
-	backoff := n.cfg.RetryBackoff << uint(c.attempts-1)
+	backoff := retryBackoff << (c.attempts - 1)
 	backoff += time.Duration(n.rng.Int63n(int64(backoff/2) + 1))
 	c.attemptT = n.B.ScheduleTimer(backoff, func() { n.attempt(c) })
 }
@@ -398,14 +380,4 @@ func (n *Node) miss(c *call) {
 	c.attemptT.Stop()
 	n.deadlineMiss.Inc()
 	c.cb(nil, ErrDeadline)
-}
-
-// PeerAddrs lists the node's live outbound peers, sorted (tests).
-func (n *Node) PeerAddrs() []network.Addr {
-	addrs := make([]network.Addr, 0, len(n.peers))
-	for a := range n.peers {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
 }

@@ -186,7 +186,7 @@ func TestDHTJoinLeaveMidLookup(t *testing.T) {
 					if found && bytes.Equal(value, dhtValue(key)) {
 						founds[key] = true
 					}
-					if rounds > (DHTConfig{}).withDefaults().MaxRounds {
+					if rounds > maxRounds {
 						t.Errorf("get %s took %d rounds", key, rounds)
 					}
 				})
@@ -247,22 +247,21 @@ func TestGossipPartitionHealConverges(t *testing.T) {
 }
 
 func TestRPCLateReplySuppressed(t *testing.T) {
-	// Force the retry race: the attempt timeout (30ms) is far below the
-	// round trip on a slow ring, so the client resends while the first
-	// reply is still in flight. Both replies carry the same request id;
-	// the first completes the call, the second must be suppressed and
+	// Force the retry race: the round trip on a slow ring is far above
+	// the attempt timeout, so the client resends while the first reply
+	// is still in flight. Both replies carry the same request id; the
+	// first completes the call, the second must be suppressed and
 	// counted — never delivered to the callback twice.
 	cl := harness.BuildCluster(harness.ClusterConfig{
 		Seed: 7, Nodes: 2, Kind: harness.KindSublayeredNative,
-		Link: netsim.LinkConfig{Delay: 50 * time.Millisecond},
+		Link: netsim.LinkConfig{Delay: 150 * time.Millisecond},
 	})
 	defer cl.Close()
 	var a, b *Node
 	completions, dups := 0, 0
 	cl.Exec(func() {
 		var err error
-		a, err = NewNode(cl.Hosts[0].B, 1, cl.Hosts[0].Stack, NodeConfig{
-			Seed: 7, AttemptTimeout: 30 * time.Millisecond, MaxAttempts: 3})
+		a, err = NewNode(cl.Hosts[0].B, 1, cl.Hosts[0].Stack, NodeConfig{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,9 +269,9 @@ func TestRPCLateReplySuppressed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The 50ms link puts the round trip (plus handshake) far past
-		// the 30ms attempt timeout, so the first reply is still in
-		// flight when the client resends — a guaranteed retry race.
+		// Handshake, request and reply cross the 150ms link four times:
+		// the first reply is still in flight when the 250ms attempt
+		// timeout resends — a guaranteed retry race.
 		b.Handle(KindEcho, func(_ network.Addr, p []byte) []byte { return p })
 		a.Call(2, KindEcho, []byte("once"), 2*time.Second, func(resp []byte, err error) {
 			if err != nil {

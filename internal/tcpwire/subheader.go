@@ -135,16 +135,6 @@ func (s RDSection) MarshalInto(buf []byte) {
 	}
 }
 
-// UnmarshalRD decodes the section, returning its wire length.
-func UnmarshalRD(buf []byte) (RDSection, int, error) {
-	var s RDSection
-	n, err := unmarshalRDInto(&s, buf)
-	if err != nil {
-		return RDSection{}, 0, err
-	}
-	return s, n, nil
-}
-
 // unmarshalRDInto decodes into s, reusing s.SACK's storage.
 func unmarshalRDInto(s *RDSection, buf []byte) (int, error) {
 	if len(buf) < rdFixed {

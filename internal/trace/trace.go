@@ -34,9 +34,6 @@ type Event struct {
 // drop count is recoverable as Total() - len(Events()), and Total
 // keeps counting past the window (it wraps only at 2^64 like any
 // uint64, far beyond a simulation's reach).
-//
-// Recorder implements metrics.Source, so a trace renders as a run
-// report section next to the metrics snapshot.
 type Recorder struct {
 	sim    netsim.Backend
 	events []Event
@@ -90,27 +87,6 @@ func (r *Recorder) Total() uint64 { return r.total }
 
 // Dropped returns how many events fell out of the ring buffer.
 func (r *Recorder) Dropped() uint64 { return r.total - uint64(len(r.events)) }
-
-// SourceName implements metrics.Source.
-func (r *Recorder) SourceName() string { return "trace" }
-
-// traceReport is the machine-readable form of a trace section.
-type traceReport struct {
-	Total   uint64  `json:"total"`
-	Dropped uint64  `json:"dropped"`
-	Events  []Event `json:"events"`
-}
-
-// ReportJSON implements metrics.Source. Events marshal in order with
-// virtual timestamps only, so same-seed runs report identically.
-func (r *Recorder) ReportJSON() any {
-	return traceReport{Total: r.total, Dropped: r.Dropped(), Events: r.Events()}
-}
-
-// ReportText implements metrics.Source.
-func (r *Recorder) ReportText() string {
-	return fmt.Sprintf("%d events (%d dropped)\n%s", r.total, r.Dropped(), r.Dump())
-}
 
 // Dump renders the retained events, one line each.
 func (r *Recorder) Dump() string {

@@ -1,14 +1,11 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/tcpwire"
@@ -125,36 +122,6 @@ func TestTotalOutlivesRing(t *testing.T) {
 	if lines := strings.Split(strings.TrimSpace(rec.Dump()), "\n"); len(lines) != 8 ||
 		!strings.Contains(lines[0], fmt.Sprintf("%dB", n-8)) || !strings.Contains(lines[7], fmt.Sprintf("%dB", n-1)) {
 		t.Errorf("Dump is not the window oldest first:\n%s", rec.Dump())
-	}
-	rep := rec.ReportJSON().(traceReport)
-	if rep.Total != n || rep.Dropped != n-8 || len(rep.Events) != 8 {
-		t.Errorf("report = total %d dropped %d events %d", rep.Total, rep.Dropped, len(rep.Events))
-	}
-}
-
-// TestRecorderIsReportSource checks the Recorder renders through the
-// shared metrics report writer.
-func TestRecorderIsReportSource(t *testing.T) {
-	sim := netsim.NewSimulator(1)
-	rec := NewRecorder(sim, 4)
-	rec.add(Event{Node: "n1", Summary: "HELLO from n2 cost 1", Len: 4})
-	var src metrics.Source = rec
-	if src.SourceName() != "trace" {
-		t.Errorf("SourceName = %q", src.SourceName())
-	}
-	var buf bytes.Buffer
-	if err := metrics.WriteReport(&buf, "json", src); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]traceReport
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("report not valid JSON: %v\n%s", err, buf.String())
-	}
-	if decoded["trace"].Total != 1 {
-		t.Errorf("decoded trace total = %d", decoded["trace"].Total)
-	}
-	if !strings.Contains(rec.ReportText(), "HELLO from n2") {
-		t.Error("text report missing event line")
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"repro/internal/pcap"
 	"repro/internal/trace"
 	"repro/internal/transport/harness"
-	"repro/internal/transport/monolithic"
-	"repro/internal/transport/sublayered"
 )
 
 // lossyWorld builds a traced line topology with random loss and runs a
@@ -250,9 +248,6 @@ func TestAbortDumpCapturesOffendingChain(t *testing.T) {
 			// flight when the link goes down below.
 			Link: netsim.LinkConfig{Delay: time.Millisecond, RateBps: 8 << 20},
 			Hops: 2, Client: kind, Server: kind,
-			// Few retries so the user timeout fires well inside the budget.
-			SubCfg:  sublayered.Config{MaxDataRexmit: 4},
-			MonoCfg: monolithic.Config{MaxRexmit: 4},
 		})
 		col := trace.NewCollector(trace.Options{})
 		w.Sim.SetTracer(col)
@@ -263,7 +258,9 @@ func TestAbortDumpCapturesOffendingChain(t *testing.T) {
 				d.SetUp(false)
 			}
 		})
-		if _, err := harness.RunTransfer(w, bytes.Repeat([]byte("y"), 1<<20), nil, 5*time.Minute); err != nil {
+		// The budget outlasts transport.MaxRexmit backed-off RTOs, most
+		// of them at the 60s ceiling.
+		if _, err := harness.RunTransfer(w, bytes.Repeat([]byte("y"), 1<<20), nil, 15*time.Minute); err != nil {
 			t.Fatalf("%v: RunTransfer: %v", kind, err)
 		}
 		dumps := col.Dumps()

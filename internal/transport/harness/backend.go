@@ -9,14 +9,10 @@ import (
 // Backend kind names, re-exported from the backend registry so most
 // callers only import harness.
 const (
-	BackendSim     = backends.Sim
-	BackendSharded = backends.Sharded
-	BackendChan    = backends.Chan
-	BackendUDP     = backends.UDP
+	BackendSim  = backends.Sim
+	BackendChan = backends.Chan
+	BackendUDP  = backends.UDP
 )
-
-// BackendNames lists every backend kind, sim first.
-func BackendNames() []string { return backends.Names() }
 
 // NewBackend constructs a bare backend by kind — for callers wiring
 // their own topologies. World builders use BuildWorld instead.

@@ -49,7 +49,7 @@ func runDigestWorld(t *testing.T, seed int64) worldDigest {
 	}
 	return worldDigest{
 		snapshot: reg.Snapshot().JSON(),
-		traceLog: rec.ReportText(),
+		traceLog: rec.Dump(),
 		total:    rec.Total(),
 		payload:  sha256.Sum256(r.ServerGot),
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
 
@@ -220,7 +221,7 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 		// receive buffer could ever have advertised is dropped and
 		// re-acknowledged, or a peer that ignores the window could park
 		// unbounded bytes here.
-		if ok && off+uint64(len(payload)) <= p.reasm.Next()+uint64(s.cfg.RecvBuf) {
+		if ok && off+uint64(len(payload)) <= p.reasm.Next()+transport.BufSize {
 			out := p.reasm.Insert(off, payload)
 			s.tw("pcb.reasm", "pcb.rcv_nxt")
 			if len(out) > 0 {
@@ -321,13 +322,6 @@ func (p *PCB) ackedOffset() uint64 {
 		off--
 	}
 	return off
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func timeSince(s *Stack, at netsim.Time) time.Duration { return time.Duration(s.sim.Now() - at) }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/verify"
 )
 
@@ -201,12 +202,14 @@ func TestConnectRefusedRST(t *testing.T) {
 }
 
 func TestHandshakeTimeout(t *testing.T) {
-	w := newWorld(t, 7, cleanLink(), Config{MaxRexmit: 3}, Config{})
+	w := newWorld(t, 7, cleanLink(), Config{}, Config{})
 	w.topo.CutLink(1, 2)
 	cc, _ := w.client.Dial(4, 80)
 	var got error
 	cc.OnClosed = func(err error) { got = err }
-	w.sim.RunFor(2 * time.Minute)
+	// transport.MaxRexmit backed-off SYN retransmissions, most of them
+	// at the 60s RTO ceiling: about eight minutes.
+	w.sim.RunFor(15 * time.Minute)
 	if !errors.Is(got, ErrTimeout) {
 		t.Errorf("err = %v", got)
 	}
@@ -227,8 +230,11 @@ func TestAbortResetsPeer(t *testing.T) {
 	}
 }
 
+// TestFlowControlTinyReceiver: a reader far slower than the sender
+// fills the receive buffer, and the transfer still completes through
+// window updates and persist probes.
 func TestFlowControlTinyReceiver(t *testing.T) {
-	w := newWorld(t, 9, cleanLink(), Config{}, Config{RecvBuf: 4000})
+	w := newWorld(t, 9, cleanLink(), Config{}, Config{})
 	lis, _ := w.server.Listen(80)
 	var srv *PCB
 	var got []byte
@@ -241,7 +247,7 @@ func TestFlowControlTinyReceiver(t *testing.T) {
 		n, _ := srv.Read(buf)
 		got = append(got, buf[:n]...)
 	})
-	data := randBytes(30_000, 5)
+	data := randBytes(transport.BufSize+30_000, 5)
 	cc, _ := w.client.Dial(4, 80)
 	toSend := data
 	push := func() {
@@ -443,12 +449,12 @@ func TestCCSwapCompletesTransfer(t *testing.T) {
 
 // TestSegmentAboveWindowIsNotHeld: a peer that ignores the advertised
 // window cannot make the receiver hold its bytes. A hand-built data
-// segment ending one byte beyond rcv_nxt + RecvBuf is dropped and
-// re-acknowledged; one ending exactly there is still accepted; and the
-// connection carries a transfer afterwards.
+// segment ending one byte beyond rcv_nxt + transport.BufSize is dropped
+// and re-acknowledged; one ending exactly there is still accepted; and
+// the connection carries a transfer afterwards.
 func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
-	const recvBuf = 8000
-	w := newWorld(t, 14, cleanLink(), Config{}, Config{RecvBuf: recvBuf})
+	const recvBuf = transport.BufSize
+	w := newWorld(t, 14, cleanLink(), Config{}, Config{})
 	lis, _ := w.server.Listen(80)
 	var sp *PCB
 	var got []byte
@@ -481,13 +487,18 @@ func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
 		t.Errorf("segment ending at the edge of the buffer: %d bytes held, want 500", n)
 	}
 
-	// The forged bytes at the edge are zeros; send zeros, so the stream
-	// reads the same whichever copy of them is delivered.
-	msg := make([]byte, 20_000)
-	if n := cc.Write(msg); n != len(msg) {
-		t.Fatalf("send buffer took %d of %d bytes", n, len(msg))
+	// The forged bytes at the edge are zeros; send zeros past them, so
+	// the stream reads the same whichever copy of them is delivered.
+	msg := make([]byte, recvBuf+20_000)
+	rest := msg
+	push := func() {
+		rest = rest[cc.Write(rest):]
+		if len(rest) == 0 {
+			cc.Close()
+		}
 	}
-	cc.Close()
+	cc.OnWritable = push
+	push()
 	w.sim.RunFor(time.Minute)
 	if !bytes.Equal(got, msg) || !sp.EOF() {
 		t.Fatalf("transfer after the injections: %d of %d bytes, EOF %v", len(got), len(msg), sp.EOF())

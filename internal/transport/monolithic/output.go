@@ -8,6 +8,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
 
@@ -88,7 +89,7 @@ func (p *PCB) tcpOutput() {
 			p.armPersist()
 			break
 		}
-		n := s.cfg.MSS
+		n := transport.MSS
 		if uint64(n) > avail {
 			n = int(avail)
 		}
@@ -168,7 +169,7 @@ func (p *PCB) onRexmitTimer() {
 	s.m.timeouts.Inc()
 	p.nrexmit++
 	p.trace("rto", "", 0, uint32(p.sndUna), p.nrexmit)
-	if p.nrexmit > s.cfg.MaxRexmit {
+	if p.nrexmit > transport.MaxRexmit {
 		s.m.aborts.Inc()
 		p.kill(ErrTimeout)
 		return
@@ -182,7 +183,7 @@ func (p *PCB) onRexmitTimer() {
 
 func (p *PCB) retryOrDie(resend func()) {
 	p.nrexmit++
-	if p.nrexmit > p.stack.cfg.MaxRexmit {
+	if p.nrexmit > transport.MaxRexmit {
 		p.stack.m.aborts.Inc()
 		p.kill(ErrTimeout)
 		return
@@ -243,7 +244,7 @@ func (p *PCB) onPersistTimer() {
 // enterTimeWait starts the 2MSL timer.
 func (p *PCB) enterTimeWait() {
 	p.state = stTimeWait
-	p.stack.sim.ScheduleTimer(p.stack.cfg.TimeWait, func() {
+	p.stack.sim.ScheduleTimer(transport.TimeWait, func() {
 		if p.state == stTimeWait {
 			p.state = stClosed
 			p.kill(nil)
@@ -279,7 +280,7 @@ func (p *PCB) sendSegment(flags uint8, sq, ack seg.Seq, payload []byte) {
 		h.Ack = uint32(ack)
 	}
 	if flags&tcpwire.FlagSYN != 0 {
-		h.MSS = uint16(s.cfg.MSS)
+		h.MSS = transport.MSS
 	}
 	buf := bufpool.Get(network.Headroom + h.WireLen(len(payload)))
 	h.MarshalTo(buf[network.Headroom:], payload, uint16(s.router.Addr()), uint16(p.id.remoteAddr))

@@ -62,12 +62,10 @@ var ErrReset = errors.New("monolithic: connection reset by peer")
 // ErrTimeout reports retransmission exhaustion.
 var ErrTimeout = errors.New("monolithic: connection timed out")
 
-// Config tunes the stack.
+// Config tunes the stack. The segment size, buffer sizes,
+// retransmission bound and TIME_WAIT are the transport package's
+// constants, shared with the sublayered stack.
 type Config struct {
-	// MSS is the maximum segment payload (default 1000).
-	MSS int
-	// SendBuf / RecvBuf are per-connection buffer sizes (default 64 KiB).
-	SendBuf, RecvBuf int
 	// CC selects the congestion controller by ccontrol registry name
 	// ("newreno", "cubic", "bbrlite", ...; default ccontrol.DefaultName).
 	// Unknown names panic at NewStack. Note the asymmetry E6/E12
@@ -75,10 +73,6 @@ type Config struct {
 	// wiring, while here the controller's glue threads through
 	// tcp_receive, tcp_output and the retransmission timer.
 	CC string
-	// MaxRexmit bounds consecutive retransmissions (default 12).
-	MaxRexmit int
-	// TimeWait is the 2MSL quiet period (default 10s).
-	TimeWait time.Duration
 	// Tracker, if set, records per-handler state access (E6).
 	Tracker *verify.Tracker
 	// Contracts, if set, evaluates the PCB's (entangled, whole-block)
@@ -87,25 +81,6 @@ type Config struct {
 	// Metrics, when non-nil, adopts the stack's instruments under this
 	// scope as "tcp/...". A nil scope costs nothing.
 	Metrics *metrics.Scope
-}
-
-func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = 1000
-	}
-	if c.SendBuf <= 0 {
-		c.SendBuf = 64 * 1024
-	}
-	if c.RecvBuf <= 0 {
-		c.RecvBuf = 64 * 1024
-	}
-	if c.MaxRexmit <= 0 {
-		c.MaxRexmit = 12
-	}
-	if c.TimeWait <= 0 {
-		c.TimeWait = 10 * time.Second
-	}
-	return c
 }
 
 type connID struct {
@@ -174,7 +149,7 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 	s := &Stack{
 		sim:       sim,
 		router:    router,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		pcbs:      make(map[connID]*PCB),
 		listeners: make(map[uint16]*Listener),
 		traceName: router.Addr().String() + "/mono",
@@ -379,10 +354,10 @@ func (s *Stack) newPCB(id connID) *PCB {
 		stack:  s,
 		id:     id,
 		state:  stClosed,
-		cc:     ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: s.cfg.MSS}),
-		sndWnd: s.cfg.MSS,
-		sndBuf: seg.NewSendBuffer(s.cfg.SendBuf),
-		reasm:  seg.NewReassembly(s.cfg.RecvBuf),
+		cc:     ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: transport.MSS}),
+		sndWnd: transport.MSS,
+		sndBuf: seg.NewSendBuffer(transport.BufSize),
+		reasm:  seg.NewReassembly(transport.BufSize),
 		rtt:    seg.NewRTTEstimator(time.Second, 200*time.Millisecond, 60*time.Second),
 	}
 	p.rexmitFn = p.onRexmitTimer

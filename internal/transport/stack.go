@@ -14,10 +14,33 @@
 // A stack is built from its package's Config struct and nothing else:
 // sublayered.Config and monolithic.Config each carry CC (the congestion
 // controller, by ccontrol registry name) and Metrics (the registry
-// scope NewStack adopts the stack's instruments under).
+// scope NewStack adopts the stack's instruments under). What the two
+// stacks must agree on is not configurable: it is the constants below.
 package transport
 
-import "repro/internal/network"
+import (
+	"time"
+
+	"repro/internal/network"
+)
+
+// The parameters both TCPs share. E7 compares the two stacks on one
+// path, which is fair only if they segment, buffer, give up and linger
+// alike, so each value is defined here once and both stacks read it.
+const (
+	// MSS is the maximum segment payload in bytes.
+	MSS = 1000
+	// BufSize is each connection's send and receive buffer in bytes. A
+	// receiver drops a segment that ends more than BufSize above its
+	// cumulative point: no window it advertised could have named it.
+	BufSize = 64 << 10
+	// MaxRexmit bounds consecutive retransmission timeouts without
+	// forward progress; one more aborts the connection with a timeout
+	// (the user timeout of RFC 793 §3.8).
+	MaxRexmit = 12
+	// TimeWait is the 2MSL quiet period after a close.
+	TimeWait = 10 * time.Second
+)
 
 // Conn is the byte-stream surface of one connection, implemented by
 // both TCPs. All methods run inside simulator events.

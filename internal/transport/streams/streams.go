@@ -153,9 +153,6 @@ func (m *Mux) Stats() metrics.View { return metrics.ViewOf(m.m.each) }
 // BindMetrics adopts the mux counters into sc (metrics.Instrumented).
 func (m *Mux) BindMetrics(sc *metrics.Scope) { m.m.each(sc.Register) }
 
-// Streams returns the number of streams known.
-func (m *Mux) Streams() int { return len(m.streams) }
-
 // send frames payload for stream id and pushes it below, honouring
 // maxFrame and the transport's backpressure.
 func (m *Mux) send(id uint32, flags byte, payload []byte) error {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
 
@@ -105,7 +106,6 @@ var ErrTimeout = errors.New("sublayered: connection timed out")
 // with a pluggable ISN generator.
 type HandshakeCM struct {
 	gen ISNGenerator
-	cfg CMConfig
 
 	conn     *Conn
 	st       CMState
@@ -132,16 +132,15 @@ type HandshakeCM struct {
 	m cmMetrics
 }
 
-// CMConfig tunes connection management.
-type CMConfig struct {
-	// RexmitInterval is the initial SYN/FIN retransmit timer (default
-	// 500ms, doubling).
-	RexmitInterval time.Duration
-	// MaxAttempts bounds handshake/FIN retries (default 8).
-	MaxAttempts int
-	// TimeWait is the 2MSL quiet period (default 10s of virtual time).
-	TimeWait time.Duration
-}
+// CM's bootstrap reliability, shared by both connection managers: a
+// SYN or FIN is retransmitted after cmRexmitInterval, doubling per
+// attempt up to 1<<cmMaxBackoffShift times it, and the connection dies
+// with ErrTimeout when an attempt beyond cmMaxAttempts would be sent.
+const (
+	cmRexmitInterval  = 500 * time.Millisecond
+	cmMaxBackoffShift = 6
+	cmMaxAttempts     = 8
+)
 
 // cmMetrics instruments connection-management events.
 type cmMetrics struct {
@@ -162,23 +161,10 @@ func (m *cmMetrics) each(f func(string, metrics.Instrument)) {
 // HandshakeCM.
 var handshakeLeaves = metrics.ConcatLeaves(connLeaves, metrics.LeavesOf("cm", new(cmMetrics).each))
 
-func (c CMConfig) withDefaults() CMConfig {
-	if c.RexmitInterval <= 0 {
-		c.RexmitInterval = 500 * time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.TimeWait <= 0 {
-		c.TimeWait = 10 * time.Second
-	}
-	return c
-}
-
 // NewHandshakeCM returns three-way-handshake connection management
 // using gen for initial sequence numbers.
-func NewHandshakeCM(gen ISNGenerator, cfg CMConfig) *HandshakeCM {
-	return &HandshakeCM{gen: gen, cfg: cfg.withDefaults(), st: StateClosed}
+func NewHandshakeCM(gen ISNGenerator) *HandshakeCM {
+	return &HandshakeCM{gen: gen, st: StateClosed}
 }
 
 // Name implements ConnManager.
@@ -281,16 +267,20 @@ func (m *HandshakeCM) onTimer() {
 }
 
 // armRexmit (re)arms the bootstrap retransmission timer with
-// exponential backoff; exceeding MaxAttempts kills the connection.
+// exponential backoff; exceeding cmMaxAttempts kills the connection.
 func (m *HandshakeCM) armRexmit() {
 	m.rexmit.Stop()
 	m.attempts++
-	if m.attempts > m.cfg.MaxAttempts {
+	if m.attempts > cmMaxAttempts {
 		m.fail(ErrTimeout)
 		return
 	}
-	backoff := m.cfg.RexmitInterval * time.Duration(1<<uint(minInt(m.attempts-1, 6)))
-	m.rexmit = m.conn.stack.sim.ScheduleTimer(backoff, m.timerFn)
+	m.rexmit = m.conn.stack.sim.ScheduleTimer(cmBackoff(m.attempts), m.timerFn)
+}
+
+// cmBackoff is the interval before the attempt after the n-th.
+func cmBackoff(n int) time.Duration {
+	return cmRexmitInterval << min(n-1, cmMaxBackoffShift)
 }
 
 func (m *HandshakeCM) cancelRexmit() {
@@ -430,7 +420,7 @@ func (m *HandshakeCM) streamFinished(end uint64) {
 // fires.
 func (m *HandshakeCM) enterTimeWait() {
 	m.setState(StateTimeWait)
-	m.conn.stack.sim.ScheduleTimer(m.cfg.TimeWait, m.timerFn)
+	m.conn.stack.sim.ScheduleTimer(transport.TimeWait, m.timerFn)
 }
 
 // section implements ConnManager: CM's bits on ordinary segments are
@@ -446,10 +436,3 @@ func (m *HandshakeCM) fail(err error) {
 }
 
 func (m *HandshakeCM) stop() { m.rexmit.Stop() }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

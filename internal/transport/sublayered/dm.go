@@ -17,19 +17,14 @@ import (
 
 // Config assembles a sublayered transport stack. Every sublayer
 // implementation is independently selectable — the fungibility the
-// paper's T3 promises and experiment E8 measures.
+// paper's T3 promises and experiment E8 measures. The segment size,
+// buffer sizes, retransmission bound and TIME_WAIT are the transport
+// package's constants, shared with the monolithic baseline.
 type Config struct {
-	// MSS is the maximum segment payload (default 1000).
-	MSS int
-	// SendBuf / RecvBuf are per-connection buffer sizes (default 64 KiB).
-	SendBuf, RecvBuf int
 	// CC selects the congestion controller by ccontrol registry name
 	// ("newreno", "cubic", "bbrlite", ...; default ccontrol.DefaultName).
-	// Ignored when NewCC is set. Unknown names panic at NewStack.
+	// Unknown names panic at the first connection.
 	CC string
-	// NewCC constructs the congestion controller per connection,
-	// overriding CC (default: resolve CC through the registry).
-	NewCC func(mss int) CongestionControl
 	// NewCM constructs the connection manager per connection (default
 	// three-way handshake with RFC 1948 crypto ISNs).
 	NewCM func() ConnManager
@@ -51,15 +46,6 @@ type Config struct {
 	// each processed segment — the paper's localize-bugs-to-sublayers
 	// debugging story. Nil costs nothing.
 	Contracts *verify.Checker
-	// MaxDataRexmit bounds consecutive data-path retransmission timeouts
-	// without forward progress before RD gives up and destroys the
-	// connection with ErrTimeout (the user timeout of RFC 793 §3.8,
-	// mirroring the monolithic baseline's MaxRexmit). Any cumulative-ack
-	// advance resets the count. Default 12; negative disables the bound
-	// (retransmit forever, the pre-hardening behavior).
-	MaxDataRexmit int
-	// CM tuning shared by default managers.
-	CMConfig CMConfig
 	// Metrics, when non-nil, adopts the stack's instruments under this
 	// scope: "dm/..." for the demultiplexer and "conn<n>/<sublayer>/..."
 	// per connection, numbered in creation order. Each connection is
@@ -71,29 +57,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = 1000
-	}
-	if c.SendBuf <= 0 {
-		c.SendBuf = 64 * 1024
-	}
-	if c.RecvBuf <= 0 {
-		c.RecvBuf = 64 * 1024
-	}
-	if c.NewCC == nil {
-		name := c.CC
-		c.NewCC = func(mss int) CongestionControl {
-			return ccontrol.MustNew(name, ccontrol.Config{MSS: mss})
-		}
-	}
-	if c.MaxDataRexmit == 0 {
-		c.MaxDataRexmit = 12
-	}
 	if c.NewCM == nil {
 		// One generator serves every connection of the stack: it holds
 		// nothing but the host's secret.
-		gen, cmCfg := &CryptoISN{}, c.CMConfig
-		c.NewCM = func() ConnManager { return NewHandshakeCM(gen, cmCfg) }
+		gen := &CryptoISN{}
+		c.NewCM = func() ConnManager { return NewHandshakeCM(gen) }
 	}
 	return c
 }
@@ -178,7 +146,7 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 		conns:     make(map[connID]*Conn),
 	}
 	if s.cfg.UseShim {
-		s.shim = tcpwire.NewShim(uint16(s.cfg.MSS))
+		s.shim = tcpwire.NewShim(transport.MSS)
 		router.Handle(network.ProtoTCP, s.dm.receive)
 	} else {
 		router.Handle(network.ProtoSubTCP, s.dm.receive)
@@ -277,8 +245,8 @@ func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 	}
 	c.cm = s.cfg.NewCM()
 	c.cm.attach(c)
-	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks, s.cfg.RecvBuf)
-	c.osr.init(c, s.cfg.NewCC(s.cfg.MSS), s.cfg.MSS, s.cfg.SendBuf, s.cfg.RecvBuf)
+	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
+	c.osr.init(c, ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: transport.MSS}))
 	s.adoptMetrics(c)
 	return c
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/transport"
 )
 
 // rateLink is a clean but rate-limited link so transfers take long
@@ -17,20 +18,26 @@ func rateLink() netsim.LinkConfig {
 
 // TestRDUserTimeoutUnderPartition: a permanent partition mid-transfer
 // must not leave the sender retransmitting forever — the RD user
-// timeout aborts the connection with ErrTimeout after MaxDataRexmit
-// fruitless RTOs, and whatever was delivered is an exact prefix of the
-// sent stream.
+// timeout aborts the connection with ErrTimeout once more than
+// transport.MaxRexmit RTOs in a row went unanswered, and whatever was
+// delivered is an exact prefix of the sent stream.
 func TestRDUserTimeoutUnderPartition(t *testing.T) {
-	w := newWorld(t, 21, rateLink(), Config{MaxDataRexmit: 5}, Config{})
+	w := newWorld(t, 21, rateLink(), Config{}, Config{})
 	data := randBytes(256*1024, 21)
 	w.sim.Schedule(100*time.Millisecond, func() { w.topo.CutLink(2, 3) })
-	res := runTransfer(t, w, data, nil, 60*time.Second)
+	// Backed-off RTOs reach the 60s ceiling: thirteen of them take
+	// about six minutes.
+	res := runTransfer(t, w, data, nil, 15*time.Minute)
 
 	if !errors.Is(res.clientErr, ErrTimeout) {
 		t.Fatalf("clientErr = %v, want ErrTimeout", res.clientErr)
 	}
-	if ab := res.clientConn.rd.Stats()["aborts"]; ab != 1 {
-		t.Errorf("rd aborts = %d, want 1", ab)
+	st := res.clientConn.rd.Stats()
+	if st["aborts"] != 1 {
+		t.Errorf("rd aborts = %d, want 1", st["aborts"])
+	}
+	if st["timeouts"] < transport.MaxRexmit+1 {
+		t.Errorf("aborted after %d timeouts, want at least %d", st["timeouts"], transport.MaxRexmit+1)
 	}
 	if !bytes.HasPrefix(data, res.serverGot) {
 		t.Error("delivered bytes are not a prefix of the sent stream")
@@ -43,35 +50,15 @@ func TestRDUserTimeoutUnderPartition(t *testing.T) {
 	}
 }
 
-// TestRDUserTimeoutDisabled: MaxDataRexmit < 0 restores the
-// pre-hardening behavior — the sender retransmits indefinitely and the
-// connection survives an arbitrarily long partition.
-func TestRDUserTimeoutDisabled(t *testing.T) {
-	w := newWorld(t, 22, rateLink(), Config{MaxDataRexmit: -1}, Config{})
-	data := randBytes(256*1024, 22)
-	w.sim.Schedule(100*time.Millisecond, func() { w.topo.CutLink(2, 3) })
-	res := runTransfer(t, w, data, nil, 120*time.Second)
-
-	if res.clientErr != nil {
-		t.Fatalf("clientErr = %v, want nil (unbounded retransmission)", res.clientErr)
-	}
-	st := res.clientConn.rd.Stats()
-	if st["aborts"] != 0 {
-		t.Errorf("aborts = %d with the bound disabled", st["aborts"])
-	}
-	if st["timeouts"] < 5 {
-		t.Errorf("timeouts = %d, expected a long RTO streak", st["timeouts"])
-	}
-}
-
-// TestRDUserTimeoutResetByProgress: a transient outage shorter than the
-// user timeout must not kill the connection — ack progress after the
-// heal resets the streak and the transfer completes.
+// TestRDUserTimeoutResetByProgress: an outage shorter than the user
+// timeout must not kill the connection — ack progress after the heal
+// resets the RTO streak and the transfer completes.
 func TestRDUserTimeoutResetByProgress(t *testing.T) {
-	w := newWorld(t, 23, rateLink(), Config{MaxDataRexmit: 8}, Config{})
+	w := newWorld(t, 23, rateLink(), Config{}, Config{})
 	data := randBytes(128*1024, 23)
+	// Twenty seconds of backed-off RTOs is about half the bound.
 	w.sim.Schedule(100*time.Millisecond, func() { w.topo.CutLink(2, 3) })
-	w.sim.Schedule(3*time.Second, func() { w.topo.RestoreLink(2, 3) })
+	w.sim.Schedule(20*time.Second, func() { w.topo.RestoreLink(2, 3) })
 	res := runTransfer(t, w, data, nil, 120*time.Second)
 
 	if res.clientErr != nil {
@@ -80,26 +67,28 @@ func TestRDUserTimeoutResetByProgress(t *testing.T) {
 	if !bytes.Equal(res.serverGot, data) {
 		t.Fatalf("transfer incomplete after heal: got %d of %d bytes", len(res.serverGot), len(data))
 	}
-	if ab := res.clientConn.rd.Stats()["aborts"]; ab != 0 {
-		t.Errorf("aborts = %d, want 0", ab)
+	st := res.clientConn.rd.Stats()
+	if st["aborts"] != 0 {
+		t.Errorf("aborts = %d, want 0", st["aborts"])
+	}
+	if st["timeouts"] < transport.MaxRexmit/2 {
+		t.Errorf("timeouts = %d: the outage never ran up a streak", st["timeouts"])
+	}
+	if res.clientConn.rd.rtoStreak != 0 {
+		t.Errorf("rtoStreak = %d after the transfer completed, want 0", res.clientConn.rd.rtoStreak)
 	}
 }
 
 // TestTimerCMExhaustionUnderPartition (satellite): with the path fully
-// cut, TimerCM's FIN bootstrap retransmission must exhaust MaxAttempts
-// and die with ErrTimeout — and with MaxAttempts far above the backoff
-// cap's exponent, the 1<<6 cap must keep every interval bounded instead
-// of overflowing the shift. 70 attempts at 10ms base with the cap sum
-// to ≈42s of virtual time; an unbounded 1<<69 shift would overflow
-// time.Duration outright.
+// cut, TimerCM's FIN bootstrap retransmission must exhaust cmMaxAttempts
+// and die with ErrTimeout — and the attempts past cmMaxBackoffShift
+// must wait the capped interval, not keep doubling.
 func TestTimerCMExhaustionUnderPartition(t *testing.T) {
-	reg := NewIncarnationRegistry()
-	ccfg := Config{
-		NewCM: func() ConnManager {
-			return NewTimerCM(reg, CMConfig{RexmitInterval: 10 * time.Millisecond, MaxAttempts: 70})
-		},
-		MaxDataRexmit: -1, // isolate the CM path: no RD user timeout
+	if cmMaxAttempts <= cmMaxBackoffShift+1 {
+		t.Fatalf("%d attempts never reach the 1<<%d backoff cap", cmMaxAttempts, cmMaxBackoffShift)
 	}
+	reg := NewIncarnationRegistry()
+	ccfg := Config{NewCM: func() ConnManager { return NewTimerCM(reg) }}
 	w := newWorld(t, 24, cleanLink(), ccfg, Config{})
 	w.topo.CutLink(2, 3) // fully partitioned before the open
 
@@ -114,19 +103,19 @@ func TestTimerCMExhaustionUnderPartition(t *testing.T) {
 	start := w.sim.Now()
 	cc.Close() // no data: only the FIN needs (and never gets) an ack
 
-	w.sim.RunFor(120 * time.Second)
+	w.sim.RunFor(5 * time.Minute)
 	if !closed {
-		t.Fatal("connection still alive after 120s of FIN retransmission")
+		t.Fatal("connection still alive after 5m of FIN retransmission")
 	}
 	if !errors.Is(closedErr, ErrTimeout) && !errors.Is(closedErr, ErrReset) {
 		t.Fatalf("closed with %v, want ErrTimeout or ErrReset", closedErr)
 	}
-	elapsed := time.Duration(closedAt - start)
-	// 70 capped attempts: 10ms*(1+2+4+8+16+32) + 64*10ms*64 ≈ 41.6s.
-	if elapsed > 90*time.Second {
-		t.Errorf("exhaustion took %v — backoff cap not respected", elapsed)
+	// The wait after attempt n+1 is cmRexmitInterval·2^min(n, cmMaxBackoffShift).
+	var want time.Duration
+	for n := 0; n < cmMaxAttempts; n++ {
+		want += cmRexmitInterval * time.Duration(1<<min(n, cmMaxBackoffShift))
 	}
-	if elapsed < 10*time.Second {
-		t.Errorf("exhaustion took only %v — fewer attempts than configured?", elapsed)
+	if elapsed := time.Duration(closedAt - start); elapsed != want {
+		t.Errorf("exhaustion took %v, want %v", elapsed, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
 
@@ -23,8 +24,7 @@ import (
 // concepts are conflated in TCP; it is reasonable to separate them."
 type OSR struct {
 	conn *Conn
-	cc   CongestionControl
-	mss  int
+	cc   ccontrol.Controller
 
 	// Send half.
 	sb       seg.SendBuffer
@@ -77,12 +77,11 @@ func (m *osrMetrics) each(f func(string, metrics.Instrument)) {
 // buffer and reassembly included — is a value inside the Conn. The
 // congestion controller stays behind its interface: it is the part of
 // OSR that is replaceable by design (E8, E12).
-func (o *OSR) init(c *Conn, cc CongestionControl, mss, sendBuf, recvBuf int) {
+func (o *OSR) init(c *Conn, cc ccontrol.Controller) {
 	o.conn = c
 	o.cc = cc
-	o.mss = mss
-	o.sb.Init(sendBuf)
-	o.ra.Init(recvBuf)
+	o.sb.Init(transport.BufSize)
+	o.ra.Init(transport.BufSize)
 	o.peerWnd = 65535
 }
 
@@ -117,7 +116,7 @@ func (o *OSR) onPaceTimer() {
 func (o *OSR) Stats() metrics.View { return metrics.ViewOf(o.m.each) }
 
 // CC exposes the congestion controller (read-only use: stats, E8).
-func (o *OSR) CC() CongestionControl { return o.cc }
+func (o *OSR) CC() ccontrol.Controller { return o.cc }
 
 // write queues application bytes, returning how many were accepted.
 func (o *OSR) write(p []byte) int {
@@ -171,7 +170,7 @@ func (o *OSR) pump() {
 			o.armProbe(inflight)
 			break
 		}
-		n := o.mss
+		n := transport.MSS
 		if uint64(n) > avail {
 			n = int(avail)
 		}
@@ -184,8 +183,8 @@ func (o *OSR) pump() {
 		// every flow-control round trip fragments the stream.
 		// Congestion-window slivers are still sent: they carry the ack
 		// clock during recovery. The final bytes of a stream always go.
-		if n < o.mss && uint64(n) < avail && inflight > 0 &&
-			o.peerWnd-inflight < o.mss && o.cc.Window()-inflight >= o.mss {
+		if n < transport.MSS && uint64(n) < avail && inflight > 0 &&
+			o.peerWnd-inflight < transport.MSS && o.cc.Window()-inflight >= transport.MSS {
 			break
 		}
 		// Pacing: a rate-publishing controller (bbrlite) spaces releases
@@ -279,8 +278,10 @@ func (o *OSR) onAcked(cum uint64, newly int, rtt time.Duration) {
 	}
 }
 
-// onLoss is RD's summarized congestion signal.
-func (o *OSR) onLoss(kind LossKind) {
+// onLoss is RD's summarized congestion signal: "congestion signals
+// such as timeouts and loss information should be summarized and passed
+// by RD to OSR" (§3).
+func (o *OSR) onLoss(kind ccontrol.LossKind) {
 	o.conn.stack.track("osr.onLoss")
 	o.cc.OnLoss(ccontrol.LossEvent{Kind: kind})
 	o.conn.stack.trackWrite("osr.cc")

@@ -4,9 +4,11 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/ccontrol"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
 
@@ -59,16 +61,13 @@ type RD struct {
 	timedEnd seg.Seq
 	timedAt  netsim.Time
 	// User timeout (RFC 793 §3.8): rtoStreak counts consecutive RTO
-	// firings with no cumulative-ack progress; at maxRexmit the
-	// connection aborts with ErrTimeout. Negative maxRexmit disables
-	// the bound.
+	// firings with no cumulative-ack progress; past transport.MaxRexmit
+	// the connection aborts with ErrTimeout.
 	rtoStreak int
-	maxRexmit int
 
 	// Receiver half.
 	peerISN      seg.Seq
 	ranges       seg.RangeSet
-	rcvBound     uint64 // a segment may end this far above the cumulative point: the receive buffer's size
 	remoteFinOff uint64
 	remoteFin    bool
 	// Delayed-ack state: one ack per two in-order segments, or after
@@ -139,12 +138,10 @@ type outSeg struct {
 // and the RTT histogram included — is a value inside the Conn: one
 // object holds the connection, and only RD's methods touch this part of
 // it.
-func (r *RD) init(c *Conn, sackEnabled, delayedAcks bool, recvBuf int) {
+func (r *RD) init(c *Conn, sackEnabled, delayedAcks bool) {
 	r.conn = c
-	r.rcvBound = uint64(recvBuf)
 	r.sackEnabled = sackEnabled
 	r.delayedAcks = delayedAcks
-	r.maxRexmit = c.stack.cfg.MaxDataRexmit
 	r.rtt.Init(time.Second, 200*time.Millisecond, 60*time.Second)
 	r.m.rttMs.Init(rttBoundsMs)
 }
@@ -278,7 +275,7 @@ func (r *RD) onData(s seg.Seq, payload []byte) {
 		return
 	}
 	wasContig := r.ranges.ContiguousFrom(0)
-	if off+uint64(len(payload)) > wasContig+r.rcvBound {
+	if off+uint64(len(payload)) > wasContig+transport.BufSize {
 		// Sequence above anything the receive buffer could have
 		// advertised: a peer that ignores the window. Accepting it
 		// would let that peer park unbounded bytes in OSR.
@@ -415,7 +412,7 @@ func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
 			r.recover = r.sndNxt
 			r.retransmitFirst()
 			r.conn.crossings.RDToOSRLos.Inc()
-			r.conn.osr.onLoss(LossFast)
+			r.conn.osr.onLoss(ccontrol.LossFast)
 		}
 	}
 }
@@ -460,11 +457,10 @@ func (r *RD) onRTO() {
 	r.m.timeouts.Inc()
 	r.rtoStreak++
 	r.conn.trace("rto", "", 0, uint32(r.sndUna), r.rtoStreak)
-	if r.maxRexmit >= 0 && r.rtoStreak > r.maxRexmit {
+	if r.rtoStreak > transport.MaxRexmit {
 		// User timeout: the data path has made no progress across
-		// maxRexmit consecutive RTOs. Give up and surface the abort —
-		// before this bound existed, a partitioned connection
-		// retransmitted forever.
+		// transport.MaxRexmit consecutive RTOs. Give up and surface the
+		// abort rather than retransmit into a partition forever.
 		r.m.aborts.Inc()
 		r.conn.destroy(ErrTimeout)
 		return
@@ -481,7 +477,7 @@ func (r *RD) onRTO() {
 	r.retransmitFirst()
 	r.armRTO()
 	r.conn.crossings.RDToOSRLos.Inc()
-	r.conn.osr.onLoss(LossTimeout)
+	r.conn.osr.onLoss(ccontrol.LossTimeout)
 }
 
 // AckNow emits a pure acknowledgement reflecting everything received.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 )
 
 // TestECNBottleneckReaction: a rate-limited bottleneck link with ECN
@@ -310,13 +311,13 @@ func TestHalfCloseServesData(t *testing.T) {
 
 // TestSegmentAboveWindowIsNotHeld: a peer that ignores the advertised
 // window cannot make the receiver hold its bytes. A hand-built data
-// segment ending one byte beyond rcv.nxt + RecvBuf — the furthest right
-// edge any window could have named — is dropped by RD, counted as a
-// duplicate and re-acknowledged; one ending exactly there is still
-// accepted; and the connection carries a transfer afterwards.
+// segment ending one byte beyond rcv.nxt + transport.BufSize — the
+// furthest right edge any window could have named — is dropped by RD,
+// counted as a duplicate and re-acknowledged; one ending exactly there
+// is still accepted; and the connection carries a transfer afterwards.
 func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
-	const recvBuf = 8000
-	w := newWorld(t, 33, cleanLink(), Config{}, Config{RecvBuf: recvBuf})
+	const recvBuf = transport.BufSize
+	w := newWorld(t, 33, cleanLink(), Config{}, Config{})
 	lis, _ := w.server.Listen(80)
 	var sc *Conn
 	var got []byte
@@ -352,13 +353,18 @@ func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
 		t.Errorf("segment ending at the edge of the buffer: %d bytes held, want 500", n)
 	}
 
-	// The forged bytes at the edge are zeros; send zeros, so the stream
-	// reads the same whichever copy of them is delivered.
-	msg := make([]byte, 20_000)
-	if n := cc.Write(msg); n != len(msg) {
-		t.Fatalf("send buffer took %d of %d bytes", n, len(msg))
+	// The forged bytes at the edge are zeros; send zeros past them, so
+	// the stream reads the same whichever copy of them is delivered.
+	msg := make([]byte, recvBuf+20_000)
+	rest := msg
+	push := func() {
+		rest = rest[cc.Write(rest):]
+		if len(rest) == 0 {
+			cc.Close()
+		}
 	}
-	cc.Close()
+	cc.OnWritable = push
+	push()
 	w.sim.RunFor(time.Minute)
 	if !bytes.Equal(got, msg) || !sc.EOF() {
 		t.Fatalf("transfer after the injections: %d of %d bytes, EOF %v", len(got), len(msg), sc.EOF())

@@ -29,7 +29,7 @@ func TestConnGroupNames(t *testing.T) {
 		want  int
 	}{
 		{"handshake", nil, 30},
-		{"timer", func() ConnManager { return NewTimerCM(NewIncarnationRegistry(), CMConfig{}) }, 25},
+		{"timer", func() ConnManager { return NewTimerCM(NewIncarnationRegistry()) }, 25},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.New()

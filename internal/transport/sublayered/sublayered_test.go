@@ -12,6 +12,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/verify"
 )
 
@@ -244,22 +245,17 @@ func TestCleanCloseBothSides(t *testing.T) {
 // TestE8CongestionControlSwap: every congestion controller passes the
 // same lossy transfer with no change outside OSR.
 func TestE8CongestionControlSwap(t *testing.T) {
-	ccs := map[string]func(mss int) CongestionControl{
-		"newreno":    func(mss int) CongestionControl { return NewNewReno(mss) },
-		"rate-based": func(mss int) CongestionControl { return NewRateBased(mss) },
-		"fixed":      func(mss int) CongestionControl { return NewFixedWindow(16 * 1000) },
-	}
-	for name, mk := range ccs {
-		mk := mk
+	for _, name := range []string{"newreno", "rate-based", "fixed"} {
+		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{NewCC: mk}
+			cfg := Config{CC: name}
 			w := newWorld(t, 6, nastyLink(), cfg, cfg)
 			data := randBytes(80_000, 9)
 			res := runTransfer(t, w, data, nil, 5*time.Minute)
 			if !bytes.Equal(res.serverGot, data) {
 				t.Fatalf("%s: got %d of %d bytes", name, len(res.serverGot), len(data))
 			}
-			if got := res.clientConn.OSR().CC().Name(); got != mk(1000).Name() {
+			if got := res.clientConn.OSR().CC().Name(); got != name {
 				t.Errorf("CC name = %s", got)
 			}
 		})
@@ -272,7 +268,7 @@ func TestE8ISNSwap(t *testing.T) {
 	for _, gen := range gens {
 		gen := gen
 		t.Run(gen.Name(), func(t *testing.T) {
-			cfg := Config{NewCM: func() ConnManager { return NewHandshakeCM(gen, CMConfig{}) }}
+			cfg := Config{NewCM: func() ConnManager { return NewHandshakeCM(gen) }}
 			w := newWorld(t, 7, nastyLink(), cfg, cfg)
 			data := randBytes(30_000, 3)
 			res := runTransfer(t, w, data, nil, 3*time.Minute)
@@ -350,7 +346,7 @@ func TestConnectToClosedPortResets(t *testing.T) {
 }
 
 func TestHandshakeTimeoutWhenUnreachable(t *testing.T) {
-	w := newWorld(t, 11, cleanLink(), Config{CMConfig: CMConfig{RexmitInterval: 100 * time.Millisecond, MaxAttempts: 3}}, Config{})
+	w := newWorld(t, 11, cleanLink(), Config{}, Config{})
 	// Cut the first hop entirely.
 	w.topo.CutLink(1, 2)
 	cc, err := w.client.Dial(4, 80)
@@ -359,17 +355,21 @@ func TestHandshakeTimeoutWhenUnreachable(t *testing.T) {
 	}
 	var closedErr error
 	cc.OnClosed = func(err error) { closedErr = err }
-	w.sim.RunFor(30 * time.Second)
+	// cmMaxAttempts backed-off SYNs take about a minute and a half.
+	w.sim.RunFor(2 * time.Minute)
 	if !errors.Is(closedErr, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", closedErr)
+	}
+	if n := cc.CM().(*HandshakeCM).Stats().Get("syn_retransmits"); n != cmMaxAttempts {
+		t.Errorf("syn_retransmits = %d, want %d", n, cmMaxAttempts)
 	}
 }
 
 func TestFlowControlSmallReceiverWindow(t *testing.T) {
-	// Tiny receive buffer, reader that drains slowly: the transfer must
-	// still complete (window updates + persist probes).
-	scfg := Config{RecvBuf: 4000}
-	w := newWorld(t, 12, cleanLink(), Config{}, scfg)
+	// A reader that drains far slower than the sender fills the receive
+	// buffer: the transfer must still complete (window updates +
+	// persist probes).
+	w := newWorld(t, 12, cleanLink(), Config{}, Config{})
 	lis, _ := w.server.Listen(80)
 	var srv *Conn
 	var got []byte
@@ -383,7 +383,7 @@ func TestFlowControlSmallReceiverWindow(t *testing.T) {
 		n, _ := srv.Read(buf)
 		got = append(got, buf[:n]...)
 	})
-	data := randBytes(40_000, 5)
+	data := randBytes(transport.BufSize+40_000, 5)
 	cc, _ := w.client.Dial(4, 80)
 	toSend := data
 	push := func() {
@@ -498,11 +498,11 @@ func TestCMStateStrings(t *testing.T) {
 	}
 }
 
-// TestCongestionWindowGrowsAndShrinks smoke-tests the compat wrappers
-// over internal/ccontrol (detailed per-controller coverage lives
-// there).
+// TestCongestionWindowGrowsAndShrinks smoke-tests the default
+// controller OSR drives (detailed per-controller coverage lives in
+// internal/ccontrol).
 func TestCongestionWindowGrowsAndShrinks(t *testing.T) {
-	cc := NewNewReno(1000)
+	cc := ccontrol.NewNewReno(1000)
 	w0 := cc.Window()
 	// Slow start doubles per window.
 	cc.OnAck(ccontrol.AckSample{Acked: 1000, RTT: time.Millisecond})
@@ -510,17 +510,17 @@ func TestCongestionWindowGrowsAndShrinks(t *testing.T) {
 		t.Error("no slow-start growth")
 	}
 	grown := cc.Window()
-	cc.OnLoss(ccontrol.LossEvent{Kind: LossFast})
+	cc.OnLoss(ccontrol.LossEvent{Kind: ccontrol.LossFast})
 	if cc.Window() >= grown {
 		t.Error("no multiplicative decrease")
 	}
-	cc.OnLoss(ccontrol.LossEvent{Kind: LossTimeout})
+	cc.OnLoss(ccontrol.LossEvent{Kind: ccontrol.LossTimeout})
 	if cc.Window() != 1000 {
 		t.Errorf("timeout window = %d, want 1 MSS", cc.Window())
 	}
 	// Congestion avoidance: needs a window's worth of acks per MSS.
-	cc2 := NewNewReno(1000)
-	cc2.OnLoss(ccontrol.LossEvent{Kind: LossFast}) // ssthresh → 2*mss → CA
+	cc2 := ccontrol.NewNewReno(1000)
+	cc2.OnLoss(ccontrol.LossEvent{Kind: ccontrol.LossFast}) // ssthresh → 2*mss → CA
 	w1 := cc2.Window()
 	cc2.OnAck(ccontrol.AckSample{Acked: w1, RTT: time.Millisecond})
 	if cc2.Window() != w1+1000 {
@@ -533,7 +533,7 @@ func TestCongestionWindowGrowsAndShrinks(t *testing.T) {
 }
 
 func TestRateBasedWindowTracksRTT(t *testing.T) {
-	cc := NewRateBased(1000)
+	cc := ccontrol.NewRateBased(1000)
 	w0 := cc.Window()
 	for i := 0; i < 50; i++ {
 		cc.OnAck(ccontrol.AckSample{Acked: 10000, RTT: 100 * time.Millisecond})
@@ -543,7 +543,7 @@ func TestRateBasedWindowTracksRTT(t *testing.T) {
 	}
 	grown := cc.Window()
 	for i := 0; i < 10; i++ {
-		cc.OnLoss(ccontrol.LossEvent{Kind: LossFast})
+		cc.OnLoss(ccontrol.LossEvent{Kind: ccontrol.LossFast})
 	}
 	if cc.Window() >= grown {
 		t.Error("rate never decreased")
@@ -581,7 +581,7 @@ func TestRegistrySwapCompletesTransfer(t *testing.T) {
 func TestE8TimerCM(t *testing.T) {
 	mkCfg := func() Config {
 		reg := NewIncarnationRegistry()
-		return Config{NewCM: func() ConnManager { return NewTimerCM(reg, CMConfig{}) }}
+		return Config{NewCM: func() ConnManager { return NewTimerCM(reg) }}
 	}
 	w := newWorld(t, 16, nastyLink(), mkCfg(), mkCfg())
 	data := randBytes(60_000, 7)
@@ -626,7 +626,7 @@ func TestTimerCMNoHandshakeRoundTrip(t *testing.T) {
 	}
 	reg1, reg2 := NewIncarnationRegistry(), NewIncarnationRegistry()
 	_ = reg2
-	timerTime := measure(Config{NewCM: func() ConnManager { return NewTimerCM(reg1, CMConfig{}) }})
+	timerTime := measure(Config{NewCM: func() ConnManager { return NewTimerCM(reg1) }})
 	handshakeTime := measure(Config{})
 	if timerTime >= handshakeTime {
 		t.Errorf("timer CM (%v) not faster than handshake (%v)", timerTime, handshakeTime)

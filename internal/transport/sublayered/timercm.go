@@ -1,10 +1,9 @@
 package sublayered
 
 import (
-	"time"
-
 	"repro/internal/netsim"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
 
@@ -29,7 +28,6 @@ import (
 // the E8 replace experiment reports.
 type TimerCM struct {
 	reg *IncarnationRegistry
-	cfg CMConfig
 
 	conn     *Conn
 	st       CMState
@@ -78,8 +76,8 @@ func (r *IncarnationRegistry) accept(key tcpwire.FlowKey, isn seg.Seq) bool {
 
 // NewTimerCM returns a timer-based connection manager. All managers of
 // one host must share the registry.
-func NewTimerCM(reg *IncarnationRegistry, cfg CMConfig) *TimerCM {
-	return &TimerCM{reg: reg, cfg: cfg.withDefaults(), st: StateClosed}
+func NewTimerCM(reg *IncarnationRegistry) *TimerCM {
+	return &TimerCM{reg: reg, st: StateClosed}
 }
 
 // Name implements ConnManager.
@@ -242,12 +240,11 @@ func (m *TimerCM) sendFIN() {
 func (m *TimerCM) armRexmit() {
 	m.rexmit.Stop()
 	m.attempts++
-	if m.attempts > m.cfg.MaxAttempts {
+	if m.attempts > cmMaxAttempts {
 		m.conn.destroy(ErrTimeout)
 		return
 	}
-	backoff := m.cfg.RexmitInterval * time.Duration(1<<uint(minInt(m.attempts-1, 6)))
-	m.rexmit = m.conn.stack.sim.ScheduleTimer(backoff, m.timerFn)
+	m.rexmit = m.conn.stack.sim.ScheduleTimer(cmBackoff(m.attempts), m.timerFn)
 }
 
 func (m *TimerCM) cancelRexmit() {
@@ -257,7 +254,7 @@ func (m *TimerCM) cancelRexmit() {
 
 func (m *TimerCM) enterTimeWait() {
 	m.st = StateTimeWait
-	m.conn.stack.sim.ScheduleTimer(m.cfg.TimeWait, m.timerFn)
+	m.conn.stack.sim.ScheduleTimer(transport.TimeWait, m.timerFn)
 }
 
 // section implements ConnManager: the ISN rides on every segment — for

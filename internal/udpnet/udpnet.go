@@ -114,9 +114,6 @@ type link struct {
 // Send copies data into a pooled buffer and transmits it.
 func (l *link) Send(data []byte) { l.SendOwned(l.Ingest(data), false) }
 
-// SendPacket is SendOwned for a packet that may carry an ECN mark.
-func (l *link) SendPacket(pkt *netsim.Packet) { l.SendOwned(pkt.Data, pkt.ECN) }
-
 // SendOwned transmits data, taking ownership of the buffer. The
 // impairment pipeline decides the packet's fate; survivors are framed
 // and written to the socket once their planned latency elapses.

@@ -73,7 +73,7 @@ func TestUDPECNSurvivesTheWire(t *testing.T) {
 		port = n.NewLink(netsim.LinkConfig{}, func(p *netsim.Packet) {
 			gotECN, delivered = p.ECN, true
 		})
-		port.SendPacket(&netsim.Packet{Data: netsim.CloneBuf([]byte("marked")), ECN: true})
+		port.SendOwned(netsim.CloneBuf([]byte("marked")), true)
 	})
 	waitFor(t, n, "delivery", func() bool { return delivered })
 	if !gotECN {
