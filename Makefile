@@ -55,12 +55,14 @@ docs:
 
 # fuzz gives the stuffing round-trip spec, the send buffer (an
 # operation stream against its copy-down reference model), the
-# simulator's event store (post/stop/step/run-to-bound against a sorted
-# list), the reassembly buffer (an arrival stream against its
-# map-based reference model) and two parsers of hostile wire bytes
-# (the network datagram: no panic, exact re-marshal; the sublayered
-# header: pooled decoder against the allocating one) a brief randomized
-# workout each; run with a longer -fuzztime for a real campaign.
+# simulator's event store (timer and link posts, stop, step and
+# run-to-bound against a sorted list), the reassembly buffer (an
+# arrival stream against its map-based reference model) and three
+# parsers of hostile wire bytes (the network datagram: no panic, exact
+# re-marshal; the sublayered header and the RFC 793 header: pooled
+# decoder against the allocating one, and for RFC 793 an exact
+# re-marshal) a brief randomized workout each; run with a longer
+# -fuzztime for a real campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStuffRoundTrip -fuzztime 5s ./internal/stuffing
 	$(GO) test -run '^$$' -fuzz FuzzSendBuffer -fuzztime 5s ./internal/transport/seg
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReassembly -fuzztime 5s ./internal/transport/seg
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalDatagram -fuzztime 5s ./internal/network
 	$(GO) test -run '^$$' -fuzz FuzzSubHeader -fuzztime 5s ./internal/tcpwire
+	$(GO) test -run '^$$' -fuzz FuzzTCPHeader -fuzztime 5s ./internal/tcpwire
 
 # fuzz-pool asserts the pooled (reused-writer) stuffing path stays
 # byte-identical to the allocating one.

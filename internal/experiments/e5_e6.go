@@ -149,5 +149,3 @@ func E6Entanglement(cfg Config) *Result {
 			len(sb.Handlers), len(sb.CoTouched), strings.Join(sb.Handlers, " ")))
 	return res
 }
-
-var _ = time.Second

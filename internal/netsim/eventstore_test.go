@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -16,6 +17,7 @@ type refEvent struct {
 	rank        int32
 	seq         uint64
 	id          int
+	release     int  // link index + 1 for a serializer release, else 0
 	dead        bool // stopped, or already executed
 }
 
@@ -32,15 +34,28 @@ func (e *refEvent) before(at, schedAt Time, rank int32, seq uint64) bool {
 	return e.seq < seq
 }
 
+// modelLinks is how many links the model posts link events on: two per
+// view, so each rank has a pair of delivery and release lanes.
+const modelLinks = 4
+
+// releaseMark stands for one serializer release of link i in an
+// execution order. A release runs no callback, so the model sees it
+// only as the link's release count, read before each callback and after
+// each operation: releases of different links between two callbacks
+// are unordered, like the marks.
+func releaseMark(i int) int { return -1 - i }
+
 // refStore is the event store written the obvious way: a slice kept
 // sorted by (at, schedAt, rank, seq), tombstones left in place until
-// they reach the front or outnumber the live entries.
+// they reach the front or outnumber the live entries. It has no notion
+// of lanes: link events are entries like any other.
 type refStore struct {
 	pending     []*refEvent
 	deadPending int
 	now         Time
 	viewSeq     [2]uint64
 	order       []int
+	unseen      [modelLinks]int // releases run since the last observe
 	compactions int
 
 	scheduled, executed, cancelled uint64
@@ -97,8 +112,22 @@ func (r *refStore) step() bool {
 	e.dead = true
 	r.now = e.at
 	r.executed++
-	r.order = append(r.order, e.id)
+	if e.release > 0 {
+		r.unseen[e.release-1]++
+	} else {
+		r.observe()
+		r.order = append(r.order, e.id)
+	}
 	return true
+}
+
+// observe records the releases run since the last observation.
+func (r *refStore) observe() {
+	for i := range r.unseen {
+		for ; r.unseen[i] > 0; r.unseen[i]-- {
+			r.order = append(r.order, releaseMark(i))
+		}
+	}
 }
 
 func (r *refStore) runBefore(at, schedAt Time, rank int32, seq uint64) {
@@ -107,7 +136,7 @@ func (r *refStore) runBefore(at, schedAt Time, rank int32, seq uint64) {
 	}
 }
 
-// live lists the entries a Stop could still cancel.
+// live lists the entries still pending.
 func (r *refStore) live() []*refEvent {
 	var out []*refEvent
 	for _, e := range r.pending {
@@ -118,11 +147,29 @@ func (r *refStore) live() []*refEvent {
 	return out
 }
 
+// modelStats says what an operation stream made the store do.
+type modelStats struct {
+	compactions int // tombstone compactions
+	lanePeak    int // most link events waiting in lanes at once
+	fallbacks   int // in-order-eligible link posts the append rule sent to the heap
+}
+
 // runEventStoreModel interprets ops two bytes at a time against one
-// engine core (posted to through two node views, so two ranks) and the
-// reference, and fails on the first difference. It returns how many
-// compactions the stream caused.
-func runEventStoreModel(t *testing.T, ops []byte) (compactions int) {
+// engine core (posted to through two node views, so two ranks, each
+// sending on two links) and the reference, and fails on the first
+// difference.
+//
+//	0-2  schedule a timer 0-3 ns out
+//	3    stop any timer handle ever issued
+//	4    stop a pending timer
+//	5    step
+//	6    run up to a pending event's own key
+//	7    run everything strictly before a time
+//	8    post a delivery 0-3 ns out, eligible for the link's lane
+//	9    post a serializer release 0-3 ns out
+//	10   post a reorder-delayed or duplicate delivery (never laned)
+//	11   post a burst of 1-4 deliveries at one instant
+func runEventStoreModel(t *testing.T, ops []byte) (st modelStats) {
 	t.Helper()
 	reg := metrics.New()
 	eng := NewSharded(1, 1, reg)
@@ -136,13 +183,45 @@ func runEventStoreModel(t *testing.T, ops []byte) (compactions int) {
 	var (
 		handles []handle
 		order   []int
+		nextID  int
+		links   [modelLinks]*Link
+		seen    [modelLinks]int
 	)
+	observe := func() {
+		for i, l := range links {
+			for ; seen[i] < -l.queued; seen[i]++ {
+				order = append(order, releaseMark(i))
+			}
+		}
+	}
+	for i := range links {
+		links[i] = views[i&1].NewLink(LinkConfig{}, func(p *Packet) {
+			observe()
+			order = append(order, int(binary.LittleEndian.Uint32(p.Data)))
+		}).(*Link)
+	}
+	deliver := func(i int, delay Time, oob bool) {
+		id := nextID
+		nextID++
+		data := binary.LittleEndian.AppendUint32(nil, uint32(id))
+		l, behind := links[i], core.behind
+		lanes := !oob && l.deliveries.busy
+		views[i&1].postDeliver(l, ref.now+delay, data, false, oob)
+		ref.post(int32(i&1), delay, id)
+		if lanes && core.behind == behind {
+			st.fallbacks++
+		}
+	}
 	for pc := 0; pc+1 < len(ops); pc += 2 {
-		op, arg := ops[pc]%8, int(ops[pc+1])
+		op, arg := ops[pc]%12, int(ops[pc+1])
 		switch op {
 		case 0, 1, 2: // post; delays 0-3 ns collide in at, same-instant posts in schedAt
-			rank, delay, id := arg&1, Time(arg>>1&3), len(handles)
-			tm := views[rank].ScheduleTimer(time.Duration(delay), func() { order = append(order, id) })
+			rank, delay, id := arg&1, Time(arg>>1&3), nextID
+			nextID++
+			tm := views[rank].ScheduleTimer(time.Duration(delay), func() {
+				observe()
+				order = append(order, id)
+			})
 			handles = append(handles, handle{tm, ref.post(int32(rank), delay, id)})
 		case 3: // stop any handle ever issued: mostly fired, stopped or recycled ones
 			if len(handles) == 0 {
@@ -150,16 +229,21 @@ func runEventStoreModel(t *testing.T, ops []byte) (compactions int) {
 			}
 			h := &handles[arg%len(handles)]
 			if got, want := h.t.Stop(), ref.stop(h.r); got != want {
-				t.Fatalf("op %d: Stop(handle %d) = %v, reference %v", pc/2, h.r.id, got, want)
+				t.Fatalf("op %d: Stop(event %d) = %v, reference %v", pc/2, h.r.id, got, want)
 			}
 		case 4: // stop a pending one, so tombstones accumulate
-			live := ref.live()
+			var live []int
+			for i := range handles {
+				if !handles[i].r.dead {
+					live = append(live, i)
+				}
+			}
 			if len(live) == 0 {
 				continue
 			}
-			h := &handles[live[arg%len(live)].id]
+			h := &handles[live[arg%len(live)]]
 			if !h.t.Stop() || !ref.stop(h.r) {
-				t.Fatalf("op %d: Stop of pending handle %d reported false", pc/2, h.r.id)
+				t.Fatalf("op %d: Stop of pending event %d reported false", pc/2, h.r.id)
 			}
 		case 5:
 			if got, want := core.step(nil), ref.step(); got != want {
@@ -177,13 +261,29 @@ func runEventStoreModel(t *testing.T, ops []byte) (compactions int) {
 			at := ref.now + Time(arg&3)
 			core.runBefore(at, math.MinInt64, math.MinInt32, 0, nil)
 			ref.runBefore(at, math.MinInt64, math.MinInt32, 0)
+		case 8: // in order whenever the delay does not shrink between posts
+			deliver(arg&3, Time(arg>>2&3), false)
+		case 9:
+			i, delay := arg&3, Time(arg>>2&3)
+			views[i&1].postQueueFree(links[i], ref.now+delay)
+			ref.post(int32(i&1), delay, nextID).release = i + 1
+			nextID++
+		case 10:
+			deliver(arg&3, Time(arg>>2&3), true)
+		case 11: // equal at and schedAt: seq alone orders the burst
+			for n := 1 + arg>>2&3; n > 0; n-- {
+				deliver(arg&3, Time(arg>>4&3), false)
+			}
 		}
+		observe()
+		ref.observe()
+		st.lanePeak = max(st.lanePeak, core.behind)
 		if len(order) != len(ref.order) {
-			t.Fatalf("op %d: executed %d events, reference %d", pc/2, len(order), len(ref.order))
+			t.Fatalf("op %d: executed %v, reference %v", pc/2, order, ref.order)
 		}
 		for i := range order {
 			if order[i] != ref.order[i] {
-				t.Fatalf("op %d: execution %d ran event %d, reference %d", pc/2, i, order[i], ref.order[i])
+				t.Fatalf("op %d: execution %d ran %d, reference %d", pc/2, i, order[i], ref.order[i])
 			}
 		}
 		if got := eng.Pending(); got != len(ref.pending) {
@@ -194,7 +294,7 @@ func runEventStoreModel(t *testing.T, ops []byte) (compactions int) {
 		}
 		for _, h := range handles {
 			if h.t.Active() != !h.r.dead {
-				t.Fatalf("op %d: handle %d Active = %v, reference dead = %v", pc/2, h.r.id, h.t.Active(), h.r.dead)
+				t.Fatalf("op %d: event %d Active = %v, reference dead = %v", pc/2, h.r.id, h.t.Active(), h.r.dead)
 			}
 		}
 	}
@@ -208,12 +308,15 @@ func runEventStoreModel(t *testing.T, ops []byte) (compactions int) {
 			t.Errorf("%s = %d, reference %d", name, got, want)
 		}
 	}
-	return ref.compactions
+	st.compactions = ref.compactions
+	return st
 }
 
-// eventStoreStream is a seeded operation stream weighted so the heap
-// first fills, then is mostly cancelled, then drains — several times
-// over, so compaction runs with live events on both sides of it.
+// eventStoreStream is a seeded operation stream weighted so the store
+// first fills with timers and link events, then is mostly cancelled,
+// then drains while links keep posting — several times over, so
+// compaction runs with live events (lane members among them) on both
+// sides of it.
 func eventStoreStream(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]byte, 0, 2*n)
@@ -221,24 +324,30 @@ func eventStoreStream(seed int64, n int) []byte {
 		var op byte
 		switch phase := i % 300; {
 		case phase < 120:
-			op = byte(rng.Intn(4)) // post, stale stops
+			op = []byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 8, 9, 10, 11}[rng.Intn(16)] // posts, stale stops
 		case phase < 220:
 			op = []byte{4, 4, 4, 3, 0}[rng.Intn(5)] // mostly cancel
 		default:
-			op = byte(4 + rng.Intn(4)) // cancel, step, both runBefore forms
+			op = []byte{4, 5, 6, 7, 5, 6, 7, 8, 9}[rng.Intn(9)] // cancel, run, link posts
 		}
 		ops = append(ops, op, byte(rng.Intn(256)))
 	}
 	return ops
 }
 
-// TestEventStoreMatchesModel: the value heap executes exactly what a
-// sorted list would, counts what it would, and a Timer whose event was
-// recycled for another schedule stays inert.
+// TestEventStoreMatchesModel: the value heap and its link lanes execute
+// exactly what a sorted list would, count what it would, and a Timer
+// whose event was recycled for another schedule stays inert. The
+// streams must exercise the lanes both ways: members waiting behind a
+// head, and in-order-eligible posts the append rule turned away.
 func TestEventStoreMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		if c := runEventStoreModel(t, eventStoreStream(seed, 3000)); c < 3 {
-			t.Errorf("seed %d: stream caused %d compactions, want several", seed, c)
+		st := runEventStoreModel(t, eventStoreStream(seed, 3000))
+		if st.compactions < 3 {
+			t.Errorf("seed %d: stream caused %d compactions, want several", seed, st.compactions)
+		}
+		if st.lanePeak < 2 || st.fallbacks == 0 {
+			t.Errorf("seed %d: lane peak %d, %d fallbacks; want both paths exercised", seed, st.lanePeak, st.fallbacks)
 		}
 	}
 }
@@ -246,6 +355,9 @@ func TestEventStoreMatchesModel(t *testing.T) {
 func FuzzEventStore(f *testing.F) {
 	f.Add(eventStoreStream(1, 300))
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 4, 0, 4, 0, 5, 0, 3, 0, 0, 7, 6, 0, 7, 3})
+	// In-order, same-instant and shrinking-delay deliveries on one link,
+	// a late one, releases, then both run forms.
+	f.Add([]byte{8, 0, 8, 4, 11, 0x3c, 8, 0, 10, 0, 9, 1, 9, 5, 0, 0, 6, 3, 7, 3, 5, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 { // the model re-sorts per post: keep one exec in milliseconds
 			ops = ops[:4096]
@@ -255,9 +367,10 @@ func FuzzEventStore(f *testing.F) {
 }
 
 // TestEventStoreSteadyCyclesDoNotAllocate: at a fixed depth neither the
-// schedule→step cycle nor a whole stop→compact cycle allocates — slots
-// are values in one array, events come off the freelist, and compaction
-// filters that array in place.
+// schedule→step cycle, a whole stop→compact cycle, nor a link
+// send→deliver cycle through the lanes allocates — slots are values in
+// one array, events come off the freelist, compaction filters that
+// array in place, and lanes thread their members through the events.
 func TestEventStoreSteadyCyclesDoNotAllocate(t *testing.T) {
 	const depth = 1000
 	s := NewSimulator(1)
@@ -286,5 +399,30 @@ func TestEventStoreSteadyCyclesDoNotAllocate(t *testing.T) {
 	}
 	if p := s.Pending(); p != depth {
 		t.Errorf("Pending = %d after the compaction cycles, want %d", p, depth)
+	}
+
+	// A link send→deliver cycle: a burst of sends fills the link's two
+	// lanes (serializer releases and deliveries), each with its head in
+	// the heap and the rest waiting behind it, then drains. The handler
+	// keeps the buffer it is handed, so the bufpool stays out of it.
+	const burst = 8
+	var delivered int
+	l := s.NewLink(LinkConfig{Delay: time.Millisecond, RateBps: 1e9}, func(*Packet) { delivered++ }).(*Link)
+	buf := make([]byte, 100)
+	if n := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < burst; i++ {
+			l.SendOwned(buf, false)
+		}
+		if got, heap := s.Pending(), len(s.core.events); got != depth+2*burst || heap != depth+2 {
+			t.Fatalf("after a burst: Pending = %d with %d in the heap, want %d with %d", got, heap, depth+2*burst, depth+2)
+		}
+		for s.Pending() > depth {
+			s.Step()
+		}
+	}); n != 0 {
+		t.Errorf("link send→deliver cycle at depth %d allocates %v objects, want 0", depth, n)
+	}
+	if delivered != 1001*burst {
+		t.Errorf("delivered %d packets, want %d", delivered, 1001*burst)
 	}
 }

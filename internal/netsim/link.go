@@ -344,11 +344,12 @@ func chance(rng *rand.Rand, p float64) bool {
 // the tracer, and the two event sinks. It is the sending node's view,
 // or an xshardEnv when postDeliver must cross into another shard's
 // mailbox; postQueueFree always stays local (the serializer is
-// send-side state).
+// send-side state). An oob delivery (reorder-delayed or duplicate)
+// skips the link's delivery lane and goes straight to the heap.
 type linkEnv interface {
 	envNow() Time
 	envTracer() Tracer
-	postDeliver(l *Link, at Time, data []byte, ecn bool)
+	postDeliver(l *Link, at Time, data []byte, ecn, oob bool)
 	postQueueFree(l *Link, at Time)
 }
 
@@ -360,6 +361,17 @@ type Link struct {
 	linkCore
 	env linkEnv
 	dst Handler
+	// deliveries is the link's lane on the receiving core, releases its
+	// serializer's lane on the sending core (see lane in sim.go).
+	deliveries, releases lane
+}
+
+// lane returns the link's lane for a tagged event kind.
+func (l *Link) lane(kind uint8) *lane {
+	if kind == evDeliver {
+		return &l.deliveries
+	}
+	return &l.releases
 }
 
 // Send transmits data over the link, applying serialization, queueing,
@@ -384,13 +396,15 @@ func (l *Link) SendOwned(data []byte, ecn bool) {
 		return
 	}
 	// Post order is part of the event key: queue-free, deliver, dup.
+	// A late packet or a duplicate would hold the delivery lane's tail
+	// back and turn the packets behind it away from the lane.
 	if p.Queued {
 		l.env.postQueueFree(l, now+durTicks(p.Wait))
 	}
 	arrive := now + durTicks(p.Delay)
-	l.env.postDeliver(l, arrive, data, p.ECN)
+	l.env.postDeliver(l, arrive, data, p.ECN, p.Late)
 	if p.Dup {
-		l.env.postDeliver(l, arrive+durTicks(time.Microsecond), p.DupData, p.ECN)
+		l.env.postDeliver(l, arrive+durTicks(time.Microsecond), p.DupData, p.ECN, true)
 	}
 }
 

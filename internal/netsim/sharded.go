@@ -103,6 +103,7 @@ type mail struct {
 	lnk     *Link
 	data    []byte
 	ecn     bool
+	oob     bool // skips the link's delivery lane (see linkEnv)
 }
 
 // windowBound broadcasts one window's exclusive event-key bound to the
@@ -223,13 +224,13 @@ func (e *Sharded) Steps() uint64 {
 	return n
 }
 
-// Pending counts events waiting in every shard heap, the control heap
-// and the mailboxes, tombstones included — the shard-aware version of
-// Simulator.Pending.
+// Pending counts events waiting in every shard's heap and lanes, the
+// control core's and the mailboxes, tombstones included — the
+// shard-aware version of Simulator.Pending.
 func (e *Sharded) Pending() int {
-	n := len(e.ctl.events)
+	n := e.ctl.pending()
 	for _, c := range e.cores {
-		n += len(c.events)
+		n += c.pending()
 	}
 	for si := range e.mbox {
 		for di := range e.mbox[si] {
@@ -325,7 +326,7 @@ func (e *Sharded) flush(minAt Time) {
 				if m.at < minAt {
 					panic(fmt.Sprintf("netsim: torn lookahead: cross-shard delivery at %v is before the completed horizon %v", m.at, minAt))
 				}
-				dst.postForeign(m.at, m.schedAt, m.rank, m.seq, m.lnk, Packet{Data: m.data, ECN: m.ecn})
+				dst.postForeign(m)
 				ms[i] = mail{} // ownership handed to the destination shard
 			}
 			e.mbox[si][di] = ms[:0]
@@ -417,13 +418,20 @@ func (v *view) effNow() Time {
 	return v.eng.now
 }
 
-// post pushes an event with the view's identity, clamped to ≥ now.
-func (v *view) post(at Time) *event {
+// stamp gives a schedule call the view's identity: at clamped to ≥
+// now, the call's time as schedAt, and the view's next seq.
+func (v *view) stamp(at Time) (Time, Time) {
 	now := v.effNow()
 	if at < now {
 		at = now
 	}
 	v.seq++
+	return at, now
+}
+
+// post pushes an event with the view's identity.
+func (v *view) post(at Time) *event {
+	at, now := v.stamp(at)
 	return v.core.post(at, now, v.rank, v.seq)
 }
 
@@ -522,23 +530,22 @@ func (v *view) Close() error           { return v.eng.Close() }
 func (v *view) envNow() Time      { return v.effNow() }
 func (v *view) envTracer() Tracer { return v.eng.tracer }
 
-func (v *view) postDeliver(l *Link, at Time, data []byte, ecn bool) {
-	e := v.post(at)
-	e.kind = evDeliver
-	e.lnk = l
+func (v *view) postDeliver(l *Link, at Time, data []byte, ecn, oob bool) {
+	at, now := v.stamp(at)
+	e := v.core.postLink(evDeliver, l, oob, at, now, v.rank, v.seq)
 	e.pkt = Packet{Data: data, ECN: ecn}
 }
 
 func (v *view) postQueueFree(l *Link, at Time) {
-	e := v.post(at)
-	e.kind = evQueueFree
-	e.lnk = l
+	at, now := v.stamp(at)
+	v.core.postLink(evQueueFree, l, false, at, now, v.rank, v.seq)
 }
 
 // xshardEnv is the send-side context of a cross-shard link: the
 // serializer (queue-free events) stays on the sending shard, while
-// deliveries are appended — with their full ordering key — to the
-// sender's mailbox toward the destination shard.
+// deliveries are appended — with their full ordering key, in the
+// link's post order — to the sender's mailbox toward the destination
+// shard, whose flush files them into the link's delivery lane there.
 type xshardEnv struct {
 	v   *view
 	dst int
@@ -549,19 +556,15 @@ func (x *xshardEnv) envTracer() Tracer { return x.v.eng.tracer }
 
 func (x *xshardEnv) postQueueFree(l *Link, at Time) { x.v.postQueueFree(l, at) }
 
-func (x *xshardEnv) postDeliver(l *Link, at Time, data []byte, ecn bool) {
+func (x *xshardEnv) postDeliver(l *Link, at Time, data []byte, ecn, oob bool) {
 	v := x.v
-	now := v.effNow()
-	if at < now {
-		at = now
-	}
-	v.seq++
+	at, now := v.stamp(at)
 	// The schedule is accounted on the sending core (matching when the
 	// sequential simulator counts it); the event itself materializes on
 	// the destination core at the barrier flush.
 	v.core.scheduled.Inc()
 	box := &v.eng.mbox[v.shard][x.dst]
-	*box = append(*box, mail{at: at, schedAt: now, rank: v.rank, seq: v.seq, lnk: l, data: data, ecn: ecn})
+	*box = append(*box, mail{at: at, schedAt: now, rank: v.rank, seq: v.seq, lnk: l, data: data, ecn: ecn, oob: oob})
 }
 
 // lockedTracer serializes a Tracer shared by concurrent shards.

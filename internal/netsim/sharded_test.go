@@ -89,6 +89,83 @@ func TestShardedCrossShardDelivery(t *testing.T) {
 	}
 }
 
+// TestShardedLaneDeliveriesMatchSim sends steady traffic from two nodes
+// into a third over rate-limited links, one of them reordering,
+// duplicating and jittered by more than its send spacing, and requires
+// the receiver to see the same deliveries at the same times in the same
+// order on the sharded engine as on the sequential simulator, with its
+// clock never running back. Cross-shard deliveries reach their link's
+// delivery lane through the barrier flush, local ones straight from the
+// send, and the impaired link's out-of-order and oob packets fall back
+// to the heap; the engine must file both into one order. The send
+// periods are coprime with each other and with the receiver's own
+// timer, so rank — which differs between the engines — never decides.
+func TestShardedLaneDeliveriesMatchSim(t *testing.T) {
+	clean := LinkConfig{Delay: time.Millisecond, RateBps: 50_000_000}
+	noisy := clean
+	noisy.Delay = 1300 * time.Microsecond
+	noisy.Jitter, noisy.ReorderProb, noisy.DupProb = 200*time.Microsecond, 0.05, 0.05
+	run := func(b Backend, node func(i int) Backend, mid func()) []string {
+		defer b.Close()
+		a, c, r := node(0), node(1), node(2)
+		var (
+			got  []string
+			last Time
+		)
+		record := func(s string) {
+			if now := r.Now(); now < last {
+				t.Fatalf("%s ran at %v, after an event at %v", s, now, last)
+			} else {
+				last = now
+			}
+			got = append(got, fmt.Sprintf("%s@%v", s, r.Now()))
+		}
+		recv := func(from string) Handler {
+			return func(p *Packet) { record(from + string(p.Data)) }
+		}
+		links := []Port{LinkOn(a, clean, recv("a"), r), LinkOn(c, noisy, recv("c"), r)}
+		for i, src := range []Backend{a, c} {
+			i, src, n := i, src, 0
+			src.Every(time.Duration(97-8*i)*time.Microsecond, func() {
+				n++
+				links[i].Send([]byte(fmt.Sprint(n)))
+			})
+		}
+		r.Every(1013*time.Microsecond, func() { record("tick") })
+		b.RunFor(10 * time.Millisecond)
+		mid()
+		b.RunFor(40 * time.Millisecond)
+		return got
+	}
+	s := NewSimulator(5)
+	want := run(s, func(int) Backend { return s }, func() {})
+	for _, shards := range []int{1, 2, 3} {
+		e := NewSharded(5, shards, nil)
+		views := make([]Backend, 3)
+		for i := range views {
+			views[i] = e.NodeView(i * shards / 3)
+		}
+		got := run(e, func(i int) Backend { return views[i] }, func() {
+			// The receiver's core holds lane members mid-run: the lanes
+			// are in use, not bypassed.
+			if c := e.cores[shards-1]; c.behind == 0 {
+				t.Errorf("shards=%d: no deliveries waiting in lanes on the receiving core", shards)
+			}
+		})
+		if len(want) < 500 {
+			t.Fatalf("sequential transcript has only %d records", len(want))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("shards=%d: transcript diverges at %d of %d/%d", shards, i, len(got), len(want))
+				}
+			}
+			t.Fatalf("shards=%d: transcript has %d extra records", shards, len(got)-len(want))
+		}
+	}
+}
+
 // TestShardedZeroDelayCutLinkPanics pins the lookahead precondition: a
 // cross-shard link with no propagation delay has zero lookahead and
 // must be rejected at wiring time, not discovered as divergence.

@@ -9,10 +9,11 @@
 // The model is intentionally small: one engine (Sharded, sharded.go)
 // owns a virtual clock and one event store per shard (evCore, below: a
 // 4-ary heap of value slots ordered by one total key, with lazy
-// cancellation and a freelist), run in parallel under conservative
-// lookahead windows while producing byte-identical results at any
-// shard count; a Simulator is the one-shard, one-view case of it with
-// a step-by-step driver surface; a Link is a
+// cancellation and a freelist, plus one FIFO lane per link direction
+// whose head alone sits in the heap), run in parallel under
+// conservative lookahead windows while producing byte-identical results
+// at any shard count; a Simulator is the one-shard, one-view case of it
+// with a step-by-step driver surface; a Link is a
 // unidirectional channel with configurable propagation delay, jitter,
 // serialization rate, queue limit, loss, duplication, reordering, bit
 // corruption and ECN marking; a Bus is a shared broadcast medium with
@@ -45,57 +46,115 @@ const (
 	evQueueFree              // release one serializer queue slot on lnk
 )
 
-// slot is one heap entry: the canonical ordering key (at, schedAt,
-// rank, seq) — execution time, then scheduling time, then the
-// scheduler's identity rank, then the scheduler's local sequence number
-// — held by value next to the event it orders. A Simulator schedules
-// everything through its one rank-0 view, which makes the key
-// order-equivalent to a plain (at, seq) FIFO tiebreak — schedAt is
+// key is the canonical ordering key (at, schedAt, rank, seq) —
+// execution time, then scheduling time, then the scheduler's identity
+// rank, then the scheduler's local sequence number. A Simulator
+// schedules everything through its one rank-0 view, which makes the
+// key order-equivalent to a plain (at, seq) FIFO tiebreak — schedAt is
 // nondecreasing in seq because schedules happen in time-ordered
-// execution. A sharded world gives each node view a stable rank, so
-// the same key decides the same order regardless of how shards
-// interleave; this is the deterministic merge rule. Keys are unique
-// ((rank, seq) names one schedule call), so the order is total and the
-// pop sequence is the sorted sequence whatever shape the heap has.
-type slot struct {
+// execution. A sharded world gives each node view a stable rank, so the
+// same key decides the same order regardless of how shards interleave;
+// this is the deterministic merge rule. Keys are unique ((rank, seq)
+// names one schedule call), so the order is total and the pop sequence
+// is the sorted sequence whatever shape the store has.
+type key struct {
 	at      Time
 	schedAt Time   // virtual time the schedule call was made
 	seq     uint64 // scheduler-local FIFO tiebreak for simultaneous events
 	rank    int32  // scheduler identity: the posting view's rank
-	ev      *event
 }
 
-// before reports whether s orders before the (at, schedAt, rank, seq)
-// key — the single comparison the heap and the sharded window bounds
-// share.
-func (s *slot) before(at, schedAt Time, rank int32, seq uint64) bool {
-	if s.at != at {
-		return s.at < at
+// before reports whether k orders before the (at, schedAt, rank, seq)
+// key — the single comparison the heap, the lanes and the sharded
+// window bounds share.
+func (k *key) before(at, schedAt Time, rank int32, seq uint64) bool {
+	if k.at != at {
+		return k.at < at
 	}
-	if s.schedAt != schedAt {
-		return s.schedAt < schedAt
+	if k.schedAt != schedAt {
+		return k.schedAt < schedAt
 	}
-	if s.rank != rank {
-		return s.rank < rank
+	if k.rank != rank {
+		return k.rank < rank
 	}
-	return s.seq < seq
+	return k.seq < seq
 }
 
-func (s *slot) less(o *slot) bool { return s.before(o.at, o.schedAt, o.rank, o.seq) }
+func (k *key) less(o *key) bool { return k.before(o.at, o.schedAt, o.rank, o.seq) }
+
+// slot is one heap entry: a key held by value next to the event it
+// orders.
+type slot struct {
+	key
+	ev *event
+}
+
+func (s *slot) less(o *slot) bool { return s.key.less(&o.key) }
 
 // event is what a slot orders: the callback or tagged link operation,
 // and the cancellation state a Timer reaches through its pointer. It
-// carries no key and no heap position: sifting compares and moves
-// slots only, and cancellation never needs to find the slot (see
-// Timer.Stop).
+// carries no heap position: sifting compares and moves slots only, and
+// cancellation never needs to find the slot (see Timer.Stop).
 type event struct {
-	gen  uint32 // bumped on recycle; detached Timers compare it
-	kind uint8
-	dead bool
-	fn   func()
-	lnk  *Link
-	pkt  Packet
-	core *evCore // owner, so Timer.Stop can account the cancellation
+	gen   uint32 // bumped on recycle; detached Timers compare it
+	kind  uint8
+	dead  bool
+	laned bool // joined lnk's lane for kind (see lane)
+	fn    func()
+	lnk   *Link
+	pkt   Packet
+	core  *evCore // owner, so Timer.Stop can account the cancellation
+	// While the event waits in a lane behind the lane's head, k is the
+	// key its heap slot will get and next the member behind it.
+	k    key
+	next *event
+}
+
+// lane is one link direction's FIFO of one tagged event kind on one
+// core: a Link's deliveries on the receiving core, its serializer
+// releases on the sending one. A jitter-free link posts both in key
+// order, so only the lane's head needs to sit in the heap: its
+// successors wait behind it, in key order, threaded through their own
+// events — a lane owns no storage, so it never allocates. Posting behind
+// the head is an append, and popping the head puts its successor in the
+// root's place with one siftDown — no shrink, no regrow.
+//
+// The append rule keeps the order exact: a slot joins a busy lane only
+// if its key orders after the lane's tail, and anything else (jitter,
+// a reorder-delayed or duplicated delivery) is an ordinary heap slot.
+// Every lane slot therefore orders after its lane's head, which is in
+// the heap, so the heap's top is still the least pending key. Link
+// events hand out no Timer, so a lane holds no tombstones.
+type lane struct {
+	first, last *event // waiting behind the head, oldest first
+	tail        key    // the newest member's key
+	busy        bool   // the lane's head is in the heap
+}
+
+// admit reports whether a slot keyed k may join the lane: as its head
+// when the lane is idle, or behind its tail.
+func (l *lane) admit(k *key) bool { return !l.busy || l.tail.less(k) }
+
+// push queues s behind the head.
+func (l *lane) push(s slot) {
+	e := s.ev
+	e.k = s.key
+	if l.last == nil {
+		l.first = e
+	} else {
+		l.last.next = e
+	}
+	l.last = e
+}
+
+// shift removes the head's successor and returns its heap slot.
+func (l *lane) shift() slot {
+	e := l.first
+	l.first, e.next = e.next, nil
+	if l.first == nil {
+		l.last = nil
+	}
+	return slot{e.k, e}
 }
 
 // arity is the heap's branching factor. Four children per node halve
@@ -115,6 +174,9 @@ const arity = 4
 type evCore struct {
 	now    Time
 	events []slot
+	// behind counts slots waiting in lanes behind their heads: pending,
+	// but not in events.
+	behind int
 
 	// free recycles executed and compacted-away events. An event is
 	// only recycled once it is out of the heap, and its gen counter is
@@ -127,34 +189,59 @@ type evCore struct {
 	executed  metrics.Counter
 	cancelled metrics.Counter
 	// deadPending counts cancelled events still sitting in this core's
-	// heap. When they outnumber the live ones the heap is compacted, so
-	// a workload that arms and cancels many timers (retransmission
-	// timers across thousands of flows) cannot grow the heap without
-	// bound. Both the count and the compaction are shard-local.
+	// heap. When they outnumber the live ones (lane slots included) the
+	// heap is compacted, so a workload that arms and cancels many timers
+	// (retransmission timers across thousands of flows) cannot grow the
+	// heap without bound. Both the count and the compaction are
+	// shard-local.
 	deadPending int
 }
+
+// pending counts the core's events: heap slots, tombstones included,
+// plus lane slots.
+func (c *evCore) pending() int { return len(c.events) + c.behind }
 
 // post pushes a recycled (or fresh) event under the full ordering key.
 // The caller has already clamped at and computed schedAt/rank/seq;
 // kind-specific fields are filled in afterwards.
 func (c *evCore) post(at, schedAt Time, rank int32, seq uint64) *event {
 	c.scheduled.Inc()
-	return c.push(at, schedAt, rank, seq)
+	return c.push(nil, at, schedAt, rank, seq)
+}
+
+// postLink posts a tagged link event of kind on lnk. Unless oob, it
+// joins the link's lane for kind if the append rule lets it.
+func (c *evCore) postLink(kind uint8, lnk *Link, oob bool, at, schedAt Time, rank int32, seq uint64) *event {
+	c.scheduled.Inc()
+	return c.pushLink(kind, lnk, oob, at, schedAt, rank, seq)
 }
 
 // postForeign ingests a cross-shard mailbox delivery: the event keeps
 // the sender's key (already counted as scheduled on the sender's core)
-// so the comparator alone decides its order among local events.
-func (c *evCore) postForeign(at, schedAt Time, rank int32, seq uint64, lnk *Link, pkt Packet) {
-	e := c.push(at, schedAt, rank, seq)
-	e.kind = evDeliver
-	e.lnk = lnk
-	e.pkt = pkt
+// so the comparator alone decides its order among local events, and
+// joins the link's delivery lane on this core like a local one.
+func (c *evCore) postForeign(m *mail) {
+	e := c.pushLink(evDeliver, m.lnk, m.oob, m.at, m.schedAt, m.rank, m.seq)
+	e.pkt = Packet{Data: m.data, ECN: m.ecn}
 }
 
-// push takes an event off the freelist (or makes one) and sifts its
-// slot up from the end of the heap.
-func (c *evCore) push(at, schedAt Time, rank int32, seq uint64) *event {
+// pushLink files a tagged link event, offering it to lnk's lane for
+// kind unless oob.
+func (c *evCore) pushLink(kind uint8, lnk *Link, oob bool, at, schedAt Time, rank int32, seq uint64) *event {
+	var ln *lane
+	if !oob {
+		ln = lnk.lane(kind)
+	}
+	e := c.push(ln, at, schedAt, rank, seq)
+	e.kind = kind
+	e.lnk = lnk
+	return e
+}
+
+// push takes an event off the freelist (or makes one) and files its
+// slot: behind ln's head when the lane admits it, otherwise sifted up
+// from the end of the heap (as ln's head when the lane was idle).
+func (c *evCore) push(ln *lane, at, schedAt Time, rank int32, seq uint64) *event {
 	var e *event
 	if n := len(c.free); n > 0 {
 		e = c.free[n-1]
@@ -164,7 +251,17 @@ func (c *evCore) push(at, schedAt Time, rank int32, seq uint64) *event {
 	} else {
 		e = &event{core: c}
 	}
-	s := slot{at: at, schedAt: schedAt, seq: seq, rank: rank, ev: e}
+	s := slot{key{at: at, schedAt: schedAt, seq: seq, rank: rank}, e}
+	if ln != nil && ln.admit(&s.key) {
+		e.laned = true
+		ln.tail = s.key
+		if ln.busy {
+			ln.push(s)
+			c.behind++
+			return e
+		}
+		ln.busy = true
+	}
 	h := append(c.events, s)
 	i := len(h) - 1
 	for i > 0 {
@@ -180,10 +277,20 @@ func (c *evCore) push(at, schedAt Time, rank int32, seq uint64) *event {
 	return e
 }
 
-// pop removes the least slot and returns its time and event.
+// pop removes the least slot and returns its time and event. A lane
+// head hands the root to its successor; an emptied lane goes idle.
 func (c *evCore) pop() (Time, *event) {
 	h := c.events
 	at, e := h[0].at, h[0].ev
+	if e.laned {
+		ln := e.lnk.lane(e.kind)
+		if ln.first != nil {
+			c.behind--
+			siftDown(h, 0, ln.shift())
+			return at, e
+		}
+		ln.busy = false
+	}
 	n := len(h) - 1
 	if n > 0 {
 		siftDown(h[:n], 0, h[n])
@@ -219,6 +326,7 @@ func siftDown(h []slot, i int, s slot) {
 func (c *evCore) recycle(e *event) {
 	e.gen++
 	e.kind = evFunc
+	e.laned = false
 	e.fn = nil
 	e.lnk = nil
 	e.pkt = Packet{}
@@ -232,7 +340,7 @@ func (c *evCore) recycle(e *event) {
 // pushes that follow a compaction refill capacity the heap already
 // owns instead of regrowing an exact-size copy.
 func (c *evCore) maybeCompact() {
-	if c.deadPending*2 <= len(c.events) {
+	if c.deadPending*2 <= c.pending() {
 		return
 	}
 	h := c.events
@@ -439,8 +547,8 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) *Timer {
 	return &Timer{ev: e, gen: e.gen}
 }
 
-// Pending returns the number of events in the heap, tombstones
-// included (tests and capacity planning).
+// Pending returns the number of events waiting in the heap and the
+// link lanes, tombstones included (tests and capacity planning).
 func (s *Simulator) Pending() int { return s.eng.Pending() }
 
 // Step executes the next pending event. It reports false when the queue

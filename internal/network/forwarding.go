@@ -9,8 +9,16 @@ import "repro/internal/metrics"
 // information for the data plane that bypasses them."
 type Forwarder struct {
 	self Addr
-	fib  map[Addr]Route
-	m    forwardMetrics
+	// fib is indexed by destination address: addresses are small and
+	// dense, so a lookup per hop is an index, not a map probe.
+	fib []fibEntry
+	m   forwardMetrics
+}
+
+// fibEntry is one FIB slot; ok marks an installed route.
+type fibEntry struct {
+	r  Route
+	ok bool
 }
 
 // forwardMetrics counts data-plane outcomes.
@@ -36,30 +44,39 @@ func (m *forwardMetrics) each(f func(string, metrics.Instrument)) {
 
 // newForwarder is created by the Router.
 func newForwarder(self Addr) *Forwarder {
-	return &Forwarder{self: self, fib: make(map[Addr]Route)}
+	return &Forwarder{self: self}
 }
 
 // Install replaces the FIB — the single T2 interface from route
 // computation into the data plane.
 func (f *Forwarder) Install(routes map[Addr]Route) {
-	fib := make(map[Addr]Route, len(routes))
+	n := 0
+	for a := range routes {
+		n = max(n, int(a)+1)
+	}
+	fib := make([]fibEntry, n)
 	for a, r := range routes {
-		fib[a] = r
+		fib[a] = fibEntry{r, true}
 	}
 	f.fib = fib
 }
 
 // Lookup returns the route toward dst.
 func (f *Forwarder) Lookup(dst Addr) (Route, bool) {
-	r, ok := f.fib[dst]
-	return r, ok
+	if int(dst) < len(f.fib) {
+		e := &f.fib[dst]
+		return e.r, e.ok
+	}
+	return Route{}, false
 }
 
 // FIB returns a copy of the forwarding database.
 func (f *Forwarder) FIB() map[Addr]Route {
-	out := make(map[Addr]Route, len(f.fib))
-	for a, r := range f.fib {
-		out[a] = r
+	out := make(map[Addr]Route)
+	for a, e := range f.fib {
+		if e.ok {
+			out[Addr(a)] = e.r
+		}
 	}
 	return out
 }

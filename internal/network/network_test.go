@@ -337,9 +337,22 @@ func TestForwarderInstallCopies(t *testing.T) {
 		t.Error("Install aliased the caller's map")
 	}
 	fib := f.FIB()
+	if len(fib) != 1 || fib[2] != routes[2] {
+		t.Errorf("FIB() = %v, want the one installed route", fib)
+	}
 	fib[9] = Route{}
 	if _, ok := f.Lookup(9); ok {
 		t.Error("FIB() aliased internal state")
+	}
+	// The FIB is indexed by address: holes below the largest installed
+	// address and addresses past it both miss.
+	for _, a := range []Addr{0, 1, 3, 65535} {
+		if r, ok := f.Lookup(a); ok {
+			t.Errorf("Lookup(%v) = %v, want no route", a, r)
+		}
+	}
+	if r, ok := f.Lookup(2); !ok || r != routes[2] {
+		t.Errorf("Lookup(2) = %v, %v", r, ok)
 	}
 }
 

@@ -20,7 +20,7 @@ type Router struct {
 	nt       *NeighborTable
 	rc       RouteComputer
 	fwd      *Forwarder
-	handlers map[Proto]func(*Datagram)
+	handlers [256]func(*Datagram) // indexed by Proto
 	started  bool
 	tap      func(ifi int, data []byte)
 	drop     func(*Datagram) bool
@@ -47,13 +47,12 @@ type Router struct {
 // added with AddPort; call Start once the topology is wired.
 func NewRouter(sim netsim.Backend, addr Addr, rc RouteComputer, ncfg NeighborConfig) *Router {
 	r := &Router{
-		sim:      sim,
-		addr:     addr,
-		nt:       newNeighborTable(sim, addr, ncfg),
-		rc:       rc,
-		fwd:      newForwarder(addr),
-		handlers: make(map[Proto]func(*Datagram)),
-		name:     addr.String(),
+		sim:  sim,
+		addr: addr,
+		nt:   newNeighborTable(sim, addr, ncfg),
+		rc:   rc,
+		fwd:  newForwarder(addr),
+		name: addr.String(),
 	}
 	r.nt.Subscribe(func() { r.rc.OnNeighborChange() })
 	rc.Attach((*routerEnv)(r))
@@ -318,7 +317,7 @@ func (r *Router) forward(dg *Datagram, wire []byte) {
 // them.
 func (r *Router) deliverLocal(dg *Datagram) {
 	r.fwd.m.localDelivered.Inc()
-	if h, ok := r.handlers[dg.Proto]; ok {
+	if h := r.handlers[dg.Proto]; h != nil {
 		h(dg)
 	}
 }

@@ -51,6 +51,9 @@ type TCPHeader struct {
 // baseHeaderLen is the option-free TCP header size.
 const baseHeaderLen = 20
 
+// maxWScale is the largest window-scale shift (RFC 7323).
+const maxWScale = 14
+
 // Option kinds.
 const (
 	optEnd           = 0
@@ -215,7 +218,9 @@ func (h *TCPHeader) parseOptions(opts []byte) error {
 				}
 			case optWScale:
 				if len(body) == 1 {
-					h.WScale = int8(body[0])
+					// RFC 7323 §2.3: a shift above 14 is read as 14,
+					// so a present option never decodes as absent (-1).
+					h.WScale = int8(min(body[0], maxWScale))
 				}
 			case optSACKPermitted:
 				h.SACKPermitted = true

@@ -35,7 +35,7 @@ func randHeader(rng *rand.Rand) *TCPHeader {
 
 func headersEqual(a, b *TCPHeader) bool {
 	if a.SrcPort != b.SrcPort || a.DstPort != b.DstPort || a.Seq != b.Seq ||
-		a.Ack != b.Ack || a.Flags != b.Flags || a.Window != b.Window ||
+		a.Ack != b.Ack || a.Flags != b.Flags || a.Window != b.Window || a.Urgent != b.Urgent ||
 		a.MSS != b.MSS || a.WScale != b.WScale || a.SACKPermitted != b.SACKPermitted ||
 		len(a.SACKBlocks) != len(b.SACKBlocks) {
 		return false
