@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench bench-smoke soak soak-long verify report determinism clean
+.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench-smoke soak soak-long verify report determinism clean
 
 all: build
 
@@ -84,11 +84,6 @@ fuzz-pool:
 fuzz-schedule:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 5s ./internal/fuzzer
 
-# bench runs every experiment regenerator benchmark exactly once,
-# through the same code path as cmd/runreport.
-bench:
-	$(GO) test -bench=E -benchtime=1x .
-
 # bench-smoke builds and tests the repository benchmark (bench/, its
 # own module, which `go build ./...` and `go test ./...` do not reach)
 # against this tree: every workload at 1% scale, ~3 s. It is what
@@ -115,12 +110,11 @@ soak-long:
 
 # verify is the PR gate: static checks, the full suite under the race
 # detector, short fuzz passes over the bit-stuffing spec, the pooled
-# parity target and the fault-schedule differential oracle, one pass
-# of the experiment benchmarks, the benchmark module's smoke test and
-# the determinism gate. Performance is not gated here: it is measured
-# by `bash bench/run.sh` (BENCHMARK.json), paired against the parent
-# commit.
-verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench bench-smoke determinism
+# parity target and the fault-schedule differential oracle, the
+# benchmark module's smoke test and the determinism gate. Performance
+# is not gated here: it is measured by `bash bench/run.sh`
+# (BENCHMARK.json), paired against the parent commit.
+verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench-smoke determinism
 
 # report re-records BENCH_metrics.json, the run-report manifest over
 # the deterministic experiments (E1-E14, E16): every table plus one sample count and SHA-256 per scenario

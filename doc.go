@@ -6,11 +6,8 @@
 // deterministic network simulator underneath it all.
 //
 // Start with README.md for the tour, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for every regenerated table. The
-// benchmarks in bench_test.go regenerate one experiment each:
+// inventory, and EXPERIMENTS.md for every regenerated table.
 //
-//	go test -bench=E5 -benchtime=1x .
-//
-// This root package holds only documentation and the experiment
-// benchmarks; the library lives under internal/.
+// This root package holds only documentation; the library lives under
+// internal/.
 package repro

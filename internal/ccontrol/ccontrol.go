@@ -9,7 +9,7 @@
 // package is what makes that hiding useful — the same Controller drops
 // into the sublayered OSR (a pure sublayer swap, litmus tests T1–T3
 // unchanged) and into the monolithic PCB (where experiment E6's
-// tracker shows how much shared state the swap touches). The signal
+// blast radius shows how much shared state the swap touches). The signal
 // vocabulary is deliberately richer than the original ack-bytes+loss
 // pair: AckSample carries cumulative delivery and in-flight counts so
 // a delay/bandwidth-based controller (bbrlite) can compute delivery

@@ -584,6 +584,33 @@ func BenchmarkBitStuffFrame1500(b *testing.B) {
 	}
 }
 
+// BenchmarkNestedFraming compares the recursive two-sublayer framing
+// against the monolithic framer (the cost of literal recursion) — the
+// ablation whose subject is CPU cost itself.
+func BenchmarkNestedFraming(b *testing.B) {
+	pkt := make([]byte, 512)
+	for _, c := range []struct {
+		name string
+		f    Framer
+	}{
+		{"monolithic-framer", NewBitStuffFramer(stuffing.HDLC())},
+		{"nested-framer", NewNestedFramer(stuffing.HDLC())},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bits, err := c.f.Frame(pkt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := c.f.Deframe(bits); len(got) != 1 {
+					b.Fatal("deframe failed")
+				}
+			}
+		})
+	}
+}
+
 // --- §4.1 nested sublayering within framing ---
 
 func TestNestedFramerEquivalentToMonolithic(t *testing.T) {

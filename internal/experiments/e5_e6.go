@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/stuffing"
-	"repro/internal/transport/harness"
+	"repro/internal/transport"
 	"repro/internal/verify"
 )
 
@@ -81,71 +80,97 @@ func E5Stuffing(Config) *Result {
 	return res
 }
 
-// E6Entanglement reproduces §4.2's lessons quantitatively: run the
-// identical workload through the monolithic and sublayered TCPs with
-// state-access instrumentation, and compare the entanglement the
-// paper blames for verification difficulty.
-func E6Entanglement(cfg Config) *Result {
-	seed := cfg.Seed
+// e6Stacks is E6's handler table: the functions of each stack that
+// are entry points in the default configuration (HandshakeCM; TimerCM
+// is E8's swap-in) — segment arrival, application write and close,
+// transmission and the timers — and the scope of its frames. The
+// variables are the fields of per-connection state: per-host structs
+// (both Stacks, DM's table) would make every handler pair share the
+// clock and the config.
+var e6Stacks = []struct {
+	name     string
+	scope    verify.Scope
+	handlers []string
+	cc       string // the variable holding the congestion controller
+}{
+	{
+		name:  "monolithic",
+		scope: verify.Scope{State: []string{"PCB"}, Host: []string{"Stack"}},
+		handlers: []string{
+			"Stack.tcpInput", "Stack.tcpProcess", "Stack.tcpReceive",
+			"PCB.Write", "PCB.Close", "PCB.tcpOutput",
+			"PCB.onRexmitTimer", "PCB.rollbackAndRetransmit",
+		},
+		cc: "PCB.cc",
+	},
+	{
+		name: "sublayered",
+		scope: verify.Scope{
+			State:     []string{"Conn", "HandshakeCM", "RD", "OSR"},
+			Host:      []string{"Stack", "DM"},
+			Sublayers: []string{"DM", "HandshakeCM", "TimerCM", "RD", "OSR"},
+		},
+		handlers: []string{
+			"DM.receive", "DM.send",
+			"HandshakeCM.open", "HandshakeCM.onSegment", "HandshakeCM.peerStreamComplete",
+			"HandshakeCM.closeWrite", "HandshakeCM.streamFinished",
+			"RD.Established", "RD.SetRemoteFin", "RD.Send", "RD.onData", "RD.onAck", "RD.onRTO",
+			"OSR.write", "OSR.closeWrite", "OSR.pump", "OSR.onAcked", "OSR.onLoss",
+			"OSR.deliver", "OSR.setStreamEnd", "OSR.onPeerHeader",
+		},
+		cc: "OSR.cc",
+	},
+}
+
+// E6Entanglement reproduces §4.2's lessons quantitatively: read each
+// handler's frame — the per-connection variables it reads and writes —
+// from the Go source of the monolithic and sublayered TCPs, and
+// compare the entanglement the paper blames for verification
+// difficulty. It runs no workload.
+func E6Entanglement(Config) *Result {
 	res := &Result{
 		ID:     "E6",
 		Title:  "§4.2 entanglement: monolithic PCB vs segregated sublayers",
 		Header: []string{"implementation", "handlers", "vars", "shared-vars", "multi-writer", "interaction-pairs", "of-max", "cc-handlers", "cc-blast"},
 	}
-	run := func(kind harness.Kind) (verify.Entanglement, verify.Blast) {
-		tr := verify.NewTracker()
-		data := randPayload(120_000, seed)
-		out := runWorld(harness.WorldConfig{
-			Seed: seed, Backend: cfg.Backend, Link: lossyLink(0.05),
-			Client: kind, Server: kind, Tracker: tr,
-		}, data, nil, 10*time.Minute, nil)
-		if out.Err != nil || !bytes.Equal(out.R.ServerGot, data) {
-			panic(fmt.Sprintf("E6 workload failed for %v", kind))
-		}
-		res.fold(kind.String(), out.Snap)
-		// The CC swap question: both stacks hold the controller behind
-		// one tracked variable; its blast radius is the state a reviewer
-		// re-examines when the controller changes.
-		ccVar := "osr.cc"
-		if kind == harness.KindMonolithic {
-			ccVar = "pcb.cc"
-		}
-		return tr.Analyze(), tr.Blast(ccVar)
-	}
-	blasts := make(map[harness.Kind]verify.Blast)
-	for _, k := range []harness.Kind{harness.KindMonolithic, harness.KindSublayeredNative} {
-		e, b := run(k)
-		blasts[k] = b
-		res.Rows = append(res.Rows, []string{
-			k.String(),
-			fmt.Sprintf("%d", e.Handlers),
-			fmt.Sprintf("%d", e.Vars),
-			fmt.Sprintf("%d", e.SharedVars),
-			fmt.Sprintf("%d", e.WriteShared),
-			fmt.Sprintf("%d", e.InteractionPairs),
-			fmt.Sprintf("%d", e.MaxPairs),
-			fmt.Sprintf("%d", len(b.Handlers)),
-			fmt.Sprintf("%d", len(b.CoTouched)),
-		})
-	}
-	mb, sb := blasts[harness.KindMonolithic], blasts[harness.KindSublayeredNative]
 	mreg := metrics.New()
-	bsc := mreg.Scope("blast")
-	var gmh, gmt, gsh, gst metrics.Gauge
-	gmh.Set(int64(len(mb.Handlers)))
-	gmt.Set(int64(len(mb.CoTouched)))
-	gsh.Set(int64(len(sb.Handlers)))
-	gst.Set(int64(len(sb.CoTouched)))
-	bsc.Register("mono_cc_handlers", &gmh)
-	bsc.Register("mono_cc_cotouched", &gmt)
-	bsc.Register("sub_cc_handlers", &gsh)
-	bsc.Register("sub_cc_cotouched", &gst)
-	res.Metrics = metrics.Merge(res.Metrics, mreg.Snapshot())
+	var edges, blasts []string
+	crossings := 0
+	for _, st := range e6Stacks {
+		src, err := verify.Load(transport.Sources, st.name, st.scope)
+		if err != nil {
+			panic(fmt.Sprintf("E6: %v", err))
+		}
+		fr, err := src.Frames(st.handlers)
+		if err != nil {
+			panic(fmt.Sprintf("E6: %v", err))
+		}
+		crossings += len(src.CrossSublayer())
+		edges = append(edges, fmt.Sprintf("%s %d %v", st.name, len(fr.Edges()), fr.Edges()))
+		// The CC swap question: both stacks hold the controller in one
+		// variable; its blast radius is the state a reviewer
+		// re-examines when the controller changes.
+		e, b := fr.Entanglement(), fr.Blast(st.cc)
+		blasts = append(blasts, fmt.Sprintf("%s %s → %d handlers, %d co-touched vars (%s)",
+			st.name, st.cc, len(b.Handlers), len(b.CoTouched), strings.Join(b.Handlers, " ")))
+		row := []string{st.name}
+		for _, n := range []int{e.Handlers, e.Vars, e.SharedVars, e.WriteShared, e.InteractionPairs, e.MaxPairs, len(b.Handlers), len(b.CoTouched)} {
+			row = append(row, strconv.Itoa(n))
+		}
+		res.Rows = append(res.Rows, row)
+		var gh, gt metrics.Gauge
+		gh.Set(int64(len(b.Handlers)))
+		gt.Set(int64(len(b.CoTouched)))
+		sc := mreg.Scope("blast").Sub(st.name)
+		sc.Register("cc_handlers", &gh)
+		sc.Register("cc_cotouched", &gt)
+	}
+	res.Metrics = mreg.Snapshot()
 	res.Notes = append(res.Notes,
-		"monolithic handlers share most PCB variables (tcp_receive alone touches snd_una, the controller, reasm, fin state, ...): interaction pairs approach the O(N²) ceiling",
-		"sublayered handlers touch sublayer-prefixed state; cross-handler sharing is confined within each sublayer, so reasoning obligations stay near O(N) — the paper's conjecture, measured",
-		fmt.Sprintf("cc blast radius (state co-touched by every handler that touches the controller): monolithic pcb.cc → %d handlers, %d co-touched vars (%s); sublayered osr.cc → %d handlers, %d co-touched vars (%s) — the same ccontrol swap drags in strictly more monolithic state",
-			len(mb.Handlers), len(mb.CoTouched), strings.Join(mb.Handlers, " "),
-			len(sb.Handlers), len(sb.CoTouched), strings.Join(sb.Handlers, " ")))
+		"frames read from the Go source (go/types), no workload: a handler's frame covers the functions it reaches by static calls in its own package (Conn and Stack glue included); the walk stops at another sublayer's method and at interface calls, and calls into other packages (ccontrol.Controller, seg buffers) are not followed; a variable is a field of per-connection state (monolithic PCB; sublayered Conn, HandshakeCM, RD, OSR) that is not a navigation pointer, an instrument or a callback; assigning it, ++/--, &x or calling a method on it writes it",
+		"monolithic handlers all reach the PCB's shared helpers (tcpOutput, sendSegment, armRexmit), so interaction pairs approach the O(N²) ceiling; sublayered sharing runs mostly through Conn's transmit/abort glue, and pair density stays well below it — the paper's conjecture, measured from the code",
+		"interface edges where the walks stopped: "+strings.Join(edges, "; "),
+		fmt.Sprintf("T3 litmus: %d fields of one sublayer read or written by another sublayer's methods", crossings),
+		"cc blast radius (state co-touched by every handler that touches the controller): "+strings.Join(blasts, "; "))
 	return res
 }

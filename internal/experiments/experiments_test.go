@@ -98,20 +98,21 @@ func TestE5PaperNumbers(t *testing.T) {
 }
 
 func TestE6SublayeredLessEntangled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("instrumented transfers")
-	}
-	r := E6Entanglement(Config{Seed: 6})
+	r := E6Entanglement(Config{})
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	mono, sub := r.Rows[0], r.Rows[1]
 	parse := func(s string) int { v, _ := strconv.Atoi(s); return v }
+	mVars, sVars := parse(mono[2]), parse(sub[2])
 	mShared, sShared := parse(mono[3]), parse(sub[3])
 	mPairs, sPairs := parse(mono[5]), parse(sub[5])
 	mMax, sMax := parse(mono[6]), parse(sub[6])
-	if sShared >= mShared {
-		t.Errorf("sublayered shares %d vars, monolithic %d (expected fewer)", sShared, mShared)
+	// The share of variables shared, not their count: the sublayered
+	// stack has more per-connection state, so the absolute count would
+	// compare sizes, not entanglement.
+	if float64(sShared)/float64(sVars) >= float64(mShared)/float64(mVars) {
+		t.Errorf("sublayered shares %d of %d vars, monolithic %d of %d (expected a smaller share)", sShared, sVars, mShared, mVars)
 	}
 	// The paper's O(N²) claim: monolithic interaction density is higher.
 	mDensity := float64(mPairs) / float64(mMax)

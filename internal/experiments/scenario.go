@@ -22,10 +22,10 @@ type worldRun struct {
 }
 
 // runWorld removes the boilerplate every world-driving experiment
-// (E3, E4, E6–E10) used to repeat: create a registry, build the world,
+// (E3, E4, E7–E10) used to repeat: create a registry, build the world,
 // run the bidirectional transfer, snapshot. The optional setup hook
 // runs between construction and transfer with the world's registry, so
-// callers can attach fault injectors, watchdogs or trackers.
+// callers can attach fault injectors or watchdogs.
 func runWorld(wcfg harness.WorldConfig, c2s, s2c []byte, budget time.Duration,
 	setup func(w *harness.World, reg *metrics.Registry)) worldRun {
 	reg := metrics.New()

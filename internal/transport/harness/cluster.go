@@ -134,7 +134,7 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 				cl.Checkers[addr] = ck
 				wcfg.SubCfg.Contracts = ck
 			}
-			st := buildTransport(cfg.Kind, hb, cl.Topo.Routers[addr], wcfg, hostScope(cfg.Metrics, i), nil)
+			st := buildTransport(cfg.Kind, hb, cl.Topo.Routers[addr], wcfg, hostScope(cfg.Metrics, i))
 			cl.Hosts = append(cl.Hosts, ClusterHost{Addr: addr, Stack: st, B: hb})
 		}
 	})

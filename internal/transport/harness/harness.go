@@ -32,7 +32,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/monolithic"
 	"repro/internal/transport/sublayered"
-	"repro/internal/verify"
 )
 
 // Sublayered is a sublayered stack as a transport.Stack: Addr and
@@ -179,7 +178,6 @@ type WorldConfig struct {
 	Pairs   int
 	Client  Kind
 	Server  Kind
-	Tracker *verify.Tracker // attached to both transports (E6)
 	SubCfg  sublayered.Config
 	MonoCfg monolithic.Config
 	// Metrics, when non-nil, adopts every instrument in the world: the
@@ -230,11 +228,8 @@ func BuildWorld(cfg WorldConfig) *World {
 			ca := network.Addr(p*cfg.Hops + 1)
 			sa := network.Addr((p + 1) * cfg.Hops)
 			cb, sb := w.Topo.Backend(ca), w.Topo.Backend(sa)
-			// Each stack gets its own tracker session: the two ends may
-			// execute concurrently on different shards, and the
-			// current-handler scope must not cross-contaminate.
-			cl := buildTransport(cfg.Client, cb, w.Topo.Routers[ca], cfg, hostScope(cfg.Metrics, int(ca)), cfg.Tracker.Session())
-			sv := buildTransport(cfg.Server, sb, w.Topo.Routers[sa], cfg, hostScope(cfg.Metrics, int(sa)), cfg.Tracker.Session())
+			cl := buildTransport(cfg.Client, cb, w.Topo.Routers[ca], cfg, hostScope(cfg.Metrics, int(ca)))
+			sv := buildTransport(cfg.Server, sb, w.Topo.Routers[sa], cfg, hostScope(cfg.Metrics, int(sa)))
 			w.Ends = append(w.Ends, End{Client: cl, Server: sv, ClientB: cb, ServerB: sb, ClientAddr: ca, ServerAddr: sa})
 		}
 		w.Client, w.Server = w.Ends[0].Client, w.Ends[0].Server
@@ -332,10 +327,9 @@ func hostScope(reg *metrics.Registry, addr int) *metrics.Scope {
 	return reg.Scope(fmt.Sprintf("n%d", addr)).Sub("transport")
 }
 
-func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConfig, msc *metrics.Scope, tracker *verify.Tracker) transport.Stack {
+func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConfig, msc *metrics.Scope) transport.Stack {
 	if k == KindMonolithic {
 		mc := cfg.MonoCfg
-		mc.Tracker = tracker
 		mc.Metrics = msc
 		return &Monolithic{monolithic.NewStack(sim, r, mc)}
 	}
@@ -343,7 +337,6 @@ func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConf
 	if k == KindSublayeredShim {
 		sc.UseShim = true
 	}
-	sc.Tracker = tracker
 	sc.Metrics = msc
 	return &Sublayered{sublayered.NewStack(sim, r, sc)}
 }

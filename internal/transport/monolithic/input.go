@@ -15,7 +15,6 @@ import (
 // tcpInput is the entry point from the network layer: checksum, demux,
 // passive-open, stray handling — the outer shell of lwIP's tcp_input().
 func (s *Stack) tcpInput(dg *network.Datagram) {
-	s.track("tcp_input")
 	s.m.segmentsIn.Inc()
 	h := &s.rxHdr
 	payload, err := tcpwire.UnmarshalTCPInto(h, dg.Payload, uint16(dg.Src), uint16(dg.Dst))
@@ -40,7 +39,6 @@ func (s *Stack) tcpInput(dg *network.Datagram) {
 			p.sndUna = p.iss
 			p.sndNxt = p.iss.Add(1)
 			p.sndWnd = int(h.Window)
-			s.tw("pcb.state", "pcb.irs", "pcb.rcv_nxt", "pcb.iss", "pcb.snd_una", "pcb.snd_nxt", "pcb.snd_wnd")
 			if l.OnAccept != nil {
 				l.OnAccept(p)
 			}
@@ -72,7 +70,6 @@ func (s *Stack) tcpInput(dg *network.Datagram) {
 // input path. Handshake states are handled here; established-family
 // states fall through to tcpReceive.
 func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
-	s.track("tcp_process")
 	if h.Flags&tcpwire.FlagRST != 0 {
 		// A reset in a terminal state means the peer already tore its
 		// end down after a completed exchange; treat it as a close.
@@ -85,7 +82,6 @@ func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 	}
 	switch p.state {
 	case stSynSent:
-		s.tr("pcb.state")
 		if h.Flags&tcpwire.FlagSYN != 0 && h.Flags&tcpwire.FlagACK != 0 &&
 			seg.Seq(h.Ack) == p.iss.Add(1) {
 			p.irs = seg.Seq(h.Seq)
@@ -93,7 +89,6 @@ func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 			p.sndUna = seg.Seq(h.Ack)
 			p.sndWnd = int(h.Window)
 			p.state = stEstablished
-			s.tw("pcb.irs", "pcb.rcv_nxt", "pcb.snd_una", "pcb.snd_wnd", "pcb.state")
 			p.stopRexmit()
 			p.sendAck()
 			if p.OnConnected != nil {
@@ -110,7 +105,6 @@ func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 		}
 		if h.Flags&tcpwire.FlagACK != 0 && seg.Seq(h.Ack) == p.iss.Add(1) {
 			p.state = stEstablished
-			s.tw("pcb.state")
 			p.stopRexmit()
 			if p.OnConnected != nil {
 				p.OnConnected()
@@ -141,11 +135,9 @@ func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 // Dafny exercise had to break apart. Note how many PCB fields one pass
 // touches.
 func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
-	s.track("tcp_receive")
 	// --- acknowledgement processing ---
 	if h.Flags&tcpwire.FlagACK != 0 {
 		ack := seg.Seq(h.Ack)
-		s.tr("pcb.snd_una", "pcb.snd_nxt")
 		switch {
 		case p.sndUna.Less(ack) && ack.Leq(p.sndNxt):
 			newly := ack.Diff(p.sndUna)
@@ -153,13 +145,11 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 			p.trace("cumack", "", 0, uint32(ack), int(newly))
 			p.dupAcks = 0
 			p.nrexmit = 0
-			s.tw("pcb.snd_una", "pcb.dup_acks")
 			// Our FIN consumes one sequence number, not a stream byte.
 			if p.finSent && p.finSeq.Less(ack) {
 				newly--
 				if !p.finAcked {
 					p.finAcked = true
-					s.tw("pcb.fin_acked")
 					p.finAckedTransition()
 					if p.dead {
 						return
@@ -175,7 +165,6 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 				p.rtt.Sample(sample)
 				s.m.rttMs.Observe(sample.Milliseconds())
 				p.timing = false
-				s.tw("pcb.rto")
 			}
 			if newly > 0 {
 				// Release the send buffer and feed the controller —
@@ -193,7 +182,6 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 					InFlight:  p.inflight(),
 					Now:       time.Duration(s.sim.Now()),
 				})
-				s.tw("pcb.snd_buf", "pcb.next_send", "pcb.cc")
 				if p.OnWritable != nil {
 					p.OnWritable()
 				}
@@ -201,17 +189,14 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 			p.armRexmit()
 		case ack == p.sndUna && p.inflight() > 0 && len(payload) == 0:
 			p.dupAcks++
-			s.tw("pcb.dup_acks")
 			if p.dupAcks == 3 {
 				// Fast retransmit: cut the window, roll back, resend one.
 				s.m.fastRetransmits.Inc()
 				p.cc.OnLoss(ccontrol.LossEvent{Kind: ccontrol.LossFast})
-				s.tw("pcb.cc")
 				p.rollbackAndRetransmit()
 			}
 		}
 		p.sndWnd = int(h.Window)
-		s.tw("pcb.snd_wnd")
 	}
 
 	// --- data processing ---
@@ -223,7 +208,6 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 		// unbounded bytes here.
 		if ok && off+uint64(len(payload)) <= p.reasm.Next()+transport.BufSize {
 			out := p.reasm.Insert(off, payload)
-			s.tw("pcb.reasm", "pcb.rcv_nxt")
 			if len(out) > 0 {
 				p.read.Append(out)
 				if p.OnReadable != nil {
@@ -241,7 +225,6 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 			p.rcvdFin = true
 			fo, _ := p.rcvOffset(seg.Seq(h.Seq))
 			p.finOffset = fo + uint64(len(payload))
-			s.tw("pcb.rcvd_fin", "pcb.fin_offset")
 		}
 		p.syncRcvNxt()
 		p.sendAck()
@@ -292,7 +275,6 @@ func (p *PCB) checkEOF() {
 		case stFinWait2:
 			p.enterTimeWait()
 		}
-		p.stack.tw("pcb.state")
 		if p.OnReadable != nil {
 			p.OnReadable()
 		}

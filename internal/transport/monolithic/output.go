@@ -14,12 +14,10 @@ import (
 
 // Write queues application bytes; returns how many were accepted.
 func (p *PCB) Write(b []byte) int {
-	p.stack.track("app_write")
 	if p.dead || p.closed {
 		return 0
 	}
 	n := p.sndBuf.Write(b)
-	p.stack.tw("pcb.snd_buf")
 	p.tcpOutput()
 	p.checkInvariants(p.stack.cfg.Contracts)
 	return n
@@ -44,12 +42,10 @@ func (p *PCB) EOF() bool { return p.eof && p.read.Len() == 0 }
 
 // Close ends the outgoing stream; the FIN goes out after queued data.
 func (p *PCB) Close() {
-	p.stack.track("app_close")
 	if p.dead || p.closed {
 		return
 	}
 	p.closed = true
-	p.stack.tw("pcb.closed")
 	p.tcpOutput()
 }
 
@@ -67,12 +63,10 @@ func (p *PCB) Abort() {
 // flow control and teardown state all gate one loop.
 func (p *PCB) tcpOutput() {
 	s := p.stack
-	s.track("tcp_output")
 	if p.dead || p.state != stEstablished && p.state != stCloseWait &&
 		p.state != stFinWait1 && p.state != stClosing && p.state != stLastAck {
 		return
 	}
-	s.tr("pcb.cc", "pcb.snd_wnd", "pcb.next_send", "pcb.snd_buf")
 	for {
 		acked := p.ackedOffset()
 		inflight := int(p.nextSend - acked)
@@ -99,14 +93,12 @@ func (p *PCB) tcpOutput() {
 		data := p.sndBuf.View(p.nextSend, n)
 		sq := p.iss.Add(1).Add(int(uint32(p.nextSend)))
 		p.nextSend += uint64(n)
-		s.tw("pcb.next_send")
 		if sq.Add(n).Leq(p.sndNxt) {
 			s.m.retransmits.Inc()
 			p.trace("rexmit", "", 0, uint32(sq), n)
 		} else {
 			p.trace("send", "", 0, uint32(sq), n)
 			p.sndNxt = sq.Add(n)
-			s.tw("pcb.snd_nxt")
 			if !p.timing {
 				p.timing = true
 				p.timedEnd = sq.Add(n)
@@ -121,7 +113,6 @@ func (p *PCB) tcpOutput() {
 		p.finSent = true
 		p.finSeq = p.iss.Add(1).Add(int(uint32(p.nextSend)))
 		p.sndNxt = p.finSeq.Add(1)
-		s.tw("pcb.fin_sent", "pcb.fin_seq", "pcb.snd_nxt", "pcb.state")
 		switch p.state {
 		case stEstablished:
 			p.state = stFinWait1
@@ -136,9 +127,7 @@ func (p *PCB) tcpOutput() {
 // rollbackAndRetransmit implements go-back-N recovery: rewind the send
 // pointer to the first unacknowledged byte and let tcpOutput resend.
 func (p *PCB) rollbackAndRetransmit() {
-	p.stack.track("tcp_rexmit")
 	p.nextSend = p.ackedOffset()
-	p.stack.tw("pcb.next_send")
 	// A FIN awaiting ack must be retransmitted too.
 	if p.finSent && !p.finAcked && p.nextSend == p.sndBuf.End() {
 		p.sendFlags(tcpwire.FlagFIN|tcpwire.FlagACK, p.finSeq, p.rcvNxt)
@@ -151,7 +140,6 @@ func (p *PCB) rollbackAndRetransmit() {
 // onRexmitTimer is the retransmission timeout — lwIP's slow timer path.
 func (p *PCB) onRexmitTimer() {
 	s := p.stack
-	s.track("tcp_rexmit")
 	if p.dead {
 		return
 	}
@@ -177,7 +165,6 @@ func (p *PCB) onRexmitTimer() {
 	p.rtt.Backoff()
 	p.timing = false // Karn
 	p.cc.OnLoss(ccontrol.LossEvent{Kind: ccontrol.LossTimeout})
-	s.tw("pcb.cc", "pcb.rto")
 	p.rollbackAndRetransmit()
 }
 

@@ -9,9 +9,9 @@
 // The implementation is deliberately NOT sublayered — sequence numbers,
 // windows and congestion state live side by side in the PCB and every
 // function reads and writes several of them. That entanglement is the
-// point: experiment E6 instruments both this package and
-// internal/transport/sublayered with the same tracker and measures the
-// difference the paper conjectures (shared variables, O(N²) handler
+// point: experiment E6 reads both this package's source and
+// internal/transport/sublayered's with the same analysis and measures
+// the difference the paper conjectures (shared variables, O(N²) handler
 // interaction pairs). On the wire it speaks standard RFC 793 segments,
 // so it interoperates with the sublayered TCP behind its shim (E4).
 package monolithic
@@ -73,8 +73,6 @@ type Config struct {
 	// wiring, while here the controller's glue threads through
 	// tcp_receive, tcp_output and the retransmission timer.
 	CC string
-	// Tracker, if set, records per-handler state access (E6).
-	Tracker *verify.Tracker
 	// Contracts, if set, evaluates the PCB's (entangled, whole-block)
 	// invariants after each processed segment.
 	Contracts *verify.Checker
@@ -291,28 +289,6 @@ func (p *PCB) trace(kind, verdict string, id uint64, seqNum uint32, n int) {
 		Node: p.stack.traceName, Layer: netsim.LayerTransport,
 		Kind: kind, Verdict: verdict,
 	}, nil)
-}
-
-func (s *Stack) track(h string) {
-	if s.cfg.Tracker != nil {
-		s.cfg.Tracker.Enter(h)
-	}
-}
-
-func (s *Stack) tw(vars ...string) {
-	if s.cfg.Tracker != nil {
-		for _, v := range vars {
-			s.cfg.Tracker.Write(v)
-		}
-	}
-}
-
-func (s *Stack) tr(vars ...string) {
-	if s.cfg.Tracker != nil {
-		for _, v := range vars {
-			s.cfg.Tracker.Read(v)
-		}
-	}
 }
 
 // Listen binds a port.

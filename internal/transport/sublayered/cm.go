@@ -192,15 +192,12 @@ func (m *HandshakeCM) localFinSeq() seg.Seq {
 }
 
 func (m *HandshakeCM) setState(s CMState) {
-	m.conn.stack.trackWrite("cm.state")
 	m.st = s
 }
 
 // open implements ConnManager.
 func (m *HandshakeCM) open(active bool, first *cmView) {
-	m.conn.stack.track("cm.open")
 	m.isn = seg.Seq(m.gen.ISN(m.conn.key, m.conn.now()))
-	m.conn.stack.trackWrite("cm.isn")
 	if active {
 		m.setState(StateSynSent)
 		m.sendSYN()
@@ -216,7 +213,6 @@ func (m *HandshakeCM) open(active bool, first *cmView) {
 	}
 	m.peerISN = first.isn
 	m.havePeer = true
-	m.conn.stack.trackWrite("cm.peerISN")
 	m.setState(StateSynRcvd)
 	m.sendSYNACK()
 }
@@ -290,7 +286,6 @@ func (m *HandshakeCM) cancelRexmit() {
 
 // onSegment implements ConnManager — the CM half of segment arrival.
 func (m *HandshakeCM) onSegment(v cmView) bool {
-	m.conn.stack.track("cm.onSegment")
 	if v.rst {
 		m.m.resets.Inc()
 		// A reset in a terminal state follows a completed exchange;
@@ -309,7 +304,6 @@ func (m *HandshakeCM) onSegment(v cmView) bool {
 		if v.syn && v.ackValid && v.ack == m.isn.Add(1) {
 			m.peerISN = v.isn
 			m.havePeer = true
-			m.conn.stack.trackWrite("cm.peerISN")
 			m.cancelRexmit()
 			m.establish()
 			// The handshake-completing ACK.
@@ -370,7 +364,6 @@ func (m *HandshakeCM) onSegment(v cmView) bool {
 
 // peerStreamComplete implements ConnManager.
 func (m *HandshakeCM) peerStreamComplete() {
-	m.conn.stack.track("cm.peerStreamComplete")
 	switch m.st {
 	case StateEstablished:
 		m.setState(StateCloseWait)
@@ -389,14 +382,12 @@ func (m *HandshakeCM) establish() {
 
 // closeWrite implements ConnManager.
 func (m *HandshakeCM) closeWrite() {
-	m.conn.stack.track("cm.closeWrite")
 	m.conn.osr.closeWrite()
 }
 
 // streamFinished implements ConnManager: all data up to end has been
 // handed to RD; place the FIN after it.
 func (m *HandshakeCM) streamFinished(end uint64) {
-	m.conn.stack.track("cm.streamFinished")
 	if m.finQueued {
 		return
 	}
@@ -404,7 +395,6 @@ func (m *HandshakeCM) streamFinished(end uint64) {
 	m.streamEnd = end
 	m.finSeq = m.isn.Add(1).Add(int(uint32(end)))
 	m.finSent = true
-	m.conn.stack.trackWrite("cm.finSeq")
 	switch m.st {
 	case StateEstablished:
 		m.setState(StateFinWait1)

@@ -19,8 +19,8 @@ import (
 // of its own, and a connection costs one allocation where it used to
 // cost a dozen. Where the bytes live does not change who may touch
 // them — each sublayer still reads and writes only its own fields and
-// reaches its neighbours through their methods, which is what the E6
-// tracker and the contracts check. The two parts that are replaceable
+// reaches its neighbours through their methods, which is what the T3
+// litmus (TestDisjointState) and the contracts check. The two parts that are replaceable
 // by design stay behind interfaces: the connection manager here, the
 // congestion controller inside OSR.
 type Conn struct {

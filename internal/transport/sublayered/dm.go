@@ -39,9 +39,6 @@ type Config struct {
 	// 50ms) instead of every segment — the classic ack-thinning tune
 	// (challenge 3). Out-of-order arrivals still ack immediately.
 	DelayedAcks bool
-	// Tracker, if set, records per-handler state access for the E6
-	// entanglement experiment.
-	Tracker *verify.Tracker
 	// Contracts, if set, evaluates every sublayer's invariants after
 	// each processed segment — the paper's localize-bugs-to-sublayers
 	// debugging story. Nil costs nothing.
@@ -271,34 +268,10 @@ func (s *Stack) adoptMetrics(c *Conn) {
 	s.cfg.Metrics.Adopt(string(name), leaves, c.each)
 }
 
-// track/trackWrite feed the optional E6 instrumentation.
-func (s *Stack) track(handler string) {
-	if s.cfg.Tracker != nil {
-		s.cfg.Tracker.Enter(handler)
-	}
-}
-
-func (s *Stack) trackWrite(vars ...string) {
-	if s.cfg.Tracker != nil {
-		for _, v := range vars {
-			s.cfg.Tracker.Write(v)
-		}
-	}
-}
-
-func (s *Stack) trackRead(vars ...string) {
-	if s.cfg.Tracker != nil {
-		for _, v := range vars {
-			s.cfg.Tracker.Read(v)
-		}
-	}
-}
-
 // receive is the bottom of the stack: decode the wire format (native
 // or through the shim), demultiplex on ports, and hand the segment to
 // the connection — or create one for a SYN to a listening port.
 func (d *DM) receive(dg *network.Datagram) {
-	d.stack.track("dm.receive")
 	var h *tcpwire.SubHeader
 	var payload []byte
 	var err error
@@ -377,7 +350,6 @@ func (d *DM) sendRST(to network.Addr, in *tcpwire.SubHeader) {
 
 // send stamps DM's section and transmits a connection's segment.
 func (d *DM) send(c *Conn, h *tcpwire.SubHeader, payload []byte) {
-	d.stack.track("dm.send")
 	h.DM = tcpwire.DMSection{SrcPort: c.key.SrcPort, DstPort: c.key.DstPort}
 	id := d.transmit(network.Addr(c.key.DstAddr), c.key, h, payload)
 	if id != 0 {

@@ -22,5 +22,5 @@
 // Conn (conn.go) is only the wiring harness plus the byte-stream API;
 // it holds no protocol state of its own. contracts.go makes each
 // sublayer's interface contract runtime-checkable — the paper's
-// debugging claim, exercised by E6 and the E10 chaos soak.
+// debugging claim, exercised by the E10 chaos soak.
 package sublayered

@@ -120,12 +120,10 @@ func (o *OSR) CC() ccontrol.Controller { return o.cc }
 
 // write queues application bytes, returning how many were accepted.
 func (o *OSR) write(p []byte) int {
-	o.conn.stack.track("osr.write")
 	if o.closed {
 		return 0
 	}
 	n := o.sb.Write(p)
-	o.conn.stack.trackWrite("osr.sendbuf")
 	o.pump()
 	return n
 }
@@ -133,13 +131,11 @@ func (o *OSR) write(p []byte) int {
 // closeWrite ends the outgoing stream; the FIN is requested from CM
 // once everything queued has been segmented.
 func (o *OSR) closeWrite() {
-	o.conn.stack.track("osr.closeWrite")
 	if o.closed {
 		return
 	}
 	o.closed = true
 	o.closeAt = o.sb.End()
-	o.conn.stack.trackWrite("osr.closeAt")
 	o.maybeFinish()
 }
 
@@ -148,11 +144,9 @@ func (o *OSR) closeWrite() {
 // window — has room. This is the single point where OSR "decides when
 // a segment is ready."
 func (o *OSR) pump() {
-	o.conn.stack.track("osr.pump")
-	if !o.conn.rd.established {
+	if !o.conn.rd.isEstablished() {
 		return // segments become "ready" only once CM delivers ISNs
 	}
-	o.conn.stack.trackRead("osr.cc")
 	rate := o.cc.PacingRate()
 	for {
 		avail := o.sb.End() - o.nextSeg
@@ -204,7 +198,6 @@ func (o *OSR) pump() {
 		o.m.bytesSegmented.Add(uint64(n))
 		off := o.nextSeg
 		o.nextSeg += uint64(n)
-		o.conn.stack.trackWrite("osr.nextSeg")
 		o.conn.rd.Send(off, data)
 	}
 	o.maybeFinish()
@@ -241,7 +234,7 @@ func (o *OSR) armProbe(inflight int) {
 // Nothing can finish before the connection establishes (a close during
 // the handshake waits; onEstablished pumps, which re-checks).
 func (o *OSR) maybeFinish() {
-	if o.closed && !o.finAsked && o.nextSeg == o.closeAt && o.conn.rd.established {
+	if o.closed && !o.finAsked && o.nextSeg == o.closeAt && o.conn.rd.isEstablished() {
 		o.finAsked = true
 		o.conn.cm.streamFinished(o.closeAt)
 	}
@@ -256,12 +249,10 @@ func (o *OSR) maybeFinish() {
 // rate-estimating controllers (bbrlite) get their samples without any
 // new sublayer crossing.
 func (o *OSR) onAcked(cum uint64, newly int, rtt time.Duration) {
-	o.conn.stack.track("osr.onAcked")
 	freed := false
 	if cum > o.cumAcked {
 		o.cumAcked = cum
 		o.sb.Release(cum)
-		o.conn.stack.trackWrite("osr.cumAcked", "osr.sendbuf")
 		freed = true
 	}
 	o.cc.OnAck(ccontrol.AckSample{
@@ -271,7 +262,6 @@ func (o *OSR) onAcked(cum uint64, newly int, rtt time.Duration) {
 		InFlight:  int(o.nextSeg - o.cumAcked),
 		Now:       time.Duration(o.conn.now()),
 	})
-	o.conn.stack.trackWrite("osr.cc")
 	o.pump()
 	if freed {
 		o.conn.notifyWritable()
@@ -282,18 +272,14 @@ func (o *OSR) onAcked(cum uint64, newly int, rtt time.Duration) {
 // such as timeouts and loss information should be summarized and passed
 // by RD to OSR" (§3).
 func (o *OSR) onLoss(kind ccontrol.LossKind) {
-	o.conn.stack.track("osr.onLoss")
 	o.cc.OnLoss(ccontrol.LossEvent{Kind: kind})
-	o.conn.stack.trackWrite("osr.cc")
 	o.pump()
 }
 
 // deliver accepts an exactly-once (but possibly out-of-order) segment
 // from RD and pastes the stream back together.
 func (o *OSR) deliver(off uint64, data []byte) {
-	o.conn.stack.track("osr.deliver")
 	out := o.ra.Insert(off, data)
-	o.conn.stack.trackWrite("osr.reassembly")
 	if len(out) > 0 {
 		o.m.bytesReassembled.Add(uint64(len(out)))
 		o.conn.pushRead(out)
@@ -303,10 +289,8 @@ func (o *OSR) deliver(off uint64, data []byte) {
 
 // setStreamEnd is CM's note of where the peer's stream ends.
 func (o *OSR) setStreamEnd(off uint64) {
-	o.conn.stack.track("osr.setStreamEnd")
 	o.endValid = true
 	o.endAt = off
-	o.conn.stack.trackWrite("osr.endAt")
 	o.checkEOF()
 }
 
@@ -322,9 +306,7 @@ func (o *OSR) checkEOF() {
 // onPeerHeader processes the peer's OSR bits: flow-control window and
 // ECN echo (T3: congestion signals reach OSR via its own header).
 func (o *OSR) onPeerHeader(h tcpwire.OSRSection) {
-	o.conn.stack.track("osr.onPeerHeader")
 	o.peerWnd = int(h.Window)
-	o.conn.stack.trackWrite("osr.peerWnd")
 	if h.ECE {
 		// The reaction guard (one cut per congested window) is the
 		// controller's own business now — OSR just forwards the mark and
@@ -332,7 +314,6 @@ func (o *OSR) onPeerHeader(h tcpwire.OSRSection) {
 		// reflects what the controller actually did.
 		before := o.cc.Window()
 		o.cc.OnECN()
-		o.conn.stack.trackWrite("osr.cc")
 		if o.cc.Window() < before {
 			o.m.ecnReactions.Inc()
 		}

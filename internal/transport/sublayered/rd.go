@@ -172,7 +172,6 @@ func (r *RD) RTTHistogram() *metrics.Histogram { return &r.m.rttMs }
 // the network so that segments and acks can be trusted as not being
 // delayed duplicates."
 func (r *RD) Established(localISN, peerISN seg.Seq) {
-	r.track("rd.established")
 	r.conn.crossings.CMToRD.Inc()
 	r.isn = localISN
 	r.peerISN = peerISN
@@ -180,7 +179,6 @@ func (r *RD) Established(localISN, peerISN seg.Seq) {
 	r.sndNxt = r.sndUna
 	r.established = true
 	r.ackable = true
-	r.trackW("rd.isn", "rd.peerISN", "rd.sndUna", "rd.sndNxt")
 }
 
 // SetPeerISN corrects the receive-direction ISN before any data has
@@ -200,17 +198,14 @@ func (r *RD) SuppressAcksUntilPeerISN() { r.ackable = false }
 // SetRemoteFin records where the peer's byte stream ends (seq of its
 // FIN), so cumulative acknowledgements can cover the FIN.
 func (r *RD) SetRemoteFin(finSeq seg.Seq) {
-	r.track("rd.setRemoteFin")
 	r.conn.crossings.CMToRD.Inc()
 	r.remoteFin = true
 	r.remoteFinOff = r.rcvOffset(finSeq)
-	r.trackW("rd.remoteFinOff")
 }
 
 // Send transmits stream bytes [off, off+len(data)) as one segment. OSR
 // calls it when rate control deems the segment ready.
 func (r *RD) Send(off uint64, data []byte) {
-	r.track("rd.send")
 	r.conn.crossings.OSRToRD.Inc()
 	r.conn.crossings.OSRBytes.Add(uint64(len(data)))
 	// Offsets above 2^32 wrap; Seq arithmetic keeps working because
@@ -239,8 +234,10 @@ func (r *RD) Send(off uint64, data []byte) {
 	r.conn.trace("send", "", 0, uint32(s), len(data))
 	r.conn.xmitData(s, buf)
 	r.armRTO()
-	r.trackW("rd.outstanding", "rd.sndNxt")
 }
+
+// isEstablished reports whether CM has delivered the ISNs.
+func (r *RD) isEstablished() bool { return r.established }
 
 // NextSeq returns the sequence number a pure control segment should
 // carry (TCP convention: snd.nxt).
@@ -265,7 +262,6 @@ func (r *RD) OnSegment(h *tcpwire.RDSection, payload []byte) {
 // deliver new bytes upward (possibly out of order — OSR reorders), and
 // acknowledge.
 func (r *RD) onData(s seg.Seq, payload []byte) {
-	r.track("rd.onData")
 	off, ok := r.rcvOffsetChecked(s)
 	if !ok {
 		// Sequence below the stream start: a stray from outside the
@@ -292,7 +288,6 @@ func (r *RD) onData(s seg.Seq, payload []byte) {
 		r.m.dupSegments.Inc()
 		inOrder = false // duplicates must elicit an immediate (dup) ack
 	}
-	r.trackW("rd.ranges")
 	if !r.delayedAcks || !inOrder {
 		r.AckNow()
 		return
@@ -314,7 +309,6 @@ func (r *RD) onData(s seg.Seq, payload []byte) {
 
 // onAck advances the send window; dupAcks/SACK drive fast retransmit.
 func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
-	r.track("rd.onAck")
 	// Bound the acknowledgement: nothing beyond what we sent (plus our
 	// FIN, which lives one past the last byte) is acceptable.
 	limit := r.sndNxt
@@ -399,13 +393,11 @@ func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
 				}
 			}
 		}
-		r.trackW("rd.sndUna", "rd.outstanding")
 		r.conn.trace("cumack", "", 0, uint32(ack), newly)
 		r.conn.crossings.RDToOSRAck.Inc()
 		r.conn.osr.onAcked(cum, newly, rttSample)
 	case ack == r.sndUna && !r.AllAcked() && !hadPayload:
 		r.dupAcks++
-		r.trackW("rd.dupAcks")
 		if r.dupAcks == 3 && !r.inRecovery {
 			r.m.fastRetransmits.Inc()
 			r.inRecovery = true
@@ -450,7 +442,6 @@ func (r *RD) armRTO() {
 }
 
 func (r *RD) onRTO() {
-	r.track("rd.onRTO")
 	if r.AllAcked() {
 		return
 	}
@@ -572,11 +563,4 @@ func (r *RD) stop() {
 		bufpool.Put(o.payload)
 	}
 	r.out, r.head = nil, 0
-}
-
-func (r *RD) track(h string) { r.conn.stack.track(h) }
-func (r *RD) trackW(vars ...string) {
-	for _, v := range vars {
-		r.conn.stack.trackWrite(v)
-	}
 }

@@ -121,7 +121,6 @@ func (m *TimerCM) localFinSeq() seg.Seq {
 // open implements ConnManager. Active opens are established instantly;
 // passive opens accept any fresh-incarnation first segment.
 func (m *TimerCM) open(active bool, first *cmView) {
-	m.conn.stack.track("cm.open")
 	// Strictly monotonic clock ISN: virtual nanoseconds. Two opens in
 	// the same instant to the same peer share an incarnation, which
 	// the registry rejects — real Watson clocks tick per connection;
@@ -155,7 +154,6 @@ func (m *TimerCM) open(active bool, first *cmView) {
 
 // onSegment implements ConnManager.
 func (m *TimerCM) onSegment(v cmView) bool {
-	m.conn.stack.track("cm.onSegment")
 	if v.rst {
 		if m.st == StateLastAck || m.st == StateClosing || m.st == StateTimeWait {
 			m.conn.destroy(nil)

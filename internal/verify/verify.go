@@ -16,11 +16,13 @@
 //     of small inputs, the model-checking complement to the exact
 //     automaton analyses in internal/stuffing.
 //
-// The package also provides the Tracker used by experiment E6: it
-// instruments which named state variables each protocol handler reads
-// and writes, from which the entanglement metrics (shared variables,
-// O(N²) handler interaction pairs) are computed for the monolithic
-// versus sublayered TCPs.
+// The package also reads frame annotations from source for experiment
+// E6 (Load, Source.Frames): which per-connection fields each protocol
+// handler reads and writes, found by type-checking the stack's Go
+// files, from which the entanglement metrics (shared variables, O(N²)
+// handler interaction pairs) are computed for the monolithic versus
+// sublayered TCPs. Source.CrossSublayer is the same reading turned
+// into T3's disjoint-state litmus.
 package verify
 
 import (

@@ -126,78 +126,3 @@ func TestExhaustiveBytesEmptyAlphabet(t *testing.T) {
 		t.Error("empty alphabet should be a no-op")
 	}
 }
-
-func TestTrackerNilSafe(t *testing.T) {
-	var tr *Tracker
-	tr.Enter("h")
-	tr.Read("v")
-	tr.Write("v")
-}
-
-func TestTrackerEntanglement(t *testing.T) {
-	tr := NewTracker()
-	// Monolithic-style: three handlers all touching snd_nxt.
-	tr.Enter("input")
-	tr.Read("snd_nxt")
-	tr.Write("rcv_nxt")
-	tr.Enter("output")
-	tr.Write("snd_nxt")
-	tr.Read("cwnd")
-	tr.Enter("timer")
-	tr.Write("snd_nxt")
-	tr.Write("cwnd")
-
-	e := tr.Analyze()
-	if e.Handlers != 3 || e.Vars != 3 {
-		t.Fatalf("handlers=%d vars=%d", e.Handlers, e.Vars)
-	}
-	// snd_nxt shared by 3, cwnd by 2, rcv_nxt by 1.
-	if e.SharedVars != 2 {
-		t.Errorf("SharedVars = %d, want 2", e.SharedVars)
-	}
-	// snd_nxt written by output+timer, cwnd written by timer only.
-	if e.WriteShared != 1 {
-		t.Errorf("WriteShared = %d, want 1", e.WriteShared)
-	}
-	// Pairs: (input,output) share snd_nxt; (input,timer) share
-	// snd_nxt; (output,timer) share both → 3 of max 3.
-	if e.InteractionPairs != 3 || e.MaxPairs != 3 {
-		t.Errorf("pairs = %d/%d", e.InteractionPairs, e.MaxPairs)
-	}
-	if e.VarsPerHandler < 1.9 || e.VarsPerHandler > 2.1 {
-		t.Errorf("VarsPerHandler = %v", e.VarsPerHandler)
-	}
-}
-
-func TestTrackerDisjointStateNoInteraction(t *testing.T) {
-	tr := NewTracker()
-	// Sublayered-style: each handler owns its own variables.
-	tr.Enter("cm")
-	tr.Write("cm.isn")
-	tr.Enter("rd")
-	tr.Write("rd.window")
-	tr.Enter("osr")
-	tr.Write("osr.cwnd")
-	e := tr.Analyze()
-	if e.InteractionPairs != 0 {
-		t.Errorf("InteractionPairs = %d, want 0 for disjoint state", e.InteractionPairs)
-	}
-	if e.SharedVars != 0 {
-		t.Errorf("SharedVars = %d", e.SharedVars)
-	}
-}
-
-func TestTrackerMatrix(t *testing.T) {
-	tr := NewTracker()
-	tr.Enter("h1")
-	tr.Write("a")
-	tr.Enter("h2")
-	tr.Read("a")
-	m := tr.Matrix()
-	if !strings.Contains(m, "h1") || !strings.Contains(m, "W") || !strings.Contains(m, "r") {
-		t.Errorf("Matrix = %q", m)
-	}
-	if len(tr.Handlers()) != 2 || len(tr.Vars()) != 1 {
-		t.Error("Handlers/Vars accessors wrong")
-	}
-}

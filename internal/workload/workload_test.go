@@ -181,6 +181,18 @@ func TestThousandFlows(t *testing.T) {
 	}
 }
 
+// BenchmarkThousandFlows measures the engine alone at the E11
+// ceiling: one 1,000-flow simulation, both payload directions counted.
+func BenchmarkThousandFlows(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := Run(Config{Seed: 1, Flows: 1000})
+		if r.Completed != 1000 || len(r.Violations) != 0 {
+			b.Fatalf("completed=%d violations=%d", r.Completed, len(r.Violations))
+		}
+	}
+}
+
 // TestBakeoffSwapsControllers pins the engine-level CC axis: Config.CC
 // reaches both stacks' Config.CC, the fault script
 // runs (bursty regime records GE transitions in the snapshot), and
