@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalDatagram -fuzztime 5s ./internal/network
 	$(GO) test -run '^$$' -fuzz FuzzSubHeader -fuzztime 5s ./internal/tcpwire
 	$(GO) test -run '^$$' -fuzz FuzzTCPHeader -fuzztime 5s ./internal/tcpwire
+	$(GO) test -run '^$$' -fuzz FuzzOverlayFrame -fuzztime 5s ./internal/overlay
 
 # fuzz-pool asserts the pooled (reused-writer) stuffing path stays
 # byte-identical to the allocating one.

@@ -22,8 +22,9 @@ import (
 //   - *Simulator (this package): the same engine with one shard and
 //     one view, plus Step/Run/RunUntil for driving it event by event.
 //     Everything runs single-threaded inside the event loop.
-//   - channet.Network: RTClock (goroutines plus real time.Timers, no
-//     virtual clock) carrying packets over in-process channels.
+//   - channet.Network: RTClock (the engine's event store keyed by
+//     wall deadlines, run by one dispatcher goroutine) carrying
+//     packets in process as tagged events.
 //   - udpnet.Network: RTClock with the same wire bytes framed over
 //     real UDP sockets on loopback.
 //
@@ -35,10 +36,10 @@ import (
 // true on the simulator, a real mutex on the real-time backends), so
 // protocols stay single-threaded and never lock anything themselves.
 // External drivers — tests, the workload engine, anything outside a
-// timer or delivery callback — must reach protocol state through Exec.
-// Schedule/ScheduleTimer/Every and Port sends are safe from either
-// side; RunFor must only be called by the driver, never from a
-// callback.
+// timer or delivery callback — must reach protocol state through Exec,
+// and that includes Schedule/ScheduleTimer/Every, Timer.Stop, NewLink
+// and Port sends. RunFor must only be called by the driver, never from
+// a callback.
 type Backend interface {
 	// Name identifies the backend kind: "sim", "sharded", "chan" or
 	// "udp".

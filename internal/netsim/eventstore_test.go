@@ -426,3 +426,98 @@ func TestEventStoreSteadyCyclesDoNotAllocate(t *testing.T) {
 		t.Errorf("delivered %d packets, want %d", delivered, 1001*burst)
 	}
 }
+
+// TestRTClockSteadyCyclesDoNotAllocate is the wall-clock half of the
+// test above: the RTClock runs the same store from its dispatcher, so
+// neither a warmed arm→stop→fire cycle nor an in-process link
+// send→deliver cycle allocates. Each cycle is set off inside Exec and
+// waited for on a buffered channel the callback signals; the
+// pre-built func values keep closures out of the measured loop.
+func TestRTClockSteadyCyclesDoNotAllocate(t *testing.T) {
+	clk := NewRTClock("test", 1, nil)
+	defer clk.Close()
+	done := make(chan struct{}, 1)
+	signal := func() { done <- struct{}{} }
+	nop := func() {}
+	var far Timer
+	cycle := func() {
+		far = clk.ScheduleTimer(time.Hour, nop)
+		clk.ScheduleTimer(0, signal)
+		far.Stop()
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		clk.Exec(cycle)
+		<-done
+	}); n != 0 {
+		t.Errorf("RTClock arm→stop→fire cycle allocates %v objects, want 0", n)
+	}
+
+	buf := make([]byte, 100)
+	var l *RTLinkCore
+	clk.Exec(func() {
+		l = NewRTLinkCore(clk, LinkConfig{Delay: 100 * time.Microsecond, RateBps: 1e9}, func(*Packet) { signal() }, nil)
+	})
+	send := func() { l.SendOwned(buf, false) }
+	if n := testing.AllocsPerRun(1000, func() {
+		clk.Exec(send)
+		<-done
+	}); n != 0 {
+		t.Errorf("RTClock link send→deliver cycle allocates %v objects, want 0", n)
+	}
+}
+
+// TestRTClockOrder pins the RTClock key: among due events, deadline
+// first, then post time, then post order. The test posts with fixed
+// deadlines and post times (ScheduleTimer reads both off the wall
+// clock), so ties are real ties.
+func TestRTClockOrder(t *testing.T) {
+	clk := NewRTClock("test", 1, nil)
+	defer clk.Close()
+	var got []int
+	done := make(chan struct{})
+	clk.Exec(func() {
+		now := clk.Now()
+		at := now + durTicks(20*time.Millisecond)
+		post := func(at, schedAt Time, id int) {
+			clk.post(at, schedAt, evFunc, nil, false).fn = func() { got = append(got, id) }
+		}
+		post(at, now, 2)
+		post(at, now, 3)
+		post(at, now-1, 1) // same deadline, earlier post time
+		post(at-1, now, 0) // earlier deadline
+		post(at+1, now-2, 4)
+		clk.post(at+2, now, evFunc, nil, false).fn = func() { close(done) }
+	})
+	<-done
+	clk.Exec(func() {
+		for i, id := range got {
+			if id != i {
+				t.Fatalf("RTClock ran %v, want 0..4 in order", got)
+			}
+		}
+	})
+}
+
+// TestRTLinkFIFO: frames sent back to back on one in-process link, with
+// a serializer and without, arrive in send order.
+func TestRTLinkFIFO(t *testing.T) {
+	for _, cfg := range []LinkConfig{{Delay: time.Millisecond}, {Delay: time.Millisecond, RateBps: 50e6}} {
+		clk := NewRTClock("test", 1, nil)
+		var got []byte
+		clk.Exec(func() {
+			l := NewRTLinkCore(clk, cfg, func(p *Packet) { got = append(got, p.Data[0]) }, nil)
+			for i := 0; i < 200; i++ {
+				l.Send([]byte{byte(i)})
+			}
+		})
+		waitFor(t, clk, "200 deliveries", func() bool { return len(got) == 200 })
+		clk.Exec(func() {
+			for i, b := range got {
+				if b != byte(i) {
+					t.Fatalf("%+v: frame %d arrived as %d", cfg, b, i)
+				}
+			}
+		})
+		clk.Close()
+	}
+}

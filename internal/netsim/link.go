@@ -113,10 +113,12 @@ func linkSeed(seed int64, idx int) int64 {
 // linkCore is the one link model every carriage shares: configuration,
 // creation-order identity, counters, the link's own impairment stream
 // and the serializer state, with the whole send-side pipeline in plan
-// and the arrival half in arrived. Link embeds it and turns a plan into
-// engine events; RTLinkCore embeds it and hands the plan to a channel
-// or socket. On the wall-clock backends every method needs the clock
-// lock, like all protocol state.
+// and the arrival half in arrived, plus the destination and the two
+// event lanes its tagged events run through. It is what a tagged event
+// points at, so one event layout serves every carriage: Link embeds it
+// and posts a plan's events on an engine core, RTLinkCore embeds it and
+// posts them on the wall clock's core. On the wall-clock backends every
+// method needs the clock lock, like all protocol state.
 type linkCore struct {
 	cfg  LinkConfig
 	name string // "link<n>" in creation order; trace/metrics identity
@@ -133,14 +135,25 @@ type linkCore struct {
 	// up gates delivery: a downed link drops traffic, counting it as
 	// down_drop (used by routing failure experiments and fault
 	// injection).
-	up bool
+	up  bool
+	dst Handler
+	// wire, when set, is where an evWire event hands a packet at its
+	// arrival time instead of dst: a socket carriage writes it out, and
+	// the real arrival comes back later as an evDeliver.
+	wire func(data []byte, ecn bool)
+	// deliveries is the link's lane on the receiving core, releases its
+	// serializer's lane on the sending core (see lane in sim.go).
+	deliveries, releases lane
 }
 
-// init configures the core in place as the backend's idx-th link. It
-// must run on the core's final address: registration hands out
-// pointers to the counters.
-func (l *linkCore) init(cfg LinkConfig, seed int64, idx int, msc *metrics.Scope) {
-	l.cfg, l.up, l.name = cfg, true, linkName(idx)
+// init configures the core in place as the backend's idx-th link,
+// delivering to dst. It must run on the core's final address:
+// registration hands out pointers to the counters.
+func (l *linkCore) init(cfg LinkConfig, dst Handler, seed int64, idx int, msc *metrics.Scope) {
+	if dst == nil {
+		panic("netsim: NewLink with nil destination")
+	}
+	l.cfg, l.dst, l.up, l.name = cfg, dst, true, linkName(idx)
 	l.rng = rand.New(rand.NewSource(linkSeed(seed, idx)))
 	if msc != nil {
 		l.m.each(msc.Sub(l.name).Register)
@@ -209,9 +222,9 @@ func (l *linkCore) drop(c *metrics.Counter, verdict string, at Time, tr Tracer, 
 	bufpool.Put(data)
 }
 
-// TxPlan is one packet's fate as decided by the impairment pipeline,
+// txPlan is one packet's fate as decided by the impairment pipeline,
 // in offsets from the send instant; the carriage only has to act on it.
-type TxPlan struct {
+type txPlan struct {
 	// ECN carries the (possibly just-set) congestion mark.
 	ECN bool
 	// Queued reports the packet took a serializer queue slot, to be
@@ -237,7 +250,7 @@ type TxPlan struct {
 // corrupted) buffer remains the caller's to carry; on !ok the packet
 // was dropped, the counters and trace already say why, and the buffer
 // went back to the pool.
-func (l *linkCore) plan(now Time, tr Tracer, data []byte, ecn bool) (p TxPlan, ok bool) {
+func (l *linkCore) plan(now Time, tr Tracer, data []byte, ecn bool) (p txPlan, ok bool) {
 	l.m.Sent.Inc()
 	if !l.up {
 		l.drop(&l.m.DownDrop, VerdictDownDrop, now, tr, data)
@@ -336,6 +349,24 @@ func (l *linkCore) arrived(at Time, tr Tracer, data []byte) bool {
 	return true
 }
 
+// lane returns the link's lane for a tagged event kind.
+func (l *linkCore) lane(kind uint8) *lane {
+	if kind == evQueueFree {
+		return &l.releases
+	}
+	return &l.deliveries
+}
+
+// deliver runs at arrival time on the destination's core. The *Packet
+// points into the event and is only valid for the duration of the
+// handler call; the Data buffer, however, is the handler's to keep (or
+// Put back to the bufpool).
+func (l *linkCore) deliver(p *Packet, at Time, tr Tracer) {
+	if l.arrived(at, tr, p.Data) {
+		l.dst(p)
+	}
+}
+
 func chance(rng *rand.Rand, p float64) bool {
 	return p > 0 && rng.Float64() < p
 }
@@ -360,18 +391,6 @@ type linkEnv interface {
 type Link struct {
 	linkCore
 	env linkEnv
-	dst Handler
-	// deliveries is the link's lane on the receiving core, releases its
-	// serializer's lane on the sending core (see lane in sim.go).
-	deliveries, releases lane
-}
-
-// lane returns the link's lane for a tagged event kind.
-func (l *Link) lane(kind uint8) *lane {
-	if kind == evDeliver {
-		return &l.deliveries
-	}
-	return &l.releases
 }
 
 // Send transmits data over the link, applying serialization, queueing,
@@ -405,16 +424,6 @@ func (l *Link) SendOwned(data []byte, ecn bool) {
 	l.env.postDeliver(l, arrive, data, p.ECN, p.Late)
 	if p.Dup {
 		l.env.postDeliver(l, arrive+durTicks(time.Microsecond), p.DupData, p.ECN, true)
-	}
-}
-
-// deliver runs at arrival time on the destination's shard. The *Packet
-// points into the event and is only valid for the duration of the
-// handler call; the Data buffer, however, is the handler's to keep (or
-// Put back to the bufpool).
-func (l *Link) deliver(p *Packet, at Time, tr Tracer) {
-	if l.arrived(at, tr, p.Data) {
-		l.dst(p)
 	}
 }
 

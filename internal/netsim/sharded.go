@@ -507,12 +507,9 @@ func (v *view) NewLinkTo(cfg LinkConfig, dst Handler, dstB Backend) Port {
 }
 
 func (v *view) newLink(cfg LinkConfig, dst Handler, env linkEnv) Port {
-	if dst == nil {
-		panic("netsim: NewLink with nil destination")
-	}
 	e := v.eng
-	l := &Link{env: env, dst: dst}
-	l.init(cfg, e.seed, e.linkSeq, e.msc)
+	l := &Link{env: env}
+	l.init(cfg, dst, e.seed, e.linkSeq, e.msc)
 	e.linkSeq++
 	return l
 }
@@ -532,13 +529,13 @@ func (v *view) envTracer() Tracer { return v.eng.tracer }
 
 func (v *view) postDeliver(l *Link, at Time, data []byte, ecn, oob bool) {
 	at, now := v.stamp(at)
-	e := v.core.postLink(evDeliver, l, oob, at, now, v.rank, v.seq)
+	e := v.core.postLink(evDeliver, &l.linkCore, oob, at, now, v.rank, v.seq)
 	e.pkt = Packet{Data: data, ECN: ecn}
 }
 
 func (v *view) postQueueFree(l *Link, at Time) {
 	at, now := v.stamp(at)
-	v.core.postLink(evQueueFree, l, false, at, now, v.rank, v.seq)
+	v.core.postLink(evQueueFree, &l.linkCore, false, at, now, v.rank, v.seq)
 }
 
 // xshardEnv is the send-side context of a cross-shard link: the

@@ -13,7 +13,8 @@
 // whose head alone sits in the heap), run in parallel under
 // conservative lookahead windows while producing byte-identical results
 // at any shard count; a Simulator is the one-shard, one-view case of it
-// with a step-by-step driver surface; a Link is a
+// with a step-by-step driver surface; the wall-clock backends' RTClock
+// runs the same store against real deadlines; a Link is a
 // unidirectional channel with configurable propagation delay, jitter,
 // serialization rate, queue limit, loss, duplication, reordering, bit
 // corruption and ECN marking; a Bus is a shared broadcast medium with
@@ -44,6 +45,7 @@ const (
 	evFunc      uint8 = iota // run fn
 	evDeliver                // deliver pkt on lnk
 	evQueueFree              // release one serializer queue slot on lnk
+	evWire                   // hand pkt to lnk's wire (a socket carriage)
 )
 
 // key is the canonical ordering key (at, schedAt, rank, seq) —
@@ -101,7 +103,7 @@ type event struct {
 	dead  bool
 	laned bool // joined lnk's lane for kind (see lane)
 	fn    func()
-	lnk   *Link
+	lnk   *linkCore
 	pkt   Packet
 	core  *evCore // owner, so Timer.Stop can account the cancellation
 	// While the event waits in a lane behind the lane's head, k is the
@@ -165,12 +167,14 @@ func (l *lane) shift() slot {
 const arity = 4
 
 // evCore is one event heap plus its clock, freelist and counters: one
-// shard of the engine. The heap is a d-ary min-heap of value slots,
-// written out rather than driven through container/heap so a sift is a
-// loop over one slice with no interface call per comparison. Every
-// instrument has a single writer (the goroutine running the core),
-// which is the discipline that lets the engine avoid atomics:
-// cross-core reads only happen at barriers.
+// shard of the engine, or the whole store of an RTClock (which keeps
+// time itself and leaves now unused). The heap is a d-ary min-heap of
+// value slots, written out rather than driven through container/heap
+// so a sift is a loop over one slice with no interface call per
+// comparison. Every instrument has a single writer (the goroutine
+// running the core, or on an RTClock whoever holds its lock), which is
+// the discipline that lets the engine avoid atomics: cross-core reads
+// only happen at barriers.
 type evCore struct {
 	now    Time
 	events []slot
@@ -211,7 +215,7 @@ func (c *evCore) post(at, schedAt Time, rank int32, seq uint64) *event {
 
 // postLink posts a tagged link event of kind on lnk. Unless oob, it
 // joins the link's lane for kind if the append rule lets it.
-func (c *evCore) postLink(kind uint8, lnk *Link, oob bool, at, schedAt Time, rank int32, seq uint64) *event {
+func (c *evCore) postLink(kind uint8, lnk *linkCore, oob bool, at, schedAt Time, rank int32, seq uint64) *event {
 	c.scheduled.Inc()
 	return c.pushLink(kind, lnk, oob, at, schedAt, rank, seq)
 }
@@ -221,13 +225,13 @@ func (c *evCore) postLink(kind uint8, lnk *Link, oob bool, at, schedAt Time, ran
 // so the comparator alone decides its order among local events, and
 // joins the link's delivery lane on this core like a local one.
 func (c *evCore) postForeign(m *mail) {
-	e := c.pushLink(evDeliver, m.lnk, m.oob, m.at, m.schedAt, m.rank, m.seq)
+	e := c.pushLink(evDeliver, &m.lnk.linkCore, m.oob, m.at, m.schedAt, m.rank, m.seq)
 	e.pkt = Packet{Data: m.data, ECN: m.ecn}
 }
 
 // pushLink files a tagged link event, offering it to lnk's lane for
 // kind unless oob.
-func (c *evCore) pushLink(kind uint8, lnk *Link, oob bool, at, schedAt Time, rank int32, seq uint64) *event {
+func (c *evCore) pushLink(kind uint8, lnk *linkCore, oob bool, at, schedAt Time, rank int32, seq uint64) *event {
 	var ln *lane
 	if !oob {
 		ln = lnk.lane(kind)
@@ -427,6 +431,8 @@ func dispatch(e *event, at Time, tr Tracer) {
 		e.lnk.deliver(&e.pkt, at, tr)
 	case evQueueFree:
 		e.lnk.setQueued(e.lnk.queued - 1)
+	case evWire:
+		e.lnk.wire(e.pkt.Data, e.pkt.ECN)
 	default:
 		e.fn()
 	}
@@ -479,65 +485,44 @@ func NewSimulator(seed int64, opts ...Option) *Simulator {
 // Name identifies the simulator backend.
 func (s *Simulator) Name() string { return "sim" }
 
-// Timer is a handle to a scheduled callback, on any backend. On the
-// simulator it remembers the event's generation at scheduling time:
-// once the event fires (or is stopped) and gets recycled for an
-// unrelated callback, the stale handle goes inert instead of
-// cancelling the new occupant. On real-time backends it wraps a
-// time.Timer (the rt arm). A zero Timer is inert either way, so
+// Timer is a handle to a scheduled callback, on any backend: every
+// backend schedules into an evCore. It remembers the event's generation
+// at scheduling time: once the event fires (or is stopped) and gets
+// recycled for an unrelated callback, the stale handle goes inert
+// instead of cancelling the new occupant. A zero Timer is inert, so
 // protocol structs can hold one by value before ever arming it.
 type Timer struct {
 	ev  *event
 	gen uint32
-	rt  *rtTimer
 }
 
 // Stop cancels the timer if it has not fired. It reports whether the
-// cancellation prevented a pending firing. On the simulator
-// cancellation is lazy: the event is marked dead and its slot stays
-// where it is, a tombstone that is dropped when it reaches the top, so
-// Stop never has to find the slot and slots need not record where they
-// are. Once tombstones exceed half the heap the owning core compacts
-// it, so cancelled timers cannot leak — the bookkeeping (cancelled
-// counter, deadPending) lives on the shard that owns the event, never
-// globally. On real-time backends the
-// caller must hold the backend lock (be inside a callback or Exec),
-// which is already true of all protocol code.
+// cancellation prevented a pending firing. Cancellation is lazy: the
+// event is marked dead and its slot stays where it is, a tombstone
+// that is dropped when it reaches the top, so Stop never has to find
+// the slot and slots need not record where they are. Once tombstones
+// exceed half the heap the owning core compacts it, so cancelled
+// timers cannot leak — the bookkeeping (cancelled counter,
+// deadPending) lives on the core that owns the event, never globally.
+// On real-time backends the caller must hold the backend lock (be
+// inside a callback or Exec), which is already true of all protocol
+// code.
 func (t *Timer) Stop() bool {
-	if t == nil {
-		return false
-	}
-	if t.rt != nil {
-		if t.rt.done {
-			return false
-		}
-		t.rt.done = true
-		t.rt.t.Stop()
-		t.rt.clk.cancelled.Inc()
-		return true
-	}
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
+	if t == nil || t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
 		return false
 	}
 	t.ev.dead = true
-	if c := t.ev.core; c != nil {
-		c.cancelled.Inc()
-		c.deadPending++
-		c.maybeCompact()
-	}
+	c := t.ev.core
+	c.cancelled.Inc()
+	c.deadPending++
+	c.maybeCompact()
 	return true
 }
 
 // Active reports whether the timer is still pending. The locking rule
 // matches Stop's.
 func (t *Timer) Active() bool {
-	if t == nil {
-		return false
-	}
-	if t.rt != nil {
-		return !t.rt.done
-	}
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
+	return t != nil && t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
 }
 
 // ScheduleAt runs fn at absolute virtual time at (clamped to ≥ now).
@@ -578,7 +563,7 @@ func (s *Simulator) Run(limit int) int {
 func (s *Simulator) RunUntil(t Time) { s.eng.RunUntil(t) }
 
 // timerScheduler is the sliver of Backend a Repeater needs to re-arm;
-// the engine, its views and the RTClock satisfy it.
+// the engine's views and the RTClock satisfy it.
 type timerScheduler interface {
 	ScheduleTimer(d time.Duration, fn func()) Timer
 }

@@ -134,7 +134,13 @@ func appendUint16(b []byte, v uint16) []byte {
 	return append(b, byte(v>>8), byte(v))
 }
 
+// appendBytes panics on a field longer than its 16-bit length prefix
+// can say: truncating the prefix would send bytes that decode as a
+// different message.
 func appendBytes(b, p []byte) []byte {
+	if len(p) > 0xFFFF {
+		panic(fmt.Sprintf("overlay: %d-byte field exceeds the 65535-byte wire limit", len(p)))
+	}
 	b = appendUint16(b, uint16(len(p)))
 	return append(b, p...)
 }

@@ -3,10 +3,12 @@ package harness
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pcap"
 	"repro/internal/trace"
@@ -135,5 +137,66 @@ func TestNewBuilderDefaults(t *testing.T) {
 	}
 	if string(res.ServerGot) != "ping" || string(res.ClientGot) != "pong" {
 		t.Fatalf("echo failed: %q / %q", res.ServerGot, res.ClientGot)
+	}
+}
+
+// TestEventCountersBalance: on every backend the netsim/events counters
+// account for every event ever scheduled — it ran, was cancelled, or is
+// still pending — including the wall-clock backends' link deliveries
+// and socket writes, which go through the same event store.
+func TestEventCountersBalance(t *testing.T) {
+	for _, backend := range []string{BackendSim, "sharded:2", BackendChan, BackendUDP} {
+		if backend == BackendUDP && !UDPAvailable() {
+			t.Log("loopback UDP sockets unavailable; udp skipped")
+			continue
+		}
+		reg := metrics.New()
+		w := BuildWorld(WorldConfig{Backend: backend, Seed: 3, Hops: 3, Link: netsim.LinkConfig{Delay: time.Millisecond}, Metrics: reg})
+		w.Sim.RunFor(300 * time.Millisecond)
+		w.Exec(func() {
+			ev := map[string]uint64{}
+			for _, s := range reg.Snapshot().Samples {
+				switch s.Name {
+				case "netsim/events/scheduled", "netsim/events/executed", "netsim/events/cancelled":
+					ev[s.Name[len("netsim/events/"):]] = uint64(s.Value)
+				}
+			}
+			pending := uint64(w.Sim.(interface{ Pending() int }).Pending())
+			if ev["executed"] == 0 || ev["scheduled"] != ev["executed"]+ev["cancelled"]+pending {
+				t.Errorf("%s: scheduled=%d executed=%d cancelled=%d pending=%d do not balance",
+					backend, ev["scheduled"], ev["executed"], ev["cancelled"], pending)
+			}
+		})
+		w.Close()
+	}
+}
+
+// TestCloseLeavesNoGoroutines: closing a wall-clock cluster stops its
+// dispatcher and socket readers — the goroutine count returns to what
+// it was before the build — and a timer armed afterwards never runs.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	for _, backend := range []string{BackendChan, BackendUDP} {
+		if backend == BackendUDP && !UDPAvailable() {
+			t.Log("loopback UDP sockets unavailable; udp skipped")
+			continue
+		}
+		before := runtime.NumGoroutine()
+		cl := BuildCluster(ClusterConfig{Backend: backend, Seed: 1, Nodes: 4})
+		cl.Close()
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines 1 s after Close, %d before the build", backend, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		ran := false
+		cl.Exec(func() { cl.Sim.Schedule(0, func() { ran = true }) })
+		time.Sleep(20 * time.Millisecond)
+		cl.Exec(func() {
+			if ran {
+				t.Errorf("%s: a timer armed after Close ran", backend)
+			}
+		})
 	}
 }

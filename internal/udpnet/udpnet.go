@@ -6,7 +6,11 @@
 // cannot). Impairments — loss, delay, jitter, reordering, corruption,
 // duplication, serialization/queueing/ECN — are applied in userspace
 // at the sender through the same RTLinkCore pipeline the channel
-// backend uses, so E10-style fault scenarios run unchanged; the kernel
+// backend uses, so E10-style fault scenarios run unchanged. A packet's
+// planned latency is an event in the RTClock's store that writes the
+// frame to the socket when it fires; each link's reader goroutine
+// posts what comes back off the socket as an arrival due at once, so
+// every delivery still runs on the clock's one dispatcher. The kernel
 // then adds its own real scheduling, batching and (under pressure)
 // socket-buffer drops on top. That is the point: wall-clock numbers
 // under a real kernel.
@@ -15,7 +19,7 @@ package udpnet
 import (
 	"fmt"
 	"net"
-	"time"
+	"sync"
 
 	"repro/internal/bufpool"
 	"repro/internal/metrics"
@@ -48,7 +52,8 @@ func Available() bool {
 // (or netsim.NewDuplexOn), and Close when done to release the sockets.
 type Network struct {
 	*netsim.RTClock
-	links []*link
+	links   []*link
+	readers sync.WaitGroup
 }
 
 // New builds a UDP backend seeded with seed, probing first that
@@ -65,10 +70,8 @@ func New(seed int64, reg *metrics.Registry) (*Network, error) {
 // fresh loopback socket pair plus a reader goroutine. Socket setup
 // errors panic — New already probed that sockets work, so a failure
 // here is resource exhaustion, not an environment to degrade into.
+// Callers hold the backend lock.
 func (n *Network) NewLink(cfg netsim.LinkConfig, dst netsim.Handler) netsim.Port {
-	if dst == nil {
-		panic("udpnet: NewLink with nil destination")
-	}
 	recv, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		panic(fmt.Sprintf("udpnet: listen: %v", err))
@@ -78,59 +81,42 @@ func (n *Network) NewLink(cfg netsim.LinkConfig, dst netsim.Handler) netsim.Port
 		recv.Close()
 		panic(fmt.Sprintf("udpnet: dial: %v", err))
 	}
-	l := &link{
-		RTLinkCore: netsim.NewRTLinkCore(n.RTClock, cfg),
-		clk:        n.RTClock,
-		dst:        dst,
-		recv:       recv,
-		send:       send,
-	}
+	l := &link{clk: n.RTClock, recv: recv, send: send}
+	l.RTLinkCore = netsim.NewRTLinkCore(n.RTClock, cfg, dst, l.write)
 	n.links = append(n.links, l)
-	go l.read()
+	n.readers.Add(1)
+	go func() {
+		defer n.readers.Done()
+		l.read()
+	}()
 	return l
 }
 
-// Close suppresses all pending timers and closes every link's sockets,
-// unblocking the reader goroutines.
+// Close stops the dispatcher, closes every link's sockets and waits
+// for the reader goroutines they unblock to exit.
 func (n *Network) Close() error {
 	err := n.RTClock.Close()
 	for _, l := range n.links {
 		l.send.Close()
 		l.recv.Close()
 	}
+	n.readers.Wait()
 	return err
 }
 
-// link is one unidirectional UDP link: the shared link core (which
-// also supplies the Port accessors) plus a loopback socket pair.
+// link is one unidirectional UDP link: the wall-clock link core (which
+// supplies the Port methods) writing through a loopback socket pair.
 type link struct {
 	*netsim.RTLinkCore
 	clk  *netsim.RTClock
-	dst  netsim.Handler
 	recv *net.UDPConn
 	send *net.UDPConn
 }
 
-// Send copies data into a pooled buffer and transmits it.
-func (l *link) Send(data []byte) { l.SendOwned(l.Ingest(data), false) }
-
-// SendOwned transmits data, taking ownership of the buffer. The
-// impairment pipeline decides the packet's fate; survivors are framed
-// and written to the socket once their planned latency elapses.
-func (l *link) SendOwned(data []byte, ecn bool) {
-	plan, ok := l.PlanSend(data, ecn)
-	if !ok {
-		return
-	}
-	l.clk.After(plan.Delay, func() { l.write(data, plan.ECN) })
-	if plan.Dup {
-		l.clk.After(plan.Delay+time.Microsecond, func() { l.write(plan.DupData, plan.ECN) })
-	}
-}
-
-// write frames data and puts it on the wire. The buffer's life ends
-// here — the bytes continue as a datagram, so the trace incarnation is
-// retired and the buffer pooled. Runs under the backend lock.
+// write frames data and puts it on the wire when the packet's planned
+// latency has elapsed. The buffer's life ends here — the bytes continue
+// as a datagram, so the trace incarnation is retired and the buffer
+// pooled. Runs on the dispatcher, under the backend lock.
 func (l *link) write(data []byte, ecn bool) {
 	frame := bufpool.Get(headerLen + len(data))
 	frame[0] = frameVersion
@@ -153,8 +139,8 @@ func (l *link) write(data []byte, ecn bool) {
 
 // read drains the link's receiving socket: each datagram becomes a
 // fresh pooled buffer (a new trace incarnation — the wire crossing is
-// a real process boundary as far as buffer identity goes) delivered
-// under the backend lock.
+// a real process boundary as far as buffer identity goes) posted as an
+// arrival for the dispatcher to deliver.
 func (l *link) read() {
 	buf := make([]byte, maxDatagram+headerLen)
 	for {
@@ -168,10 +154,6 @@ func (l *link) read() {
 		ecn := buf[1]&flagECN != 0
 		data := bufpool.Get(nr - headerLen)
 		copy(data, buf[headerLen:nr])
-		l.clk.ExecStep(func() {
-			if l.Delivered(data) {
-				l.dst(&netsim.Packet{Data: data, ECN: ecn})
-			}
-		})
+		l.Receive(data, ecn)
 	}
 }
