@@ -18,11 +18,12 @@ race:
 	$(GO) test -short -race ./...
 
 # race-shard is the concurrent multi-shard soak for the race detector:
-# the sharded-engine tests plus a full sharded experiment sweep, so
-# -race covers the cross-shard mailbox hand-off and barrier paths
+# the sharded-engine tests, concurrent joins of per-connection metric
+# families from several workers, plus a full sharded experiment sweep,
+# so -race covers the cross-shard mailbox hand-off and barrier paths
 # under real workloads, not just unit tests.
 race-shard:
-	$(GO) test -race -run Sharded ./internal/netsim ./internal/transport/harness ./internal/workload
+	$(GO) test -race -run 'Sharded|ConcurrentAdoption' ./internal/netsim ./internal/transport/harness ./internal/workload ./internal/metrics
 	$(GO) run -race ./cmd/runreport -backend sharded:4 -o /dev/null
 
 vet:
@@ -57,21 +58,25 @@ docs:
 # operation stream against its copy-down reference model), the
 # simulator's event store (timer and link posts, stop, step and
 # run-to-bound against a sorted list), the reassembly buffer (an
-# arrival stream against its map-based reference model) and three
-# parsers of hostile wire bytes (the network datagram: no panic, exact
-# re-marshal; the sublayered header and the RFC 793 header: pooled
-# decoder against the allocating one, and for RFC 793 an exact
-# re-marshal) a brief randomized workout each; run with a longer
-# -fuzztime for a real campaign.
+# arrival stream against its map-based reference model) and the
+# parsers of hostile bytes (the network datagram and the hello,
+# routing and link-state control packets: no panic, exact re-marshal;
+# the sublayered header and the RFC 793 header: pooled decoder against
+# the allocating one, and for RFC 793 an exact re-marshal; the overlay
+# frame; the fault-script reproducer JSON: no panic, encoding a fixed
+# point) a brief randomized workout each; run with a longer -fuzztime
+# for a real campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStuffRoundTrip -fuzztime 5s ./internal/stuffing
 	$(GO) test -run '^$$' -fuzz FuzzSendBuffer -fuzztime 5s ./internal/transport/seg
 	$(GO) test -run '^$$' -fuzz FuzzEventStore -fuzztime 5s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz FuzzReassembly -fuzztime 5s ./internal/transport/seg
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalDatagram -fuzztime 5s ./internal/network
+	$(GO) test -run '^$$' -fuzz FuzzLinkState -fuzztime 5s ./internal/network
 	$(GO) test -run '^$$' -fuzz FuzzSubHeader -fuzztime 5s ./internal/tcpwire
 	$(GO) test -run '^$$' -fuzz FuzzTCPHeader -fuzztime 5s ./internal/tcpwire
 	$(GO) test -run '^$$' -fuzz FuzzOverlayFrame -fuzztime 5s ./internal/overlay
+	$(GO) test -run '^$$' -fuzz FuzzScriptJSON -fuzztime 5s ./internal/faults
 
 # fuzz-pool asserts the pooled (reused-writer) stuffing path stays
 # byte-identical to the allocating one.

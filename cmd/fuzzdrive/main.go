@@ -16,32 +16,55 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/fuzzer"
 )
 
+// usageError is a bad command line or an unreadable reproducer: exit
+// status 2. Any other error from run is a failed case: exit 1.
+type usageError struct{ error }
+
 func main() {
-	var (
-		seeds  = flag.Int("seeds", 50, "number of seeds to fuzz")
-		start  = flag.Int64("start", 1, "first seed")
-		budget = flag.Int("budget", 64, "max oracle re-runs while shrinking one failure")
-		replay = flag.String("replay", "", "replay one reproducer file instead of fuzzing")
-		out    = flag.String("out", "", "directory for shrunk reproducer files")
-		trace  = flag.String("trace", "", "directory for flight-recorder dumps and pcapng captures")
-		save   = flag.String("save", "", "save every case (pass or fail) as JSON under this directory")
-		quiet  = flag.Bool("q", false, "only print failures and the summary")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "fuzzdrive: unexpected arguments %v\n", flag.Args())
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.As(err, new(usageError)):
+		fmt.Fprintln(os.Stderr, "fuzzdrive:", err)
 		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "fuzzdrive:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, then fuzzes the seed range or replays one
+// reproducer, reporting each case on stdout. It returns an error if a
+// case failed.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("fuzzdrive", flag.ContinueOnError)
+	var (
+		seeds  = fs.Int("seeds", 50, "number of seeds to fuzz")
+		start  = fs.Int64("start", 1, "first seed")
+		budget = fs.Int("budget", 64, "max oracle re-runs while shrinking one failure")
+		replay = fs.String("replay", "", "replay one reproducer file instead of fuzzing")
+		out    = fs.String("out", "", "directory for shrunk reproducer files")
+		trace  = fs.String("trace", "", "directory for flight-recorder dumps and pcapng captures")
+		save   = fs.String("save", "", "save every case (pass or fail) as JSON under this directory")
+		quiet  = fs.Bool("q", false, "only print failures and the summary")
+	)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	if fs.NArg() > 0 {
+		return usageError{fmt.Errorf("unexpected arguments %v", fs.Args())}
 	}
 
 	if *replay != "" {
-		os.Exit(replayFile(*replay, *trace))
+		return replayFile(stdout, *replay, *trace)
 	}
 
 	failures := 0
@@ -56,40 +79,40 @@ func main() {
 		}
 		if v.OK() {
 			if !*quiet {
-				fmt.Printf("ok   %s (%d steps)\n", c.Name, c.Steps())
+				fmt.Fprintf(stdout, "ok   %s (%d steps)\n", c.Name, c.Steps())
 			}
 			continue
 		}
 		failures++
-		fmt.Printf("FAIL %s\n", v.Summary())
+		fmt.Fprintf(stdout, "FAIL %s\n", v.Summary())
 		sr := fuzzer.Shrink(c, fuzzer.Run, *budget)
-		fmt.Printf("     shrunk %d → %d steps in %d runs: %v\n",
+		fmt.Fprintf(stdout, "     shrunk %d → %d steps in %d runs: %v\n",
 			c.Steps(), sr.Case.Steps(), sr.Runs, sr.Case.Script)
 		if *out != "" {
 			if path, err := fuzzer.SaveCase(*out, sr.Case); err == nil {
-				fmt.Printf("     reproducer: %s\n", path)
+				fmt.Fprintf(stdout, "     reproducer: %s\n", path)
 			} else {
 				fmt.Fprintf(os.Stderr, "fuzzdrive: save reproducer: %v\n", err)
 			}
 		}
 		if *trace != "" {
 			fuzzer.RunTraced(sr.Case, fuzzer.Artifacts{Dir: *trace, Label: sr.Case.Name})
-			fmt.Printf("     evidence: %s/%s-*.trace.json, *.pcapng\n", *trace, sr.Case.Name)
+			fmt.Fprintf(stdout, "     evidence: %s/%s-*.trace.json, *.pcapng\n", *trace, sr.Case.Name)
 		}
 	}
-	fmt.Printf("fuzzdrive: %d seeds, %d failures\n", *seeds, failures)
+	fmt.Fprintf(stdout, "fuzzdrive: %d seeds, %d failures\n", *seeds, failures)
 	if failures > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d of %d seeds failed", failures, *seeds)
 	}
+	return nil
 }
 
 // replayFile re-runs one persisted reproducer, with artifacts if a
 // trace dir is given.
-func replayFile(path, traceDir string) int {
+func replayFile(stdout io.Writer, path, traceDir string) error {
 	c, err := fuzzer.LoadCase(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzdrive: %v\n", err)
-		return 2
+		return usageError{err}
 	}
 	var v *fuzzer.Verdict
 	if traceDir != "" {
@@ -97,9 +120,9 @@ func replayFile(path, traceDir string) int {
 	} else {
 		v = fuzzer.Run(c)
 	}
-	fmt.Println(v.Summary())
+	fmt.Fprintln(stdout, v.Summary())
 	if !v.OK() {
-		return 1
+		return fmt.Errorf("reproducer %s failed", path)
 	}
-	return 0
+	return nil
 }

@@ -8,89 +8,112 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bitio"
 	"repro/internal/stuffing"
 )
 
+// usageError is a bad command line: exit status 2. Any other error
+// from run exits 1.
+type usageError struct{ error }
+
 func main() {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.As(err, new(usageError)):
+		fmt.Fprintln(os.Stderr, "stuffinglab:", err)
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "stuffinglab:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the report to stdout. A rule that fails
+// the decision procedure is an error, after its report.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("stuffinglab", flag.ContinueOnError)
 	var (
-		library  = flag.Bool("library", false, "enumerate the valid-rule library")
-		flagLen  = flag.Int("flaglen", 8, "flag length for -library")
-		top      = flag.Int("top", 15, "library rows to print")
-		flagBits = flag.String("flag", "01111110", "flag pattern")
-		watch    = flag.String("watch", "11111", "watch pattern")
-		stuffBit = flag.Int("stuff", 0, "stuff bit (0 or 1)")
-		data     = flag.String("data", "", "data bits to encode/decode")
-		validate = flag.Bool("validate", false, "only run the decision procedure")
+		library  = fs.Bool("library", false, "enumerate the valid-rule library")
+		flagLen  = fs.Int("flaglen", 8, "flag length for -library")
+		top      = fs.Int("top", 15, "library rows to print")
+		flagBits = fs.String("flag", "01111110", "flag pattern")
+		watch    = fs.String("watch", "11111", "watch pattern")
+		stuffBit = fs.Int("stuff", 0, "stuff bit (0 or 1)")
+		data     = fs.String("data", "", "data bits to encode/decode")
+		validate = fs.Bool("validate", false, "only run the decision procedure")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	if fs.NArg() > 0 {
+		return usageError{fmt.Errorf("unexpected arguments %v", fs.Args())}
+	}
 
 	if *library {
 		lib := stuffing.Library(*flagLen)
 		hdlc := stuffing.HDLC().MarkovOverhead()
-		fmt.Printf("valid rules for %d-bit flags: %d (paper's family found 66)\n", *flagLen, len(lib))
+		fmt.Fprintf(stdout, "valid rules for %d-bit flags: %d (paper's family found 66)\n", *flagLen, len(lib))
 		cheaper := 0
 		for _, r := range lib {
 			if r.MarkovOverhead() < hdlc {
 				cheaper++
 			}
 		}
-		fmt.Printf("cheaper than HDLC's exact rate (1/%.1f): %d\n\n", 1/hdlc, cheaper)
-		fmt.Printf("%-40s %14s %14s\n", "rule", "naive", "exact")
+		fmt.Fprintf(stdout, "cheaper than HDLC's exact rate (1/%.1f): %d\n\n", 1/hdlc, cheaper)
+		fmt.Fprintf(stdout, "%-40s %14s %14s\n", "rule", "naive", "exact")
 		for i, r := range lib {
 			if i == *top {
-				fmt.Printf("... %d more\n", len(lib)-i)
+				fmt.Fprintf(stdout, "... %d more\n", len(lib)-i)
 				break
 			}
-			fmt.Printf("%-40s %14s %14s\n", r.String(),
+			fmt.Fprintf(stdout, "%-40s %14s %14s\n", r.String(),
 				fmt.Sprintf("1/%.0f", 1/r.NaiveOverhead()),
 				fmt.Sprintf("1/%.1f", 1/r.MarkovOverhead()))
 		}
-		return
+		return nil
 	}
 
 	rule, err := parseRule(*flagBits, *watch, *stuffBit)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stuffinglab:", err)
-		os.Exit(2)
+		return usageError{err}
 	}
-	fmt.Printf("rule: %s\n", rule)
+	fmt.Fprintf(stdout, "rule: %s\n", rule)
 	if verr := rule.Validate(); verr != nil {
-		fmt.Printf("decision procedure: INVALID — %v\n", verr)
+		fmt.Fprintf(stdout, "decision procedure: INVALID — %v\n", verr)
 		if ce, ok := rule.CheckExhaustive(12); !ok {
-			fmt.Printf("counterexample data: %s\n", ce)
+			fmt.Fprintf(stdout, "counterexample data: %s\n", ce)
 		}
-		os.Exit(1)
+		return fmt.Errorf("rule %s is invalid", rule)
 	}
-	fmt.Printf("decision procedure: VALID for all data strings\n")
-	fmt.Printf("overhead: naive 1/%.0f, exact 1/%.1f\n",
+	fmt.Fprintf(stdout, "decision procedure: VALID for all data strings\n")
+	fmt.Fprintf(stdout, "overhead: naive 1/%.0f, exact 1/%.1f\n",
 		1/rule.NaiveOverhead(), 1/rule.MarkovOverhead())
 	if *validate || *data == "" {
-		return
+		return nil
 	}
 	d, err := bitio.Parse(*data)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stuffinglab:", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	enc, err := rule.Encode(d)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stuffinglab:", err)
-		os.Exit(1)
+		return err
 	}
 	dec, err := rule.Decode(enc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stuffinglab:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("data:    %s (%d bits)\n", d, d.Len())
-	fmt.Printf("encoded: %s (%d bits, %d stuffed)\n", enc, enc.Len(),
+	fmt.Fprintf(stdout, "data:    %s (%d bits)\n", d, d.Len())
+	fmt.Fprintf(stdout, "encoded: %s (%d bits, %d stuffed)\n", enc, enc.Len(),
 		enc.Len()-d.Len()-2*rule.Flag.Len())
-	fmt.Printf("decoded: %s (round trip %v)\n", dec, dec.Equal(d))
+	fmt.Fprintf(stdout, "decoded: %s (round trip %v)\n", dec, dec.Equal(d))
+	return nil
 }
 
 func parseRule(f, w string, b int) (stuffing.Rule, error) {

@@ -119,8 +119,8 @@ func (x *Crossings) each(f func(string, metrics.Instrument)) {
 }
 
 // each lists every instrument of the connection in connLeaves order,
-// followed by the manager's own when it exports any: the lister the
-// registry keeps for the connection's group.
+// followed by the manager's own when it exports any: the lister of the
+// stack's "conn" family.
 func (c *Conn) each(f func(string, metrics.Instrument)) {
 	c.crossings.each(f)
 	c.rd.m.each(f)

@@ -2,7 +2,6 @@ package sublayered
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/bufpool"
 	"repro/internal/ccontrol"
@@ -45,10 +44,11 @@ type Config struct {
 	Contracts *verify.Checker
 	// Metrics, when non-nil, adopts the stack's instruments under this
 	// scope: "dm/..." for the demultiplexer and "conn<n>/<sublayer>/..."
-	// per connection, numbered in creation order. Each connection is
-	// adopted as one group (metrics.Registry.Adopt), so attaching a
-	// registry costs a connection the same few allocations however many
-	// instruments it has and however many connections came before. A
+	// per connection, numbered in creation order. Each connection joins
+	// the stack's "conn" family (metrics.Family), so attaching a
+	// registry costs a connection no allocation beyond the family's
+	// amortised slice growth, however many instruments it has and
+	// however many connections came before. A
 	// nil scope costs nothing (instruments stay detached).
 	Metrics *metrics.Scope
 }
@@ -126,6 +126,9 @@ type Stack struct {
 	dm      *DM
 	shim    *tcpwire.Shim
 	connSeq int
+	// conns is the "conn" family every connection joins (nil without
+	// a registry).
+	conns *metrics.Family[*Conn]
 	// traceName labels this stack's causal-trace events ("n1/sub").
 	traceName string
 }
@@ -149,6 +152,7 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 		router.Handle(network.ProtoSubTCP, s.dm.receive)
 	}
 	s.dm.m.each(s.cfg.Metrics.Sub("dm").Register)
+	s.conns = metrics.NewFamily(s.cfg.Metrics, "conn", (*Conn).each)
 	if s.shim != nil {
 		s.shim.BindMetrics(s.cfg.Metrics.Sub("shim"))
 	}
@@ -219,7 +223,7 @@ var connLeaves = metrics.ConcatLeaves(
 	metrics.LeavesOf("osr", new(osrMetrics).each))
 
 // instrumentedCM is implemented by connection managers that export
-// instruments as part of their connection's group.
+// instruments with the rest of their connection.
 type instrumentedCM interface {
 	// leaves is connLeaves followed by the manager's own "cm/..."
 	// names — a static table, one per manager type.
@@ -248,24 +252,20 @@ func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 	return c
 }
 
-// adoptMetrics hands the connection to the registry as one group,
-// named "conn<seq>/<sublayer>/<leaf>" when a snapshot asks: the
-// registry keeps the connection's lister, not its instruments.
+// adoptMetrics makes the connection member connSeq of the stack's
+// "conn" family, named "conn<seq>/<sublayer>/<leaf>" when a snapshot
+// asks: the registry keeps the connection and its leaf table, not its
+// instruments.
 func (s *Stack) adoptMetrics(c *Conn) {
 	// The sequence number advances whether or not a registry is
 	// attached, so metric names are stable across configurations.
 	seq := s.connSeq
 	s.connSeq++
-	if s.cfg.Metrics == nil {
-		return
-	}
 	leaves := connLeaves
 	if cm, ok := c.cm.(instrumentedCM); ok {
 		leaves = cm.leaves()
 	}
-	var buf [24]byte // "conn" + any int64, so the name is built on the stack
-	name := strconv.AppendInt(append(buf[:0], "conn"...), int64(seq), 10)
-	s.cfg.Metrics.Adopt(string(name), leaves, c.each)
+	s.conns.Join(seq, leaves, c)
 }
 
 // receive is the bottom of the stack: decode the wire format (native

@@ -1,7 +1,6 @@
 package sublayered
 
 import (
-	"fmt"
 	"testing"
 	"unsafe"
 
@@ -71,14 +70,10 @@ func TestNewConnAllocsFlat(t *testing.T) {
 	measure := func(prior int) float64 {
 		s := bareStack(Config{Metrics: metrics.New().Scope("n1").Sub("transport")})
 		// Earlier connections matter only through what they left in the
-		// registry: one group each.
-		earlier := func(f func(string, metrics.Instrument)) {
-			for range handshakeLeaves.Names() {
-				f("", &metrics.Counter{})
-			}
-		}
+		// registry: one member each of the stack's family.
+		earlier := new(Conn)
 		for ; s.connSeq < prior; s.connSeq++ {
-			s.cfg.Metrics.Adopt(fmt.Sprintf("conn%d", s.connSeq), handshakeLeaves, earlier)
+			s.conns.Join(s.connSeq, handshakeLeaves, earlier)
 		}
 		key := tcpwire.FlowKey{SrcAddr: 1, DstAddr: 2, SrcPort: 50000, DstPort: 80}
 		return testing.AllocsPerRun(1000, func() { s.newConn(key) })
@@ -88,15 +83,15 @@ func TestNewConnAllocsFlat(t *testing.T) {
 	if empty != loaded {
 		t.Errorf("newConn allocates %v objects on an empty registry, %v after 100k connections", empty, loaded)
 	}
-	// Measured 8: the Conn (RD, OSR and their parts are values inside
+	// Measured 4: the Conn (RD, OSR and their parts are values inside
 	// it), the two replaceable parts behind interfaces (connection
-	// manager, congestion controller), the manager's timer callback, and
-	// four for adoption (the registry's group entry, the connection's
-	// lister as a func value, the "conn<n>" name and its scoped join).
-	// One spare for the registry's amortised map growth landing inside
-	// the measured runs; anything per sublayer or per instrument is over.
-	if empty > 9 {
-		t.Errorf("newConn allocates %v objects with a registry attached, want <= 9", empty)
+	// manager, congestion controller) and the manager's timer callback.
+	// Joining the stack's "conn" family allocates nothing of its own.
+	// One spare for the family's amortised slice growth landing inside
+	// the measured runs; anything per sublayer, per instrument or per
+	// name is over.
+	if empty > 5 {
+		t.Errorf("newConn allocates %v objects with a registry attached, want <= 5", empty)
 	}
 }
 
