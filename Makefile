@@ -63,9 +63,10 @@ docs:
 # routing and link-state control packets: no panic, exact re-marshal;
 # the sublayered header and the RFC 793 header: pooled decoder against
 # the allocating one, and for RFC 793 an exact re-marshal; the overlay
-# frame; the fault-script reproducer JSON: no panic, encoding a fixed
-# point) a brief randomized workout each; run with a longer -fuzztime
-# for a real campaign.
+# frame; the fault-script reproducer JSON and the fuzz-case reproducer
+# file: no panic, encoding a fixed point; the UDP backend's frame
+# header: exact re-framing) a brief randomized workout each; run with
+# a longer -fuzztime for a real campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStuffRoundTrip -fuzztime 5s ./internal/stuffing
 	$(GO) test -run '^$$' -fuzz FuzzSendBuffer -fuzztime 5s ./internal/transport/seg
@@ -77,6 +78,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTCPHeader -fuzztime 5s ./internal/tcpwire
 	$(GO) test -run '^$$' -fuzz FuzzOverlayFrame -fuzztime 5s ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzScriptJSON -fuzztime 5s ./internal/faults
+	$(GO) test -run '^$$' -fuzz FuzzParseCase -fuzztime 5s ./internal/fuzzer
+	$(GO) test -run '^$$' -fuzz FuzzUDPFrame -fuzztime 5s ./internal/udpnet
 
 # fuzz-pool asserts the pooled (reused-writer) stuffing path stays
 # byte-identical to the allocating one.

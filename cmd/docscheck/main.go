@@ -32,12 +32,17 @@
 // repository root — so a deleted package cannot survive in prose
 // either. And a command named anywhere else — `go run ./cmd/x` in a
 // span or a fenced line, cmd/x in prose or a layout listing — must be
-// a directory under cmd/, so a deleted command cannot either. The
-// history files (CHANGES.md, ROADMAP.md) record targets and paths that
-// no longer exist on purpose and are exempt from these three checks.
+// a directory under cmd/, so a deleted command cannot either. And a
+// `go test` command, in a span or starting a fenced line, must run
+// something: each -run or -bench pattern it gives must match a Test or
+// Fuzz, or a Benchmark, function in the package directories it names
+// (default "."), so a command that prints "[no test files]" or "no
+// tests to run" cannot survive in prose. The history files
+// (CHANGES.md, ROADMAP.md) record targets and paths that no longer
+// exist on purpose and are exempt from these four checks.
 //
-// Exit status 1 lists every broken link, stale target and stale path;
-// 0 means all resolve.
+// Exit status 1 lists every broken link, stale target, stale path and
+// empty test command; 0 means all resolve.
 package main
 
 import (
@@ -68,6 +73,12 @@ var (
 	// has those): cmd/x or ./cmd/x at a line start or after a space or
 	// parenthesis. The capture is cmd/x.
 	cmdRe = regexp.MustCompile(`(?:^|[\s(])(?:\./)?(cmd/[\w-]+)`)
+	// A go test invocation in a code span, and one starting a line of a
+	// fenced block; the capture is its argument list.
+	goTestSpanRe = regexp.MustCompile("`go\\s+test\\s+([^`]+)`")
+	goTestLineRe = regexp.MustCompile(`^\s*go\s+test\s+(.+)$`)
+	// testFuncRe finds the top-level test functions of a _test.go file.
+	testFuncRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 )
 
 // historyFiles keep `make` targets and paths that were since deleted:
@@ -103,7 +114,7 @@ func check(root string, files []string) (problems []string, checked string, err 
 	if err != nil {
 		return nil, "", err
 	}
-	links, mentions, paths := 0, 0, 0
+	links, mentions, paths, tests := 0, 0, 0, 0
 	for _, path := range files {
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -137,8 +148,132 @@ func check(root string, files []string) (problems []string, checked string, err 
 				problems = append(problems, fmt.Sprintf("%s:%d: %s: no such command in the tree", path, c.line, c.target))
 			}
 		}
+		for _, g := range goTestsOf(string(raw)) {
+			tests++
+			if err := g.resolve(root); err != nil {
+				problems = append(problems, fmt.Sprintf("%s:%d: `go test %s`: %v", path, g.line, g.args, err))
+			}
+		}
 	}
-	return problems, fmt.Sprintf("%d links, %d make targets and %d paths across %d files", links, mentions, paths, len(files)), nil
+	return problems, fmt.Sprintf("%d links, %d make targets, %d paths and %d go test commands across %d files",
+		links, mentions, paths, tests, len(files)), nil
+}
+
+// goTest is one `go test` command a doc quotes: the package
+// directories it names and its -run and -bench patterns.
+type goTest struct {
+	line     int
+	args     string
+	pkgs     []string // "." when none are given
+	patterns []testPattern
+}
+
+// testPattern is one -run or -bench value.
+type testPattern struct {
+	flag, re string
+}
+
+// boolTestFlags are the go test and build flags that take no value.
+var boolTestFlags = map[string]bool{
+	"a": true, "asan": true, "benchmem": true, "cover": true, "failfast": true, "fullpath": true,
+	"json": true, "linkshared": true, "modcacherw": true, "msan": true, "n": true, "race": true,
+	"short": true, "trimpath": true, "v": true, "work": true, "x": true,
+}
+
+// goTestsOf extracts every `go test ...` invocation. Quotes around an
+// argument are dropped, a shell operator ends the command, and flags
+// other than -run and -bench are skipped with their values. A flag
+// written without "=" takes the next argument as its value unless it
+// takes none or that argument is itself a flag.
+func goTestsOf(doc string) []goTest {
+	var out []goTest
+	for _, c := range invocations(doc, goTestSpanRe, goTestLineRe) {
+		g := goTest{line: c.line, args: c.target}
+		fields := strings.Fields(c.target)
+		for j := 0; j < len(fields); j++ {
+			arg := strings.Trim(fields[j], `'"`)
+			if arg == "&&" || arg == "|" || arg == ";" {
+				break
+			}
+			if !strings.HasPrefix(arg, "-") {
+				g.pkgs = append(g.pkgs, arg)
+				continue
+			}
+			name, value, hasValue := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+			if !hasValue && !boolTestFlags[name] && j+1 < len(fields) && !strings.HasPrefix(fields[j+1], "-") {
+				j++
+				value = strings.Trim(fields[j], `'"`)
+			}
+			if name == "run" || name == "bench" {
+				g.patterns = append(g.patterns, testPattern{name, value})
+			}
+		}
+		if len(g.pkgs) == 0 {
+			g.pkgs = []string{"."}
+		}
+		out = append(out, g)
+	}
+	return out
+}
+
+// resolve checks that every pattern of g selects at least one function
+// in g's package directories under root: -bench among benchmarks, -run
+// among tests and fuzz targets. A pattern that matches the empty
+// string ("^$", "-run=") selects nothing on purpose and is not checked;
+// only its first "/"-separated element, the top-level name, is.
+func (g goTest) resolve(root string) error {
+	if len(g.patterns) == 0 {
+		return nil
+	}
+	var funcs []string
+	for _, p := range g.pkgs {
+		names, err := testFuncs(filepath.Join(root, p))
+		if err != nil {
+			return fmt.Errorf("no package %s", p)
+		}
+		funcs = append(funcs, names...)
+	}
+	for _, p := range g.patterns {
+		top, _, _ := strings.Cut(p.re, "/")
+		re, err := regexp.Compile(top)
+		if err != nil {
+			return fmt.Errorf("-%s %q: %v", p.flag, p.re, err)
+		}
+		if re.MatchString("") {
+			continue
+		}
+		found := false
+		for _, f := range funcs {
+			found = found || (p.flag == "bench") == strings.HasPrefix(f, "Benchmark") && re.MatchString(f)
+		}
+		if !found {
+			return fmt.Errorf("-%s %q matches no test function in %s", p.flag, p.re, strings.Join(g.pkgs, " "))
+		}
+	}
+	return nil
+}
+
+// testFuncs lists the top-level test, benchmark and fuzz functions
+// declared in the _test.go files of dir.
+func testFuncs(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, d := range entries {
+		if d.IsDir() || !strings.HasSuffix(d.Name(), "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(dir, d.Name()))
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range testFuncRe.FindAllStringSubmatch(string(src), -1) {
+			out = append(out, m[1])
+		}
+	}
+	return out, nil
 }
 
 // pathSpansOf extracts the repository path each code span names: the
@@ -200,11 +335,11 @@ func phonyTargets(makefile string) (map[string]bool, error) {
 	return targets, nil
 }
 
-// makeTargetsOf extracts every target of every `make ...` invocation
-// written as a command: in a code span anywhere, or at the start of a
-// line inside a fenced block. Flags and VAR=value arguments are not
-// targets, and a trailing shell comment ends the command.
-func makeTargetsOf(doc string) []link {
+// invocations extracts the argument list, with its line, of every
+// command a doc writes out: in a code span spanRe matches anywhere, or
+// on a line inside a fenced block that lineRe matches. A trailing shell
+// comment ends the command.
+func invocations(doc string, spanRe, lineRe *regexp.Regexp) []link {
 	var out []link
 	inFence := false
 	for i, line := range strings.Split(doc, "\n") {
@@ -213,20 +348,28 @@ func makeTargetsOf(doc string) []link {
 			continue
 		}
 		var cmds []string
-		for _, m := range makeSpanRe.FindAllStringSubmatch(line, -1) {
+		for _, m := range spanRe.FindAllStringSubmatch(line, -1) {
 			cmds = append(cmds, m[1])
 		}
-		if m := makeLineRe.FindStringSubmatch(line); inFence && m != nil {
+		if m := lineRe.FindStringSubmatch(line); inFence && m != nil {
 			cmds = append(cmds, m[1])
 		}
 		for _, args := range cmds {
-			for _, arg := range strings.Fields(args) {
-				if strings.HasPrefix(arg, "#") {
-					break
-				}
-				if !strings.HasPrefix(arg, "-") && !strings.Contains(arg, "=") {
-					out = append(out, link{line: i + 1, target: arg})
-				}
+			args, _, _ = strings.Cut(args, "#")
+			out = append(out, link{line: i + 1, target: strings.TrimSpace(args)})
+		}
+	}
+	return out
+}
+
+// makeTargetsOf extracts every target of every `make ...` invocation.
+// Flags and VAR=value arguments are not targets.
+func makeTargetsOf(doc string) []link {
+	var out []link
+	for _, c := range invocations(doc, makeSpanRe, makeLineRe) {
+		for _, arg := range strings.Fields(c.target) {
+			if !strings.HasPrefix(arg, "-") && !strings.Contains(arg, "=") {
+				out = append(out, link{line: c.line, target: arg})
 			}
 		}
 	}

@@ -147,3 +147,62 @@ func TestStaleCommand(t *testing.T) {
 		}
 	}
 }
+
+// TestGoTestRunsNothing: a quoted go test command whose -run or -bench
+// pattern matches no function in the packages it names is reported,
+// with its line — a root package with no tests, a benchmark that is
+// gone, a pattern naming only a test when -bench wants a benchmark, a
+// pattern a value-less flag must not swallow — while patterns that
+// match (anchored, alternated, with a subtest part), deliberate "^$"
+// and the history files are not.
+func TestGoTestRunsNothing(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("Makefile", ".PHONY: build\n")
+	write("doc.go", "package repro\n")
+	write("internal/overlay/overlay_test.go", "package overlay\n\nfunc TestJoinLeave(t *testing.T) {}\nfunc BenchmarkCall(b *testing.B) {}\n")
+	write("internal/netsim/sim_test.go", "package netsim\n\nfunc FuzzEventStore(f *testing.F) {}\n")
+	write("README.md", strings.Join([]string{
+		"Run `go test -bench=Nope .` or `go test ./internal/overlay -run 'JoinLeave|Gone'`.", // line 1: root has no tests
+		"```",
+		"go test -run '^TestJoinLeave$/sub' ./internal/overlay",
+		"go test -v -bench Call -benchtime=1x ./internal/overlay",
+		"go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/netsim",
+		"go test -bench=JoinLeave ./internal/overlay  # a test, not a benchmark", // line 6
+		"go test -run Missing ./internal/gone",                                   // line 7: no package
+		"go test -work -run Nope ./internal/overlay",                             // line 8
+		"go test -run FuzzEventStore ./internal/netsim",
+		"go test ./...",
+		"```",
+	}, "\n"))
+	write("CHANGES.md", "Deleted `go test -bench=E1 -benchtime=1x .`.\n")
+
+	problems, _, err := check(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := filepath.Join(root, "README.md")
+	want := []string{
+		readme + ":1: `go test -bench=Nope .`: -bench \"Nope\" matches no test function",
+		readme + ":6: `go test -bench=JoinLeave",
+		readme + ":7: `go test -run Missing ./internal/gone`: no package",
+		readme + ":8: `go test -work -run Nope ./internal/overlay`: -run \"Nope\" matches no test function",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("problems = %q, want %d", problems, len(want))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(problems[i], w) {
+			t.Errorf("problems[%d] = %q, want prefix %q", i, problems[i], w)
+		}
+	}
+}

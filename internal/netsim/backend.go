@@ -17,7 +17,7 @@ import (
 // two faces:
 //
 //   - *Sharded (this package): virtual clock, one deterministic event
-//     heap per shard run in parallel under lookahead windows. Nodes
+//     store per shard run in parallel under lookahead windows. Nodes
 //     hold per-node views of it; Exec is an inline call between runs.
 //   - *Simulator (this package): the same engine with one shard and
 //     one view, plus Step/Run/RunUntil for driving it event by event.

@@ -3,7 +3,9 @@ package netsim
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -48,7 +50,9 @@ func releaseMark(i int) int { return -1 - i }
 // refStore is the event store written the obvious way: a slice kept
 // sorted by (at, schedAt, rank, seq), tombstones left in place until
 // they reach the front or outnumber the live entries. It has no notion
-// of lanes: link events are entries like any other.
+// of lanes or far buckets: link events are entries like any other, and
+// a tombstone the radix store discards at a split stays here until the
+// front or a compaction reaches it, so only the live entries compare.
 type refStore struct {
 	pending     []*refEvent
 	deadPending int
@@ -149,9 +153,57 @@ func (r *refStore) live() []*refEvent {
 
 // modelStats says what an operation stream made the store do.
 type modelStats struct {
-	compactions int // tombstone compactions
-	lanePeak    int // most link events waiting in lanes at once
-	fallbacks   int // in-order-eligible link posts the append rule sent to the heap
+	compactions    int // tombstone compactions (the reference's)
+	farCompactions int // the store's own compactions with live far members
+	lanePeak       int // most link events waiting in lanes at once
+	fallbacks      int // in-order-eligible link posts the append rule sent to the store
+	belowLast      int // posts keyed below last, after a peek moved it past now
+	farStops       int // stops of a timer still waiting in a far bucket
+	splitKills     int // tombstones discarded at a split, never reaching near
+	spans          int // distinct powers of two among timer delays
+}
+
+// census is what a walk of one core's store finds.
+type census struct {
+	dead    int // tombstones, near and far
+	farDead int // tombstones in far buckets
+	farLive int // live slots in far buckets
+}
+
+// takeCensus walks near and every far bucket of c, checking each far
+// member against the bucket rule: due after last, first differing
+// from it in the bucket's bit, at or above the bucket's recorded
+// minimum.
+func takeCensus(t *testing.T, c *evCore) (n census) {
+	t.Helper()
+	for _, s := range c.near {
+		if s.ev.dead {
+			n.dead++
+		}
+	}
+	filed := 0
+	for b := range c.far {
+		f := &c.far[b]
+		if (f.head != nil) != (c.farMask&(1<<b) != 0) {
+			t.Fatalf("far[%d]: head %p disagrees with mask %#x", b, f.head, c.farMask)
+		}
+		for e := f.head; e != nil; e = e.next {
+			filed++
+			if e.k.at <= c.last || bits.Len64(uint64(e.k.at^c.last))-1 != b || e.k.at < f.min {
+				t.Fatalf("far[%d] (min %v) holds at %v with last %v", b, f.min, e.k.at, c.last)
+			}
+			if e.dead {
+				n.farDead++
+			} else {
+				n.farLive++
+			}
+		}
+	}
+	if filed != c.farN {
+		t.Fatalf("far buckets hold %d slots, farN %d", filed, c.farN)
+	}
+	n.dead += n.farDead
+	return n
 }
 
 // runEventStoreModel interprets ops two bytes at a time against one
@@ -169,6 +221,10 @@ type modelStats struct {
 //	9    post a serializer release 0-3 ns out
 //	10   post a reorder-delayed or duplicate delivery (never laned)
 //	11   post a burst of 1-4 deliveries at one instant
+//	12   peek (split far buckets until near holds the top), then
+//	     schedule a timer 0-3 ns out: below last whenever the top is
+//	     further out than that
+//	13   schedule a timer 2^k-1 to 2^(k+1)-1 ns out, k < 44: ns to hours
 func runEventStoreModel(t *testing.T, ops []byte) (st modelStats) {
 	t.Helper()
 	reg := metrics.New()
@@ -186,6 +242,7 @@ func runEventStoreModel(t *testing.T, ops []byte) (st modelStats) {
 		nextID  int
 		links   [modelLinks]*Link
 		seen    [modelLinks]int
+		spans   uint64 // bit k: a timer delay of bit length k was posted
 	)
 	observe := func() {
 		for i, l := range links {
@@ -212,25 +269,52 @@ func runEventStoreModel(t *testing.T, ops []byte) (st modelStats) {
 			st.fallbacks++
 		}
 	}
+	schedule := func(rank int, delay Time) {
+		id := nextID
+		nextID++
+		if ref.now+delay < core.last {
+			st.belowLast++
+		}
+		spans |= 1 << bits.Len64(uint64(delay))
+		tm := views[rank].ScheduleTimer(time.Duration(delay), func() {
+			observe()
+			order = append(order, id)
+		})
+		handles = append(handles, handle{tm, ref.post(int32(rank), delay, id)})
+	}
+	// stop stops one handle in both stores. Right after a Stop the
+	// store holds at most as many tombstones as live events: more, and
+	// it compacts.
+	stop := func(pc int, h *handle, mustStop bool) {
+		inFar := !h.r.dead && h.r.at > core.last
+		farLive := takeCensus(t, core).farLive
+		got, want := h.t.Stop(), ref.stop(h.r)
+		if got != want || mustStop && !got {
+			t.Fatalf("op %d: Stop(event %d) = %v, reference %v", pc/2, h.r.id, got, want)
+		}
+		if !got {
+			return
+		}
+		if inFar {
+			st.farStops++
+		}
+		if core.deadPending == 0 && farLive > 0 {
+			st.farCompactions++
+		} else if core.deadPending*2 > core.pending() {
+			t.Fatalf("op %d: %d tombstones of %d pending survived a Stop", pc/2, core.deadPending, core.pending())
+		}
+	}
 	for pc := 0; pc+1 < len(ops); pc += 2 {
-		op, arg := ops[pc]%12, int(ops[pc+1])
+		op, arg := ops[pc]%14, int(ops[pc+1])
+		before := takeCensus(t, core)
 		switch op {
 		case 0, 1, 2: // post; delays 0-3 ns collide in at, same-instant posts in schedAt
-			rank, delay, id := arg&1, Time(arg>>1&3), nextID
-			nextID++
-			tm := views[rank].ScheduleTimer(time.Duration(delay), func() {
-				observe()
-				order = append(order, id)
-			})
-			handles = append(handles, handle{tm, ref.post(int32(rank), delay, id)})
+			schedule(arg&1, Time(arg>>1&3))
 		case 3: // stop any handle ever issued: mostly fired, stopped or recycled ones
 			if len(handles) == 0 {
 				continue
 			}
-			h := &handles[arg%len(handles)]
-			if got, want := h.t.Stop(), ref.stop(h.r); got != want {
-				t.Fatalf("op %d: Stop(event %d) = %v, reference %v", pc/2, h.r.id, got, want)
-			}
+			stop(pc, &handles[arg%len(handles)], false)
 		case 4: // stop a pending one, so tombstones accumulate
 			var live []int
 			for i := range handles {
@@ -241,10 +325,7 @@ func runEventStoreModel(t *testing.T, ops []byte) (st modelStats) {
 			if len(live) == 0 {
 				continue
 			}
-			h := &handles[live[arg%len(live)]]
-			if !h.t.Stop() || !ref.stop(h.r) {
-				t.Fatalf("op %d: Stop of pending event %d reported false", pc/2, h.r.id)
-			}
+			stop(pc, &handles[live[arg%len(live)]], true)
 		case 5:
 			if got, want := core.step(nil), ref.step(); got != want {
 				t.Fatalf("op %d: step = %v, reference %v", pc/2, got, want)
@@ -274,6 +355,12 @@ func runEventStoreModel(t *testing.T, ops []byte) (st modelStats) {
 			for n := 1 + arg>>2&3; n > 0; n-- {
 				deliver(arg&3, Time(arg>>4&3), false)
 			}
+		case 12: // a peek between runs, then a post that may land below last
+			core.nextAt()
+			schedule(arg&1, Time(arg>>1&3))
+		case 13:
+			k := uint(arg>>1) % 44
+			schedule(arg&1, Time(1)<<k-1+Time(arg)*Time(1)<<k/256)
 		}
 		observe()
 		ref.observe()
@@ -286,8 +373,20 @@ func runEventStoreModel(t *testing.T, ops []byte) (st modelStats) {
 				t.Fatalf("op %d: execution %d ran %d, reference %d", pc/2, i, order[i], ref.order[i])
 			}
 		}
-		if got := eng.Pending(); got != len(ref.pending) {
-			t.Fatalf("op %d: Pending = %d, reference %d", pc/2, got, len(ref.pending))
+		// A tombstone may leave the store before the reference's (at a
+		// split), so the live count is what compares exactly; the
+		// tombstones must be the ones the core accounts for.
+		// Only a Stop adds a far tombstone, and only a Stop compacts, so
+		// one that leaves far on any other operation died at a split.
+		after := takeCensus(t, core)
+		if op != 3 && op != 4 {
+			st.splitKills += before.farDead - after.farDead
+		}
+		if after.dead != core.deadPending {
+			t.Fatalf("op %d: %d tombstones filed, deadPending %d", pc/2, after.dead, core.deadPending)
+		}
+		if got, want := eng.Pending()-after.dead, len(ref.live()); got != want {
+			t.Fatalf("op %d: %d live events pending, reference %d", pc/2, got, want)
 		}
 		if core.now != ref.now {
 			t.Fatalf("op %d: now = %v, reference %v", pc/2, core.now, ref.now)
@@ -309,6 +408,7 @@ func runEventStoreModel(t *testing.T, ops []byte) (st modelStats) {
 		}
 	}
 	st.compactions = ref.compactions
+	st.spans = bits.OnesCount64(spans)
 	return st
 }
 
@@ -324,7 +424,7 @@ func eventStoreStream(seed int64, n int) []byte {
 		var op byte
 		switch phase := i % 300; {
 		case phase < 120:
-			op = []byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 8, 9, 10, 11}[rng.Intn(16)] // posts, stale stops
+			op = []byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 13, 13, 12, 8, 9, 10, 11}[rng.Intn(16)] // posts, stale stops
 		case phase < 220:
 			op = []byte{4, 4, 4, 3, 0}[rng.Intn(5)] // mostly cancel
 		default:
@@ -349,6 +449,9 @@ func TestEventStoreMatchesModel(t *testing.T) {
 		if st.lanePeak < 2 || st.fallbacks == 0 {
 			t.Errorf("seed %d: lane peak %d, %d fallbacks; want both paths exercised", seed, st.lanePeak, st.fallbacks)
 		}
+		if st.belowLast == 0 || st.farStops == 0 || st.splitKills == 0 || st.farCompactions == 0 || st.spans < 20 {
+			t.Errorf("seed %d: %+v; want posts below last, far stops, split kills, far compactions and >= 20 powers of two", seed, st)
+		}
 	}
 }
 
@@ -368,9 +471,10 @@ func FuzzEventStore(f *testing.F) {
 
 // TestEventStoreSteadyCyclesDoNotAllocate: at a fixed depth neither the
 // schedule→step cycle, a whole stop→compact cycle, nor a link
-// send→deliver cycle through the lanes allocates — slots are values in
-// one array, events come off the freelist, compaction filters that
-// array in place, and lanes thread their members through the events.
+// send→deliver cycle through the lanes allocates — near's slots are
+// values in one array, far buckets and lanes thread their members
+// through the events, events come off the freelist, and compaction
+// filters near in place and re-chains the buckets.
 func TestEventStoreSteadyCyclesDoNotAllocate(t *testing.T) {
 	const depth = 1000
 	s := NewSimulator(1)
@@ -402,8 +506,8 @@ func TestEventStoreSteadyCyclesDoNotAllocate(t *testing.T) {
 	}
 
 	// A link send→deliver cycle: a burst of sends fills the link's two
-	// lanes (serializer releases and deliveries), each with its head in
-	// the heap and the rest waiting behind it, then drains. The handler
+	// lanes (serializer releases and deliveries), each with its head
+	// filed and the rest waiting behind it, then drains. The handler
 	// keeps the buffer it is handed, so the bufpool stays out of it.
 	const burst = 8
 	var delivered int
@@ -413,8 +517,9 @@ func TestEventStoreSteadyCyclesDoNotAllocate(t *testing.T) {
 		for i := 0; i < burst; i++ {
 			l.SendOwned(buf, false)
 		}
-		if got, heap := s.Pending(), len(s.core.events); got != depth+2*burst || heap != depth+2 {
-			t.Fatalf("after a burst: Pending = %d with %d in the heap, want %d with %d", got, heap, depth+2*burst, depth+2)
+		if got, filed := s.Pending(), len(s.core.near)+s.core.farN; got != depth+2*burst || filed != depth+2 || s.core.behind != 2*burst-2 {
+			t.Fatalf("after a burst: Pending = %d with %d filed and %d behind lane heads, want %d with %d and %d",
+				got, filed, s.core.behind, depth+2*burst, depth+2, 2*burst-2)
 		}
 		for s.Pending() > depth {
 			s.Step()
@@ -424,6 +529,58 @@ func TestEventStoreSteadyCyclesDoNotAllocate(t *testing.T) {
 	}
 	if delivered != 1001*burst {
 		t.Errorf("delivered %d packets, want %d", delivered, 1001*burst)
+	}
+}
+
+// TestEventStoreChurnDepthDoesNotAllocate is the allocation guard at
+// churn's depth: 10 000 timers armed 0.1-10 s out, nine in ten of them
+// stopped about a second before they are due (churn's RTO and
+// handshake timers), the rest run. A stopped timer still waits in a
+// far bucket and dies when that bucket splits, so near only ever holds
+// what is due next, no compaction is needed, and the whole
+// arm→stop→drain cycle allocates nothing once the freelist is warm.
+func TestEventStoreChurnDepthDoesNotAllocate(t *testing.T) {
+	const (
+		timers = 10000
+		ahead  = 1000 // a tick stops the timers this many places ahead
+	)
+	s := NewSimulator(1)
+	ts := make([]Timer, timers)
+	stopAhead := func(i int) {
+		for j := i + 1; j < i+10 && j < timers; j++ {
+			ts[j].Stop()
+		}
+	}
+	fns := make([]func(), timers)
+	for i := range fns {
+		if i%10 == 0 {
+			fns[i] = func() { stopAhead(i + ahead) }
+		} else {
+			fns[i] = func() { t.Errorf("timer %d fired after it was stopped", i) }
+		}
+	}
+	cycle := func() {
+		for i := range ts {
+			ts[i] = s.ScheduleTimer(100*time.Millisecond+time.Duration(i)*990*time.Microsecond, fns[i])
+		}
+		for i := 0; i < ahead; i += 10 {
+			stopAhead(i)
+		}
+		for s.Step() {
+			// Only the stops of the last second are still filed.
+			if d := s.core.deadPending; d > ahead {
+				t.Fatalf("%d tombstones pending: far stops are not dying at splits", d)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		t.Errorf("arm→stop→drain cycle of %d timers allocates %v objects, want 0", timers, n)
+	}
+	if p, d := s.Pending(), s.core.deadPending; p != 0 || d != 0 {
+		t.Errorf("after the cycles: Pending = %d, %d tombstones; want 0, 0", p, d)
+	}
+	if c := cap(s.core.near); c > 4 {
+		t.Errorf("near grew to %d slots; far timers should reach it one at a time", c)
 	}
 }
 
@@ -496,6 +653,60 @@ func TestRTClockOrder(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRTClockPostBelowPeekedTop: each cycle arms a 1 ms gate timer and
+// a 10 s timer, which is filed in a far bucket. When the gate fires,
+// the dispatcher's peek before it sleeps splits that bucket, moving
+// last to the 10 s deadline. A callback then posted from Exec with an
+// earlier deadline is filed below last, in near, and must run while
+// the 10 s timer still waits; misfiled, it would run only after it.
+// The 10 s timer is then stopped, so no cycle waits for it, and the
+// arm→peek→post→fire→stop cycle allocates nothing.
+func TestRTClockPostBelowPeekedTop(t *testing.T) {
+	clk := NewRTClock("test", 1, nil)
+	defer clk.Close()
+	done := make(chan struct{}, 1)
+	var (
+		order           = make([]byte, 0, 2)
+		early           = func() { order = append(order, 'e'); done <- struct{}{} }
+		late            = func() { order = append(order, 'l') }
+		lateT           Timer
+		gated, filedFar bool
+		gate            = func() { gated = true }
+		arm             = func() {
+			order, gated = order[:0], false
+			clk.ScheduleTimer(time.Millisecond, gate)
+			lateT = clk.ScheduleTimer(10*time.Second, late)
+			filedFar = clk.core.farN > 0
+		}
+		peeked, below, inOrder bool
+		probe                  = func() { peeked = gated && len(clk.core.near) == 1 }
+		postBelow              = func() { below = clk.Now() < clk.core.last; clk.ScheduleTimer(0, early) }
+		finish                 = func() { inOrder = string(order) == "e"; lateT.Stop() }
+	)
+	n := testing.AllocsPerRun(20, func() {
+		clk.Exec(arm)
+		if !filedFar {
+			t.Fatal("the 10 s timer was not filed far: the test no longer exercises a split")
+		}
+		for peeked = false; !peeked; {
+			runtime.Gosched()
+			clk.Exec(probe)
+		}
+		clk.Exec(postBelow)
+		<-done
+		clk.Exec(finish)
+		if !below {
+			t.Fatal("the callback was not posted below the peeked top")
+		}
+		if !inOrder {
+			t.Fatal("a post below the peeked top ran after it")
+		}
+	})
+	if n != 0 {
+		t.Errorf("RTClock arm→peek→post→fire→stop cycle allocates %v objects, want 0", n)
+	}
 }
 
 // TestRTLinkFIFO: frames sent back to back on one in-process link, with

@@ -376,7 +376,7 @@ func chance(rng *rand.Rand, p float64) bool {
 // or an xshardEnv when postDeliver must cross into another shard's
 // mailbox; postQueueFree always stays local (the serializer is
 // send-side state). An oob delivery (reorder-delayed or duplicate)
-// skips the link's delivery lane and goes straight to the heap.
+// skips the link's delivery lane and is filed as an ordinary slot.
 type linkEnv interface {
 	envNow() Time
 	envTracer() Tracer

@@ -195,13 +195,13 @@ func (c *RTClock) run() {
 // are traced at the instant they run.
 func (c *RTClock) runDue() {
 	c.dispatching = true
-	for len(c.core.events) > 0 && !c.closed {
-		if c.core.events[0].ev.dead {
-			c.core.dropDead()
-			continue
+	for !c.closed {
+		s := c.core.top()
+		if s == nil {
+			break
 		}
 		now := c.Now()
-		if c.core.events[0].at > now {
+		if s.at > now {
 			break
 		}
 		_, e := c.core.pop()
@@ -222,8 +222,9 @@ func (c *RTClock) RunFor(d time.Duration) { time.Sleep(d) }
 // Steps counts callbacks and deliveries executed so far.
 func (c *RTClock) Steps() uint64 { return c.steps.Load() }
 
-// Pending counts events waiting in the store, tombstones included.
-// Callers hold the lock.
+// Pending counts events waiting in the store, with the tombstones not
+// yet discarded at a split, near's top or a compaction (see
+// Simulator.Pending). Callers hold the lock.
 func (c *RTClock) Pending() int { return c.core.pending() }
 
 // Exec runs fn with the clock lock held — the driver's doorway into

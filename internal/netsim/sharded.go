@@ -1,7 +1,7 @@
 package netsim
 
 // Sharded is the discrete-event engine, the only one: the topology is
-// partitioned into per-shard event heaps (evCore), synchronized by
+// partitioned into per-shard event stores (evCore), synchronized by
 // conservative lookahead windows, with cross-shard packet delivery
 // through batched, sequence-numbered mailboxes — the classic
 // null-message/time-bucket design. A Simulator (sim.go) is this engine
@@ -11,7 +11,7 @@ package netsim
 //
 // Every event carries the canonical key (at, schedAt, rank, seq):
 // execution time, scheduling time, the scheduling node's stable rank,
-// and that node's local sequence number. The heap comparator orders by
+// and that node's local sequence number. The store's comparator orders by
 // the full key, so the order in which mailbox entries are ingested —
 // or shards interleave — is irrelevant: the key alone decides. Ranks
 // are assigned per node view in creation order, independent of the
@@ -224,9 +224,9 @@ func (e *Sharded) Steps() uint64 {
 	return n
 }
 
-// Pending counts events waiting in every shard's heap and lanes, the
-// control core's and the mailboxes, tombstones included — the
-// shard-aware version of Simulator.Pending.
+// Pending counts events waiting in every shard's store and lanes, the
+// control core's and the mailboxes, with the tombstones not yet
+// discarded — the shard-aware version of Simulator.Pending.
 func (e *Sharded) Pending() int {
 	n := e.ctl.pending()
 	for _, c := range e.cores {
@@ -309,7 +309,7 @@ func (e *Sharded) runWindow(at, schedAt Time, rank int32, seq uint64) {
 	e.wg.Wait()
 }
 
-// flush drains every mailbox into its destination heap. minAt is the
+// flush drains every mailbox into its destination store. minAt is the
 // completed horizon: an entry below it would have had to execute in a
 // window that already ran — a torn lookahead — so it panics rather
 // than silently diverging from the sequential schedule.
@@ -373,7 +373,7 @@ func (e *Sharded) RunUntil(t Time) {
 		if ctlOK && ctlAt < h {
 			// A control event falls inside the window: run every shard
 			// strictly below its key, then execute it serially.
-			ce := e.ctl.events[0]
+			ce := e.ctl.top().key // nextAt left the least live slot on top
 			e.runWindow(ce.at, ce.schedAt, ce.rank, ce.seq)
 			e.now = ce.at
 			e.ctl.step(e.tracer)
@@ -473,7 +473,7 @@ func (v *view) NewLink(cfg LinkConfig, dst Handler) Port {
 
 // NewLinkTo creates a link delivering into dstB's shard; dstB must be
 // a view (or the Simulator, or the engine's control view) of the same
-// engine. Same-shard destinations use the direct heap path;
+// engine. Same-shard destinations use the direct store path;
 // cross-shard destinations go through the mailbox and contribute their
 // delay to the lookahead bound. The control core joins no such pair:
 // its links are created and driven from driver context only.

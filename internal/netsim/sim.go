@@ -8,9 +8,11 @@
 //
 // The model is intentionally small: one engine (Sharded, sharded.go)
 // owns a virtual clock and one event store per shard (evCore, below: a
-// 4-ary heap of value slots ordered by one total key, with lazy
-// cancellation and a freelist, plus one FIFO lane per link direction
-// whose head alone sits in the heap), run in parallel under
+// radix heap on execution time whose far buckets are unsorted lists and
+// whose lowest level, near, is a 4-ary heap of value slots ordered by
+// one total key; lazy cancellation, with tombstones dying when their
+// bucket splits; a freelist; and one FIFO lane per link direction whose
+// head alone is filed), run in parallel under
 // conservative lookahead windows while producing byte-identical results
 // at any shard count; a Simulator is the one-shard, one-view case of it
 // with a step-by-step driver surface; the wall-clock backends' RTClock
@@ -23,6 +25,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/metrics"
@@ -67,7 +70,7 @@ type key struct {
 }
 
 // before reports whether k orders before the (at, schedAt, rank, seq)
-// key — the single comparison the heap, the lanes and the sharded
+// key — the single comparison near, the lanes and the sharded
 // window bounds share.
 func (k *key) before(at, schedAt Time, rank int32, seq uint64) bool {
 	if k.at != at {
@@ -84,7 +87,7 @@ func (k *key) before(at, schedAt Time, rank int32, seq uint64) bool {
 
 func (k *key) less(o *key) bool { return k.before(o.at, o.schedAt, o.rank, o.seq) }
 
-// slot is one heap entry: a key held by value next to the event it
+// slot is one entry of near: a key held by value next to the event it
 // orders.
 type slot struct {
 	key
@@ -95,7 +98,7 @@ func (s *slot) less(o *slot) bool { return s.key.less(&o.key) }
 
 // event is what a slot orders: the callback or tagged link operation,
 // and the cancellation state a Timer reaches through its pointer. It
-// carries no heap position: sifting compares and moves slots only, and
+// carries no store position: sifting compares and moves slots only, and
 // cancellation never needs to find the slot (see Timer.Stop).
 type event struct {
 	gen   uint32 // bumped on recycle; detached Timers compare it
@@ -106,8 +109,8 @@ type event struct {
 	lnk   *linkCore
 	pkt   Packet
 	core  *evCore // owner, so Timer.Stop can account the cancellation
-	// While the event waits in a lane behind the lane's head, k is the
-	// key its heap slot will get and next the member behind it.
+	// While the event waits in a far bucket, or in a lane behind the
+	// lane's head, k is its key and next the member after it.
 	k    key
 	next *event
 }
@@ -115,22 +118,22 @@ type event struct {
 // lane is one link direction's FIFO of one tagged event kind on one
 // core: a Link's deliveries on the receiving core, its serializer
 // releases on the sending one. A jitter-free link posts both in key
-// order, so only the lane's head needs to sit in the heap: its
+// order, so only the lane's head needs to be filed in the store: its
 // successors wait behind it, in key order, threaded through their own
 // events — a lane owns no storage, so it never allocates. Posting behind
-// the head is an append, and popping the head puts its successor in the
-// root's place with one siftDown — no shrink, no regrow.
+// the head is an append, and popping the head files its successor
+// (into the root's place with one siftDown when it is due by last).
 //
 // The append rule keeps the order exact: a slot joins a busy lane only
 // if its key orders after the lane's tail, and anything else (jitter,
-// a reorder-delayed or duplicated delivery) is an ordinary heap slot.
-// Every lane slot therefore orders after its lane's head, which is in
-// the heap, so the heap's top is still the least pending key. Link
-// events hand out no Timer, so a lane holds no tombstones.
+// a reorder-delayed or duplicated delivery) is an ordinary slot. Every
+// lane slot therefore orders after its lane's head, which is filed, so
+// the store's least slot is still the least pending key. Link events
+// hand out no Timer, so a lane holds no tombstones.
 type lane struct {
 	first, last *event // waiting behind the head, oldest first
 	tail        key    // the newest member's key
-	busy        bool   // the lane's head is in the heap
+	busy        bool   // the lane's head is filed
 }
 
 // admit reports whether a slot keyed k may join the lane: as its head
@@ -149,7 +152,7 @@ func (l *lane) push(s slot) {
 	l.last = e
 }
 
-// shift removes the head's successor and returns its heap slot.
+// shift removes the head's successor and returns its slot.
 func (l *lane) shift() slot {
 	e := l.first
 	l.first, e.next = e.next, nil
@@ -159,31 +162,61 @@ func (l *lane) shift() slot {
 	return slot{e.k, e}
 }
 
-// arity is the heap's branching factor. Four children per node halve
-// the depth a sift walks; each level's extra comparisons read slots
-// that sit side by side in one or two cache lines. Measured by
-// netsim.sched_run_ns at churn's depth (10 k pending) and bulk's
-// (155) against the binary layout; see DESIGN §4.
+// arity is near's branching factor. Four children per node halve the
+// depth a sift walks; each level's extra comparisons read slots that
+// sit side by side in one or two cache lines. near holds only what is
+// due next, usually one slot, so arity matters only when many slots
+// share an instant; DESIGN §4 has the measurements.
 const arity = 4
 
-// evCore is one event heap plus its clock, freelist and counters: one
+// bucket is one far list of the radix store: an unsorted chain of
+// events threaded through event.next, each carrying its slot's key in
+// event.k, plus the least at ever filed there since the bucket was last
+// split or compacted.
+type bucket struct {
+	head *event
+	min  Time
+}
+
+// evCore is one event store plus its clock, freelist and counters: one
 // shard of the engine, or the whole store of an RTClock (which keeps
-// time itself and leaves now unused). The heap is a d-ary min-heap of
-// value slots, written out rather than driven through container/heap
-// so a sift is a loop over one slice with no interface call per
-// comparison. Every instrument has a single writer (the goroutine
-// running the core, or on an RTClock whoever holds its lock), which is
-// the discipline that lets the engine avoid atomics: cross-core reads
-// only happen at barriers.
+// time itself and leaves now unused).
+//
+// The store is a radix heap on at (Ahuja, Mehlhorn, Orlin and Tarjan)
+// whose lowest level is an ordinary heap. near is a d-ary min-heap of
+// value slots ordered by the full key, written out rather than driven
+// through container/heap so a sift is a loop over one slice with no
+// interface call per comparison; it holds every slot due at or before
+// last. far[b] holds, unsorted, the slots whose at first differs from
+// last in bit b, so every far slot orders after every near one. When
+// near runs dry the lowest non-empty bucket is split: its recorded
+// minimum becomes last, and each member moves to near or to a strictly
+// lower bucket, so a slot is filed at most once per bit of distance
+// from the clock and a far timer costs no comparisons at all until it
+// is nearly due. Keys are unique and near is ordered by the full key,
+// so the pop order is the sorted order whatever the shape. A post
+// below last (last runs ahead of now once a peek has split a bucket)
+// goes to near, which orders it before every far slot.
+//
+// Every instrument has a single writer (the goroutine running the
+// core, or on an RTClock whoever holds its lock), which is the
+// discipline that lets the engine avoid atomics: cross-core reads only
+// happen at barriers.
 type evCore struct {
-	now    Time
-	events []slot
+	now  Time
+	near []slot
+	last Time
+	far  [64]bucket
+	// farMask has bit b set while far[b] is non-empty; farN counts the
+	// slots in far, tombstones included.
+	farMask uint64
+	farN    int
 	// behind counts slots waiting in lanes behind their heads: pending,
-	// but not in events.
+	// but not filed.
 	behind int
 
-	// free recycles executed and compacted-away events. An event is
-	// only recycled once it is out of the heap, and its gen counter is
+	// free recycles executed and discarded events. An event is only
+	// recycled once it has left the store, and its gen counter is
 	// bumped so a stale Timer can never cancel the reincarnation. The
 	// freelist is per-core: a recycled event (and the generation-tagged
 	// Timer protocol built on it) never crosses shards.
@@ -192,20 +225,22 @@ type evCore struct {
 	scheduled metrics.Counter
 	executed  metrics.Counter
 	cancelled metrics.Counter
-	// deadPending counts cancelled events still sitting in this core's
-	// heap. When they outnumber the live ones (lane slots included) the
-	// heap is compacted, so a workload that arms and cancels many timers
-	// (retransmission timers across thousands of flows) cannot grow the
-	// heap without bound. Both the count and the compaction are
-	// shard-local.
+	// deadPending counts cancelled events still filed in this core's
+	// store. A tombstone dies when it reaches near's top or when the
+	// far bucket holding it is split, which is where most cancelled
+	// timers end: stopped long before they were due, they never reach
+	// near. When tombstones still outnumber the live events (lane slots
+	// included) the store is compacted, so a workload that arms and
+	// cancels many timers cannot grow it without bound. Both the count
+	// and the compaction are shard-local.
 	deadPending int
 }
 
-// pending counts the core's events: heap slots, tombstones included,
+// pending counts the core's events: filed slots, tombstones included,
 // plus lane slots.
-func (c *evCore) pending() int { return len(c.events) + c.behind }
+func (c *evCore) pending() int { return len(c.near) + c.farN + c.behind }
 
-// post pushes a recycled (or fresh) event under the full ordering key.
+// post files a recycled (or fresh) event under the full ordering key.
 // The caller has already clamped at and computed schedAt/rank/seq;
 // kind-specific fields are filled in afterwards.
 func (c *evCore) post(at, schedAt Time, rank int32, seq uint64) *event {
@@ -242,9 +277,9 @@ func (c *evCore) pushLink(kind uint8, lnk *linkCore, oob bool, at, schedAt Time,
 	return e
 }
 
-// push takes an event off the freelist (or makes one) and files its
-// slot: behind ln's head when the lane admits it, otherwise sifted up
-// from the end of the heap (as ln's head when the lane was idle).
+// push takes an event off the freelist (or makes one) and either queues
+// it behind ln's head, when the lane admits it, or files its slot (as
+// ln's head when the lane was idle).
 func (c *evCore) push(ln *lane, at, schedAt Time, rank int32, seq uint64) *event {
 	var e *event
 	if n := len(c.free); n > 0 {
@@ -266,41 +301,118 @@ func (c *evCore) push(ln *lane, at, schedAt Time, rank int32, seq uint64) *event
 		}
 		ln.busy = true
 	}
-	h := append(c.events, s)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / arity
-		if !s.less(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = s
-	c.events = h
+	c.file(&s)
 	return e
 }
 
-// pop removes the least slot and returns its time and event. A lane
-// head hands the root to its successor; an emptied lane goes idle.
+// file puts s in near when it is due at or before last, otherwise at
+// the head of the far bucket named by the highest bit in which its at
+// differs from last.
+func (c *evCore) file(s *slot) {
+	if s.at <= c.last {
+		h := append(c.near, *s)
+		i := len(h) - 1
+		for i > 0 {
+			p := (i - 1) / arity
+			if !s.less(&h[p]) {
+				break
+			}
+			h[i] = h[p]
+			i = p
+		}
+		h[i] = *s
+		c.near = h
+		return
+	}
+	b := bits.Len64(uint64(s.at^c.last)) - 1
+	f := &c.far[b]
+	if f.head == nil || s.at < f.min {
+		f.min = s.at
+	}
+	e := s.ev
+	e.k, e.next = s.key, f.head
+	f.head = e
+	c.farMask |= 1 << b
+	c.farN++
+}
+
+// split empties the lowest non-empty far bucket into near and lower
+// buckets: its recorded minimum becomes last, so each live member is
+// due at last (near) or differs from it only below the bucket's bit.
+// Tombstones die here, never reaching near. Called only when near is
+// empty.
+func (c *evCore) split() {
+	b := bits.TrailingZeros64(c.farMask)
+	f := &c.far[b]
+	e := f.head
+	c.last = f.min
+	*f = bucket{}
+	c.farMask &^= 1 << b
+	for e != nil {
+		next := e.next
+		e.next = nil
+		c.farN--
+		if e.dead {
+			c.recycle(e)
+			c.deadPending--
+		} else {
+			c.file(&slot{e.k, e})
+		}
+		e = next
+	}
+}
+
+// top returns near's top once it is the least live slot in the store,
+// dropping tombstones off it and splitting far buckets while near is
+// empty, or nil when nothing live is pending. It moves no clock: a
+// split only advances last.
+func (c *evCore) top() *slot {
+	for {
+		if len(c.near) == 0 {
+			if c.farMask == 0 {
+				return nil
+			}
+			c.split()
+			continue
+		}
+		if s := &c.near[0]; !s.ev.dead {
+			return s
+		}
+		_, e := c.pop()
+		c.recycle(e)
+		c.deadPending--
+	}
+}
+
+// pop removes near's top and returns its time and event. A lane head
+// hands on to its successor, which takes the root's place when it is
+// due by last and is filed like any post otherwise; an emptied lane
+// goes idle.
 func (c *evCore) pop() (Time, *event) {
-	h := c.events
+	h := c.near
 	at, e := h[0].at, h[0].ev
+	var succ slot
 	if e.laned {
 		ln := e.lnk.lane(e.kind)
-		if ln.first != nil {
+		if ln.first == nil {
+			ln.busy = false
+		} else {
 			c.behind--
-			siftDown(h, 0, ln.shift())
-			return at, e
+			if succ = ln.shift(); succ.at <= c.last {
+				siftDown(h, 0, succ)
+				return at, e
+			}
 		}
-		ln.busy = false
 	}
 	n := len(h) - 1
 	if n > 0 {
 		siftDown(h[:n], 0, h[n])
 	}
 	h[n].ev = nil // the vacated tail must not pin its event
-	c.events = h[:n]
+	c.near = h[:n]
+	if succ.ev != nil {
+		c.file(&succ)
+	}
 	return at, e
 }
 
@@ -326,7 +438,7 @@ func siftDown(h []slot, i int, s slot) {
 	h[i] = s
 }
 
-// recycle returns an event that left the heap to the core's freelist.
+// recycle returns an event that left the store to the core's freelist.
 func (c *evCore) recycle(e *event) {
 	e.gen++
 	e.kind = evFunc
@@ -337,17 +449,17 @@ func (c *evCore) recycle(e *event) {
 	c.free = append(c.free, e)
 }
 
-// maybeCompact rebuilds the heap without tombstones once cancelled
-// events outnumber live ones. Rebuilding is O(n), amortized O(1) per
-// cancellation since at least half the heap is discarded each time.
-// The live slots are filtered to the front of the same array: the
-// pushes that follow a compaction refill capacity the heap already
-// owns instead of regrowing an exact-size copy.
+// maybeCompact discards every tombstone once cancelled events
+// outnumber live ones: near is filtered in place and re-heapified, and
+// each far bucket is re-chained without its dead members. Rebuilding is
+// O(n), amortized O(1) per cancellation since at least half the store
+// is discarded each time, and it allocates nothing: near's live slots
+// refill the front of the array it already owns.
 func (c *evCore) maybeCompact() {
 	if c.deadPending*2 <= c.pending() {
 		return
 	}
-	h := c.events
+	h := c.near
 	live := h[:0]
 	for _, s := range h {
 		if s.ev.dead {
@@ -362,63 +474,72 @@ func (c *evCore) maybeCompact() {
 			siftDown(live, i, live[i])
 		}
 	}
-	c.events = live
+	c.near = live
+	for m := c.farMask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		f := &c.far[b]
+		e := f.head
+		*f = bucket{}
+		for e != nil {
+			next := e.next
+			if e.dead {
+				e.next = nil
+				c.recycle(e)
+				c.farN--
+			} else {
+				if f.head == nil || e.k.at < f.min {
+					f.min = e.k.at
+				}
+				e.next, f.head = f.head, e
+			}
+			e = next
+		}
+		if f.head == nil {
+			c.farMask &^= 1 << b
+		}
+	}
 	c.deadPending = 0
 }
 
-// dropDead pops the tombstone at the top of the heap.
-func (c *evCore) dropDead() {
-	_, e := c.pop()
+// run pops and executes near's top, which top has just found live.
+func (c *evCore) run(tr Tracer) {
+	at, e := c.pop()
+	e.dead = true // a fired timer is no longer Active
+	c.now = at
+	c.executed.Inc()
+	dispatch(e, at, tr)
 	c.recycle(e)
-	c.deadPending--
 }
 
 // step executes the next pending event, reporting false on an empty
-// heap.
+// store.
 func (c *evCore) step(tr Tracer) bool {
-	for len(c.events) > 0 {
-		if c.events[0].ev.dead {
-			c.dropDead()
-			continue
-		}
-		at, e := c.pop()
-		e.dead = true // a fired timer is no longer Active
-		c.now = at
-		c.executed.Inc()
-		dispatch(e, at, tr)
-		c.recycle(e)
-		return true
+	if c.top() == nil {
+		return false
 	}
-	return false
+	c.run(tr)
+	return true
 }
 
 // runBefore executes every event strictly before the (at, schedAt,
 // rank, seq) bound — the sharded engine's window body. Events a
 // callback schedules inside the bound run in the same pass.
 func (c *evCore) runBefore(at, schedAt Time, rank int32, seq uint64, tr Tracer) {
-	for len(c.events) > 0 {
-		top := &c.events[0]
-		if top.ev.dead {
-			c.dropDead()
-			continue
-		}
-		if !top.before(at, schedAt, rank, seq) {
+	for {
+		s := c.top()
+		if s == nil || !s.before(at, schedAt, rank, seq) {
 			return
 		}
-		c.step(tr)
+		c.run(tr)
 	}
 }
 
-// nextAt returns the execution time of the earliest live event, popping
-// tombstones off the top, or ok=false on an empty heap. Only safe to
-// call when the core is not running (at a barrier).
+// nextAt returns the execution time of the earliest live event, or
+// ok=false on an empty store. Only safe to call when the core is not
+// running (at a barrier).
 func (c *evCore) nextAt() (Time, bool) {
-	for len(c.events) > 0 {
-		if c.events[0].ev.dead {
-			c.dropDead()
-			continue
-		}
-		return c.events[0].at, true
+	if s := c.top(); s != nil {
+		return s.at, true
 	}
 	return 0, false
 }
@@ -499,11 +620,12 @@ type Timer struct {
 // Stop cancels the timer if it has not fired. It reports whether the
 // cancellation prevented a pending firing. Cancellation is lazy: the
 // event is marked dead and its slot stays where it is, a tombstone
-// that is dropped when it reaches the top, so Stop never has to find
-// the slot and slots need not record where they are. Once tombstones
-// exceed half the heap the owning core compacts it, so cancelled
-// timers cannot leak — the bookkeeping (cancelled counter,
-// deadPending) lives on the core that owns the event, never globally.
+// that dies when its far bucket is split or, if it got as far as near,
+// when it reaches the top, so Stop never has to find the slot and
+// slots need not record where they are. Once tombstones exceed half
+// the store the owning core compacts it, so cancelled timers cannot
+// leak — the bookkeeping (cancelled counter, deadPending) lives on the
+// core that owns the event, never globally.
 // On real-time backends the caller must hold the backend lock (be
 // inside a callback or Exec), which is already true of all protocol
 // code.
@@ -532,11 +654,13 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) *Timer {
 	return &Timer{ev: e, gen: e.gen}
 }
 
-// Pending returns the number of events waiting in the heap and the
-// link lanes, tombstones included (tests and capacity planning).
+// Pending returns the number of events waiting in the store and the
+// link lanes, counting the tombstones not yet discarded: a stopped
+// timer is counted until its far bucket splits, its slot reaches near's
+// top, or a compaction runs (tests and capacity planning).
 func (s *Simulator) Pending() int { return s.eng.Pending() }
 
-// Step executes the next pending event. It reports false when the queue
+// Step executes the next pending event. It reports false when the store
 // is empty.
 func (s *Simulator) Step() bool {
 	if !s.core.step(s.eng.tracer) {

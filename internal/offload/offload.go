@@ -69,16 +69,11 @@ func (p Partition) HardwareSublayers() []string {
 	}
 }
 
-// Approximate per-connection state footprints (bytes) of each
-// sublayer, used for the duplication column. The numbers are the
-// actual Go struct payloads rounded; what matters for the experiment
-// is their relative size and which cut forces mirroring.
-const (
-	stateDM  = 16   // 4-tuple and table entry
-	stateCM  = 48   // FSM state, ISNs, FIN bookkeeping
-	stateRD  = 160  // windows, range set, RTT estimator (plus payload copies)
-	stateOSR = 2112 // buffers dominate; counted without the 64 KiB data
-)
+// stateCM approximates one connection's CM state in bytes (FSM state,
+// ISNs, FIN bookkeeping: the Go struct payload, rounded). It is the
+// duplication column's only entry: the RD-only cut is the one cut that
+// mirrors state, CM's, across the bus.
+const stateCM = 48
 
 // Report is one row of the E9 table.
 type Report struct {

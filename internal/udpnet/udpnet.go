@@ -119,11 +119,7 @@ type link struct {
 // pooled. Runs on the dispatcher, under the backend lock.
 func (l *link) write(data []byte, ecn bool) {
 	frame := bufpool.Get(headerLen + len(data))
-	frame[0] = frameVersion
-	frame[1] = 0
-	if ecn {
-		frame[1] |= flagECN
-	}
+	putHeader(frame, ecn)
 	copy(frame[headerLen:], data)
 	_, err := l.send.Write(frame)
 	bufpool.Put(frame)
@@ -148,12 +144,33 @@ func (l *link) read() {
 		if err != nil {
 			return // socket closed
 		}
-		if nr < headerLen || buf[0] != frameVersion {
+		payload, ecn, ok := parseFrame(buf[:nr])
+		if !ok {
 			continue
 		}
-		ecn := buf[1]&flagECN != 0
-		data := bufpool.Get(nr - headerLen)
-		copy(data, buf[headerLen:nr])
+		data := bufpool.Get(len(payload))
+		copy(data, payload)
 		l.Receive(data, ecn)
 	}
+}
+
+// putHeader writes the frame header carrying the ECN mark ecn into the
+// first headerLen bytes of frame.
+func putHeader(frame []byte, ecn bool) {
+	frame[0] = frameVersion
+	frame[1] = 0
+	if ecn {
+		frame[1] = flagECN
+	}
+}
+
+// parseFrame splits one received datagram into its payload, which
+// aliases frame, and its ECN mark. It reports false for a datagram
+// shorter than the header or of another version; flag bits it does not
+// know are ignored.
+func parseFrame(frame []byte) (payload []byte, ecn, ok bool) {
+	if len(frame) < headerLen || frame[0] != frameVersion {
+		return nil, false, false
+	}
+	return frame[headerLen:], frame[1]&flagECN != 0, true
 }

@@ -99,3 +99,37 @@ func TestUDPFailedWriteIsCounted(t *testing.T) {
 		}
 	})
 }
+
+// FuzzUDPFrame: parseFrame never panics on a hostile datagram, accepts
+// exactly the frames of this version, and a frame it accepts, framed
+// again from what it returned, is the input with its unknown flag bits
+// cleared — the payload and the ECN mark survive the wire exactly.
+func FuzzUDPFrame(f *testing.F) {
+	for _, ecn := range []bool{false, true} {
+		frame := make([]byte, headerLen+3)
+		putHeader(frame, ecn)
+		copy(frame[headerLen:], "seg")
+		f.Add(frame)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{frameVersion})
+	f.Add([]byte{frameVersion, 0xff})
+	f.Add([]byte{frameVersion + 1, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		payload, ecn, ok := parseFrame(frame)
+		if want := len(frame) >= headerLen && frame[0] == frameVersion; ok != want {
+			t.Fatalf("parseFrame(% x) ok = %v, want %v", frame, ok, want)
+		}
+		if !ok {
+			return
+		}
+		again := make([]byte, headerLen+len(payload))
+		putHeader(again, ecn)
+		copy(again[headerLen:], payload)
+		want := append([]byte(nil), frame...)
+		want[1] &= flagECN
+		if string(again) != string(want) {
+			t.Fatalf("re-framed % x as % x", frame, again)
+		}
+	})
+}
