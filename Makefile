@@ -29,8 +29,11 @@ race-shard:
 vet:
 	$(GO) vet ./...
 
-# lint first fails on any file `gofmt -l .` lists (the formatting gate
-# needs nothing but the toolchain), then runs staticcheck when it is on
+# lint first fails on any file `gofmt -l .` lists, then runs the
+# dead-code gate (cmd/deadcheck: any package-level name in either module
+# that only tests or nobody call, or any main package with no test, not
+# in cmd/deadcheck/allowlist.txt, and any stale allowlist line); both
+# need nothing but the toolchain. Then it runs staticcheck when it is on
 # PATH (CI installs the pinned $(STATICCHECK_VERSION)); locally that
 # half degrades to a notice instead of failing, so offline checkouts
 # still build. staticcheck.conf layers the documentation rules (ST1000
@@ -40,6 +43,7 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "lint: gofmt -l . lists unformatted files:"; echo "$$out"; exit 1; \
 	fi
+	$(GO) run ./cmd/deadcheck
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

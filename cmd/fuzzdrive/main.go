@@ -16,30 +16,16 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/internal/command"
 	"repro/internal/fuzzer"
 )
 
-// usageError is a bad command line or an unreadable reproducer: exit
-// status 2. Any other error from run is a failed case: exit 1.
-type usageError struct{ error }
-
-func main() {
-	switch err := run(os.Args[1:], os.Stdout); {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.As(err, new(usageError)):
-		fmt.Fprintln(os.Stderr, "fuzzdrive:", err)
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "fuzzdrive:", err)
-		os.Exit(1)
-	}
-}
+func main() { command.Main("fuzzdrive", run) }
 
 // run parses args, then fuzzes the seed range or replays one
 // reproducer, reporting each case on stdout. It returns an error if a
@@ -56,11 +42,8 @@ func run(args []string, stdout io.Writer) error {
 		save   = fs.String("save", "", "save every case (pass or fail) as JSON under this directory")
 		quiet  = fs.Bool("q", false, "only print failures and the summary")
 	)
-	if err := fs.Parse(args); err != nil {
-		return usageError{err}
-	}
-	if fs.NArg() > 0 {
-		return usageError{fmt.Errorf("unexpected arguments %v", fs.Args())}
+	if err := command.Parse(fs, args); err != nil {
+		return err
 	}
 
 	if *replay != "" {
@@ -112,7 +95,7 @@ func run(args []string, stdout io.Writer) error {
 func replayFile(stdout io.Writer, path, traceDir string) error {
 	c, err := fuzzer.LoadCase(path)
 	if err != nil {
-		return usageError{err}
+		return command.Usage(err)
 	}
 	var v *fuzzer.Verdict
 	if traceDir != "" {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/command"
 )
 
 // TestRunSmoke fuzzes two seeds, saving both cases, then replays one
@@ -45,7 +47,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-seeds", "1", "extra"},
 		{"-replay", filepath.Join(t.TempDir(), "missing.json")},
 	} {
-		if err := run(args, &bytes.Buffer{}); !errors.As(err, new(usageError)) {
+		if err := run(args, &bytes.Buffer{}); !errors.As(err, new(command.UsageError)) {
 			t.Errorf("%v: err = %v, want a usage error", args, err)
 		}
 	}

@@ -21,8 +21,8 @@
 // and e15, registered via RegisterWall) can never leak real-time
 // numbers into the gated file.
 //
-// Exit codes follow the shared policy in internal/experiments/cli:
-// 0 success, 1 failed experiment or write error, 2 usage error.
+// Exit codes follow the shared policy in internal/command: 0 success,
+// 1 failed experiment or write error, 2 usage error.
 package main
 
 import (
@@ -30,9 +30,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
+	"repro/internal/command"
 	"repro/internal/experiments"
 	"repro/internal/experiments/cli"
 )
@@ -45,22 +46,27 @@ type runReport struct {
 	Experiments []experiments.Manifest `json:"experiments"`
 }
 
-func main() {
-	common := cli.AddCommon(flag.CommandLine)
+func main() { command.Main("runreport", run) }
+
+// run parses args, runs the selected experiments and writes the report
+// (and, when it goes to a file, one summary line to stdout).
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("runreport", flag.ContinueOnError)
+	common := cli.AddCommon(fs)
 	var (
-		out    = flag.String("o", "BENCH_metrics.json", `output path ("-" for stdout)`)
-		format = flag.String("format", "json", "json or text")
+		out    = fs.String("o", "BENCH_metrics.json", `output path ("-" for stdout)`)
+		format = fs.String("format", "json", "json or text")
 	)
-	flag.Parse()
+	if err := command.Parse(fs, args); err != nil {
+		return err
+	}
 	if *format != "json" && *format != "text" {
-		fmt.Fprintf(os.Stderr, "runreport: unknown format %q (want json or text)\n", *format)
-		os.Exit(cli.ExitUsage)
+		return command.Usage(fmt.Errorf("unknown format %q (want json or text)", *format))
 	}
 
 	results, err := common.Run()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "runreport: %v\n", err)
-		os.Exit(cli.ExitUsage)
+		return command.Usage(err)
 	}
 
 	var buf bytes.Buffer
@@ -73,8 +79,7 @@ func main() {
 		enc := json.NewEncoder(&buf)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "runreport: %v\n", err)
-			os.Exit(cli.ExitFail)
+			return err
 		}
 	case "text":
 		fmt.Fprintf(&buf, "run report (seed %d)\n\n", common.Seed)
@@ -87,15 +92,14 @@ func main() {
 		}
 	}
 
-	if err := cli.WriteOutput(*out, buf.Bytes()); err != nil {
-		fmt.Fprintf(os.Stderr, "runreport: %v\n", err)
-		os.Exit(cli.ExitFail)
+	if err := cli.WriteOutput(*out, buf.Bytes(), stdout); err != nil {
+		return err
 	}
 	if *out != "-" {
-		fmt.Printf("wrote %s (%d experiments, %d bytes)\n", *out, len(results), buf.Len())
+		fmt.Fprintf(stdout, "wrote %s (%d experiments, %d bytes)\n", *out, len(results), buf.Len())
 	}
 	if failed := cli.Failed(results); len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "runreport: experiments with failed scenarios: %s\n", strings.Join(failed, ","))
-		os.Exit(cli.ExitFail)
+		return fmt.Errorf("experiments with failed scenarios: %s", strings.Join(failed, ","))
 	}
+	return nil
 }

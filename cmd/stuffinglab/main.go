@@ -8,31 +8,16 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/bitio"
+	"repro/internal/command"
 	"repro/internal/stuffing"
 )
 
-// usageError is a bad command line: exit status 2. Any other error
-// from run exits 1.
-type usageError struct{ error }
-
-func main() {
-	switch err := run(os.Args[1:], os.Stdout); {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.As(err, new(usageError)):
-		fmt.Fprintln(os.Stderr, "stuffinglab:", err)
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "stuffinglab:", err)
-		os.Exit(1)
-	}
-}
+func main() { command.Main("stuffinglab", run) }
 
 // run parses args and writes the report to stdout. A rule that fails
 // the decision procedure is an error, after its report.
@@ -48,11 +33,8 @@ func run(args []string, stdout io.Writer) error {
 		data     = fs.String("data", "", "data bits to encode/decode")
 		validate = fs.Bool("validate", false, "only run the decision procedure")
 	)
-	if err := fs.Parse(args); err != nil {
-		return usageError{err}
-	}
-	if fs.NArg() > 0 {
-		return usageError{fmt.Errorf("unexpected arguments %v", fs.Args())}
+	if err := command.Parse(fs, args); err != nil {
+		return err
 	}
 
 	if *library {
@@ -81,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 
 	rule, err := parseRule(*flagBits, *watch, *stuffBit)
 	if err != nil {
-		return usageError{err}
+		return command.Usage(err)
 	}
 	fmt.Fprintf(stdout, "rule: %s\n", rule)
 	if verr := rule.Validate(); verr != nil {
@@ -99,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	d, err := bitio.Parse(*data)
 	if err != nil {
-		return usageError{err}
+		return command.Usage(err)
 	}
 	enc, err := rule.Encode(d)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/command"
 )
 
 // TestRunSmoke drives each mode once, as the usage lines in the package
@@ -38,7 +40,7 @@ func TestRunSmoke(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-validate", "-flag", "0101", "-watch", "10", "-stuff", "1"}, &out)
-	if err == nil || errors.As(err, new(usageError)) {
+	if err == nil || errors.As(err, new(command.UsageError)) {
 		t.Errorf("invalid rule: err = %v, want a non-usage error", err)
 	}
 	if !strings.Contains(out.String(), "counterexample data:") {
@@ -50,7 +52,7 @@ func TestRunErrors(t *testing.T) {
 		{"-data", "12"},
 		{"extra"},
 	} {
-		if err := run(args, &bytes.Buffer{}); !errors.As(err, new(usageError)) {
+		if err := run(args, &bytes.Buffer{}); !errors.As(err, new(command.UsageError)) {
 			t.Errorf("%v: err = %v, want a usage error", args, err)
 		}
 	}

@@ -178,7 +178,7 @@ func main() {
 			i, st["forwarded"], st["local_delivered"], st["no_route"], st["ttl_expired"])
 	}
 	if rec != nil {
-		fmt.Printf("\nlast %d packets at n%d:\n%s", len(rec.Events()), o.routers, rec.Dump())
+		fmt.Printf("\nlast %d of %d packets at n%d:\n%s", len(rec.Events()), rec.Total(), o.routers, rec.Dump())
 	}
 	if !ok {
 		os.Exit(1)

@@ -26,11 +26,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/command"
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/overlay"
@@ -39,60 +41,57 @@ import (
 	"repro/internal/transport/harness"
 )
 
-func main() {
-	var (
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		loss     = flag.Float64("loss", 0.05, "per-packet loss probability on every link")
-		hops     = flag.Int("hops", 3, "routers on the path (hosts at both ends)")
-		size     = flag.Int("size", 32<<10, "client→server transfer size in bytes")
-		id       = flag.Uint64("id", 0, "render the lifecycle of this packet ID only (0: all drops)")
-		maxDrops = flag.Int("drops", 5, "max dropped-packet timelines to render per stack")
-		pcapOut  = flag.String("pcap", "", "prefix for per-stack pcapng captures (<prefix>-<stack>.pcapng)")
-		dumpIn   = flag.String("dump", "", "render this flight-recorder JSON instead of running a scenario")
-		overlayL = flag.Bool("overlay", false, "trace a DHT lookup on a 5-member overlay ring instead of a transfer")
-	)
-	flag.Parse()
+func main() { command.Main("tracedump", run) }
 
-	if *overlayL {
-		if err := runOverlayTrace(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "tracedump: %v\n", err)
-			os.Exit(1)
-		}
-		return
+// run parses args and writes the traces to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracedump", flag.ContinueOnError)
+	var (
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		loss     = fs.Float64("loss", 0.05, "per-packet loss probability on every link")
+		hops     = fs.Int("hops", 3, "routers on the path (hosts at both ends)")
+		size     = fs.Int("size", 32<<10, "client→server transfer size in bytes")
+		id       = fs.Uint64("id", 0, "render the lifecycle of this packet ID only (0: all drops)")
+		maxDrops = fs.Int("drops", 5, "max dropped-packet timelines to render per stack")
+		pcapOut  = fs.String("pcap", "", "prefix for per-stack pcapng captures (<prefix>-<stack>.pcapng)")
+		dumpIn   = fs.String("dump", "", "render this flight-recorder JSON instead of running a scenario")
+		overlayL = fs.Bool("overlay", false, "trace a DHT lookup on a 5-member overlay ring instead of a transfer")
+	)
+	if err := command.Parse(fs, args); err != nil {
+		return err
 	}
 
+	if *overlayL {
+		return runOverlayTrace(stdout, *seed)
+	}
 	if *dumpIn != "" {
-		if err := renderDumpFile(*dumpIn); err != nil {
-			fmt.Fprintf(os.Stderr, "tracedump: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return renderDumpFile(stdout, *dumpIn)
 	}
 
 	kinds := []harness.Kind{harness.KindSublayeredNative, harness.KindMonolithic}
 	reports := make([]trace.Report, len(kinds))
 	for i, kind := range kinds {
-		col, err := runTraced(*seed, kind, *loss, *hops, *size, *pcapOut)
+		col, err := runTraced(stdout, *seed, kind, *loss, *hops, *size, *pcapOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracedump: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		reports[i] = col.Report()
-		fmt.Printf("=== %s (seed %d, loss %.0f%%, %d hops, %d bytes) ===\n",
+		fmt.Fprintf(stdout, "=== %s (seed %d, loss %.0f%%, %d hops, %d bytes) ===\n",
 			kind, *seed, *loss*100, *hops, *size)
 		if *id != 0 {
 			ch := col.ChainOf(*id)
 			if ch == nil {
-				fmt.Printf("  packet id=%d not found\n\n", *id)
+				fmt.Fprintf(stdout, "  packet id=%d not found\n\n", *id)
 				continue
 			}
-			renderChain(os.Stdout, *ch)
+			renderChain(stdout, *ch)
 		} else {
-			renderDrops(os.Stdout, reports[i], *maxDrops)
+			renderDrops(stdout, reports[i], *maxDrops)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	renderDiff(os.Stdout, kinds, reports)
+	renderDiff(stdout, kinds, reports)
+	return nil
 }
 
 // runOverlayTrace renders a DHT lookup hop by hop: a 5-member overlay
@@ -101,7 +100,7 @@ func main() {
 // single iterative lookup (FIND_NODE/GET requests and replies crossing
 // the ring's routers), not bootstrap noise. docs/ARCHITECTURE.md's
 // walkthrough 4 is this output.
-func runOverlayTrace(seed int64) error {
+func runOverlayTrace(w io.Writer, seed int64) error {
 	const members = 5
 	cl := harness.BuildCluster(harness.ClusterConfig{Seed: seed, Nodes: members, Kind: harness.KindSublayeredNative})
 	defer cl.Close()
@@ -135,7 +134,7 @@ func runOverlayTrace(seed int64) error {
 	})
 	cl.Sim.RunFor(2 * time.Second)
 
-	fmt.Printf("=== overlay DHT lookup (seed %d, %d members, key %q from n3) ===\n", seed, members, key)
+	fmt.Fprintf(w, "=== overlay DHT lookup (seed %d, %d members, key %q from n3) ===\n", seed, members, key)
 	rep := col.Report()
 	chains := append(append([]trace.Chain(nil), rep.Completed...), rep.Live...)
 	sort.Slice(chains, func(i, j int) bool {
@@ -156,16 +155,16 @@ func runOverlayTrace(seed int64) error {
 		if ch.Events[0].At < start {
 			continue
 		}
-		renderChain(os.Stdout, ch)
+		renderChain(w, ch)
 		shown++
 	}
-	fmt.Printf("\nlookup finished: found=%v in %d round(s), %d overlay packets traced\n", found, rounds, shown)
+	fmt.Fprintf(w, "\nlookup finished: found=%v in %d round(s), %d overlay packets traced\n", found, rounds, shown)
 	return nil
 }
 
 // runTraced builds one lossy world, attaches a collector (and a pcap
 // capture when requested), runs the transfer and returns the traces.
-func runTraced(seed int64, kind harness.Kind, loss float64, hops, size int, pcapPrefix string) (*trace.Collector, error) {
+func runTraced(out io.Writer, seed int64, kind harness.Kind, loss float64, hops, size int, pcapPrefix string) (*trace.Collector, error) {
 	w := harness.BuildWorld(harness.WorldConfig{
 		Seed: seed,
 		Link: netsim.LinkConfig{Delay: time.Millisecond, LossProb: loss},
@@ -190,7 +189,7 @@ func runTraced(seed int64, kind harness.Kind, loss float64, hops, size int, pcap
 		if err := os.WriteFile(name, capture.Bytes(), 0o644); err != nil {
 			return nil, err
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", name, capture.Len())
+		fmt.Fprintf(out, "wrote %s (%d bytes)\n", name, capture.Len())
 	}
 	return col, nil
 }
@@ -198,7 +197,7 @@ func runTraced(seed int64, kind harness.Kind, loss float64, hops, size int, pcap
 // renderDrops prints the causal chain of every packet a link or router
 // killed — the injected-drop reconstruction the tracing subsystem
 // exists for.
-func renderDrops(w *os.File, rep trace.Report, max int) {
+func renderDrops(w io.Writer, rep trace.Report, max int) {
 	chains := append(append([]trace.Chain(nil), rep.Completed...), rep.Live...)
 	drops := 0
 	for _, ch := range chains {
@@ -233,7 +232,7 @@ func renderDrops(w *os.File, rep trace.Report, max int) {
 
 // renderChain prints one packet's lifecycle timeline with times
 // relative to its first event.
-func renderChain(w *os.File, ch trace.Chain) {
+func renderChain(w io.Writer, ch trace.Chain) {
 	fmt.Fprintf(w, "  packet id=%d%s\n", ch.ID, flowString(ch.Flow, ch.Seq))
 	if len(ch.Events) == 0 {
 		return
@@ -268,7 +267,7 @@ func flowString(flow uint64, seq uint32) string {
 // renderDiff prints the cross-stack comparison: how often each
 // (layer, kind, verdict) event fired under each stack for the same
 // seed and faults.
-func renderDiff(w *os.File, kinds []harness.Kind, reports []trace.Report) {
+func renderDiff(w io.Writer, kinds []harness.Kind, reports []trace.Report) {
 	counts := make([]map[string]int, len(reports))
 	keys := map[string]bool{}
 	for i, rep := range reports {
@@ -329,7 +328,7 @@ func eventsOf(rep trace.Report) []netsim.TraceEvent {
 }
 
 // renderDumpFile pretty-prints a flight-recorder JSON artifact.
-func renderDumpFile(path string) error {
+func renderDumpFile(w io.Writer, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -338,21 +337,21 @@ func renderDumpFile(path string) error {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return fmt.Errorf("parsing %s: %v", path, err)
 	}
-	fmt.Printf("=== flight recorder dump: %s ===\n", path)
-	fmt.Printf("  %d events observed, %d aged out of the ring, %d chains evicted\n",
+	fmt.Fprintf(w, "=== flight recorder dump: %s ===\n", path)
+	fmt.Fprintf(w, "  %d events observed, %d aged out of the ring, %d chains evicted\n",
 		rep.Total, rep.RingDropped, rep.Evicted)
 	for i, d := range rep.Dumps {
-		fmt.Printf("\n-- snapshot %d: %s/%s at %v on %s %s\n",
+		fmt.Fprintf(w, "\n-- snapshot %d: %s/%s at %v on %s %s\n",
 			i, d.Reason.Kind, orDash(d.Reason.Verdict), time.Duration(d.Reason.At), d.Reason.Node, d.Note)
 		if d.Chain != nil {
-			fmt.Println("   offending packet:")
-			renderChain(os.Stdout, *d.Chain)
+			fmt.Fprintln(w, "   offending packet:")
+			renderChain(w, *d.Chain)
 		}
-		fmt.Printf("   recent window: %d events\n", len(d.Recent))
+		fmt.Fprintf(w, "   recent window: %d events\n", len(d.Recent))
 	}
 	if len(rep.Dumps) == 0 {
-		fmt.Println("  no violation snapshots; rendering retained drop chains instead")
-		renderDrops(os.Stdout, rep, 5)
+		fmt.Fprintln(w, "  no violation snapshots; rendering retained drop chains instead")
+		renderDrops(w, rep, 5)
 	}
 	return nil
 }

@@ -31,9 +31,6 @@ const (
 // suffix picks one.
 const DefaultShards = 4
 
-// Names lists every backend kind, sim first.
-func Names() []string { return []string{Sim, Sharded, Chan, UDP} }
-
 // New builds the named backend, seeded with seed. When reg is non-nil
 // the backend registers its instruments under "netsim/..." — the same
 // shape on every backend. The empty kind means Sim, so zero-valued

@@ -35,15 +35,6 @@ func FromBytes(b []byte) Bits {
 	return Bits{data: d, n: len(b) * 8}
 }
 
-// FromBits builds a Bits from individual bit values.
-func FromBits(bits ...Bit) Bits {
-	var s Bits
-	for _, b := range bits {
-		s = s.AppendBit(b)
-	}
-	return s
-}
-
 // Parse converts a string of '0' and '1' runes into a Bits. Any other
 // rune is an error. Spaces and underscores are permitted as separators.
 func Parse(s string) (Bits, error) {
@@ -192,19 +183,6 @@ func (s Bits) Index(p Bits, from int) int {
 	return -1
 }
 
-// Count returns the number of (possibly overlapping) occurrences of p in s.
-func (s Bits) Count(p Bits) int {
-	n, at := 0, 0
-	for {
-		i := s.Index(p, at)
-		if i < 0 {
-			return n
-		}
-		n++
-		at = i + 1
-	}
-}
-
 // Bytes returns the bit string packed MSB-first into bytes, zero-padded
 // in the final byte, along with the exact bit length.
 func (s Bits) Bytes() ([]byte, int) {
@@ -281,16 +259,6 @@ func (w *Writer) WriteByte(b byte) error {
 	return nil
 }
 
-// WriteBytes appends every bit of p.
-func (w *Writer) WriteBytes(p []byte) {
-	for _, b := range p {
-		_ = w.WriteByte(b)
-	}
-}
-
-// Len returns the number of bits written so far.
-func (w *Writer) Len() int { return w.n }
-
 // Reset empties the writer while keeping its buffer, so one Writer can
 // encode a stream of frames without reallocating per frame.
 func (w *Writer) Reset() {
@@ -305,38 +273,3 @@ func (w *Writer) Bits() Bits {
 	copy(d, w.data)
 	return Bits{data: d, n: w.n}
 }
-
-// Reader consumes a Bits front to back.
-type Reader struct {
-	s   Bits
-	pos int
-}
-
-// NewReader returns a Reader over s.
-func NewReader(s Bits) *Reader { return &Reader{s: s} }
-
-// ReadBit returns the next bit, or ok=false at end of string.
-func (r *Reader) ReadBit() (b Bit, ok bool) {
-	if r.pos >= r.s.Len() {
-		return 0, false
-	}
-	b = r.s.At(r.pos)
-	r.pos++
-	return b, true
-}
-
-// ReadByte returns the next 8 bits as a byte, MSB first.
-func (r *Reader) ReadByte() (byte, error) {
-	if r.s.Len()-r.pos < 8 {
-		return 0, fmt.Errorf("bitio: short read: %d bits remaining", r.s.Len()-r.pos)
-	}
-	var out byte
-	for i := 0; i < 8; i++ {
-		b, _ := r.ReadBit()
-		out = out<<1 | byte(b)
-	}
-	return out, nil
-}
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return r.s.Len() - r.pos }

@@ -140,15 +140,16 @@ func TestIndexCount(t *testing.T) {
 	if got := s.Index(p, 1); got != 3 {
 		t.Errorf("Index from 1 = %d", got)
 	}
-	if got := s.Count(p); got != 3 {
-		t.Errorf("Count = %d", got)
-	}
 	if got := s.Index(MustParse("111"), 0); got != -1 {
 		t.Errorf("Index missing = %d", got)
 	}
-	// Overlapping occurrences are counted.
-	if got := MustParse("11111").Count(MustParse("11")); got != 4 {
-		t.Errorf("overlapping Count = %d", got)
+	// Stepping past each hit counts overlapping occurrences.
+	count := 0
+	for at := MustParse("11111").Index(MustParse("11"), 0); at >= 0; at = MustParse("11111").Index(MustParse("11"), at+1) {
+		count++
+	}
+	if count != 4 {
+		t.Errorf("overlapping count = %d", count)
 	}
 }
 
@@ -192,38 +193,21 @@ func TestBytesTailMasked(t *testing.T) {
 
 func TestWriterReader(t *testing.T) {
 	w := NewWriter(64)
-	w.WriteBytes([]byte{0xA5, 0x3C})
+	_ = w.WriteByte(0xA5)
+	_ = w.WriteByte(0x3C)
 	w.WriteBit(1)
 	w.WriteBits(MustParse("001"))
 	got := w.Bits()
 	if got.Len() != 20 {
 		t.Fatalf("Len = %d", got.Len())
 	}
-	r := NewReader(got)
-	b0, err := r.ReadByte()
-	if err != nil || b0 != 0xA5 {
-		t.Fatalf("ReadByte = %x, %v", b0, err)
+	// Read back: whole bytes MSB first, then the tail bit by bit.
+	data, n := got.Bytes()
+	if n != 20 || data[0] != 0xA5 || data[1] != 0x3C {
+		t.Fatalf("Bytes = %x, %d", data, n)
 	}
-	b1, err := r.ReadByte()
-	if err != nil || b1 != 0x3C {
-		t.Fatalf("ReadByte = %x, %v", b1, err)
-	}
-	if r.Remaining() != 4 {
-		t.Fatalf("Remaining = %d", r.Remaining())
-	}
-	if _, err := r.ReadByte(); err == nil {
-		t.Fatal("short ReadByte did not error")
-	}
-	var tail []Bit
-	for {
-		b, ok := r.ReadBit()
-		if !ok {
-			break
-		}
-		tail = append(tail, b)
-	}
-	if FromBits(tail...).String() != "1001" {
-		t.Fatalf("tail = %v", tail)
+	if tail := got.Slice(16, 20).String(); tail != "1001" {
+		t.Fatalf("tail = %s", tail)
 	}
 }
 
@@ -234,12 +218,6 @@ func TestWriterSnapshotIndependence(t *testing.T) {
 	w.WriteBit(1)
 	if snap.String() != "1" {
 		t.Errorf("snapshot mutated by later writes: %q", snap)
-	}
-}
-
-func TestFromBitsBuilds(t *testing.T) {
-	if got := FromBits(1, 0, 1, 1).String(); got != "1011" {
-		t.Errorf("FromBits = %q", got)
 	}
 }
 
@@ -318,7 +296,7 @@ func TestMatcherFindsAllOccurrences(t *testing.T) {
 	s := MustParse("0111111001111110")
 	flag := MustParse("01111110")
 	m := NewMatcher(flag)
-	hits := m.FeedAll(s)
+	hits := feedAll(m, s)
 	if len(hits) != 2 || hits[0] != 7 || hits[1] != 15 {
 		t.Fatalf("hits = %v", hits)
 	}
@@ -326,7 +304,7 @@ func TestMatcherFindsAllOccurrences(t *testing.T) {
 
 func TestMatcherOverlapping(t *testing.T) {
 	m := NewMatcher(MustParse("11"))
-	hits := m.FeedAll(MustParse("1111"))
+	hits := feedAll(m, MustParse("1111"))
 	if len(hits) != 3 {
 		t.Fatalf("overlapping hits = %v", hits)
 	}
@@ -345,7 +323,7 @@ func TestMatcherAgainstNaive(t *testing.T) {
 		s := randBits(r.Intn(60))
 		p := randBits(1 + r.Intn(6))
 		m := NewMatcher(p)
-		got := m.FeedAll(s)
+		got := feedAll(m, s)
 		var want []int
 		for at := 0; at+p.Len() <= s.Len(); at++ {
 			if s.Slice(at, at+p.Len()).Equal(p) {
@@ -365,25 +343,10 @@ func TestMatcherAgainstNaive(t *testing.T) {
 
 func TestMatcherNextPure(t *testing.T) {
 	m := NewMatcher(MustParse("1011"))
-	s := m.State()
 	_ = m.Next(2, 1)
-	if m.State() != s {
-		t.Error("Next mutated matcher state")
+	if hits := feedAll(m, MustParse("1011")); len(hits) != 1 || hits[0] != 3 {
+		t.Errorf("Next mutated matcher state: hits = %v", hits)
 	}
-}
-
-func TestMatcherSetStateBounds(t *testing.T) {
-	m := NewMatcher(MustParse("101"))
-	m.SetState(3)
-	if m.State() != 3 {
-		t.Error("SetState did not apply")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetState out of range did not panic")
-		}
-	}()
-	m.SetState(4)
 }
 
 func TestMatcherEmptyPatternPanics(t *testing.T) {
@@ -400,7 +363,7 @@ func TestMatcherReset(t *testing.T) {
 	m.Feed(1)
 	m.Feed(1)
 	m.Reset()
-	if m.State() != 0 {
+	if m.Feed(1) {
 		t.Error("Reset did not zero state")
 	}
 }
@@ -410,7 +373,9 @@ func BenchmarkWriterWriteBytes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := NewWriter(len(buf) * 8)
-		w.WriteBytes(buf)
+		for _, c := range buf {
+			_ = w.WriteByte(c)
+		}
 	}
 }
 
@@ -424,4 +389,16 @@ func BenchmarkMatcherFeed(b *testing.B) {
 			m.Feed(s.At(j))
 		}
 	}
+}
+
+// feedAll feeds every bit of s and returns the positions (bit index of
+// the last bit of each occurrence) at which the pattern matched.
+func feedAll(m *Matcher, s Bits) []int {
+	var hits []int
+	for i := 0; i < s.Len(); i++ {
+		if m.Feed(s.At(i)) {
+			hits = append(hits, i)
+		}
+	}
+	return hits
 }

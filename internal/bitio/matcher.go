@@ -36,19 +36,6 @@ func NewMatcher(p Bits) *Matcher {
 	return m
 }
 
-// State returns the current automaton state: the length of the longest
-// suffix of the fed stream that is a prefix of the pattern.
-func (m *Matcher) State() int { return m.state }
-
-// SetState forces the automaton into state s. Used by the validity
-// analyser in internal/stuffing to explore the product automaton.
-func (m *Matcher) SetState(s int) {
-	if s < 0 || s > m.pattern.Len() {
-		panic("bitio: SetState out of range")
-	}
-	m.state = s
-}
-
 // Feed advances the automaton by one bit and reports whether the pattern
 // completes exactly at this bit.
 func (m *Matcher) Feed(b Bit) (matched bool) {
@@ -75,15 +62,3 @@ func (m *Matcher) Next(s int, b Bit) int {
 
 // Reset returns the automaton to its initial state.
 func (m *Matcher) Reset() { m.state = 0 }
-
-// FeedAll feeds every bit of s and returns the positions (bit index of
-// the last bit of each occurrence) at which the pattern matched.
-func (m *Matcher) FeedAll(s Bits) []int {
-	var hits []int
-	for i := 0; i < s.Len(); i++ {
-		if m.Feed(s.At(i)) {
-			hits = append(hits, i)
-		}
-	}
-	return hits
-}

@@ -67,15 +67,6 @@ func (b *Bridge) Stats() metrics.View { return metrics.ViewOf(b.m.each) }
 // BindMetrics implements metrics.Instrumented.
 func (b *Bridge) BindMetrics(sc *metrics.Scope) { b.m.each(sc.Register) }
 
-// Table returns a copy of the learned address table.
-func (b *Bridge) Table() map[byte]int {
-	out := make(map[byte]int, len(b.table))
-	for k, v := range b.table {
-		out[k] = v
-	}
-	return out
-}
-
 // onFrame applies the classic learn-then-forward algorithm.
 func (b *Bridge) onFrame(port int, dst, src byte, payload []byte) {
 	if _, known := b.table[src]; !known {

@@ -4,9 +4,9 @@
 //
 // Each sublayer is independently replaceable behind a small interface —
 // line codes (NRZ, NRZI, Manchester), framers (bit stuffing, byte
-// stuffing, length prefix), checksums (CRC-32, CRC-16, Fletcher-16,
-// Adler-32, parity) and ARQ schemes (stop-and-wait, go-back-N,
-// selective repeat) — which is exactly the fungibility claim of litmus
+// stuffing, length prefix), checksums (CRC-32, CRC-16, CRC-64,
+// Fletcher-16) and ARQ schemes (stop-and-wait, go-back-N, selective
+// repeat) — which is exactly the fungibility claim of litmus
 // test T3: "the sublayer can be changed (to go from say CRC-32 to
 // CRC-64) without changing other sublayers." The tests exercise every
 // combination over corrupting links.

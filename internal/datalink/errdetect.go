@@ -2,7 +2,6 @@ package datalink
 
 import (
 	"encoding/binary"
-	"hash/adler32"
 	"hash/crc32"
 	"hash/crc64"
 
@@ -104,42 +103,6 @@ func (Fletcher16) Sum(data []byte) []byte {
 		b = (b + a) % 255
 	}
 	return []byte{byte(b), byte(a)}
-}
-
-// Adler32 is zlib's checksum (via hash/adler32).
-type Adler32 struct{}
-
-// Name implements Checksum.
-func (Adler32) Name() string { return "adler32" }
-
-// Size implements Checksum.
-func (Adler32) Size() int { return 4 }
-
-// Sum implements Checksum.
-func (Adler32) Sum(data []byte) []byte {
-	var out [4]byte
-	binary.BigEndian.PutUint32(out[:], adler32.Checksum(data))
-	return out[:]
-}
-
-// Parity is a single longitudinal XOR byte — deliberately weak, used by
-// the tests to demonstrate that error-detection strength is a property
-// confined to this sublayer.
-type Parity struct{}
-
-// Name implements Checksum.
-func (Parity) Name() string { return "parity" }
-
-// Size implements Checksum.
-func (Parity) Size() int { return 1 }
-
-// Sum implements Checksum.
-func (Parity) Sum(data []byte) []byte {
-	var p byte
-	for _, b := range data {
-		p ^= b
-	}
-	return []byte{p}
 }
 
 // ErrDetect is the Fig. 2 error-detection sublayer: it appends the

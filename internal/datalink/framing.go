@@ -52,9 +52,6 @@ func NewBitStuffFramer(rule stuffing.Rule) *BitStuffFramer {
 // Name implements Framer.
 func (f *BitStuffFramer) Name() string { return "bitstuff" }
 
-// Rule returns the stuffing rule in use.
-func (f *BitStuffFramer) Rule() stuffing.Rule { return f.rule }
-
 // Frame implements Framer.
 func (f *BitStuffFramer) Frame(packet []byte) (bitio.Bits, error) {
 	f.w.Reset()

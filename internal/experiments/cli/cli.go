@@ -1,26 +1,15 @@
 // Package cli is cmd/runreport's experiment scaffolding: selection
-// flags, registry resolution, output writing, and one exit-code policy:
-//
-//	0 — success, every requested experiment ran cleanly
-//	1 — operational failure: an experiment reported error rows, or
-//	    output could not be written
-//	2 — usage error: unknown experiment id or bad flag value
+// flags, registry resolution and output writing.
 package cli
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/experiments"
-)
-
-// Exit codes of the shared policy.
-const (
-	ExitOK    = 0
-	ExitFail  = 1
-	ExitUsage = 2
 )
 
 // Common carries the flags both report tools accept.
@@ -54,7 +43,7 @@ func (c *Common) Config() experiments.Config {
 // Wall-clock experiments (e13soak, e15) only run when named
 // explicitly — the run-everything default feeds the determinism gate,
 // whose manifest must be a pure function of the seed. An unknown id is
-// a usage error: the caller should exit ExitUsage.
+// a usage error.
 func (c *Common) Run() ([]*experiments.Result, error) {
 	cfg := c.Config()
 	if strings.TrimSpace(c.Exp) == "" {
@@ -102,9 +91,9 @@ func rowFailed(row []string) bool {
 }
 
 // WriteOutput writes data to path, with "-" meaning stdout.
-func WriteOutput(path string, data []byte) error {
+func WriteOutput(path string, data []byte, stdout io.Writer) error {
 	if path == "-" {
-		_, err := os.Stdout.Write(data)
+		_, err := stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)

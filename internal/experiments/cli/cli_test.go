@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,13 +91,13 @@ func TestCommon(t *testing.T) {
 	t.Run("write output", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "out.json")
 		data := []byte("{\"seed\": 1}\n")
-		if err := WriteOutput(path, data); err != nil {
+		if err := WriteOutput(path, data, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("read back %q, %v", got, err)
 		}
-		if err := WriteOutput(filepath.Join(path, "under-a-file"), data); err == nil {
+		if err := WriteOutput(filepath.Join(path, "under-a-file"), data, io.Discard); err == nil {
 			t.Error("writing below a regular file succeeded")
 		}
 	})

@@ -280,11 +280,11 @@ func TestMetricsDeterministic(t *testing.T) {
 	if len(a.Metrics.Samples) == 0 {
 		t.Fatal("E1 attached no metrics")
 	}
-	if !bytes.Equal(a.Metrics.JSON(), b.Metrics.JSON()) {
+	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 		t.Error("same seed, different snapshots")
 	}
 	c := E1DataLink(Config{Seed: 8})
-	if bytes.Equal(a.Metrics.JSON(), c.Metrics.JSON()) {
+	if reflect.DeepEqual(a.Metrics, c.Metrics) {
 		t.Error("different seeds produced identical snapshots")
 	}
 	// The committed form of the same contract: manifests marshal
@@ -392,7 +392,7 @@ func TestMetricsDeterministicTransport(t *testing.T) {
 	if _, ok := a.Metrics.Get("n1/transport/conn0/rd/rtt_ms"); !ok {
 		t.Error("snapshot missing client RD RTT histogram")
 	}
-	if !bytes.Equal(a.Metrics.JSON(), b.Metrics.JSON()) {
+	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 		t.Error("same seed, different snapshots")
 	}
 }
@@ -412,11 +412,11 @@ func TestMetricsDeterministicChaos(t *testing.T) {
 	if _, ok := a.Metrics.Get("bursty-loss/sublayered/faults/ge_transitions"); !ok {
 		t.Error("snapshot missing fault-injector counters")
 	}
-	if !bytes.Equal(a.Metrics.JSON(), b.Metrics.JSON()) {
+	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 		t.Error("same seed, different snapshots")
 	}
 	c := E10ChaosSoak(Config{Seed: 14})
-	if bytes.Equal(a.Metrics.JSON(), c.Metrics.JSON()) {
+	if reflect.DeepEqual(a.Metrics, c.Metrics) {
 		t.Error("different seeds produced identical snapshots")
 	}
 }

@@ -208,39 +208,3 @@ func genStep(rng *rand.Rand, cfg GenConfig) (Step, time.Duration) {
 		return Step{At: at, For: f, Fault: Reorder{A: a, B: b, Prob: 0.1 + rng.Float64()*0.5}}, 0
 	}
 }
-
-// Mutate derives a neighboring schedule: drop a step, add a generated
-// one, or perturb a step's timing — whichever the RNG picks that keeps
-// the schedule valid and conflict-free. Fuzzing harnesses use it to
-// walk the schedule space beyond what fresh generation reaches.
-func Mutate(rng *rand.Rand, s Script, cfg GenConfig) Script {
-	cfg = cfg.WithDefaults()
-	links := LineLinks(cfg.Hosts)
-	for try := 0; try < 8; try++ {
-		out := Script{Name: s.Name, Steps: append([]Step(nil), s.Steps...)}
-		switch op := rng.Intn(3); {
-		case op == 0 && len(out.Steps) > 1: // drop
-			i := rng.Intn(len(out.Steps))
-			out.Steps = append(out.Steps[:i], out.Steps[i+1:]...)
-		case op == 1: // add
-			st, _ := genStep(rng, cfg)
-			out.Steps = append(out.Steps, st)
-			sort.SliceStable(out.Steps, func(i, j int) bool { return out.Steps[i].At < out.Steps[j].At })
-		default: // perturb timing
-			if len(out.Steps) == 0 {
-				continue
-			}
-			i := rng.Intn(len(out.Steps))
-			st := out.Steps[i]
-			st.At = between(rng, cfg.MinAt, cfg.MaxAt)
-			if st.For > 0 {
-				st.For = between(rng, st.For/2, st.For)
-			}
-			out.Steps[i] = st
-		}
-		if out.Validate() == nil && out.CheckConflicts(links) == nil {
-			return out
-		}
-	}
-	return s
-}

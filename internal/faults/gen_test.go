@@ -69,34 +69,6 @@ func TestGenScriptRoundTripsJSON(t *testing.T) {
 	}
 }
 
-// TestMutateKeepsSchedulesAdmissible: every mutation either yields an
-// admissible neighbor or falls back to the input unchanged.
-func TestMutateKeepsSchedulesAdmissible(t *testing.T) {
-	cfg := GenConfig{}
-	links := LineLinks(4)
-	rng := rand.New(rand.NewSource(77))
-	s := GenScript(rng, cfg)
-	changed := 0
-	for i := 0; i < 300; i++ {
-		next := Mutate(rng, s, cfg)
-		if err := next.Validate(); err != nil {
-			t.Fatalf("mutation %d invalid: %v", i, err)
-		}
-		if err := next.CheckConflicts(links); err != nil {
-			t.Fatalf("mutation %d conflicts: %v", i, err)
-		}
-		a, _ := json.Marshal(s)
-		b, _ := json.Marshal(next)
-		if string(a) != string(b) {
-			changed++
-		}
-		s = next
-	}
-	if changed < 150 {
-		t.Errorf("only %d/300 mutations changed the schedule; walk is stuck", changed)
-	}
-}
-
 // TestGenScriptAppliesCleanly: admission checks against LineLinks must
 // agree with Apply's checks against the real harness topology.
 func TestGenScriptAppliesCleanly(t *testing.T) {

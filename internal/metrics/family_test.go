@@ -1,8 +1,8 @@
 package metrics
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -106,9 +106,9 @@ func TestGroupSnapshotMatchesPerLeaf(t *testing.T) {
 		families.Register(name, c)
 	}
 
-	want, got := perLeaf.Snapshot().JSON(), families.Snapshot().JSON()
-	if !bytes.Equal(want, got) {
-		t.Fatalf("family members changed the snapshot:\nper-leaf:\n%s\nfamilies:\n%s", want, got)
+	want, got := perLeaf.Snapshot(), families.Snapshot()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("family members changed the snapshot:\nper-leaf:\n%s\nfamilies:\n%s", want.Text(), got.Text())
 	}
 	if n := 6*4 + 3 + len(singles); perLeaf.Len() != families.Len() || families.Len() != n {
 		t.Fatalf("Len: per-leaf %d, families %d, want %d", perLeaf.Len(), families.Len(), n)
@@ -119,8 +119,8 @@ func TestScopeFamily(t *testing.T) {
 	reg := New()
 	p := newPart(2, false)
 	NewFamily(reg.Scope("n3").Sub("transport"), "conn", (*part).each).Join(0, partLeaves, p)
-	if got := reg.Snapshot().Value("n3/transport/conn0/rd/lost"); got != 6 {
-		t.Fatalf("n3/transport/conn0/rd/lost = %d, want 6", got)
+	if got, _ := reg.Snapshot().Get("n3/transport/conn0/rd/lost"); got.Value != 6 {
+		t.Fatalf("n3/transport/conn0/rd/lost = %d, want 6", got.Value)
 	}
 	var sc *Scope
 	f := NewFamily(sc, "conn", (*part).each)
@@ -268,7 +268,7 @@ func TestGettersSeeGroupedInstruments(t *testing.T) {
 	// created on demand.
 	reg.Counter("n1/conn0/rd/other").Inc()
 	reg.Counter("n1/conn1/rd/sent").Inc()
-	if reg.Len() != 7 || reg.Snapshot().Value("n1/conn0/rd/other") != 1 {
+	if other, _ := reg.Snapshot().Get("n1/conn0/rd/other"); reg.Len() != 7 || other.Value != 1 {
 		t.Fatal("Counter(name) beside a member did not create a counter")
 	}
 	defer func() {

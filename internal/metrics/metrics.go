@@ -77,9 +77,6 @@ func (g *Gauge) Set(v int64) { g.v = v }
 // Add moves the level by d (which may be negative).
 func (g *Gauge) Add(d int64) { g.v += d }
 
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v }
-
 func (g *Gauge) sample(name string) Sample {
 	return Sample{Name: name, Kind: KindGauge, Value: g.v}
 }
@@ -135,12 +132,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum += v
 	h.n++
 }
-
-// Count returns how many values were observed.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum }
 
 func (h *Histogram) sample(name string) Sample {
 	s := Sample{Name: name, Kind: KindHistogram, Value: int64(h.n), Sum: h.sum}

@@ -16,8 +16,8 @@ func TestCounterGaugeZeroValue(t *testing.T) {
 	var g Gauge
 	g.Set(7)
 	g.Add(-3)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Value())
+	if g.v != 4 {
+		t.Fatalf("gauge = %d, want 4", g.v)
 	}
 }
 
@@ -26,8 +26,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{1, 10, 11, 100, 5000} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 5122 {
-		t.Fatalf("count=%d sum=%d, want 5, 5122", h.Count(), h.Sum())
+	if h.n != 5 || h.sum != 5122 {
+		t.Fatalf("count=%d sum=%d, want 5, 5122", h.n, h.sum)
 	}
 	s := h.sample("h")
 	want := []Bucket{{Le: 10, N: 2}, {Le: 100, N: 2}, {Le: -1, N: 1}}
@@ -53,8 +53,8 @@ func TestRegistryAdoptionAndSnapshotOrder(t *testing.T) {
 	if names[0] != "n1/link0/lost" || names[1] != "n1/link0/sent" {
 		t.Fatalf("snapshot order = %v, want name-sorted", names)
 	}
-	if snap.Value("n1/link0/sent") != 3 {
-		t.Fatalf("sent = %d, want 3", snap.Value("n1/link0/sent"))
+	if sent, _ := snap.Get("n1/link0/sent"); sent.Value != 3 {
+		t.Fatalf("sent = %d, want 3", sent.Value)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestNilScopeIsInert(t *testing.T) {
 	}
 	h := sc.Histogram("h", 1, 2)
 	h.Observe(1)
-	if h.Count() != 1 {
+	if h.n != 1 {
 		t.Fatal("detached histogram should still observe")
 	}
 }
@@ -98,11 +98,11 @@ func TestSnapshotDiff(t *testing.T) {
 	g.Set(9)
 	h.Observe(50)
 	d := reg.Snapshot().Diff(before)
-	if d.Value("c") != 3 {
-		t.Fatalf("counter diff = %d, want 3", d.Value("c"))
+	if cs, _ := d.Get("c"); cs.Value != 3 {
+		t.Fatalf("counter diff = %d, want 3", cs.Value)
 	}
-	if d.Value("g") != 9 {
-		t.Fatalf("gauge diff = %d, want current level 9", d.Value("g"))
+	if gs, _ := d.Get("g"); gs.Value != 9 {
+		t.Fatalf("gauge diff = %d, want current level 9", gs.Value)
 	}
 	hs, _ := d.Get("h")
 	if hs.Value != 1 || hs.Sum != 50 {
@@ -118,7 +118,10 @@ func TestMergeWithPrefix(t *testing.T) {
 	a.Counter("x").Add(1)
 	b.Counter("x").Add(2)
 	m := Merge(a.Snapshot().WithPrefix("v0"), b.Snapshot().WithPrefix("v1"))
-	if m.Value("v0/x") != 1 || m.Value("v1/x") != 2 {
+	if v0, _ := m.Get("v0/x"); v0.Value != 1 {
+		t.Fatalf("merged = %+v", m.Samples)
+	}
+	if v1, _ := m.Get("v1/x"); v1.Value != 2 {
 		t.Fatalf("merged = %+v", m.Samples)
 	}
 }
@@ -131,11 +134,13 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 		reg.Counter("a/one").Add(1)
 		return reg.Snapshot()
 	}
-	if !bytes.Equal(build().JSON(), build().JSON()) {
+	a, _ := json.Marshal(build())
+	b, _ := json.Marshal(build())
+	if !bytes.Equal(a, b) {
 		t.Fatal("same-content snapshots marshal differently")
 	}
 	var decoded Snapshot
-	if err := json.Unmarshal(build().JSON(), &decoded); err != nil {
+	if err := json.Unmarshal(a, &decoded); err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}
 }

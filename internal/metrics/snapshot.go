@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -46,12 +45,6 @@ func (s Snapshot) Get(name string) (Sample, bool) {
 		return s.Samples[i], true
 	}
 	return Sample{}, false
-}
-
-// Value returns the named sample's Value, or 0 if absent.
-func (s Snapshot) Value(name string) int64 {
-	sm, _ := s.Get(name)
-	return sm.Value
 }
 
 // Diff returns this snapshot with before's values subtracted, sample
@@ -115,16 +108,6 @@ func Merge(parts ...Snapshot) Snapshot {
 		return out.Samples[i].Name < out.Samples[j].Name
 	})
 	return out
-}
-
-// JSON marshals the snapshot, indented. Marshalling plain integers and
-// strings cannot fail.
-func (s Snapshot) JSON() []byte {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // Text renders the snapshot as aligned name/value lines. Histograms

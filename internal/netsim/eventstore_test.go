@@ -403,8 +403,8 @@ func runEventStoreModel(t *testing.T, ops []byte) (st modelStats) {
 		"netsim/events/executed":  ref.executed,
 		"netsim/events/cancelled": ref.cancelled,
 	} {
-		if got := snap.Value(name); uint64(got) != want {
-			t.Errorf("%s = %d, reference %d", name, got, want)
+		if got, _ := snap.Get(name); uint64(got.Value) != want {
+			t.Errorf("%s = %d, reference %d", name, got.Value, want)
 		}
 	}
 	st.compactions = ref.compactions

@@ -17,14 +17,6 @@ type Packet struct {
 	ECN  bool
 }
 
-// Clone deep-copies a packet so impairments (corruption, duplication)
-// never alias caller memory. The copy goes through CloneBuf — the
-// Backend contract's single duplication path — so the clone's Data is
-// a pooled buffer the caller owns.
-func (p *Packet) Clone() *Packet {
-	return &Packet{Data: CloneBuf(p.Data), ECN: p.ECN}
-}
-
 // Handler consumes delivered packets.
 type Handler func(pkt *Packet)
 

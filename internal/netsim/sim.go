@@ -670,22 +670,6 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or the step limit is hit;
-// it returns the number of events executed. A zero limit means no
-// limit. Protocols with periodic timers never drain the queue, so most
-// callers use RunFor instead.
-func (s *Simulator) Run(limit int) int {
-	n := 0
-	for (limit == 0 || n < limit) && s.Step() {
-		n++
-	}
-	return n
-}
-
-// RunUntil executes all events scheduled up to and including time t,
-// then sets the clock to t.
-func (s *Simulator) RunUntil(t Time) { s.eng.RunUntil(t) }
-
 // timerScheduler is the sliver of Backend a Repeater needs to re-arm;
 // the engine's views and the RTClock satisfy it.
 type timerScheduler interface {

@@ -602,11 +602,11 @@ func TestHeapCompaction(t *testing.T) {
 		sim.Run(0)
 	}
 	snap := reg.Snapshot()
-	if v := snap.Value("netsim/events/cancelled"); v != 990 {
-		t.Errorf("netsim/events/cancelled = %d, want 990", v)
+	if v, _ := snap.Get("netsim/events/cancelled"); v.Value != 990 {
+		t.Errorf("netsim/events/cancelled = %d, want 990", v.Value)
 	}
-	if v := snap.Value("netsim/events/executed"); v != 10 {
-		t.Errorf("netsim/events/executed = %d, want 10", v)
+	if v, _ := snap.Get("netsim/events/executed"); v.Value != 10 {
+		t.Errorf("netsim/events/executed = %d, want 10", v.Value)
 	}
 }
 
@@ -669,4 +669,15 @@ func TestStopAfterCompactionIsNoop(t *testing.T) {
 	if n != 20 {
 		t.Errorf("executed %d events, want 20", n)
 	}
+}
+
+// Run executes events until the queue drains or the step limit is hit;
+// it returns the number of events executed. A zero limit means no
+// limit.
+func (s *Simulator) Run(limit int) int {
+	n := 0
+	for (limit == 0 || n < limit) && s.Step() {
+		n++
+	}
+	return n
 }

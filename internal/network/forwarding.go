@@ -70,17 +70,6 @@ func (f *Forwarder) Lookup(dst Addr) (Route, bool) {
 	return Route{}, false
 }
 
-// FIB returns a copy of the forwarding database.
-func (f *Forwarder) FIB() map[Addr]Route {
-	out := make(map[Addr]Route)
-	for a, e := range f.fib {
-		if e.ok {
-			out[Addr(a)] = e.r
-		}
-	}
-	return out
-}
-
 // Stats returns a view of the data-plane counters (keys: originated,
 // forwarded, local_delivered, no_route, ttl_expired, malformed,
 // blackholed).

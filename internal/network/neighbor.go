@@ -143,16 +143,6 @@ func (n *NeighborTable) Neighbors() []Neighbor {
 	return out
 }
 
-// IfFor returns the interface that reaches neighbor a, or -1.
-func (n *NeighborTable) IfFor(a Addr) int {
-	for i, row := range n.rows {
-		if row != nil && row.Addr == a {
-			return i
-		}
-	}
-	return -1
-}
-
 // Subscribe registers a change callback (T2 interface upward).
 func (n *NeighborTable) Subscribe(fn func()) { n.onChange = append(n.onChange, fn) }
 

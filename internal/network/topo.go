@@ -136,19 +136,6 @@ func (t *Topology) CutLink(a, b Addr) bool {
 	return false
 }
 
-// RestoreLink brings the A–B link back up.
-func (t *Topology) RestoreLink(a, b Addr) bool {
-	if d, ok := t.Links[[2]Addr{a, b}]; ok {
-		d.SetUp(true)
-		return true
-	}
-	if d, ok := t.Links[[2]Addr{b, a}]; ok {
-		d.SetUp(true)
-		return true
-	}
-	return false
-}
-
 // ReferenceDistances computes all-pairs shortest paths over the edge
 // list with Floyd–Warshall — the ground truth that both route
 // computers must converge to (experiment E2). Unreachable pairs are

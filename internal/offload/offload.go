@@ -12,10 +12,6 @@
 package offload
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/transport/sublayered"
 )
 
@@ -38,9 +34,6 @@ const (
 	// cross the bus, and CM connection state is mirrored on the NIC.
 	NICRDOnly
 )
-
-// Partitions lists every candidate.
-func Partitions() []Partition { return []Partition{SWOnly, NICDM, NICRDCMDM, NICRDOnly} }
 
 func (p Partition) String() string {
 	switch p {
@@ -127,20 +120,4 @@ func Analyze(cr sublayered.Crossings, wirePackets, wireBytes uint64) []Report {
 		out[i].Hardware = out[i].Partition.HardwareSublayers()
 	}
 	return out
-}
-
-// FormatTable renders the reports as E9's table.
-func FormatTable(rows []Report) string {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Partition < rows[j].Partition })
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %-14s %12s %12s %10s\n", "partition", "hardware", "bus events", "bus bytes", "dup state")
-	for _, r := range rows {
-		hw := strings.Join(r.Hardware, "+")
-		if hw == "" {
-			hw = "-"
-		}
-		fmt.Fprintf(&b, "%-14s %-14s %12d %12d %9dB\n",
-			r.Partition, hw, r.BusEvents, r.BusBytes, r.DuplicatedState)
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package offload
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -74,9 +73,6 @@ func TestAnalyzeShape(t *testing.T) {
 }
 
 func TestPartitionMetadata(t *testing.T) {
-	if len(Partitions()) != 4 {
-		t.Fatal("partition list wrong")
-	}
 	names := map[Partition]string{
 		SWOnly: "sw-only", NICDM: "nic-dm", NICRDCMDM: "nic-rd-cm-dm", NICRDOnly: "nic-rd-only",
 	}
@@ -90,21 +86,5 @@ func TestPartitionMetadata(t *testing.T) {
 	}
 	if got := NICRDCMDM.HardwareSublayers(); len(got) != 3 {
 		t.Errorf("simple cut hardware = %v", got)
-	}
-}
-
-func TestFormatTable(t *testing.T) {
-	var cr sublayered.Crossings
-	cr.OSRToRD.Add(10)
-	cr.RDToOSRAck.Add(5)
-	cr.ToDM.Add(20)
-	cr.FromDM.Add(20)
-	cr.OSRBytes.Add(10000)
-	rows := Analyze(cr, 40, 50000)
-	tab := FormatTable(rows)
-	for _, want := range []string{"sw-only", "nic-rd-only", "bus events"} {
-		if !strings.Contains(tab, want) {
-			t.Errorf("table missing %q:\n%s", want, tab)
-		}
 	}
 }

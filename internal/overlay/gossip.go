@@ -92,12 +92,6 @@ func NewGossip(n *Node, members []network.Addr, cfg GossipConfig) *Gossip {
 	return g
 }
 
-// Stop cancels the member's timers (the conns die with the backend).
-func (g *Gossip) Stop() {
-	g.pushR.Stop()
-	g.aeR.Stop()
-}
-
 // Publish originates a rumor and pushes it immediately; the sequence
 // number is per-origin monotone, which is what makes digests compact.
 func (g *Gossip) Publish(body []byte) (seq uint32) {

@@ -64,10 +64,6 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return pw, pw.err
 }
 
-// Err returns the first write error, if any. Once set, every later
-// call is a no-op returning the same error.
-func (pw *Writer) Err() error { return pw.err }
-
 // WritePacket appends one frame transmitted on the named interface at
 // virtual time ns (nanoseconds). comment, when non-empty, becomes the
 // packet's opt_comment — Wireshark shows it in the packet details and
@@ -96,7 +92,7 @@ func (pw *Writer) WritePacket(iface string, ns int64, comment string, frame []by
 	body = appendPadded(body, frame)
 	if comment != "" {
 		body = appendOption(body, optComment, []byte(comment))
-		body = appendU32(body, 0) // opt_endofopt
+		body = appendOption(body, optEnd, nil)
 	}
 	pw.scratch = body
 	pw.block(blockEPB, body)
@@ -112,7 +108,7 @@ func (pw *Writer) writeIDB(name string) {
 	// body[2:4] reserved, body[4:8] snaplen 0 = no limit.
 	body = appendOption(body, optIfName, []byte(name))
 	body = appendOption(body, optTsresol, []byte{9}) // 10^-9 s
-	body = appendU32(body, 0)                        // opt_endofopt
+	body = appendOption(body, optEnd, nil)
 	pw.block(blockIDB, body)
 }
 

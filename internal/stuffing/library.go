@@ -14,10 +14,14 @@ import (
 
 // Candidates enumerates the rule family for flags of length flagLen:
 // every flag F in {0,1}^flagLen, every watch pattern that occurs as a
-// substring of F (a necessary condition for validity — see
-// WatchMustBeSubstringOfFlag and its test), of every length from 1 to
+// substring of F, of every length from 1 to
 // flagLen-1, and both stuff bits. Duplicate (F, W, b) triples arising
 // from W occurring at several positions in F are emitted once.
+//
+// The substring restriction loses no valid rule: if W does not occur in
+// F, the data string D = F is stuffed to itself and the payload carries
+// a verbatim flag (TestSubstringLemma checks it on the unrestricted
+// family).
 func Candidates(flagLen int) []Rule {
 	var out []Rule
 	for fv := 0; fv < 1<<uint(flagLen); fv++ {
@@ -31,27 +35,6 @@ func Candidates(flagLen int) []Rule {
 					continue
 				}
 				seen[key] = true
-				out = append(out,
-					Rule{Flag: flag, Watch: w, Insert: 0},
-					Rule{Flag: flag, Watch: w, Insert: 1},
-				)
-			}
-		}
-	}
-	return out
-}
-
-// AllCandidates enumerates the unrestricted family: every flag of
-// length flagLen, every watch of length 1..maxWatch over all bit
-// strings (not just substrings of the flag), both stuff bits. Used by
-// the tests to establish the substring lemma empirically.
-func AllCandidates(flagLen, maxWatch int) []Rule {
-	var out []Rule
-	for fv := 0; fv < 1<<uint(flagLen); fv++ {
-		flag := intBits(fv, flagLen)
-		for wl := 1; wl <= maxWatch; wl++ {
-			for wv := 0; wv < 1<<uint(wl); wv++ {
-				w := intBits(wv, wl)
 				out = append(out,
 					Rule{Flag: flag, Watch: w, Insert: 0},
 					Rule{Flag: flag, Watch: w, Insert: 1},
@@ -95,26 +78,6 @@ func Library(flagLen int) []Rule {
 	out := make([]Rule, len(valid))
 	for i, idx := range order {
 		out[i] = valid[idx]
-	}
-	return out
-}
-
-// LibraryEntry is a reporting row for one valid rule.
-type LibraryEntry struct {
-	Rule           Rule
-	NaiveOverhead  float64 // paper's random model, 2^-|Watch|
-	MarkovOverhead float64 // exact stationary rate
-}
-
-// Report computes the overhead columns for a set of rules.
-func Report(rules []Rule) []LibraryEntry {
-	out := make([]LibraryEntry, len(rules))
-	for i, r := range rules {
-		out[i] = LibraryEntry{
-			Rule:           r,
-			NaiveOverhead:  r.NaiveOverhead(),
-			MarkovOverhead: r.MarkovOverhead(),
-		}
 	}
 	return out
 }

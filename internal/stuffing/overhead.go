@@ -92,9 +92,3 @@ func (r Rule) EmpiricalOverhead(nBits int, seed int64) float64 {
 	}
 	return float64(stuffed.Len()-data.Len()) / float64(data.Len())
 }
-
-// FramedSize returns the on-the-wire size in bits of a frame carrying
-// dataBits of payload, using the expected (Markov) stuff rate.
-func (r Rule) FramedSize(dataBits int) float64 {
-	return float64(dataBits)*(1+r.MarkovOverhead()) + 2*float64(r.Flag.Len())
-}

@@ -69,11 +69,6 @@ func (r Rule) String() string {
 	return fmt.Sprintf("flag=%s watch=%s stuff=%d", r.Flag, r.Watch, r.Insert)
 }
 
-// Equal reports whether two rules are identical.
-func (r Rule) Equal(o Rule) bool {
-	return r.Flag.Equal(o.Flag) && r.Watch.Equal(o.Watch) && r.Insert == o.Insert
-}
-
 // ErrMalformed is returned by Unstuff and Deframe when the input could
 // not have been produced by a correct sender: a Watch occurrence is
 // followed by the wrong bit, or the stream is truncated mid-escape.

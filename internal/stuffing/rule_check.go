@@ -125,15 +125,6 @@ func (r Rule) Validate() error {
 	return nil
 }
 
-// WatchMustBeSubstringOfFlag is the structural lemma the enumeration in
-// Library relies on: if Watch does not occur inside Flag, the data
-// string D = Flag is stuffed to itself and the payload contains a
-// verbatim flag, so the rule is invalid. The function returns true when
-// the lemma's hypothesis holds (Watch occurs in Flag).
-func (r Rule) WatchMustBeSubstringOfFlag() bool {
-	return r.Flag.Index(r.Watch, 0) >= 0
-}
-
 // CheckExhaustive verifies the executable round-trip specification for
 // every data string of length 0..maxLen and additionally re-frames the
 // encoding inside a continuous stream (idle flags on both sides) to

@@ -64,16 +64,6 @@ type Meta struct {
 // NewPDU wraps payload bytes in a PDU.
 func NewPDU(data []byte) *PDU { return &PDU{Data: data} }
 
-// Clone deep-copies the PDU.
-func (p *PDU) Clone() *PDU {
-	d := make([]byte, len(p.Data))
-	copy(d, p.Data)
-	return &PDU{Data: d, BitLen: p.BitLen, Meta: p.Meta}
-}
-
-// Len returns the payload length in bytes (bit payloads round up).
-func (p *PDU) Len() int { return len(p.Data) }
-
 // Runtime is everything a sublayer may touch outside itself: the
 // adjacent boundaries, virtual time, and simulation randomness.
 type Runtime interface {
@@ -218,9 +208,6 @@ func (s *Stack) SetWire(fn func(*PDU)) { s.wire = fn }
 // SetTracer installs an optional observer invoked on every boundary
 // crossing ("down"/"up"/"drop").
 func (s *Stack) SetTracer(fn func(ev, layer string, p *PDU)) { s.tracer = fn }
-
-// Name returns the stack's name.
-func (s *Stack) Name() string { return s.name }
 
 // Layers returns the sublayers, top first.
 func (s *Stack) Layers() []Sublayer { return s.layers }

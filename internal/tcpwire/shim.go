@@ -175,13 +175,3 @@ func (s *Shim) Inbound(data []byte, key FlowKey) (*SubHeader, []byte, error) {
 	sub.OSR.DataLen = uint16(len(payload))
 	return sub, payload, nil
 }
-
-// PeerMSS reports the MSS the peer advertised on its SYN, if decoded
-// by the caller; kept here so interop code has one home for option
-// policy. (The shim itself does not need it.)
-func PeerMSS(h *TCPHeader, fallback uint16) uint16 {
-	if h.MSS != 0 {
-		return h.MSS
-	}
-	return fallback
-}

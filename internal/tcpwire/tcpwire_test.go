@@ -337,15 +337,6 @@ func TestShimRejectsCorruptInbound(t *testing.T) {
 	}
 }
 
-func TestPeerMSS(t *testing.T) {
-	if PeerMSS(&TCPHeader{MSS: 900}, 500) != 900 {
-		t.Error("explicit MSS ignored")
-	}
-	if PeerMSS(&TCPHeader{}, 500) != 500 {
-		t.Error("fallback not used")
-	}
-}
-
 func TestFlowKeyReverse(t *testing.T) {
 	k := flowKey()
 	r := k.Reverse()

@@ -85,9 +85,6 @@ func (r *Recorder) Events() []Event {
 // Total returns how many events were observed (including dropped).
 func (r *Recorder) Total() uint64 { return r.total }
 
-// Dropped returns how many events fell out of the ring buffer.
-func (r *Recorder) Dropped() uint64 { return r.total - uint64(len(r.events)) }
-
 // Dump renders the retained events, one line each.
 func (r *Recorder) Dump() string {
 	var b strings.Builder

@@ -333,19 +333,6 @@ func (c *Collector) ChainOf(id uint64) *Chain {
 	return nil
 }
 
-// Dumps returns the retained flight dumps, in trigger order.
-func (c *Collector) Dumps() []FlightDump { return c.dumps }
-
-// Total returns how many events were ever emitted.
-func (c *Collector) Total() uint64 { return c.total }
-
-// RingDropped returns how many events fell out of the recorder ring.
-func (c *Collector) RingDropped() uint64 { return c.ringDropped }
-
-// ChainsEvicted returns how many live chains were finalized early
-// because MaxChains was hit.
-func (c *Collector) ChainsEvicted() uint64 { return c.evicted }
-
 // Report is the deterministic machine-readable form of a whole
 // collection run: bounded counters plus ordered structures only (live
 // chains appear in birth order, never map order), so two same-seed

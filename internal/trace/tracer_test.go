@@ -49,7 +49,7 @@ func TestCausalChainOfInjectedDrop(t *testing.T) {
 		// the budget and control-plane chains churn afterwards, so the
 		// default ring would age the interesting chains out.
 		col := lossyWorld(t, 7, kind, trace.Options{DoneCap: 1 << 15}, nil)
-		if col.Total() == 0 {
+		if col.Report().Total == 0 {
 			t.Fatalf("%v: no events traced", kind)
 		}
 		rep := col.Report()
@@ -107,15 +107,15 @@ func TestDeliveredChainSpansAllLayers(t *testing.T) {
 func TestRingOverflow(t *testing.T) {
 	const cap = 64
 	col := lossyWorld(t, 3, harness.KindMonolithic, trace.Options{RingCap: cap}, nil)
-	if col.Total() <= cap {
-		t.Fatalf("want > %d events to force overflow, got %d", cap, col.Total())
+	if col.Report().Total <= cap {
+		t.Fatalf("want > %d events to force overflow, got %d", cap, col.Report().Total)
 	}
 	recent := col.Recent()
 	if len(recent) != cap {
 		t.Fatalf("retained window = %d, want %d", len(recent), cap)
 	}
-	if got := col.RingDropped(); got != col.Total()-cap {
-		t.Fatalf("dropped = %d, want total-cap = %d", got, col.Total()-cap)
+	if got := col.Report().RingDropped; got != col.Report().Total-cap {
+		t.Fatalf("dropped = %d, want total-cap = %d", got, col.Report().Total-cap)
 	}
 	// The window must be the *most recent* events in order.
 	for i := 1; i < len(recent); i++ {
@@ -135,7 +135,7 @@ func TestChainEviction(t *testing.T) {
 		id := col.Stamp(buf)
 		col.Emit(netsim.TraceEvent{ID: id, Node: "link0", Layer: netsim.LayerLink, Kind: "transmit"}, nil)
 	}
-	if got := col.ChainsEvicted(); got != 100-8 {
+	if got := col.Report().Evicted; got != 100-8 {
 		t.Fatalf("evicted = %d, want %d", got, 100-8)
 	}
 	rep := col.Report()
@@ -226,7 +226,7 @@ func TestConcurrentCollectors(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			col := lossyWorld(t, 100+int64(i), harness.KindSublayeredNative, trace.Options{}, nil)
-			totals[i] = col.Total()
+			totals[i] = col.Report().Total
 		}(i)
 	}
 	wg.Wait()
@@ -263,7 +263,7 @@ func TestAbortDumpCapturesOffendingChain(t *testing.T) {
 		if _, err := harness.RunTransfer(w, bytes.Repeat([]byte("y"), 1<<20), nil, 15*time.Minute); err != nil {
 			t.Fatalf("%v: RunTransfer: %v", kind, err)
 		}
-		dumps := col.Dumps()
+		dumps := col.Report().Dumps
 		if len(dumps) == 0 {
 			t.Fatalf("%v: no flight dump despite forced abort", kind)
 		}

@@ -111,7 +111,7 @@ func TestTracingOnChanBackend(t *testing.T) {
 		t.Fatalf("transfer failed under tracing: %q", res.ServerGot)
 	}
 	w.Exec(func() {
-		if col.Total() == 0 {
+		if col.Report().Total == 0 {
 			t.Error("collector saw no trace events on the chan backend")
 		}
 	})

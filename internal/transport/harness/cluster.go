@@ -69,9 +69,6 @@ type Cluster struct {
 // Exec runs fn holding the backend lock (inline on the simulator).
 func (c *Cluster) Exec(fn func()) { c.Sim.Exec(fn) }
 
-// Realtime reports whether the cluster runs on the wall clock.
-func (c *Cluster) Realtime() bool { return Realtime(c.Backend) }
-
 // Close releases the backend (goroutines, sockets).
 func (c *Cluster) Close() error { return c.Sim.Close() }
 

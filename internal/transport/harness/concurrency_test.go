@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ import (
 // a global registry, a shared trace buffer — concurrent runs would
 // either trip the race detector or perturb these bytes.
 type worldDigest struct {
-	snapshot []byte
+	snapshot metrics.Snapshot
 	traceLog string
 	total    uint64
 	payload  [32]byte
@@ -48,7 +49,7 @@ func runDigestWorld(t *testing.T, seed int64) worldDigest {
 		t.Fatalf("seed %d: stream corrupted", seed)
 	}
 	return worldDigest{
-		snapshot: reg.Snapshot().JSON(),
+		snapshot: reg.Snapshot(),
 		traceLog: rec.Dump(),
 		total:    rec.Total(),
 		payload:  sha256.Sum256(r.ServerGot),
@@ -94,7 +95,7 @@ func TestConcurrentSimulatorsIndependent(t *testing.T) {
 	wg.Wait()
 
 	for i := range seeds {
-		if !bytes.Equal(baseline[i].snapshot, concurrent[i].snapshot) {
+		if !reflect.DeepEqual(baseline[i].snapshot, concurrent[i].snapshot) {
 			t.Errorf("seed %d: concurrent metrics snapshot differs from serial", seeds[i])
 		}
 		if baseline[i].traceLog != concurrent[i].traceLog || baseline[i].total != concurrent[i].total {
@@ -106,7 +107,7 @@ func TestConcurrentSimulatorsIndependent(t *testing.T) {
 		}
 	}
 	// Identical seeds must agree with each other too, run concurrently.
-	if !bytes.Equal(concurrent[0].snapshot, concurrent[4].snapshot) {
+	if !reflect.DeepEqual(concurrent[0].snapshot, concurrent[4].snapshot) {
 		t.Error("two concurrent runs of seed 101 diverged")
 	}
 }

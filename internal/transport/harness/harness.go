@@ -431,8 +431,3 @@ func pump(c transport.Conn, b netsim.Backend, out []byte, got *[]byte, eof *bool
 		}
 	}, push, func(err error) { *errp = err })
 }
-
-// Describe renders a world for reports.
-func (w *World) Describe() string {
-	return fmt.Sprintf("client=%s server=%s hops=%d", w.Client.Name(), w.Server.Name(), len(w.Topo.Routers))
-}

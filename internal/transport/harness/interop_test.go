@@ -112,12 +112,8 @@ func TestShimTranslationsHappen(t *testing.T) {
 	}
 }
 
-func TestWorldDescribe(t *testing.T) {
+func TestWorldServerAddr(t *testing.T) {
 	w := BuildWorld(WorldConfig{Seed: 1, Link: netsim.LinkConfig{}, Client: KindSublayeredNative, Server: KindMonolithic})
-	d := w.Describe()
-	if d == "" {
-		t.Error("empty description")
-	}
 	if w.ServerAddr() != 4 {
 		t.Errorf("server addr = %v", w.ServerAddr())
 	}

@@ -3,10 +3,10 @@ package harness
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/netsim"
 	"repro/internal/transport"
 )
@@ -53,6 +53,10 @@ func stream(t *testing.T, w *World, data []byte, onAccept func(transport.Conn)) 
 // segments.
 func TestReceivePathDoesNotAllocate(t *testing.T) {
 	const warm, measured = 256 << 10, 1 << 20
+	// Profile every allocation, so poolAllocs can tell the buffer
+	// pool's own apart.
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	data := randBytes(warm+measured, 7)
 	links := []struct {
 		name string
@@ -87,22 +91,25 @@ func TestReceivePathDoesNotAllocate(t *testing.T) {
 					}
 				}
 				runUntil(warm)
+				pool := poolAllocs()
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				from, fresh := reads, bufpool.Snapshot().Fresh
+				from := reads
 				runUntil(len(data))
 				runtime.ReadMemStats(&after)
-				fresh = bufpool.Snapshot().Fresh - fresh
+				pool = poolAllocs() - pool
 				if !intact || off != len(data) {
 					t.Fatalf("stream damaged or long: %d of %d bytes read, intact=%v", off, len(data), intact)
 				}
-				// Wire buffers the pool had to make afresh are not the
-				// receive path's: none once warm, except under the race
+				// What the buffer pool allocates is not the receive
+				// path's: wire buffers made afresh, and sync.Pool's
+				// per-P arrays and rings, rebuilt after each GC empties
+				// the pools. None once warm, except under the race
 				// detector, whose sync.Pool drops a share of what is put
-				// back.
-				allocs := after.Mallocs - before.Mallocs - fresh
+				// back; the fresh buffers then bring GCs on.
+				allocs := after.Mallocs - before.Mallocs - pool
 				perRead := float64(allocs) / float64(reads-from)
-				t.Logf("%d allocations (and %d fresh wire buffers) over %d reads: %.4f per read", allocs, fresh, reads-from, perRead)
+				t.Logf("%d allocations (and %d by the buffer pool) over %d reads: %.4f per read", allocs, pool, reads-from, perRead)
 				if perRead > 0.05 {
 					t.Errorf("%.4f heap allocations per delivered segment, want 0 (<= 0.05 for the control plane)", perRead)
 				}
@@ -171,4 +178,30 @@ func TestReadAllLendsItsSlice(t *testing.T) {
 			}
 		})
 	}
+}
+
+// poolAllocs counts the heap objects allocated so far with package
+// bufpool on the stack. It runs a GC first, since the profile it reads
+// is complete only up to the last one; exact only at MemProfileRate 1.
+func poolAllocs() uint64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var objs uint64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			if strings.HasPrefix(f.Function, "repro/internal/bufpool.") {
+				objs += uint64(r.AllocObjects)
+				break
+			}
+		}
+	}
+	return objs
 }

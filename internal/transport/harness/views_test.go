@@ -63,10 +63,10 @@ func TestViewsMatchRegisteredNames(t *testing.T) {
 	check("faults", inj.Stats())
 
 	client := fmt.Sprintf("n%d/transport/", w.Ends[0].ClientAddr)
-	check(client+"dm", w.Client.(*Sublayered).DMStats())
 	conn := res.ClientConn.(*sublayered.Conn)
 	check(client+"conn0/rd", conn.RD().Stats())
 	check(client+"conn0/osr", conn.OSR().Stats())
-	check(client+"conn0/cm", conn.CM().(*sublayered.HandshakeCM).Stats())
+	// conn0/cm is checked by TestConnGroupNames (internal/transport/sublayered),
+	// which can reach the connection manager.
 	check(fmt.Sprintf("n%d/transport/tcp", w.ServerAddr()), w.Server.(*Monolithic).Stats())
 }

@@ -479,11 +479,11 @@ func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
 	}
 	inject(recvBuf + 1)
 	inject(1 << 20)
-	if n := sp.reasm.Buffered(); n != 0 {
+	if n := recvBuf - sp.reasm.Free(); n != 0 {
 		t.Errorf("segments above the window: %d bytes held in reassembly", n)
 	}
 	inject(recvBuf)
-	if n := sp.reasm.Buffered(); n != 500 {
+	if n := recvBuf - sp.reasm.Free(); n != 500 {
 		t.Errorf("segment ending at the edge of the buffer: %d bytes held, want 500", n)
 	}
 
@@ -534,7 +534,7 @@ func TestFinishedPCBRetainsNoReceiveStorage(t *testing.T) {
 		cc.OnConnected, cc.OnWritable = push, push
 		// Run until bytes have been read and a hole is open: read
 		// buffers and reassembly storage both exist.
-		for step := 0; sp == nil || sp.read.Retained() == 0 || sp.reasm.Buffered() == 0; step++ {
+		for step := 0; sp == nil || sp.read.Retained() == 0 || sp.reasm.Free() == transport.BufSize; step++ {
 			if step == 10_000 {
 				t.Fatal("never saw read buffers and a segment held out of order at once")
 			}

@@ -178,9 +178,6 @@ func (s *Stack) Close() error {
 // Stats returns a snapshot of stack counters.
 func (s *Stack) Stats() metrics.View { return metrics.ViewOf(s.m.each) }
 
-// RTTHistogram exposes the RTT sample distribution (milliseconds).
-func (s *Stack) RTTHistogram() *metrics.Histogram { return s.m.rttMs }
-
 // rttBoundsMs matches the sublayered RD histogram bucketing so the two
 // stacks' distributions compare directly.
 var rttBoundsMs = []int64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}

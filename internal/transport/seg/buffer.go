@@ -86,15 +86,6 @@ func (b *SendBuffer) End() uint64 { return b.base + uint64(b.Len()) }
 // Base returns the stream offset of the first unreleased byte.
 func (b *SendBuffer) Base() uint64 { return b.base }
 
-// Slice copies out stream bytes [off, off+n), clipped to what exists.
-func (b *SendBuffer) Slice(off uint64, n int) []byte {
-	v := b.View(off, n)
-	if v == nil {
-		return nil
-	}
-	return append([]byte(nil), v...)
-}
-
 // View returns stream bytes [off, off+n) without copying, clipped to
 // what exists. The slice aliases the buffer and is valid only until the
 // next Write or Release; callers that retain the bytes must copy first.
@@ -197,9 +188,6 @@ func (r *Reassembly) Init(limit int) {
 
 // Next returns the next in-order stream offset expected.
 func (r *Reassembly) Next() uint64 { return r.next }
-
-// Buffered returns the count of out-of-order bytes held.
-func (r *Reassembly) Buffered() int { return r.buffered }
 
 // Free returns remaining buffer capacity — the basis of the advertised
 // receive window.
@@ -305,20 +293,6 @@ func (r *Reassembly) pop() []byte {
 	h.scratch = out
 	if len(out) == 0 {
 		return nil
-	}
-	return out
-}
-
-// Holes reports the offsets of buffered out-of-order segments, sorted
-// — the receiver-side knowledge that RD summarizes for OSR ("RD passes
-// hints to OSR", §3.1).
-func (r *Reassembly) Holes() []uint64 {
-	if r.held == nil {
-		return nil
-	}
-	var out []uint64
-	for _, s := range r.held.segs {
-		out = append(out, s.off)
 	}
 	return out
 }

@@ -112,8 +112,8 @@ func checkSendBufferOps(t *testing.T, ops []byte) {
 			if cap(got) != len(got) {
 				t.Fatalf("op %d: View(%d, %d) has spare capacity %d: an append would write into the buffer", i, off, n, cap(got)-len(got))
 			}
-			if s := b.Slice(off, n); !bytes.Equal(s, want) {
-				t.Fatalf("op %d: Slice(%d, %d) = %x, model %x", i, off, n, s, want)
+			if s := b.View(off, n); !bytes.Equal(s, want) {
+				t.Fatalf("op %d: View(%d, %d) = %x, model %x", i, off, n, s, want)
 			}
 			if ref.base > 0 && !panics(func() { b.View(ref.base-1, 1) }) {
 				t.Fatalf("op %d: View below base %d did not panic", i, ref.base)
@@ -351,9 +351,9 @@ func checkReassemblyOps(t *testing.T, ops []byte) {
 				t.Fatalf("op %d: Insert(%d, %d bytes): byte %d of the prefix from %d is not the stream's", i, off, n, j, from)
 			}
 		}
-		if r.Next() != ref.next || r.Buffered() != ref.buffered || r.Free() != ref.Free() || !reflect.DeepEqual(r.Holes(), ref.Holes()) {
+		if r.Next() != ref.next || r.buffered != ref.buffered || r.Free() != ref.Free() || !reflect.DeepEqual(holes(r), ref.Holes()) {
 			t.Fatalf("op %d: after Insert(%d, %d bytes) next/buffered/free/holes = %d/%d/%d/%v, model %d/%d/%d/%v", i, off, n,
-				r.Next(), r.Buffered(), r.Free(), r.Holes(), ref.next, ref.buffered, ref.Free(), ref.Holes())
+				r.Next(), r.buffered, r.Free(), holes(r), ref.next, ref.buffered, ref.Free(), ref.Holes())
 		}
 	}
 }
@@ -415,8 +415,8 @@ func TestReassemblyLossCycleDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Errorf("open a hole, park %d segments, fill it: %v allocs per cycle, want 0", parked, allocs)
 	}
-	if r.Buffered() != 0 || len(r.Holes()) != 0 {
-		t.Errorf("after the cycles: %d bytes buffered, holes %v", r.Buffered(), r.Holes())
+	if r.buffered != 0 || len(holes(r)) != 0 {
+		t.Errorf("after the cycles: %d bytes buffered, holes %v", r.buffered, holes(r))
 	}
 	r.Release()
 	if got := r.Retained(); got != 0 {

@@ -71,7 +71,7 @@ func TestQuickSendBufferOracle(t *testing.T) {
 			// Random probe.
 			if b.Len() > 0 {
 				off := released + uint64(rand.Intn(b.Len()))
-				got := b.Slice(off, 10)
+				got := b.View(off, 10)
 				end := int(off) + len(got)
 				if !bytes.Equal(got, oracle[off:end]) {
 					return false
@@ -133,7 +133,7 @@ func TestQuickReassemblyReconstructs(t *testing.T) {
 		for _, p := range ss.pieces {
 			out = append(out, ra.Insert(p.off, p.data)...)
 		}
-		return bytes.Equal(out, ss.stream) && ra.Buffered() == 0 && ra.Next() == uint64(len(ss.stream))
+		return bytes.Equal(out, ss.stream) && ra.buffered == 0 && ra.Next() == uint64(len(ss.stream))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

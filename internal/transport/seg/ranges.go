@@ -47,16 +47,6 @@ func (s *RangeSet) Add(from, to uint64) bool {
 	return true
 }
 
-// Contains reports whether every byte of [from, to) is present.
-func (s *RangeSet) Contains(from, to uint64) bool {
-	for _, r := range s.ranges {
-		if r[0] <= from && to <= r[1] {
-			return true
-		}
-	}
-	return from >= to
-}
-
 // ContiguousFrom returns the end of the range containing base, or base
 // itself if absent — the cumulative acknowledgement point.
 func (s *RangeSet) ContiguousFrom(base uint64) uint64 {

@@ -68,9 +68,6 @@ func (e *RTTEstimator) Backoff() {
 // RTO returns the current retransmission timeout.
 func (e *RTTEstimator) RTO() time.Duration { return e.rto }
 
-// SRTT returns the smoothed round-trip estimate (0 before any sample).
-func (e *RTTEstimator) SRTT() time.Duration { return e.srtt }
-
 func (e *RTTEstimator) clamp(d time.Duration) time.Duration {
 	if d < e.min {
 		return e.min

@@ -20,19 +20,3 @@ func (a Seq) Add(n int) Seq { return a + Seq(uint32(n)) }
 
 // Diff returns a-b as a signed count; callers must know |a-b| < 2^31.
 func (a Seq) Diff(b Seq) int { return int(int32(a - b)) }
-
-// Max returns the later of a and b.
-func Max(a, b Seq) Seq {
-	if a.Less(b) {
-		return b
-	}
-	return a
-}
-
-// Min returns the earlier of a and b.
-func Min(a, b Seq) Seq {
-	if a.Less(b) {
-		return a
-	}
-	return b
-}

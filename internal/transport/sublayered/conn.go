@@ -84,9 +84,6 @@ func (c *Conn) RD() *RD { return &c.rd }
 // tests.
 func (c *Conn) OSR() *OSR { return &c.osr }
 
-// CM exposes the connection-management sublayer for stats and tests.
-func (c *Conn) CM() ConnManager { return c.cm }
-
 // Crossings counts events and bytes over each inter-sublayer boundary.
 // The fields are live counters; CrossingStats returns a copy, which
 // freezes them into a snapshot.

@@ -114,9 +114,6 @@ type Listener struct {
 	OnAccept func(*Conn)
 }
 
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
-
 // Stack is one host's sublayered transport: a DM instance bound to a
 // router, creating four-sublayer Conns.
 type Stack struct {
@@ -180,9 +177,6 @@ func (s *Stack) Close() error {
 
 // Addr returns the host's network address.
 func (s *Stack) Addr() network.Addr { return s.router.Addr() }
-
-// DMStats returns a snapshot of the demultiplexer's counters.
-func (s *Stack) DMStats() metrics.View { return metrics.ViewOf(s.dm.m.each) }
 
 // Config returns the stack's (defaulted) configuration.
 func (s *Stack) Config() Config { return s.cfg }
@@ -411,6 +405,3 @@ func (d *DM) remove(id connID) {
 		d.ports.Unbind(id.localPort)
 	}
 }
-
-// Conns returns the live connection count (tests).
-func (d *DM) Conns() int { return len(d.conns) }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/network"
 	"repro/internal/transport"
 )
 
@@ -45,7 +46,7 @@ func TestRDUserTimeoutUnderPartition(t *testing.T) {
 	if len(res.serverGot) == 0 {
 		t.Error("nothing delivered before the cut — cut came too early to test mid-flight abort")
 	}
-	if n := w.client.dm.Conns(); n != 0 {
+	if n := len(w.client.dm.conns); n != 0 {
 		t.Errorf("client DM still tracks %d conns after abort", n)
 	}
 }
@@ -58,7 +59,7 @@ func TestRDUserTimeoutResetByProgress(t *testing.T) {
 	data := randBytes(128*1024, 23)
 	// Twenty seconds of backed-off RTOs is about half the bound.
 	w.sim.Schedule(100*time.Millisecond, func() { w.topo.CutLink(2, 3) })
-	w.sim.Schedule(20*time.Second, func() { w.topo.RestoreLink(2, 3) })
+	w.sim.Schedule(20*time.Second, func() { w.topo.Links[[2]network.Addr{2, 3}].SetUp(true) })
 	res := runTransfer(t, w, data, nil, 120*time.Second)
 
 	if res.clientErr != nil {

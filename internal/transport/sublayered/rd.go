@@ -165,9 +165,6 @@ func (r *RD) onAckTimer() {
 // of RTT samples taken).
 func (r *RD) Stats() metrics.View { return metrics.ViewOf(r.m.each) }
 
-// RTTHistogram exposes the Karn-valid RTT sample distribution.
-func (r *RD) RTTHistogram() *metrics.Histogram { return &r.m.rttMs }
-
 // Established is CM's service delivered: a pair of ISNs "not present in
 // the network so that segments and acks can be trusted as not being
 // delayed duplicates."
@@ -531,10 +528,6 @@ func (r *RD) InFlight() int {
 	}
 	return n
 }
-
-// SRTT exposes the smoothed RTT for rate-based congestion control and
-// stats.
-func (r *RD) SRTT() time.Duration { return r.rtt.SRTT() }
 
 // rcvOffset maps a receive-side sequence number to a stream offset
 // (bytes since peerISN+1), unwrapping mod 2^32 around the current

@@ -3,6 +3,7 @@ package sublayered
 import (
 	"bytes"
 	"math/rand"
+	"repro/internal/metrics"
 	"testing"
 	"time"
 
@@ -127,7 +128,7 @@ func TestGarbageSegmentsDoNotPanic(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("legitimate transfer corrupted by garbage traffic (%d of %d)", len(got), len(msg))
 	}
-	if w.server.DMStats().Get("malformed") == 0 {
+	if metrics.ViewOf(w.server.dm.m.each).Get("malformed") == 0 {
 		t.Error("no malformed segments counted despite noise injection")
 	}
 }
@@ -342,14 +343,14 @@ func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
 	dups := sc.RD().Stats().Get("dup_segments")
 	inject(recvBuf + 1)
 	inject(1 << 20)
-	if n := sc.osr.ra.Buffered(); n != 0 {
+	if n := recvBuf - sc.osr.ra.Free(); n != 0 {
 		t.Errorf("segments above the window: %d bytes held in reassembly", n)
 	}
 	if d := sc.RD().Stats().Get("dup_segments") - dups; d != 2 {
 		t.Errorf("dup_segments rose by %d, want 2", d)
 	}
 	inject(recvBuf)
-	if n := sc.osr.ra.Buffered(); n != 500 {
+	if n := recvBuf - sc.osr.ra.Free(); n != 500 {
 		t.Errorf("segment ending at the edge of the buffer: %d bytes held, want 500", n)
 	}
 
@@ -400,7 +401,7 @@ func TestFinishedConnectionRetainsNoReceiveStorage(t *testing.T) {
 		cc.OnConnected, cc.OnWritable = push, push
 		// Run until bytes have been read and a hole is open: read
 		// buffers and reassembly storage both exist.
-		for step := 0; sc == nil || sc.read.Retained() == 0 || sc.osr.ra.Buffered() == 0; step++ {
+		for step := 0; sc == nil || sc.read.Retained() == 0 || sc.osr.ra.Free() == transport.BufSize; step++ {
 			if step == 10_000 {
 				t.Fatal("never saw read buffers and a segment held out of order at once")
 			}

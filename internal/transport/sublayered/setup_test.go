@@ -1,6 +1,9 @@
 package sublayered
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -57,6 +60,24 @@ func TestConnGroupNames(t *testing.T) {
 			_, hasCM := snap.Get("n1/conn1/cm/syn_sent")
 			if hasCM != (tc.want == 30) {
 				t.Errorf("conn1/cm/syn_sent present = %v", hasCM)
+			}
+			// The manager's Stats() view and the registry list the same
+			// leaves, as TestViewsMatchRegisteredNames (internal/transport/harness)
+			// checks for every other component.
+			if hm, ok := c.cm.(*HandshakeCM); ok {
+				var registered, viewed []string
+				for _, s := range snap.Samples {
+					if leaf, ok := strings.CutPrefix(s.Name, "n1/conn1/cm/"); ok {
+						registered = append(registered, leaf)
+					}
+				}
+				for k := range hm.Stats() {
+					viewed = append(viewed, k)
+				}
+				sort.Strings(viewed) // snapshot samples are already sorted by name
+				if len(registered) == 0 || fmt.Sprint(viewed) != fmt.Sprint(registered) {
+					t.Errorf("cm view keys %v, registered leaves %v", viewed, registered)
+				}
 			}
 		})
 	}
@@ -144,7 +165,7 @@ func TestDialPortsFollowTheTable(t *testing.T) {
 	if c.LocalPort() != 49152 || d.LocalPort() != 49155 {
 		t.Fatalf("after wrap dialled from %d and %d, want 49152 and 49155", c.LocalPort(), d.LocalPort())
 	}
-	if got := w.client.dm.Conns(); got != 3 {
+	if got := len(w.client.dm.conns); got != 3 {
 		t.Fatalf("client has %d live connections, want 3", got)
 	}
 }

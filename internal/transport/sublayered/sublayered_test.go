@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"repro/internal/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -234,10 +235,10 @@ func TestCleanCloseBothSides(t *testing.T) {
 		t.Errorf("errors: client %v server %v", res.clientErr, res.serverErr)
 	}
 	// Demux tables drain (TIME_WAIT expires within the budget).
-	if n := w.client.dm.Conns(); n != 0 {
+	if n := len(w.client.dm.conns); n != 0 {
 		t.Errorf("client demux still holds %d conns", n)
 	}
-	if n := w.server.dm.Conns(); n != 0 {
+	if n := len(w.server.dm.conns); n != 0 {
 		t.Errorf("server demux still holds %d conns", n)
 	}
 }
@@ -340,7 +341,7 @@ func TestConnectToClosedPortResets(t *testing.T) {
 	if !errors.Is(closedErr, ErrReset) {
 		t.Errorf("err = %v, want ErrReset", closedErr)
 	}
-	if w.server.DMStats().Get("rsts_sent") == 0 {
+	if metrics.ViewOf(w.server.dm.m.each).Get("rsts_sent") == 0 {
 		t.Error("server sent no RST")
 	}
 }
@@ -360,7 +361,7 @@ func TestHandshakeTimeoutWhenUnreachable(t *testing.T) {
 	if !errors.Is(closedErr, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", closedErr)
 	}
-	if n := cc.CM().(*HandshakeCM).Stats().Get("syn_retransmits"); n != cmMaxAttempts {
+	if n := cc.cm.(*HandshakeCM).Stats().Get("syn_retransmits"); n != cmMaxAttempts {
 		t.Errorf("syn_retransmits = %d, want %d", n, cmMaxAttempts)
 	}
 }
@@ -592,8 +593,8 @@ func TestE8TimerCM(t *testing.T) {
 	if !res.serverEOF {
 		t.Error("no EOF")
 	}
-	if res.clientConn.CM().Name() != "timer-based(watson)" {
-		t.Errorf("CM = %s", res.clientConn.CM().Name())
+	if res.clientConn.cm.Name() != "timer-based(watson)" {
+		t.Errorf("CM = %s", res.clientConn.cm.Name())
 	}
 }
 

@@ -27,7 +27,7 @@ package verify
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/bitio"
@@ -112,8 +112,8 @@ type Lemma struct {
 	Run   func() error
 }
 
-// Registry collects lemmas, grouped by module, so the suite can report
-// a per-module lemma count the way the paper reports per-proof counts.
+// Registry collects lemmas; each lemma names the module it is about, so
+// a failure reads "module/lemma".
 type Registry struct {
 	mu     sync.Mutex
 	lemmas []Lemma
@@ -133,6 +133,20 @@ func (r *Registry) Len() int {
 	return len(r.lemmas)
 }
 
+// Modules returns the modules the lemmas are about, each once, in the
+// order their first lemma was registered.
+func (r *Registry) Modules() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []string
+	for _, l := range r.lemmas {
+		if !slices.Contains(out, l.About) {
+			out = append(out, l.About)
+		}
+	}
+	return out
+}
+
 // RunAll executes every lemma and returns the failures.
 func (r *Registry) RunAll() []Violation {
 	r.mu.Lock()
@@ -146,28 +160,6 @@ func (r *Registry) RunAll() []Violation {
 		}
 	}
 	return out
-}
-
-// PerModule returns lemma counts grouped by module, sorted by name.
-func (r *Registry) PerModule() []ModuleCount {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := make(map[string]int)
-	for _, l := range r.lemmas {
-		m[l.About]++
-	}
-	out := make([]ModuleCount, 0, len(m))
-	for k, v := range m {
-		out = append(out, ModuleCount{Module: k, Lemmas: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Module < out[j].Module })
-	return out
-}
-
-// ModuleCount is one row of the lemma report.
-type ModuleCount struct {
-	Module string
-	Lemmas int
 }
 
 // ExhaustiveBits invokes fn on every bit string of length 0 through
@@ -188,30 +180,4 @@ func ExhaustiveBits(maxLen int, fn func(bitio.Bits) error) (bitio.Bits, error) {
 		}
 	}
 	return bitio.Bits{}, nil
-}
-
-// ExhaustiveBytes invokes fn on every byte string of length 0 through
-// maxLen over the given alphabet and returns the first failing input.
-func ExhaustiveBytes(maxLen int, alphabet []byte, fn func([]byte) error) ([]byte, error) {
-	if len(alphabet) == 0 {
-		return nil, nil
-	}
-	var rec func(prefix []byte) ([]byte, error)
-	rec = func(prefix []byte) ([]byte, error) {
-		if err := fn(prefix); err != nil {
-			out := make([]byte, len(prefix))
-			copy(out, prefix)
-			return out, err
-		}
-		if len(prefix) == maxLen {
-			return nil, nil
-		}
-		for _, a := range alphabet {
-			if bad, err := rec(append(prefix, a)); err != nil {
-				return bad, err
-			}
-		}
-		return nil, nil
-	}
-	return rec(nil)
 }

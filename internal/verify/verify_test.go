@@ -2,7 +2,6 @@ package verify
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -60,10 +59,8 @@ func TestRegistry(t *testing.T) {
 	if len(fails) != 1 || fails[0].Name != "framing/delimits" {
 		t.Errorf("fails = %+v", fails)
 	}
-	pm := r.PerModule()
-	if len(pm) != 2 || pm[0].Module != "framing" || pm[0].Lemmas != 1 ||
-		pm[1].Module != "stuffing" || pm[1].Lemmas != 2 {
-		t.Errorf("PerModule = %+v", pm)
+	if m := r.Modules(); len(m) != 2 || m[0] != "stuffing" || m[1] != "framing" {
+		t.Errorf("Modules = %v", m)
 	}
 }
 
@@ -94,35 +91,5 @@ func TestExhaustiveBitsFindsCounterexample(t *testing.T) {
 	})
 	if err == nil || bad.String() != "1011" {
 		t.Errorf("bad = %q err = %v", bad, err)
-	}
-}
-
-func TestExhaustiveBytes(t *testing.T) {
-	count := 0
-	_, err := ExhaustiveBytes(2, []byte{0, 1, 2}, func(b []byte) error {
-		count++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 + 3 + 9 = 13
-	if count != 13 {
-		t.Errorf("count = %d, want 13", count)
-	}
-	bad, err := ExhaustiveBytes(3, []byte{0, 1}, func(b []byte) error {
-		if len(b) == 2 && b[0] == 1 && b[1] == 0 {
-			return fmt.Errorf("ce")
-		}
-		return nil
-	})
-	if err == nil || len(bad) != 2 || bad[0] != 1 || bad[1] != 0 {
-		t.Errorf("bad = %v err = %v", bad, err)
-	}
-}
-
-func TestExhaustiveBytesEmptyAlphabet(t *testing.T) {
-	if _, err := ExhaustiveBytes(2, nil, func(b []byte) error { return errors.New("x") }); err != nil {
-		t.Error("empty alphabet should be a no-op")
 	}
 }

@@ -37,8 +37,8 @@ func TestSmallWorkloadCompletes(t *testing.T) {
 		if _, ok := r.Metrics.Get("workload/fct_ms"); !ok {
 			t.Errorf("%s: snapshot missing workload/fct_ms", k)
 		}
-		if got := r.Metrics.Value("workload/flows_completed"); got != 25 {
-			t.Errorf("%s: workload/flows_completed = %d", k, got)
+		if got, _ := r.Metrics.Get("workload/flows_completed"); got.Value != 25 {
+			t.Errorf("%s: workload/flows_completed = %d", k, got.Value)
 		}
 	}
 }
