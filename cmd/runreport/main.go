@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/command"
 	"repro/internal/experiments"
-	"repro/internal/experiments/cli"
 )
 
 // runReport is the file's top-level shape. Every field marshals in
@@ -52,7 +51,7 @@ func main() { command.Main("runreport", run) }
 // (and, when it goes to a file, one summary line to stdout).
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("runreport", flag.ContinueOnError)
-	common := cli.AddCommon(fs)
+	sel := addCommon(fs)
 	var (
 		out    = fs.String("o", "BENCH_metrics.json", `output path ("-" for stdout)`)
 		format = fs.String("format", "json", "json or text")
@@ -64,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 		return command.Usage(fmt.Errorf("unknown format %q (want json or text)", *format))
 	}
 
-	results, err := common.Run()
+	results, err := sel.results()
 	if err != nil {
 		return command.Usage(err)
 	}
@@ -72,7 +71,7 @@ func run(args []string, stdout io.Writer) error {
 	var buf bytes.Buffer
 	switch *format {
 	case "json":
-		rep := runReport{Seed: common.Seed}
+		rep := runReport{Seed: sel.Seed}
 		for _, r := range results {
 			rep.Experiments = append(rep.Experiments, r.Manifest())
 		}
@@ -82,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	case "text":
-		fmt.Fprintf(&buf, "run report (seed %d)\n\n", common.Seed)
+		fmt.Fprintf(&buf, "run report (seed %d)\n\n", sel.Seed)
 		for _, r := range results {
 			buf.WriteString(r.Text())
 			if len(r.Metrics.Samples) > 0 {
@@ -92,14 +91,14 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if err := cli.WriteOutput(*out, buf.Bytes(), stdout); err != nil {
+	if err := writeOutput(*out, buf.Bytes(), stdout); err != nil {
 		return err
 	}
 	if *out != "-" {
 		fmt.Fprintf(stdout, "wrote %s (%d experiments, %d bytes)\n", *out, len(results), buf.Len())
 	}
-	if failed := cli.Failed(results); len(failed) > 0 {
-		return fmt.Errorf("experiments with failed scenarios: %s", strings.Join(failed, ","))
+	if bad := failed(results); len(bad) > 0 {
+		return fmt.Errorf("experiments with failed scenarios: %s", strings.Join(bad, ","))
 	}
 	return nil
 }

@@ -39,24 +39,10 @@ func main() {
 		ccs = []string{*ccFlag}
 	}
 
-	cms := []struct {
-		name string
-		mk   func() func() sublayered.ConnManager
-	}{
-		{"handshake/rfc1948", func() func() sublayered.ConnManager {
-			return func() sublayered.ConnManager {
-				return sublayered.NewHandshakeCM(&sublayered.CryptoISN{})
-			}
-		}},
-		{"handshake/rfc793 ", func() func() sublayered.ConnManager {
-			return func() sublayered.ConnManager {
-				return sublayered.NewHandshakeCM(sublayered.ClockISN{})
-			}
-		}},
-		{"timer/watson     ", func() func() sublayered.ConnManager {
-			reg := sublayered.NewIncarnationRegistry()
-			return func() sublayered.ConnManager { return sublayered.NewTimerCM(reg) }
-		}},
+	cms := []struct{ label, name string }{
+		{"handshake/rfc1948", sublayered.CMHandshake},
+		{"handshake/rfc793 ", sublayered.CMClockHandshake},
+		{"timer/watson     ", sublayered.CMWatson},
 	}
 
 	data := make([]byte, 150_000)
@@ -72,14 +58,14 @@ func main() {
 				Link:   netsim.LinkConfig{Delay: 2 * time.Millisecond, LossProb: 0.04, ReorderProb: 0.04},
 				Client: harness.KindSublayeredNative,
 				Server: harness.KindSublayeredNative,
-				SubCfg: sublayered.Config{CC: cc, NewCM: cm.mk()},
+				SubCfg: sublayered.Config{CC: cc, CM: cm.name},
 			})
 			res, err := harness.RunTransfer(w, data, nil, time.Hour)
 			if err != nil {
 				panic(err)
 			}
 			w.Close()
-			fmt.Printf("%-12s %-19s %-8v %v\n", cc, cm.name,
+			fmt.Printf("%-12s %-19s %-8v %v\n", cc, cm.label,
 				bytes.Equal(res.ServerGot, data),
 				res.Elapsed.Truncate(time.Millisecond))
 		}

@@ -27,12 +27,6 @@ type chaosScenario struct {
 	script         func() faults.Script
 }
 
-// chaosDV builds the fresh route computer a crashed router restarts
-// with — same algorithm, empty state, so reconvergence is from scratch.
-func chaosDV() network.RouteComputer {
-	return network.NewDistanceVector(network.DVConfig{AdvertiseInterval: 500 * time.Millisecond})
-}
-
 // chaosScenarios is the E10 fault matrix over the harness's 1–2–3–4
 // line topology (hosts at 1 and 4).
 func chaosScenarios() []chaosScenario {
@@ -58,7 +52,7 @@ func chaosScenarios() []chaosScenario {
 		}},
 		{name: "router-crash", expectComplete: true, script: func() faults.Script {
 			return faults.Script{Name: "router-crash", Steps: []faults.Step{
-				{At: 300 * time.Millisecond, For: 2 * time.Second, Fault: faults.RouterCrash{Addr: 3, Fresh: chaosDV}},
+				{At: 300 * time.Millisecond, For: 2 * time.Second, Fault: faults.RouterCrash{Addr: 3}},
 			}}
 		}},
 		{name: "blackhole-heal", expectComplete: true, script: func() faults.Script {

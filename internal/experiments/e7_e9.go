@@ -83,26 +83,10 @@ func E8Replace(cfg Config) *Result {
 		{"rate-based", "rate-based"},
 		{"fixed-16k", "fixed"},
 	}
-	cms := []struct {
-		name string
-		mk   func() func() sublayered.ConnManager
-	}{
-		{"handshake+crypto-isn", func() func() sublayered.ConnManager {
-			return func() sublayered.ConnManager {
-				return sublayered.NewHandshakeCM(&sublayered.CryptoISN{})
-			}
-		}},
-		{"handshake+clock-isn", func() func() sublayered.ConnManager {
-			return func() sublayered.ConnManager {
-				return sublayered.NewHandshakeCM(sublayered.ClockISN{})
-			}
-		}},
-		{"timer-based(watson)", func() func() sublayered.ConnManager {
-			reg := sublayered.NewIncarnationRegistry()
-			return func() sublayered.ConnManager {
-				return sublayered.NewTimerCM(reg)
-			}
-		}},
+	cms := []struct{ name, reg string }{
+		{"handshake+crypto-isn", sublayered.CMHandshake},
+		{"handshake+clock-isn", sublayered.CMClockHandshake},
+		{"timer-based(watson)", sublayered.CMWatson},
 	}
 	for _, cc := range ccs {
 		for _, cm := range cms {
@@ -110,7 +94,7 @@ func E8Replace(cfg Config) *Result {
 			out := runWorld(harness.WorldConfig{
 				Seed: seed, Backend: cfg.Backend, Link: lossyLink(0.04),
 				Client: harness.KindSublayeredNative, Server: harness.KindSublayeredNative,
-				SubCfg: sublayered.Config{CC: cc.reg, NewCM: cm.mk()},
+				SubCfg: sublayered.Config{CC: cc.reg, CM: cm.reg},
 			}, data, nil, 15*time.Minute, nil)
 			intact := out.Err == nil && bytes.Equal(out.R.ServerGot, data)
 			tm := out.R.Elapsed.Truncate(time.Millisecond).String()

@@ -76,7 +76,7 @@ func TestCheckConflictsMatrix(t *testing.T) {
 		// A crash claims every incident link, so a flap of any of them
 		// during the outage window clashes.
 		{"flap-during-crash-clashes", Script{Steps: []Step{
-			{At: at, For: 2 * f, Fault: RouterCrash{Addr: 2, Fresh: DefaultFresh}},
+			{At: at, For: 2 * f, Fault: RouterCrash{Addr: 2}},
 			{At: at + f, For: f / 2, Fault: LinkFlap{A: 1, B: 2}},
 		}}, true},
 		{"blackholes-on-different-routers", Script{Steps: []Step{

@@ -220,12 +220,12 @@ func (inj *Injector) outage(at, upFor time.Duration, addr network.Addr, fresh fu
 	})
 }
 
-// blackhole installs a drop filter on addr's router at offset at and
-// clears it clearFor later (clearFor <= 0: permanent).
-func (inj *Injector) blackhole(at, clearFor time.Duration, addr network.Addr, match func(*network.Datagram) bool) {
+// blackhole installs a drop-everything filter on addr's router at
+// offset at and clears it clearFor later (clearFor <= 0: permanent).
+func (inj *Injector) blackhole(at, clearFor time.Duration, addr network.Addr) {
 	inj.sim.Schedule(at, func() {
 		if r := inj.topo.Routers[addr]; r != nil {
-			r.SetDropFilter(match)
+			r.SetDropFilter(func(*network.Datagram) bool { return true })
 			inj.m.blackholes.Inc()
 		}
 	})

@@ -122,9 +122,7 @@ func TestRouterCrashRestartReconverges(t *testing.T) {
 
 	inj := New(sim, topo, 9)
 	inj.Apply(Script{Name: "crash", Steps: []Step{
-		{At: 0, For: 2 * time.Second, Fault: RouterCrash{Addr: 2, Fresh: func() network.RouteComputer {
-			return network.NewDistanceVector(network.DVConfig{AdvertiseInterval: 500 * time.Millisecond})
-		}}},
+		{At: 0, For: 2 * time.Second, Fault: RouterCrash{Addr: 2}},
 	}})
 	// During the outage 1 cannot reach 3.
 	sim.RunFor(time.Second)

@@ -39,9 +39,6 @@ type GenConfig struct {
 	// different links cannot starve the transfer into a legitimate
 	// user-timeout abort.
 	MaxDownTotal time.Duration
-	// Fresh builds the route computer crash-restarts come back with
-	// (default DefaultFresh).
-	Fresh func() network.RouteComputer
 }
 
 // WithDefaults fills every unset knob with the healing-envelope
@@ -64,9 +61,6 @@ func (c GenConfig) WithDefaults() GenConfig {
 	}
 	if c.MaxDownTotal <= 0 {
 		c.MaxDownTotal = 4 * time.Second
-	}
-	if c.Fresh == nil {
-		c.Fresh = DefaultFresh
 	}
 	return c
 }
@@ -190,7 +184,7 @@ func genStep(rng *rand.Rand, cfg GenConfig) (Step, time.Duration) {
 		return Step{At: at, For: f, Fault: RouterPause{Addr: interior()}}, f
 	case "crash":
 		f := between(rng, 500*time.Millisecond, 2*time.Second)
-		return Step{At: at, For: f, Fault: RouterCrash{Addr: interior(), Fresh: cfg.Fresh}}, f
+		return Step{At: at, For: f, Fault: RouterCrash{Addr: interior()}}, f
 	case "blackhole":
 		f := between(rng, 200*time.Millisecond, 2*time.Second)
 		return Step{At: at, For: f, Fault: Blackhole{At: interior()}}, f

@@ -14,21 +14,6 @@ import (
 // across shrink rounds, so the encoding favors readability over
 // compactness: durations are "250ms"/"3s" strings, faults are tagged
 // unions keyed by a short kind name, and zero-valued knobs are omitted.
-//
-// Two fields cannot ride through JSON: RouterCrash.Fresh (a
-// constructor) and Blackhole.Match (a predicate). Unmarshal restores
-// the canonical behaviors — a crash restarts with DefaultFresh's
-// distance-vector computer, a blackhole drops every data datagram —
-// which is what every script in the repo uses anyway. A custom Match
-// therefore does not round-trip; MarshalJSON rejects it rather than
-// silently changing meaning.
-
-// DefaultFresh builds the route computer a deserialized RouterCrash
-// restarts with: the harness's distance-vector algorithm with empty
-// state, so reconvergence is from scratch.
-func DefaultFresh() network.RouteComputer {
-	return network.NewDistanceVector(network.DVConfig{AdvertiseInterval: 500 * time.Millisecond})
-}
 
 // dur marshals a time.Duration as its String form ("150ms", "2s").
 type dur time.Duration
@@ -100,9 +85,6 @@ func encodeFault(f Fault) (faultJSON, error) {
 	case RouterCrash:
 		return faultJSON{Kind: "crash", Node: f.Addr}, nil
 	case Blackhole:
-		if f.Match != nil {
-			return faultJSON{}, fmt.Errorf("faults: blackhole with a custom Match predicate does not round-trip through JSON")
-		}
 		return faultJSON{Kind: "blackhole", Node: f.At}, nil
 	case BurstyLoss:
 		return faultJSON{Kind: "bursty", A: f.A, B: f.B,
@@ -127,7 +109,7 @@ func decodeFault(j faultJSON) (Fault, error) {
 	case "pause":
 		return RouterPause{Addr: j.Node}, nil
 	case "crash":
-		return RouterCrash{Addr: j.Node, Fresh: DefaultFresh}, nil
+		return RouterCrash{Addr: j.Node}, nil
 	case "blackhole":
 		return Blackhole{At: j.Node}, nil
 	case "bursty":

@@ -183,34 +183,30 @@ func (f RouterPause) apply(inj *Injector, at, dur time.Duration) {
 func (f RouterPause) String() string { return fmt.Sprintf("pause n%d", f.Addr) }
 
 // RouterCrash takes the router off the network and restarts it with a
-// brand-new route computer from Fresh — all routing state lost, so the
-// control plane must reconverge from scratch (neighbors re-discovered,
-// routes re-advertised).
-type RouterCrash struct {
-	Addr  network.Addr
-	Fresh func() network.RouteComputer
-}
+// brand-new route computer from freshComputer — all routing state
+// lost, so the control plane must reconverge from scratch (neighbors
+// re-discovered, routes re-advertised).
+type RouterCrash struct{ Addr network.Addr }
 
 func (f RouterCrash) apply(inj *Injector, at, dur time.Duration) {
-	inj.outage(at, dur, f.Addr, f.Fresh)
+	inj.outage(at, dur, f.Addr, freshComputer)
+}
+
+// freshComputer builds the route computer a crashed router restarts
+// with: the harness's distance-vector algorithm with empty state.
+func freshComputer() network.RouteComputer {
+	return network.NewDistanceVector(network.DVConfig{AdvertiseInterval: 500 * time.Millisecond})
 }
 func (f RouterCrash) String() string { return fmt.Sprintf("crash n%d", f.Addr) }
 
-// Blackhole makes the router at At silently discard matching data
-// datagrams for the step's duration, while control traffic flows and
+// Blackhole makes the router at At silently discard every data
+// datagram for the step's duration, while control traffic flows and
 // routing stays converged — the classic misconfigured-middlebox
-// failure. A nil Match drops all data datagrams.
-type Blackhole struct {
-	At    network.Addr
-	Match func(*network.Datagram) bool
-}
+// failure.
+type Blackhole struct{ At network.Addr }
 
 func (f Blackhole) apply(inj *Injector, at, dur time.Duration) {
-	match := f.Match
-	if match == nil {
-		match = func(*network.Datagram) bool { return true }
-	}
-	inj.blackhole(at, dur, f.At, match)
+	inj.blackhole(at, dur, f.At)
 }
 func (f Blackhole) String() string { return fmt.Sprintf("blackhole n%d", f.At) }
 

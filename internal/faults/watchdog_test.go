@@ -55,7 +55,7 @@ func TestDisarmDuringCrashRestartWindow(t *testing.T) {
 	inj := New(sim, topo, 41)
 	crashAt, crashFor := 500*time.Millisecond, 2*time.Second
 	inj.MustApply(Script{Name: "crash", Steps: []Step{
-		{At: crashAt, For: crashFor, Fault: RouterCrash{Addr: 2, Fresh: DefaultFresh}},
+		{At: crashAt, For: crashFor, Fault: RouterCrash{Addr: 2}},
 	}})
 
 	w := NewWatchdog()

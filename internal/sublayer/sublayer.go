@@ -73,14 +73,10 @@ type Runtime interface {
 	DeliverUp(p *PDU)
 	// Schedule arms a virtual-time callback.
 	Schedule(d time.Duration, fn func()) *netsim.Timer
-	// Every arms a periodic virtual-time callback.
-	Every(d time.Duration, fn func()) *netsim.Repeater
 	// Rand is the simulation-owned randomness.
 	Rand() *rand.Rand
 	// Drop records an intentional discard with a reason (stats only).
 	Drop(p *PDU, reason string)
-	// Now returns the current virtual time.
-	Now() netsim.Time
 }
 
 // Sublayer is one module within a layer.
@@ -307,11 +303,7 @@ func (r *runtime) DeliverUp(p *PDU) { r.stack.up(r.idx-1, p) }
 func (r *runtime) Schedule(d time.Duration, fn func()) *netsim.Timer {
 	return r.stack.sim.Schedule(d, fn)
 }
-func (r *runtime) Every(d time.Duration, fn func()) *netsim.Repeater {
-	return r.stack.sim.Every(d, fn)
-}
 func (r *runtime) Rand() *rand.Rand { return r.stack.sim.Rand() }
-func (r *runtime) Now() netsim.Time { return r.stack.sim.Now() }
 func (r *runtime) Drop(p *PDU, reason string) {
 	r.stack.boundaries[r.idx].drops.Inc()
 	if r.stack.tracer != nil {

@@ -137,7 +137,6 @@ type Stack struct {
 
 // Listener accepts passive opens.
 type Listener struct {
-	port     uint16
 	OnAccept func(*PCB)
 }
 
@@ -293,7 +292,7 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 	if _, busy := s.listeners[port]; busy {
 		return nil, fmt.Errorf("monolithic: port %d already bound", port)
 	}
-	l := &Listener{port: port}
+	l := &Listener{}
 	s.listeners[port] = l
 	s.ports.Bind(port)
 	return l, nil

@@ -60,13 +60,11 @@ type cmView struct {
 // service (T1) is establishing "a pair of Initial Sequence Numbers"
 // and tearing the connection down; SYN and FIN get CM's own bootstrap
 // reliability (retransmission and timeout, no windows — §3.1).
-// Implementations are swappable (E8): the three-way handshake with
-// pluggable ISN generators, or the Watson-style timer scheme.
+// Implementations are swappable (E8, Config.CM): the three-way
+// handshake with either ISN generator, or the Watson-style timer
+// scheme. Both embed cmCore, which implements everything after the
+// open.
 type ConnManager interface {
-	// Name identifies the scheme.
-	Name() string
-	// attach wires the manager to its connection. Called once.
-	attach(c *Conn)
 	// open starts the connection; active opens send, passive opens
 	// await the peer (firstSegment carries the packet that created a
 	// passive connection, nil for active).
@@ -96,41 +94,23 @@ type ConnManager interface {
 	stop()
 }
 
+// Connection-manager names for Config.CM.
+const (
+	// CMHandshake is the three-way handshake with RFC 1948
+	// cryptographic ISNs (CryptoISN), the default.
+	CMHandshake = "handshake"
+	// CMClockHandshake is the three-way handshake with RFC 793 clock
+	// ISNs (ClockISN).
+	CMClockHandshake = "clock-handshake"
+	// CMWatson is Watson's timer-based scheme (TimerCM).
+	CMWatson = "watson"
+)
+
 // ErrReset reports a connection killed by a peer RST.
 var ErrReset = errors.New("sublayered: connection reset by peer")
 
 // ErrTimeout reports a handshake or FIN that exhausted retries.
 var ErrTimeout = errors.New("sublayered: connection timed out")
-
-// HandshakeCM is classical three-way-handshake connection management
-// with a pluggable ISN generator.
-type HandshakeCM struct {
-	gen ISNGenerator
-
-	conn     *Conn
-	st       CMState
-	isn      seg.Seq
-	peerISN  seg.Seq
-	havePeer bool
-
-	// Bootstrap reliability for SYN / SYN-ACK / FIN. timerFn is onTimer
-	// as a func value, built once per connection: every arm of either CM
-	// timer passes it, and the state says what a firing means.
-	rexmit   netsim.Timer
-	timerFn  func()
-	attempts int
-
-	finSeq    seg.Seq
-	finQueued bool
-	finSent   bool
-	finAcked  bool
-	// end of our stream in bytes, valid once OSR reports drained.
-	streamEnd uint64
-
-	remoteFinSeen bool
-
-	m cmMetrics
-}
 
 // CM's bootstrap reliability, shared by both connection managers: a
 // SYN or FIN is retransmitted after cmRexmitInterval, doubling per
@@ -157,18 +137,209 @@ func (m *cmMetrics) each(f func(string, metrics.Instrument)) {
 	f("resets", &m.resets)
 }
 
+// cmCore is the half of connection management both schemes share: the
+// ISN pair, the bootstrap retransmission timer, and teardown — FIN
+// placement and its acknowledgement, the close transitions, TIME_WAIT
+// and resets. Watson's scheme replaces only establishment (timercm.go),
+// so HandshakeCM and TimerCM embed cmCore and differ only in how they
+// open.
+type cmCore struct {
+	conn    *Conn
+	st      CMState
+	isn     seg.Seq
+	peerISN seg.Seq
+
+	// Bootstrap reliability for SYN / SYN-ACK / FIN. timerFn is the
+	// embedding manager's onTimer as a func value, built once per
+	// connection: every arm of a CM timer passes it, and the state says
+	// what a firing means.
+	rexmit   netsim.Timer
+	timerFn  func()
+	attempts int
+
+	finSeq    seg.Seq
+	finQueued bool
+	finSent   bool
+	finAcked  bool
+
+	remoteFinSeen bool
+
+	// m counts under both schemes, but only HandshakeCM exports it
+	// (instrumentedCM): a Watson connection has no "cm/..." samples.
+	m cmMetrics
+}
+
+func (m *cmCore) state() CMState { return m.st }
+
+func (m *cmCore) localFinSeq() seg.Seq {
+	if !m.finSent {
+		return 0
+	}
+	return m.finSeq
+}
+
+// sendFIN emits our FIN with bootstrap retransmission; RD fills the
+// ack fields (xmitCM).
+func (m *cmCore) sendFIN() {
+	m.m.finSent.Inc()
+	m.conn.xmitCM(tcpwire.CMSection{FIN: true, ISN: uint32(m.isn)},
+		m.finSeq, 0, false)
+	m.armRexmit()
+}
+
+// armRexmit (re)arms the bootstrap retransmission timer with
+// exponential backoff; exceeding cmMaxAttempts kills the connection.
+func (m *cmCore) armRexmit() {
+	m.rexmit.Stop()
+	m.attempts++
+	if m.attempts > cmMaxAttempts {
+		m.end(ErrTimeout)
+		return
+	}
+	m.rexmit = m.conn.stack.sim.ScheduleTimer(cmBackoff(m.attempts), m.timerFn)
+}
+
+// cmBackoff is the interval before the attempt after the n-th.
+func cmBackoff(n int) time.Duration {
+	return cmRexmitInterval << min(n-1, cmMaxBackoffShift)
+}
+
+func (m *cmCore) cancelRexmit() {
+	m.rexmit.Stop()
+	m.attempts = 0
+}
+
+// end closes the connection: CLOSED, and err (nil for an orderly
+// close) to the application.
+func (m *cmCore) end(err error) {
+	m.cancelRexmit()
+	m.st = StateClosed
+	m.conn.destroy(err)
+}
+
+// onReset is the head of both managers' onSegment: it reports whether
+// v is a reset, and ends the connection if so.
+func (m *cmCore) onReset(v cmView) bool {
+	if !v.rst {
+		return false
+	}
+	m.m.resets.Inc()
+	// A reset in a terminal state follows a completed exchange; treat
+	// it as a close.
+	if m.st == StateLastAck || m.st == StateClosing || m.st == StateTimeWait {
+		m.end(nil)
+	} else {
+		m.end(ErrReset)
+	}
+	return true
+}
+
+// onFin is the tail of both managers' onSegment once the connection is
+// open: the peer's FIN, and the acknowledgement of ours.
+func (m *cmCore) onFin(v cmView) {
+	if v.fin && !m.remoteFinSeen {
+		m.remoteFinSeen = true
+		finSeq := v.seqNum.Add(v.payloadLen)
+		m.conn.rd.SetRemoteFin(finSeq)
+		m.conn.osr.setStreamEnd(m.conn.rd.rcvOffset(finSeq))
+		// The state transition happens when the peer's stream is
+		// complete (peerStreamComplete), not on FIN arrival: the FIN
+		// may precede retransmissions that fill holes.
+		m.conn.rd.AckNow()
+	} else if v.fin {
+		// Retransmitted FIN: our ack was lost.
+		m.conn.rd.AckNow()
+	}
+	if m.finSent && !m.finAcked && v.ackValid && m.finSeq.Less(v.ack) {
+		m.finAcked = true
+		m.cancelRexmit()
+		switch m.st {
+		case StateFinWait1:
+			m.st = StateFinWait2
+		case StateClosing:
+			m.enterTimeWait()
+		case StateLastAck:
+			m.end(nil)
+		}
+	}
+}
+
+// onCloseTimer is the teardown half of both managers' timer callback.
+// The state names what was armed: the retransmission timer is
+// cancelled on every transition out of the state that armed it, and
+// nothing leaves TIME_WAIT but this.
+func (m *cmCore) onCloseTimer() {
+	switch m.st {
+	case StateFinWait1, StateClosing, StateLastAck:
+		m.m.finRetransmits.Inc()
+		m.sendFIN()
+	case StateTimeWait:
+		m.end(nil)
+	}
+}
+
+// peerStreamComplete implements ConnManager.
+func (m *cmCore) peerStreamComplete() {
+	switch m.st {
+	case StateEstablished:
+		m.st = StateCloseWait
+	case StateFinWait1:
+		m.st = StateClosing
+	case StateFinWait2:
+		m.enterTimeWait()
+	}
+}
+
+// closeWrite implements ConnManager.
+func (m *cmCore) closeWrite() {
+	m.conn.osr.closeWrite()
+}
+
+// streamFinished implements ConnManager: all data up to end has been
+// handed to RD; place the FIN after it.
+func (m *cmCore) streamFinished(end uint64) {
+	if m.finQueued {
+		return
+	}
+	m.finQueued = true
+	m.finSeq = m.isn.Add(1).Add(int(uint32(end)))
+	m.finSent = true
+	switch m.st {
+	case StateEstablished:
+		m.st = StateFinWait1
+	case StateCloseWait:
+		m.st = StateLastAck
+	}
+	m.attempts = 0
+	m.sendFIN()
+}
+
+// enterTimeWait starts the 2MSL timer. Nothing ever stops it, so the
+// handle is not kept: a connection reset meanwhile is dead when it
+// fires.
+func (m *cmCore) enterTimeWait() {
+	m.st = StateTimeWait
+	m.conn.stack.sim.ScheduleTimer(transport.TimeWait, m.timerFn)
+}
+
+// section implements ConnManager: CM's bits on ordinary segments are
+// just the (static) ISN — for TimerCM it is load-bearing, not
+// redundant.
+func (m *cmCore) section() tcpwire.CMSection {
+	return tcpwire.CMSection{ISN: uint32(m.isn)}
+}
+
+func (m *cmCore) stop() { m.rexmit.Stop() }
+
+// HandshakeCM is classical three-way-handshake connection management:
+// it opens with SYN / SYN-ACK, numbered by its stack's ISN generator.
+type HandshakeCM struct {
+	cmCore
+}
+
 // handshakeLeaves is the leaf table of a connection run by a
 // HandshakeCM.
 var handshakeLeaves = metrics.ConcatLeaves(connLeaves, metrics.LeavesOf("cm", new(cmMetrics).each))
-
-// NewHandshakeCM returns three-way-handshake connection management
-// using gen for initial sequence numbers.
-func NewHandshakeCM(gen ISNGenerator) *HandshakeCM {
-	return &HandshakeCM{gen: gen, st: StateClosed}
-}
-
-// Name implements ConnManager.
-func (m *HandshakeCM) Name() string { return "handshake(" + m.gen.Name() + ")" }
 
 // Stats returns a snapshot of the CM counters.
 func (m *HandshakeCM) Stats() metrics.View { return metrics.ViewOf(m.m.each) }
@@ -177,43 +348,22 @@ func (m *HandshakeCM) Stats() metrics.View { return metrics.ViewOf(m.m.each) }
 func (m *HandshakeCM) leaves() *metrics.Leaves                 { return handshakeLeaves }
 func (m *HandshakeCM) each(f func(string, metrics.Instrument)) { m.m.each(f) }
 
-func (m *HandshakeCM) attach(c *Conn) {
-	m.conn = c
-	m.timerFn = m.onTimer
-}
-
-func (m *HandshakeCM) state() CMState { return m.st }
-
-func (m *HandshakeCM) localFinSeq() seg.Seq {
-	if !m.finSent {
-		return 0
-	}
-	return m.finSeq
-}
-
-func (m *HandshakeCM) setState(s CMState) {
-	m.st = s
-}
-
 // open implements ConnManager.
 func (m *HandshakeCM) open(active bool, first *cmView) {
-	m.isn = seg.Seq(m.gen.ISN(m.conn.key, m.conn.now()))
+	m.isn = seg.Seq(m.conn.stack.isn.ISN(m.conn.key, m.conn.now()))
 	if active {
-		m.setState(StateSynSent)
+		m.st = StateSynSent
 		m.sendSYN()
 		return
 	}
 	// Passive: created by DM on an arriving segment; the handshake
 	// scheme only accepts SYNs.
 	if first == nil || !first.syn {
-		m.cancelRexmit()
-		m.setState(StateClosed)
-		m.conn.destroy(fmt.Errorf("sublayered: passive open without SYN"))
+		m.end(fmt.Errorf("sublayered: passive open without SYN"))
 		return
 	}
 	m.peerISN = first.isn
-	m.havePeer = true
-	m.setState(StateSynRcvd)
+	m.st = StateSynRcvd
 	m.sendSYNACK()
 }
 
@@ -232,16 +382,8 @@ func (m *HandshakeCM) sendSYNACK() {
 	m.armRexmit()
 }
 
-func (m *HandshakeCM) sendFIN() {
-	m.m.finSent.Inc()
-	m.conn.xmitCM(tcpwire.CMSection{FIN: true, ISN: uint32(m.isn)},
-		m.finSeq, 0, false) // ack fields filled by RD via xmitCM
-	m.armRexmit()
-}
-
-// onTimer is the callback of both CM timers. The state names what was
-// armed: the retransmission timer is cancelled on every transition out
-// of the state that armed it, and nothing leaves TIME_WAIT but this.
+// onTimer is the callback of both CM timers: SYN and SYN-ACK
+// retransmission here, the rest in onCloseTimer.
 func (m *HandshakeCM) onTimer() {
 	if m.conn.dead {
 		return
@@ -253,57 +395,20 @@ func (m *HandshakeCM) onTimer() {
 	case StateSynRcvd:
 		m.m.synRetransmits.Inc()
 		m.sendSYNACK()
-	case StateFinWait1, StateClosing, StateLastAck:
-		m.m.finRetransmits.Inc()
-		m.sendFIN()
-	case StateTimeWait:
-		m.setState(StateClosed)
-		m.conn.destroy(nil)
+	default:
+		m.onCloseTimer()
 	}
-}
-
-// armRexmit (re)arms the bootstrap retransmission timer with
-// exponential backoff; exceeding cmMaxAttempts kills the connection.
-func (m *HandshakeCM) armRexmit() {
-	m.rexmit.Stop()
-	m.attempts++
-	if m.attempts > cmMaxAttempts {
-		m.fail(ErrTimeout)
-		return
-	}
-	m.rexmit = m.conn.stack.sim.ScheduleTimer(cmBackoff(m.attempts), m.timerFn)
-}
-
-// cmBackoff is the interval before the attempt after the n-th.
-func cmBackoff(n int) time.Duration {
-	return cmRexmitInterval << min(n-1, cmMaxBackoffShift)
-}
-
-func (m *HandshakeCM) cancelRexmit() {
-	m.rexmit.Stop()
-	m.attempts = 0
 }
 
 // onSegment implements ConnManager — the CM half of segment arrival.
 func (m *HandshakeCM) onSegment(v cmView) bool {
-	if v.rst {
-		m.m.resets.Inc()
-		// A reset in a terminal state follows a completed exchange;
-		// treat it as a close.
-		if m.st == StateLastAck || m.st == StateClosing || m.st == StateTimeWait {
-			m.cancelRexmit()
-			m.setState(StateClosed)
-			m.conn.destroy(nil)
-		} else {
-			m.fail(ErrReset)
-		}
+	if m.onReset(v) {
 		return false
 	}
 	switch m.st {
 	case StateSynSent:
 		if v.syn && v.ackValid && v.ack == m.isn.Add(1) {
 			m.peerISN = v.isn
-			m.havePeer = true
 			m.cancelRexmit()
 			m.establish()
 			// The handshake-completing ACK.
@@ -327,102 +432,16 @@ func (m *HandshakeCM) onSegment(v cmView) bool {
 	}
 
 	// Established and closing states.
-	deliver := true
 	if v.syn {
 		// Peer retransmitted its SYN-ACK: our ACK was lost.
 		m.conn.rd.AckNow()
-		deliver = false
 	}
-	if v.fin && !m.remoteFinSeen {
-		m.remoteFinSeen = true
-		finSeq := v.seqNum.Add(v.payloadLen)
-		m.conn.rd.SetRemoteFin(finSeq)
-		m.conn.osr.setStreamEnd(m.conn.rd.rcvOffset(finSeq))
-		// The state transition happens when the peer's stream is
-		// complete (peerStreamComplete), not on FIN arrival: the FIN
-		// may precede retransmissions that fill holes.
-		m.conn.rd.AckNow()
-	} else if v.fin {
-		// Retransmitted FIN: our ack was lost.
-		m.conn.rd.AckNow()
-	}
-	if m.finSent && !m.finAcked && v.ackValid && m.finSeq.Less(v.ack) {
-		m.finAcked = true
-		m.cancelRexmit()
-		switch m.st {
-		case StateFinWait1:
-			m.setState(StateFinWait2)
-		case StateClosing:
-			m.enterTimeWait()
-		case StateLastAck:
-			m.setState(StateClosed)
-			m.conn.destroy(nil)
-		}
-	}
-	return deliver
-}
-
-// peerStreamComplete implements ConnManager.
-func (m *HandshakeCM) peerStreamComplete() {
-	switch m.st {
-	case StateEstablished:
-		m.setState(StateCloseWait)
-	case StateFinWait1:
-		m.setState(StateClosing)
-	case StateFinWait2:
-		m.enterTimeWait()
-	}
+	m.onFin(v)
+	return !v.syn
 }
 
 func (m *HandshakeCM) establish() {
-	m.setState(StateEstablished)
+	m.st = StateEstablished
 	m.conn.rd.Established(m.isn, m.peerISN)
 	m.conn.onEstablished()
 }
-
-// closeWrite implements ConnManager.
-func (m *HandshakeCM) closeWrite() {
-	m.conn.osr.closeWrite()
-}
-
-// streamFinished implements ConnManager: all data up to end has been
-// handed to RD; place the FIN after it.
-func (m *HandshakeCM) streamFinished(end uint64) {
-	if m.finQueued {
-		return
-	}
-	m.finQueued = true
-	m.streamEnd = end
-	m.finSeq = m.isn.Add(1).Add(int(uint32(end)))
-	m.finSent = true
-	switch m.st {
-	case StateEstablished:
-		m.setState(StateFinWait1)
-	case StateCloseWait:
-		m.setState(StateLastAck)
-	}
-	m.attempts = 0
-	m.sendFIN()
-}
-
-// enterTimeWait starts the 2MSL timer. Nothing ever stops it, so the
-// handle is not kept: a connection reset meanwhile is dead when it
-// fires.
-func (m *HandshakeCM) enterTimeWait() {
-	m.setState(StateTimeWait)
-	m.conn.stack.sim.ScheduleTimer(transport.TimeWait, m.timerFn)
-}
-
-// section implements ConnManager: CM's bits on ordinary segments are
-// just the (static) ISN.
-func (m *HandshakeCM) section() tcpwire.CMSection {
-	return tcpwire.CMSection{ISN: uint32(m.isn)}
-}
-
-func (m *HandshakeCM) fail(err error) {
-	m.cancelRexmit()
-	m.setState(StateClosed)
-	m.conn.destroy(err)
-}
-
-func (m *HandshakeCM) stop() { m.rexmit.Stop() }

@@ -10,7 +10,7 @@ import (
 // its contract) compared to a monolithic implementation." Each
 // sublayer owns a named invariant set over its own state; the Conn
 // evaluates them after every segment when a Checker is configured
-// (tests run with ModePanic, production with ModeOff at zero cost).
+// (tests run with ModePanic; without a Checker it costs a nil check).
 //
 // The contract names are prefixed with the owning sublayer, so a
 // violation message identifies the faulty module directly.

@@ -24,9 +24,10 @@ type Config struct {
 	// ("newreno", "cubic", "bbrlite", ...; default ccontrol.DefaultName).
 	// Unknown names panic at the first connection.
 	CC string
-	// NewCM constructs the connection manager per connection (default
-	// three-way handshake with RFC 1948 crypto ISNs).
-	NewCM func() ConnManager
+	// CM selects the connection manager by name: CMHandshake (the
+	// default), CMClockHandshake or CMWatson. Unknown names panic in
+	// NewStack.
+	CM string
 	// UseShim selects RFC 793 wire format through the §3.1 shim
 	// (interoperates with the monolithic TCP); otherwise the native
 	// Fig. 6 header is used.
@@ -54,11 +55,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.NewCM == nil {
-		// One generator serves every connection of the stack: it holds
-		// nothing but the host's secret.
-		gen := &CryptoISN{}
-		c.NewCM = func() ConnManager { return NewHandshakeCM(gen) }
+	if c.CM == "" {
+		c.CM = CMHandshake
 	}
 	return c
 }
@@ -107,8 +105,6 @@ type DM struct {
 
 // Listener accepts passive opens on a port.
 type Listener struct {
-	stack *Stack
-	port  uint16
 	// OnAccept is invoked with each newly created (still handshaking)
 	// connection; set callbacks on it there.
 	OnAccept func(*Conn)
@@ -128,6 +124,11 @@ type Stack struct {
 	conns *metrics.Family[*Conn]
 	// traceName labels this stack's causal-trace events ("n1/sub").
 	traceName string
+	// What the connection managers of cfg.CM share per host: the
+	// handshake's ISN generator (it holds nothing but the host's
+	// secret), or Watson's incarnation registry.
+	isn          ISNGenerator
+	incarnations incarnations
 }
 
 // NewStack attaches a sublayered transport to a router. In shim mode
@@ -141,6 +142,16 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 		stack:     s,
 		listeners: make(map[uint16]*Listener),
 		conns:     make(map[connID]*Conn),
+	}
+	switch s.cfg.CM {
+	case CMHandshake:
+		s.isn = &CryptoISN{}
+	case CMClockHandshake:
+		s.isn = ClockISN{}
+	case CMWatson:
+		s.incarnations = make(incarnations)
+	default:
+		panic(fmt.Sprintf("sublayered: unknown connection manager %q", s.cfg.CM))
 	}
 	if s.cfg.UseShim {
 		s.shim = tcpwire.NewShim(transport.MSS)
@@ -186,7 +197,7 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 	if _, busy := s.dm.listeners[port]; busy {
 		return nil, fmt.Errorf("sublayered: port %d already bound", port)
 	}
-	l := &Listener{stack: s, port: port}
+	l := &Listener{}
 	s.dm.listeners[port] = l
 	s.dm.ports.Bind(port)
 	return l, nil
@@ -238,12 +249,25 @@ func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 			localPort:  key.SrcPort,
 		},
 	}
-	c.cm = s.cfg.NewCM()
-	c.cm.attach(c)
+	c.cm = s.newCM(c)
 	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
 	c.osr.init(c, ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: transport.MSS}))
 	s.adoptMetrics(c)
 	return c
+}
+
+// newCM builds c's connection manager, the one cfg.CM names. Each
+// keeps its own onTimer as the func value every CM timer is armed
+// with.
+func (s *Stack) newCM(c *Conn) ConnManager {
+	if s.cfg.CM == CMWatson {
+		m := &TimerCM{cmCore: cmCore{conn: c}}
+		m.timerFn = m.onTimer
+		return m
+	}
+	m := &HandshakeCM{cmCore: cmCore{conn: c}}
+	m.timerFn = m.onTimer
+	return m
 }
 
 // adoptMetrics makes the connection member connSeq of the stack's

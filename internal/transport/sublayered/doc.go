@@ -14,8 +14,9 @@
 //   - CM (cm.go, timercm.go, isn.go) — Connection Management:
 //     establishing a pair of initial sequence numbers and tearing the
 //     connection down, with its own bootstrap reliability for SYN/FIN.
-//     Swappable (E8): the three-way handshake with pluggable ISN
-//     generators, or the Watson timer-based scheme.
+//     Swappable by name (Config.CM, E8): the three-way handshake with
+//     crypto or clock ISNs, or the Watson timer-based scheme. Both
+//     embed cmCore, so they differ only in how a connection opens.
 //   - DM (dm.go) — Demultiplexing: "essentially UDP" — ports, binding,
 //     listener dispatch; the bottom sublayer everything else rides on.
 //

@@ -80,43 +80,58 @@ func TestRDUserTimeoutResetByProgress(t *testing.T) {
 	}
 }
 
-// TestTimerCMExhaustionUnderPartition (satellite): with the path fully
-// cut, TimerCM's FIN bootstrap retransmission must exhaust cmMaxAttempts
-// and die with ErrTimeout — and the attempts past cmMaxBackoffShift
-// must wait the capped interval, not keep doubling.
+// TestTimerCMExhaustionUnderPartition: with the path cut once the
+// connection is open, the FIN's bootstrap retransmission must exhaust
+// cmMaxAttempts and end the connection in CLOSED with ErrTimeout under
+// either scheme, since both tear down through cmCore — and the
+// attempts past cmMaxBackoffShift must wait the capped interval, not
+// keep doubling.
 func TestTimerCMExhaustionUnderPartition(t *testing.T) {
 	if cmMaxAttempts <= cmMaxBackoffShift+1 {
 		t.Fatalf("%d attempts never reach the 1<<%d backoff cap", cmMaxAttempts, cmMaxBackoffShift)
 	}
-	reg := NewIncarnationRegistry()
-	ccfg := Config{NewCM: func() ConnManager { return NewTimerCM(reg) }}
-	w := newWorld(t, 24, cleanLink(), ccfg, Config{})
-	w.topo.CutLink(2, 3) // fully partitioned before the open
+	for _, name := range []string{CMHandshake, CMWatson} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{CM: name}
+			w := newWorld(t, 24, cleanLink(), cfg, cfg)
+			if _, err := w.server.Listen(80); err != nil {
+				t.Fatal(err)
+			}
+			cc, err := w.client.Dial(4, 80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.sim.RunFor(time.Second)
+			if st := cc.State(); st != "ESTABLISHED" {
+				t.Fatalf("state %s before the cut, want ESTABLISHED", st)
+			}
+			w.topo.CutLink(2, 3)
 
-	cc, err := w.client.Dial(4, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var closedErr error
-	var closedAt netsim.Time
-	closed := false
-	cc.OnClosed = func(err error) { closedErr, closedAt, closed = err, w.sim.Now(), true }
-	start := w.sim.Now()
-	cc.Close() // no data: only the FIN needs (and never gets) an ack
+			var closedErr error
+			var closedAt netsim.Time
+			closed := false
+			cc.OnClosed = func(err error) { closedErr, closedAt, closed = err, w.sim.Now(), true }
+			start := w.sim.Now()
+			cc.Close() // no data: only the FIN needs (and never gets) an ack
 
-	w.sim.RunFor(5 * time.Minute)
-	if !closed {
-		t.Fatal("connection still alive after 5m of FIN retransmission")
-	}
-	if !errors.Is(closedErr, ErrTimeout) && !errors.Is(closedErr, ErrReset) {
-		t.Fatalf("closed with %v, want ErrTimeout or ErrReset", closedErr)
-	}
-	// The wait after attempt n+1 is cmRexmitInterval·2^min(n, cmMaxBackoffShift).
-	var want time.Duration
-	for n := 0; n < cmMaxAttempts; n++ {
-		want += cmRexmitInterval * time.Duration(1<<min(n, cmMaxBackoffShift))
-	}
-	if elapsed := time.Duration(closedAt - start); elapsed != want {
-		t.Errorf("exhaustion took %v, want %v", elapsed, want)
+			w.sim.RunFor(5 * time.Minute)
+			if !closed {
+				t.Fatal("connection still alive after 5m of FIN retransmission")
+			}
+			if !errors.Is(closedErr, ErrTimeout) {
+				t.Fatalf("closed with %v, want ErrTimeout", closedErr)
+			}
+			if st := cc.State(); st != "CLOSED" {
+				t.Errorf("state %s after exhaustion, want CLOSED", st)
+			}
+			// The wait after attempt n+1 is cmRexmitInterval·2^min(n, cmMaxBackoffShift).
+			var want time.Duration
+			for n := 0; n < cmMaxAttempts; n++ {
+				want += cmRexmitInterval * time.Duration(1<<min(n, cmMaxBackoffShift))
+			}
+			if elapsed := time.Duration(closedAt - start); elapsed != want {
+				t.Errorf("exhaustion took %v, want %v", elapsed, want)
+			}
+		})
 	}
 }

@@ -14,8 +14,6 @@ import (
 // cryptographic) changes nothing outside CM — the E8 replace
 // experiment.
 type ISNGenerator interface {
-	// Name identifies the scheme.
-	Name() string
 	// ISN produces the initial sequence number for a new connection.
 	ISN(key tcpwire.FlowKey, now netsim.Time) uint32
 }
@@ -27,9 +25,6 @@ type ISNGenerator interface {
 // an earlier incarnation."
 type ClockISN struct{}
 
-// Name implements ISNGenerator.
-func (ClockISN) Name() string { return "rfc793-clock" }
-
 // ISN implements ISNGenerator.
 func (ClockISN) ISN(_ tcpwire.FlowKey, now netsim.Time) uint32 {
 	return uint32(int64(now) / 4000) // one tick per 4µs of virtual time
@@ -39,13 +34,11 @@ func (ClockISN) ISN(_ tcpwire.FlowKey, now netsim.Time) uint32 {
 // connection four-tuple and a secret key, plus the clock, "making it
 // hard for an attacker to predict the ISN."
 type CryptoISN struct {
-	// Secret is the per-host key; zero value is usable but tests and
-	// hosts should set a distinct one.
+	// Secret is the per-host key. A Stack's generator keeps the zero
+	// key, so a simulated run stays a function of its seed; a real
+	// host would draw one at boot.
 	Secret [16]byte
 }
-
-// Name implements ISNGenerator.
-func (c *CryptoISN) Name() string { return "rfc1948-crypto" }
 
 // ISN implements ISNGenerator.
 func (c *CryptoISN) ISN(key tcpwire.FlowKey, now netsim.Time) uint32 {

@@ -125,8 +125,6 @@ func (m *rdMetrics) each(f func(string, metrics.Instrument)) {
 type outSeg struct {
 	seq     seg.Seq
 	payload []byte
-	sentAt  netsim.Time
-	rexmit  bool
 	sacked  bool
 	// pending marks a segment presumed lost after a timeout; cumack
 	// advances chain through pending segments one RTT apart instead of
@@ -218,7 +216,7 @@ func (r *RD) Send(off uint64, data []byte) {
 		r.out = r.out[:copy(r.out, r.out[r.head:])]
 		r.head = 0
 	}
-	r.out = append(r.out, outSeg{seq: s, payload: buf, sentAt: now})
+	r.out = append(r.out, outSeg{seq: s, payload: buf})
 	if !r.timing {
 		r.timing = true
 		r.timedEnd = s.Add(len(data))
@@ -417,9 +415,7 @@ func (r *RD) retransmitFirst() {
 		if r.timing && o.seq.Less(r.timedEnd) {
 			r.timing = false // Karn: the timed segment's ack is now ambiguous
 		}
-		o.rexmit = true
 		o.pending = false
-		o.sentAt = r.conn.now()
 		r.m.retransmits.Inc()
 		r.conn.trace("rexmit", "", 0, uint32(o.seq), len(o.payload))
 		r.conn.xmitData(o.seq+seg.Seq(FaultRexmitOffset), o.payload)

@@ -26,16 +26,15 @@ func bareStack(cfg Config) *Stack {
 // "conn<n>/<sublayer>/<leaf>", and its counters are the live ones.
 func TestConnGroupNames(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		newCM func() ConnManager
-		want  int
+		name, cm string
+		want     int
 	}{
-		{"handshake", nil, 30},
-		{"timer", func() ConnManager { return NewTimerCM(NewIncarnationRegistry()) }, 25},
+		{"handshake", CMHandshake, 30},
+		{"timer", CMWatson, 25},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.New()
-			s := bareStack(Config{NewCM: tc.newCM, Metrics: reg.Scope("n1")})
+			s := bareStack(Config{CM: tc.cm, Metrics: reg.Scope("n1")})
 			before := reg.Len()
 			s.newConn(tcpwire.FlowKey{SrcAddr: 1, DstAddr: 2, SrcPort: 50000, DstPort: 80})
 			c := s.newConn(tcpwire.FlowKey{SrcAddr: 1, DstAddr: 2, SrcPort: 50001, DstPort: 80})
@@ -81,6 +80,17 @@ func TestConnGroupNames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestUnknownCMPanics: Config.CM is a name, checked when the stack is
+// built rather than at the first connection.
+func TestUnknownCMPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewStack accepted an unknown connection manager")
+		}
+	}()
+	bareStack(Config{CM: "three-way-wave"})
 }
 
 // TestNewConnAllocsFlat is the guard on per-connection cost: with a

@@ -265,16 +265,17 @@ func TestE8CongestionControlSwap(t *testing.T) {
 
 // TestE8ISNSwap: connection management's ISN mechanism swaps freely.
 func TestE8ISNSwap(t *testing.T) {
-	gens := []ISNGenerator{ClockISN{}, &CryptoISN{Secret: [16]byte{1, 2, 3}}}
-	for _, gen := range gens {
-		gen := gen
-		t.Run(gen.Name(), func(t *testing.T) {
-			cfg := Config{NewCM: func() ConnManager { return NewHandshakeCM(gen) }}
+	for _, tc := range []struct{ name, cm string }{
+		{"rfc793-clock", CMClockHandshake},
+		{"rfc1948-crypto", CMHandshake},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{CM: tc.cm}
 			w := newWorld(t, 7, nastyLink(), cfg, cfg)
 			data := randBytes(30_000, 3)
 			res := runTransfer(t, w, data, nil, 3*time.Minute)
 			if !bytes.Equal(res.serverGot, data) {
-				t.Fatalf("%s: transfer failed (%d of %d)", gen.Name(), len(res.serverGot), len(data))
+				t.Fatalf("%s: transfer failed (%d of %d)", tc.name, len(res.serverGot), len(data))
 			}
 		})
 	}
@@ -580,11 +581,8 @@ func TestRegistrySwapCompletesTransfer(t *testing.T) {
 // in for the three-way handshake with no change to RD, OSR or DM —
 // and saves the handshake round trip.
 func TestE8TimerCM(t *testing.T) {
-	mkCfg := func() Config {
-		reg := NewIncarnationRegistry()
-		return Config{NewCM: func() ConnManager { return NewTimerCM(reg) }}
-	}
-	w := newWorld(t, 16, nastyLink(), mkCfg(), mkCfg())
+	cfg := Config{CM: CMWatson}
+	w := newWorld(t, 16, nastyLink(), cfg, cfg)
 	data := randBytes(60_000, 7)
 	res := runTransfer(t, w, data, nil, 5*time.Minute)
 	if !bytes.Equal(res.serverGot, data) {
@@ -593,8 +591,8 @@ func TestE8TimerCM(t *testing.T) {
 	if !res.serverEOF {
 		t.Error("no EOF")
 	}
-	if res.clientConn.cm.Name() != "timer-based(watson)" {
-		t.Errorf("CM = %s", res.clientConn.cm.Name())
+	if _, ok := res.clientConn.cm.(*TimerCM); !ok {
+		t.Errorf("CM = %T", res.clientConn.cm)
 	}
 }
 
@@ -625,9 +623,7 @@ func TestTimerCMNoHandshakeRoundTrip(t *testing.T) {
 		}
 		return time.Duration(arrival - start)
 	}
-	reg1, reg2 := NewIncarnationRegistry(), NewIncarnationRegistry()
-	_ = reg2
-	timerTime := measure(Config{NewCM: func() ConnManager { return NewTimerCM(reg1) }})
+	timerTime := measure(Config{CM: CMWatson})
 	handshakeTime := measure(Config{})
 	if timerTime >= handshakeTime {
 		t.Errorf("timer CM (%v) not faster than handshake (%v)", timerTime, handshakeTime)
@@ -637,7 +633,7 @@ func TestTimerCMNoHandshakeRoundTrip(t *testing.T) {
 // TestIncarnationRegistryRejectsStale: the Watson scheme's protection
 // against delayed duplicates from earlier incarnations.
 func TestIncarnationRegistryRejectsStale(t *testing.T) {
-	reg := NewIncarnationRegistry()
+	reg := make(incarnations)
 	key := tcpwire.FlowKey{SrcAddr: 1, DstAddr: 2, SrcPort: 3, DstPort: 4}
 	if !reg.accept(key, 100) {
 		t.Fatal("fresh incarnation rejected")

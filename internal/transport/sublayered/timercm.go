@@ -1,9 +1,7 @@
 package sublayered
 
 import (
-	"repro/internal/netsim"
 	"repro/internal/tcpwire"
-	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
 
@@ -19,103 +17,52 @@ import (
 // Watson's bounded-lifetime assumption enforced with the simulator's
 // bounded maximum packet lifetime.
 //
-// Teardown still uses FIN with bootstrap retransmission; Watson's
-// contribution replaced the establishment handshake, and the quiet
-// period after close plays the role of his Δt state-holding timer.
+// Watson's contribution replaced the establishment handshake only:
+// teardown is cmCore's, FIN with bootstrap retransmission, shared with
+// HandshakeCM, and the quiet period after close plays the role of his
+// Δt state-holding timer.
 //
 // TimerCM only runs native mode (a standard TCP peer expects SYNs) and
 // saves one round trip on connection setup — the measurable benefit
 // the E8 replace experiment reports.
 type TimerCM struct {
-	reg *IncarnationRegistry
-
-	conn     *Conn
-	st       CMState
-	isn      seg.Seq
-	peerISN  seg.Seq
-	havePeer bool
-
-	// timerFn is onTimer as a func value, built once per connection and
-	// passed to every arm; announced and the state say what a firing
-	// means.
-	rexmit    netsim.Timer
-	timerFn   func()
+	cmCore
+	// havePeer is set once the peer's ISN is known; announced once
+	// the zero-delay timer has told the application it is connected.
+	havePeer  bool
 	announced bool
-	attempts  int
-
-	finSeq    seg.Seq
-	finQueued bool
-	finSent   bool
-	finAcked  bool
-
-	remoteFinSeen bool
 }
 
-// IncarnationRegistry is the per-host memory that stands in for
-// Watson's bounded packet lifetime: the newest ISN accepted from each
-// (peer, port pair), so stale incarnations are rejected. Share one
-// registry across all TimerCM instances of a host.
-type IncarnationRegistry struct {
-	last map[tcpwire.FlowKey]seg.Seq
-}
-
-// NewIncarnationRegistry returns an empty registry.
-func NewIncarnationRegistry() *IncarnationRegistry {
-	return &IncarnationRegistry{last: make(map[tcpwire.FlowKey]seg.Seq)}
-}
+// incarnations is the per-host memory that stands in for Watson's
+// bounded packet lifetime: the newest ISN accepted from each (peer,
+// port pair), so stale incarnations are rejected. Every TimerCM of a
+// Stack shares its stack's.
+type incarnations map[tcpwire.FlowKey]seg.Seq
 
 // accept reports whether isn begins a fresh incarnation for key and
 // records it.
-func (r *IncarnationRegistry) accept(key tcpwire.FlowKey, isn seg.Seq) bool {
-	if last, ok := r.last[key]; ok && !last.Less(isn) {
+func (r incarnations) accept(key tcpwire.FlowKey, isn seg.Seq) bool {
+	if last, ok := r[key]; ok && !last.Less(isn) {
 		return false
 	}
-	r.last[key] = isn
+	r[key] = isn
 	return true
-}
-
-// NewTimerCM returns a timer-based connection manager. All managers of
-// one host must share the registry.
-func NewTimerCM(reg *IncarnationRegistry) *TimerCM {
-	return &TimerCM{reg: reg, st: StateClosed}
-}
-
-// Name implements ConnManager.
-func (m *TimerCM) Name() string { return "timer-based(watson)" }
-
-func (m *TimerCM) attach(c *Conn) {
-	m.conn = c
-	m.timerFn = m.onTimer
 }
 
 // onTimer is the callback of all three CM timers. The zero-delay
 // announcement is armed in open, before anything else on the connection
 // and earlier than any retransmission or quiet period can expire, so
-// the first firing is always that one; after it the state names what
-// was armed, as in HandshakeCM.onTimer.
+// the first firing is always that one; the rest are onCloseTimer's.
 func (m *TimerCM) onTimer() {
 	if m.conn.dead {
 		return
 	}
-	switch {
-	case !m.announced:
+	if !m.announced {
 		m.announced = true
 		m.conn.onEstablished()
-	case m.st == StateTimeWait:
-		m.st = StateClosed
-		m.conn.destroy(nil)
-	case m.st == StateFinWait1 || m.st == StateClosing || m.st == StateLastAck:
-		m.sendFIN()
+		return
 	}
-}
-
-func (m *TimerCM) state() CMState { return m.st }
-
-func (m *TimerCM) localFinSeq() seg.Seq {
-	if !m.finSent {
-		return 0
-	}
-	return m.finSeq
+	m.onCloseTimer()
 }
 
 // open implements ConnManager. Active opens are established instantly;
@@ -137,11 +84,11 @@ func (m *TimerCM) open(active bool, first *cmView) {
 	}
 	if first == nil || first.syn {
 		// A SYN means the peer is a handshake implementation: not ours.
-		m.conn.destroy(ErrReset)
+		m.end(ErrReset)
 		return
 	}
-	if !m.reg.accept(m.conn.key, first.isn) {
-		m.conn.destroy(ErrReset) // stale incarnation
+	if !m.conn.stack.incarnations.accept(m.conn.key, first.isn) {
+		m.end(ErrReset) // stale incarnation
 		return
 	}
 	m.peerISN = first.isn
@@ -154,111 +101,19 @@ func (m *TimerCM) open(active bool, first *cmView) {
 
 // onSegment implements ConnManager.
 func (m *TimerCM) onSegment(v cmView) bool {
-	if v.rst {
-		if m.st == StateLastAck || m.st == StateClosing || m.st == StateTimeWait {
-			m.conn.destroy(nil)
-		} else {
-			m.conn.destroy(ErrReset)
-		}
+	if m.onReset(v) {
 		return false
 	}
 	if !m.havePeer {
 		// First inbound segment: learn the peer's ISN.
 		m.peerISN = v.isn
 		m.havePeer = true
-		m.reg.accept(m.conn.key, v.isn)
+		m.conn.stack.incarnations.accept(m.conn.key, v.isn)
 		m.conn.rd.SetPeerISN(v.isn)
 	} else if v.isn != m.peerISN {
 		// A different incarnation while this one lives: drop it.
 		return false
 	}
-	if v.fin && !m.remoteFinSeen {
-		m.remoteFinSeen = true
-		finSeq := v.seqNum.Add(v.payloadLen)
-		m.conn.rd.SetRemoteFin(finSeq)
-		m.conn.osr.setStreamEnd(m.conn.rd.rcvOffset(finSeq))
-		m.conn.rd.AckNow()
-	} else if v.fin {
-		m.conn.rd.AckNow()
-	}
-	if m.finSent && !m.finAcked && v.ackValid && m.finSeq.Less(v.ack) {
-		m.finAcked = true
-		m.cancelRexmit()
-		switch m.st {
-		case StateFinWait1:
-			m.st = StateFinWait2
-		case StateClosing:
-			m.enterTimeWait()
-		case StateLastAck:
-			m.st = StateClosed
-			m.conn.destroy(nil)
-		}
-	}
+	m.onFin(v)
 	return true
 }
-
-// peerStreamComplete implements ConnManager.
-func (m *TimerCM) peerStreamComplete() {
-	switch m.st {
-	case StateEstablished:
-		m.st = StateCloseWait
-	case StateFinWait1:
-		m.st = StateClosing
-	case StateFinWait2:
-		m.enterTimeWait()
-	}
-}
-
-// closeWrite implements ConnManager.
-func (m *TimerCM) closeWrite() { m.conn.osr.closeWrite() }
-
-// streamFinished implements ConnManager.
-func (m *TimerCM) streamFinished(end uint64) {
-	if m.finQueued {
-		return
-	}
-	m.finQueued = true
-	m.finSeq = m.isn.Add(1).Add(int(uint32(end)))
-	m.finSent = true
-	switch m.st {
-	case StateEstablished:
-		m.st = StateFinWait1
-	case StateCloseWait:
-		m.st = StateLastAck
-	}
-	m.attempts = 0
-	m.sendFIN()
-}
-
-func (m *TimerCM) sendFIN() {
-	m.conn.xmitCM(tcpwire.CMSection{FIN: true, ISN: uint32(m.isn)}, m.finSeq, 0, false)
-	m.armRexmit()
-}
-
-func (m *TimerCM) armRexmit() {
-	m.rexmit.Stop()
-	m.attempts++
-	if m.attempts > cmMaxAttempts {
-		m.conn.destroy(ErrTimeout)
-		return
-	}
-	m.rexmit = m.conn.stack.sim.ScheduleTimer(cmBackoff(m.attempts), m.timerFn)
-}
-
-func (m *TimerCM) cancelRexmit() {
-	m.rexmit.Stop()
-	m.attempts = 0
-}
-
-func (m *TimerCM) enterTimeWait() {
-	m.st = StateTimeWait
-	m.conn.stack.sim.ScheduleTimer(transport.TimeWait, m.timerFn)
-}
-
-// section implements ConnManager: the ISN rides on every segment — for
-// TimerCM it is load-bearing, not redundant.
-func (m *TimerCM) section() tcpwire.CMSection {
-	return tcpwire.CMSection{ISN: uint32(m.isn)}
-}
-
-func (m *TimerCM) stop() { m.rexmit.Stop() }

@@ -9,13 +9,8 @@ import (
 )
 
 func TestCheckerOffIsFree(t *testing.T) {
-	var c *Checker // nil checker must be safe
+	var c *Checker // the nil checker is the off path, and must be safe
 	c.Check(false, "x", "boom")
-	c2 := NewChecker(ModeOff)
-	c2.Check(false, "x", "boom")
-	if len(c2.Violations()) != 0 {
-		t.Error("off checker recorded")
-	}
 }
 
 func TestCheckerRecord(t *testing.T) {
