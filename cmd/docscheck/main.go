@@ -41,8 +41,13 @@
 // (CHANGES.md, ROADMAP.md) record targets and paths that no longer
 // exist on purpose and are exempt from these four checks.
 //
-// Exit status 1 lists every broken link, stale target, stale path and
-// empty test command; 0 means all resolve.
+// CHANGES.md has one check of its own: an entry (a line starting
+// "- PR <n>") for PR 42 or later may hold at most 1,536 bytes — the
+// claim, the rows that moved and the tests added and removed, not the
+// measurement narrative.
+//
+// Exit status 1 lists every broken link, stale target, stale path,
+// empty test command and long entry; 0 means all resolve.
 package main
 
 import (
@@ -52,6 +57,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -79,6 +85,15 @@ var (
 	goTestLineRe = regexp.MustCompile(`^\s*go\s+test\s+(.+)$`)
 	// testFuncRe finds the top-level test functions of a _test.go file.
 	testFuncRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// entryRe matches a CHANGES.md entry line; the capture is its PR.
+	entryRe = regexp.MustCompile(`^- PR (\d+)\b`)
+)
+
+// The CHANGES.md entry cap: entries for PR capFrom and later hold at
+// most entryCap bytes.
+const (
+	entryCap = 1536
+	capFrom  = 42
 )
 
 // historyFiles keep `make` targets and paths that were since deleted:
@@ -126,6 +141,9 @@ func check(root string, files []string) (problems []string, checked string, err 
 			if err := checkLink(path, l.target); err != nil {
 				problems = append(problems, fmt.Sprintf("%s:%d: broken link %q: %v", path, l.line, l.target, err))
 			}
+		}
+		if filepath.Base(path) == "CHANGES.md" {
+			problems = append(problems, longEntries(path, string(raw))...)
 		}
 		if historyFiles[filepath.Base(path)] {
 			continue
@@ -274,6 +292,22 @@ func testFuncs(dir string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// longEntries reports every entry of a CHANGES.md for PR capFrom or
+// later that is longer than entryCap bytes.
+func longEntries(path, doc string) []string {
+	var out []string
+	for i, line := range strings.Split(doc, "\n") {
+		m := entryRe.FindStringSubmatch(line)
+		if m == nil || len(line) <= entryCap {
+			continue
+		}
+		if pr, _ := strconv.Atoi(m[1]); pr >= capFrom {
+			out = append(out, fmt.Sprintf("%s:%d: the PR %s entry is %d bytes, over the %d-byte cap", path, i+1, m[1], len(line), entryCap))
+		}
+	}
+	return out
 }
 
 // pathSpansOf extracts the repository path each code span names: the

@@ -206,3 +206,48 @@ func TestGoTestRunsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestLongChangesEntry: a CHANGES.md entry for PR 42 or later longer
+// than 1,536 bytes is reported, with its line; an entry at the cap, an
+// older long entry, a long line that is not an entry and the same long
+// entry in another file are not.
+func TestLongChangesEntry(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(root, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := func(pr string, n int) string {
+		head := "- PR " + pr + " [simplicity]: "
+		return head + strings.Repeat("x", n-len(head))
+	}
+	write("Makefile", ".PHONY: build\n")
+	write("CHANGES.md", strings.Join([]string{
+		entry("41", 5000),             // before the cap
+		entry("42", 1536),             // at the cap
+		entry("42", 1537),             // line 3: over
+		"FOUND: " + entry("43", 2000), // not an entry
+		entry("100", 1600),            // line 5: over
+	}, "\n"))
+	write("README.md", entry("50", 2000))
+
+	problems, _, err := check(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := filepath.Join(root, "CHANGES.md")
+	want := []string{
+		changes + ":3: the PR 42 entry is 1537 bytes",
+		changes + ":5: the PR 100 entry is 1600 bytes",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("problems = %q, want %d", problems, len(want))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(problems[i], w) {
+			t.Errorf("problems[%d] = %q, want prefix %q", i, problems[i], w)
+		}
+	}
+}

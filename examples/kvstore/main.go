@@ -46,9 +46,15 @@ func main() {
 	})
 	defer cl.Close()
 
+	// Each phase runs the world until its outcome holds: virtually on
+	// the simulator, against the wall clock on chan/udp — same call
+	// either way.
+	const budget = 30 * time.Second
+
 	// Bootstrap: an overlay node and a DHT on every member, joins
 	// staggered so the routing tables fill from a live network.
 	dhts := make(map[network.Addr]*overlay.DHT)
+	joined := 0
 	cl.Exec(func() {
 		for _, h := range cl.Hosts {
 			n, err := overlay.NewNode(h.B, h.Addr, h.Stack, overlay.NodeConfig{Seed: *seed})
@@ -59,11 +65,11 @@ func main() {
 			dhts[h.Addr] = overlay.NewDHT(n, overlay.DHTConfig{})
 			addr, succ := h.Addr, network.Addr(int(h.Addr)%*nodes+1)
 			n.B.Schedule(time.Duration(addr)*50*time.Millisecond, func() {
-				dhts[addr].Join([]network.Addr{1, succ}, nil)
+				dhts[addr].Join([]network.Addr{1, succ}, func() { joined++ })
 			})
 		}
 	})
-	run(cl, 3*time.Second) // let the joins settle
+	harness.RunUntil(cl.Sim, budget, func() bool { return joined == *nodes })
 
 	// Every member stores one key; the ring successor reads it back.
 	type op struct {
@@ -75,6 +81,7 @@ func main() {
 		valueOK     bool
 	}
 	ops := make([]*op, *nodes)
+	stored := 0
 	cl.Exec(func() {
 		for i, h := range cl.Hosts {
 			o := &op{
@@ -83,10 +90,10 @@ func main() {
 				reader: network.Addr(int(h.Addr)%*nodes + 1),
 			}
 			ops[i] = o
-			dhts[h.Addr].Store(o.key, o.value, nil)
+			dhts[h.Addr].Store(o.key, o.value, func(int, int) { stored++ })
 		}
 	})
-	run(cl, 2*time.Second) // let the replicas land
+	harness.RunUntil(cl.Sim, budget, func() bool { return stored == len(ops) })
 
 	cl.Exec(func() {
 		for _, o := range ops {
@@ -97,19 +104,14 @@ func main() {
 			})
 		}
 	})
-	for i := 0; i < 100; i++ {
-		all := false
-		cl.Exec(func() {
-			all = true
-			for _, o := range ops {
-				all = all && o.done
+	harness.RunUntil(cl.Sim, budget, func() bool {
+		for _, o := range ops {
+			if !o.done {
+				return false
 			}
-		})
-		if all {
-			break
 		}
-		run(cl, 100*time.Millisecond)
-	}
+		return true
+	})
 
 	bad := 0
 	cl.Exec(func() {
@@ -129,7 +131,3 @@ func main() {
 	}
 	fmt.Printf("kvstore: %d keys stored and read back on %q with %d members\n", len(ops), *backend, *nodes)
 }
-
-// run advances the world: virtually on the simulator, against the
-// wall clock on chan/udp — same call either way.
-func run(cl *harness.Cluster, d time.Duration) { cl.Sim.RunFor(d) }

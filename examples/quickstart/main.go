@@ -82,12 +82,9 @@ func main() {
 	fmt.Printf("backend: %s\n\n", b.Name())
 	fmt.Print(alice.Describe())
 
-	if backends.Realtime(*backend) {
-		// Real time: run until bob has every message, bounded by 10 s.
-		harness.RunUntil(b, 10*time.Second, func() bool { return len(received) == len(messages) })
-	} else {
-		b.RunFor(30 * time.Second) // virtual time; finishes in microseconds
-	}
+	// Run until bob has every message, bounded by 10 s: virtual time on
+	// the simulator (it finishes in microseconds), wall time on chan/udp.
+	harness.RunUntil(b, 10*time.Second, func() bool { return len(received) == len(messages) })
 
 	b.Exec(func() {
 		fmt.Printf("\nreceived at bob, in order, exactly once:\n")

@@ -28,6 +28,7 @@ func main() {
 		Server: harness.KindSublayeredNative,
 	})
 
+	names := []string{"logs", "metrics", "bulk"}
 	want := map[uint32][]byte{}
 	got := map[uint32][]byte{}
 	eofs := 0
@@ -54,7 +55,6 @@ func main() {
 	mux := streams.NewMux(e, true)
 	rng := rand.New(rand.NewSource(9))
 	e.Callbacks(func() {
-		names := []string{"logs", "metrics", "bulk"}
 		ss := make([]*streams.Stream, len(names))
 		for i := range ss {
 			ss[i] = mux.Open()
@@ -76,7 +76,7 @@ func main() {
 		}
 	}, nil, func() { mux.Flush() }, nil)
 
-	w.Sim.RunFor(5 * time.Minute)
+	harness.RunUntil(w.Sim, 5*time.Minute, func() bool { return eofs == len(names) })
 
 	fmt.Printf("\nserver reassembled %d streams over one connection:\n", len(got))
 	for id, data := range got {

@@ -13,57 +13,37 @@ import (
 // seed-determined — fault schedule against the harness line topology,
 // composed from the whole fault vocabulary (flaps, partitions,
 // crash-restarts, blackholes, bursty loss, reordering windows). Every
-// generated schedule is conflict-free (CheckConflicts) and, by
-// default, healing: every fault has a bounded duration and the
-// cumulative down time is capped, so a correct transport owes the
-// fuzzer a completed transfer, which is what makes "did not complete"
-// a differential signal instead of noise.
+// generated schedule is conflict-free (CheckConflicts) and healing:
+// every fault has a bounded duration and the cumulative down time is
+// capped, so a correct transport owes the fuzzer a completed transfer,
+// which is what makes "did not complete" a differential signal instead
+// of noise.
 
-// GenConfig bounds schedule generation.
-type GenConfig struct {
-	// Hosts is the line-topology length 1–…–Hosts with the transfer's
-	// end hosts at 1 and Hosts (default 4, the harness default).
-	Hosts int
-	// MaxSteps bounds the number of steps (default 5; at least 1 is
-	// always generated).
-	MaxSteps int
-	// MinAt/MaxAt bound fault start offsets. MinAt defaults to 200ms so
-	// the handshake happens on a clean network and every failure hits
-	// the data phase — connect-time faults belong to a different oracle.
-	MinAt, MaxAt time.Duration
-	// MaxFor bounds a single fault's duration (default 2500ms, safely
-	// under the transports' user-timeout budget).
-	MaxFor time.Duration
-	// MaxDownTotal caps the summed duration of connectivity-cutting
-	// faults across the schedule (default 4s), so chained outages on
-	// different links cannot starve the transfer into a legitimate
-	// user-timeout abort.
-	MaxDownTotal time.Duration
-}
-
-// WithDefaults fills every unset knob with the healing-envelope
-// default described on the field.
-func (c GenConfig) WithDefaults() GenConfig {
-	if c.Hosts < 3 {
-		c.Hosts = 4
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 5
-	}
-	if c.MinAt <= 0 {
-		c.MinAt = 200 * time.Millisecond
-	}
-	if c.MaxAt <= c.MinAt {
-		c.MaxAt = c.MinAt + 4*time.Second
-	}
-	if c.MaxFor <= 0 {
-		c.MaxFor = 2500 * time.Millisecond
-	}
-	if c.MaxDownTotal <= 0 {
-		c.MaxDownTotal = 4 * time.Second
-	}
-	return c
-}
+// The healing envelope every generated schedule stays inside.
+const (
+	// GenHosts is the line-topology length 1–…–GenHosts the schedules
+	// target, with the transfer's end hosts at 1 and GenHosts (the
+	// harness default).
+	GenHosts = 4
+	// genMaxSteps bounds the number of steps (at least 1 is always
+	// generated).
+	genMaxSteps = 5
+	// genMinAt/genMaxAt bound fault start offsets. Faults start after
+	// 200ms so the handshake happens on a clean network and every
+	// failure hits the data phase — connect-time faults belong to a
+	// different oracle — and by 1.5s so they land while a fuzz
+	// transfer is still in flight: a fault that fires after the last
+	// byte tests nothing.
+	genMinAt = 200 * time.Millisecond
+	genMaxAt = 1500 * time.Millisecond
+	// genMaxFor bounds a single fault's duration, safely under the
+	// transports' user-timeout budget.
+	genMaxFor = 2500 * time.Millisecond
+	// genMaxDownTotal caps the summed duration of connectivity-cutting
+	// faults across the schedule, so chained outages on different links
+	// cannot starve the transfer into a legitimate user-timeout abort.
+	genMaxDownTotal = 4 * time.Second
+)
 
 // genKinds is the fault vocabulary with draw weights: link-level
 // faults are common, whole-router faults rarer (as in real networks).
@@ -105,12 +85,11 @@ func between(rng *rand.Rand, lo, hi time.Duration) time.Duration {
 }
 
 // GenScript generates one conflict-free healing fault schedule. The
-// result is a pure function of the RNG state and cfg: the fuzzer
-// derives the RNG from a case seed, so a reproducer is just that seed.
-func GenScript(rng *rand.Rand, cfg GenConfig) Script {
-	cfg = cfg.WithDefaults()
-	links := LineLinks(cfg.Hosts)
-	want := 1 + rng.Intn(cfg.MaxSteps)
+// result is a pure function of the RNG state: the fuzzer derives the
+// RNG from a case seed, so a reproducer is just that seed.
+func GenScript(rng *rand.Rand) Script {
+	links := LineLinks(GenHosts)
+	want := 1 + rng.Intn(genMaxSteps)
 	s := Script{Name: "gen"}
 	var downTotal time.Duration
 	// Each slot gets a bounded number of attempts: a candidate that
@@ -119,8 +98,8 @@ func GenScript(rng *rand.Rand, cfg GenConfig) Script {
 	for len(s.Steps) < want {
 		accepted := false
 		for try := 0; try < 8 && !accepted; try++ {
-			st, down := genStep(rng, cfg)
-			if down > 0 && downTotal+down > cfg.MaxDownTotal {
+			st, down := genStep(rng)
+			if down > 0 && downTotal+down > genMaxDownTotal {
 				continue
 			}
 			cand := Script{Name: s.Name, Steps: append(append([]Step(nil), s.Steps...), st)}
@@ -143,21 +122,21 @@ func GenScript(rng *rand.Rand, cfg GenConfig) Script {
 
 // genStep draws one candidate step and reports how much connectivity
 // down time it contributes to the schedule budget.
-func genStep(rng *rand.Rand, cfg GenConfig) (Step, time.Duration) {
+func genStep(rng *rand.Rand) (Step, time.Duration) {
 	link := func() (network.Addr, network.Addr) {
-		i := 1 + rng.Intn(cfg.Hosts-1)
+		i := 1 + rng.Intn(GenHosts-1)
 		return network.Addr(i), network.Addr(i + 1)
 	}
-	interior := func() network.Addr { return network.Addr(2 + rng.Intn(cfg.Hosts-2)) }
-	at := between(rng, cfg.MinAt, cfg.MaxAt)
+	interior := func() network.Addr { return network.Addr(2 + rng.Intn(GenHosts-2)) }
+	at := between(rng, genMinAt, genMaxAt)
 	switch drawKind(rng) {
 	case "flap":
 		a, b := link()
-		f := between(rng, 100*time.Millisecond, cfg.MaxFor)
+		f := between(rng, 100*time.Millisecond, genMaxFor)
 		return Step{At: at, For: f, Fault: LinkFlap{A: a, B: b}}, f
 	case "flaps":
 		a, b := link()
-		f := between(rng, 500*time.Millisecond, cfg.MaxFor)
+		f := between(rng, 500*time.Millisecond, genMaxFor)
 		n := 2 + rng.Intn(4)
 		maxDown := between(rng, 100*time.Millisecond, 400*time.Millisecond)
 		return Step{At: at, For: f, Fault: RandomLinkFlaps{
@@ -166,10 +145,10 @@ func genStep(rng *rand.Rand, cfg GenConfig) (Step, time.Duration) {
 	case "partition":
 		// A contiguous end segment of the line: the only cuts that
 		// actually separate the two hosts.
-		k := 2 + rng.Intn(cfg.Hosts-2)
+		k := 2 + rng.Intn(GenHosts-2)
 		var nodes []network.Addr
 		if rng.Intn(2) == 0 {
-			for i := k; i <= cfg.Hosts; i++ {
+			for i := k; i <= GenHosts; i++ {
 				nodes = append(nodes, network.Addr(i))
 			}
 		} else {
@@ -177,7 +156,7 @@ func genStep(rng *rand.Rand, cfg GenConfig) (Step, time.Duration) {
 				nodes = append(nodes, network.Addr(i))
 			}
 		}
-		f := between(rng, 500*time.Millisecond, cfg.MaxFor)
+		f := between(rng, 500*time.Millisecond, genMaxFor)
 		return Step{At: at, For: f, Fault: Partition{Nodes: nodes}}, f
 	case "pause":
 		f := between(rng, 200*time.Millisecond, 1500*time.Millisecond)
@@ -190,7 +169,7 @@ func genStep(rng *rand.Rand, cfg GenConfig) (Step, time.Duration) {
 		return Step{At: at, For: f, Fault: Blackhole{At: interior()}}, f
 	case "bursty":
 		a, b := link()
-		f := between(rng, time.Second, cfg.MaxFor+2*time.Second)
+		f := between(rng, time.Second, genMaxFor+2*time.Second)
 		return Step{At: at, For: f, Fault: BurstyLoss{A: a, B: b, GE: GEConfig{
 			MeanGood: between(rng, 200*time.Millisecond, 500*time.Millisecond),
 			MeanBad:  between(rng, 30*time.Millisecond, 80*time.Millisecond),
@@ -198,7 +177,7 @@ func genStep(rng *rand.Rand, cfg GenConfig) (Step, time.Duration) {
 		}}}, 0
 	default: // reorder
 		a, b := link()
-		f := between(rng, 500*time.Millisecond, cfg.MaxFor)
+		f := between(rng, 500*time.Millisecond, genMaxFor)
 		return Step{At: at, For: f, Fault: Reorder{A: a, B: b, Prob: 0.1 + rng.Float64()*0.5}}, 0
 	}
 }

@@ -15,11 +15,10 @@ import (
 // passes its own admission checks, and every schedule is healing (all
 // faults bounded, down budget capped) so completion is owed.
 func TestGenScriptDeterministicValidHealing(t *testing.T) {
-	cfg := GenConfig{}
 	links := LineLinks(4)
 	for seed := int64(0); seed < 200; seed++ {
-		s1 := GenScript(rand.New(rand.NewSource(seed)), cfg)
-		s2 := GenScript(rand.New(rand.NewSource(seed)), cfg)
+		s1 := GenScript(rand.New(rand.NewSource(seed)))
+		s2 := GenScript(rand.New(rand.NewSource(seed)))
 		j1, err := json.Marshal(s1)
 		if err != nil {
 			t.Fatalf("seed %d: marshal: %v", seed, err)
@@ -53,7 +52,7 @@ func TestGenScriptDeterministicValidHealing(t *testing.T) {
 
 func TestGenScriptRoundTripsJSON(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		s := GenScript(rand.New(rand.NewSource(seed)), GenConfig{})
+		s := GenScript(rand.New(rand.NewSource(seed)))
 		b, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("seed %d: marshal: %v", seed, err)
@@ -75,7 +74,7 @@ func TestGenScriptAppliesCleanly(t *testing.T) {
 	sim, topo := buildLine(t, 31, 4, netsim.LinkConfig{Delay: time.Millisecond})
 	for seed := int64(0); seed < 20; seed++ {
 		inj := New(sim, topo, seed)
-		s := GenScript(rand.New(rand.NewSource(seed)), GenConfig{})
+		s := GenScript(rand.New(rand.NewSource(seed)))
 		if err := inj.Apply(s); err != nil {
 			t.Errorf("seed %d: generated schedule rejected by Apply: %v", seed, err)
 		}

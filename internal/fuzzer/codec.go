@@ -24,25 +24,26 @@ import (
 // the wire — precisely the divergence pooled buffer reuse can smuggle
 // past unit tests.
 
-// CheckFrame runs the codec-equivalence oracle on one link-level frame.
-// Control-plane frames (hello, routing) and non-TCP datagrams are not a
-// codec question and pass vacuously. A nil return means the codecs
-// agree on this frame.
-func CheckFrame(frame []byte) error {
+// CheckFrame runs the codec-equivalence oracle on one link-level frame
+// and reports whether the frame carried a TCP or sublayered-TCP
+// segment for it to decode. Control-plane frames (hello, routing) and
+// other datagrams are not a codec question and pass vacuously. A nil
+// error means the codecs agree on this frame.
+func CheckFrame(frame []byte) (decoded bool, err error) {
 	if len(frame) == 0 || frame[0] != 0 {
-		return nil // control plane
+		return false, nil // control plane
 	}
 	dg, err := network.UnmarshalDatagram(frame)
 	if err != nil {
-		return nil // malformed datagram: the network layer's problem
+		return false, nil // malformed datagram: the network layer's problem
 	}
 	switch dg.Proto {
 	case network.ProtoTCP:
-		return checkTCP(dg)
+		return true, checkTCP(dg)
 	case network.ProtoSubTCP:
-		return checkSub(dg)
+		return true, checkSub(dg)
 	default:
-		return nil
+		return false, nil
 	}
 }
 
@@ -104,10 +105,11 @@ func checkSub(dg *network.Datagram) error {
 }
 
 // codecTracer is the bare-mode netsim.Tracer: it ignores causal
-// tracking entirely and runs CheckFrame on every frame-carrying event,
-// retaining the first few disagreements. Attaching it is observational
-// — it consumes no randomness and schedules nothing — so it cannot
-// change packet outcomes.
+// tracking entirely, runs CheckFrame on every frame-carrying event,
+// counts the frames it decoded and retains the first few
+// disagreements. Attaching it is observational — it consumes no
+// randomness and schedules nothing — so it cannot change packet
+// outcomes.
 type codecTracer struct {
 	checked uint64
 	issues  []string
@@ -135,8 +137,11 @@ func (t *codecTracer) Emit(ev netsim.TraceEvent, frame []byte) {
 	if frame == nil || ev.Kind == "corrupt" {
 		return // corrupted bits are the link's doing, not a codec's
 	}
-	t.checked++
-	if err := CheckFrame(frame); err != nil {
+	decoded, err := CheckFrame(frame)
+	if decoded {
+		t.checked++
+	}
+	if err != nil {
 		t.note(ev, err)
 	}
 }

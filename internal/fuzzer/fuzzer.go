@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/faults"
 )
@@ -57,31 +56,19 @@ func (c Case) String() string {
 	return fmt.Sprintf("%s: seed=%d c2s=%d s2c=%d %v", c.Name, c.Seed, c.C2S, c.S2C, c.Script)
 }
 
-// GenDefaults is the schedule-generation envelope every fuzz case uses:
-// the harness 4-host line, faults starting after the handshake window,
-// bounded durations and a capped down budget — the "healing" envelope
-// under which both transports owe a completed transfer. MaxAt is pulled
-// in to 1.5s (from the generator's 4.2s default) so fault windows land
-// while the transfer is actually in flight at the fuzz link rate:
-// a fault that fires after the last byte tests nothing.
-func GenDefaults() faults.GenConfig {
-	return faults.GenConfig{MaxAt: 1500 * time.Millisecond}
-}
-
 // NewCase derives a complete fuzz case from one seed. Same seed, same
 // case — a reproducer is just the seed, and the corpus file is only a
 // convenience (plus the shrunk form, which no seed generates).
 func NewCase(seed int64) Case {
 	rng := rand.New(rand.NewSource(seed))
-	cfg := GenDefaults().WithDefaults()
-	script := faults.GenScript(rng, cfg)
+	script := faults.GenScript(rng)
 	script.Name = fmt.Sprintf("fuzz-%d", seed)
 	return Case{
 		Name:   fmt.Sprintf("seed-%d", seed),
 		Seed:   seed,
 		C2S:    20_000 + rng.Intn(130_000),
 		S2C:    10_000 + rng.Intn(70_000),
-		Hosts:  cfg.Hosts,
+		Hosts:  faults.GenHosts,
 		Script: script,
 	}
 }

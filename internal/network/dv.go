@@ -30,14 +30,12 @@ type dvEntry struct {
 // DVConfig tunes the protocol.
 type DVConfig struct {
 	// AdvertiseInterval is the periodic full-table advertisement period
-	// (default 2s).
+	// (default 2s). A poisoned route is removed after three of them.
 	AdvertiseInterval time.Duration
-	// TriggerDelay batches triggered updates (default 50ms).
-	TriggerDelay time.Duration
-	// GCTime removes a poisoned route after this long (default 3×
-	// advertise interval).
-	GCTime time.Duration
 }
+
+// dvTriggerDelay batches triggered updates.
+const dvTriggerDelay = 50 * time.Millisecond
 
 // dvMetrics counts protocol events.
 type dvMetrics struct {
@@ -57,12 +55,6 @@ func (m *dvMetrics) each(f func(string, metrics.Instrument)) {
 func (c DVConfig) withDefaults() DVConfig {
 	if c.AdvertiseInterval <= 0 {
 		c.AdvertiseInterval = 2 * time.Second
-	}
-	if c.TriggerDelay <= 0 {
-		c.TriggerDelay = 50 * time.Millisecond
-	}
-	if c.GCTime <= 0 {
-		c.GCTime = 3 * c.AdvertiseInterval
 	}
 	return c
 }
@@ -255,12 +247,13 @@ func (d *DistanceVector) trigger() {
 	if d.trig != nil && d.trig.Active() {
 		return
 	}
-	d.trig = d.env.Sim().Schedule(d.cfg.TriggerDelay, func() { d.advertise(true) })
+	d.trig = d.env.Sim().Schedule(dvTriggerDelay, func() { d.advertise(true) })
 }
 
-// gc removes long-poisoned routes.
+// gc removes routes poisoned for longer than three advertisement
+// periods.
 func (d *DistanceVector) gc() {
-	cut := netsim.Time(d.cfg.GCTime.Nanoseconds())
+	cut := netsim.Time(3 * d.cfg.AdvertiseInterval.Nanoseconds())
 	for a, e := range d.table {
 		if e.route.Metric >= Infinity && e.poisoned > 0 && d.env.Sim().Now()-e.poisoned > cut {
 			delete(d.table, a)

@@ -40,9 +40,10 @@ type lsNeighbor struct {
 type LSConfig struct {
 	// RefreshInterval re-floods our own LSP (default 10s).
 	RefreshInterval time.Duration
-	// MaxAge purges foreign LSPs not refreshed (default 30s).
-	MaxAge time.Duration
 }
+
+// lsMaxAge purges foreign LSPs not refreshed for this long.
+const lsMaxAge = 30 * time.Second
 
 // lsMetrics counts protocol events.
 type lsMetrics struct {
@@ -62,9 +63,6 @@ func (m *lsMetrics) each(f func(string, metrics.Instrument)) {
 func (c LSConfig) withDefaults() LSConfig {
 	if c.RefreshInterval <= 0 {
 		c.RefreshInterval = 10 * time.Second
-	}
-	if c.MaxAge <= 0 {
-		c.MaxAge = 30 * time.Second
 	}
 	return c
 }
@@ -156,7 +154,7 @@ func (l *LinkState) OnPacket(ifi int, sender Addr, body []byte) {
 
 // age purges stale foreign LSPs.
 func (l *LinkState) age() {
-	cut := netsim.Time(l.cfg.MaxAge.Nanoseconds())
+	cut := netsim.Time(lsMaxAge.Nanoseconds())
 	changed := false
 	for origin, p := range l.db {
 		if origin == l.env.Self() {

@@ -37,10 +37,9 @@ type Neighbor struct {
 
 // NeighborConfig tunes the hello protocol.
 type NeighborConfig struct {
-	// HelloInterval is the period between hellos (default 1s).
+	// HelloInterval is the period between hellos (default 1s). A
+	// neighbor with no hello for 3.5 intervals expires.
 	HelloInterval time.Duration
-	// HoldTime expires a neighbor with no hello (default 3.5×interval).
-	HoldTime time.Duration
 }
 
 // neighborMetrics counts protocol events.
@@ -61,9 +60,6 @@ func (m *neighborMetrics) each(f func(string, metrics.Instrument)) {
 func (c NeighborConfig) withDefaults() NeighborConfig {
 	if c.HelloInterval <= 0 {
 		c.HelloInterval = time.Second
-	}
-	if c.HoldTime <= 0 {
-		c.HoldTime = c.HelloInterval*3 + c.HelloInterval/2
 	}
 	return c
 }
@@ -118,7 +114,7 @@ func (n *NeighborTable) onHello(ifi int, data []byte) {
 
 // expire drops neighbors past hold time.
 func (n *NeighborTable) expire() {
-	hold := netsim.Time(n.cfg.HoldTime.Nanoseconds())
+	hold := netsim.Time((n.cfg.HelloInterval*3 + n.cfg.HelloInterval/2).Nanoseconds())
 	changed := false
 	for i, row := range n.rows {
 		if row != nil && n.sim.Now()-row.LastSeen > hold {

@@ -450,15 +450,16 @@ func TestLSPAging(t *testing.T) {
 	sim := netsim.NewSimulator(31)
 	topo := BuildTopology(sim, lineEdges(), quickLink(), fastNeighborCfg(),
 		func() RouteComputer {
-			return NewLinkState(LSConfig{RefreshInterval: time.Second, MaxAge: 3 * time.Second})
+			return NewLinkState(LSConfig{RefreshInterval: time.Second})
 		})
 	converge(topo, 8*time.Second)
 	if _, ok := topo.Routers[1].Computer().Routes()[4]; !ok {
 		t.Fatal("no initial route")
 	}
-	// Cut router 4 off entirely; its LSP must age out at router 1.
+	// Cut router 4 off entirely; its LSP must age out at router 1 once
+	// lsMaxAge has passed without a refresh.
 	topo.CutLink(3, 4)
-	converge(topo, 15*time.Second)
+	converge(topo, lsMaxAge+5*time.Second)
 	if _, ok := topo.Routers[1].Computer().Routes()[4]; ok {
 		t.Error("aged-out destination still routed")
 	}
@@ -469,15 +470,13 @@ func TestLSPAging(t *testing.T) {
 }
 
 // TestDVGarbageCollection: poisoned routes disappear from the table
-// after the GC interval rather than lingering at Infinity forever.
+// after three advertisement periods rather than lingering at Infinity
+// forever.
 func TestDVGarbageCollection(t *testing.T) {
 	sim := netsim.NewSimulator(32)
 	topo := BuildTopology(sim, []Edge{{A: 1, B: 2, Cost: 1}}, quickLink(), fastNeighborCfg(),
 		func() RouteComputer {
-			return NewDistanceVector(DVConfig{
-				AdvertiseInterval: 300 * time.Millisecond,
-				GCTime:            time.Second,
-			})
+			return NewDistanceVector(DVConfig{AdvertiseInterval: 300 * time.Millisecond})
 		})
 	converge(topo, 4*time.Second)
 	dv := topo.Routers[1].Computer().(*DistanceVector)

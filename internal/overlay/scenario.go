@@ -90,9 +90,6 @@ type RunConfig struct {
 	Nodes    int
 	Tier     Tier
 	Scenario Scenario
-	// Ops is the per-member operation count (echo calls, keys
-	// stored+fetched, rumors published); zero picks a tier default.
-	Ops int
 	// Budget bounds the run (default 60s virtual / 20s wall).
 	Budget time.Duration
 	// Metrics receives every instrument (created when nil).
@@ -156,15 +153,13 @@ type nodeRun struct {
 	doneFlag            bool
 }
 
-func defaultOps(tier Tier) int {
-	switch tier {
-	case TierRPC:
+// tierOps is a tier's per-member operation count: echo calls, keys
+// stored and fetched, or rumors published.
+func tierOps(tier Tier) int {
+	if tier == TierRPC {
 		return 12
-	case TierDHT:
-		return 4
-	default:
-		return 4
 	}
+	return 4
 }
 
 // Run executes one E13 cell: build the member ring on the requested
@@ -173,9 +168,6 @@ func defaultOps(tier Tier) int {
 func Run(cfg RunConfig) *RunResult {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 8
-	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = defaultOps(cfg.Tier)
 	}
 	if cfg.Budget <= 0 {
 		cfg.Budget = 60 * time.Second
@@ -201,6 +193,7 @@ func Run(cfg RunConfig) *RunResult {
 
 	wd := faults.NewWatchdog()
 	runs := make([]*nodeRun, 0, cfg.Nodes)
+	ops := tierOps(cfg.Tier)
 	cl.Exec(func() {
 		wd.BindMetrics(reg.Scope("watchdog"))
 		inj := faults.New(cl.Sim, cl.Topo, cfg.Seed+1000)
@@ -223,17 +216,17 @@ func Run(cfg RunConfig) *RunResult {
 			runs = append(runs, nr)
 			switch cfg.Tier {
 			case TierRPC:
-				startRPC(nr, members, cfg.Ops)
+				startRPC(nr, members, ops)
 			case TierDHT:
 				nr.dht = NewDHT(n, DHTConfig{
 					Metrics: reg.Scope(fmt.Sprintf("n%d/dht", h.Addr)),
 				})
-				startDHT(nr, cfg.Nodes, cfg.Ops)
+				startDHT(nr, cfg.Nodes, ops)
 			case TierGossip:
 				nr.gsp = NewGossip(n, members, GossipConfig{
 					Metrics: reg.Scope(fmt.Sprintf("n%d/gossip", h.Addr)),
 				})
-				startGossip(nr, cfg.Ops)
+				startGossip(nr, ops)
 			default:
 				panic("overlay: unknown tier " + string(cfg.Tier))
 			}
@@ -241,7 +234,7 @@ func Run(cfg RunConfig) *RunResult {
 	})
 
 	base := cl.Sim.Now()
-	harness.RunUntil(cl.Sim, cfg.Budget, func() bool { return allDone(cfg.Tier, runs, cfg.Nodes*cfg.Ops) })
+	harness.RunUntil(cl.Sim, cfg.Budget, func() bool { return allDone(cfg.Tier, runs, cfg.Nodes*ops) })
 
 	var res *RunResult
 	cl.Exec(func() { res = summarize(cfg, cl, runs, wd, reg, base) })
@@ -250,7 +243,7 @@ func Run(cfg RunConfig) *RunResult {
 
 // --- tier workloads (all state machines live in node-event context) ---
 
-// startRPC paces Ops echo calls per member, round-robin over the other
+// startRPC paces ops echo calls per member, round-robin over the other
 // members, and verifies every reply byte-for-byte.
 func startRPC(nr *nodeRun, members []network.Addr, ops int) {
 	var others []network.Addr
@@ -290,7 +283,7 @@ func startRPC(nr *nodeRun, members []network.Addr, ops int) {
 	})
 }
 
-// startDHT staggers the member's bootstrap join, then stores Ops keys
+// startDHT staggers the member's bootstrap join, then stores ops keys
 // under its own prefix and fetches the ring successor's keys —
 // sequential, completion-paced, hop counts recorded per lookup.
 func startDHT(nr *nodeRun, nodes, ops int) {
@@ -360,7 +353,7 @@ func (nr *nodeRun) dhtNext(nodes, ops int) {
 	}
 }
 
-// startGossip paces Ops rumor publications per member; dissemination
+// startGossip paces ops rumor publications per member; dissemination
 // and repair run on the gossip layer's own timers.
 func startGossip(nr *nodeRun, ops int) {
 	nr.pacer = nr.node.B.Every(200*time.Millisecond, func() {

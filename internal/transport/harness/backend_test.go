@@ -25,11 +25,7 @@ func runBidirectional(t *testing.T, backend string, kind Kind, c2s, s2c []byte) 
 	t.Helper()
 	w := BuildWorld(WorldConfig{Backend: backend, Seed: 5, Link: lossyLink, Client: kind, Server: kind})
 	defer w.Close()
-	budget := time.Hour // virtual
-	if w.Realtime() {
-		budget = 30 * time.Second // wall
-	}
-	res, err := RunTransfer(w, c2s, s2c, budget)
+	res, err := RunTransfer(w, c2s, s2c, 30*time.Second) // virtual on sim, wall on chan
 	if err != nil {
 		t.Fatalf("%s backend: RunTransfer: %v", backend, err)
 	}
@@ -125,8 +121,8 @@ func TestTracingOnChanBackend(t *testing.T) {
 func TestNewBuilderDefaults(t *testing.T) {
 	w := BuildWorld(WorldConfig{})
 	defer w.Close()
-	if w.Sim.Name() != BackendSim || w.Realtime() {
-		t.Fatalf("default world misbuilt: backend=%q realtime=%v", w.Sim.Name(), w.Realtime())
+	if w.Sim.Name() != BackendSim || Realtime(w.Backend) {
+		t.Fatalf("default world misbuilt: backend=%q realtime=%v", w.Sim.Name(), Realtime(w.Backend))
 	}
 	if len(w.Topo.Routers) != 4 {
 		t.Fatalf("default hops = %d, want 4", len(w.Topo.Routers))

@@ -154,9 +154,6 @@ type End struct {
 // the simulator.
 func (w *World) Exec(fn func()) { w.Sim.Exec(fn) }
 
-// Realtime reports whether the world runs on the wall clock.
-func (w *World) Realtime() bool { return Realtime(w.Backend) }
-
 // Close releases the backend (goroutines, sockets). A no-op on the
 // simulator, so drivers can defer it unconditionally.
 func (w *World) Close() error { return w.Sim.Close() }
@@ -357,10 +354,10 @@ type TransferResult struct {
 
 // RunTransfer sends c2s from client to server and s2c back, closing
 // each direction after its data; both ends are wired by the same pump.
-// On the simulators it runs the network for exactly budget of virtual
-// time, one uninterrupted RunFor; on the real-time backends it calls
-// RunUntil, which stops once both ends have seen EOF or budget of wall
-// time has passed.
+// It runs the world through RunUntil, on every backend, until both
+// ends have seen EOF or budget (virtual on the simulators, wall on the
+// real-time backends) has passed; a transfer that cannot finish, such
+// as one that aborts, runs the whole budget.
 func RunTransfer(w *World, c2s, s2c []byte, budget time.Duration) (*TransferResult, error) {
 	res := &TransferResult{}
 	var setupErr error
@@ -386,14 +383,7 @@ func RunTransfer(w *World, c2s, s2c []byte, budget time.Duration) (*TransferResu
 		return nil, setupErr
 	}
 
-	if w.Realtime() {
-		RunUntil(w.Sim, budget, func() bool { return res.ServerEOF && res.ClientEOF })
-	} else {
-		// A fixed budget, not RunUntil: the executed-event count, and
-		// with it every digest, depends on it. ROADMAP item 1(b) moves
-		// this branch onto RunUntil together with its one re-record.
-		w.Sim.RunFor(budget)
-	}
+	RunUntil(w.Sim, budget, func() bool { return res.ServerEOF && res.ClientEOF })
 	w.Exec(func() {
 		end := max(serverFin, clientFin)
 		if end <= start {

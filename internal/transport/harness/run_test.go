@@ -99,3 +99,30 @@ func TestRunUntilSlicingIsInvisible(t *testing.T) {
 		}
 	}
 }
+
+// diffHint locates the first divergence between two JSON snapshots for
+// the failure message.
+func diffHint(a, b []byte) string {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			lo := i - 80
+			if lo < 0 {
+				lo = 0
+			}
+			hi := i + 80
+			s := func(x []byte) string {
+				h := hi
+				if h > len(x) {
+					h = len(x)
+				}
+				return string(x[lo:h])
+			}
+			return "…" + s(a) + "… vs …" + s(b) + "…"
+		}
+	}
+	return "length mismatch"
+}

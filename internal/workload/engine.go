@@ -64,9 +64,6 @@ type Config struct {
 	Cycles              int
 	// Budget bounds virtual time (default 10 min).
 	Budget time.Duration
-	// KeepPerFlow retains the per-flow table in the Report (dropped by
-	// default above a few hundred flows to keep reports small).
-	KeepPerFlow bool
 	// Tracer, when non-nil, is attached to the run's simulator so every
 	// packet's causal chain is recorded (E11's -trace mode). Tracing is
 	// observational only: it never changes the Report.
@@ -117,16 +114,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// FlowStat is one flow's outcome.
-type FlowStat struct {
-	ID    int           `json:"id"`
-	Size  int           `json:"size"`
-	Start time.Duration `json:"start"` // virtual, from run start
-	FCT   time.Duration `json:"fct"`   // dial to server EOF; 0 if unfinished
-	Done  bool          `json:"done"`
-	Err   string        `json:"err,omitempty"`
-}
-
 // Report is the deterministic outcome of one Run.
 type Report struct {
 	Seed           int64  `json:"seed"`
@@ -154,7 +141,6 @@ type Report struct {
 	// Events is the simulator's executed-event count — the denominator
 	// for ns/event and events/sec in the perf report.
 	Events  uint64           `json:"events"`
-	PerFlow []FlowStat       `json:"per_flow,omitempty"`
 	Metrics metrics.Snapshot `json:"metrics"`
 }
 
@@ -389,17 +375,6 @@ func summarize(cfg Config, w *harness.World,
 				rep.Failed++
 				failedC.Inc()
 			}
-		}
-		if cfg.KeepPerFlow {
-			fs := FlowStat{ID: f.id, Size: len(f.payload),
-				Start: time.Duration(f.startAt), Done: f.done}
-			if f.done {
-				fs.FCT = time.Duration(f.end - f.start)
-			}
-			if err := f.err(); err != nil {
-				fs.Err = err.Error()
-			}
-			rep.PerFlow = append(rep.PerFlow, fs)
 		}
 	}
 	if rep.Completed > 0 {

@@ -20,28 +20,6 @@ func reportJSON(t *testing.T, r *Report) []byte {
 	return b
 }
 
-// TestShardedWorkloadReportIdentity is the workload-level determinism
-// oracle behind the determinism gate's sharded cells: the same Config run
-// on the sequential simulator and on the sharded engine (1 and 4
-// shards) must serialize to byte-identical reports — flows, FCT
-// percentiles, fairness, event counts, the full metrics snapshot.
-func TestShardedWorkloadReportIdentity(t *testing.T) {
-	for _, kind := range []harness.Kind{harness.KindSublayeredNative, harness.KindMonolithic} {
-		mk := func(backend string) []byte {
-			return reportJSON(t, Run(Config{
-				Seed: 41, Backend: backend, Flows: 30,
-				Client: kind, Server: kind, KeepPerFlow: true,
-			}))
-		}
-		base := mk(harness.BackendSim)
-		for _, backend := range []string{"sharded:1", "sharded:4"} {
-			if got := mk(backend); !bytes.Equal(base, got) {
-				t.Errorf("%v: report differs between sim and %s", kind, backend)
-			}
-		}
-	}
-}
-
 // TestShardedMultiPairWorkload pins the E16 shape end to end: flows
 // spread over several disjoint pairs, all completing, with the report
 // byte-identical between the sequential and sharded engines at every
