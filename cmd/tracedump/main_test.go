@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,5 +60,51 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-dump", bad}, &bytes.Buffer{}); err == nil || errors.As(err, new(command.UsageError)) {
 		t.Errorf("bad dump: err = %v, want a non-usage error", err)
+	}
+}
+
+// TestWalkthroughQuotesRun keeps docs/ARCHITECTURE.md's walkthrough 2
+// true: the default command (seed 1, 32768 bytes, 3 hops) prints every
+// "packet id=… flow … seq=…" line the walkthrough's excerpt quotes, and
+// the transport/rexmit counts its text gives.
+func TestWalkthroughQuotesRun(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "## Worked walkthrough 2")
+	section, _, _ = strings.Cut(section, "## Worked walkthrough 3")
+	_, excerpt, _ := strings.Cut(section, "$ go run ./cmd/tracedump\n")
+	excerpt, _, _ = strings.Cut(excerpt, "```")
+	var quoted []string
+	for _, line := range strings.Split(excerpt, "\n") {
+		if strings.Contains(line, "packet id=") {
+			quoted = append(quoted, strings.TrimSpace(line))
+		}
+	}
+	counts := regexp.MustCompile("`transport/rexmit`\\s+reads\\s+(\\d+)\\s+for\\s+the\\s+sublayered\\s+stack\\s+and\\s+(\\d+)\\s+for\\s+the\\s+monolithic").FindStringSubmatch(section)
+	if len(quoted) == 0 || counts == nil {
+		t.Fatalf("walkthrough 2 quotes %d packet lines and rexmit counts %q: cannot check it", len(quoted), counts)
+	}
+	var out bytes.Buffer
+	if err := run(nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	printed := make(map[string]bool)
+	var rexmit []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		printed[strings.Join(f, " ")] = true
+		if len(f) >= 3 && f[0] == "transport/rexmit" {
+			rexmit = f[1:3]
+		}
+	}
+	for _, q := range quoted {
+		if !printed[strings.Join(strings.Fields(q), " ")] {
+			t.Errorf("walkthrough 2 quotes %q, which the run does not print", q)
+		}
+	}
+	if !slices.Equal(rexmit, counts[1:]) {
+		t.Errorf("walkthrough 2 says transport/rexmit %v (sublayered, monolithic); the run prints %v", counts[1:], rexmit)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/netsim"
@@ -79,8 +80,13 @@ func main() {
 	harness.RunUntil(w.Sim, 5*time.Minute, func() bool { return eofs == len(names) })
 
 	fmt.Printf("\nserver reassembled %d streams over one connection:\n", len(got))
-	for id, data := range got {
-		fmt.Printf("  stream %d: %6d bytes, intact=%v\n", id, len(data), bytes.Equal(data, want[id]))
+	ids := make([]uint32, 0, len(got))
+	for id := range got {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		fmt.Printf("  stream %d: %6d bytes, intact=%v\n", id, len(got[id]), bytes.Equal(got[id], want[id]))
 	}
 	fmt.Printf("all streams finished cleanly: %v (%d FINs)\n", eofs == len(got), eofs)
 	fmt.Println("\nnote: this sublayer rides ABOVE ordering, so it removes application")

@@ -86,7 +86,8 @@ func E5Stuffing(Config) *Result {
 // transmission and the timers — and the scope of its frames. The
 // variables are the fields of per-connection state: per-host structs
 // (both Stacks, DM's table) would make every handler pair share the
-// clock and the config. cmCore, the half both connection managers
+// clock and the config. dmConn, DM's per-connection half, is state
+// and a sublayer of its own. cmCore, the half both connection managers
 // share, is state but no sublayer, so a handler's walk follows into
 // its methods; litmus is the extra sublayer set the T3 note reads it
 // under.
@@ -110,13 +111,13 @@ var e6Stacks = []struct {
 	{
 		name: "sublayered",
 		scope: verify.Scope{
-			State:     []string{"Conn", "HandshakeCM", "cmCore", "RD", "OSR"},
+			State:     []string{"Conn", "dmConn", "HandshakeCM", "cmCore", "RD", "OSR"},
 			Host:      []string{"Stack", "DM"},
-			Sublayers: []string{"DM", "HandshakeCM", "TimerCM", "RD", "OSR"},
+			Sublayers: []string{"DM", "dmConn", "HandshakeCM", "TimerCM", "RD", "OSR"},
 		},
-		litmus: []string{"DM", "cmCore", "RD", "OSR"},
+		litmus: []string{"DM", "dmConn", "cmCore", "RD", "OSR"},
 		handlers: []string{
-			"DM.receive", "DM.send",
+			"DM.receive", "dmConn.transmit",
 			"HandshakeCM.open", "HandshakeCM.onSegment", "cmCore.peerStreamComplete",
 			"cmCore.closeWrite", "cmCore.streamFinished",
 			"RD.Established", "RD.SetRemoteFin", "RD.Send", "RD.onData", "RD.onAck", "RD.onRTO",
@@ -179,10 +180,10 @@ func E6Entanglement(Config) *Result {
 	}
 	res.Metrics = mreg.Snapshot()
 	res.Notes = append(res.Notes,
-		"frames read from the Go source (go/types), no workload: a handler's frame covers the functions it reaches by static calls in its own package (Conn and Stack glue included); the walk stops at another sublayer's method and at interface calls, and calls into other packages (ccontrol.Controller, seg buffers) are not followed; a variable is a field of per-connection state (monolithic PCB; sublayered Conn, HandshakeCM, cmCore, RD, OSR) that is not a navigation pointer, an instrument or a callback; assigning it, ++/--, &x or calling a method on it writes it",
-		"monolithic handlers all reach the PCB's shared helpers (tcpOutput, sendSegment, armRexmit), so interaction pairs approach the O(N²) ceiling; sublayered sharing runs mostly through Conn's transmit/abort glue, and pair density stays well below it — the paper's conjecture, measured from the code",
+		"frames read from the Go source (go/types), no workload: a handler's frame covers the functions it reaches by static calls in its own package (Conn and Stack glue included); the walk stops at another sublayer's method and at interface calls, and calls into other packages (ccontrol.Controller, seg buffers) are not followed; a variable is a field of per-connection state (monolithic PCB; sublayered Conn, dmConn, HandshakeCM, cmCore, RD, OSR) that is not a navigation pointer, an instrument or a callback; assigning it, ++/--, &x or calling a method on it writes it",
+		"monolithic handlers all reach the PCB's shared helpers (tcpOutput, sendSegment, armRexmit), so interaction pairs approach the O(N²) ceiling; Conn holds no sublayered variable, every sublayered variable two handlers share belongs to both handlers' own sublayer (CM's handlers sharing cmCore's), and pair density stays well below the ceiling — the paper's conjecture, measured from the code",
 		"interface edges where the walks stopped: "+strings.Join(edges, "; "),
-		fmt.Sprintf("T3 litmus: %d fields of one sublayer read or written by another sublayer's methods (sublayered read twice: as DM, HandshakeCM, TimerCM, RD, OSR, then with cmCore, both managers' shared half, beside DM, RD, OSR)", crossings),
+		fmt.Sprintf("T3 litmus: %d fields of one sublayer read or written by another sublayer's methods (sublayered read twice: as DM, dmConn, HandshakeCM, TimerCM, RD, OSR, then with cmCore, both managers' shared half, beside DM, dmConn, RD, OSR)", crossings),
 		"cc blast radius (state co-touched by every handler that touches the controller): "+strings.Join(blasts, "; "))
 	return res
 }

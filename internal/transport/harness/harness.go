@@ -355,9 +355,10 @@ type TransferResult struct {
 // RunTransfer sends c2s from client to server and s2c back, closing
 // each direction after its data; both ends are wired by the same pump.
 // It runs the world through RunUntil, on every backend, until both
-// ends have seen EOF or budget (virtual on the simulators, wall on the
-// real-time backends) has passed; a transfer that cannot finish, such
-// as one that aborts, runs the whole budget.
+// ends have seen EOF, both ends have died, or budget (virtual on the
+// simulators, wall on the real-time backends) has passed. A transfer
+// that aborts at both ends stops there; one that can neither finish
+// nor die runs the whole budget.
 func RunTransfer(w *World, c2s, s2c []byte, budget time.Duration) (*TransferResult, error) {
 	res := &TransferResult{}
 	var setupErr error
@@ -383,7 +384,9 @@ func RunTransfer(w *World, c2s, s2c []byte, budget time.Duration) (*TransferResu
 		return nil, setupErr
 	}
 
-	RunUntil(w.Sim, budget, func() bool { return res.ServerEOF && res.ClientEOF })
+	RunUntil(w.Sim, budget, func() bool {
+		return res.ServerEOF && res.ClientEOF || res.ServerErr != nil && res.ClientErr != nil
+	})
 	w.Exec(func() {
 		end := max(serverFin, clientFin)
 		if end <= start {

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/network"
 	"repro/internal/transport"
 )
 
@@ -97,6 +99,35 @@ func TestRunUntilSlicingIsInvisible(t *testing.T) {
 		if d := time.Duration(b.Now() - start); d < budget || d > budget+over {
 			t.Errorf("%s: RunUntil(never, %v) advanced %v, want within [budget, budget+%v]", kind, budget, d, over)
 		}
+	}
+}
+
+// TestRunTransferStopsWhenBothEndsDie: a transfer cut by a permanent
+// partition 200 ms in (E10's hard-partition cell) cannot reach EOF,
+// but both ends abort on their user timeouts, the later near 6 min of
+// virtual time, and RunTransfer returns then, well inside its 15 min
+// budget, on both stacks.
+func TestRunTransferStopsWhenBothEndsDie(t *testing.T) {
+	const budget = 15 * time.Minute
+	for _, kind := range []Kind{KindSublayeredNative, KindMonolithic} {
+		w := BuildWorld(WorldConfig{Seed: 1, Client: kind, Server: kind,
+			Link: netsim.LinkConfig{Delay: 2 * time.Millisecond, RateBps: 4_000_000, QueueLimit: 64}})
+		inj := faults.New(w.Sim, w.Topo, 1)
+		inj.MustApply(faults.Script{Name: "hard-partition", Steps: []faults.Step{
+			{At: 200 * time.Millisecond, Fault: faults.Partition{Nodes: []network.Addr{w.ServerAddr()}}},
+		}})
+		data := make([]byte, 120_000)
+		res, err := RunTransfer(w, data, data[:60_000], budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ClientErr == nil || res.ServerErr == nil {
+			t.Errorf("%v: errors client %v, server %v; want both ends dead", kind, res.ClientErr, res.ServerErr)
+		}
+		if now := time.Duration(w.Sim.Now()); now > budget/2 {
+			t.Errorf("%v: returned at %v, want well inside the %v budget", kind, now, budget)
+		}
+		w.Close()
 	}
 }
 

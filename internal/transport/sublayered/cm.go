@@ -90,8 +90,14 @@ type ConnManager interface {
 	state() CMState
 	// section fills CM's bits of an ordinary outgoing segment.
 	section() tcpwire.CMSection
-	// stop cancels timers when the connection dies.
-	stop()
+	// stop ends the connection's lifetime with err (nil for an orderly
+	// close) and cancels CM's timers. It reports false, and does
+	// nothing, if the connection had already ended.
+	stop(err error) bool
+	// isDead reports whether the connection has ended, and cause the
+	// error it ended with.
+	isDead() bool
+	cause() error
 }
 
 // Connection-manager names for Config.CM.
@@ -164,6 +170,10 @@ type cmCore struct {
 
 	remoteFinSeen bool
 
+	// The connection's lifetime: dead once it ends, of err.
+	dead bool
+	err  error
+
 	// m counts under both schemes, but only HandshakeCM exports it
 	// (instrumentedCM): a Watson connection has no "cm/..." samples.
 	m cmMetrics
@@ -182,7 +192,7 @@ func (m *cmCore) localFinSeq() seg.Seq {
 // ack fields (xmitCM).
 func (m *cmCore) sendFIN() {
 	m.m.finSent.Inc()
-	m.conn.xmitCM(tcpwire.CMSection{FIN: true, ISN: uint32(m.isn)},
+	m.conn.dm.xmitCM(tcpwire.CMSection{FIN: true, ISN: uint32(m.isn)},
 		m.finSeq, 0, false)
 	m.armRexmit()
 }
@@ -329,7 +339,17 @@ func (m *cmCore) section() tcpwire.CMSection {
 	return tcpwire.CMSection{ISN: uint32(m.isn)}
 }
 
-func (m *cmCore) stop() { m.rexmit.Stop() }
+func (m *cmCore) stop(err error) bool {
+	if m.dead {
+		return false
+	}
+	m.dead, m.err = true, err
+	m.rexmit.Stop()
+	return true
+}
+
+func (m *cmCore) isDead() bool { return m.dead }
+func (m *cmCore) cause() error { return m.err }
 
 // HandshakeCM is classical three-way-handshake connection management:
 // it opens with SYN / SYN-ACK, numbered by its stack's ISN generator.
@@ -350,7 +370,7 @@ func (m *HandshakeCM) each(f func(string, metrics.Instrument)) { m.m.each(f) }
 
 // open implements ConnManager.
 func (m *HandshakeCM) open(active bool, first *cmView) {
-	m.isn = seg.Seq(m.conn.stack.isn.ISN(m.conn.key, m.conn.now()))
+	m.isn = seg.Seq(m.conn.stack.isn.ISN(m.conn.dm.flow(), m.conn.now()))
 	if active {
 		m.st = StateSynSent
 		m.sendSYN()
@@ -370,14 +390,14 @@ func (m *HandshakeCM) open(active bool, first *cmView) {
 // sendSYN emits the active-open SYN with bootstrap retransmission.
 func (m *HandshakeCM) sendSYN() {
 	m.m.synSent.Inc()
-	m.conn.xmitCM(tcpwire.CMSection{SYN: true, ISN: uint32(m.isn)},
+	m.conn.dm.xmitCM(tcpwire.CMSection{SYN: true, ISN: uint32(m.isn)},
 		m.isn, 0, false)
 	m.armRexmit()
 }
 
 func (m *HandshakeCM) sendSYNACK() {
 	m.m.synSent.Inc()
-	m.conn.xmitCM(tcpwire.CMSection{SYN: true, ISN: uint32(m.isn)},
+	m.conn.dm.xmitCM(tcpwire.CMSection{SYN: true, ISN: uint32(m.isn)},
 		m.isn, m.peerISN.Add(1), true)
 	m.armRexmit()
 }
@@ -385,7 +405,7 @@ func (m *HandshakeCM) sendSYNACK() {
 // onTimer is the callback of both CM timers: SYN and SYN-ACK
 // retransmission here, the rest in onCloseTimer.
 func (m *HandshakeCM) onTimer() {
-	if m.conn.dead {
+	if m.dead {
 		return
 	}
 	switch m.st {

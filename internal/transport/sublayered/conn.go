@@ -13,39 +13,24 @@ import (
 // no protocol state — it is the wiring harness plus the application
 // byte-stream API.
 //
-// RD and OSR are values inside the Conn, and what they are built from
-// (RTT estimator and histogram, send buffer, reassembly) values inside
-// them: a sublayer's state has one fixed type, so it needs no object
-// of its own, and a connection costs one allocation where it used to
-// cost a dozen. Where the bytes live does not change who may touch
-// them — each sublayer still reads and writes only its own fields and
-// reaches its neighbours through their methods, which is what the T3
-// litmus (TestDisjointState) and the contracts check. The two parts that are replaceable
-// by design stay behind interfaces: the connection manager here, the
-// congestion controller inside OSR.
+// DM's per-connection half, RD and OSR are values inside the Conn, and
+// what they are built from (RTT estimator and histogram, send buffer,
+// reassembly, read buffer) values inside them: a sublayer's state has
+// one fixed type, so it needs no object of its own, and a connection
+// costs one allocation where it used to cost a dozen. Where the bytes
+// live does not change who may touch them — each sublayer still reads
+// and writes only its own fields and reaches its neighbours through
+// their methods, which is what the T3 litmus (TestDisjointState), the
+// T2 litmus (TestNarrowInterfaces) and the contracts check. The two
+// parts that are replaceable by design stay behind interfaces: the
+// connection manager here, the congestion controller inside OSR.
 type Conn struct {
 	stack *Stack
-	key   tcpwire.FlowKey
-	id    connID
 
+	dm  dmConn
 	cm  ConnManager
 	rd  RD
 	osr OSR
-
-	read seg.ReadBuffer
-	eof  bool
-	dead bool
-	err  error
-
-	// lastXmitID is the trace ID of the newest wire buffer this
-	// connection transmitted — the "offending packet" a flight-recorder
-	// dump chases when the connection aborts. Zero when untraced.
-	lastXmitID uint64
-
-	// txHdr is the scratch header every outgoing segment is composed
-	// in: transmit marshals it into the wire buffer before returning,
-	// so nothing retains it and one instance per connection suffices.
-	txHdr tcpwire.SubHeader
 
 	// crossings counts traffic over each inter-sublayer boundary —
 	// the raw material of the E9 hardware-offload analysis: a
@@ -66,16 +51,16 @@ func (c *Conn) Callbacks(onConnected, onReadable, onWritable func(), onClosed fu
 }
 
 // LocalPort returns the connection's local port.
-func (c *Conn) LocalPort() uint16 { return c.key.SrcPort }
+func (c *Conn) LocalPort() uint16 { return c.dm.key.SrcPort }
 
 // RemotePort returns the connection's remote port.
-func (c *Conn) RemotePort() uint16 { return c.key.DstPort }
+func (c *Conn) RemotePort() uint16 { return c.dm.key.DstPort }
 
 // State reports the connection-management state ("ESTABLISHED", ...).
 func (c *Conn) State() string { return c.cm.state().String() }
 
 // Err returns the terminal error, if the connection died.
-func (c *Conn) Err() error { return c.err }
+func (c *Conn) Err() error { return c.cm.cause() }
 
 // RD exposes the reliable-delivery sublayer for stats and tests.
 func (c *Conn) RD() *RD { return &c.rd }
@@ -134,7 +119,7 @@ func (c *Conn) CrossingStats() Crossings { return c.crossings }
 // were accepted (the rest did not fit the send buffer; retry after
 // acks drain it).
 func (c *Conn) Write(p []byte) int {
-	if c.dead {
+	if c.cm.isDead() {
 		return 0
 	}
 	c.crossings.AppToOSR.Inc()
@@ -148,7 +133,7 @@ func (c *Conn) Write(p []byte) int {
 // After the peer's stream ends, Read reports open=false once drained.
 // It ends the loan of the slice an earlier ReadAll returned.
 func (c *Conn) Read(p []byte) (n int, open bool) {
-	n = c.read.Read(p)
+	n = c.osr.read.Read(p)
 	return n, !c.EOF()
 }
 
@@ -156,16 +141,16 @@ func (c *Conn) Read(p []byte) (n int, open bool) {
 // borrowed: it is valid until the next Read or ReadAll on this
 // connection, after which its storage is filled again, so a caller that
 // keeps the bytes copies them first (seg.ReadBuffer).
-func (c *Conn) ReadAll() []byte { return c.read.ReadAll() }
+func (c *Conn) ReadAll() []byte { return c.osr.read.ReadAll() }
 
 // EOF reports whether the peer finished its stream and all bytes were
 // read.
-func (c *Conn) EOF() bool { return c.eof && c.read.Len() == 0 }
+func (c *Conn) EOF() bool { return c.osr.eofDelivered && c.osr.read.Len() == 0 }
 
 // Close ends the outgoing stream (sends FIN after queued data). The
 // connection fully closes once both directions finish.
 func (c *Conn) Close() {
-	if c.dead {
+	if c.cm.isDead() {
 		return
 	}
 	c.cm.closeWrite()
@@ -173,14 +158,10 @@ func (c *Conn) Close() {
 
 // Abort kills the connection immediately with a RST.
 func (c *Conn) Abort() {
-	if c.dead {
+	if c.cm.isDead() {
 		return
 	}
-	c.txHdr = tcpwire.SubHeader{
-		CM: tcpwire.CMSection{RST: true},
-		RD: tcpwire.RDSection{Seq: uint32(c.rd.NextSeq())},
-	}
-	c.transmit(&c.txHdr, nil)
+	c.dm.reset(c.rd.NextSeq())
 	c.destroy(ErrReset)
 }
 
@@ -190,39 +171,15 @@ func (c *Conn) now() netsim.Time { return c.stack.sim.Now() }
 
 // onEstablished fires the application callback.
 func (c *Conn) onEstablished() {
-	if c.OnConnected != nil {
-		c.OnConnected()
-	}
+	notify(c.OnConnected)
 	// Data may already be queued (write before connect completes).
 	c.osr.pump()
 }
 
-// pushRead appends in-order bytes for the application — for a segment
-// that arrived in order, the only copy between the wire buffer and the
-// reader.
-func (c *Conn) pushRead(p []byte) {
-	c.read.Append(p)
-	if c.OnReadable != nil {
-		c.OnReadable()
-	}
-}
-
-// pushEOF marks the peer's stream complete. Nothing more will be
-// pushed, so the read buffer keeps only what is still unread.
-func (c *Conn) pushEOF() {
-	c.eof = true
-	c.read.Finish()
-	if c.OnReadable != nil {
-		c.OnReadable()
-	}
-}
-
-func (c *Conn) unreadLen() int { return c.read.Len() }
-
-// notifyWritable tells the application the send buffer drained.
-func (c *Conn) notifyWritable() {
-	if c.OnWritable != nil {
-		c.OnWritable()
+// notify runs an optional application callback.
+func notify(f func()) {
+	if f != nil {
+		f()
 	}
 }
 
@@ -230,7 +187,7 @@ func (c *Conn) notifyWritable() {
 // first (handshake, FIN, RST), then RD processes sequence/ack bits,
 // then OSR the window/ECN bits.
 func (c *Conn) onSegment(h *tcpwire.SubHeader, payload []byte, ecnMarked bool) {
-	if c.dead {
+	if c.cm.isDead() {
 		return
 	}
 	v := cmView{
@@ -242,97 +199,28 @@ func (c *Conn) onSegment(h *tcpwire.SubHeader, payload []byte, ecnMarked bool) {
 		ack:        seg.Seq(h.RD.Ack),
 	}
 	c.crossings.FromDM.Inc()
-	deliver := c.cm.onSegment(v)
-	if c.dead || !deliver {
+	if !c.cm.onSegment(v) || c.cm.isDead() {
 		return
 	}
 	if ecnMarked {
 		c.osr.noteECNMark()
 	}
 	c.rd.OnSegment(&h.RD, payload)
-	if c.dead {
+	if c.cm.isDead() {
 		return
 	}
 	c.osr.onPeerHeader(h.OSR)
 	c.checkInvariants()
 }
 
-// xmitData sends a data-bearing segment on RD's behalf.
-func (c *Conn) xmitData(seqNum seg.Seq, payload []byte) {
-	c.txHdr = tcpwire.SubHeader{
-		CM:  c.cm.section(),
-		RD:  c.rd.Section(seqNum),
-		OSR: c.osr.Section(),
-	}
-	c.transmit(&c.txHdr, payload)
-}
-
-// xmitAck sends a pure acknowledgement on RD's behalf.
-func (c *Conn) xmitAck() {
-	c.xmitData(c.rd.NextSeq(), nil)
-}
-
-// xmitCM sends a connection-management segment (SYN, SYN-ACK, FIN).
-// CM supplies its own section and the segment's sequence number; the
-// acknowledgement comes from RD once established, or from CM's
-// explicit override during the handshake (§3.1: CM's bootstrap
-// reliability replicates a little of RD, by design).
-func (c *Conn) xmitCM(cm tcpwire.CMSection, seqNum seg.Seq, overrideAck seg.Seq, hasOverride bool) {
-	c.txHdr = tcpwire.SubHeader{
-		CM:  cm,
-		RD:  c.rd.Section(seqNum),
-		OSR: c.osr.Section(),
-	}
-	if hasOverride {
-		c.txHdr.RD.AckValid = true
-		c.txHdr.RD.Ack = uint32(overrideAck)
-		c.txHdr.RD.SACK = nil
-	}
-	c.transmit(&c.txHdr, nil)
-}
-
-// transmit hands the composed segment to DM for port stamping and
-// network transmission.
-func (c *Conn) transmit(h *tcpwire.SubHeader, payload []byte) {
-	c.crossings.ToDM.Inc()
-	c.stack.dm.send(c, h, payload)
-}
-
-// trace emits one transport-layer span event for this connection when
-// tracing is on; a no-op (single nil check) otherwise.
-func (c *Conn) trace(kind, verdict string, id uint64, seqNum uint32, n int) {
-	t := c.stack.sim.Tracer()
-	if t == nil {
-		return
-	}
-	t.Emit(netsim.TraceEvent{
-		At: c.now(), ID: id, Flow: packFlow(c.key), Seq: seqNum, Len: n,
-		Node: c.stack.traceName, Layer: netsim.LayerTransport,
-		Kind: kind, Verdict: verdict,
-	}, nil)
-}
-
 // destroy tears the connection down and informs the application.
 func (c *Conn) destroy(err error) {
-	if c.dead {
+	if !c.cm.stop(err) {
 		return
 	}
-	c.dead = true
-	c.err = err
-	if err != nil {
-		verdict := netsim.VerdictReset
-		if err == ErrTimeout {
-			verdict = netsim.VerdictTimeout
-		}
-		// The abort names the newest transmitted wire buffer: its causal
-		// chain is what the flight recorder dumps.
-		c.trace("abort", verdict, c.lastXmitID, uint32(c.rd.sndUna), 0)
-	}
-	c.cm.stop()
+	c.dm.close(err, c.rd.una())
 	c.rd.stop()
 	c.osr.stop()
-	c.read.Finish()
-	c.stack.dm.remove(c.id)
 	if c.OnClosed != nil {
 		c.OnClosed(err)
 	}

@@ -18,7 +18,7 @@ import (
 // checkInvariants evaluates every sublayer's contract.
 func (c *Conn) checkInvariants() {
 	ck := c.stack.cfg.Contracts
-	if ck == nil || c.dead {
+	if ck == nil || c.cm.isDead() {
 		return
 	}
 	c.rd.contract(ck)

@@ -61,13 +61,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// connID identifies a connection in DM's demultiplexing table.
-type connID struct {
-	remoteAddr network.Addr
-	remotePort uint16
-	localPort  uint16
-}
-
 // dmMetrics instruments demultiplexing outcomes.
 type dmMetrics struct {
 	delivered  metrics.Counter
@@ -93,7 +86,7 @@ func (m *dmMetrics) each(f func(string, metrics.Instrument)) {
 type DM struct {
 	stack     *Stack
 	listeners map[uint16]*Listener
-	conns     map[connID]*Conn
+	conns     map[tcpwire.FlowKey]*Conn
 	ports     transport.Ports
 	// rxHdr is the scratch header every native-mode segment is parsed
 	// into: the receive path is single-threaded (one event at a time)
@@ -141,7 +134,7 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 	s.dm = &DM{
 		stack:     s,
 		listeners: make(map[uint16]*Listener),
-		conns:     make(map[connID]*Conn),
+		conns:     make(map[tcpwire.FlowKey]*Conn),
 	}
 	switch s.cfg.CM {
 	case CMHandshake:
@@ -210,11 +203,12 @@ func (s *Stack) Dial(dstAddr network.Addr, dstPort uint16) (*Conn, error) {
 	if local == 0 {
 		return nil, fmt.Errorf("sublayered: no free ephemeral ports")
 	}
-	c := s.newConn(tcpwire.FlowKey{
+	key := tcpwire.FlowKey{
 		SrcAddr: uint16(s.router.Addr()), DstAddr: uint16(dstAddr),
 		SrcPort: local, DstPort: dstPort,
-	})
-	s.dm.insert(c)
+	}
+	c := s.newConn(key)
+	s.dm.insert(key, c)
 	c.cm.open(true, nil)
 	return c, nil
 }
@@ -237,18 +231,11 @@ type instrumentedCM interface {
 	each(f func(string, metrics.Instrument))
 }
 
-// newConn builds the four-sublayer composition: the Conn with RD and
-// OSR inside it, and behind it the two replaceable parts.
+// newConn builds the four-sublayer composition: the Conn with DM's
+// half, RD and OSR inside it, and behind it the two replaceable parts.
 func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
-	c := &Conn{
-		stack: s,
-		key:   key,
-		id: connID{
-			remoteAddr: network.Addr(key.DstAddr),
-			remotePort: key.DstPort,
-			localPort:  key.SrcPort,
-		},
-	}
+	c := &Conn{stack: s, dm: dmConn{key: key}}
+	c.dm.conn = c
 	c.cm = s.newCM(c)
 	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
 	c.osr.init(c, ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: transport.MSS}))
@@ -306,8 +293,11 @@ func (d *DM) receive(dg *network.Datagram) {
 		d.m.malformed.Inc()
 		return
 	}
-	id := connID{remoteAddr: dg.Src, remotePort: h.DM.SrcPort, localPort: h.DM.DstPort}
-	if c, ok := d.conns[id]; ok {
+	key := tcpwire.FlowKey{
+		SrcAddr: uint16(dg.Dst), DstAddr: uint16(dg.Src),
+		SrcPort: h.DM.DstPort, DstPort: h.DM.SrcPort,
+	}
+	if c, ok := d.conns[key]; ok {
 		d.m.delivered.Inc()
 		c.onSegment(h, payload, dg.ECN)
 		return
@@ -319,10 +309,7 @@ func (d *DM) receive(dg *network.Datagram) {
 	// are never passive opens.
 	if !h.CM.RST && !(h.CM.SYN && h.RD.AckValid) {
 		if l, ok := d.listeners[h.DM.DstPort]; ok {
-			c := d.stack.newConn(tcpwire.FlowKey{
-				SrcAddr: uint16(dg.Dst), DstAddr: uint16(dg.Src),
-				SrcPort: h.DM.DstPort, DstPort: h.DM.SrcPort,
-			})
+			c := d.stack.newConn(key)
 			v := cmView{
 				syn: h.CM.SYN, fin: h.CM.FIN, isn: seg.Seq(h.CM.ISN),
 				seqNum: seg.Seq(h.RD.Seq), ackValid: h.RD.AckValid, ack: seg.Seq(h.RD.Ack),
@@ -330,11 +317,11 @@ func (d *DM) receive(dg *network.Datagram) {
 			// The manager vets the first segment; a rejected open never
 			// reaches the listener.
 			c.cm.open(false, &v)
-			if c.dead {
+			if c.cm.isDead() {
 				return
 			}
 			d.m.newPassive.Inc()
-			d.insert(c)
+			d.insert(key, c)
 			if l.OnAccept != nil {
 				l.OnAccept(c)
 			}
@@ -366,17 +353,8 @@ func (d *DM) sendRST(to network.Addr, in *tcpwire.SubHeader) {
 	d.transmit(to, key, out, nil)
 }
 
-// send stamps DM's section and transmits a connection's segment.
-func (d *DM) send(c *Conn, h *tcpwire.SubHeader, payload []byte) {
-	h.DM = tcpwire.DMSection{SrcPort: c.key.SrcPort, DstPort: c.key.DstPort}
-	id := d.transmit(network.Addr(c.key.DstAddr), c.key, h, payload)
-	if id != 0 {
-		// Remember the newest wire incarnation so a later abort can name
-		// the offending packet in the flight-recorder dump.
-		c.lastXmitID = id
-	}
-}
-
+// transmit marshals a segment and sends it to the network, returning
+// the trace ID of its wire buffer (zero when untraced).
 func (d *DM) transmit(to network.Addr, key tcpwire.FlowKey, h *tcpwire.SubHeader, payload []byte) uint64 {
 	// Marshal straight into a pooled buffer with network-header
 	// headroom: the segment is written exactly once and the same bytes
@@ -416,16 +394,114 @@ func packFlow(key tcpwire.FlowKey) uint64 {
 }
 
 // insert enters a connection into the demux table.
-func (d *DM) insert(c *Conn) {
-	d.conns[c.id] = c
-	d.ports.Bind(c.id.localPort)
+func (d *DM) insert(key tcpwire.FlowKey, c *Conn) {
+	d.conns[key] = c
+	d.ports.Bind(key.SrcPort)
 }
 
 // remove deletes a dead connection from the demux table. A passive
 // open its manager rejected dies before it was ever inserted.
-func (d *DM) remove(id connID) {
-	if _, ok := d.conns[id]; ok {
-		delete(d.conns, id)
-		d.ports.Unbind(id.localPort)
+func (d *DM) remove(key tcpwire.FlowKey) {
+	if _, ok := d.conns[key]; ok {
+		delete(d.conns, key)
+		d.ports.Unbind(key.SrcPort)
 	}
+}
+
+// dmConn is DM's per-connection half: the flow a connection's segments
+// carry, and the header they are composed in. Like RD and OSR it is a
+// value inside the Conn.
+type dmConn struct {
+	conn *Conn
+	key  tcpwire.FlowKey
+
+	// lastXmitID is the trace ID of the newest wire buffer this
+	// connection transmitted — the "offending packet" a flight-recorder
+	// dump chases when the connection aborts. Zero when untraced.
+	lastXmitID uint64
+
+	// txHdr is the scratch header every outgoing segment is composed
+	// in: transmit marshals it into the wire buffer before returning,
+	// so nothing retains it and one instance per connection suffices.
+	txHdr tcpwire.SubHeader
+}
+
+// flow returns the connection's 4-tuple, local end first.
+func (m *dmConn) flow() tcpwire.FlowKey { return m.key }
+
+// xmitData sends a data-bearing segment, or a pure acknowledgement, on
+// RD's behalf.
+func (m *dmConn) xmitData(seqNum seg.Seq, payload []byte) {
+	m.txHdr = tcpwire.SubHeader{
+		CM:  m.conn.cm.section(),
+		RD:  m.conn.rd.Section(seqNum),
+		OSR: m.conn.osr.Section(),
+	}
+	m.transmit(payload)
+}
+
+// xmitCM sends a connection-management segment (SYN, SYN-ACK, FIN).
+// CM supplies its own section and the segment's sequence number; the
+// acknowledgement comes from RD once established, or from CM's
+// explicit override during the handshake (§3.1: CM's bootstrap
+// reliability replicates a little of RD, by design).
+func (m *dmConn) xmitCM(cm tcpwire.CMSection, seqNum seg.Seq, overrideAck seg.Seq, hasOverride bool) {
+	m.txHdr = tcpwire.SubHeader{
+		CM:  cm,
+		RD:  m.conn.rd.Section(seqNum),
+		OSR: m.conn.osr.Section(),
+	}
+	if hasOverride {
+		m.txHdr.RD.AckValid = true
+		m.txHdr.RD.Ack = uint32(overrideAck)
+		m.txHdr.RD.SACK = nil
+	}
+	m.transmit(nil)
+}
+
+// reset sends the RST of an application abort, at seqNum.
+func (m *dmConn) reset(seqNum seg.Seq) {
+	m.txHdr = tcpwire.SubHeader{
+		CM: tcpwire.CMSection{RST: true},
+		RD: tcpwire.RDSection{Seq: uint32(seqNum)},
+	}
+	m.transmit(nil)
+}
+
+// transmit stamps the ports on the composed header and sends it.
+func (m *dmConn) transmit(payload []byte) {
+	m.conn.crossings.ToDM.Inc()
+	m.txHdr.DM = tcpwire.DMSection{SrcPort: m.key.SrcPort, DstPort: m.key.DstPort}
+	if id := m.conn.stack.dm.transmit(network.Addr(m.key.DstAddr), m.key, &m.txHdr, payload); id != 0 {
+		m.lastXmitID = id
+	}
+}
+
+// trace emits one transport-layer span event for this connection when
+// tracing is on; a no-op (single nil check) otherwise.
+func (m *dmConn) trace(kind, verdict string, id uint64, seqNum uint32, n int) {
+	s := m.conn.stack
+	t := s.sim.Tracer()
+	if t == nil {
+		return
+	}
+	t.Emit(netsim.TraceEvent{
+		At: s.sim.Now(), ID: id, Flow: packFlow(m.key), Seq: seqNum, Len: n,
+		Node: s.traceName, Layer: netsim.LayerTransport,
+		Kind: kind, Verdict: verdict,
+	}, nil)
+}
+
+// close leaves DM's table. When err ends the connection it is traced
+// as an abort at sndUna that names the newest transmitted wire buffer:
+// its causal chain is what the flight recorder dumps.
+func (m *dmConn) close(err error, sndUna seg.Seq) {
+	if err != nil {
+		verdict := netsim.VerdictReset
+		if err == ErrTimeout {
+			verdict = netsim.VerdictTimeout
+		}
+		m.trace("abort", verdict, m.lastXmitID, uint32(sndUna), 0)
+	}
+	m.conn.stack.dm.remove(m.key)
 }

@@ -19,9 +19,13 @@
 //     embed cmCore, so they differ only in how a connection opens.
 //   - DM (dm.go) — Demultiplexing: "essentially UDP" — ports, binding,
 //     listener dispatch; the bottom sublayer everything else rides on.
+//     Its per-connection half (dmConn) holds the flow and composes
+//     every outgoing header from the sublayers' sections.
 //
 // Conn (conn.go) is only the wiring harness plus the byte-stream API;
-// it holds no protocol state of its own. contracts.go makes each
+// it holds no protocol state of its own. The edges between the parts
+// are declared once, in fig5_test.go, and TestNarrowInterfaces checks
+// the code against them. contracts.go makes each
 // sublayer's interface contract runtime-checkable — the paper's
 // debugging claim, exercised by the E10 chaos soak.
 package sublayered

@@ -42,8 +42,9 @@ type OSR struct {
 	paceFn      func()
 	nextRelease netsim.Time
 
-	// Receive half.
+	// Receive half: read holds what the application has not read yet.
 	ra    seg.Reassembly
+	read  seg.ReadBuffer
 	endAt uint64
 
 	// The one-bit state of both halves, side by side so that it shares
@@ -88,7 +89,7 @@ func (o *OSR) init(c *Conn, cc ccontrol.Controller) {
 // onProbeTimer and onPaceTimer are the timer callbacks, made func
 // values the first time their timers are armed (see RD.onRTOTimer).
 func (o *OSR) onProbeTimer() {
-	if o.conn.dead {
+	if o.conn.cm.isDead() {
 		return
 	}
 	if o.peerWnd > 0 || o.sb.End() == o.nextSeg {
@@ -107,7 +108,7 @@ func (o *OSR) onProbeTimer() {
 }
 
 func (o *OSR) onPaceTimer() {
-	if !o.conn.dead {
+	if !o.conn.cm.isDead() {
 		o.pump()
 	}
 }
@@ -264,7 +265,7 @@ func (o *OSR) onAcked(cum uint64, newly int, rtt time.Duration) {
 	})
 	o.pump()
 	if freed {
-		o.conn.notifyWritable()
+		notify(o.conn.OnWritable)
 	}
 }
 
@@ -277,12 +278,15 @@ func (o *OSR) onLoss(kind ccontrol.LossKind) {
 }
 
 // deliver accepts an exactly-once (but possibly out-of-order) segment
-// from RD and pastes the stream back together.
+// from RD and pastes the stream back together. For a segment that
+// arrived in order, appending it to the read buffer is the only copy
+// between the wire buffer and the reader.
 func (o *OSR) deliver(off uint64, data []byte) {
 	out := o.ra.Insert(off, data)
 	if len(out) > 0 {
 		o.m.bytesReassembled.Add(uint64(len(out)))
-		o.conn.pushRead(out)
+		o.read.Append(out)
+		notify(o.conn.OnReadable)
 	}
 	o.checkEOF()
 }
@@ -299,7 +303,8 @@ func (o *OSR) checkEOF() {
 		o.eofDelivered = true
 		o.ra.Release() // the stream is whole: nothing is left to paste
 		o.conn.cm.peerStreamComplete()
-		o.conn.pushEOF()
+		o.read.Finish() // nothing more comes: keep only what is unread
+		notify(o.conn.OnReadable)
 	}
 }
 
@@ -338,7 +343,7 @@ func (o *OSR) Section() tcpwire.OSRSection {
 // window is the advertised flow-control window: free receive buffer
 // minus bytes the application has not read yet.
 func (o *OSR) window() uint16 {
-	free := o.ra.Free() - o.conn.unreadLen()
+	free := o.ra.Free() - o.read.Len()
 	if free < 0 {
 		free = 0
 	}
@@ -348,9 +353,10 @@ func (o *OSR) window() uint16 {
 	return uint16(free)
 }
 
-// stop cancels timers and drops the reassembly storage.
+// stop cancels timers and drops the receive storage no reader needs.
 func (o *OSR) stop() {
 	o.probe.Stop()
 	o.pace.Stop()
 	o.ra.Release()
+	o.read.Finish()
 }

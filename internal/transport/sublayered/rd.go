@@ -148,13 +148,13 @@ func (r *RD) init(c *Conn, sackEnabled, delayedAcks bool) {
 // func value the first time its timer is armed — a connection that
 // never sends data, or never delays an ack, never pays for it.
 func (r *RD) onRTOTimer() {
-	if !r.conn.dead {
+	if !r.conn.cm.isDead() {
 		r.onRTO()
 	}
 }
 
 func (r *RD) onAckTimer() {
-	if !r.conn.dead && r.ackPending > 0 {
+	if !r.conn.cm.isDead() && r.ackPending > 0 {
 		r.AckNow()
 	}
 }
@@ -226,8 +226,8 @@ func (r *RD) Send(off uint64, data []byte) {
 		r.sndNxt = s.Add(len(data))
 	}
 	r.m.segmentsSent.Inc()
-	r.conn.trace("send", "", 0, uint32(s), len(data))
-	r.conn.xmitData(s, buf)
+	r.conn.dm.trace("send", "", 0, uint32(s), len(data))
+	r.conn.dm.xmitData(s, buf)
 	r.armRTO()
 }
 
@@ -242,6 +242,9 @@ func (r *RD) NextSeq() seg.Seq {
 	}
 	return r.sndNxt
 }
+
+// una returns the oldest unacknowledged sequence number.
+func (r *RD) una() seg.Seq { return r.sndUna }
 
 // OnSegment processes the RD section of an arriving segment.
 func (r *RD) OnSegment(h *tcpwire.RDSection, payload []byte) {
@@ -388,7 +391,7 @@ func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
 				}
 			}
 		}
-		r.conn.trace("cumack", "", 0, uint32(ack), newly)
+		r.conn.dm.trace("cumack", "", 0, uint32(ack), newly)
 		r.conn.crossings.RDToOSRAck.Inc()
 		r.conn.osr.onAcked(cum, newly, rttSample)
 	case ack == r.sndUna && !r.AllAcked() && !hadPayload:
@@ -417,8 +420,8 @@ func (r *RD) retransmitFirst() {
 		}
 		o.pending = false
 		r.m.retransmits.Inc()
-		r.conn.trace("rexmit", "", 0, uint32(o.seq), len(o.payload))
-		r.conn.xmitData(o.seq+seg.Seq(FaultRexmitOffset), o.payload)
+		r.conn.dm.trace("rexmit", "", 0, uint32(o.seq), len(o.payload))
+		r.conn.dm.xmitData(o.seq+seg.Seq(FaultRexmitOffset), o.payload)
 		return
 	}
 }
@@ -440,7 +443,7 @@ func (r *RD) onRTO() {
 	}
 	r.m.timeouts.Inc()
 	r.rtoStreak++
-	r.conn.trace("rto", "", 0, uint32(r.sndUna), r.rtoStreak)
+	r.conn.dm.trace("rto", "", 0, uint32(r.sndUna), r.rtoStreak)
 	if r.rtoStreak > transport.MaxRexmit {
 		// User timeout: the data path has made no progress across
 		// transport.MaxRexmit consecutive RTOs. Give up and surface the
@@ -469,7 +472,7 @@ func (r *RD) AckNow() {
 	r.ackPending = 0
 	r.ackTimer.Stop()
 	r.m.acksSent.Inc()
-	r.conn.xmitAck()
+	r.conn.dm.xmitData(r.NextSeq(), nil)
 }
 
 // Section fills RD's bits of an outgoing segment.

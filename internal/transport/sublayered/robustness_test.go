@@ -401,7 +401,7 @@ func TestFinishedConnectionRetainsNoReceiveStorage(t *testing.T) {
 		cc.OnConnected, cc.OnWritable = push, push
 		// Run until bytes have been read and a hole is open: read
 		// buffers and reassembly storage both exist.
-		for step := 0; sc == nil || sc.read.Retained() == 0 || sc.osr.ra.Free() == transport.BufSize; step++ {
+		for step := 0; sc == nil || sc.osr.read.Retained() == 0 || sc.osr.ra.Free() == transport.BufSize; step++ {
 			if step == 10_000 {
 				t.Fatal("never saw read buffers and a segment held out of order at once")
 			}
@@ -415,13 +415,13 @@ func TestFinishedConnectionRetainsNoReceiveStorage(t *testing.T) {
 	if *got != 200_000 || !sc.EOF() {
 		t.Fatalf("transfer: %d of 200000 bytes, EOF %v", *got, sc.EOF())
 	}
-	if r, ra := sc.read.Retained(), sc.osr.ra.Retained(); r != 0 || ra != 0 {
+	if r, ra := sc.osr.read.Retained(), sc.osr.ra.Retained(); r != 0 || ra != 0 {
 		t.Errorf("after EOF was read: read buffers retain %d bytes, reassembly %d", r, ra)
 	}
 
 	_, sc, _ = start(35)
 	sc.Abort()
-	if r, ra := sc.read.Retained(), sc.osr.ra.Retained(); r != 0 || ra != 0 {
+	if r, ra := sc.osr.read.Retained(), sc.osr.ra.Retained(); r != 0 || ra != 0 {
 		t.Errorf("after Abort: read buffers retain %d bytes, reassembly %d", r, ra)
 	}
 }

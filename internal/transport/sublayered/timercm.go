@@ -54,7 +54,7 @@ func (r incarnations) accept(key tcpwire.FlowKey, isn seg.Seq) bool {
 // and earlier than any retransmission or quiet period can expire, so
 // the first firing is always that one; the rest are onCloseTimer's.
 func (m *TimerCM) onTimer() {
-	if m.conn.dead {
+	if m.dead {
 		return
 	}
 	if !m.announced {
@@ -72,7 +72,7 @@ func (m *TimerCM) open(active bool, first *cmView) {
 	// the same instant to the same peer share an incarnation, which
 	// the registry rejects — real Watson clocks tick per connection;
 	// mix the local port in for uniqueness.
-	m.isn = seg.Seq(uint32(int64(m.conn.now())/64)) + seg.Seq(m.conn.key.SrcPort)<<20
+	m.isn = seg.Seq(uint32(int64(m.conn.now())/64)) + seg.Seq(m.conn.dm.flow().SrcPort)<<20
 	if active {
 		m.st = StateEstablished
 		m.conn.rd.Established(m.isn, 0) // peer ISN learned from first inbound
@@ -87,7 +87,7 @@ func (m *TimerCM) open(active bool, first *cmView) {
 		m.end(ErrReset)
 		return
 	}
-	if !m.conn.stack.incarnations.accept(m.conn.key, first.isn) {
+	if !m.conn.stack.incarnations.accept(m.conn.dm.flow(), first.isn) {
 		m.end(ErrReset) // stale incarnation
 		return
 	}
@@ -108,7 +108,7 @@ func (m *TimerCM) onSegment(v cmView) bool {
 		// First inbound segment: learn the peer's ISN.
 		m.peerISN = v.isn
 		m.havePeer = true
-		m.conn.stack.incarnations.accept(m.conn.key, v.isn)
+		m.conn.stack.incarnations.accept(m.conn.dm.flow(), v.isn)
 		m.conn.rd.SetPeerISN(v.isn)
 	} else if v.isn != m.peerISN {
 		// A different incarnation while this one lives: drop it.

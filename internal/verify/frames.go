@@ -54,8 +54,14 @@ type field struct {
 // body is what one function does directly.
 type body struct {
 	uses  []use
-	calls []*types.Func // static calls
-	edges []string      // interface calls, "Type.method"
+	calls []call
+}
+
+// call is one call of a function or method of the package.
+type call struct {
+	fn   *types.Func // the static callee, nil for an interface call
+	edge string      // an interface call's "Type.method"
+	pos  token.Pos
 }
 
 // use is one selection of a field.
@@ -173,7 +179,7 @@ func (s *Source) scan(fn *ast.BlockStmt) *body {
 			switch f := ast.Unparen(n.Fun).(type) {
 			case *ast.Ident:
 				if fn, ok := s.info.Uses[f].(*types.Func); ok {
-					b.calls = append(b.calls, fn)
+					b.calls = append(b.calls, call{fn: fn, pos: f.Pos()})
 				}
 			case *ast.SelectorExpr:
 				sel, ok := s.info.Selections[f]
@@ -186,10 +192,10 @@ func (s *Source) scan(fn *ast.BlockStmt) *body {
 				case sel.Kind() != types.MethodVal: // a func-typed field: a callback
 				case types.IsInterface(sel.Recv()):
 					write(f.X)
-					b.edges = append(b.edges, typeName(sel.Recv())+"."+f.Sel.Name)
+					b.calls = append(b.calls, call{edge: typeName(sel.Recv()) + "." + f.Sel.Name, pos: f.Sel.Pos()})
 				default:
 					write(f.X)
-					b.calls = append(b.calls, sel.Obj().(*types.Func))
+					b.calls = append(b.calls, call{fn: sel.Obj().(*types.Func), pos: f.Sel.Pos()})
 				}
 			}
 		case *ast.SelectorExpr:
@@ -307,11 +313,10 @@ func (s *Source) Frames(handlers []string) (*Frames, error) {
 					frame[v] = frame[v] || u.write
 				}
 			}
-			for _, e := range b.edges {
-				f.edges[e] = true
-			}
-			for _, fn := range b.calls {
-				switch {
+			for _, c := range b.calls {
+				switch fn := c.fn; {
+				case fn == nil:
+					f.edges[c.edge] = true
 				case s.bodies[fn] == nil || seen[fn]:
 				case s.sublayer(fn) != "" && s.sublayer(fn) != home:
 					f.edges[funcName(fn)] = true
@@ -337,6 +342,32 @@ func (s *Source) CrossSublayer() []string {
 				p := s.fset.Position(u.pos)
 				out = append(out, fmt.Sprintf("%s:%d %s.%s", p.Filename, p.Line, o, u.v.Name()))
 			}
+		}
+	}
+	return out
+}
+
+// Calls is the T2 litmus of narrow interfaces: every call, in a method
+// of one sublayer type, of a method of another or of an interface
+// method, as "file:line Caller Type.method" in source order. Narrow
+// interfaces means each is an edge the design declares.
+func (s *Source) Calls() []string {
+	var out []string
+	for _, fn := range s.funcs {
+		home := s.sublayer(fn)
+		if home == "" {
+			continue
+		}
+		for _, c := range s.bodies[fn].calls {
+			callee := c.edge
+			if c.fn != nil {
+				if o := s.sublayer(c.fn); o == "" || o == home {
+					continue
+				}
+				callee = funcName(c.fn)
+			}
+			p := s.fset.Position(c.pos)
+			out = append(out, fmt.Sprintf("%s:%d %s %s", p.Filename, p.Line, home, callee))
 		}
 	}
 	return out

@@ -116,6 +116,20 @@ func TestCrossSublayerNamesFileAndLine(t *testing.T) {
 	}
 }
 
+func TestCallsNamesFileAndLine(t *testing.T) {
+	// A.send calls B's method and an interface method; its call of
+	// Conn's glue, and A's calls of its own methods, are no edges.
+	line := strings.Count(planted[:strings.Index(planted, "a.conn.b.recv()")], "\n") + 1
+	want := []string{fmt.Sprintf("p/p.go:%d A B.recv", line), fmt.Sprintf("p/p.go:%d A Peer.poke", line+1)}
+	if got := loadPlanted(t, "").Calls(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Calls = %v, want %v", got, want)
+	}
+	got := loadPlanted(t, "\nfunc (b *B) back() { b.conn.a.assign() }\n").Calls()
+	if want := fmt.Sprintf("p/p.go:%d B A.assign", strings.Count(planted, "\n")+2); got[len(got)-1] != want {
+		t.Fatalf("Calls = %v, want a last %q", got, want)
+	}
+}
+
 func TestFramesWrites(t *testing.T) {
 	f := frames(t, loadPlanted(t, ""), "A.assign", "A.incr", "A.addr", "A.operand", "A.read")
 	for h, v := range map[string]string{"A.assign": "A.x", "A.incr": "A.y", "A.addr": "A.buf", "A.operand": "A.q"} {

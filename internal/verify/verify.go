@@ -22,7 +22,8 @@
 // files, from which the entanglement metrics (shared variables, O(N²)
 // handler interaction pairs) are computed for the monolithic versus
 // sublayered TCPs. Source.CrossSublayer is the same reading turned
-// into T3's disjoint-state litmus.
+// into T3's disjoint-state litmus, and Source.Calls into T2's
+// narrow-interface one.
 package verify
 
 import (
