@@ -143,9 +143,9 @@ report:
 # combination, and diff each against the committed BENCH_metrics.json.
 # The sharded cells make it the parallel-correctness oracle as well.
 # It never writes a tracked file, so it cannot pass by re-recording
-# what it checks. runreport only executes the deterministic registry
-# (the wall-clock soaks, e13soak and E15, are registered via
-# RegisterWall and excluded). A diverging cell is named before its diff, each drifted
+# what it checks. runreport only executes the deterministic rows of the
+# experiment table (the wall-clock soaks, e13soak and E15, run only
+# when named). A diverging cell is named before its diff, each drifted
 # digest line carries its experiment and scenario, and that cell's
 # per-sample dump is left in determinism-divergent.txt to diff against
 # the same dump from a good tree.

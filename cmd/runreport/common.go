@@ -32,10 +32,14 @@ func addCommon(fs *flag.FlagSet) *common {
 	return c
 }
 
-// results resolves -e against the registry and executes the selection (or
-// every deterministic experiment when empty), in registry order.
-// Wall-clock experiments (e13soak, e15) only run when named
-// explicitly — the run-everything default feeds the determinism gate,
+// runExperiment runs one -e id (experiments.Run); a variable so that
+// TestCommon can stand a wall-clock stub beside the real table.
+var runExperiment = experiments.Run
+
+// results resolves -e against the experiment table and executes the
+// selection (or every deterministic experiment when empty), in the
+// order given. Wall-clock experiments (e13soak, e15) only run when
+// named explicitly — the run-everything default feeds the determinism gate,
 // whose manifest must be a pure function of the seed. An unknown id is
 // a usage error.
 func (c *common) results() ([]*experiments.Result, error) {
@@ -45,7 +49,7 @@ func (c *common) results() ([]*experiments.Result, error) {
 	}
 	var results []*experiments.Result
 	for _, id := range strings.Split(c.Exp, ",") {
-		r := experiments.Run(strings.TrimSpace(id), cfg)
+		r := runExperiment(strings.TrimSpace(id), cfg)
 		if r == nil {
 			known := append(experiments.IDs(), experiments.WallIDs()...)
 			return nil, fmt.Errorf("unknown experiment %q (want one of %s)",

@@ -13,21 +13,22 @@ import (
 	"repro/internal/experiments"
 )
 
-// wallStubRuns counts executions of the stub wall-clock experiment
-// registered below, so the test can tell "resolved" from "ran".
-var wallStubRuns int
-
-func init() {
-	experiments.RegisterWall("wallstub", func(experiments.Config) *experiments.Result {
-		wallStubRuns++
-		return &experiments.Result{ID: "WALLSTUB", Rows: [][]string{{"ok"}}}
-	})
-}
-
 // TestCommon pins the experiment selection run is built on: the flag
-// set, how -e resolves against the two registries, which results count
+// set, how -e resolves against the experiment table, which results count
 // as failed, and where output goes.
 func TestCommon(t *testing.T) {
+	// A wall-clock stub beside the real table, counting its runs so the
+	// subtests can tell "resolved" from "ran".
+	wallStubRuns := 0
+	defer func(run func(string, experiments.Config) *experiments.Result) { runExperiment = run }(runExperiment)
+	runExperiment = func(id string, cfg experiments.Config) *experiments.Result {
+		if strings.ToLower(id) != "wallstub" {
+			return experiments.Run(id, cfg)
+		}
+		wallStubRuns++
+		return &experiments.Result{ID: "WALLSTUB", Rows: [][]string{{"ok"}}}
+	}
+
 	t.Run("flags", func(t *testing.T) {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		addCommon(fs)

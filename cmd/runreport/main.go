@@ -16,10 +16,10 @@
 // The report carries virtual time only — no wall clock, no hostnames —
 // so the same seed produces a byte-identical file on every run, with
 // or without -trace (trace artifacts are separate files and never
-// alter the report). The run-everything default iterates only the
-// deterministic experiment registry, so the wall-clock soaks (e13soak
-// and e15, registered via RegisterWall) can never leak real-time
-// numbers into the gated file.
+// alter the report). The run-everything default runs only the
+// deterministic rows of the experiment table (experiments.RunAll), so
+// the wall-clock soaks (e13soak and e15, which run only when named)
+// can never leak real-time numbers into the gated file.
 //
 // Exit codes follow the shared policy in internal/command: 0 success,
 // 1 failed experiment or write error, 2 usage error.

@@ -10,7 +10,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/command"
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/trace"
@@ -41,8 +41,8 @@ type options struct {
 }
 
 // parseArgs reads and validates the command line. On a bad flag or
-// value it writes the reason and the usage text to stderr and returns
-// an error (flag.ErrHelp for -h).
+// value it writes the usage text to stderr and returns a
+// command.UsageError that gives the reason (flag.ErrHelp for -h).
 func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("subnet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -55,14 +55,12 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	cut := fs.String("cut", "", "cut link A:B (adjacent routers) after 10s of virtual time")
 	fs.BoolVar(&o.ring, "ring", false, "close the line into a ring so failures reroute")
 	fs.IntVar(&o.traceN, "trace", 0, "print the last N decoded packets seen at the server")
-	if err := fs.Parse(args); err != nil {
+	if err := command.Parse(fs, args); err != nil {
 		return nil, err
 	}
 	bad := func(format string, a ...any) (*options, error) {
-		err := fmt.Errorf(format, a...)
-		fmt.Fprintln(stderr, "subnet:", err)
 		fs.Usage()
-		return nil, err
+		return nil, command.Usage(fmt.Errorf(format, a...))
 	}
 	if o.routers < 2 {
 		return bad("need at least 2 routers, got -routers %d", o.routers)
@@ -101,13 +99,14 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 // closesRing reports whether the run adds the N–1 edge to the line.
 func (o *options) closesRing() bool { return o.ring && o.routers > 2 }
 
-func main() {
-	o, err := parseArgs(os.Args[1:], os.Stderr)
-	if errors.Is(err, flag.ErrHelp) {
-		return
-	}
+func main() { command.Main("subnet", run) }
+
+// run builds the network, runs the transfer and writes the tour to
+// stdout. A transfer that fails or arrives corrupted is an error.
+func run(args []string, stdout io.Writer) error {
+	o, err := parseArgs(args, os.Stderr)
 	if err != nil {
-		os.Exit(2)
+		return err
 	}
 
 	link := netsim.LinkConfig{
@@ -131,14 +130,14 @@ func main() {
 		w.Sim.RunFor(10 * time.Second)
 	}
 
-	fmt.Printf("topology: line of %d routers, %s routing, %.0f%% loss per link\n",
+	fmt.Fprintf(stdout, "topology: line of %d routers, %s routing, %.0f%% loss per link\n",
 		o.routers, w.Topo.Routers[1].Computer().Name(), o.loss*100)
-	fmt.Printf("routes at n1:\n%s\n", indent(network.FormatRoutes(w.Topo.Routers[1].Computer().Routes())))
+	fmt.Fprintf(stdout, "routes at n1:\n%s\n", indent(network.FormatRoutes(w.Topo.Routers[1].Computer().Routes())))
 
 	if o.cutA != 0 {
 		w.Sim.Schedule(10*time.Second, func() {
 			if w.Topo.CutLink(o.cutA, o.cutB) {
-				fmt.Printf("[%v] cut link %d–%d\n", w.Sim.Now(), o.cutA, o.cutB)
+				fmt.Fprintf(stdout, "[%v] cut link %d–%d\n", w.Sim.Now(), o.cutA, o.cutB)
 			}
 		})
 	}
@@ -153,36 +152,36 @@ func main() {
 	rand.New(rand.NewSource(o.seed)).Read(data)
 	res, err := harness.RunTransfer(w, data, nil, time.Hour)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "subnet:", err)
-		os.Exit(1)
+		return err
 	}
 	ok := bytes.Equal(res.ServerGot, data)
-	fmt.Printf("\ntransfer: %d bytes end to end, intact=%v, %v of virtual time\n",
+	fmt.Fprintf(stdout, "\ntransfer: %d bytes end to end, intact=%v, %v of virtual time\n",
 		len(res.ServerGot), ok, res.Elapsed.Truncate(time.Millisecond))
 
 	if sc, isSub := res.ClientConn.(*sublayered.Conn); isSub {
 		st := sc.RD().Stats()
-		fmt.Printf("reliable delivery: %d segments, %d retransmits (%d fast, %d timeouts), %d acks\n",
+		fmt.Fprintf(stdout, "reliable delivery: %d segments, %d retransmits (%d fast, %d timeouts), %d acks\n",
 			st["segments_sent"], st["retransmits"], st["fast_retransmits"], st["timeouts"], st["acks_sent"])
 		cr := sc.CrossingStats()
-		fmt.Printf("sublayer crossings: app→OSR %d, OSR→RD %d, RD→OSR %d, DM up/down %d/%d\n",
+		fmt.Fprintf(stdout, "sublayer crossings: app→OSR %d, OSR→RD %d, RD→OSR %d, DM up/down %d/%d\n",
 			cr.AppToOSR.Value(), cr.OSRToRD.Value(),
 			cr.RDToOSRAck.Value()+cr.RDToOSRDat.Value()+cr.RDToOSRLos.Value(),
 			cr.FromDM.Value(), cr.ToDM.Value())
 	}
-	fmt.Println("\nper-router forwarding:")
+	fmt.Fprintln(stdout, "\nper-router forwarding:")
 	for i := 1; i <= o.routers; i++ {
 		r := w.Topo.Routers[network.Addr(i)]
 		st := r.Forwarder().Stats()
-		fmt.Printf("  n%-2d forwarded=%-6d local=%-6d noroute=%-4d ttl-expired=%d\n",
+		fmt.Fprintf(stdout, "  n%-2d forwarded=%-6d local=%-6d noroute=%-4d ttl-expired=%d\n",
 			i, st["forwarded"], st["local_delivered"], st["no_route"], st["ttl_expired"])
 	}
 	if rec != nil {
-		fmt.Printf("\nlast %d of %d packets at n%d:\n%s", len(rec.Events()), rec.Total(), o.routers, rec.Dump())
+		fmt.Fprintf(stdout, "\nlast %d of %d packets at n%d:\n%s", len(rec.Events()), rec.Total(), o.routers, rec.Dump())
 	}
 	if !ok {
-		os.Exit(1)
+		return fmt.Errorf("server received %d bytes, not the %d sent", len(res.ServerGot), len(data))
 	}
+	return nil
 }
 
 func indent(s string) string {

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/command"
 )
 
 // TestParseArgsRejects pins the exit-2 half of the command line: each
-// bad value is refused with its reason and the usage text, instead of
-// silently running something else.
+// bad value is refused as a usage error that gives its reason, with the
+// usage text on stderr, instead of silently running something else.
 func TestParseArgsRejects(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -37,11 +40,10 @@ func TestParseArgsRejects(t *testing.T) {
 			t.Errorf("%v: accepted as %+v", tc.args, *o)
 			continue
 		}
-		out := stderr.String()
-		if !strings.Contains(out, tc.want) {
-			t.Errorf("%v: stderr lacks %q:\n%s", tc.args, tc.want, out)
+		if !errors.As(err, new(command.UsageError)) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %q is not a usage error naming %q", tc.args, err, tc.want)
 		}
-		if !strings.Contains(out, "Usage of subnet") {
+		if out := stderr.String(); !strings.Contains(out, "Usage of subnet") {
 			t.Errorf("%v: no usage text on stderr:\n%s", tc.args, out)
 		}
 	}
@@ -71,6 +73,26 @@ func TestParseArgsAccepts(t *testing.T) {
 		}
 		if stderr.Len() != 0 {
 			t.Errorf("%v: wrote to stderr: %s", tc.args, stderr.String())
+		}
+	}
+}
+
+// TestRun drives the whole tour in process: two routers, a small
+// lossless transfer, and the report of each layer.
+func TestRun(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-routers", "2", "-loss", "0", "-bytes", "20000"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"topology: line of 2 routers",
+		"transfer: 20000 bytes end to end, intact=true",
+		"reliable delivery:",
+		"sublayer crossings:",
+		"  n2  forwarded=",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
 	}
 }

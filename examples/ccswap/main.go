@@ -2,10 +2,9 @@
 // congestion control and connection management (three-way handshake
 // with two ISN generators ⇄ Watson's timer-based scheme) without
 // touching DM, RD or each other. The congestion-control axis comes
-// straight from the ccontrol registry: every registered controller is
-// a candidate by name, selected through sublayered.Config.CC rather
-// than a hand-rolled constructor table, so a controller added anywhere
-// in the tree shows up here with zero changes.
+// straight from ccontrol's constructor table: every controller there
+// is a candidate by name, selected through sublayered.Config.CC, so a
+// controller added to that table shows up here with zero changes.
 //
 //	go run ./examples/ccswap            # every controller × every CM
 //	go run ./examples/ccswap -cc cubic  # one controller × every CM
@@ -21,18 +20,19 @@ import (
 
 	"repro/internal/ccontrol"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/transport/harness"
 	"repro/internal/transport/sublayered"
 )
 
 func main() {
 	ccFlag := flag.String("cc", "all",
-		`congestion controller by registry name, or "all" for every registered one`)
+		`congestion controller by name, or "all" for every one ccontrol has`)
 	flag.Parse()
 
 	ccs := ccontrol.Names()
 	if *ccFlag != "all" {
-		if _, err := ccontrol.New(*ccFlag, ccontrol.Config{}); err != nil {
+		if _, err := ccontrol.New(*ccFlag, transport.MSS); err != nil {
 			fmt.Fprintf(os.Stderr, "ccswap: %v\n", err)
 			os.Exit(2)
 		}

@@ -62,8 +62,10 @@ func New(kind string, seed int64, reg *metrics.Registry) (netsim.Backend, error)
 	}
 }
 
-// Realtime reports whether kind runs on the wall clock (everything but
-// the simulator). Drivers use it to pick polling over virtual RunFor.
+// Realtime reports whether kind runs on the wall clock (chan and udp;
+// not the simulators). Builders use it to pick a faster control-plane
+// cadence and convergence by route polling, harness.RunUntil its
+// wall-clock slice, and drivers a wall-clock budget.
 func Realtime(kind string) bool { return kind == Chan || kind == UDP }
 
 // UDPAvailable reports whether the UDP backend can run here; soak jobs

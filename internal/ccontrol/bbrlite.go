@@ -2,10 +2,6 @@ package ccontrol
 
 import "time"
 
-func init() {
-	Register("bbrlite", func(cfg Config) Controller { return NewBBRLite(cfg.MSS) })
-}
-
 // bbrGains is the steady-state pacing-gain cycle: one probing interval
 // above the estimated bottleneck rate, one draining interval below it,
 // six at the estimate — BBR's ProbeBW phase.

@@ -2,7 +2,7 @@
 // Controller interface fed by a stack-agnostic signal vocabulary
 // (acknowledgement samples with delivery accounting, summarized loss
 // events, ECN marks) and producing a window plus an optional pacing
-// rate, with a name→constructor Registry so stacks and experiments
+// rate, with one name→constructor table so stacks and experiments
 // select algorithms by string.
 //
 // The paper's §3 hides rate control inside the OSR sublayer; this
@@ -74,9 +74,9 @@ type LossEvent struct {
 // The contract is the paper's: "if the network or receiver bottleneck
 // rate changes and stays steady, the sending OSR will eventually reach
 // and stay at that bottleneck rate." Window must stay positive under
-// every signal sequence (the registry property test enforces it).
+// every signal sequence (TestWindowPositiveProperty enforces it).
 type Controller interface {
-	// Name identifies the algorithm (the registry key it came from).
+	// Name identifies the algorithm (its name in the constructor table).
 	Name() string
 	// Window returns the bytes the sender may have in flight.
 	Window() int
@@ -92,17 +92,4 @@ type Controller interface {
 	// packet, so a controller that cuts must suppress repeat cuts
 	// within the same window itself (see newreno's bytes-acked guard).
 	OnECN()
-}
-
-// Config parameterizes controller construction.
-type Config struct {
-	// MSS is the maximum segment payload in bytes (default 1000).
-	MSS int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = 1000
-	}
-	return c
 }

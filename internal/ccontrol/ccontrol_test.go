@@ -2,6 +2,7 @@ package ccontrol
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -23,7 +24,7 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	for _, n := range names {
-		c, err := New(n, Config{MSS: 1000})
+		c, err := New(n, 1000)
 		if err != nil {
 			t.Fatalf("New(%s): %v", n, err)
 		}
@@ -31,21 +32,26 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("New(%s).Name() = %s", n, c.Name())
 		}
 	}
-	if _, err := New("bogus", Config{}); err == nil {
+	if _, err := New("bogus", 1000); err == nil {
 		t.Error("unknown name did not error")
 	}
-	if c, err := New("", Config{}); err != nil || c.Name() != DefaultName {
+	if c, err := New("", 1000); err != nil || c.Name() != DefaultName {
 		t.Errorf("empty name: got %v, %v; want default %s", c, err, DefaultName)
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
+// TestControllerTable pins the constructor table itself: each name is
+// lower-case and appears once, and the table is sorted, so Names (and
+// every report that iterates it) has one order.
+func TestControllerTable(t *testing.T) {
+	for i, c := range controllers {
+		if c.name == "" || c.name != strings.ToLower(c.name) {
+			t.Errorf("controllers[%d] = %q: want a non-empty lower-case name", i, c.name)
 		}
-	}()
-	Register("newreno", func(cfg Config) Controller { return NewNewReno(cfg.MSS) })
+		if i > 0 && c.name <= controllers[i-1].name {
+			t.Errorf("controllers[%d] = %q after %q: want unique names in sorted order", i, c.name, controllers[i-1].name)
+		}
+	}
 }
 
 // TestNewRenoPhases is the table-driven tour of NewReno: slow-start
@@ -247,7 +253,7 @@ func TestBBRLiteConvergence(t *testing.T) {
 }
 
 // TestWindowPositiveProperty is the cross-controller property test:
-// every registered controller keeps Window() > 0 (and PacingRate() ≥ 0)
+// every controller in the table keeps Window() > 0 (and PacingRate() ≥ 0)
 // under arbitrary signal sequences.
 func TestWindowPositiveProperty(t *testing.T) {
 	for _, name := range Names() {
@@ -255,7 +261,7 @@ func TestWindowPositiveProperty(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 20; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				c := MustNew(name, Config{MSS: 1 + rng.Intn(2000)})
+				c := MustNew(name, 1+rng.Intn(2000))
 				now := time.Duration(0)
 				delivered := uint64(0)
 				for i := 0; i < 500; i++ {

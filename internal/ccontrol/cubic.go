@@ -5,10 +5,6 @@ import (
 	"time"
 )
 
-func init() {
-	Register("cubic", func(cfg Config) Controller { return NewCubic(cfg.MSS) })
-}
-
 // Cubic tuning constants (RFC 8312 defaults): β is the multiplicative
 // decrease factor, cubicC scales the cubic growth function W(t) =
 // C·(t−K)³ + Wmax, both in MSS units with t in seconds.

@@ -1,9 +1,5 @@
 package ccontrol
 
-func init() {
-	Register("newreno", func(cfg Config) Controller { return NewNewReno(cfg.MSS) })
-}
-
 // NewReno is slow start + congestion avoidance + multiplicative
 // decrease on loss (fast recovery simplified to a half-window cut).
 type NewReno struct {

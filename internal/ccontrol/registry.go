@@ -1,63 +1,56 @@
 package ccontrol
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Constructor builds one controller instance.
-type Constructor func(cfg Config) Controller
-
-// registry maps algorithm name → constructor. Entries self-register
-// from init functions in this package, mirroring experiments.Registry:
-// adding a controller is one Register call, and every consumer (both
-// stacks, the E12 bake-off, examples/ccswap) picks it up by name with
-// no further wiring.
-var registry = map[string]Constructor{}
+import "fmt"
 
 // DefaultName is the controller both stacks construct when no name is
 // configured.
 const DefaultName = "newreno"
 
-// Register adds a constructor under name. It panics on a duplicate
-// name — registration happens at init time, so a collision is a
-// programming error worth failing loudly on.
-func Register(name string, mk Constructor) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("ccontrol: duplicate controller %q", name))
-	}
-	registry[name] = mk
+// controllers is every algorithm by name, in the order Names lists
+// them. Adding a controller is one line here: both stacks, the E12
+// bake-off and examples/ccswap select by name, with no further wiring.
+var controllers = []struct {
+	name string
+	mk   func(mss int) Controller
+}{
+	{"bbrlite", func(mss int) Controller { return NewBBRLite(mss) }},
+	{"cubic", func(mss int) Controller { return NewCubic(mss) }},
+	// "fixed" is E8's baseline: a 16 KiB window whatever the MSS.
+	{"fixed", func(int) Controller { return NewFixedWindow(16 << 10) }},
+	{"newreno", func(mss int) Controller { return NewNewReno(mss) }},
+	{"rate-based", func(mss int) Controller { return NewRateBased(mss) }},
 }
 
-// New builds the named controller, or errors with the known names.
-func New(name string, cfg Config) (Controller, error) {
+// New builds the named controller ("" is DefaultName) for segments of
+// mss payload bytes, or errors with the known names.
+func New(name string, mss int) (Controller, error) {
 	if name == "" {
 		name = DefaultName
 	}
-	mk, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("ccontrol: unknown controller %q (have %v)", name, Names())
+	for _, c := range controllers {
+		if c.name == name {
+			return c.mk(mss), nil
+		}
 	}
-	return mk(cfg.withDefaults()), nil
+	return nil, fmt.Errorf("ccontrol: unknown controller %q (have %v)", name, Names())
 }
 
 // MustNew is New for statically known names (stack construction,
 // tests); it panics on an unknown name.
-func MustNew(name string, cfg Config) Controller {
-	c, err := New(name, cfg)
+func MustNew(name string, mss int) Controller {
+	c, err := New(name, mss)
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
 
-// Names lists the registered controllers, sorted for deterministic
-// iteration in experiments and reports.
+// Names lists the controllers in table order, which is sorted, for
+// deterministic iteration in experiments and reports.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	out := make([]string, len(controllers))
+	for i, c := range controllers {
+		out[i] = c.name
 	}
-	sort.Strings(out)
 	return out
 }

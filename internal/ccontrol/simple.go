@@ -7,12 +7,6 @@ import "time"
 // paper suggests could seamlessly replace window-based congestion
 // control.
 
-func init() {
-	// "fixed" is E8's baseline: a 16 KiB window whatever the MSS.
-	Register("fixed", func(Config) Controller { return NewFixedWindow(16 << 10) })
-	Register("rate-based", func(cfg Config) Controller { return NewRateBased(cfg.MSS) })
-}
-
 // FixedWindow is degenerate congestion control: a constant window. It
 // exists to show the interface is honest (the stack runs, just without
 // adaptation) and as the baseline in the E8 swap experiment.

@@ -5,14 +5,17 @@ import (
 	"time"
 
 	"repro/internal/trace"
+	"repro/internal/transport/harness"
 	"repro/internal/workload"
 )
 
-// E11 self-registers: with the registry in place, a new experiment is
-// this one call — no switch in either cmd tool to extend.
-func init() {
-	Register("e11", E11FlowScaling)
-}
+// e11Kinds is the stack axis E11, E12 and E15 share: both
+// implementations, native wire format each, driven through the
+// identical engine code path.
+var e11Kinds = []harness.Kind{harness.KindSublayeredNative, harness.KindMonolithic}
+
+// e11Flows is the flow-scaling axis.
+var e11Flows = []int{10, 100, 1000}
 
 // E11FlowScaling is the many-flow scaling sweep: 10, 100 and 1,000
 // concurrent flows through each stack over one shared rate-limited
@@ -36,24 +39,29 @@ func E11FlowScaling(cfg Config) *Result {
 			"fct-p50", "fct-p99", "fairness", "violations", "makespan"},
 	}
 	totalViolations := 0
-	for _, cell := range workload.MatrixOn(cfg.Backend, seed, workload.MatrixFlows, workload.MatrixKinds) {
-		r := cell.Report
-		totalViolations += len(r.Violations)
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", cell.Flows),
-			r.Stack,
-			fmt.Sprintf("%d/%d", r.Completed, r.Flows),
-			fmt.Sprintf("%.2fMbps", float64(r.GoodputBps)/1e6),
-			r.FCTp50.Truncate(time.Millisecond).String(),
-			r.FCTp99.Truncate(time.Millisecond).String(),
-			fmt.Sprintf("%.4f", r.Fairness),
-			fmt.Sprintf("%d", len(r.Violations)),
-			r.Makespan.Truncate(time.Millisecond).String(),
-		})
-		res.fold(fmt.Sprintf("flows%04d/%s", cell.Flows, r.Stack), r.Metrics)
+	// Every cell is byte-identical on "sim" and "sharded[:N]": E11 run
+	// through a sharded world is the experiment-level leg of the
+	// determinism gate's sharded cells.
+	for _, flows := range e11Flows {
+		for _, kind := range e11Kinds {
+			r := workload.Run(workload.Config{Seed: seed, Backend: cfg.Backend, Flows: flows, Client: kind, Server: kind})
+			totalViolations += len(r.Violations)
+			res.Rows = append(res.Rows, []string{
+				fmt.Sprintf("%d", flows),
+				r.Stack,
+				fmt.Sprintf("%d/%d", r.Completed, r.Flows),
+				fmt.Sprintf("%.2fMbps", float64(r.GoodputBps)/1e6),
+				r.FCTp50.Truncate(time.Millisecond).String(),
+				r.FCTp99.Truncate(time.Millisecond).String(),
+				fmt.Sprintf("%.4f", r.Fairness),
+				fmt.Sprintf("%d", len(r.Violations)),
+				r.Makespan.Truncate(time.Millisecond).String(),
+			})
+			res.fold(fmt.Sprintf("flows%04d/%s", flows, r.Stack), r.Metrics)
+		}
 	}
 	if cfg.TraceDir != "" {
-		for _, kind := range workload.MatrixKinds {
+		for _, kind := range e11Kinds {
 			col := trace.NewCollector(trace.Options{RingCap: 1024, DoneCap: 128})
 			workload.Run(workload.Config{
 				Seed: seed, Flows: 10, Client: kind, Server: kind, Tracer: col,

@@ -9,11 +9,6 @@ import (
 	"repro/internal/transport/harness"
 )
 
-func init() {
-	Register("e13", E13Overlay)
-	RegisterWall("e13soak", E13OverlaySoak)
-}
-
 // e13Stacks is the E13 stack axis: the overlay tiers run unchanged on
 // both transport implementations — the application layer is the final
 // customer of the fungibility argument, so it must not be able to
@@ -76,7 +71,7 @@ func E13Overlay(cfg Config) *Result {
 	}
 	idx := int64(0)
 	viol := 0
-	for _, sc := range overlay.Scenarios(8) {
+	for _, sc := range overlay.Scenarios() {
 		for _, kind := range e13Stacks() {
 			for _, tier := range overlay.Tiers() {
 				idx++
@@ -97,8 +92,8 @@ func E13Overlay(cfg Config) *Result {
 	return res
 }
 
-// E13OverlaySoak is the wall-clock companion (RegisterWall: never in
-// RunAll or BENCH_metrics.json): the churn and clean scenarios across
+// E13OverlaySoak is the wall-clock companion (a wall row of the
+// experiment table: never in RunAll or BENCH_metrics.json): the churn and clean scenarios across
 // all three tiers on the real-time backends — in-process channels
 // always, loopback UDP where sockets exist — with the watchdog and
 // invariants unchanged from the simulated runs. `make soak` and the CI
@@ -115,7 +110,7 @@ func E13OverlaySoak(cfg Config) *Result {
 		backends = backends[:1]
 		udpSkipped = true
 	}
-	scenarios := overlay.Scenarios(8)
+	scenarios := overlay.Scenarios()
 	idx := int64(0)
 	viol := 0
 	for _, backend := range backends {

@@ -7,10 +7,6 @@ import (
 	"repro/internal/metrics"
 )
 
-func init() {
-	Register("e14", E14CorpusReplay)
-}
-
 // e14FreshCases is how many freshly generated schedules ride along
 // with the committed corpus: enough to keep the generator honest under
 // the determinism gate, few enough to stay cheap.

@@ -76,7 +76,7 @@ func E8Replace(cfg Config) *Result {
 		Title:  "challenge 5 (Replace): CC × CM swap matrix on one lossy path",
 		Header: []string{"congestion-control", "connection-mgmt", "intact", "virtual-time"},
 	}
-	// Controllers by ccontrol registry name; "fixed" is the 16 KiB
+	// Controllers by ccontrol name; "fixed" is the 16 KiB
 	// window the table labels fixed-16k.
 	ccs := []struct{ name, reg string }{
 		{"newreno", "newreno"},

@@ -124,20 +124,3 @@ func (r *Result) Text() string {
 	}
 	return b.String()
 }
-
-// init registers E1–E10; E11 onwards register from their own files.
-// Everything else (both cmd tools, the benchmarks) resolves
-// experiments through the registry, so a new experiment is exactly
-// one Register call.
-func init() {
-	Register("e1", E1DataLink)
-	Register("e2", E2Routing)
-	Register("e3", E3SublayeredTCP)
-	Register("e4", E4Interop)
-	Register("e5", E5Stuffing)
-	Register("e6", E6Entanglement)
-	Register("e7", E7Performance)
-	Register("e8", E8Replace)
-	Register("e9", E9Offload)
-	Register("e10", E10ChaosSoak)
-}

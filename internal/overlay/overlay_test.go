@@ -71,7 +71,7 @@ func TestIDBuckets(t *testing.T) {
 	}
 }
 
-func clean() Scenario { return Scenarios(8)[0] }
+func clean() Scenario { return Scenarios()[0] }
 
 func TestRPCCleanSim(t *testing.T) {
 	res := Run(RunConfig{Seed: 1, Tier: TierRPC, Scenario: clean(), Kind: harness.KindSublayeredNative})
@@ -119,7 +119,7 @@ func TestDeterminismSimVsSharded(t *testing.T) {
 	for _, tier := range Tiers() {
 		key := func(backend string) string {
 			res := Run(RunConfig{Seed: 11, Backend: backend, Tier: tier,
-				Scenario: Scenarios(8)[3], Kind: harness.KindSublayeredNative})
+				Scenario: Scenarios()[3], Kind: harness.KindSublayeredNative})
 			return fmt.Sprintf("%d/%d/%d hops=%d/%d lat=%v/%v conv=%v/%v msgs=%.3f retries=%d dups=%d viol=%d",
 				res.Issued, res.Resolved, res.Missed, res.HopP50, res.HopP99,
 				res.LatP50, res.LatP99, res.ConvergeP50, res.ConvergeMax,

@@ -43,8 +43,7 @@ type Scenario struct {
 // bursty loss on one ring link, a healed two-member partition, and
 // member churn — three staggered RouterPause windows, the overlay's
 // join/leave model (state kept, reachability lost).
-func Scenarios(nodes int) []Scenario {
-	_ = nodes
+func Scenarios() []Scenario {
 	return []Scenario{
 		{Name: "clean", Heals: true, Build: func(int) faults.Script {
 			return faults.Script{Name: "clean"}

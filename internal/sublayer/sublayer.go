@@ -13,7 +13,7 @@
 //	T2 — sublayers communicate with adjacent sublayers only through the
 //	     narrow Runtime interface (SendDown/DeliverUp plus the typed
 //	     Meta fields each boundary documents); the Stack counts every
-//	     crossing, which the offload experiment (E9) consumes.
+//	     crossing per boundary (down/up, bytes, drops).
 //	T3 — each sublayer acts on its own header bytes and state,
 //	     invisible to the others. Go cannot hardware-protect memory, so
 //	     T3 is established the way the paper suggests sublayers be

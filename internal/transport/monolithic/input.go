@@ -109,6 +109,9 @@ func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 			if p.OnConnected != nil {
 				p.OnConnected()
 			}
+			if p.dead {
+				return // the connected callback aborted
+			}
 			// Fall through: the completing segment may carry data.
 			s.tcpReceive(p, h, payload)
 			p.tcpOutput()
@@ -184,6 +187,9 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 				})
 				if p.OnWritable != nil {
 					p.OnWritable()
+					if p.dead {
+						return // aborted from the callback: nothing follows its RST
+					}
 				}
 			}
 			p.armRexmit()
@@ -212,6 +218,9 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 				p.read.Append(out)
 				if p.OnReadable != nil {
 					p.OnReadable()
+					if p.dead {
+						return // aborted from the callback: no ack follows its RST
+					}
 				}
 			}
 		}

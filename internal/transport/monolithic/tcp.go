@@ -66,7 +66,7 @@ var ErrTimeout = errors.New("monolithic: connection timed out")
 // retransmission bound and TIME_WAIT are the transport package's
 // constants, shared with the sublayered stack.
 type Config struct {
-	// CC selects the congestion controller by ccontrol registry name
+	// CC selects the congestion controller by ccontrol name
 	// ("newreno", "cubic", "bbrlite", ...; default ccontrol.DefaultName).
 	// Unknown names panic at NewStack. Note the asymmetry E6/E12
 	// instrument: the sublayered stack confines the same swap to OSR's
@@ -326,7 +326,7 @@ func (s *Stack) newPCB(id connID) *PCB {
 		stack:  s,
 		id:     id,
 		state:  stClosed,
-		cc:     ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: transport.MSS}),
+		cc:     ccontrol.MustNew(s.cfg.CC, transport.MSS),
 		sndWnd: transport.MSS,
 		sndBuf: seg.NewSendBuffer(transport.BufSize),
 		reasm:  seg.NewReassembly(transport.BufSize),

@@ -13,7 +13,7 @@
 //
 // A stack is built from its package's Config struct and nothing else:
 // sublayered.Config and monolithic.Config each carry CC (the congestion
-// controller, by ccontrol registry name) and Metrics (the registry
+// controller, by ccontrol name) and Metrics (the registry
 // scope NewStack adopts the stack's instruments under). What the two
 // stacks must agree on is not configurable: it is the constants below.
 package transport

@@ -376,12 +376,7 @@ func (m *HandshakeCM) open(active bool, first *cmView) {
 		m.sendSYN()
 		return
 	}
-	// Passive: created by DM on an arriving segment; the handshake
-	// scheme only accepts SYNs.
-	if first == nil || !first.syn {
-		m.end(fmt.Errorf("sublayered: passive open without SYN"))
-		return
-	}
+	// Passive: DM built the connection on a SYN (Stack.admits).
 	m.peerISN = first.isn
 	m.st = StateSynRcvd
 	m.sendSYNACK()

@@ -172,8 +172,11 @@ func (c *Conn) now() netsim.Time { return c.stack.sim.Now() }
 // onEstablished fires the application callback.
 func (c *Conn) onEstablished() {
 	notify(c.OnConnected)
-	// Data may already be queued (write before connect completes).
-	c.osr.pump()
+	// Data may already be queued (write before connect completes),
+	// unless the callback aborted the connection.
+	if !c.cm.isDead() {
+		c.osr.pump()
+	}
 }
 
 // notify runs an optional application callback.

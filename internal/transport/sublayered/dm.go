@@ -20,7 +20,7 @@ import (
 // buffer sizes, retransmission bound and TIME_WAIT are the transport
 // package's constants, shared with the monolithic baseline.
 type Config struct {
-	// CC selects the congestion controller by ccontrol registry name
+	// CC selects the congestion controller by ccontrol name
 	// ("newreno", "cubic", "bbrlite", ...; default ccontrol.DefaultName).
 	// Unknown names panic at the first connection.
 	CC string
@@ -238,7 +238,7 @@ func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 	c.dm.conn = c
 	c.cm = s.newCM(c)
 	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
-	c.osr.init(c, ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: transport.MSS}))
+	c.osr.init(c, ccontrol.MustNew(s.cfg.CC, transport.MSS))
 	s.adoptMetrics(c)
 	return c
 }
@@ -255,6 +255,25 @@ func (s *Stack) newCM(c *Conn) ConnManager {
 	m := &HandshakeCM{cmCore: cmCore{conn: c}}
 	m.timerFn = m.onTimer
 	return m
+}
+
+// admits reports whether the scheme cfg.CM names opens a passive
+// connection on v, the first segment of flow key (local end first) to
+// a listening port. It runs before anything is built, so a refused
+// segment costs no connection, no controller and no metric family
+// member. The handshake opens only on a SYN; DM answers anything else
+// with the no-listener RST, as for a closed port. Watson's scheme
+// opens on any non-SYN of a fresh incarnation, and records the
+// incarnation; it drops a delayed duplicate of an earlier one, and a
+// SYN, which only a handshake peer sends, without a word (quiet).
+func (s *Stack) admits(key tcpwire.FlowKey, v cmView) (open, quiet bool) {
+	if s.cfg.CM != CMWatson {
+		return v.syn, false
+	}
+	if v.syn || !s.incarnations.accept(key, v.isn) {
+		return false, true
+	}
+	return true, false
 }
 
 // adoptMetrics makes the connection member connSeq of the stack's
@@ -303,33 +322,31 @@ func (d *DM) receive(dg *network.Datagram) {
 		return
 	}
 	// No connection: a first segment to a listener creates one
-	// (passive open). Which first segments are acceptable is the
-	// connection manager's business: the handshake CM requires a SYN,
-	// the timer-based CM accepts any data-bearing segment. SYN-ACKs
-	// are never passive opens.
+	// (passive open) if the connection manager's scheme admits it.
+	// SYN-ACKs are never passive opens.
 	if !h.CM.RST && !(h.CM.SYN && h.RD.AckValid) {
 		if l, ok := d.listeners[h.DM.DstPort]; ok {
-			c := d.stack.newConn(key)
 			v := cmView{
 				syn: h.CM.SYN, fin: h.CM.FIN, isn: seg.Seq(h.CM.ISN),
 				seqNum: seg.Seq(h.RD.Seq), ackValid: h.RD.AckValid, ack: seg.Seq(h.RD.Ack),
 			}
-			// The manager vets the first segment; a rejected open never
-			// reaches the listener.
-			c.cm.open(false, &v)
-			if c.cm.isDead() {
+			switch open, quiet := d.stack.admits(key, v); {
+			case quiet:
+				return
+			case open:
+				c := d.stack.newConn(key)
+				c.cm.open(false, &v)
+				d.m.newPassive.Inc()
+				d.insert(key, c)
+				if l.OnAccept != nil {
+					l.OnAccept(c)
+				}
+				if !h.CM.SYN {
+					// Timer-based opens carry data in the first segment.
+					c.onSegment(h, payload, dg.ECN)
+				}
 				return
 			}
-			d.m.newPassive.Inc()
-			d.insert(key, c)
-			if l.OnAccept != nil {
-				l.OnAccept(c)
-			}
-			if !h.CM.SYN {
-				// Timer-based opens carry data in the first segment.
-				c.onSegment(h, payload, dg.ECN)
-			}
-			return
 		}
 	}
 	d.m.noListener.Inc()

@@ -43,9 +43,9 @@ var fig5 = []struct{ caller, callee, counters, why string }{
 	{"Conn", "instrumentedCM.each", "", "a manager that has instruments lists them with its connection's"},
 
 	{"DM", "Conn.onSegment", "from_dm", "a demultiplexed segment goes up to its connection"},
-	{"DM", "Stack.newConn", "", "a first segment to a listener builds a connection (passive open)"},
-	{"DM", "ConnManager.open", "", "whose manager vets that segment"},
-	{"DM", "ConnManager.isDead", "", "an open the manager rejected never reaches the listener"},
+	{"DM", "Stack.admits", "", "the manager's scheme vets a first segment to a listener before anything is built"},
+	{"DM", "Stack.newConn", "", "an admitted one builds a connection (passive open)"},
+	{"DM", "ConnManager.open", "", "and opens it passively"},
 
 	{"dmConn", "ConnManager.section", "", "DM composes the Fig. 6 header from each sublayer's section"},
 	{"dmConn", "RD.Section", "", "DM composes the Fig. 6 header from each sublayer's section"},

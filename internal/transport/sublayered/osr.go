@@ -287,6 +287,9 @@ func (o *OSR) deliver(off uint64, data []byte) {
 		o.m.bytesReassembled.Add(uint64(len(out)))
 		o.read.Append(out)
 		notify(o.conn.OnReadable)
+		if o.conn.cm.isDead() {
+			return
+		}
 	}
 	o.checkEOF()
 }

@@ -154,7 +154,7 @@ func (r *RD) onRTOTimer() {
 }
 
 func (r *RD) onAckTimer() {
-	if !r.conn.cm.isDead() && r.ackPending > 0 {
+	if r.ackPending > 0 {
 		r.AckNow()
 	}
 }
@@ -246,10 +246,15 @@ func (r *RD) NextSeq() seg.Seq {
 // una returns the oldest unacknowledged sequence number.
 func (r *RD) una() seg.Seq { return r.sndUna }
 
-// OnSegment processes the RD section of an arriving segment.
+// OnSegment processes the RD section of an arriving segment. Delivery
+// runs the application's readable callback, which may abort the
+// connection; nothing follows on a dead one.
 func (r *RD) OnSegment(h *tcpwire.RDSection, payload []byte) {
 	if len(payload) > 0 {
 		r.onData(seg.Seq(h.Seq), payload)
+		if r.conn.cm.isDead() {
+			return
+		}
 	}
 	if h.AckValid {
 		r.onAck(seg.Seq(h.Ack), h.SACK, len(payload) > 0)
@@ -282,6 +287,9 @@ func (r *RD) onData(s seg.Seq, payload []byte) {
 		r.m.deliveredBytes.Add(uint64(len(payload)))
 		r.conn.crossings.RDToOSRDat.Inc()
 		r.conn.osr.deliver(off, payload)
+		if r.conn.cm.isDead() {
+			return // aborted from the readable callback
+		}
 	} else {
 		r.m.dupSegments.Inc()
 		inOrder = false // duplicates must elicit an immediate (dup) ack
@@ -467,8 +475,14 @@ func (r *RD) onRTO() {
 	r.conn.osr.onLoss(ccontrol.LossTimeout)
 }
 
-// AckNow emits a pure acknowledgement reflecting everything received.
+// AckNow emits a pure acknowledgement reflecting everything received,
+// unless the connection is dead: an application callback on the way
+// here (connected, or readable at the peer's FIN) may have aborted it,
+// and nothing follows its RST.
 func (r *RD) AckNow() {
+	if r.conn.cm.isDead() {
+		return
+	}
 	r.ackPending = 0
 	r.ackTimer.Stop()
 	r.m.acksSent.Inc()

@@ -425,3 +425,44 @@ func TestFinishedConnectionRetainsNoReceiveStorage(t *testing.T) {
 		t.Errorf("after Abort: read buffers retain %d bytes, reassembly %d", r, ra)
 	}
 }
+
+// TestRefusedFirstSegmentBuildsNothing: a first segment the connection
+// manager will not open on — a non-SYN to a handshake listener, such
+// as a peer's data still in flight after this end reset the
+// connection, or a delayed duplicate of an earlier Watson incarnation
+// — builds no connection: no controller, no "conn" family member, no
+// abort trace. The handshake answers it with the no-listener RST, as
+// for a closed port; Watson drops the duplicate silently.
+func TestRefusedFirstSegmentBuildsNothing(t *testing.T) {
+	const clientPort = 5000
+	for _, tc := range []struct {
+		cm   string
+		isn  uint32 // of the stray segment
+		rsts uint64 // answers expected
+	}{
+		{CMHandshake, 1, 1},
+		{CMWatson, 50, 0},
+	} {
+		w := newWorld(t, 26, cleanLink(), Config{CM: tc.cm}, Config{CM: tc.cm})
+		lis, _ := w.server.Listen(80)
+		accepted := 0
+		lis.OnAccept = func(*Conn) { accepted++ }
+		if tc.cm == CMWatson {
+			// A newer incarnation of this flow was accepted before.
+			w.server.incarnations.accept(tcpwire.FlowKey{SrcAddr: 4, DstAddr: 1, SrcPort: 80, DstPort: clientPort}, 100)
+		}
+		stray := &tcpwire.SubHeader{
+			DM: tcpwire.DMSection{SrcPort: clientPort, DstPort: 80},
+			CM: tcpwire.CMSection{ISN: tc.isn},
+			RD: tcpwire.RDSection{Seq: 1000, Ack: 2000, AckValid: true},
+		}
+		_ = w.topo.Routers[1].Send(4, network.ProtoSubTCP, stray.Marshal([]byte("late data")))
+		w.sim.RunFor(time.Second)
+		if w.server.connSeq != 0 || accepted != 0 {
+			t.Errorf("%s: built %d connections (%d accepted) for a refused first segment", tc.cm, w.server.connSeq, accepted)
+		}
+		if got := metrics.ViewOf(w.server.dm.m.each).Get("rsts_sent"); got != tc.rsts {
+			t.Errorf("%s: %d RSTs sent, want %d", tc.cm, got, tc.rsts)
+		}
+	}
+}

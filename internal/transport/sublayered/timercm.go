@@ -66,7 +66,7 @@ func (m *TimerCM) onTimer() {
 }
 
 // open implements ConnManager. Active opens are established instantly;
-// passive opens accept any fresh-incarnation first segment.
+// a passive open is established on its first segment.
 func (m *TimerCM) open(active bool, first *cmView) {
 	// Strictly monotonic clock ISN: virtual nanoseconds. Two opens in
 	// the same instant to the same peer share an incarnation, which
@@ -82,15 +82,8 @@ func (m *TimerCM) open(active bool, first *cmView) {
 		m.conn.stack.sim.ScheduleTimer(0, m.timerFn)
 		return
 	}
-	if first == nil || first.syn {
-		// A SYN means the peer is a handshake implementation: not ours.
-		m.end(ErrReset)
-		return
-	}
-	if !m.conn.stack.incarnations.accept(m.conn.dm.flow(), first.isn) {
-		m.end(ErrReset) // stale incarnation
-		return
-	}
+	// Passive: DM built the connection on a first segment of a fresh
+	// incarnation, which Stack.admits has recorded.
 	m.peerISN = first.isn
 	m.havePeer = true
 	m.st = StateEstablished

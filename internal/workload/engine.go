@@ -68,7 +68,7 @@ type Config struct {
 	// packet's causal chain is recorded (E11's -trace mode). Tracing is
 	// observational only: it never changes the Report.
 	Tracer netsim.Tracer
-	// CC selects the congestion controller by ccontrol registry name on
+	// CC selects the congestion controller by ccontrol name on
 	// both end hosts ("" keeps each stack's default, newreno). The engine
 	// sets it as SubCfg.CC and MonoCfg.CC, so the swap is invisible to
 	// everything below this Config — the E12 bake-off axis.

@@ -4,7 +4,22 @@ import (
 	"bytes"
 	"os"
 	"testing"
+	"time"
+
+	"repro/internal/transport/harness"
 )
+
+// scalingConfig is one cell of E16's shape: flows of 1–4 KiB spread
+// over 8 disjoint two-router pairs, all sublayered.
+func scalingConfig(seed int64, backend string, flows int) Config {
+	return Config{
+		Seed: seed, Backend: backend, Flows: flows,
+		Pairs: 8, Hops: 2,
+		Client: harness.KindSublayeredNative, Server: harness.KindSublayeredNative,
+		MinSize: 1 * 1024, MaxSize: 4 * 1024,
+		Budget: time.Hour,
+	}
+}
 
 // scalingBackends is the E16 identity axis: the sequential simulator
 // is the oracle, then the sharded engine at each shard count.
@@ -17,7 +32,7 @@ func checkScalingIdentity(t *testing.T, seed int64, flows int) {
 	t.Helper()
 	var oracle []byte
 	for _, backend := range scalingBackends {
-		r := Run(ScalingConfig(seed, backend, flows))
+		r := Run(scalingConfig(seed, backend, flows))
 		if r.Completed != flows || r.Failed != 0 || len(r.Violations) != 0 {
 			t.Errorf("flows=%d %s: completed=%d failed=%d violations=%d",
 				flows, backend, r.Completed, r.Failed, len(r.Violations))

@@ -57,22 +57,3 @@ func TestConcurrentFlowsUDPBackend(t *testing.T) {
 	}
 	assertSoak(t, harness.BackendUDP, 8)
 }
-
-// TestSoakRows exercises the E15 projection itself on a single tiny
-// chan cell.
-func TestSoakRows(t *testing.T) {
-	rows := Soak(3, []string{harness.BackendChan}, []int{4}, []harness.Kind{harness.KindSublayeredNative})
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
-	}
-	r := rows[0]
-	if r.Backend != harness.BackendChan || r.Flows != 4 {
-		t.Fatalf("row mislabeled: %+v", r)
-	}
-	if r.Completed != 4 || r.Violations != 0 {
-		t.Fatalf("soak cell failed: %+v", r)
-	}
-	if r.WallMs <= 0 || r.EventsPerSec <= 0 {
-		t.Fatalf("wall-clock measurements missing: %+v", r)
-	}
-}

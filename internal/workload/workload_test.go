@@ -7,7 +7,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/faults"
+	"repro/internal/netsim"
 	"repro/internal/transport/harness"
 )
 
@@ -164,7 +167,7 @@ var allocsPerEventCeiling = map[harness.Kind]float64{
 // second, so -short runs them too: the ceiling is checked wherever the
 // suite is.
 func TestThousandFlows(t *testing.T) {
-	for _, k := range MatrixKinds {
+	for _, k := range []harness.Kind{harness.KindSublayeredNative, harness.KindMonolithic} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		r := Run(Config{Seed: 1, Flows: 1000, Client: k, Server: k})
@@ -195,29 +198,39 @@ func BenchmarkThousandFlows(b *testing.B) {
 	}
 }
 
-// TestBakeoffSwapsControllers pins the engine-level CC axis: Config.CC
-// reaches both stacks' Config.CC, the fault script
-// runs (bursty regime records GE transitions in the snapshot), and
-// every cell completes all flows intact.
+// TestBakeoffSwapsControllers pins the engine-level CC axis on E12's
+// 18-cell shape: Config.CC reaches both stacks' Config.CC, the fault
+// script runs (the bursty regime records GE transitions in the
+// snapshot), and every cell completes all flows intact.
 func TestBakeoffSwapsControllers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("18-cell matrix")
 	}
-	cells := BakeoffOn("", 21, 8)
-	if len(cells) != 18 {
-		t.Fatalf("cells = %d, want 18", len(cells))
+	link := func(loss float64) netsim.LinkConfig {
+		return netsim.LinkConfig{Delay: 2 * time.Millisecond, RateBps: 10_000_000, QueueLimit: 64, LossProb: loss}
 	}
-	for _, c := range cells {
-		r := c.Report
-		if r.CC != c.CC {
-			t.Errorf("%s/%s/%s: report cc = %q", c.Kind, c.CC, c.Regime, r.CC)
-		}
-		if r.Completed != 8 || len(r.Violations) != 0 {
-			t.Errorf("%s/%s/%s: completed=%d violations=%v",
-				c.Kind, c.CC, c.Regime, r.Completed, r.Violations)
-		}
-		if _, ok := r.Metrics.Get("faults/ge_transitions"); c.Regime == "bursty" && !ok {
-			t.Errorf("%s/%s/bursty: snapshot missing fault-injector counters", c.Kind, c.CC)
+	bursty := faults.Script{Name: "ge-bursty", Steps: []faults.Step{{Fault: faults.BurstyLoss{A: 2, B: 3,
+		GE: faults.GEConfig{MeanGood: 300 * time.Millisecond, MeanBad: 50 * time.Millisecond, LossBad: 0.3}}}}}
+	regimes := []struct {
+		name   string
+		link   netsim.LinkConfig
+		script faults.Script
+	}{{"clean", link(0), faults.Script{}}, {"random-loss", link(0.02), faults.Script{}}, {"bursty", link(0), bursty}}
+	for _, kind := range []harness.Kind{harness.KindSublayeredNative, harness.KindMonolithic} {
+		for _, cc := range []string{"newreno", "cubic", "bbrlite"} {
+			for _, rg := range regimes {
+				r := Run(Config{Seed: 21, Flows: 8, Client: kind, Server: kind, CC: cc, Link: rg.link, Script: rg.script})
+				if r.CC != cc {
+					t.Errorf("%s/%s/%s: report cc = %q", kind, cc, rg.name, r.CC)
+				}
+				if r.Completed != 8 || len(r.Violations) != 0 {
+					t.Errorf("%s/%s/%s: completed=%d violations=%v",
+						kind, cc, rg.name, r.Completed, r.Violations)
+				}
+				if _, ok := r.Metrics.Get("faults/ge_transitions"); len(rg.script.Steps) > 0 && !ok {
+					t.Errorf("%s/%s/bursty: snapshot missing fault-injector counters", kind, cc)
+				}
+			}
 		}
 	}
 }
