@@ -119,9 +119,9 @@ func E12CCBakeoff(cfg Config) *Result {
 		}
 	}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("fungibility: all %d cells ran the identical flow plan through ccontrol.Registry names only — %d watchdog violations (every delivered stream equals the sent stream under every controller and regime)", len(res.Rows), totalViolations),
+		fmt.Sprintf("fungibility: all %d cells ran the identical flow plan, choosing the controller by its ccontrol name only — %d watchdog violations (every delivered stream equals the sent stream under every controller and regime)", len(res.Rows), totalViolations),
 		fmt.Sprintf("the controller choice is visible: within %s the goodput spread across {newreno, cubic, bbrlite} is %.0f%%; the widest fairness gap across controllers in any fixed cell group is %.4f", bestKey, bestSpread*100, bestFair),
-		"the sublayered swap is pure OSR wiring (Config.CC → ccontrol.MustNew inside newOSR); the monolithic swap rides the same registry but E6's blast-radius columns show how much more PCB state a reviewer re-examines per swap",
+		"the sublayered swap is pure OSR wiring (Config.CC → ccontrol.MustNew, handed to OSR when the connection is built); the monolithic swap picks from the same ccontrol table, but E6's blast-radius columns show how much more PCB state a reviewer re-examines per swap",
 	)
 	return res
 }

@@ -62,7 +62,8 @@ func TestE3StreamsIntact(t *testing.T) {
 	r := E3SublayeredTCP(Config{Seed: 3})
 	for _, row := range r.Rows {
 		if row[2] != "true" {
-			t.Errorf("loss %s: stream corrupted", row[0])
+			// Not intact is a short stream (a stall) or a wrong one.
+			t.Errorf("loss %s: stream not intact: %v = %v", row[0], r.Header, row)
 		}
 	}
 }
@@ -139,6 +140,24 @@ func TestE9SimpleCutWins(t *testing.T) {
 	r := E9Offload(Config{Seed: 9})
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
+	}
+	events := map[string]int{}
+	dup := map[string]string{}
+	for _, row := range r.Rows {
+		n, err := strconv.Atoi(row[2])
+		if err != nil {
+			t.Fatalf("%s: bus-events %q: %v", row[0], row[2], err)
+		}
+		events[row[0]], dup[row[0]] = n, row[4]
+	}
+	// The simple cut keeps acks and retransmissions on the NIC; RD
+	// alone pays the CM↔RD crossings besides; software pays them all.
+	if !(events["nic-rd-cm-dm"] < events["nic-rd-only"] && events["nic-rd-only"] < events["sw-only"]) {
+		t.Errorf("bus-events %v: want nic-rd-cm-dm < nic-rd-only < sw-only", events)
+	}
+	// RD alone in hardware mirrors CM state.
+	if d := dup["nic-rd-only"]; d == "" || d == "0B" {
+		t.Errorf("nic-rd-only dup-state = %q, want non-zero", d)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // case taps the other end's router and checks that after the first
 // RST on the flow, every segment from the aborting end is an RST.
 func TestNothingLeavesAfterRST(t *testing.T) {
-	abort := func(c transport.Conn) { c.(interface{ Abort() }).Abort() }
 	data := randBytes(64<<10, 3)
 	cases := []struct {
 		name string
@@ -32,7 +31,7 @@ func TestNothingLeavesAfterRST(t *testing.T) {
 			stream(t, w, data, func(sc transport.Conn) {
 				sc.Callbacks(nil, func() {
 					sc.ReadAll()
-					abort(sc)
+					sc.Abort()
 				}, nil, nil)
 			})
 		}, func(w *World) network.Addr { return w.ServerAddr() }},
@@ -41,7 +40,7 @@ func TestNothingLeavesAfterRST(t *testing.T) {
 				sc.Callbacks(nil, func() {
 					sc.ReadAll()
 					if sc.EOF() {
-						abort(sc)
+						sc.Abort()
 					}
 				}, nil, nil)
 			})
@@ -57,7 +56,7 @@ func TestNothingLeavesAfterRST(t *testing.T) {
 				t.Fatal(err)
 			}
 			cc.Write(data[:4000])
-			cc.Callbacks(func() { abort(cc) }, nil, nil, nil)
+			cc.Callbacks(func() { cc.Abort() }, nil, nil, nil)
 		}, func(w *World) network.Addr { return 1 }},
 	}
 	for _, tc := range cases {

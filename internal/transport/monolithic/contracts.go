@@ -1,6 +1,9 @@
 package monolithic
 
-import "repro/internal/verify"
+import (
+	"repro/internal/transport"
+	"repro/internal/verify"
+)
 
 // checkInvariants is the monolithic counterpart of the sublayered
 // stack's per-sublayer contracts — and the contrast the paper draws.
@@ -10,11 +13,8 @@ import "repro/internal/verify"
 // (The sublayered contracts in internal/transport/sublayered localize
 // the same class of bug to rd/, osr/ or cm/.)
 func (p *PCB) checkInvariants(ck *verify.Checker) {
-	if ck == nil || p.dead {
-		return
-	}
-	if p.state == stClosed || p.state == stListen || p.state == stSynSent {
-		return
+	if ck == nil || p.state <= transport.StateSynSent {
+		return // no checker, or not synchronized yet (or any more)
 	}
 	ck.Check(p.sndUna.Leq(p.sndNxt), "pcb/seq-ordered",
 		"snd_una %d beyond snd_nxt %d", p.sndUna, p.sndNxt)

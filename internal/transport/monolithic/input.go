@@ -32,7 +32,7 @@ func (s *Stack) tcpInput(dg *network.Datagram) {
 		if l, ok := s.listeners[h.DstPort]; ok {
 			p := s.newPCB(id)
 			s.insert(p)
-			p.state = stSynRcvd
+			p.state = transport.StateSynRcvd
 			p.irs = seg.Seq(h.Seq)
 			p.rcvNxt = p.irs.Add(1)
 			p.iss = seg.Seq(uint32(int64(s.sim.Now())/4000) ^ uint32(id.remotePort))
@@ -71,24 +71,18 @@ func (s *Stack) tcpInput(dg *network.Datagram) {
 // states fall through to tcpReceive.
 func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 	if h.Flags&tcpwire.FlagRST != 0 {
-		// A reset in a terminal state means the peer already tore its
-		// end down after a completed exchange; treat it as a close.
-		if p.state == stLastAck || p.state == stClosing || p.state == stTimeWait {
-			p.kill(nil)
-		} else {
-			p.kill(ErrReset)
-		}
+		p.kill(p.state.ResetErr())
 		return
 	}
 	switch p.state {
-	case stSynSent:
+	case transport.StateSynSent:
 		if h.Flags&tcpwire.FlagSYN != 0 && h.Flags&tcpwire.FlagACK != 0 &&
 			seg.Seq(h.Ack) == p.iss.Add(1) {
 			p.irs = seg.Seq(h.Seq)
 			p.rcvNxt = p.irs.Add(1)
 			p.sndUna = seg.Seq(h.Ack)
 			p.sndWnd = int(h.Window)
-			p.state = stEstablished
+			p.state = transport.StateEstablished
 			p.stopRexmit()
 			p.sendAck()
 			if p.OnConnected != nil {
@@ -97,19 +91,19 @@ func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 			p.tcpOutput()
 		}
 		return
-	case stSynRcvd:
+	case transport.StateSynRcvd:
 		if h.Flags&tcpwire.FlagSYN != 0 && h.Flags&tcpwire.FlagACK == 0 {
 			// Duplicate SYN: our SYN-ACK was lost.
 			p.sendFlags(tcpwire.FlagSYN|tcpwire.FlagACK, p.iss, p.rcvNxt)
 			return
 		}
 		if h.Flags&tcpwire.FlagACK != 0 && seg.Seq(h.Ack) == p.iss.Add(1) {
-			p.state = stEstablished
+			p.state = transport.StateEstablished
 			p.stopRexmit()
 			if p.OnConnected != nil {
 				p.OnConnected()
 			}
-			if p.dead {
+			if p.state == transport.StateClosed {
 				return // the connected callback aborted
 			}
 			// Fall through: the completing segment may carry data.
@@ -117,7 +111,7 @@ func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 			p.tcpOutput()
 		}
 		return
-	case stClosed, stListen:
+	case transport.StateClosed, transport.StateListen:
 		return
 	}
 	// ESTABLISHED and the closing family.
@@ -127,7 +121,7 @@ func (s *Stack) tcpProcess(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 		return
 	}
 	s.tcpReceive(p, h, payload)
-	if !p.dead {
+	if p.state != transport.StateClosed {
 		p.tcpOutput()
 	}
 	p.checkInvariants(s.cfg.Contracts)
@@ -154,7 +148,7 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 				if !p.finAcked {
 					p.finAcked = true
 					p.finAckedTransition()
-					if p.dead {
+					if p.state == transport.StateClosed {
 						return
 					}
 				}
@@ -187,7 +181,7 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 				})
 				if p.OnWritable != nil {
 					p.OnWritable()
-					if p.dead {
+					if p.state == transport.StateClosed {
 						return // aborted from the callback: nothing follows its RST
 					}
 				}
@@ -218,7 +212,7 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 				p.read.Append(out)
 				if p.OnReadable != nil {
 					p.OnReadable()
-					if p.dead {
+					if p.state == transport.StateClosed {
 						return // aborted from the callback: no ack follows its RST
 					}
 				}
@@ -244,12 +238,11 @@ func (s *Stack) tcpReceive(p *PCB, h *tcpwire.TCPHeader, payload []byte) {
 // finAckedTransition moves the FSM when our FIN is acknowledged.
 func (p *PCB) finAckedTransition() {
 	switch p.state {
-	case stFinWait1:
-		p.state = stFinWait2
-	case stClosing:
+	case transport.StateFinWait1:
+		p.state = transport.StateFinWait2
+	case transport.StateClosing:
 		p.enterTimeWait()
-	case stLastAck:
-		p.state = stClosed
+	case transport.StateLastAck:
 		p.kill(nil)
 	}
 }
@@ -277,11 +270,11 @@ func (p *PCB) checkEOF() {
 		p.reasm.Release()
 		p.read.Finish()
 		switch p.state {
-		case stEstablished:
-			p.state = stCloseWait
-		case stFinWait1:
-			p.state = stClosing
-		case stFinWait2:
+		case transport.StateEstablished:
+			p.state = transport.StateCloseWait
+		case transport.StateFinWait1:
+			p.state = transport.StateClosing
+		case transport.StateFinWait2:
 			p.enterTimeWait()
 		}
 		if p.OnReadable != nil {

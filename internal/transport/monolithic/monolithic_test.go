@@ -133,10 +133,10 @@ func TestHandshake(t *testing.T) {
 	cc, _ := w.client.Dial(4, 80)
 	cc.OnConnected = func() { connected = true }
 	w.sim.RunFor(2 * time.Second)
-	if !connected || cc.State() != "ESTABLISHED" {
+	if !connected || cc.State() != transport.StateEstablished {
 		t.Fatalf("client state = %s connected=%v", cc.State(), connected)
 	}
-	if sc == nil || sc.State() != "ESTABLISHED" {
+	if sc == nil || sc.State() != transport.StateEstablished {
 		t.Fatalf("server not established")
 	}
 }
@@ -196,8 +196,11 @@ func TestConnectRefusedRST(t *testing.T) {
 	fired := false
 	cc.OnClosed = func(err error) { got = err; fired = true }
 	w.sim.RunFor(5 * time.Second)
-	if !fired || !errors.Is(got, ErrReset) {
+	if !fired || !errors.Is(got, transport.ErrReset) {
 		t.Errorf("err = %v fired=%v", got, fired)
+	}
+	if st := cc.State(); st != transport.StateClosed {
+		t.Errorf("state %s after the reset, want CLOSED", st)
 	}
 }
 
@@ -210,23 +213,34 @@ func TestHandshakeTimeout(t *testing.T) {
 	// transport.MaxRexmit backed-off SYN retransmissions, most of them
 	// at the 60s RTO ceiling: about eight minutes.
 	w.sim.RunFor(15 * time.Minute)
-	if !errors.Is(got, ErrTimeout) {
+	if !errors.Is(got, transport.ErrTimeout) {
 		t.Errorf("err = %v", got)
+	}
+	if st := cc.State(); st != transport.StateClosed {
+		t.Errorf("state %s after the timeout, want CLOSED", st)
 	}
 }
 
 func TestAbortResetsPeer(t *testing.T) {
 	w := newWorld(t, 8, cleanLink(), Config{}, Config{})
 	lis, _ := w.server.Listen(80)
+	var sp *PCB
 	var srvErr error
 	lis.OnAccept = func(p *PCB) {
+		sp = p
 		p.OnClosed = func(err error) { srvErr = err }
 	}
 	cc, _ := w.client.Dial(4, 80)
 	cc.OnConnected = func() { cc.Abort() }
 	w.sim.RunFor(5 * time.Second)
-	if !errors.Is(srvErr, ErrReset) {
+	if !errors.Is(srvErr, transport.ErrReset) {
 		t.Errorf("server err = %v", srvErr)
+	}
+	// One's own abort ends the PCB like the peer's RST does.
+	for _, p := range []*PCB{cc, sp} {
+		if p.State() != transport.StateClosed || p.Err() != transport.ErrReset {
+			t.Errorf("after the abort: state %s, err %v; want CLOSED, transport.ErrReset", p.State(), p.Err())
+		}
 	}
 }
 
@@ -307,9 +321,16 @@ func TestMultipleConnections(t *testing.T) {
 	}
 }
 
+// TestStateStrings: a PCB reports its state in the shared transport
+// vocabulary, printed by RFC 793 name.
 func TestStateStrings(t *testing.T) {
-	if stEstablished.String() != "ESTABLISHED" || stTimeWait.String() != "TIME_WAIT" {
-		t.Error("state names wrong")
+	for st, want := range map[transport.State]string{
+		transport.StateEstablished: "ESTABLISHED",
+		transport.StateTimeWait:    "TIME_WAIT",
+	} {
+		if got := (&PCB{state: st}).State().String(); got != want {
+			t.Errorf("PCB in state %d prints %q, want %q", int(st), got, want)
+		}
 	}
 }
 
@@ -364,7 +385,7 @@ func TestForgedAckBeyondSndNxtIgnored(t *testing.T) {
 	lis.OnAccept = func(p *PCB) {}
 	cc, _ := w.client.Dial(4, 80)
 	w.sim.RunFor(time.Second)
-	if cc.State() != "ESTABLISHED" {
+	if cc.State() != transport.StateEstablished {
 		t.Fatal("not established")
 	}
 	before := cc.sndUna
@@ -464,7 +485,7 @@ func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
 	}
 	cc, _ := w.client.Dial(4, 80)
 	w.sim.RunFor(time.Second)
-	if sp == nil || sp.State() != "ESTABLISHED" {
+	if sp == nil || sp.State() != transport.StateEstablished {
 		t.Fatal("not established")
 	}
 	inject := func(endsAt int) {

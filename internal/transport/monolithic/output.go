@@ -14,7 +14,7 @@ import (
 
 // Write queues application bytes; returns how many were accepted.
 func (p *PCB) Write(b []byte) int {
-	if p.dead || p.closed {
+	if p.state == transport.StateClosed || p.closed {
 		return 0
 	}
 	n := p.sndBuf.Write(b)
@@ -42,7 +42,7 @@ func (p *PCB) EOF() bool { return p.eof && p.read.Len() == 0 }
 
 // Close ends the outgoing stream; the FIN goes out after queued data.
 func (p *PCB) Close() {
-	if p.dead || p.closed {
+	if p.state == transport.StateClosed || p.closed {
 		return
 	}
 	p.closed = true
@@ -51,11 +51,11 @@ func (p *PCB) Close() {
 
 // Abort sends a RST and kills the PCB.
 func (p *PCB) Abort() {
-	if p.dead {
+	if p.state == transport.StateClosed {
 		return
 	}
 	p.sendFlags(tcpwire.FlagRST|tcpwire.FlagACK, p.sndNxt, p.rcvNxt)
-	p.kill(ErrReset)
+	p.kill(transport.ErrReset)
 }
 
 // tcpOutput transmits whatever the windows allow: data segments, then
@@ -63,8 +63,8 @@ func (p *PCB) Abort() {
 // flow control and teardown state all gate one loop.
 func (p *PCB) tcpOutput() {
 	s := p.stack
-	if p.dead || p.state != stEstablished && p.state != stCloseWait &&
-		p.state != stFinWait1 && p.state != stClosing && p.state != stLastAck {
+	if p.state != transport.StateEstablished && p.state != transport.StateCloseWait &&
+		p.state != transport.StateFinWait1 && p.state != transport.StateClosing && p.state != transport.StateLastAck {
 		return
 	}
 	for {
@@ -114,10 +114,10 @@ func (p *PCB) tcpOutput() {
 		p.finSeq = p.iss.Add(1).Add(int(uint32(p.nextSend)))
 		p.sndNxt = p.finSeq.Add(1)
 		switch p.state {
-		case stEstablished:
-			p.state = stFinWait1
-		case stCloseWait:
-			p.state = stLastAck
+		case transport.StateEstablished:
+			p.state = transport.StateFinWait1
+		case transport.StateCloseWait:
+			p.state = transport.StateLastAck
 		}
 		p.sendFlags(tcpwire.FlagFIN|tcpwire.FlagACK, p.finSeq, p.rcvNxt)
 		p.armRexmit()
@@ -140,14 +140,13 @@ func (p *PCB) rollbackAndRetransmit() {
 // onRexmitTimer is the retransmission timeout — lwIP's slow timer path.
 func (p *PCB) onRexmitTimer() {
 	s := p.stack
-	if p.dead {
-		return
-	}
 	switch p.state {
-	case stSynSent:
+	case transport.StateClosed:
+		return
+	case transport.StateSynSent:
 		p.retryOrDie(func() { p.sendFlags(tcpwire.FlagSYN, p.iss, 0) })
 		return
-	case stSynRcvd:
+	case transport.StateSynRcvd:
 		p.retryOrDie(func() { p.sendFlags(tcpwire.FlagSYN|tcpwire.FlagACK, p.iss, p.rcvNxt) })
 		return
 	}
@@ -159,7 +158,7 @@ func (p *PCB) onRexmitTimer() {
 	p.trace("rto", "", 0, uint32(p.sndUna), p.nrexmit)
 	if p.nrexmit > transport.MaxRexmit {
 		s.m.aborts.Inc()
-		p.kill(ErrTimeout)
+		p.kill(transport.ErrTimeout)
 		return
 	}
 	p.rtt.Backoff()
@@ -172,7 +171,7 @@ func (p *PCB) retryOrDie(resend func()) {
 	p.nrexmit++
 	if p.nrexmit > transport.MaxRexmit {
 		p.stack.m.aborts.Inc()
-		p.kill(ErrTimeout)
+		p.kill(transport.ErrTimeout)
 		return
 	}
 	p.rtt.Backoff()
@@ -189,7 +188,7 @@ func (p *PCB) inflight() int {
 // outstanding.
 func (p *PCB) armRexmit() {
 	p.rexmit.Stop()
-	if p.state == stSynSent || p.state == stSynRcvd ||
+	if p.state == transport.StateSynSent || p.state == transport.StateSynRcvd ||
 		p.inflight() > 0 || p.finSent && !p.finAcked {
 		p.rexmit = p.stack.sim.ScheduleTimer(p.rtt.RTO(), p.rexmitFn)
 	}
@@ -211,7 +210,7 @@ func (p *PCB) armPersist() {
 
 // onPersistTimer fires the zero-window probe.
 func (p *PCB) onPersistTimer() {
-	if p.dead || p.sndWnd > 0 {
+	if p.state == transport.StateClosed || p.sndWnd > 0 {
 		p.tcpOutput()
 		return
 	}
@@ -230,10 +229,9 @@ func (p *PCB) onPersistTimer() {
 
 // enterTimeWait starts the 2MSL timer.
 func (p *PCB) enterTimeWait() {
-	p.state = stTimeWait
+	p.state = transport.StateTimeWait
 	p.stack.sim.ScheduleTimer(transport.TimeWait, func() {
-		if p.state == stTimeWait {
-			p.state = stClosed
+		if p.state == transport.StateTimeWait {
 			p.kill(nil)
 		}
 	})
@@ -297,14 +295,13 @@ func (p *PCB) advertisedWindow() uint16 {
 
 // kill tears the PCB down.
 func (p *PCB) kill(err error) {
-	if p.dead {
+	if p.state == transport.StateClosed {
 		return
 	}
-	p.dead = true
-	p.err = err
+	p.state, p.err = transport.StateClosed, err
 	if err != nil {
 		verdict := netsim.VerdictReset
-		if err == ErrTimeout {
+		if err == transport.ErrTimeout {
 			verdict = netsim.VerdictTimeout
 		}
 		// The abort names the newest transmitted wire buffer: its causal

@@ -17,7 +17,6 @@
 package monolithic
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -30,37 +29,6 @@ import (
 	"repro/internal/transport/seg"
 	"repro/internal/verify"
 )
-
-// tcpState is the RFC 793 state machine.
-type tcpState int
-
-// Connection states.
-const (
-	stClosed tcpState = iota
-	stListen
-	stSynSent
-	stSynRcvd
-	stEstablished
-	stFinWait1
-	stFinWait2
-	stCloseWait
-	stClosing
-	stLastAck
-	stTimeWait
-)
-
-var stateNames = [...]string{
-	"CLOSED", "LISTEN", "SYN_SENT", "SYN_RCVD", "ESTABLISHED",
-	"FIN_WAIT_1", "FIN_WAIT_2", "CLOSE_WAIT", "CLOSING", "LAST_ACK", "TIME_WAIT",
-}
-
-func (s tcpState) String() string { return stateNames[s] }
-
-// ErrReset reports a connection killed by a peer RST.
-var ErrReset = errors.New("monolithic: connection reset by peer")
-
-// ErrTimeout reports retransmission exhaustion.
-var ErrTimeout = errors.New("monolithic: connection timed out")
 
 // Config tunes the stack. The segment size, buffer sizes,
 // retransmission bound and TIME_WAIT are the transport package's
@@ -157,8 +125,8 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 	return s
 }
 
-// Close aborts every open PCB (RST to the peer, ErrReset locally) and
-// releases every listener.
+// Close aborts every open PCB (RST to the peer, transport.ErrReset
+// locally) and releases every listener.
 func (s *Stack) Close() error {
 	pcbs := make([]*PCB, 0, len(s.pcbs))
 	for _, p := range s.pcbs {
@@ -191,7 +159,7 @@ func (s *Stack) Addr() network.Addr { return s.router.Addr() }
 type PCB struct {
 	stack *Stack
 	id    connID
-	state tcpState
+	state transport.State // StateClosed once the PCB is dead
 
 	// Sequence space.
 	iss, irs       seg.Seq
@@ -231,7 +199,6 @@ type PCB struct {
 	finSeq    seg.Seq
 	finOffset uint64 // peer FIN's position as a stream offset
 	eof       bool
-	dead      bool
 	err       error
 
 	// lastXmitID is the trace ID of the newest wire buffer this PCB
@@ -252,8 +219,8 @@ func (p *PCB) Callbacks(onConnected, onReadable, onWritable func(), onClosed fun
 	p.OnConnected, p.OnReadable, p.OnWritable, p.OnClosed = onConnected, onReadable, onWritable, onClosed
 }
 
-// State reports the FSM state name.
-func (p *PCB) State() string { return p.state.String() }
+// State reports the FSM state.
+func (p *PCB) State() transport.State { return p.state }
 
 // CC exposes the congestion controller (read-only use: stats, E12).
 func (p *PCB) CC() ccontrol.Controller { return p.cc }
@@ -306,7 +273,7 @@ func (s *Stack) Dial(dst network.Addr, dstPort uint16) (*PCB, error) {
 	}
 	p := s.newPCB(connID{remoteAddr: dst, remotePort: dstPort, localPort: local})
 	s.insert(p)
-	p.state = stSynSent
+	p.state = transport.StateSynSent
 	p.iss = seg.Seq(uint32(int64(s.sim.Now())/4000) ^ uint32(local)<<16)
 	p.sndUna = p.iss
 	p.sndNxt = p.iss.Add(1)
@@ -325,7 +292,6 @@ func (s *Stack) newPCB(id connID) *PCB {
 	p := &PCB{
 		stack:  s,
 		id:     id,
-		state:  stClosed,
 		cc:     ccontrol.MustNew(s.cfg.CC, transport.MSS),
 		sndWnd: transport.MSS,
 		sndBuf: seg.NewSendBuffer(transport.BufSize),

@@ -16,9 +16,27 @@
 // controller, by ccontrol name) and Metrics (the registry
 // scope NewStack adopts the stack's instruments under). What the two
 // stacks must agree on is not configurable: it is the constants below.
+//
+// # Connection lifecycle
+//
+// The lifecycle is part of the service, so its vocabulary (State,
+// ErrReset, ErrTimeout) is declared here once. Each of the four ends
+// enters CLOSED, which nothing leaves, and fires onClosed once with Err:
+//
+//	end                                 State()  Err()
+//	its own Abort, or Stack.Close       CLOSED   ErrReset (RFC 793's ABORT)
+//	the peer's RST                      CLOSED   ErrReset
+//	the user timeout                    CLOSED   ErrTimeout
+//	a normal close                      CLOSED   nil
+//
+// A normal close ends when TIME_WAIT expires on the end that closed
+// first, and when its FIN is acknowledged in LAST_ACK on the other; a
+// peer's RST after a completed exchange counts as one (State.ResetErr).
 package transport
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/network"
@@ -42,6 +60,55 @@ const (
 	TimeWait = 10 * time.Second
 )
 
+// State is a connection's RFC 793 state.
+type State int
+
+// The RFC 793 states. The zero value is CLOSED.
+const (
+	StateClosed State = iota
+	StateListen
+	StateSynSent
+	StateSynRcvd
+	StateEstablished
+	StateFinWait1
+	StateFinWait2
+	StateCloseWait
+	StateClosing
+	StateLastAck
+	StateTimeWait
+)
+
+var rfc793Names = [...]string{
+	"CLOSED", "LISTEN", "SYN_SENT", "SYN_RCVD", "ESTABLISHED",
+	"FIN_WAIT_1", "FIN_WAIT_2", "CLOSE_WAIT", "CLOSING", "LAST_ACK", "TIME_WAIT",
+}
+
+// String returns the state's RFC 793 name ("ESTABLISHED", ...).
+func (s State) String() string {
+	if s >= 0 && int(s) < len(rfc793Names) {
+		return rfc793Names[s]
+	}
+	return fmt.Sprintf("State(%d)", int(s))
+}
+
+// ResetErr is what a peer's RST ends a connection in state s with: nil
+// in LAST_ACK, CLOSING and TIME_WAIT, where it follows a completed
+// exchange, and ErrReset before.
+func (s State) ResetErr() error {
+	if s == StateLastAck || s == StateClosing || s == StateTimeWait {
+		return nil
+	}
+	return ErrReset
+}
+
+// ErrReset ends a connection aborted by its own application or by the
+// peer's RST; ErrTimeout one that gave up retransmitting a SYN, a FIN
+// or data (the user timeout).
+var (
+	ErrReset   = errors.New("transport: connection reset")
+	ErrTimeout = errors.New("transport: connection timed out")
+)
+
 // Conn is the byte-stream surface of one connection, implemented by
 // both TCPs. All methods run inside simulator events.
 type Conn interface {
@@ -58,9 +125,12 @@ type Conn interface {
 	EOF() bool
 	// Close ends the outgoing stream.
 	Close()
-	// State names the connection state ("ESTABLISHED", ...).
-	State() string
-	// Err returns the terminal error, if the connection died.
+	// Abort ends the connection at once with an RST to the peer.
+	Abort()
+	// State reports the connection's state.
+	State() State
+	// Err returns the error the connection ended with, nil while it
+	// lives or after a normal close.
 	Err() error
 	// LocalPort and RemotePort identify the flow; a dialled connection
 	// and its accepted peer agree (local here equals remote there), so

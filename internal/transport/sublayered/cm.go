@@ -1,8 +1,6 @@
 package sublayered
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/metrics"
@@ -11,37 +9,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
-
-// CMState is the connection-management finite state machine (RFC 793
-// state names).
-type CMState int
-
-// Connection states.
-const (
-	StateClosed CMState = iota
-	StateListen
-	StateSynSent
-	StateSynRcvd
-	StateEstablished
-	StateFinWait1
-	StateFinWait2
-	StateCloseWait
-	StateClosing
-	StateLastAck
-	StateTimeWait
-)
-
-var cmStateNames = [...]string{
-	"CLOSED", "LISTEN", "SYN_SENT", "SYN_RCVD", "ESTABLISHED",
-	"FIN_WAIT_1", "FIN_WAIT_2", "CLOSE_WAIT", "CLOSING", "LAST_ACK", "TIME_WAIT",
-}
-
-func (s CMState) String() string {
-	if int(s) < len(cmStateNames) {
-		return cmStateNames[s]
-	}
-	return fmt.Sprintf("CMState(%d)", int(s))
-}
 
 // cmView is the slice of an arriving segment that connection
 // management is entitled to see: its own section's flags and ISN, plus
@@ -87,15 +54,17 @@ type ConnManager interface {
 	// counts).
 	localFinSeq() seg.Seq
 	// state reports the FSM state.
-	state() CMState
+	state() transport.State
 	// section fills CM's bits of an ordinary outgoing segment.
 	section() tcpwire.CMSection
-	// stop ends the connection's lifetime with err (nil for an orderly
-	// close) and cancels CM's timers. It reports false, and does
-	// nothing, if the connection had already ended.
+	// stop ends the connection: CLOSED, with err (nil for an orderly
+	// close), and CM's retransmission timer cancelled. It is called
+	// only by Conn.destroy, which every end goes through, and reports
+	// false, doing nothing, if the connection had already ended.
 	stop(err error) bool
-	// isDead reports whether the connection has ended, and cause the
-	// error it ended with.
+	// isDead reports whether the state is CLOSED, which only stop
+	// sets: the connection has ended and nothing may follow. cause is
+	// the error stop recorded.
 	isDead() bool
 	cause() error
 }
@@ -112,16 +81,11 @@ const (
 	CMWatson = "watson"
 )
 
-// ErrReset reports a connection killed by a peer RST.
-var ErrReset = errors.New("sublayered: connection reset by peer")
-
-// ErrTimeout reports a handshake or FIN that exhausted retries.
-var ErrTimeout = errors.New("sublayered: connection timed out")
-
 // CM's bootstrap reliability, shared by both connection managers: a
 // SYN or FIN is retransmitted after cmRexmitInterval, doubling per
 // attempt up to 1<<cmMaxBackoffShift times it, and the connection dies
-// with ErrTimeout when an attempt beyond cmMaxAttempts would be sent.
+// with transport.ErrTimeout when an attempt beyond cmMaxAttempts would
+// be sent.
 const (
 	cmRexmitInterval  = 500 * time.Millisecond
 	cmMaxBackoffShift = 6
@@ -151,7 +115,7 @@ func (m *cmMetrics) each(f func(string, metrics.Instrument)) {
 // open.
 type cmCore struct {
 	conn    *Conn
-	st      CMState
+	st      transport.State
 	isn     seg.Seq
 	peerISN seg.Seq
 
@@ -170,16 +134,15 @@ type cmCore struct {
 
 	remoteFinSeen bool
 
-	// The connection's lifetime: dead once it ends, of err.
-	dead bool
-	err  error
+	// err is what the connection ended with, once st is CLOSED.
+	err error
 
 	// m counts under both schemes, but only HandshakeCM exports it
 	// (instrumentedCM): a Watson connection has no "cm/..." samples.
 	m cmMetrics
 }
 
-func (m *cmCore) state() CMState { return m.st }
+func (m *cmCore) state() transport.State { return m.st }
 
 func (m *cmCore) localFinSeq() seg.Seq {
 	if !m.finSent {
@@ -203,7 +166,7 @@ func (m *cmCore) armRexmit() {
 	m.rexmit.Stop()
 	m.attempts++
 	if m.attempts > cmMaxAttempts {
-		m.end(ErrTimeout)
+		m.conn.destroy(transport.ErrTimeout)
 		return
 	}
 	m.rexmit = m.conn.stack.sim.ScheduleTimer(cmBackoff(m.attempts), m.timerFn)
@@ -219,14 +182,6 @@ func (m *cmCore) cancelRexmit() {
 	m.attempts = 0
 }
 
-// end closes the connection: CLOSED, and err (nil for an orderly
-// close) to the application.
-func (m *cmCore) end(err error) {
-	m.cancelRexmit()
-	m.st = StateClosed
-	m.conn.destroy(err)
-}
-
 // onReset is the head of both managers' onSegment: it reports whether
 // v is a reset, and ends the connection if so.
 func (m *cmCore) onReset(v cmView) bool {
@@ -234,13 +189,7 @@ func (m *cmCore) onReset(v cmView) bool {
 		return false
 	}
 	m.m.resets.Inc()
-	// A reset in a terminal state follows a completed exchange; treat
-	// it as a close.
-	if m.st == StateLastAck || m.st == StateClosing || m.st == StateTimeWait {
-		m.end(nil)
-	} else {
-		m.end(ErrReset)
-	}
+	m.conn.destroy(m.st.ResetErr())
 	return true
 }
 
@@ -264,12 +213,12 @@ func (m *cmCore) onFin(v cmView) {
 		m.finAcked = true
 		m.cancelRexmit()
 		switch m.st {
-		case StateFinWait1:
-			m.st = StateFinWait2
-		case StateClosing:
+		case transport.StateFinWait1:
+			m.st = transport.StateFinWait2
+		case transport.StateClosing:
 			m.enterTimeWait()
-		case StateLastAck:
-			m.end(nil)
+		case transport.StateLastAck:
+			m.conn.destroy(nil)
 		}
 	}
 }
@@ -280,22 +229,22 @@ func (m *cmCore) onFin(v cmView) {
 // nothing leaves TIME_WAIT but this.
 func (m *cmCore) onCloseTimer() {
 	switch m.st {
-	case StateFinWait1, StateClosing, StateLastAck:
+	case transport.StateFinWait1, transport.StateClosing, transport.StateLastAck:
 		m.m.finRetransmits.Inc()
 		m.sendFIN()
-	case StateTimeWait:
-		m.end(nil)
+	case transport.StateTimeWait:
+		m.conn.destroy(nil)
 	}
 }
 
 // peerStreamComplete implements ConnManager.
 func (m *cmCore) peerStreamComplete() {
 	switch m.st {
-	case StateEstablished:
-		m.st = StateCloseWait
-	case StateFinWait1:
-		m.st = StateClosing
-	case StateFinWait2:
+	case transport.StateEstablished:
+		m.st = transport.StateCloseWait
+	case transport.StateFinWait1:
+		m.st = transport.StateClosing
+	case transport.StateFinWait2:
 		m.enterTimeWait()
 	}
 }
@@ -315,10 +264,10 @@ func (m *cmCore) streamFinished(end uint64) {
 	m.finSeq = m.isn.Add(1).Add(int(uint32(end)))
 	m.finSent = true
 	switch m.st {
-	case StateEstablished:
-		m.st = StateFinWait1
-	case StateCloseWait:
-		m.st = StateLastAck
+	case transport.StateEstablished:
+		m.st = transport.StateFinWait1
+	case transport.StateCloseWait:
+		m.st = transport.StateLastAck
 	}
 	m.attempts = 0
 	m.sendFIN()
@@ -328,7 +277,7 @@ func (m *cmCore) streamFinished(end uint64) {
 // handle is not kept: a connection reset meanwhile is dead when it
 // fires.
 func (m *cmCore) enterTimeWait() {
-	m.st = StateTimeWait
+	m.st = transport.StateTimeWait
 	m.conn.stack.sim.ScheduleTimer(transport.TimeWait, m.timerFn)
 }
 
@@ -340,15 +289,15 @@ func (m *cmCore) section() tcpwire.CMSection {
 }
 
 func (m *cmCore) stop(err error) bool {
-	if m.dead {
+	if m.st == transport.StateClosed {
 		return false
 	}
-	m.dead, m.err = true, err
+	m.st, m.err = transport.StateClosed, err
 	m.rexmit.Stop()
 	return true
 }
 
-func (m *cmCore) isDead() bool { return m.dead }
+func (m *cmCore) isDead() bool { return m.st == transport.StateClosed }
 func (m *cmCore) cause() error { return m.err }
 
 // HandshakeCM is classical three-way-handshake connection management:
@@ -372,13 +321,13 @@ func (m *HandshakeCM) each(f func(string, metrics.Instrument)) { m.m.each(f) }
 func (m *HandshakeCM) open(active bool, first *cmView) {
 	m.isn = seg.Seq(m.conn.stack.isn.ISN(m.conn.dm.flow(), m.conn.now()))
 	if active {
-		m.st = StateSynSent
+		m.st = transport.StateSynSent
 		m.sendSYN()
 		return
 	}
 	// Passive: DM built the connection on a SYN (Stack.admits).
 	m.peerISN = first.isn
-	m.st = StateSynRcvd
+	m.st = transport.StateSynRcvd
 	m.sendSYNACK()
 }
 
@@ -398,16 +347,14 @@ func (m *HandshakeCM) sendSYNACK() {
 }
 
 // onTimer is the callback of both CM timers: SYN and SYN-ACK
-// retransmission here, the rest in onCloseTimer.
+// retransmission here, the rest in onCloseTimer. A firing after the
+// connection ended finds CLOSED, which neither handles.
 func (m *HandshakeCM) onTimer() {
-	if m.dead {
-		return
-	}
 	switch m.st {
-	case StateSynSent:
+	case transport.StateSynSent:
 		m.m.synRetransmits.Inc()
 		m.sendSYN()
-	case StateSynRcvd:
+	case transport.StateSynRcvd:
 		m.m.synRetransmits.Inc()
 		m.sendSYNACK()
 	default:
@@ -421,7 +368,7 @@ func (m *HandshakeCM) onSegment(v cmView) bool {
 		return false
 	}
 	switch m.st {
-	case StateSynSent:
+	case transport.StateSynSent:
 		if v.syn && v.ackValid && v.ack == m.isn.Add(1) {
 			m.peerISN = v.isn
 			m.cancelRexmit()
@@ -430,7 +377,7 @@ func (m *HandshakeCM) onSegment(v cmView) bool {
 			m.conn.rd.AckNow()
 		}
 		return false
-	case StateSynRcvd:
+	case transport.StateSynRcvd:
 		if v.syn && !v.ackValid {
 			// Duplicate SYN: our SYN-ACK was lost.
 			m.sendSYNACK()
@@ -442,7 +389,7 @@ func (m *HandshakeCM) onSegment(v cmView) bool {
 			return true // the segment may carry data
 		}
 		return false
-	case StateClosed, StateListen:
+	case transport.StateClosed, transport.StateListen:
 		return false
 	}
 
@@ -456,7 +403,7 @@ func (m *HandshakeCM) onSegment(v cmView) bool {
 }
 
 func (m *HandshakeCM) establish() {
-	m.st = StateEstablished
+	m.st = transport.StateEstablished
 	m.conn.rd.Established(m.isn, m.peerISN)
 	m.conn.onEstablished()
 }

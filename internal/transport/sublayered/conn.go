@@ -4,6 +4,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
 
@@ -56,8 +57,8 @@ func (c *Conn) LocalPort() uint16 { return c.dm.key.SrcPort }
 // RemotePort returns the connection's remote port.
 func (c *Conn) RemotePort() uint16 { return c.dm.key.DstPort }
 
-// State reports the connection-management state ("ESTABLISHED", ...).
-func (c *Conn) State() string { return c.cm.state().String() }
+// State reports the connection-management state.
+func (c *Conn) State() transport.State { return c.cm.state() }
 
 // Err returns the terminal error, if the connection died.
 func (c *Conn) Err() error { return c.cm.cause() }
@@ -162,7 +163,7 @@ func (c *Conn) Abort() {
 		return
 	}
 	c.dm.reset(c.rd.NextSeq())
-	c.destroy(ErrReset)
+	c.destroy(transport.ErrReset)
 }
 
 // --- wiring used by the sublayers ---

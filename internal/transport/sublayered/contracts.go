@@ -1,6 +1,7 @@
 package sublayered
 
 import (
+	"repro/internal/transport"
 	"repro/internal/transport/seg"
 	"repro/internal/verify"
 )
@@ -85,11 +86,11 @@ func (o *OSR) contract(ck *verify.Checker) {
 // invariants: a sane state and a FIN placed after the stream it ends.
 func cmContract(ck *verify.Checker, cm ConnManager) {
 	st := cm.state()
-	ck.Check(st >= StateClosed && st <= StateTimeWait, "cm/state-valid",
+	ck.Check(st >= transport.StateClosed && st <= transport.StateTimeWait, "cm/state-valid",
 		"state out of range: %d", int(st))
 	if fin := cm.localFinSeq(); fin != 0 {
-		closing := st == StateFinWait1 || st == StateFinWait2 || st == StateClosing ||
-			st == StateLastAck || st == StateTimeWait || st == StateClosed
+		closing := st == transport.StateFinWait1 || st == transport.StateFinWait2 || st == transport.StateClosing ||
+			st == transport.StateLastAck || st == transport.StateTimeWait || st == transport.StateClosed
 		ck.Check(closing, "cm/fin-implies-closing",
 			"FIN sent (seq %d) but state is %v", seg.Seq(fin), st)
 	}

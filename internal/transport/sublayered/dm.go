@@ -160,10 +160,10 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 	return s
 }
 
-// Close aborts every open connection (RST to the peer, ErrReset
-// locally) and releases every listener. The stack keeps its router
-// handler but accepts no new work: dials fail to find state and
-// inbound segments to freed ports draw RSTs.
+// Close aborts every open connection (RST to the peer,
+// transport.ErrReset locally) and releases every listener. The stack
+// keeps its router handler but accepts no new work: dials fail to find
+// state and inbound segments to freed ports draw RSTs.
 func (s *Stack) Close() error {
 	conns := make([]*Conn, 0, len(s.dm.conns))
 	for _, c := range s.dm.conns {
@@ -515,7 +515,7 @@ func (m *dmConn) trace(kind, verdict string, id uint64, seqNum uint32, n int) {
 func (m *dmConn) close(err error, sndUna seg.Seq) {
 	if err != nil {
 		verdict := netsim.VerdictReset
-		if err == ErrTimeout {
+		if err == transport.ErrTimeout {
 			verdict = netsim.VerdictTimeout
 		}
 		m.trace("abort", verdict, m.lastXmitID, uint32(sndUna), 0)

@@ -19,9 +19,9 @@ func rateLink() netsim.LinkConfig {
 
 // TestRDUserTimeoutUnderPartition: a permanent partition mid-transfer
 // must not leave the sender retransmitting forever — the RD user
-// timeout aborts the connection with ErrTimeout once more than
-// transport.MaxRexmit RTOs in a row went unanswered, and whatever was
-// delivered is an exact prefix of the sent stream.
+// timeout aborts the connection, CLOSED with transport.ErrTimeout, once
+// more than transport.MaxRexmit RTOs in a row went unanswered, and
+// whatever was delivered is an exact prefix of the sent stream.
 func TestRDUserTimeoutUnderPartition(t *testing.T) {
 	w := newWorld(t, 21, rateLink(), Config{}, Config{})
 	data := randBytes(256*1024, 21)
@@ -30,8 +30,11 @@ func TestRDUserTimeoutUnderPartition(t *testing.T) {
 	// about six minutes.
 	res := runTransfer(t, w, data, nil, 15*time.Minute)
 
-	if !errors.Is(res.clientErr, ErrTimeout) {
-		t.Fatalf("clientErr = %v, want ErrTimeout", res.clientErr)
+	if !errors.Is(res.clientErr, transport.ErrTimeout) {
+		t.Fatalf("clientErr = %v, want transport.ErrTimeout", res.clientErr)
+	}
+	if st := res.clientConn.State(); st != transport.StateClosed {
+		t.Errorf("state %s after the user timeout, want CLOSED", st)
 	}
 	st := res.clientConn.rd.Stats()
 	if st["aborts"] != 1 {
@@ -82,8 +85,9 @@ func TestRDUserTimeoutResetByProgress(t *testing.T) {
 
 // TestTimerCMExhaustionUnderPartition: with the path cut once the
 // connection is open, the FIN's bootstrap retransmission must exhaust
-// cmMaxAttempts and end the connection in CLOSED with ErrTimeout under
-// either scheme, since both tear down through cmCore — and the
+// cmMaxAttempts and end the connection in CLOSED with
+// transport.ErrTimeout under either scheme, since both tear down
+// through cmCore — and the
 // attempts past cmMaxBackoffShift must wait the capped interval, not
 // keep doubling.
 func TestTimerCMExhaustionUnderPartition(t *testing.T) {
@@ -102,7 +106,7 @@ func TestTimerCMExhaustionUnderPartition(t *testing.T) {
 				t.Fatal(err)
 			}
 			w.sim.RunFor(time.Second)
-			if st := cc.State(); st != "ESTABLISHED" {
+			if st := cc.State(); st != transport.StateEstablished {
 				t.Fatalf("state %s before the cut, want ESTABLISHED", st)
 			}
 			w.topo.CutLink(2, 3)
@@ -118,10 +122,10 @@ func TestTimerCMExhaustionUnderPartition(t *testing.T) {
 			if !closed {
 				t.Fatal("connection still alive after 5m of FIN retransmission")
 			}
-			if !errors.Is(closedErr, ErrTimeout) {
-				t.Fatalf("closed with %v, want ErrTimeout", closedErr)
+			if !errors.Is(closedErr, transport.ErrTimeout) {
+				t.Fatalf("closed with %v, want transport.ErrTimeout", closedErr)
 			}
-			if st := cc.State(); st != "CLOSED" {
+			if st := cc.State(); st != transport.StateClosed {
 				t.Errorf("state %s after exhaustion, want CLOSED", st)
 			}
 			// The wait after attempt n+1 is cmRexmitInterval·2^min(n, cmMaxBackoffShift).

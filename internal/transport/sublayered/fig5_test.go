@@ -24,14 +24,14 @@ var fig5 = []struct{ caller, callee, counters, why string }{
 	{"Conn", "OSR.write", "app_to_osr app_bytes", "application bytes enter at the top"},
 	{"Conn", "ConnManager.closeWrite", "", "the application's close is sequenced by CM"},
 	{"Conn", "ConnManager.state", "", "State reports CM's FSM"},
-	{"Conn", "ConnManager.cause", "", "Err reports what the connection died of"},
-	{"Conn", "ConnManager.isDead", "", "the API and the receive path stop at a dead connection"},
+	{"Conn", "ConnManager.cause", "", "Err reports the error stop recorded"},
+	{"Conn", "ConnManager.isDead", "", "the API and the receive path stop once the state is CLOSED"},
 	{"Conn", "ConnManager.onSegment", "", "an arriving segment's CM view goes to CM first"},
 	{"Conn", "RD.OnSegment", "", "then its RD section to RD"},
 	{"Conn", "OSR.onPeerHeader", "", "then its OSR section (window, ECN echo) to OSR"},
 	{"Conn", "OSR.noteECNMark", "", "a congestion-experienced mark is OSR's to echo"},
 	{"Conn", "OSR.pump", "", "data written before the open leaves once CM establishes"},
-	{"Conn", "ConnManager.stop", "", "teardown ends CM's lifetime, once"},
+	{"Conn", "ConnManager.stop", "", "every end sets CLOSED and its error here, once"},
 	{"Conn", "RD.stop", "", "teardown cancels RD's timers and frees its retransmission copies"},
 	{"Conn", "OSR.stop", "", "teardown cancels OSR's timers and frees its receive storage"},
 	{"Conn", "RD.una", "", "an abort is traced at the oldest unacknowledged sequence number"},
@@ -74,13 +74,13 @@ var fig5 = []struct{ caller, callee, counters, why string }{
 	{"cmCore", "OSR.setStreamEnd", "", "OSR signals EOF once the stream is whole up to it"},
 	{"cmCore", "RD.AckNow", "", "a FIN, first or repeated, is acknowledged at once"},
 	{"cmCore", "OSR.closeWrite", "", "OSR asks for the FIN once what was written is segmented"},
-	{"cmCore", "Conn.destroy", "", "the connection ends: closed, reset or timed out"},
+	{"cmCore", "Conn.destroy", "", "CM's own ends: an orderly close, a peer RST or a SYN/FIN timeout"},
 
 	{"RD", "OSR.deliver", "rd_to_osr_dat", "new bytes, exactly once, possibly out of order"},
 	{"RD", "OSR.onAcked", "rd_to_osr_ack", "acknowledged bytes advance OSR's windows"},
 	{"RD", "OSR.onLoss", "rd_to_osr_los", "timeouts and fast retransmits, summarized"},
 	{"RD", "ConnManager.localFinSeq", "", "our FIN bounds an acceptable ack and is no stream byte"},
-	{"RD", "ConnManager.isDead", "", "RD's timers do nothing on a dead connection"},
+	{"RD", "ConnManager.isDead", "", "RD's timers and acks do nothing once the state is CLOSED"},
 	{"RD", "dmConn.xmitData", "to_dm", "data, retransmissions and acks"},
 	{"RD", "dmConn.trace", "", "RD's spans carry DM's flow"},
 	{"RD", "Conn.destroy", "", "the user timeout aborts the connection"},
@@ -90,7 +90,7 @@ var fig5 = []struct{ caller, callee, counters, why string }{
 	{"OSR", "RD.isEstablished", "", "segments are ready only once CM delivered the ISNs"},
 	{"OSR", "ConnManager.streamFinished", "", "the stream is segmented: CM may place its FIN"},
 	{"OSR", "ConnManager.peerStreamComplete", "", "the peer's stream is whole: CM runs the close transition"},
-	{"OSR", "ConnManager.isDead", "", "OSR's timers do nothing on a dead connection"},
+	{"OSR", "ConnManager.isDead", "", "OSR's timers and delivery stop once the state is CLOSED"},
 	{"OSR", "Conn.now", "", "pacing and the controller's clock"},
 
 	{"Stack", "RD.init", "", "a connection's sublayers are built in place"},

@@ -48,7 +48,7 @@ func flowAllocs(t *testing.T, kind harness.Kind) float64 {
 			c.Close()
 		}, func() { c.ReadAll() }, nil, nil)
 		w.Sim.RunFor(window)
-		if c.State() != "CLOSED" {
+		if c.State() != transport.StateClosed {
 			t.Fatalf("flow ended in state %s", c.State())
 		}
 	}

@@ -62,7 +62,7 @@ type RD struct {
 	timedAt  netsim.Time
 	// User timeout (RFC 793 §3.8): rtoStreak counts consecutive RTO
 	// firings with no cumulative-ack progress; past transport.MaxRexmit
-	// the connection aborts with ErrTimeout.
+	// the connection aborts with transport.ErrTimeout.
 	rtoStreak int
 
 	// Receiver half.
@@ -457,7 +457,7 @@ func (r *RD) onRTO() {
 		// transport.MaxRexmit consecutive RTOs. Give up and surface the
 		// abort rather than retransmit into a partition forever.
 		r.m.aborts.Inc()
-		r.conn.destroy(ErrTimeout)
+		r.conn.destroy(transport.ErrTimeout)
 		return
 	}
 	r.rtt.Backoff()

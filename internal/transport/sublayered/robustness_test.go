@@ -141,7 +141,7 @@ func TestStrayAcksCannotAdvanceWindow(t *testing.T) {
 	lis.OnAccept = func(c *Conn) {}
 	cc, _ := w.client.Dial(4, 80)
 	w.sim.RunFor(time.Second)
-	if cc.State() != "ESTABLISHED" {
+	if cc.State() != transport.StateEstablished {
 		t.Fatal("not established")
 	}
 	// Forge an ack far beyond anything sent.
@@ -213,7 +213,7 @@ func TestTimeWaitReAcksRetransmittedFIN(t *testing.T) {
 	w.sim.RunFor(2 * time.Second)
 	// Client should be in TIME_WAIT (it closed first) or already
 	// finished; if TIME_WAIT, a re-sent FIN must elicit an ack.
-	if cc.State() == "TIME_WAIT" {
+	if cc.State() == transport.StateTimeWait {
 		acksBefore := cc.RD().Stats().Get("acks_sent")
 		fin := &tcpwire.SubHeader{
 			DM: tcpwire.DMSection{SrcPort: 80, DstPort: cc.LocalPort()},
@@ -328,7 +328,7 @@ func TestSegmentAboveWindowIsNotHeld(t *testing.T) {
 	}
 	cc, _ := w.client.Dial(4, 80)
 	w.sim.RunFor(time.Second)
-	if sc == nil || sc.State() != "ESTABLISHED" {
+	if sc == nil || sc.State() != transport.StateEstablished {
 		t.Fatal("not established")
 	}
 	inject := func(endsAt int) {

@@ -164,10 +164,10 @@ func TestHandshakeEstablishes(t *testing.T) {
 	if !connected {
 		t.Fatal("client never connected")
 	}
-	if cc.State() != "ESTABLISHED" {
+	if cc.State() != transport.StateEstablished {
 		t.Errorf("client state = %s", cc.State())
 	}
-	if serverConn == nil || serverConn.State() != "ESTABLISHED" {
+	if serverConn == nil || serverConn.State() != transport.StateEstablished {
 		t.Errorf("server state = %v", serverConn)
 	}
 	if cc.LocalPort() < 49152 || cc.RemotePort() != 80 {
@@ -339,8 +339,11 @@ func TestConnectToClosedPortResets(t *testing.T) {
 	if !gotClose {
 		t.Fatal("connection never failed")
 	}
-	if !errors.Is(closedErr, ErrReset) {
-		t.Errorf("err = %v, want ErrReset", closedErr)
+	if !errors.Is(closedErr, transport.ErrReset) {
+		t.Errorf("err = %v, want transport.ErrReset", closedErr)
+	}
+	if st := cc.State(); st != transport.StateClosed {
+		t.Errorf("state %s after the reset, want CLOSED", st)
 	}
 	if metrics.ViewOf(w.server.dm.m.each).Get("rsts_sent") == 0 {
 		t.Error("server sent no RST")
@@ -359,8 +362,11 @@ func TestHandshakeTimeoutWhenUnreachable(t *testing.T) {
 	cc.OnClosed = func(err error) { closedErr = err }
 	// cmMaxAttempts backed-off SYNs take about a minute and a half.
 	w.sim.RunFor(2 * time.Minute)
-	if !errors.Is(closedErr, ErrTimeout) {
-		t.Errorf("err = %v, want ErrTimeout", closedErr)
+	if !errors.Is(closedErr, transport.ErrTimeout) {
+		t.Errorf("err = %v, want transport.ErrTimeout", closedErr)
+	}
+	if st := cc.State(); st != transport.StateClosed {
+		t.Errorf("state %s after the timeout, want CLOSED", st)
 	}
 	if n := cc.cm.(*HandshakeCM).Stats().Get("syn_retransmits"); n != cmMaxAttempts {
 		t.Errorf("syn_retransmits = %d, want %d", n, cmMaxAttempts)
@@ -452,16 +458,24 @@ func TestListenPortConflict(t *testing.T) {
 func TestAbortSendsRST(t *testing.T) {
 	w := newWorld(t, 15, cleanLink(), Config{}, Config{})
 	lis, _ := w.server.Listen(80)
+	var sc *Conn
 	var srvErr error
 	haveErr := false
 	lis.OnAccept = func(c *Conn) {
+		sc = c
 		c.OnClosed = func(err error) { srvErr = err; haveErr = true }
 	}
 	cc, _ := w.client.Dial(4, 80)
 	cc.OnConnected = func() { cc.Abort() }
 	w.sim.RunFor(5 * time.Second)
-	if !haveErr || !errors.Is(srvErr, ErrReset) {
+	if !haveErr || !errors.Is(srvErr, transport.ErrReset) {
 		t.Errorf("server err = %v (have=%v)", srvErr, haveErr)
+	}
+	// One's own abort ends the connection like the peer's RST does.
+	for _, c := range []*Conn{cc, sc} {
+		if c.State() != transport.StateClosed || c.Err() != transport.ErrReset {
+			t.Errorf("after the abort: state %s, err %v; want CLOSED, transport.ErrReset", c.State(), c.Err())
+		}
 	}
 }
 
@@ -491,12 +505,20 @@ func TestISNGenerators(t *testing.T) {
 	}
 }
 
+// TestCMStateStrings: a connection reports its manager's state in the
+// shared transport vocabulary under either scheme, printed by RFC 793
+// name, and a state outside the FSM still prints.
 func TestCMStateStrings(t *testing.T) {
-	if StateEstablished.String() != "ESTABLISHED" || StateTimeWait.String() != "TIME_WAIT" {
-		t.Error("state names wrong")
-	}
-	if CMState(99).String() == "" {
-		t.Error("unknown state unprintable")
+	for st, want := range map[transport.State]string{
+		transport.StateEstablished: "ESTABLISHED",
+		transport.StateTimeWait:    "TIME_WAIT",
+		transport.State(99):        "State(99)",
+	} {
+		for _, cm := range []ConnManager{&HandshakeCM{cmCore{st: st}}, &TimerCM{cmCore: cmCore{st: st}}} {
+			if got := (&Conn{cm: cm}).State().String(); got != want {
+				t.Errorf("%T in state %d prints %q, want %q", cm, int(st), got, want)
+			}
+		}
 	}
 }
 
@@ -614,7 +636,7 @@ func TestTimerCMNoHandshakeRoundTrip(t *testing.T) {
 		start := w.sim.Now()
 		cc, _ := w.client.Dial(4, 80)
 		cc.OnConnected = func() { cc.Write([]byte("first byte")) }
-		if cc.State() == "ESTABLISHED" {
+		if cc.State() == transport.StateEstablished {
 			cc.Write([]byte("first byte"))
 		}
 		w.sim.RunFor(5 * time.Second)

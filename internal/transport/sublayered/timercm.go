@@ -2,6 +2,7 @@ package sublayered
 
 import (
 	"repro/internal/tcpwire"
+	"repro/internal/transport"
 	"repro/internal/transport/seg"
 )
 
@@ -52,12 +53,10 @@ func (r incarnations) accept(key tcpwire.FlowKey, isn seg.Seq) bool {
 // onTimer is the callback of all three CM timers. The zero-delay
 // announcement is armed in open, before anything else on the connection
 // and earlier than any retransmission or quiet period can expire, so
-// the first firing is always that one; the rest are onCloseTimer's.
+// the first firing is always that one; the rest are onCloseTimer's,
+// which ignores CLOSED, as does an announcement after an abort.
 func (m *TimerCM) onTimer() {
-	if m.dead {
-		return
-	}
-	if !m.announced {
+	if !m.announced && !m.isDead() {
 		m.announced = true
 		m.conn.onEstablished()
 		return
@@ -74,7 +73,7 @@ func (m *TimerCM) open(active bool, first *cmView) {
 	// mix the local port in for uniqueness.
 	m.isn = seg.Seq(uint32(int64(m.conn.now())/64)) + seg.Seq(m.conn.dm.flow().SrcPort)<<20
 	if active {
-		m.st = StateEstablished
+		m.st = transport.StateEstablished
 		m.conn.rd.Established(m.isn, 0) // peer ISN learned from first inbound
 		m.conn.rd.SuppressAcksUntilPeerISN()
 		// Deferred one tick so Dial's caller can register callbacks
@@ -86,7 +85,7 @@ func (m *TimerCM) open(active bool, first *cmView) {
 	// incarnation, which Stack.admits has recorded.
 	m.peerISN = first.isn
 	m.havePeer = true
-	m.st = StateEstablished
+	m.st = transport.StateEstablished
 	m.conn.rd.Established(m.isn, m.peerISN)
 	// Deferred so the listener's OnAccept can register callbacks first.
 	m.conn.stack.sim.ScheduleTimer(0, m.timerFn)
