@@ -30,12 +30,10 @@ type dvEntry struct {
 // DVConfig tunes the protocol.
 type DVConfig struct {
 	// AdvertiseInterval is the periodic full-table advertisement period
-	// (default 2s). A poisoned route is removed after three of them.
+	// (default 2s). A poisoned route is removed after three of them, and
+	// triggered updates are held down for a tenth of one.
 	AdvertiseInterval time.Duration
 }
-
-// dvTriggerDelay batches triggered updates.
-const dvTriggerDelay = 50 * time.Millisecond
 
 // dvMetrics counts protocol events.
 type dvMetrics struct {
@@ -242,12 +240,15 @@ func (d *DistanceVector) advertise(triggered bool) {
 	}
 }
 
-// trigger schedules a batched triggered update.
+// trigger schedules a batched triggered update one hold-down from now:
+// a tenth of the advertisement interval (50 ms at 500 ms), inside RFC
+// 2453 §3.10.1's 1/30–1/6 damping range. Changes during the hold-down
+// ride the update already scheduled.
 func (d *DistanceVector) trigger() {
 	if d.trig != nil && d.trig.Active() {
 		return
 	}
-	d.trig = d.env.Sim().Schedule(dvTriggerDelay, func() { d.advertise(true) })
+	d.trig = d.env.Sim().Schedule(d.cfg.AdvertiseInterval/10, func() { d.advertise(true) })
 }
 
 // gc removes routes poisoned for longer than three advertisement

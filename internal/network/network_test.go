@@ -494,6 +494,68 @@ func TestDVGarbageCollection(t *testing.T) {
 	}
 }
 
+// dvEnv is a RoutingEnv whose neighbor table the test edits by hand;
+// it records when each routing packet leaves and on which interface.
+type dvEnv struct {
+	sim   *netsim.Simulator
+	nbrs  []Neighbor
+	sends []dvSend
+}
+
+type dvSend struct {
+	at  netsim.Time
+	ifi int
+}
+
+func (e *dvEnv) Self() Addr                    { return 1 }
+func (e *dvEnv) Neighbors() []Neighbor         { return e.nbrs }
+func (e *dvEnv) SendRouting(ifi int, _ []byte) { e.sends = append(e.sends, dvSend{e.sim.Now(), ifi}) }
+func (e *dvEnv) InstallFIB(map[Addr]Route)     {}
+func (e *dvEnv) Sim() netsim.Backend           { return e.sim }
+
+// TestDVHoldDownFollowsCadence: the first route change sends a
+// triggered update a tenth of the advertisement interval later, and
+// the changes made while it is held down ride it — one triggered_sent
+// per neighbor, not one per change. At 500 ms (every virtual-time
+// world) the hold-down is 50 ms; at 100 ms (the wall-clock cadence) it
+// is 10 ms.
+func TestDVHoldDownFollowsCadence(t *testing.T) {
+	for _, interval := range []time.Duration{500 * time.Millisecond, 100 * time.Millisecond} {
+		sim := netsim.NewSimulator(1)
+		env := &dvEnv{sim: sim}
+		dv := NewDistanceVector(DVConfig{AdvertiseInterval: interval})
+		dv.Attach(env)
+		dv.Start() // the advert at 0 finds no neighbor
+		hold := interval / 10
+		first := 3 * interval / 10
+		// Three changes inside one hold-down: two neighbors come up,
+		// then the first one advertises a new destination.
+		sim.Schedule(first, func() {
+			env.nbrs = append(env.nbrs, Neighbor{Addr: 2, If: 0, Cost: 1})
+			dv.OnNeighborChange()
+		})
+		sim.Schedule(first+hold/3, func() {
+			env.nbrs = append(env.nbrs, Neighbor{Addr: 3, If: 1, Cost: 1})
+			dv.OnNeighborChange()
+		})
+		sim.Schedule(first+2*hold/3, func() {
+			dv.OnPacket(0, 2, []byte{routingProtoDV, 0, 9, 1})
+		})
+		sim.RunFor(first + 2*hold) // ends before the next periodic advert
+		at := netsim.Time(first + hold)
+		want := []dvSend{{at, 0}, {at, 1}}
+		if len(env.sends) != len(want) || env.sends[0] != want[0] || env.sends[1] != want[1] {
+			t.Errorf("interval %v: sends %v, want %v", interval, env.sends, want)
+		}
+		if got := dv.Stats()["triggered_sent"]; got != 2 {
+			t.Errorf("interval %v: triggered_sent = %d, want 2 (one per neighbor)", interval, got)
+		}
+		if got := dv.Routes()[9]; got.NextHop != 2 || got.Metric != 2 {
+			t.Errorf("interval %v: route to 9 = %+v, want via 2 at metric 2", interval, got)
+		}
+	}
+}
+
 // TestRouterSwapBeforeStart: swapping the computer on a never-started
 // router must not panic and must start the new computer when the
 // router starts.

@@ -97,31 +97,9 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
 	rt := Realtime(cfg.Backend)
-	// Per-edge delays are staggered by a small deterministic skew, and
-	// the ring-closing edge costs 2 so the cycle's total cost is odd.
-	// Both choices serve cross-engine determinism on a topology with
-	// cycles: distinct arc costs mean route selection never hits an
-	// equal-cost tie, and distinct delays mean deliveries from two
-	// neighbors never share an arrival tick — in either case the
-	// tie-break would fall to event order details that sim and the
-	// sharded engine resolve differently.
-	edgeLink := func(i int) *netsim.LinkConfig {
-		lc := cfg.Link
-		lc.Delay += time.Duration(i) * 17 * time.Microsecond
-		return &lc
-	}
-	var edges []network.Edge
-	for i := 1; i < cfg.Nodes; i++ {
-		edges = append(edges, network.Edge{A: network.Addr(i), B: network.Addr(i + 1), Cost: 1, Link: edgeLink(i - 1)})
-	}
-	if cfg.Nodes >= 3 {
-		// Close the ring: member outages degrade paths instead of
-		// bisecting the membership.
-		edges = append(edges, network.Edge{A: network.Addr(cfg.Nodes), B: 1, Cost: 2, Link: edgeLink(cfg.Nodes - 1)})
-	}
 	cl := &Cluster{Sim: b, Backend: cfg.Backend, Checkers: make(map[network.Addr]*verify.Checker)}
 	b.Exec(func() {
-		cl.Topo = buildTopology(b, rt, edges, cfg.Link, cfg.Metrics)
+		cl.Topo = buildTopology(b, rt, ringEdges(cfg.Nodes, cfg.Link), cfg.Link, cfg.Metrics)
 		for i := 1; i <= cfg.Nodes; i++ {
 			addr := network.Addr(i)
 			hb := cl.Topo.Backend(addr)
@@ -141,4 +119,31 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 	}
 	converge(b, cl.Topo, members)
 	return cl
+}
+
+// ringEdges is the member ring 1–2–…–nodes–1 over link. Per-edge
+// delays are staggered by a small deterministic skew, and the
+// ring-closing edge costs 2 so the cycle's total cost is odd. Both
+// choices serve cross-engine determinism on a topology with cycles:
+// distinct arc costs mean route selection never hits an equal-cost
+// tie, and distinct delays mean deliveries from two neighbors never
+// share an arrival tick — in either case the tie-break would fall to
+// event order details that sim and the sharded engine resolve
+// differently.
+func ringEdges(nodes int, link netsim.LinkConfig) []network.Edge {
+	edgeLink := func(i int) *netsim.LinkConfig {
+		lc := link
+		lc.Delay += time.Duration(i) * 17 * time.Microsecond
+		return &lc
+	}
+	var edges []network.Edge
+	for i := 1; i < nodes; i++ {
+		edges = append(edges, network.Edge{A: network.Addr(i), B: network.Addr(i + 1), Cost: 1, Link: edgeLink(i - 1)})
+	}
+	if nodes >= 3 {
+		// Close the ring: member outages degrade paths instead of
+		// bisecting the membership.
+		edges = append(edges, network.Edge{A: network.Addr(nodes), B: 1, Cost: 2, Link: edgeLink(nodes - 1)})
+	}
+	return edges
 }

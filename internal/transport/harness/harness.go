@@ -238,9 +238,17 @@ func BuildWorld(cfg WorldConfig) *World {
 
 // buildTopology wires edges on b with distance-vector routing at the
 // backend's control-plane cadence and adopts the routers' instruments
-// into reg. The simulator keeps its historical cadence (the
-// determinism gate depends on it); the real-time backends use a faster
-// one so convergence costs tens of wall milliseconds, not seconds.
+// into reg. The simulators keep their historical cadence (every digest
+// depends on it); the real-time backends use a faster one so
+// convergence costs wall milliseconds, not seconds:
+//
+//	timer                       sim/sharded  chan/udp
+//	hello (NeighborConfig)      200 ms       50 ms
+//	advert (DVConfig)           500 ms       100 ms
+//	hold-down (advert / 10)     50 ms        10 ms
+//
+// The hold-down delays a triggered update after a route change; it
+// follows from the advert interval and is not set here.
 func buildTopology(b netsim.Backend, rt bool, edges []network.Edge, link netsim.LinkConfig, reg *metrics.Registry) *network.Topology {
 	ncfg := network.NeighborConfig{HelloInterval: 200 * time.Millisecond}
 	dvInterval := 500 * time.Millisecond
@@ -269,19 +277,23 @@ func converge(b netsim.Backend, topo *network.Topology, hosts []network.Addr) {
 		b.RunFor(5 * time.Second)
 		return
 	}
-	RunUntil(b, 10*time.Second, func() bool {
-		for addr, r := range topo.Routers {
-			for _, h := range hosts {
-				if addr == h {
-					continue
-				}
-				if _, found := r.Forwarder().Lookup(h); !found {
-					return false
-				}
+	RunUntil(b, 10*time.Second, func() bool { return routed(topo, hosts) })
+}
+
+// routed reports whether every router has a route to every host in
+// hosts but itself.
+func routed(topo *network.Topology, hosts []network.Addr) bool {
+	for addr, r := range topo.Routers {
+		for _, h := range hosts {
+			if addr == h {
+				continue
+			}
+			if _, found := r.Forwarder().Lookup(h); !found {
+				return false
 			}
 		}
-		return true
-	})
+	}
+	return true
 }
 
 // Run slices: RunUntil checks its predicate between them. The virtual

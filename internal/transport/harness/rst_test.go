@@ -45,6 +45,14 @@ func TestNothingLeavesAfterRST(t *testing.T) {
 				}, nil, nil)
 			})
 		}, func(w *World) network.Addr { return w.ServerAddr() }},
+		{"server aborts from its accept callback", func(t *testing.T, w *World) {
+			if err := w.Server.Listen(80, func(sc transport.Conn) { sc.Abort() }); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Client.Dial(w.ServerAddr(), 80); err != nil {
+				t.Fatal(err)
+			}
+		}, func(w *World) network.Addr { return w.ServerAddr() }},
 		{"client aborts from OnConnected with data queued", func(t *testing.T, w *World) {
 			if err := w.Server.Listen(80, func(sc transport.Conn) {
 				sc.Callbacks(nil, func() { sc.ReadAll() }, nil, nil)

@@ -41,6 +41,9 @@ func (s *Stack) tcpInput(dg *network.Datagram) {
 			p.sndWnd = int(h.Window)
 			if l.OnAccept != nil {
 				l.OnAccept(p)
+				if p.state == transport.StateClosed {
+					return // the application aborted it from OnAccept
+				}
 			}
 			p.sendFlags(tcpwire.FlagSYN|tcpwire.FlagACK, p.iss, p.rcvNxt)
 			p.armRexmit()

@@ -125,6 +125,11 @@ type Report struct {
 	Failed         int    `json:"failed"`
 	BytesSent      uint64 `json:"bytes_sent"`
 	BytesDelivered uint64 `json:"bytes_delivered"`
+	// Setup is the backend clock once the world was built and its
+	// control plane converged: exactly 5 s of virtual time on the
+	// simulators, the wall-clock build and convergence time on the
+	// real-time backends.
+	Setup time.Duration `json:"setup"`
 	// Makespan is first dial to last completion, virtual time.
 	Makespan time.Duration `json:"makespan"`
 	// GoodputBps is aggregate delivered bits over the makespan.
@@ -247,6 +252,7 @@ func Run(cfg Config) *Report {
 
 	var rep *Report
 	w.Exec(func() { rep = summarize(cfg, w, flows, wd, reg, completedC, failedC, fctMs) })
+	rep.Setup = time.Duration(base)
 	return rep
 }
 

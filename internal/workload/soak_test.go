@@ -39,6 +39,10 @@ func assertSoak(t *testing.T, backend string, flows int) {
 	if rep.Events == 0 {
 		t.Fatalf("%s backend: no events executed", backend)
 	}
+	if rep.Setup <= 0 {
+		t.Fatalf("%s backend: setup %v, want the wall-clock convergence time", backend, rep.Setup)
+	}
+	t.Logf("%s backend: setup %v", backend, rep.Setup)
 }
 
 // TestConcurrentFlowsChanBackend drives 8 concurrent flows over the

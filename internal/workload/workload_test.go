@@ -34,6 +34,9 @@ func TestSmallWorkloadCompletes(t *testing.T) {
 		if r.BytesDelivered != r.BytesSent {
 			t.Errorf("%s: delivered %d of %d bytes", k, r.BytesDelivered, r.BytesSent)
 		}
+		if r.Setup != 5*time.Second { // the simulators' fixed convergence run
+			t.Errorf("%s: setup %v, want 5s", k, r.Setup)
+		}
 		if _, ok := r.Metrics.Get("workload/fct_ms"); !ok {
 			t.Errorf("%s: snapshot missing workload/fct_ms", k)
 		}
