@@ -23,7 +23,7 @@ import (
 // Conflicts are tracked per (resource, class): two steps conflict iff
 // they claim the same class on the same resource over overlapping time
 // windows. The classes are independent knobs — a bursty-loss overlay
-// during a link flap composes fine (loss probability vs. admin state)
+// during a link flap composes fine (loss fate vs. admin state)
 // and is allowed.
 
 // claimClass identifies which knob of a resource a fault writes.
@@ -33,10 +33,10 @@ const (
 	// claimDown: the fault drives the link's administrative up/down
 	// state (flaps, partitions, router pause/crash outages).
 	claimDown claimClass = iota
-	// claimLoss: the fault rewrites the link's loss probability
+	// claimLoss: the fault decides the link's loss fate
 	// (Gilbert–Elliott overlays).
 	claimLoss
-	// claimReorder: the fault rewrites the link's reorder probability.
+	// claimReorder: the fault decides the link's reorder fate.
 	claimReorder
 	// claimFilter: the fault installs a router's data-plane drop filter
 	// (blackholes). Resource is a node, not a link.

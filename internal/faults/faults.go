@@ -11,15 +11,19 @@
 // while routing is reconverging, a router that restarts with empty
 // state. This package turns the deterministic simulator into that
 // adversary, in the spirit of simulator-centric compositional testing:
-// every fault is an ordinary simulator event, every random choice comes
-// from the injector's own seeded RNG, so the same seed replays the same
-// failure history byte for byte.
+// every fault is an ordinary simulator event and every random choice
+// comes from a seeded stream, so the same seed replays the same failure
+// history byte for byte.
 //
 // Faults are described declaratively as a Script — a named list of
-// timed Steps — and installed with Injector.Apply. The injector keeps
-// its own RNG (separate from the simulator's link RNG) so adding or
-// reordering fault schedules never perturbs the draw order of link
-// impairments.
+// timed Steps — and installed with Injector.Apply. Schedule randomness
+// (flap times, Gilbert–Elliott dwells) comes from the injector's own
+// RNG, never the simulator's. The per-frame verdicts of a bursty-loss
+// or reorder window, though, are draws from the affected link's own
+// stream (the window is a fate source over the link's, see
+// netsim.Fates): while a window is open it replaces that link's loss
+// or reorder draws, so the link's later draws follow from the script.
+// Other links' streams are never touched.
 package faults
 
 import (
@@ -69,8 +73,7 @@ func (m *injMetrics) each(f func(string, metrics.Instrument)) {
 
 // New builds an injector over topo with its own RNG seeded by seed.
 // The RNG is deliberately separate from the simulator's: fault
-// schedules and link impairments never share a draw sequence, so each
-// is deterministic in isolation.
+// schedules and link impairments never share a draw sequence.
 func New(sim netsim.Backend, topo *network.Topology, seed int64) *Injector {
 	return &Injector{sim: sim, topo: topo, rng: rand.New(rand.NewSource(seed))}
 }
@@ -89,7 +92,7 @@ func (inj *Injector) BindMetrics(sc *metrics.Scope) { inj.m.each(sc.Register) }
 
 // Stats returns a view of the injector counters (keys: link_cuts,
 // link_restores, partitions, heals, crashes, restarts, ge_transitions,
-// blackholes).
+// blackholes, reorder_windows).
 func (inj *Injector) Stats() metrics.View { return metrics.ViewOf(inj.m.each) }
 
 // sortedLinkKeys returns the topology's link keys in deterministic
@@ -238,25 +241,53 @@ func (inj *Injector) blackhole(at, clearFor time.Duration, addr network.Addr) {
 	}
 }
 
-// reorderWindow sets both directions of the a–b link to reorder with
-// probability p for [start, start+window), then restores the configured
-// probability. window <= 0 leaves it set permanently.
-func (inj *Injector) reorderWindow(a, b network.Addr, start, window time.Duration, p float64) {
+// overlay is one fault step's hold on one fate of a link: while on, it
+// decides that fate (loss, else reordering) with probability p, drawing
+// only when p > 0 as the link's own source does; while off, the source
+// below decides. An overlay is never unwrapped, so the overlays on one
+// link may close in any order.
+type overlay struct {
+	on, loss bool
+	p        float64
+}
+
+// overlayFates is an overlay over one direction's fate source.
+type overlayFates struct {
+	netsim.Fates
+	*overlay
+}
+
+func (f overlayFates) Lost(rng *rand.Rand) bool {
+	if f.on && f.loss {
+		return f.p > 0 && rng.Float64() < f.p
+	}
+	return f.Fates.Lost(rng)
+}
+
+func (f overlayFates) Late(rng *rand.Rand) bool {
+	if f.on && !f.loss {
+		return f.p > 0 && rng.Float64() < f.p
+	}
+	return f.Fates.Late(rng)
+}
+
+// open schedules w over both directions of the a–b link for [start,
+// start+dur): the start event wraps their fate sources, turns w on and
+// runs then; the end event turns w off. dur <= 0 leaves it on for good.
+func (inj *Injector) open(a, b network.Addr, w *overlay, start, dur time.Duration, then func()) {
 	d := inj.duplex(a, b)
 	if d == nil {
 		return
 	}
-	orig := d.AB.Config().ReorderProb
 	inj.sim.Schedule(start, func() {
-		d.AB.SetReorderProb(p)
-		d.BA.SetReorderProb(p)
-		inj.m.reorderWins.Inc()
+		wrap := func(f netsim.Fates) netsim.Fates { return overlayFates{f, w} }
+		d.AB.Impair(wrap)
+		d.BA.Impair(wrap)
+		w.on = true
+		then()
 	})
-	if window > 0 {
-		inj.sim.Schedule(start+window, func() {
-			d.AB.SetReorderProb(orig)
-			d.BA.SetReorderProb(orig)
-		})
+	if dur > 0 {
+		inj.sim.Schedule(start+dur, func() { w.on = false })
 	}
 }
 

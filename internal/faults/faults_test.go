@@ -103,15 +103,107 @@ func TestGilbertElliottOverlayAndRestore(t *testing.T) {
 	if l1 == 0 {
 		t.Error("no loss despite LossBad=1 bad states")
 	}
-	// After the window the original (zero) loss probability is restored.
+	// After the window the link's own (lossless) config decides again.
 	sim, topo := buildLine(t, 3, 2, netsim.LinkConfig{Delay: time.Millisecond})
 	inj := New(sim, topo, 5)
 	inj.Apply(Script{Steps: []Step{
 		{At: 0, For: time.Second, Fault: BurstyLoss{A: 1, B: 2, GE: GEConfig{LossBad: 1}}},
 	}})
 	sim.RunFor(10 * time.Second)
-	if p := topo.Links[[2]network.Addr{1, 2}].AB.Config().LossProb; p != 0 {
-		t.Errorf("LossProb=%v after GE window, want 0 restored", p)
+	if lost := probe(sim, topo.Links[[2]network.Addr{1, 2}].AB, 100)["lost"]; lost != 0 {
+		t.Errorf("lost %d of 100 frames after the GE window, want 0", lost)
+	}
+}
+
+// bareLink returns a simulator and a topology holding only a 1–2
+// duplex, so the only traffic on it is what a test sends.
+func bareLink(seed int64, cfg netsim.LinkConfig) (*netsim.Simulator, *network.Topology, *netsim.Duplex) {
+	sim := netsim.NewSimulator(seed)
+	sink := func(*netsim.Packet) {}
+	d := netsim.NewDuplexOn(sim, cfg, sink, sink)
+	return sim, &network.Topology{Sim: sim, Links: map[[2]network.Addr]*netsim.Duplex{{1, 2}: d}}, d
+}
+
+// probe sends n frames on p, one every 10 ms, and returns what the
+// link's counters gained meanwhile.
+func probe(sim *netsim.Simulator, p netsim.Port, n int) map[string]uint64 {
+	before := p.Stats()
+	for i := 0; i < n; i++ {
+		p.Send([]byte("probe"))
+		sim.RunFor(10 * time.Millisecond)
+	}
+	gained := p.Stats()
+	for k, v := range before {
+		gained[k] -= v
+	}
+	return gained
+}
+
+func TestGEWindowEndsAtItsStep(t *testing.T) {
+	// A Gilbert–Elliott window ends at its step's end, not at the
+	// chain's first state change after it. Minute-long dwells keep a
+	// chain in its first state for the whole test.
+	slow := GEConfig{MeanGood: time.Minute, MeanBad: time.Minute}
+	t.Run("one-window", func(t *testing.T) {
+		sim, topo, d := bareLink(3, netsim.LinkConfig{Delay: time.Millisecond})
+		ge := slow
+		ge.LossGood, ge.LossBad = 1, 1
+		New(sim, topo, 3).MustApply(Script{Steps: []Step{
+			{At: 0, For: time.Second, Fault: BurstyLoss{A: 1, B: 2, GE: ge}},
+		}})
+		sim.RunFor(10 * time.Millisecond) // the window opens in an event at 0
+		if lost := probe(sim, d.AB, 50)["lost"]; lost != 50 {
+			t.Errorf("lost %d of 50 frames inside the window, want 50", lost)
+		}
+		sim.RunFor(time.Second)
+		if lost := probe(sim, d.AB, 100)["lost"]; lost != 0 {
+			t.Errorf("lost %d of 100 frames after the window, want 0", lost)
+		}
+	})
+	t.Run("back-to-back", func(t *testing.T) {
+		// The first window's end must not reach into the second's.
+		sim, topo, d := bareLink(4, netsim.LinkConfig{Delay: time.Millisecond})
+		half := slow
+		half.LossGood, half.LossBad = 0.5, 0.5
+		New(sim, topo, 4).MustApply(Script{Steps: []Step{
+			{At: 0, For: time.Second, Fault: BurstyLoss{A: 1, B: 2, GE: GEConfig{LossBad: 1}}},
+			{At: time.Second, For: time.Minute, Fault: BurstyLoss{A: 1, B: 2, GE: half}},
+		}})
+		sim.RunFor(3 * time.Second)
+		if lost := probe(sim, d.AB, 200)["lost"]; lost < 60 || lost > 140 {
+			t.Errorf("lost %d of 200 frames in the second window, want about 100", lost)
+		}
+	})
+}
+
+func TestOverlaysCloseOutOfOrder(t *testing.T) {
+	// A bursty-loss window and a reorder window overlap on one link
+	// and close first-opened-first, so the inner overlay closes while
+	// the outer one is open. Each then decides only its own fate while
+	// open, and once both closed the link's frames meet the same fates
+	// as on an unfaulted twin at the same seed.
+	run := func(faulted bool) (mid, after map[string]uint64) {
+		sim, topo, d := bareLink(11, netsim.LinkConfig{Delay: time.Millisecond})
+		if faulted {
+			New(sim, topo, 11).MustApply(Script{Steps: []Step{
+				{At: 0, For: 3 * time.Second, Fault: BurstyLoss{A: 1, B: 2, GE: GEConfig{LossBad: 1}}},
+				{At: time.Second, For: 3 * time.Second, Fault: Reorder{A: 1, B: 2, Prob: 0.5}},
+			}})
+		}
+		probe(sim, d.AB, 310)      // [0, 3.1s): both windows open in turn
+		mid = probe(sim, d.AB, 80) // [3.1s, 3.9s): reordering only
+		probe(sim, d.AB, 110)      // past both ends
+		return mid, probe(sim, d.AB, 300)
+	}
+	mid, after := run(true)
+	if mid["lost"] != 0 || mid["reordered"] == 0 {
+		t.Errorf("between the two ends: lost %d, reordered %d; want 0 and > 0", mid["lost"], mid["reordered"])
+	}
+	_, twin := run(false)
+	for _, k := range []string{"lost", "reordered", "delivered"} {
+		if after[k] != twin[k] {
+			t.Errorf("%s = %d after both windows closed, unfaulted twin %d", k, after[k], twin[k])
+		}
 	}
 }
 

@@ -35,53 +35,27 @@ func (c GEConfig) withDefaults() GEConfig {
 }
 
 // burstyLoss overlays the GE model on both directions of the a–b link
-// for [start, start+window), then restores the link's original loss
-// probability. State transitions are simulator events whose dwell times
-// come from the injector's RNG, so the whole loss history is a pure
-// function of the seed. window <= 0 runs the model forever.
-func (inj *Injector) burstyLoss(a, b network.Addr, start, window time.Duration, cfg GEConfig) {
+// for [start, start+dur); then the link's own loss decision is back.
+// State transitions are simulator events whose dwell times come from
+// the injector's RNG, so the whole loss history is a pure function of
+// the seed. dur <= 0 runs the model forever.
+func (inj *Injector) burstyLoss(a, b network.Addr, start, dur time.Duration, cfg GEConfig) {
 	cfg = cfg.withDefaults()
-	d := inj.duplex(a, b)
-	if d == nil {
-		return
-	}
-	orig := d.AB.Config().LossProb
-	end := time.Duration(-1)
-	if window > 0 {
-		end = start + window
-	}
-	bad := false
-	setLoss := func(p float64) {
-		d.AB.SetLossProb(p)
-		d.BA.SetLossProb(p)
-	}
-	// dwell samples an exponential holding time for the current state.
-	dwell := func() time.Duration {
-		mean := cfg.MeanGood
-		if bad {
-			mean = cfg.MeanBad
+	// State 0 is Good, 1 Bad; each holds for an exponential dwell.
+	loss := [2]float64{cfg.LossGood, cfg.LossBad}
+	mean := [2]time.Duration{cfg.MeanGood, cfg.MeanBad}
+	state := 0
+	w := &overlay{loss: true, p: loss[state]}
+	dwell := func() time.Duration { return time.Duration(inj.rng.ExpFloat64() * float64(mean[state])) }
+	var transition func()
+	transition = func() {
+		if !w.on {
+			return // the window closed: the chain ends
 		}
-		return time.Duration(inj.rng.ExpFloat64() * float64(mean))
-	}
-	var transition func(elapsed time.Duration)
-	transition = func(elapsed time.Duration) {
-		if end >= 0 && elapsed >= end {
-			setLoss(orig)
-			return
-		}
-		bad = !bad
-		if bad {
-			setLoss(cfg.LossBad)
-		} else {
-			setLoss(cfg.LossGood)
-		}
+		state ^= 1
+		w.p = loss[state]
 		inj.m.geTransitions.Inc()
-		next := dwell()
-		inj.sim.Schedule(next, func() { transition(elapsed + next) })
+		inj.sim.Schedule(dwell(), transition)
 	}
-	inj.sim.Schedule(start, func() {
-		setLoss(cfg.LossGood)
-		next := dwell()
-		inj.sim.Schedule(next, func() { transition(start + next) })
-	})
+	inj.open(a, b, w, start, dur, func() { inj.sim.Schedule(dwell(), transition) })
 }

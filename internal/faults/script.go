@@ -210,8 +210,9 @@ func (f Blackhole) apply(inj *Injector, at, dur time.Duration) {
 }
 func (f Blackhole) String() string { return fmt.Sprintf("blackhole n%d", f.At) }
 
-// BurstyLoss overlays the Gilbert–Elliott model on the A–B link for
-// the step's window, then restores the configured loss probability.
+// BurstyLoss overlays the Gilbert–Elliott model on the A–B link's loss
+// decision for the step's window; after it, the link's own config
+// decides again.
 type BurstyLoss struct {
 	A, B network.Addr
 	GE   GEConfig
@@ -224,8 +225,8 @@ func (f BurstyLoss) String() string { return fmt.Sprintf("bursty %d-%d", f.A, f.
 
 // Reorder opens a reordering window on the A–B link: for the step's
 // duration each packet is independently delayed with probability Prob
-// so later packets can overtake it, then the link's configured
-// reordering probability is restored. Default Prob (0) means 0.5.
+// so later packets can overtake it; after it, the link's own config
+// decides again. Default Prob (0) means 0.5.
 type Reorder struct {
 	A, B network.Addr
 	Prob float64
@@ -236,6 +237,6 @@ func (f Reorder) apply(inj *Injector, at, dur time.Duration) {
 	if p == 0 {
 		p = 0.5
 	}
-	inj.reorderWindow(f.A, f.B, at, dur, p)
+	inj.open(f.A, f.B, &overlay{p: p}, at, dur, inj.m.reorderWins.Inc)
 }
 func (f Reorder) String() string { return fmt.Sprintf("reorder %d-%d", f.A, f.B) }

@@ -28,8 +28,10 @@ import (
 //   - udpnet.Network: RTClock with the same wire bytes framed over
 //     real UDP sockets on loopback.
 //
-// Links on all four decide each packet's fate in the one impairment
-// pipeline (linkCore.plan); only the carriage differs.
+// Links on all four run each packet through the one impairment
+// pipeline (linkCore.plan), which asks the link's fate source (Fates:
+// its LinkConfig unless Port.Impair wrapped another around it) and
+// applies the answers; only the carriage differs.
 //
 // The concurrency contract is the simulator's, generalized: protocol
 // code always runs with the backend's internal lock held (trivially
@@ -84,12 +86,14 @@ type Backend interface {
 }
 
 // Port is one direction of an impaired point-to-point channel — the
-// send side of what *Link implements on the simulator. Buffer
-// ownership follows the simulator contract on every backend: SendOwned
-// takes ownership of the buffer; the destination handler
-// owns what it is given; drops return buffers to the bufpool.
-// Impairments never alias caller memory — any duplicate is deep-copied
-// through CloneBuf, the Backend contract's single copy path.
+// send side of what *Link implements on the simulator. Its config is
+// fixed at NewLink; what changes a frame's fate afterwards is a fate
+// source installed with Impair. Buffer ownership follows the simulator
+// contract on every backend: SendOwned takes ownership of the buffer;
+// the destination handler owns what it is given; drops return buffers
+// to the bufpool. Impairments never alias caller memory — any
+// duplicate is deep-copied through CloneBuf, the Backend contract's
+// single copy path.
 type Port interface {
 	// Name is the creation-order identity ("link0", "link1", ...).
 	Name() string
@@ -101,16 +105,11 @@ type Port interface {
 	SetUp(up bool)
 	// Up reports whether the link is passing traffic.
 	Up() bool
-	// SetLossProb replaces the random-loss probability at runtime.
-	SetLossProb(p float64)
-	// SetReorderProb replaces the reordering probability at runtime.
-	SetReorderProb(p float64)
-	// SetDupProb replaces the duplication probability at runtime.
-	SetDupProb(p float64)
+	// Impair wraps the link's fate source (see Fates): wrap gets the
+	// current source and returns the one that decides from now on.
+	Impair(wrap func(Fates) Fates)
 	// Stats views the link counters (sent, delivered, lost, ...).
 	Stats() metrics.View
-	// Config returns the link's configuration.
-	Config() LinkConfig
 }
 
 // CloneBuf is the Backend contract's single deep-copy path: every

@@ -48,6 +48,53 @@ type LinkConfig struct {
 	CorruptProb float64
 }
 
+// Fates is a link's fate source: it decides what the link does to each
+// frame, drawing only from the stream it is handed (the link's own, so
+// a run stays a pure function of the seed). The link asks Lost before
+// its serializer; for a frame the serializer took it then asks
+// JitterBy, Late (and LateBy when late), Corrupt and Dup, in that
+// order, and applies the answers. The default source is the link's
+// LinkConfig; Port.Impair wraps another around it, such as a fault
+// window that decides one fate while open and asks the source below
+// otherwise.
+type Fates interface {
+	Lost(rng *rand.Rand) bool
+	JitterBy(rng *rand.Rand) time.Duration
+	Late(rng *rand.Rand) bool
+	LateBy(rng *rand.Rand) time.Duration
+	Corrupt(rng *rand.Rand, n int) (bit int) // -1: intact
+	Dup(rng *rand.Rand) bool
+}
+
+func (c *LinkConfig) Lost(rng *rand.Rand) bool { return chance(rng, c.LossProb) }
+
+func (c *LinkConfig) JitterBy(rng *rand.Rand) time.Duration {
+	if c.Jitter <= 0 {
+		return 0
+	}
+	return time.Duration(rng.Int63n(c.Jitter.Nanoseconds()))
+}
+
+func (c *LinkConfig) Late(rng *rand.Rand) bool { return chance(rng, c.ReorderProb) }
+
+// LateBy draws a late frame's extra delay, uniform in (0, 4×Delay].
+func (c *LinkConfig) LateBy(rng *rand.Rand) time.Duration {
+	span := 4 * c.Delay.Nanoseconds()
+	if span <= 0 {
+		span = int64(400 * time.Microsecond)
+	}
+	return time.Duration(1 + rng.Int63n(span))
+}
+
+func (c *LinkConfig) Corrupt(rng *rand.Rand, n int) int {
+	if !chance(rng, c.CorruptProb) || n == 0 {
+		return -1
+	}
+	return rng.Intn(n * 8)
+}
+
+func (c *LinkConfig) Dup(rng *rand.Rand) bool { return chance(rng, c.DupProb) }
+
 // LinkMetrics counts what happened to traffic on a link. The fields
 // are the single source of truth on every backend; Stats() projects
 // them as a View and an attached registry adopts them under
@@ -112,9 +159,10 @@ func linkSeed(seed int64, idx int) int64 {
 // posts them on the wall clock's core. On the wall-clock backends every
 // method needs the clock lock, like all protocol state.
 type linkCore struct {
-	cfg  LinkConfig
-	name string // "link<n>" in creation order; trace/metrics identity
-	m    LinkMetrics
+	cfg   LinkConfig
+	fates Fates  // &cfg until Impair wraps it
+	name  string // "link<n>" in creation order; trace/metrics identity
+	m     LinkMetrics
 	// rng is the link's own impairment stream, seeded from the world
 	// seed and the link index, so draws depend only on this link's send
 	// sequence — never on how events from other links interleave. That
@@ -146,6 +194,7 @@ func (l *linkCore) init(cfg LinkConfig, dst Handler, seed int64, idx int, msc *m
 		panic("netsim: NewLink with nil destination")
 	}
 	l.cfg, l.dst, l.up, l.name = cfg, dst, true, linkName(idx)
+	l.fates = &l.cfg
 	l.rng = rand.New(rand.NewSource(linkSeed(seed, idx)))
 	if msc != nil {
 		l.m.each(msc.Sub(l.name).Register)
@@ -163,26 +212,14 @@ func (l *linkCore) SetUp(up bool) { l.up = up }
 // Up reports whether the link is passing traffic.
 func (l *linkCore) Up() bool { return l.up }
 
-// SetLossProb replaces the link's random-loss probability at runtime.
-// Fault injectors use this to overlay time-varying loss models (e.g.
-// Gilbert–Elliott bursty loss) on top of a static configuration.
-func (l *linkCore) SetLossProb(p float64) { l.cfg.LossProb = p }
-
-// SetReorderProb replaces the link's reordering probability at
-// runtime. Fault injectors use this to open bounded reordering windows
-// (faults.Reorder) and restore the configured value afterwards.
-func (l *linkCore) SetReorderProb(p float64) { l.cfg.ReorderProb = p }
-
-// SetDupProb replaces the link's duplication probability at runtime.
-func (l *linkCore) SetDupProb(p float64) { l.cfg.DupProb = p }
+// Impair wraps the link's fate source: wrap gets the current source
+// and returns the one that decides from now on.
+func (l *linkCore) Impair(wrap func(Fates) Fates) { l.fates = wrap(l.fates) }
 
 // Stats returns a view of the link counters (keys: sent, delivered,
 // delivered_bytes, lost, duplicate, reordered, corrupted, queue_drop,
 // down_drop, ecn_marked, queue_depth).
 func (l *linkCore) Stats() metrics.View { return metrics.ViewOf(l.m.each) }
-
-// Config returns the link's configuration.
-func (l *linkCore) Config() LinkConfig { return l.cfg }
 
 // trace emits one link-layer span event. frame carries the wire bytes
 // for packet capture (transmit events only).
@@ -236,20 +273,21 @@ type txPlan struct {
 }
 
 // plan runs the impairment pipeline for one owned buffer sent at now:
-// up check, random loss, serialization/queueing/ECN, jitter,
-// reordering, in-place corruption, duplication — every draw, counter
-// and trace event, in that order, on every backend. On ok the (possibly
-// corrupted) buffer remains the caller's to carry; on !ok the packet
-// was dropped, the counters and trace already say why, and the buffer
-// went back to the pool.
+// up check, loss, serialization/queueing/ECN, jitter, reordering,
+// in-place corruption, duplication — every counter and trace event, in
+// that order, on every backend. The link's fate source makes each
+// decision; plan applies it. On ok the (possibly corrupted) buffer
+// remains the caller's to carry; on !ok the packet was dropped, the
+// counters and trace already say why, and the buffer went back to the
+// pool.
 func (l *linkCore) plan(now Time, tr Tracer, data []byte, ecn bool) (p txPlan, ok bool) {
 	l.m.Sent.Inc()
 	if !l.up {
 		l.drop(&l.m.DownDrop, VerdictDownDrop, now, tr, data)
 		return p, false
 	}
-	rng := l.rng
-	if chance(rng, l.cfg.LossProb) {
+	rng, fates := l.rng, l.fates
+	if fates.Lost(rng) {
 		l.drop(&l.m.Lost, VerdictLost, now, tr, data)
 		return p, false
 	}
@@ -276,22 +314,14 @@ func (l *linkCore) plan(now Time, tr Tracer, data []byte, ecn bool) (p txPlan, o
 		p.Queued, p.Wait = true, time.Duration(depart-now)
 	}
 
-	extra := Time(0)
-	if l.cfg.Jitter > 0 {
-		extra += Time(rng.Int63n(l.cfg.Jitter.Nanoseconds()))
-	}
-	if chance(rng, l.cfg.ReorderProb) {
+	extra := fates.JitterBy(rng)
+	if fates.Late(rng) {
 		l.m.Reordered.Inc()
-		span := 4 * l.cfg.Delay.Nanoseconds()
-		if span <= 0 {
-			span = int64(400 * time.Microsecond)
-		}
-		extra += Time(1 + rng.Int63n(span))
+		extra += fates.LateBy(rng)
 		p.Late = true
 	}
-	if chance(rng, l.cfg.CorruptProb) && len(data) > 0 {
+	if bit := fates.Corrupt(rng, len(data)); bit >= 0 {
 		l.m.Corrupted.Inc()
-		bit := rng.Intn(len(data) * 8)
 		data[bit/8] ^= 1 << uint(7-bit%8)
 		if tr != nil {
 			l.trace(tr, now, "corrupt", "", data, false, nil)
@@ -299,13 +329,13 @@ func (l *linkCore) plan(now Time, tr Tracer, data []byte, ecn bool) (p txPlan, o
 	}
 
 	p.ECN = ecn
-	p.Delay = time.Duration(depart-now+extra) + l.cfg.Delay
+	p.Delay = time.Duration(depart-now) + extra + l.cfg.Delay
 	if tr != nil {
 		// The capture point: these exact bytes (after any in-place
 		// corruption) are what travels the wire.
 		l.trace(tr, now, "transmit", "", data, false, data)
 	}
-	if chance(rng, l.cfg.DupProb) {
+	if fates.Dup(rng) {
 		l.m.Duplicate.Inc()
 		p.Dup, p.DupData = true, CloneBuf(data)
 		if tr != nil {

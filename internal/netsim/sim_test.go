@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -484,9 +485,21 @@ func TestLinkDownMidFlight(t *testing.T) {
 	}
 }
 
-func TestLinkDownDropAndSetLossProb(t *testing.T) {
-	// Downed-link drops count as down_drop, not lost; SetLossProb
-	// retunes random loss at runtime (the fault injector's GE overlay).
+// forced is a scripted fate source: each fate it sets is forced on
+// every frame, and the source below decides the rest.
+type forced struct {
+	Fates
+	lost, late, dup bool
+}
+
+func (f *forced) Lost(rng *rand.Rand) bool { return f.lost || f.Fates.Lost(rng) }
+func (f *forced) Late(rng *rand.Rand) bool { return f.late || f.Fates.Late(rng) }
+func (f *forced) Dup(rng *rand.Rand) bool  { return f.dup || f.Fates.Dup(rng) }
+
+func TestLinkDownDropAndImpair(t *testing.T) {
+	// Downed-link drops count as down_drop, not lost; a source wrapped
+	// on with Impair decides the fates of the frames after it (as the
+	// fault injector's windows do).
 	s := NewSimulator(53)
 	n := 0
 	l := s.NewLink(LinkConfig{}, func(p *Packet) { n++ })
@@ -499,22 +512,26 @@ func TestLinkDownDropAndSetLossProb(t *testing.T) {
 		t.Errorf("down_drop=%d lost=%d, want 5/0", st["down_drop"], st["lost"])
 	}
 	l.SetUp(true)
-	l.SetLossProb(1)
+	src := &forced{lost: true}
+	l.Impair(func(below Fates) Fates { src.Fates = below; return src })
 	for i := 0; i < 5; i++ {
 		l.Send([]byte("x"))
 	}
 	s.Run(0)
-	if n != 0 {
-		t.Errorf("delivered %d with loss=1", n)
+	if st := l.Stats(); n != 0 || st["lost"] != 5 {
+		t.Errorf("forced loss: delivered %d, lost=%d, want 0/5", n, st["lost"])
 	}
-	if st := l.Stats(); st["lost"] != 5 {
-		t.Errorf("lost=%d after SetLossProb(1), want 5", st["lost"])
-	}
-	l.SetLossProb(0)
+	src.lost, src.dup = false, true
 	l.Send([]byte("x"))
 	s.Run(0)
-	if n != 1 {
-		t.Errorf("delivered %d after SetLossProb(0), want 1", n)
+	if st := l.Stats(); n != 2 || st["duplicate"] != 1 {
+		t.Errorf("forced dup: delivered %d, duplicate=%d, want 2/1", n, st["duplicate"])
+	}
+	src.dup, src.late = false, true
+	l.Send([]byte("x"))
+	s.Run(0)
+	if st := l.Stats(); n != 3 || st["reordered"] != 1 {
+		t.Errorf("forced late: delivered %d, reordered=%d, want 3/1", n, st["reordered"])
 	}
 }
 
