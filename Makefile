@@ -69,7 +69,8 @@ docs:
 # the allocating one, and for RFC 793 an exact re-marshal; the overlay
 # frame; the fault-script reproducer JSON and the fuzz-case reproducer
 # file: no panic, encoding a fixed point; the UDP backend's frame
-# header: exact re-framing) a brief randomized workout each; run with
+# header: exact re-framing), and every congestion controller reset for
+# reuse against a fresh one, a brief randomized workout each; run with
 # a longer -fuzztime for a real campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStuffRoundTrip -fuzztime 5s ./internal/stuffing
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScriptJSON -fuzztime 5s ./internal/faults
 	$(GO) test -run '^$$' -fuzz FuzzParseCase -fuzztime 5s ./internal/fuzzer
 	$(GO) test -run '^$$' -fuzz FuzzUDPFrame -fuzztime 5s ./internal/udpnet
+	$(GO) test -run '^$$' -fuzz FuzzControllerReuse -fuzztime 5s ./internal/ccontrol
 
 # fuzz-pool asserts the pooled (reused-writer) stuffing path stays
 # byte-identical to the allocating one.

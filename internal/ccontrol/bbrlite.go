@@ -59,8 +59,14 @@ type BBRLite struct {
 
 // NewBBRLite returns a BBR-style controller for the given MSS.
 func NewBBRLite(mss int) *BBRLite {
-	return &BBRLite{mss: mss}
+	c := &BBRLite{mss: mss}
+	c.Reset()
+	return c
 }
+
+// Reset implements Controller: startup, with no estimate of either
+// bandwidth or delay.
+func (c *BBRLite) Reset() { *c = BBRLite{mss: c.mss} }
 
 // Name implements Controller.
 func (c *BBRLite) Name() string { return "bbrlite" }

@@ -92,4 +92,10 @@ type Controller interface {
 	// packet, so a controller that cuts must suppress repeat cuts
 	// within the same window itself (see newreno's bytes-acked guard).
 	OnECN()
+	// Reset returns the controller to the state its constructor
+	// built, keeping what it was built with (the MSS), so that one
+	// controller can serve connection after connection. Every
+	// constructor is Reset run on new memory: a reset controller and
+	// a fresh one are equal (FuzzControllerReuse).
+	Reset()
 }

@@ -2,6 +2,8 @@ package ccontrol
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -294,4 +296,61 @@ func TestWindowPositiveProperty(t *testing.T) {
 			}
 		})
 	}
+}
+
+// signals decodes fuzz bytes into a signal sequence, three bytes a
+// signal: the kind, then two bytes that size an acknowledgement (bytes
+// acked, RTT and clock advance are all drawn from them). It calls
+// step after each signal with the controller's answer.
+func signals(c Controller, in []byte, step func(window int, rate float64)) {
+	now, delivered := time.Duration(0), uint64(0)
+	for ; len(in) >= 3; in = in[3:] {
+		v := int(in[1])<<8 | int(in[2])
+		now += time.Duration(v%97) * time.Millisecond
+		switch in[0] % 8 {
+		case 0:
+			c.OnLoss(LossEvent{Kind: LossFast})
+		case 1:
+			c.OnLoss(LossEvent{Kind: LossTimeout})
+		case 2:
+			c.OnECN()
+		default:
+			n := v % 3000
+			delivered += uint64(n)
+			c.OnAck(AckSample{
+				Acked:     n,
+				RTT:       time.Duration(v%211) * time.Millisecond,
+				Delivered: delivered,
+				InFlight:  v % 7000,
+				Now:       now,
+			})
+		}
+		step(c.Window(), c.PacingRate())
+	}
+}
+
+// FuzzControllerReuse: a controller that served one connection and
+// was Reset answers any signal sequence exactly as a fresh one does,
+// for every controller in the table — what lets a stack hand one
+// connection's controller to the next.
+func FuzzControllerReuse(f *testing.F) {
+	f.Add([]byte{3, 5, 220, 3, 5, 220, 0, 0, 0, 3, 9, 9}, []byte{3, 1, 0, 1, 0, 0, 3, 2, 0})
+	f.Add([]byte{1, 0, 0, 3, 255, 255, 3, 255, 255, 2, 0, 0}, []byte{3, 0, 40, 3, 0, 80, 3, 0, 120})
+	f.Add(make([]byte, 60), []byte{})
+	f.Fuzz(func(t *testing.T, before, after []byte) {
+		for _, name := range Names() {
+			reused, fresh := MustNew(name, 1000), MustNew(name, 1000)
+			signals(reused, before, func(int, float64) {})
+			reused.Reset()
+			if !reflect.DeepEqual(reused, fresh) {
+				t.Fatalf("%s: reset %+v, fresh %+v", name, reused, fresh)
+			}
+			var got, want []float64
+			signals(reused, after, func(w int, r float64) { got = append(got, float64(w), r) })
+			signals(fresh, after, func(w int, r float64) { want = append(want, float64(w), r) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: reused answered %v, fresh %v", name, got, want)
+			}
+		}
+	})
 }

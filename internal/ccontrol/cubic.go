@@ -41,8 +41,14 @@ type Cubic struct {
 
 // NewCubic returns a CUBIC controller for the given MSS.
 func NewCubic(mss int) *Cubic {
-	return &Cubic{mss: mss, cwnd: 2 * mss, ssthresh: 64 * 1024, epoch: -1}
+	c := &Cubic{mss: mss}
+	c.Reset()
+	return c
 }
+
+// Reset implements Controller: slow start from two segments, with no
+// epoch and no plateau.
+func (c *Cubic) Reset() { *c = Cubic{mss: c.mss, cwnd: 2 * c.mss, ssthresh: 64 * 1024, epoch: -1} }
 
 // Name implements Controller.
 func (c *Cubic) Name() string { return "cubic" }

@@ -22,8 +22,13 @@ type NewReno struct {
 
 // NewNewReno returns Reno-style congestion control for the given MSS.
 func NewNewReno(mss int) *NewReno {
-	return &NewReno{mss: mss, cwnd: 2 * mss, ssthresh: 64 * 1024}
+	c := &NewReno{mss: mss}
+	c.Reset()
+	return c
 }
+
+// Reset implements Controller: slow start from two segments.
+func (c *NewReno) Reset() { *c = NewReno{mss: c.mss, cwnd: 2 * c.mss, ssthresh: 64 * 1024} }
 
 // Name implements Controller.
 func (c *NewReno) Name() string { return "newreno" }

@@ -15,7 +15,15 @@ type FixedWindow struct {
 }
 
 // NewFixedWindow returns a fixed window of n bytes.
-func NewFixedWindow(n int) *FixedWindow { return &FixedWindow{bytes: n} }
+func NewFixedWindow(n int) *FixedWindow {
+	c := &FixedWindow{bytes: n}
+	c.Reset()
+	return c
+}
+
+// Reset implements Controller: the window is all a FixedWindow is
+// built with, and nothing changes it.
+func (c *FixedWindow) Reset() {}
 
 // Name implements Controller.
 func (c *FixedWindow) Name() string { return "fixed" }
@@ -49,8 +57,16 @@ type RateBased struct {
 
 // NewRateBased returns rate-based congestion control.
 func NewRateBased(mss int) *RateBased {
-	start := float64(16 * mss)
-	return &RateBased{mss: mss, rate: start * 4, minRate: start, additive: float64(2 * mss)}
+	c := &RateBased{mss: mss}
+	c.Reset()
+	return c
+}
+
+// Reset implements Controller: four times the floor rate, with no RTT
+// estimate.
+func (c *RateBased) Reset() {
+	start := float64(16 * c.mss)
+	*c = RateBased{mss: c.mss, rate: start * 4, minRate: start, additive: float64(2 * c.mss)}
 }
 
 // Name implements Controller.

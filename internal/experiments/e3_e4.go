@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/netsim"
@@ -70,8 +71,31 @@ func E3SublayeredTCP(cfg Config) *Result {
 	iso := err == nil && back.CM.ISN == 7 && back.CM.SYN
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("Fig.6 ↔ RFC793 isomorphism holds (spot check %v; 300-case property suite in internal/tcpwire)", iso),
-		"the byte stream received equals the byte stream sent at every loss rate — OSR reorders what RD delivers exactly once")
+		e3StreamNote(res.Rows))
 	return res
+}
+
+// e3StreamNote states E3's stream finding as its rows have it: the
+// claim when every loss rate's stream arrived intact, and otherwise the
+// loss rates where it did not.
+func e3StreamNote(rows [][]string) string {
+	var failed, held []string
+	for _, r := range rows {
+		if r[2] == "true" {
+			held = append(held, r[0])
+		} else {
+			failed = append(failed, r[0])
+		}
+	}
+	if len(failed) == 0 {
+		return "the byte stream received equals the byte stream sent at every loss rate — OSR reorders what RD delivers exactly once"
+	}
+	note := "the byte stream received is not the byte stream sent at " + strings.Join(failed, ", ") +
+		" loss (a failed or incomplete transfer)"
+	if len(held) > 0 {
+		note += "; it equals it at " + strings.Join(held, ", ")
+	}
+	return note
 }
 
 // E4Interop reproduces §3.1's interoperability claim (challenge 2):

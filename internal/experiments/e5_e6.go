@@ -86,11 +86,13 @@ func E5Stuffing(Config) *Result {
 // transmission and the timers — and the scope of its frames. The
 // variables are the fields of per-connection state: per-host structs
 // (both Stacks, DM's table) would make every handler pair share the
-// clock and the config. dmConn, DM's per-connection half, is state
-// and a sublayer of its own. cmCore, the half both connection managers
-// share, is state but no sublayer, so a handler's walk follows into
-// its methods; litmus is the extra sublayer set the T3 note reads it
-// under.
+// clock and the config. connParts, the bundle of timer callbacks and
+// parts a connection borrows from its stack, is the host's too: a
+// pointer to it navigates, like one to the Stack. dmConn, DM's
+// per-connection half, is state and a sublayer of its own. cmCore, the
+// half both connection managers share, is state but no sublayer, so a
+// handler's walk follows into its methods; litmus is the extra
+// sublayer set the T3 note reads it under.
 var e6Stacks = []struct {
 	name     string
 	scope    verify.Scope
@@ -112,7 +114,7 @@ var e6Stacks = []struct {
 		name: "sublayered",
 		scope: verify.Scope{
 			State:     []string{"Conn", "dmConn", "HandshakeCM", "cmCore", "RD", "OSR"},
-			Host:      []string{"Stack", "DM"},
+			Host:      []string{"Stack", "DM", "connParts"},
 			Sublayers: []string{"DM", "dmConn", "HandshakeCM", "TimerCM", "RD", "OSR"},
 		},
 		litmus: []string{"DM", "dmConn", "cmCore", "RD", "OSR"},

@@ -68,6 +68,28 @@ func TestE3StreamsIntact(t *testing.T) {
 	}
 }
 
+// TestE3StreamNote: E3's stream note is read from its rows. With every
+// row intact it states the claim; a row that is not makes it name that
+// row's loss rate instead, and keep naming the ones that held.
+func TestE3StreamNote(t *testing.T) {
+	row := func(loss, intact string) []string { return []string{loss, "200000", intact, "1s", "0", "0"} }
+	for _, tc := range []struct {
+		rows [][]string
+		want string
+	}{
+		{[][]string{row("0%", "true"), row("10%", "true")},
+			"the byte stream received equals the byte stream sent at every loss rate — OSR reorders what RD delivers exactly once"},
+		{[][]string{row("0%", "true"), row("1%", "true"), row("10%", "false")},
+			"the byte stream received is not the byte stream sent at 10% loss (a failed or incomplete transfer); it equals it at 0%, 1%"},
+		{[][]string{row("5%", "false"), row("10%", "false")},
+			"the byte stream received is not the byte stream sent at 5%, 10% loss (a failed or incomplete transfer)"},
+	} {
+		if got := e3StreamNote(tc.rows); got != tc.want {
+			t.Errorf("rows %v: note %q, want %q", tc.rows, got, tc.want)
+		}
+	}
+}
+
 func TestE4MatrixInterops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long transfer matrix")

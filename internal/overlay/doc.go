@@ -25,10 +25,11 @@
 // retry jitter) comes from node-local seeded RNGs, never the backend's
 // shared source, so shard placement cannot perturb a decision.
 //
-// Cluster (cluster.go) assembles an N-member harness ring with one
-// stack per node and runs one overlay cell: a tier workload under a
-// fault scenario (scenario.go — the E10 vocabulary: bursty loss,
-// partition+heal, and member churn as RouterPause windows), with
+// Run (scenario.go) takes an N-member ring with one stack per node
+// from harness.BuildCluster (internal/transport/harness/cluster.go)
+// and runs one overlay cell: a tier workload under a fault scenario
+// (the E10 vocabulary: bursty loss, partition+heal, and member churn
+// as RouterPause windows), with
 // lookup hops, convergence ticks, deadline-miss rates and messages/op
 // folded into a deterministic Result. Experiment E13 matrixes this
 // over {stack × tier × scenario}; docs/OVERLAYS.md carries the

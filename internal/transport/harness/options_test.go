@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/network"
 	"repro/internal/transport"
 	"repro/internal/transport/monolithic"
 	"repro/internal/transport/sublayered"
@@ -29,6 +30,7 @@ func TestSharedOptionsSelectController(t *testing.T) {
 				MonoCfg: monolithic.Config{CC: "cubic"},
 			})
 			data := randBytes(60_000, s)
+			cc := probeClientCC(w)
 			res, err := RunTransfer(w, data, nil, 5*time.Minute)
 			if err != nil {
 				t.Fatal(err)
@@ -36,7 +38,7 @@ func TestSharedOptionsSelectController(t *testing.T) {
 			if !bytes.Equal(res.ServerGot, data) {
 				t.Fatalf("transfer: %d of %d bytes", len(res.ServerGot), len(data))
 			}
-			if got := connCCName(t, res.ClientConn); got != "cubic" {
+			if got := cc.name; got != "cubic" {
 				t.Errorf("client controller = %q, want cubic", got)
 			}
 		})
@@ -48,6 +50,7 @@ func TestSharedOptionsSelectController(t *testing.T) {
 		MonoCfg: monolithic.Config{CC: "bbrlite"},
 	})
 	data := randBytes(60_000, 99)
+	cc := probeClientCC(w)
 	res, err := RunTransfer(w, data, nil, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -55,21 +58,49 @@ func TestSharedOptionsSelectController(t *testing.T) {
 	if !bytes.Equal(res.ServerGot, data) {
 		t.Fatalf("interop transfer: %d of %d bytes", len(res.ServerGot), len(data))
 	}
-	if got := connCCName(t, res.ClientConn); got != "bbrlite" {
+	if got := cc.name; got != "bbrlite" {
 		t.Errorf("interop client controller = %q, want bbrlite", got)
 	}
 }
 
-// connCCName extracts the controller name from either endpoint flavor.
-func connCCName(t *testing.T, e transport.Conn) string {
-	t.Helper()
-	switch c := e.(type) {
-	case *sublayered.Conn:
-		return c.OSR().CC().Name()
-	case *monolithic.PCB:
-		return c.CC().Name()
-	default:
-		t.Fatalf("unknown connection type %T", e)
-		return ""
+// ccProbe wraps a world's client stack so the connection it dials
+// records its controller's name when it connects: a closed sublayered
+// connection has given its controller back to its stack, so the name
+// is read while the transfer's own connection holds it.
+type ccProbe struct {
+	transport.Stack
+	name string
+}
+
+func (p *ccProbe) Dial(dst network.Addr, port uint16) (transport.Conn, error) {
+	c, err := p.Stack.Dial(dst, port)
+	if err != nil {
+		return nil, err
 	}
+	return ccProbeConn{c, p}, nil
+}
+
+type ccProbeConn struct {
+	transport.Conn
+	p *ccProbe
+}
+
+func (c ccProbeConn) Callbacks(onConnected, onReadable, onWritable func(), onClosed func(error)) {
+	c.Conn.Callbacks(func() {
+		switch e := c.Conn.(type) {
+		case *sublayered.Conn:
+			c.p.name = e.OSR().CC().Name()
+		case *monolithic.PCB:
+			c.p.name = e.CC().Name()
+		}
+		onConnected()
+	}, onReadable, onWritable, onClosed)
+}
+
+// probeClientCC makes w's client record the controller of the next
+// connection it dials.
+func probeClientCC(w *World) *ccProbe {
+	p := &ccProbe{Stack: w.Client}
+	w.Client = p
+	return p
 }

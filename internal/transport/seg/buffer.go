@@ -33,6 +33,25 @@ func (b *SendBuffer) Init(limit int) {
 	*b = SendBuffer{limit: limit}
 }
 
+// Adopt gives a new buffer the array another buffer of the same limit
+// gave up (Detach), for Write to fill before it allocates one. Stale
+// bytes in it are never read: View returns only what was written
+// since. A nil array leaves the buffer as Init made it.
+func (b *SendBuffer) Adopt(storage []byte) {
+	b.data = storage[:0]
+}
+
+// Detach releases every buffered byte and returns the backing array,
+// which the buffer no longer refers to: its owner is done with the
+// stream and hands the storage on (Adopt). End is unchanged and Base
+// moves up to it.
+func (b *SendBuffer) Detach() []byte {
+	storage := b.data[:0]
+	b.base = b.End()
+	b.data, b.head = nil, 0
+	return storage
+}
+
 // Write appends as much of p as fits and returns the count accepted.
 func (b *SendBuffer) Write(p []byte) int {
 	room := b.Free()

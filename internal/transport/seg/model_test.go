@@ -72,14 +72,28 @@ var sendBufferModelLimits = []int{1, 7, 64, 500, 4096}
 // checkSendBufferOps interprets ops as a stream of Write, Release, View
 // and Slice calls — three bytes each, an operation and a 16-bit
 // argument — applied to a SendBuffer and to the reference model, and
-// fails on the first observable difference. ops[0] picks the limit.
+// fails on the first observable difference. ops[0] picks the limit,
+// and with its top bit set the buffer starts on reused storage: the
+// array an earlier buffer of the same limit gave up full of other
+// bytes, as a connection's send buffer takes it from its stack.
 func checkSendBufferOps(t *testing.T, ops []byte) {
 	t.Helper()
 	if len(ops) == 0 {
 		return
 	}
-	limit := sendBufferModelLimits[int(ops[0])%len(sendBufferModelLimits)]
+	limit := sendBufferModelLimits[int(ops[0]&0x7f)%len(sendBufferModelLimits)]
 	b := NewSendBuffer(limit)
+	if ops[0]&0x80 != 0 {
+		prev := NewSendBuffer(limit)
+		prev.Write(bytes.Repeat([]byte{0xee}, limit))
+		prev.Release(uint64(limit / 2))
+		prev.Write(bytes.Repeat([]byte{0xdd}, limit))
+		end := prev.End()
+		b.Adopt(prev.Detach())
+		if cap(b.data) == 0 || prev.data != nil || prev.Len() != 0 || prev.Base() != end || prev.End() != end {
+			t.Fatalf("Detach left cap %d, base %d, end %d (was end %d); Adopt took cap %d", cap(prev.data), prev.Base(), prev.End(), end, cap(b.data))
+		}
+	}
 	ref := &refSendBuffer{limit: limit}
 	var written uint64 // stream offset of the next byte offered
 	for i := 1; i+2 < len(ops); i += 3 {
@@ -147,8 +161,10 @@ func TestSendBufferMatchesModel(t *testing.T) {
 // FuzzSendBuffer is the same comparison with the operation stream
 // chosen by the fuzzer (`make fuzz` gives it five seconds).
 func FuzzSendBuffer(f *testing.F) {
-	f.Add([]byte{2, 0, 0, 64, 1, 0, 10, 0, 0, 10, 2, 0, 5}) // fill, release 10, refill, read
-	f.Add([]byte{0, 0, 0, 1, 1, 0, 1, 0, 0, 1})             // limit 1
+	f.Add([]byte{2, 0, 0, 64, 1, 0, 10, 0, 0, 10, 2, 0, 5})  // fill, release 10, refill, read
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 1, 0, 0, 1})              // limit 1
+	f.Add([]byte{0x84, 0, 0, 9, 2, 0, 3, 1, 0, 4, 0, 0, 99}) // reused storage: short write, read, release, refill
+	f.Add([]byte{0x82, 0, 0, 64, 0, 0, 64, 1, 0, 90, 2, 0, 7})
 	f.Fuzz(checkSendBufferOps)
 }
 

@@ -4,8 +4,15 @@ package seg
 // the receiver-side RD state used for duplicate suppression, the
 // cumulative acknowledgement point, and SACK block generation. Ranges
 // are half-open [from, to) and kept coalesced.
+//
+// The first range lives in the set itself: ranges starts out backed by
+// first, and a stream that arrives in order never needs a second slot,
+// so it never allocates. Only a hole moves the ranges to an array of
+// their own. A set that has been added to refers to itself, so it is
+// not copied.
 type RangeSet struct {
 	ranges [][2]uint64 // sorted, disjoint, non-adjacent
+	first  [1][2]uint64
 }
 
 // Add marks [from, to) received. It reports whether any byte in the
@@ -15,6 +22,9 @@ type RangeSet struct {
 func (s *RangeSet) Add(from, to uint64) bool {
 	if from >= to {
 		return false
+	}
+	if s.ranges == nil {
+		s.ranges = s.first[:0]
 	}
 	rs := s.ranges
 	// rs[i:j] are the ranges [from, to) overlaps or touches.

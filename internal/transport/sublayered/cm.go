@@ -34,8 +34,8 @@ type cmView struct {
 type ConnManager interface {
 	// open starts the connection; active opens send, passive opens
 	// await the peer (firstSegment carries the packet that created a
-	// passive connection, nil for active).
-	open(active bool, firstSegment *cmView)
+	// passive connection, and is empty for an active one).
+	open(active bool, firstSegment cmView)
 	// onSegment processes CM's view of an arriving segment and reports
 	// whether the segment should also be processed by RD.
 	onSegment(v cmView) (deliverToRD bool)
@@ -67,6 +67,8 @@ type ConnManager interface {
 	// the error stop recorded.
 	isDead() bool
 	cause() error
+	// onTimer is the callback of every CM timer (cmTimer).
+	onTimer()
 }
 
 // Connection-manager names for Config.CM.
@@ -119,12 +121,10 @@ type cmCore struct {
 	isn     seg.Seq
 	peerISN seg.Seq
 
-	// Bootstrap reliability for SYN / SYN-ACK / FIN. timerFn is the
-	// embedding manager's onTimer as a func value, built once per
-	// connection: every arm of a CM timer passes it, and the state says
-	// what a firing means.
+	// Bootstrap reliability for SYN / SYN-ACK / FIN. Every CM timer is
+	// armed with the connection's one CM callback (cmTimer), and the
+	// state says what a firing means.
 	rexmit   netsim.Timer
-	timerFn  func()
 	attempts int
 
 	finSeq    seg.Seq
@@ -169,7 +169,7 @@ func (m *cmCore) armRexmit() {
 		m.conn.destroy(transport.ErrTimeout)
 		return
 	}
-	m.rexmit = m.conn.stack.sim.ScheduleTimer(cmBackoff(m.attempts), m.timerFn)
+	m.rexmit = m.conn.arm(cmBackoff(m.attempts), cmTimer)
 }
 
 // cmBackoff is the interval before the attempt after the n-th.
@@ -273,12 +273,12 @@ func (m *cmCore) streamFinished(end uint64) {
 	m.sendFIN()
 }
 
-// enterTimeWait starts the 2MSL timer. Nothing ever stops it, so the
-// handle is not kept: a connection reset meanwhile is dead when it
-// fires.
+// enterTimeWait starts the 2MSL timer, on the stack's queue
+// (timeWaitQueue): nothing ever stops it, and a connection reset
+// meanwhile is dead when it fires.
 func (m *cmCore) enterTimeWait() {
 	m.st = transport.StateTimeWait
-	m.conn.stack.sim.ScheduleTimer(transport.TimeWait, m.timerFn)
+	m.conn.stack.timeWait.wait(m.conn)
 }
 
 // section implements ConnManager: CM's bits on ordinary segments are
@@ -318,7 +318,7 @@ func (m *HandshakeCM) leaves() *metrics.Leaves                 { return handshak
 func (m *HandshakeCM) each(f func(string, metrics.Instrument)) { m.m.each(f) }
 
 // open implements ConnManager.
-func (m *HandshakeCM) open(active bool, first *cmView) {
+func (m *HandshakeCM) open(active bool, first cmView) {
 	m.isn = seg.Seq(m.conn.stack.isn.ISN(m.conn.dm.flow(), m.conn.now()))
 	if active {
 		m.st = transport.StateSynSent

@@ -24,7 +24,10 @@ import (
 // their methods, which is what the T3 litmus (TestDisjointState), the
 // T2 litmus (TestNarrowInterfaces) and the contracts check. The two
 // parts that are replaceable by design stay behind interfaces: the
-// connection manager here, the congestion controller inside OSR.
+// connection manager here, the congestion controller inside OSR. What
+// a connection uses only while it sends — the controller, its timer
+// callbacks and its send-side arrays — it borrows from its stack as one
+// bundle and gives back when it finishes (connParts).
 type Conn struct {
 	stack *Stack
 
@@ -32,6 +35,11 @@ type Conn struct {
 	cm  ConnManager
 	rd  RD
 	osr OSR
+
+	// parts is the bundle borrowed from the stack (connParts), nil
+	// once released. waitNext links the stack's TIME_WAIT queue.
+	parts    *connParts
+	waitNext *Conn
 
 	// crossings counts traffic over each inter-sublayer boundary —
 	// the raw material of the E9 hardware-offload analysis: a
@@ -189,8 +197,21 @@ func notify(f func()) {
 
 // onSegment is the per-connection receive path: CM sees its view
 // first (handshake, FIN, RST), then RD processes sequence/ack bits,
-// then OSR the window/ECN bits.
+// then OSR the window/ECN bits. Once a segment has left the connection
+// in TIME_WAIT with RD holding the ack of all it sent, FIN included,
+// nothing will send, retransmit, pace or probe again, and the
+// connection gives its parts back (release). What it still does until
+// TIME_WAIT ends — re-acknowledge a repeated segment, die on a reset —
+// needs none of them, and no ack can move RD's send window again.
 func (c *Conn) onSegment(h *tcpwire.SubHeader, payload []byte, ecnMarked bool) {
+	c.receive(h, payload, ecnMarked)
+	if c.cm.state() == transport.StateTimeWait && c.rd.una() == c.cm.localFinSeq().Add(1) {
+		c.release()
+	}
+}
+
+// receive runs one segment through CM, RD and OSR.
+func (c *Conn) receive(h *tcpwire.SubHeader, payload []byte, ecnMarked bool) {
 	if c.cm.isDead() {
 		return
 	}
@@ -223,8 +244,7 @@ func (c *Conn) destroy(err error) {
 		return
 	}
 	c.dm.close(err, c.rd.una())
-	c.rd.stop()
-	c.osr.stop()
+	c.release()
 	if c.OnClosed != nil {
 		c.OnClosed(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bufpool"
-	"repro/internal/ccontrol"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/network"
@@ -122,6 +121,10 @@ type Stack struct {
 	// secret), or Watson's incarnation registry.
 	isn          ISNGenerator
 	incarnations incarnations
+	// spare lists the bundles finished connections gave back, for the
+	// next (connParts); timeWait runs their TIME_WAIT timers.
+	spare    *connParts
+	timeWait timeWaitQueue
 }
 
 // NewStack attaches a sublayered transport to a router. In shim mode
@@ -136,6 +139,7 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 		listeners: make(map[uint16]*Listener),
 		conns:     make(map[tcpwire.FlowKey]*Conn),
 	}
+	s.timeWait.expire = s.timeWait.onExpire
 	switch s.cfg.CM {
 	case CMHandshake:
 		s.isn = &CryptoISN{}
@@ -209,7 +213,7 @@ func (s *Stack) Dial(dstAddr network.Addr, dstPort uint16) (*Conn, error) {
 	}
 	c := s.newConn(key)
 	s.dm.insert(key, c)
-	c.cm.open(true, nil)
+	c.cm.open(true, cmView{})
 	return c, nil
 }
 
@@ -237,24 +241,20 @@ func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 	c := &Conn{stack: s, dm: dmConn{key: key}}
 	c.dm.conn = c
 	c.cm = s.newCM(c)
-	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
-	c.osr.init(c, ccontrol.MustNew(s.cfg.CC, transport.MSS))
+	p := s.takeParts(c)
+	c.rd.init(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks, p.out)
+	c.osr.init(c, s.newCC(p.cc), p.send)
+	p.cc, p.out, p.send = nil, nil, nil
 	s.adoptMetrics(c)
 	return c
 }
 
-// newCM builds c's connection manager, the one cfg.CM names. Each
-// keeps its own onTimer as the func value every CM timer is armed
-// with.
+// newCM builds c's connection manager, the one cfg.CM names.
 func (s *Stack) newCM(c *Conn) ConnManager {
 	if s.cfg.CM == CMWatson {
-		m := &TimerCM{cmCore: cmCore{conn: c}}
-		m.timerFn = m.onTimer
-		return m
+		return &TimerCM{cmCore: cmCore{conn: c}}
 	}
-	m := &HandshakeCM{cmCore: cmCore{conn: c}}
-	m.timerFn = m.onTimer
-	return m
+	return &HandshakeCM{cmCore: cmCore{conn: c}}
 }
 
 // admits reports whether the scheme cfg.CM names opens a passive
@@ -335,7 +335,7 @@ func (d *DM) receive(dg *network.Datagram) {
 				return
 			case open:
 				c := d.stack.newConn(key)
-				c.cm.open(false, &v)
+				c.cm.open(false, v)
 				d.m.newPassive.Inc()
 				d.insert(key, c)
 				if l.OnAccept != nil {

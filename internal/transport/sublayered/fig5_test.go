@@ -34,6 +34,7 @@ var fig5 = []struct{ caller, callee, counters, why string }{
 	{"Conn", "ConnManager.stop", "", "every end sets CLOSED and its error here, once"},
 	{"Conn", "RD.stop", "", "teardown cancels RD's timers and frees its retransmission copies"},
 	{"Conn", "OSR.stop", "", "teardown cancels OSR's timers and frees its receive storage"},
+	{"Conn", "ConnManager.localFinSeq", "", "a connection in TIME_WAIT gives its parts back once RD holds the ack of its FIN"},
 	{"Conn", "RD.una", "", "an abort is traced at the oldest unacknowledged sequence number"},
 	{"Conn", "dmConn.close", "", "teardown leaves DM's table"},
 	{"Conn", "RD.NextSeq", "", "the application's abort sends its RST at RD's next sequence number"},
@@ -67,6 +68,7 @@ var fig5 = []struct{ caller, callee, counters, why string }{
 	{"TimerCM", "RD.SuppressAcksUntilPeerISN", "", "an active open does not know the peer's ISN yet"},
 	{"TimerCM", "RD.SetPeerISN", "", "and learns it from the first segment"},
 	{"TimerCM", "Conn.onEstablished", "", "the open reaches the application"},
+	{"TimerCM", "Conn.announce", "", "the announcement is a timer stop leaves running"},
 
 	{"cmCore", "dmConn.xmitCM", "to_dm", "FIN"},
 	{"cmCore", "RD.SetRemoteFin", "cm_to_rd", "where the peer's stream ends"},
@@ -75,6 +77,7 @@ var fig5 = []struct{ caller, callee, counters, why string }{
 	{"cmCore", "RD.AckNow", "", "a FIN, first or repeated, is acknowledged at once"},
 	{"cmCore", "OSR.closeWrite", "", "OSR asks for the FIN once what was written is segmented"},
 	{"cmCore", "Conn.destroy", "", "CM's own ends: an orderly close, a peer RST or a SYN/FIN timeout"},
+	{"cmCore", "Conn.arm", "", "SYN and FIN retransmission: every timer is armed through the connection, with callbacks it borrows from its stack"},
 
 	{"RD", "OSR.deliver", "rd_to_osr_dat", "new bytes, exactly once, possibly out of order"},
 	{"RD", "OSR.onAcked", "rd_to_osr_ack", "acknowledged bytes advance OSR's windows"},
@@ -85,6 +88,7 @@ var fig5 = []struct{ caller, callee, counters, why string }{
 	{"RD", "dmConn.trace", "", "RD's spans carry DM's flow"},
 	{"RD", "Conn.destroy", "", "the user timeout aborts the connection"},
 	{"RD", "Conn.now", "", "RTT timing"},
+	{"RD", "Conn.arm", "", "the RTO and delayed-ack timers"},
 
 	{"OSR", "RD.Send", "osr_to_rd osr_bytes", "a segment is ready"},
 	{"OSR", "RD.isEstablished", "", "segments are ready only once CM delivered the ISNs"},
@@ -92,6 +96,7 @@ var fig5 = []struct{ caller, callee, counters, why string }{
 	{"OSR", "ConnManager.peerStreamComplete", "", "the peer's stream is whole: CM runs the close transition"},
 	{"OSR", "ConnManager.isDead", "", "OSR's timers and delivery stop once the state is CLOSED"},
 	{"OSR", "Conn.now", "", "pacing and the controller's clock"},
+	{"OSR", "Conn.arm", "", "the persist and pacing timers"},
 
 	{"Stack", "RD.init", "", "a connection's sublayers are built in place"},
 	{"Stack", "OSR.init", "", "a connection's sublayers are built in place"},

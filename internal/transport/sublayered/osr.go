@@ -33,13 +33,11 @@ type OSR struct {
 	peerWnd  int
 	closeAt  uint64
 	probe    netsim.Timer
-	probeFn  func() // built at the first arm; re-arming allocates nothing
 
 	// Pacing: when the controller publishes a rate, pump spaces segment
 	// releases instead of bursting the whole window. nextRelease is the
 	// simulated instant the next segment may leave.
 	pace        netsim.Timer
-	paceFn      func()
 	nextRelease netsim.Time
 
 	// Receive half: read holds what the application has not read yet.
@@ -77,17 +75,19 @@ func (m *osrMetrics) each(f func(string, metrics.Instrument)) {
 // init readies the OSR half of c in place: like RD, OSR's state — send
 // buffer and reassembly included — is a value inside the Conn. The
 // congestion controller stays behind its interface: it is the part of
-// OSR that is replaceable by design (E8, E12).
-func (o *OSR) init(c *Conn, cc ccontrol.Controller) {
+// OSR that is replaceable by design (E8, E12). send is an array for
+// the send buffer, given back by a finished connection (connParts), or
+// nil.
+func (o *OSR) init(c *Conn, cc ccontrol.Controller, send []byte) {
 	o.conn = c
 	o.cc = cc
 	o.sb.Init(transport.BufSize)
+	o.sb.Adopt(send)
 	o.ra.Init(transport.BufSize)
 	o.peerWnd = 65535
 }
 
-// onProbeTimer and onPaceTimer are the timer callbacks, made func
-// values the first time their timers are armed (see RD.onRTOTimer).
+// onProbeTimer and onPaceTimer are the timer callbacks (connParts).
 func (o *OSR) onProbeTimer() {
 	if o.conn.cm.isDead() {
 		return
@@ -116,7 +116,9 @@ func (o *OSR) onPaceTimer() {
 // Stats returns a snapshot of the OSR counters.
 func (o *OSR) Stats() metrics.View { return metrics.ViewOf(o.m.each) }
 
-// CC exposes the congestion controller (read-only use: stats, E8).
+// CC exposes the congestion controller (read-only use: stats, E8). It
+// is nil once the connection has released its parts (connParts): the
+// controller went back to the stack for the next connection.
 func (o *OSR) CC() ccontrol.Controller { return o.cc }
 
 // write queues application bytes, returning how many were accepted.
@@ -209,10 +211,7 @@ func (o *OSR) armPace(d netsim.Time) {
 	if o.pace.Active() {
 		return
 	}
-	if o.paceFn == nil {
-		o.paceFn = o.onPaceTimer
-	}
-	o.pace = o.conn.stack.sim.ScheduleTimer(time.Duration(d), o.paceFn)
+	o.pace = o.conn.arm(time.Duration(d), paceTimer)
 }
 
 // armProbe guards against the zero-window deadlock: if the peer closed
@@ -225,10 +224,7 @@ func (o *OSR) armProbe(inflight int) {
 	if o.peerWnd > 0 {
 		return // stalled on cwnd; acks will reopen it
 	}
-	if o.probeFn == nil {
-		o.probeFn = o.onProbeTimer
-	}
-	o.probe = o.conn.stack.sim.ScheduleTimer(500*time.Millisecond, o.probeFn)
+	o.probe = o.conn.arm(500*time.Millisecond, probeTimer)
 }
 
 // maybeFinish notifies CM when the outgoing stream is fully segmented.
@@ -313,8 +309,13 @@ func (o *OSR) checkEOF() {
 
 // onPeerHeader processes the peer's OSR bits: flow-control window and
 // ECN echo (T3: congestion signals reach OSR via its own header).
+// A released connection has nothing left to send and no controller to
+// react (connParts).
 func (o *OSR) onPeerHeader(h tcpwire.OSRSection) {
 	o.peerWnd = int(h.Window)
+	if o.cc == nil {
+		return
+	}
 	if h.ECE {
 		// The reaction guard (one cut per congested window) is the
 		// controller's own business now — OSR just forwards the mark and
@@ -356,10 +357,16 @@ func (o *OSR) window() uint16 {
 	return uint16(free)
 }
 
-// stop cancels timers and drops the receive storage no reader needs.
-func (o *OSR) stop() {
+// stop cancels timers, drops the receive storage no reader needs, and
+// hands over the controller and the send buffer's array for the next
+// connection (connParts): nil for what OSR gave already. The read
+// buffer stays: the application may still read what arrived.
+func (o *OSR) stop() (ccontrol.Controller, []byte) {
 	o.probe.Stop()
 	o.pace.Stop()
 	o.ra.Release()
 	o.read.Finish()
+	cc := o.cc
+	o.cc = nil
+	return cc, o.sb.Detach()
 }

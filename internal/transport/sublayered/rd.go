@@ -52,7 +52,6 @@ type RD struct {
 	recover    seg.Seq
 	rtt        seg.RTTEstimator
 	rtoTimer   netsim.Timer
-	rtoFn      func() // built at the first arm; re-arming allocates nothing
 	// BSD-style single-segment RTT timing: one fresh segment is timed
 	// at a time; the sample is discarded if anything is retransmitted
 	// meanwhile (Karn's rule). Sampling arbitrary segments would poison
@@ -76,7 +75,6 @@ type RD struct {
 	delayedAcks bool
 	ackPending  int
 	ackTimer    netsim.Timer
-	ackFn       func() // built at the first arm; re-arming allocates nothing
 	established bool
 	// ackable gates the Ack fields: timer-based CM establishes the
 	// send direction before the peer's ISN is known, during which acks
@@ -135,18 +133,18 @@ type outSeg struct {
 // init readies the RD half of c in place. RD's state — the estimator
 // and the RTT histogram included — is a value inside the Conn: one
 // object holds the connection, and only RD's methods touch this part of
-// it.
-func (r *RD) init(c *Conn, sackEnabled, delayedAcks bool) {
+// it. out is an empty array for the retransmission queue, given back
+// by a finished connection (connParts), or nil.
+func (r *RD) init(c *Conn, sackEnabled, delayedAcks bool, out []outSeg) {
 	r.conn = c
+	r.out = out
 	r.sackEnabled = sackEnabled
 	r.delayedAcks = delayedAcks
 	r.rtt.Init(time.Second, 200*time.Millisecond, 60*time.Second)
 	r.m.rttMs.Init(rttBoundsMs)
 }
 
-// onRTOTimer and onAckTimer are the timer callbacks. Each becomes a
-// func value the first time its timer is armed — a connection that
-// never sends data, or never delays an ack, never pays for it.
+// onRTOTimer and onAckTimer are the timer callbacks (connParts).
 func (r *RD) onRTOTimer() {
 	if !r.conn.cm.isDead() {
 		r.onRTO()
@@ -306,10 +304,7 @@ func (r *RD) onData(s seg.Seq, payload []byte) {
 		return
 	}
 	if !r.ackTimer.Active() {
-		if r.ackFn == nil {
-			r.ackFn = r.onAckTimer
-		}
-		r.ackTimer = r.conn.stack.sim.ScheduleTimer(50*time.Millisecond, r.ackFn)
+		r.ackTimer = r.conn.arm(50*time.Millisecond, ackTimer)
 	}
 }
 
@@ -439,10 +434,7 @@ func (r *RD) armRTO() {
 	if r.AllAcked() {
 		return
 	}
-	if r.rtoFn == nil {
-		r.rtoFn = r.onRTOTimer
-	}
-	r.rtoTimer = r.conn.stack.sim.ScheduleTimer(r.rtt.RTO(), r.rtoFn)
+	r.rtoTimer = r.conn.arm(r.rtt.RTO(), rtoTimer)
 }
 
 func (r *RD) onRTO() {
@@ -561,12 +553,20 @@ func (r *RD) rcvOffsetChecked(s seg.Seq) (uint64, bool) {
 }
 
 // stop cancels timers and recycles unacknowledged segment buffers when
-// the connection dies.
-func (r *RD) stop() {
+// the connection finishes, and hands over the window's array, emptied,
+// for the next connection (connParts): nil when RD has none, or gave it
+// already.
+func (r *RD) stop() []outSeg {
 	r.rtoTimer.Stop()
 	r.ackTimer.Stop()
 	for _, o := range r.outstanding() {
 		bufpool.Put(o.payload)
 	}
+	out := r.out
+	if out != nil {
+		clear(out[:cap(out)]) // the records still name pooled buffers
+		out = out[:0]
+	}
 	r.out, r.head = nil, 0
+	return out
 }

@@ -74,6 +74,9 @@ type transferResult struct {
 	clientErr  error
 	serverErr  error
 	closedOK   int
+	// clientCC names the client's congestion controller, read when it
+	// connected: a closed connection has given its controller back.
+	clientCC string
 }
 
 func runTransfer(t testing.TB, w *world, c2s, s2c []byte, budget time.Duration) *transferResult {
@@ -131,7 +134,10 @@ func runTransfer(t testing.TB, w *world, c2s, s2c []byte, budget time.Duration) 
 			cc.Close()
 		}
 	}
-	cc.OnConnected = pushCli
+	cc.OnConnected = func() {
+		res.clientCC = cc.OSR().CC().Name()
+		pushCli()
+	}
 	cc.OnWritable = pushCli
 	cc.OnReadable = func() {
 		res.clientGot = append(res.clientGot, cc.ReadAll()...)
@@ -256,7 +262,7 @@ func TestE8CongestionControlSwap(t *testing.T) {
 			if !bytes.Equal(res.serverGot, data) {
 				t.Fatalf("%s: got %d of %d bytes", name, len(res.serverGot), len(data))
 			}
-			if got := res.clientConn.OSR().CC().Name(); got != name {
+			if got := res.clientCC; got != name {
 				t.Errorf("CC name = %s", got)
 			}
 		})
@@ -592,7 +598,7 @@ func TestRegistrySwapCompletesTransfer(t *testing.T) {
 			if !bytes.Equal(res.serverGot, data) {
 				t.Fatalf("transfer corrupt or incomplete: %d/%d bytes", len(res.serverGot), len(data))
 			}
-			if got := res.clientConn.OSR().CC().Name(); got != name {
+			if got := res.clientCC; got != name {
 				t.Errorf("controller = %q, want %q", got, name)
 			}
 		})

@@ -66,7 +66,7 @@ func (m *TimerCM) onTimer() {
 
 // open implements ConnManager. Active opens are established instantly;
 // a passive open is established on its first segment.
-func (m *TimerCM) open(active bool, first *cmView) {
+func (m *TimerCM) open(active bool, first cmView) {
 	// Strictly monotonic clock ISN: virtual nanoseconds. Two opens in
 	// the same instant to the same peer share an incarnation, which
 	// the registry rejects — real Watson clocks tick per connection;
@@ -78,7 +78,7 @@ func (m *TimerCM) open(active bool, first *cmView) {
 		m.conn.rd.SuppressAcksUntilPeerISN()
 		// Deferred one tick so Dial's caller can register callbacks
 		// before OnConnected fires (there is no handshake to wait for).
-		m.conn.stack.sim.ScheduleTimer(0, m.timerFn)
+		m.conn.announce()
 		return
 	}
 	// Passive: DM built the connection on a first segment of a fresh
@@ -88,7 +88,7 @@ func (m *TimerCM) open(active bool, first *cmView) {
 	m.st = transport.StateEstablished
 	m.conn.rd.Established(m.isn, m.peerISN)
 	// Deferred so the listener's OnAccept can register callbacks first.
-	m.conn.stack.sim.ScheduleTimer(0, m.timerFn)
+	m.conn.announce()
 }
 
 // onSegment implements ConnManager.
